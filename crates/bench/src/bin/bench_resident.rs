@@ -19,7 +19,7 @@
 //!   comparison quantity), recording the accuracy the overhead pays for.
 //!
 //! Usage: `bench_resident [out.json] [threads]` (defaults:
-//! `BENCH_resident_new.json`, 4 worker threads).
+//! `BENCH_resident_new.json`, `min(cores, 4)` worker threads).
 
 use std::time::Instant;
 
@@ -88,7 +88,7 @@ fn record(name: &str, samples: &[f64]) -> BenchRecord {
     let mut sorted = samples.to_vec();
     sorted.sort_by(f64::total_cmp);
     let n = sorted.len();
-    let median = if n % 2 == 1 { sorted[n / 2] } else { (sorted[n / 2 - 1] + sorted[n / 2]) / 2.0 };
+    let median = swq_bench::median(&sorted);
     BenchRecord {
         name: name.to_string(),
         samples: n as u64,
@@ -121,11 +121,7 @@ fn scalar_record(name: &str, value: f64, samples: u64) -> BenchRecord {
 fn main() {
     let mut args = std::env::args().skip(1);
     let path = args.next().unwrap_or_else(|| "BENCH_resident_new.json".to_string());
-    let threads: usize = args.next().and_then(|v| v.parse().ok()).unwrap_or(4);
-    rayon::ThreadPoolBuilder::new()
-        .num_threads(threads)
-        .build_global()
-        .expect("the vendored pool accepts reconfiguration");
+    swq_bench::pin_pool(args.next());
     println!(
         "resident: {SIDE}^3 mesh, {TIMED_STEPS} timed steps per mode, {} worker threads, \
          compressed16 slab cap {} MiB",

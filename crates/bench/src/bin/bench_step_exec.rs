@@ -33,7 +33,7 @@
 //!   are measured, not inferred.
 //!
 //! Usage: `bench_step_exec [out.json] [threads]` (defaults:
-//! `BENCH_step_exec_new.json`, 4 worker threads).
+//! `BENCH_step_exec_new.json`, `min(cores, 4)` worker threads).
 
 use std::sync::Arc;
 use std::time::Instant;
@@ -96,7 +96,7 @@ fn record(name: &str, samples: &[f64], host: &str) -> BenchRecord {
     let mut sorted = samples.to_vec();
     sorted.sort_by(f64::total_cmp);
     let n = sorted.len();
-    let median = if n % 2 == 1 { sorted[n / 2] } else { (sorted[n / 2 - 1] + sorted[n / 2]) / 2.0 };
+    let median = swq_bench::median(&sorted);
     BenchRecord {
         name: name.to_string(),
         samples: n as u64,
@@ -114,11 +114,7 @@ fn record(name: &str, samples: &[f64], host: &str) -> BenchRecord {
 fn main() {
     let mut args = std::env::args().skip(1);
     let path = args.next().unwrap_or_else(|| "BENCH_step_exec_new.json".to_string());
-    let threads: usize = args.next().and_then(|v| v.parse().ok()).unwrap_or(4);
-    rayon::ThreadPoolBuilder::new()
-        .num_threads(threads)
-        .build_global()
-        .expect("the vendored pool accepts reconfiguration");
+    let threads = swq_bench::pin_pool(args.next());
     println!(
         "step_exec: {SIDE}^3 mesh, {TIMED_STEPS} timed steps per mode, \
          {} worker threads",

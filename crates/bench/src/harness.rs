@@ -162,7 +162,7 @@ impl Bencher {
     fn record(&self, name: &str, throughput: Option<Throughput>) -> BenchRecord {
         let mut sorted = self.samples.clone();
         sorted.sort_by(|a, b| a.partial_cmp(b).unwrap());
-        let median = if sorted.is_empty() { 0.0 } else { sorted[sorted.len() / 2] };
+        let median = crate::median(&sorted);
         let mean =
             if sorted.is_empty() { 0.0 } else { sorted.iter().sum::<f64>() / sorted.len() as f64 };
         // A bench that declares no throughput still gets a real unit

@@ -35,9 +35,43 @@ pub fn dev(measured: f64, paper: f64) -> String {
     format!("{:+.1}%", (measured - paper) / paper * 100.0)
 }
 
+/// Median of an ascending-sorted sample set (mean of the two middle
+/// samples when their number is even; 0 for none).
+pub fn median(sorted: &[f64]) -> f64 {
+    let n = sorted.len();
+    match n {
+        0 => 0.0,
+        _ if n % 2 == 1 => sorted[n / 2],
+        _ => (sorted[n / 2 - 1] + sorted[n / 2]) / 2.0,
+    }
+}
+
+/// Pin the worker pool of a `bench_*` binary to its `[threads]`
+/// argument, or to `min(cores, 4)` without one (CI passes 4; a bare run
+/// on a smaller host must not oversubscribe it and stamp `/4t` on the
+/// records). Returns the pinned count.
+pub fn pin_pool(threads_arg: Option<String>) -> usize {
+    let threads = threads_arg.and_then(|v| v.parse().ok()).unwrap_or_else(|| {
+        std::thread::available_parallelism().map_or(1, std::num::NonZero::get).min(4)
+    });
+    rayon::ThreadPoolBuilder::new()
+        .num_threads(threads)
+        .build_global()
+        .expect("the vendored pool accepts reconfiguration");
+    threads
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn median_of_even_and_odd_sample_counts() {
+        assert_eq!(median(&[]), 0.0);
+        assert_eq!(median(&[3.0]), 3.0);
+        assert_eq!(median(&[1.0, 2.0, 10.0]), 2.0);
+        assert_eq!(median(&[1.0, 2.0, 4.0, 10.0]), 3.0);
+    }
 
     #[test]
     fn formatting_helpers() {

@@ -885,6 +885,8 @@ fn resident_probe(engine: &ResidentEngine, step: u64, time: f64, rank: usize) ->
             max_abs: f64::from(stats.max_abs),
             nan_count,
             inf_count,
+            // The encoder's statistics do not count them.
+            subnormal_count: 0,
             first_bad,
         });
     }
@@ -1235,6 +1237,7 @@ impl Simulation {
 
     /// Advance one step (single-rank path: no halo exchange needed).
     pub fn step(&mut self) {
+        let _fp = exec::kernel_fp_env();
         let tel = self.telemetry.clone();
         let start =
             (tel.is_enabled() || self.perf.is_some() || self.timeline.is_some()).then(Instant::now);
@@ -2274,6 +2277,9 @@ pub fn run_multirank(
     let commit = Barrier::new(grid.len());
     let restart = RestartController { interval: config.checkpoint_interval };
     let results = run_ranks(grid, |comm| {
+        // The rank loop below calls the step halves directly, not
+        // `Simulation::step`, so it enters the kernels' FP mode itself.
+        let _fp = exec::kernel_fp_env();
         // Each rank thread records into its own trace lane (one process
         // row per rank in the exported Chrome trace).
         telemetry.tracer().bind_lane(comm.rank as u64, &format!("rank{}", comm.rank));

@@ -30,6 +30,7 @@
 
 use std::fmt;
 use std::str::FromStr;
+use sw_grid::fpenv;
 
 /// Grid size (interior points) above which `Auto` goes parallel. Below
 /// it, plane fan-out overhead rivals the kernel work itself: a 32³ block
@@ -167,6 +168,28 @@ pub fn configure_threads(threads: usize) {
             .build_global()
             .expect("the vendored pool accepts reconfiguration");
     }
+}
+
+/// Enter the floating-point environment all kernel code runs in —
+/// subnormals flush to zero ([`sw_grid::fpenv`]) — on the calling thread
+/// and on every pool helper it borrows while the guard lives; dropping
+/// the guard restores the caller's own mode. The driver holds one
+/// across every step, in every exec mode, layout, residency and rank, so
+/// all of them compute the same bits. Code that calls kernels directly
+/// enters it the same way.
+pub fn kernel_fp_env() -> fpenv::FlushGuard {
+    // Pool helpers take over the borrowing thread's mode instead of
+    // counting on the thread library to copy it. A helper lives for one
+    // region, so it never needs its own mode back.
+    rayon::set_start_handler(rayon::StartHandler {
+        capture: || u64::from(fpenv::is_flushing()),
+        adopt: |flushing| {
+            if flushing != 0 {
+                std::mem::forget(fpenv::flush_subnormals());
+            }
+        },
+    });
+    fpenv::flush_subnormals()
 }
 
 /// The thread-count default from `SWQUAKE_THREADS` (0 = unset/invalid).

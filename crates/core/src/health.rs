@@ -46,6 +46,7 @@ struct PlaneScan {
     max_abs: f32,
     nan: u64,
     inf: u64,
+    subnormal: u64,
     /// First non-finite entry of this plane in (y, z) scan order.
     first_bad: Option<(usize, usize)>,
 }
@@ -62,6 +63,10 @@ fn scan_plane(field: &Field3, x: usize) -> PlaneScan {
         // `a > max` is false for NaN, so a NaN can hide from the max —
         // the finiteness fold catches it and routes to the slow scan.
         let mut mx = [0.0f32; 8];
+        // `is_subnormal` tests bits; a float compare would not do, as
+        // the probe runs in the kernels' flush-to-zero mode, where a
+        // subnormal operand reads as zero.
+        let mut sub = [0u32; 8];
         let mut nonfinite = 0u32;
         let mut runs = zs.chunks_exact(8);
         for run in &mut runs {
@@ -70,6 +75,7 @@ fn scan_plane(field: &Field3, x: usize) -> PlaneScan {
                 if a > mx[l] {
                     mx[l] = a;
                 }
+                sub[l] += u32::from(run[l].is_subnormal());
                 nonfinite |= u32::from(!run[l].is_finite());
             }
         }
@@ -78,8 +84,10 @@ fn scan_plane(field: &Field3, x: usize) -> PlaneScan {
             if a > mx[0] {
                 mx[0] = a;
             }
+            sub[0] += u32::from(v.is_subnormal());
             nonfinite |= u32::from(!v.is_finite());
         }
+        s.subnormal += sub.iter().map(|&n| u64::from(n)).sum::<u64>();
         if nonfinite == 0 {
             let max_abs = mx.iter().fold(0.0f32, |m, &v| if v > m { v } else { m });
             if max_abs > s.max_abs {
@@ -128,6 +136,7 @@ fn fold_planes(name: &'static str, planes: &[PlaneScan]) -> FieldProbe {
         max_abs: 0.0,
         nan_count: 0,
         inf_count: 0,
+        subnormal_count: 0,
         first_bad: None,
     };
     let mut max_abs = 0.0f32;
@@ -137,6 +146,7 @@ fn fold_planes(name: &'static str, planes: &[PlaneScan]) -> FieldProbe {
         }
         probe.nan_count += p.nan;
         probe.inf_count += p.inf;
+        probe.subnormal_count += p.subnormal;
         if probe.first_bad.is_none() {
             if let Some((y, z)) = p.first_bad {
                 probe.first_bad = Some((x, y, z));
@@ -513,12 +523,19 @@ mod tests {
         state.u.set(9, 2, 1, -7.5);
         state.u.set(5, 5, 5, f32::NAN);
         state.u.set(8, 0, 0, f32::INFINITY);
+        // Subnormals, one in a row that also holds a NaN (the slow
+        // scan) and one in a clean row; counted in the kernels' FP
+        // mode, where a float compare would read them as zero.
+        state.u.set(5, 5, 2, f32::from_bits(1));
+        state.u.set(1, 1, 1, -f32::MIN_POSITIVE / 2.0);
+        let _fp = crate::exec::kernel_fp_env();
         let serial = scan_field("u", &state.u, false);
         let parallel = scan_field("u", &state.u, true);
         assert_eq!(serial, parallel);
         assert_eq!(serial.max_abs, 7.5);
         assert_eq!(serial.nan_count, 1);
         assert_eq!(serial.inf_count, 1);
+        assert_eq!(serial.subnormal_count, 2);
         // (5,5,5) precedes (8,0,0) in x-major scan order.
         assert_eq!(serial.first_bad, Some((5, 5, 5)));
     }

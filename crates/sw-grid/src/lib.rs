@@ -11,10 +11,13 @@
 //!   6-vectors) that raise the DMA block size;
 //! * [`tile`] — the multi-level blocking geometry of Fig. 4 (MPI partition →
 //!   core-group block → Athread region → LDM window);
-//! * [`halo`] — pack/unpack of halo faces for inter-rank exchange.
+//! * [`halo`] — pack/unpack of halo faces for inter-rank exchange;
+//! * [`fpenv`] — the flush-to-zero floating-point environment every
+//!   thread that runs kernel code computes in.
 
 pub mod array3;
 pub mod dims;
+pub mod fpenv;
 pub mod fused;
 pub mod halo;
 #[cfg(feature = "simd")]

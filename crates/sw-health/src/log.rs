@@ -132,12 +132,14 @@ mod tests {
             kinetic_energy: Some(42.0),
             nan_count: 0,
             inf_count: 0,
+            subnormal_count: 0,
             verdict,
             fields: vec![FieldProbe {
                 name: "u".into(),
                 max_abs: 1.0e-3,
                 nan_count: 0,
                 inf_count: 0,
+                subnormal_count: 0,
                 first_bad: None,
             }],
         }

@@ -19,6 +19,14 @@ pub struct FieldProbe {
     pub max_abs: f64,
     pub nan_count: u64,
     pub inf_count: u64,
+    /// Entries below `f32::MIN_POSITIVE` in magnitude, zero excluded.
+    /// The kernels compute in flush-to-zero mode (`sw_grid::fpenv`), so
+    /// this is 0 on x86-64 and aarch64; on a target where that mode is a
+    /// no-op it counts the wavefront fringe whose arithmetic traps to
+    /// microcode — a step that slows along the run shows up here. Absent
+    /// from streams written before the field existed (read as 0).
+    #[serde(default)]
+    pub subnormal_count: u64,
     /// Grid index `(x, y, z)` of the first non-finite entry in scan
     /// order, if any — deterministic across exec modes.
     pub first_bad: Option<(usize, usize, usize)>,
@@ -45,6 +53,10 @@ impl StepProbe {
 
     pub fn inf_count(&self) -> u64 {
         self.fields.iter().map(|f| f.inf_count).sum()
+    }
+
+    pub fn subnormal_count(&self) -> u64 {
+        self.fields.iter().map(|f| f.subnormal_count).sum()
     }
 
     /// The first field (in probe order) carrying a non-finite entry,
@@ -196,6 +208,9 @@ pub struct HealthRecord {
     pub kinetic_energy: Option<f64>,
     pub nan_count: u64,
     pub inf_count: u64,
+    /// Sum of the fields' `subnormal_count`s (see [`FieldProbe`]).
+    #[serde(default)]
+    pub subnormal_count: u64,
     pub verdict: Verdict,
     pub fields: Vec<FieldProbe>,
 }
@@ -223,6 +238,7 @@ impl HealthRecord {
             kinetic_energy: Some(0.0),
             nan_count: 0,
             inf_count: 0,
+            subnormal_count: 0,
             verdict: Verdict::Warning(vec![Warning::CheckpointFallback {
                 step: skipped_step,
                 reason,
@@ -247,12 +263,14 @@ mod tests {
             kinetic_energy: Some(9.0e2),
             nan_count: 1,
             inf_count: 0,
+            subnormal_count: 0,
             verdict: Verdict::Fatal(Fatal::Nan { field: "u".into(), index: (3, 4, 5) }),
             fields: vec![FieldProbe {
                 name: "u".into(),
                 max_abs: 1.5e-3,
                 nan_count: 1,
                 inf_count: 0,
+                subnormal_count: 0,
                 first_bad: Some((3, 4, 5)),
             }],
         }
@@ -264,6 +282,18 @@ mod tests {
         let line = serde_json::to_string(&rec).expect("serialise");
         let back: HealthRecord = serde_json::from_str(&line).expect("parse");
         assert_eq!(back, rec);
+    }
+
+    #[test]
+    fn records_written_before_subnormal_count_still_parse() {
+        let mut rec = sample_record();
+        rec.subnormal_count = 9;
+        rec.fields[0].subnormal_count = 9;
+        let line = serde_json::to_string(&rec).expect("serialise");
+        assert!(line.contains("\"subnormal_count\":9"), "{line}");
+        let old = line.replace("\"subnormal_count\":9,", "");
+        let back: HealthRecord = serde_json::from_str(&old).expect("parse");
+        assert_eq!(back, sample_record());
     }
 
     #[test]
@@ -291,6 +321,7 @@ mod tests {
                     max_abs: 0.0,
                     nan_count: 0,
                     inf_count: 0,
+                    subnormal_count: 0,
                     first_bad: None,
                 },
                 FieldProbe {
@@ -298,6 +329,7 @@ mod tests {
                     max_abs: 0.0,
                     nan_count: 0,
                     inf_count: 2,
+                    subnormal_count: 0,
                     first_bad: Some((1, 2, 3)),
                 },
                 FieldProbe {
@@ -305,6 +337,7 @@ mod tests {
                     max_abs: 0.0,
                     nan_count: 5,
                     inf_count: 0,
+                    subnormal_count: 0,
                     first_bad: Some((0, 0, 0)),
                 },
             ],

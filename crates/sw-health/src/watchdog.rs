@@ -120,6 +120,7 @@ impl Watchdog {
             },
             nan_count: probe.nan_count(),
             inf_count: probe.inf_count(),
+            subnormal_count: probe.subnormal_count(),
             verdict,
             fields: probe.fields,
         };
@@ -203,6 +204,7 @@ mod tests {
                 max_abs: vel,
                 nan_count: 0,
                 inf_count: 0,
+                subnormal_count: 0,
                 first_bad: None,
             }],
         }

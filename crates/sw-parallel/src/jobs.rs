@@ -18,9 +18,13 @@
 //! concurrency composes with per-simulation kernel fan-out without
 //! oversubscription. `run_jobs` debug-asserts the budget is never
 //! overdrawn once all workers join.
+//!
+//! Workers compute in the caller's floating-point mode, as rank threads
+//! do (see [`run_ranks`](crate::run_ranks)).
 
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
+use sw_grid::fpenv;
 
 /// Run `body(0..count)` on at most `workers` concurrent OS threads and
 /// collect the results in job order. Panics in any job propagate.
@@ -44,17 +48,21 @@ where
     }
     let next = AtomicUsize::new(0);
     let results: Mutex<Vec<(usize, T)>> = Mutex::new(Vec::with_capacity(count));
+    let flushing = fpenv::is_flushing();
     std::thread::scope(|scope| {
         let mut handles = Vec::with_capacity(workers);
         for _ in 0..workers {
             let (next, results, body) = (&next, &results, &body);
-            handles.push(scope.spawn(move || loop {
-                let i = next.fetch_add(1, Ordering::Relaxed);
-                if i >= count {
-                    break;
+            handles.push(scope.spawn(move || {
+                let _fp = flushing.then(fpenv::flush_subnormals);
+                loop {
+                    let i = next.fetch_add(1, Ordering::Relaxed);
+                    if i >= count {
+                        break;
+                    }
+                    let value = body(i);
+                    results.lock().expect("job results lock").push((i, value));
                 }
-                let value = body(i);
-                results.lock().expect("job results lock").push((i, value));
             }));
         }
         for h in handles {

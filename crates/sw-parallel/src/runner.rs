@@ -26,9 +26,13 @@
 //!   returned before the corresponding parallel call returns; `run_ranks`
 //!   debug-asserts that the budget is never overdrawn once all ranks
 //!   join, and the `nested_*` tests below pin full balance.
+//!
+//! Rank threads compute in the caller's floating-point mode: a caller
+//! that flushes subnormals ([`sw_grid::fpenv`]) gets rank threads that do.
 
 use crate::fabric::{Fabric, RankComm};
 use crate::grid::RankGrid;
+use sw_grid::fpenv;
 
 /// Run `body` on every rank of `grid` concurrently and collect the results
 /// in rank order. Panics in any rank propagate.
@@ -42,11 +46,15 @@ where
 {
     let comms = Fabric::build(grid);
     let mut slots: Vec<Option<T>> = (0..grid.len()).map(|_| None).collect();
+    let flushing = fpenv::is_flushing();
     std::thread::scope(|scope| {
         let mut handles = Vec::with_capacity(grid.len());
         for comm in &comms {
             let body = &body;
-            handles.push(scope.spawn(move || (comm.rank, body(comm))));
+            handles.push(scope.spawn(move || {
+                let _fp = flushing.then(fpenv::flush_subnormals);
+                (comm.rank, body(comm))
+            }));
         }
         for h in handles {
             let (rank, value) = h.join().expect("rank thread panicked");
