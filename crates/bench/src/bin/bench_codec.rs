@@ -1,0 +1,201 @@
+//! `codec` — single-thread throughput of the §6.5 16-bit codecs: the
+//! branch-free lane bodies (`Codec16::{encode,decode,roundtrip}_slice`)
+//! against the branchy scalar oracle they replaced (`tests/oracle/`), and
+//! the calibration scan against `Field3::max_abs`, on one 84³ array (the
+//! padded 80³ wavefield of the `nonlinear-tangshan` benchmark workload).
+//!
+//! Per codec (`f16`, `adaptive`, `norm`) and operation (`encode`,
+//! `decode`, `roundtrip`), plus `scan`, the [`BenchReport`] holds
+//!
+//! * `codec/<codec>/<op>/lanes` and `…/oracle` — absolute seconds per
+//!   pass, host-stamped (a diff against another host's baseline skips
+//!   them);
+//! * `codec/<codec>/<op>/lanes_over_oracle` — the dimensionless time
+//!   ratio, carrying its own tolerance of `1/0.7 − 1`: `bench-diff`
+//!   against the committed `BENCH_codec.json` fails when the lane body's
+//!   advantage over the oracle drops below 0.7× the committed
+//!   measurement — which is what a lost vectorization looks like.
+//!
+//! Usage: `bench_codec [out.json] [threads]` (defaults:
+//! `BENCH_codec_new.json`, `min(cores, 4)`; the passes themselves run on
+//! the calling thread).
+
+#[path = "../../../../tests/oracle/mod.rs"]
+mod oracle;
+
+use std::hint::black_box;
+use std::time::Instant;
+
+use oracle::{AdaptiveOracle, NormOracle, Oracle};
+use sw_compress::{calibrated_codec, max_abs_bucket, AdaptiveCodec, Codec, Codec16, FieldStats};
+use sw_grid::{Dims3, Field3};
+use sw_telemetry::bench::{BenchRecord, BenchReport};
+use sw_telemetry::perf::HostFingerprint;
+
+const SIDE: usize = 80;
+const HALO: usize = 2;
+const REPS: usize = 15;
+
+/// Same-host reruns of the absolute records are noisy; the ratios gate.
+const ABSOLUTE_TOLERANCE: f64 = 10.0;
+/// The lanes-over-oracle time ratio may grow to `1/0.7` of the committed
+/// measurement (the speed-up may shrink to 0.7× of it).
+const RATIO_TOLERANCE: f64 = 1.0 / 0.7 - 1.0;
+
+/// A wavefield-shaped array: a quiescent tenth, then noise whose
+/// magnitude decays over 24 binades below a peak of 0.03 (so every
+/// oracle branch — flush, subnormal, rounding carry — is taken, in an
+/// order a branch predictor cannot learn).
+fn wavefield() -> Field3 {
+    let mut f = Field3::new(Dims3::cube(SIDE), HALO);
+    let n = f.raw().len();
+    for (i, v) in f.raw_mut().iter_mut().enumerate().skip(n / 10) {
+        let noise = ((i * 2_654_435_761) % 1_000_003) as f32 / 5.0e5 - 1.0;
+        *v = 0.03 * noise * 2.0f32.powi(-((i * 24 / n) as i32));
+    }
+    f
+}
+
+/// Median seconds of `REPS` calls of `pass`, each after `reset`.
+fn time(mut reset: impl FnMut(), mut pass: impl FnMut()) -> Vec<f64> {
+    reset();
+    pass();
+    (0..REPS)
+        .map(|_| {
+            reset();
+            let t0 = Instant::now();
+            pass();
+            t0.elapsed().as_secs_f64()
+        })
+        .collect()
+}
+
+fn record(name: String, samples: &[f64], elems: usize, host: &str) -> BenchRecord {
+    let mut sorted = samples.to_vec();
+    sorted.sort_by(f64::total_cmp);
+    BenchRecord {
+        name,
+        samples: sorted.len() as u64,
+        median_s: swq_bench::median(&sorted),
+        mean_s: sorted.iter().sum::<f64>() / sorted.len() as f64,
+        min_s: sorted[0],
+        max_s: sorted[sorted.len() - 1],
+        throughput: elems as f64,
+        throughput_unit: "elements".to_string(),
+        tolerance: Some(ABSOLUTE_TOLERANCE),
+        host: Some(host.to_string()),
+    }
+}
+
+/// The `lanes`, `oracle` and `lanes_over_oracle` records of one pairing.
+fn pair(what: &str, lanes: &[f64], oracle: &[f64], elems: usize, host: &str) -> [BenchRecord; 3] {
+    let lanes = record(format!("codec/{what}/lanes"), lanes, elems, host);
+    let oracle = record(format!("codec/{what}/oracle"), oracle, elems, host);
+    let ratio = lanes.median_s / oracle.median_s;
+    println!(
+        "{what:20} lanes {:7.0} Melem/s   oracle {:7.0} Melem/s   ({:.1}x)",
+        elems as f64 / lanes.median_s / 1e6,
+        elems as f64 / oracle.median_s / 1e6,
+        1.0 / ratio
+    );
+    let ratio = BenchRecord {
+        name: format!("codec/{what}/lanes_over_oracle"),
+        samples: lanes.samples,
+        median_s: ratio,
+        mean_s: ratio,
+        min_s: ratio,
+        max_s: ratio,
+        throughput: 1.0,
+        throughput_unit: "ratio".to_string(),
+        tolerance: Some(RATIO_TOLERANCE),
+        host: None,
+    };
+    [lanes, oracle, ratio]
+}
+
+fn main() {
+    let mut args = std::env::args().skip(1);
+    let path = args.next().unwrap_or_else(|| "BENCH_codec_new.json".to_string());
+    let threads = swq_bench::pin_pool(args.next());
+    let host = HostFingerprint::detect(threads as u64).id();
+
+    let field = wavefield();
+    let src = field.raw();
+    let n = src.len();
+    println!("codec: {n} elements ({SIDE}^3 + halo {HALO}), {REPS} passes, one thread");
+
+    // The calibrated codecs the driver and the resident store would pick.
+    let bucket = max_abs_bucket(field.max_abs());
+    let empty = FieldStats::empty();
+    let codecs: Vec<(&str, Codec, Oracle)> = ["u", "xx", "lam"]
+        .into_iter()
+        .map(|array| match calibrated_codec(&Codec::paper_assignment(array, &empty), bucket) {
+            c @ Codec::F16(_) => ("f16", c, Oracle::F16),
+            c @ Codec::Adaptive(_) => {
+                // The calibration's 31-binade window, four above the bucket.
+                let (lo, hi) = (bucket + 4 - 30, bucket + 4);
+                assert_eq!(c, Codec::Adaptive(AdaptiveCodec::new(lo, hi)));
+                ("adaptive", c, Oracle::Adaptive(AdaptiveOracle::new(lo, hi)))
+            }
+            c @ Codec::Norm(n) => ("norm", c, Oracle::Norm(NormOracle::new(n.vmin(), n.vmax()))),
+        })
+        .collect();
+
+    let mut report = BenchReport::new();
+    let mut codes = vec![0u16; n];
+    let mut out = vec![0.0f32; n];
+    for (name, codec, oracle) in &codecs {
+        let lanes = time(|| (), || codec.encode_slice(black_box(src), black_box(&mut codes)));
+        let scalar = time(
+            || (),
+            || {
+                for (c, &v) in black_box(&mut codes).iter_mut().zip(black_box(src)) {
+                    *c = oracle.encode(v);
+                }
+            },
+        );
+        report.records.extend(pair(&format!("{name}/encode"), &lanes, &scalar, n, &host));
+
+        let coded = codes.clone();
+        let lanes = time(|| (), || codec.decode_slice(black_box(&coded), black_box(&mut out)));
+        let scalar = time(
+            || (),
+            || {
+                for (v, &c) in black_box(&mut out).iter_mut().zip(black_box(&coded)) {
+                    *v = oracle.decode(c);
+                }
+            },
+        );
+        report.records.extend(pair(&format!("{name}/decode"), &lanes, &scalar, n, &host));
+
+        // In place, so every pass starts from a fresh copy (not timed).
+        let cell = std::cell::RefCell::new(&mut out);
+        let reset = || cell.borrow_mut().copy_from_slice(src);
+        let lanes = time(reset, || codec.roundtrip_slice(black_box(&mut cell.borrow_mut())));
+        let scalar = time(reset, || {
+            for v in black_box(&mut cell.borrow_mut()).iter_mut() {
+                *v = oracle.roundtrip(*v);
+            }
+        });
+        report.records.extend(pair(&format!("{name}/roundtrip"), &lanes, &scalar, n, &host));
+    }
+
+    let interior = field.dims().len();
+    let lanes = time(
+        || (),
+        || {
+            black_box(sw_compress::par::fields_max_abs(&[black_box(&field)], false));
+        },
+    );
+    let scalar = time(
+        || (),
+        || {
+            black_box(black_box(&field).max_abs());
+        },
+    );
+    report.records.extend(pair("scan", &lanes, &scalar, interior, &host));
+
+    let records = report.records.len();
+    report.write_file(std::path::Path::new(&path)).expect("failed to write bench JSON");
+    println!("wrote {path} ({records} records)");
+}

@@ -39,7 +39,7 @@ use sw_arch::analytic::{AnalyticModel, KernelShape};
 use sw_arch::regcomm::RegisterMesh;
 use sw_arch::spec::CoreGroupSpec;
 use sw_arch::{KernelPerfModel, OptLevel};
-use sw_compress::{Codec, Codec16, FieldStats};
+use sw_compress::{max_abs_bucket, Codec, CodecCache, FieldStats};
 use sw_fault::FaultHook;
 use sw_grid::{Dims3, Field3, HALO_WIDTH};
 use sw_health::{
@@ -644,97 +644,43 @@ fn pscope<'a>(perf: &'a Option<Arc<PerfRecorder>>, name: &'static str) -> Option
 
 /// One compressed wavefield's codec state across steps.
 ///
-/// Self-calibrating codecs (no coarse-run statistics provided) used to be
-/// rebuilt from a full `FieldStats::of_field` scan every step even when
-/// the field's range had not moved. The slot caches the built codec keyed
-/// by the **binade bucket** of the field's interior max-abs: each step
-/// costs one cheap max-abs scan, and the codec is rebuilt only when the
-/// magnitude crosses into another power-of-two bucket (either direction).
-/// The active codec is a pure function of the *current* field — never of
-/// run history — so a restored checkpoint rebuilds the identical codec
-/// and restart stays bit-exact.
+/// A field whose config carries coarse-run statistics keeps the codec
+/// built from them. A field without (the empty-stats sentinels of
+/// [`Codec::paper_assignment`]) self-calibrates: each step costs one
+/// max-abs scan, and the codec comes from `sw_compress`'s binade-bucket
+/// [`CodecCache`] — the same calibration the resident store uses, so a
+/// codec is built only the first time the field's magnitude visits a
+/// power-of-two bucket. The active codec is a pure function of the
+/// *current* field — never of run history — so a restored checkpoint
+/// picks the identical codec and restart stays bit-exact.
 struct CompressionSlot {
-    /// `COMPRESSED_FIELDS` index.
-    idx: usize,
-    /// The codec built from the config's statistics (or the empty-stats
-    /// sentinel that marks self-calibration).
-    base: Codec,
-    /// The codec actually applied this step.
+    /// Calibrated codecs by bucket; `None` for a fixed codec.
+    cache: Option<CodecCache>,
+    /// The codec applied this step.
     active: Codec,
-    /// Binade bucket `active` was calibrated for (`i32::MIN` marks the
-    /// all-zero-field bucket; `None` = not yet calibrated).
-    bucket: Option<i32>,
-}
-
-/// Binade bucket of a finite interior max-abs (`i32::MIN` = zero field).
-fn max_abs_bucket(max_abs: f32) -> i32 {
-    if max_abs == 0.0 {
-        i32::MIN
-    } else {
-        sw_compress::stats::unbiased_exponent(max_abs)
-    }
-}
-
-/// The self-calibrated codec for a binade bucket — a pure function of
-/// `(base, bucket)`, so a cached build and a from-scratch build always
-/// agree (what makes the cache transparent and restart-safe).
-fn calibrated_codec(base: &Codec, bucket: i32) -> Codec {
-    match base {
-        Codec::Norm(_) => {
-            if bucket == i32::MIN {
-                Codec::Norm(sw_compress::NormCodec::new(0.0, 0.0))
-            } else {
-                // max_abs ∈ [2^e, 2^(e+1)): the symmetric range ±2^(e+1)
-                // covers the whole bucket, so the codec is stable until
-                // the bucket moves.
-                let r = 2.0f32.powi(bucket.min(126) + 1);
-                Codec::Norm(sw_compress::NormCodec::new(-r, r))
-            }
-        }
-        Codec::Adaptive(_) => {
-            if bucket == i32::MIN {
-                *base
-            } else {
-                // Mirror `AdaptiveCodec::from_stats`: four binades of
-                // saturation headroom, 29 binades of downward coverage.
-                let hi = bucket.saturating_add(4).min(127);
-                Codec::Adaptive(sw_compress::AdaptiveCodec::new(hi - 29, hi))
-            }
-        }
-        c => *c,
-    }
 }
 
 impl CompressionSlot {
-    fn new(idx: usize, base: Codec) -> Self {
-        Self { idx, base, active: base, bucket: None }
-    }
-
-    /// Whether `base` is the empty-stats sentinel that asks for per-step
-    /// self-calibration (same sentinels the pre-cache code matched on).
-    fn self_calibrating(&self) -> bool {
-        match &self.base {
+    fn new(base: Codec) -> Self {
+        let self_calibrating = match &base {
             Codec::Norm(n) => n.vmin() == 0.0 && n.vmax() == 1.0,
             Codec::Adaptive(a) => a.exp_bits == 1,
             Codec::F16(_) => false,
-        }
+        };
+        Self { cache: self_calibrating.then(|| CodecCache::new(base)), active: base }
     }
 
-    /// The codec for a field whose interior max-abs is `max_abs`;
-    /// returns `(codec, rebuilt)`.
-    fn refresh(&mut self, max_abs: f32) -> (Codec, bool) {
-        if !max_abs.is_finite() {
-            // The field is blowing up; keep whatever codec we have (the
-            // instability check after the step reports it).
-            return (self.active, false);
-        }
-        let bucket = max_abs_bucket(max_abs);
-        if self.bucket == Some(bucket) {
-            return (self.active, false);
-        }
-        self.active = calibrated_codec(&self.base, bucket);
-        self.bucket = Some(bucket);
-        (self.active, true)
+    /// Re-calibrate `active` for a field whose interior max-abs is
+    /// `max_abs`; returns whether a codec had to be built.
+    fn refresh(&mut self, max_abs: f32) -> bool {
+        // A non-finite max means the field is blowing up; keep whatever
+        // codec we have (the instability check after the step reports it).
+        let Some(cache) = self.cache.as_mut().filter(|_| max_abs.is_finite()) else {
+            return false;
+        };
+        let built = cache.built();
+        self.active = cache.get(max_abs_bucket(max_abs));
+        cache.built() > built
     }
 }
 
@@ -1012,15 +958,14 @@ impl Simulation {
         let compression = config.compression.then(|| {
             COMPRESSED_FIELDS
                 .iter()
-                .enumerate()
-                .map(|(i, name)| {
+                .map(|name| {
                     let stats = config
                         .compression_stats
                         .iter()
                         .find(|(n, _)| n == *name)
                         .map(|(_, s)| *s)
                         .unwrap_or_else(FieldStats::empty);
-                    CompressionSlot::new(i, Codec::paper_assignment(name, &stats))
+                    CompressionSlot::new(Codec::paper_assignment(name, &stats))
                 })
                 .collect()
         });
@@ -1472,12 +1417,15 @@ impl Simulation {
         self.compression_roundtrip();
     }
 
-    /// The §6.5 16-bit inter-step storage, simulated as an encode/decode
-    /// round trip per wavefield. Self-calibrating codecs come from the
-    /// binade-bucket cache (see [`CompressionSlot`]); in parallel mode
-    /// the max-abs calibration scans run over the pool and the nine
-    /// round trips fan out per field (each itself chunked, so the fan-out
-    /// parallelizes whether the pool has 2 threads or 32).
+    /// The §6.5 16-bit inter-step storage, simulated as an in-place
+    /// round trip of every wavefield through its codec — two passes, each
+    /// one pool region in the parallel modes and a plain loop over the
+    /// same items in serial mode. Pass 1 scans the self-calibrating
+    /// fields' interior max-abs and resolves this step's codecs from the
+    /// binade-bucket cache (see [`CompressionSlot`]); pass 2 runs every
+    /// `(field, chunk)` item through the codec's lane body. Error
+    /// statistics (for telemetry and the health budget) ride the same
+    /// chunk kernel and never change a stored value.
     fn compression_roundtrip(&mut self) {
         let Some(mut slots) = self.compression.take() else { return };
         let tel = self.telemetry.clone();
@@ -1485,119 +1433,58 @@ impl Simulation {
         {
             let _p = tel.phase("compression");
             let _k = pscope(&self.perf, "compression");
-            // Pass 1: resolve this step's codec per field (the
-            // self-calibration scans read the fields immutably).
-            let (mut rebuilds, mut reuses) = (0u64, 0u64);
-            let codecs: Vec<Codec> = slots
-                .iter_mut()
-                .map(|slot| {
-                    if slot.self_calibrating() {
-                        let field = wavefield(&self.state, slot.idx);
-                        let max_abs = if parallel {
-                            sw_compress::par::field_max_abs_par(field)
-                        } else {
-                            field.max_abs()
-                        };
-                        let (codec, rebuilt) = slot.refresh(max_abs);
-                        if rebuilt {
-                            rebuilds += 1;
-                        } else {
-                            reuses += 1;
-                        }
-                        codec
-                    } else {
-                        slot.base
-                    }
-                })
-                .collect();
+            let calibrating: Vec<usize> =
+                (0..slots.len()).filter(|&i| slots[i].cache.is_some()).collect();
+            let scanned: Vec<&Field3> =
+                calibrating.iter().map(|&i| wavefield(&self.state, i)).collect();
+            let maxima = sw_compress::par::fields_max_abs(&scanned, parallel);
+            let mut rebuilds = 0u64;
+            for (&i, &max_abs) in calibrating.iter().zip(&maxima) {
+                rebuilds += u64::from(slots[i].refresh(max_abs));
+            }
             if tel.is_enabled() {
                 tel.add("compress.codec_rebuilds", rebuilds);
-                tel.add("compress.codec_reuses", reuses);
+                tel.add("compress.codec_reuses", calibrating.len() as u64 - rebuilds);
             }
-            // Pass 2: the round trips. When the health monitor wants a
-            // compression sample for the step that is completing, every
-            // path routes through the fused error-stats round trips —
-            // bit-identical stored values (same scalar codec calls), so
-            // physics does not depend on whether health is on.
+            // The health monitor samples the step that is completing.
             let health_sampling = self
                 .health
                 .as_ref()
                 .is_some_and(|m| m.wants_compression_sample(self.step_count + 1));
+            let t0 = Instant::now();
+            let s = &mut self.state;
+            let fields = [
+                &mut s.u, &mut s.v, &mut s.w, &mut s.xx, &mut s.yy, &mut s.zz, &mut s.xy,
+                &mut s.xz, &mut s.yz,
+            ];
+            let work: Vec<(&mut [f32], &Codec)> = fields
+                .into_iter()
+                .zip(&slots)
+                .map(|(f, slot)| (f.raw_mut(), &slot.active))
+                .collect();
+            let elems: usize = work.iter().map(|(data, _)| data.len()).sum();
+            let stats = sw_compress::errstats::roundtrip_arrays(
+                work,
+                parallel,
+                tel.is_enabled() || health_sampling,
+            );
+            if tel.is_enabled() {
+                let (raw, encoded) = ((elems * 4) as u64, (elems * 2) as u64);
+                let max_err = stats.iter().fold(0.0f64, |m, s| m.max(s.max_abs_err));
+                tel.record_duration("compress.roundtrip", t0.elapsed().as_secs_f64());
+                tel.add("compress.raw_bytes", raw);
+                tel.add("compress.encoded_bytes", encoded);
+                tel.gauge("compress.achieved_ratio", 2.0);
+                tel.gauge("compress.max_roundtrip_error", max_err);
+                tel.event(
+                    "compress.roundtrip",
+                    &[("raw_bytes", raw as f64), ("encoded_bytes", encoded as f64)],
+                );
+            }
             if health_sampling {
-                let samples: Vec<(usize, sw_compress::errstats::RoundtripError)> = if parallel
-                    && !tel.is_enabled()
-                {
-                    let s = &mut self.state;
-                    let fields = [
-                        &mut s.u, &mut s.v, &mut s.w, &mut s.xx, &mut s.yy, &mut s.zz, &mut s.xy,
-                        &mut s.xz, &mut s.yz,
-                    ];
-                    let work: Vec<(&mut Field3, Codec, usize)> = fields
-                        .into_iter()
-                        .enumerate()
-                        .filter_map(|(i, f)| {
-                            slots.iter().position(|s| s.idx == i).map(|p| (f, codecs[p], i))
-                        })
-                        .collect();
-                    work.into_par_iter()
-                        .map(|(field, codec, idx)| {
-                            let stats = sw_compress::errstats::roundtrip_err_stats_par(
-                                &codec,
-                                field.raw_mut(),
-                            );
-                            (idx, stats)
-                        })
-                        .collect()
-                } else {
-                    let mut out = Vec::with_capacity(slots.len());
-                    for (slot, codec) in slots.iter().zip(&codecs) {
-                        let field = wavefield_mut(&mut self.state, slot.idx);
-                        let t0 = tel.is_enabled().then(Instant::now);
-                        let stats = if parallel {
-                            sw_compress::errstats::roundtrip_err_stats_par(codec, field.raw_mut())
-                        } else {
-                            sw_compress::errstats::roundtrip_err_stats(codec, field.raw_mut())
-                        };
-                        if let Some(t0) = t0 {
-                            let n = field.raw().len();
-                            tel.record_duration("compress.roundtrip", t0.elapsed().as_secs_f64());
-                            tel.add("compress.raw_bytes", (n * 4) as u64);
-                            tel.add("compress.encoded_bytes", (n * 2) as u64);
-                            tel.gauge("compress.achieved_ratio", 2.0);
-                            tel.gauge("compress.max_roundtrip_error", stats.max_abs_err);
-                        }
-                        out.push((slot.idx, stats));
-                    }
-                    out
-                };
                 if let Some(monitor) = &mut self.health {
-                    for (idx, stats) in samples {
-                        monitor.record_compression(COMPRESSED_FIELDS[idx], stats, &tel);
-                    }
-                }
-            } else if parallel && !tel.is_enabled() {
-                let s = &mut self.state;
-                let fields = [
-                    &mut s.u, &mut s.v, &mut s.w, &mut s.xx, &mut s.yy, &mut s.zz, &mut s.xy,
-                    &mut s.xz, &mut s.yz,
-                ];
-                let work: Vec<(&mut Field3, Codec)> = fields
-                    .into_iter()
-                    .enumerate()
-                    .filter_map(|(i, f)| {
-                        slots.iter().position(|s| s.idx == i).map(|p| (f, codecs[p]))
-                    })
-                    .collect();
-                work.into_par_iter().for_each(|(field, codec)| {
-                    sw_compress::par::roundtrip_par(&codec, field.raw_mut());
-                });
-            } else {
-                for (slot, codec) in slots.iter().zip(&codecs) {
-                    let field = wavefield_mut(&mut self.state, slot.idx);
-                    if tel.is_enabled() {
-                        roundtrip_compress_instrumented(field, codec, &tel, parallel);
-                    } else {
-                        roundtrip_compress(field, codec);
+                    for (name, stats) in COMPRESSED_FIELDS.iter().zip(stats) {
+                        monitor.record_compression(name, stats, &tel);
                     }
                 }
             }
@@ -2084,59 +1971,6 @@ pub fn rescale_coarse_stats(
             (name, scaled)
         })
         .collect()
-}
-
-fn roundtrip_compress(field: &mut Field3, codec: &Codec) {
-    for v in field.raw_mut() {
-        *v = codec.decode(codec.encode(*v));
-    }
-}
-
-/// The telemetry-enabled round trip: identical values to
-/// [`roundtrip_compress`], plus `compress.*` timers, byte counters and the
-/// max round-trip error gauge. With `parallel` the encode and decode
-/// loops run over the pool (bit-identical; the max-error reduction is
-/// exact because `max` is order-independent).
-fn roundtrip_compress_instrumented(
-    field: &mut Field3,
-    codec: &Codec,
-    tel: &Telemetry,
-    parallel: bool,
-) {
-    let n = field.raw().len();
-    let t0 = Instant::now();
-    let encoded: Vec<u16> = if parallel {
-        let mut buf = vec![0u16; n];
-        sw_compress::par::encode_par(codec, field.raw(), &mut buf);
-        buf
-    } else {
-        field.raw().iter().map(|v| codec.encode(*v)).collect()
-    };
-    tel.record_duration("compress.encode", t0.elapsed().as_secs_f64());
-    let t1 = Instant::now();
-    let max_err = if parallel {
-        sw_compress::par::decode_max_err_par(codec, &encoded, field.raw_mut())
-    } else {
-        let mut max_err = 0.0f64;
-        for (v, e) in field.raw_mut().iter_mut().zip(&encoded) {
-            let decoded = codec.decode(*e);
-            let err = f64::from((decoded - *v).abs());
-            if err > max_err {
-                max_err = err;
-            }
-            *v = decoded;
-        }
-        max_err
-    };
-    tel.record_duration("compress.decode", t1.elapsed().as_secs_f64());
-    tel.add("compress.raw_bytes", (n * 4) as u64);
-    tel.add("compress.encoded_bytes", (n * 2) as u64);
-    tel.gauge("compress.achieved_ratio", 2.0);
-    tel.gauge("compress.max_roundtrip_error", max_err);
-    tel.event(
-        "compress.roundtrip",
-        &[("raw_bytes", (n * 4) as f64), ("encoded_bytes", (n * 2) as f64)],
-    );
 }
 
 /// What a resume restored: the generation's step/time and any newer
@@ -2697,32 +2531,25 @@ mod tests {
     }
 
     #[test]
-    fn codec_cache_is_transparent() {
-        // The cached slot must hand out exactly what a from-scratch build
-        // for the same field magnitude would — that is what makes caching
-        // invisible to results and to checkpoint/restore.
+    fn compression_slots_calibrate_only_without_stats_and_only_on_finite_maxima() {
         let empty = FieldStats::empty();
-        for base in [Codec::paper_assignment("xx", &empty), Codec::paper_assignment("lam", &empty)]
-        {
-            let mut slot = CompressionSlot::new(0, base);
-            assert!(slot.self_calibrating());
-            let mut rebuilds = 0;
-            // A magnitude trajectory that grows, dithers inside one
-            // binade, and collapses to zero.
-            for max_abs in [0.0f32, 1.0e-3, 1.1e-3, 1.9e-3, 4.0e-3, 4.1e-3, 0.5, 0.9, 0.6, 0.0, 0.0]
-            {
-                let (codec, rebuilt) = slot.refresh(max_abs);
-                assert_eq!(codec, calibrated_codec(&base, max_abs_bucket(max_abs)));
-                rebuilds += rebuilt as usize;
-            }
-            assert_eq!(rebuilds, 5, "one rebuild per distinct bucket in the trajectory");
+        let base = Codec::paper_assignment("xx", &empty);
+        let mut slot = CompressionSlot::new(base);
+        assert!(slot.refresh(2.0), "first visit of a bucket builds its codec");
+        assert_eq!(slot.active, sw_compress::calibrated_codec(&base, 1));
+        assert!(!slot.refresh(3.0), "same bucket: cache hit");
+        let kept = slot.active;
+        assert!(!slot.refresh(f32::INFINITY), "non-finite magnitudes never rebuild");
+        assert_eq!(slot.active, kept);
+        // Coarse-run statistics (or binary16) pin the codec.
+        for fixed in [
+            Codec::paper_assignment("u", &empty),
+            Codec::paper_assignment("xx", &FieldStats::of_slice(&[1.0e-3, 0.5])),
+        ] {
+            let mut slot = CompressionSlot::new(fixed);
+            assert!(!slot.refresh(2.0));
+            assert_eq!(slot.active, fixed);
         }
-        // Non-finite magnitudes never rebuild (nor poison the cache).
-        let mut slot = CompressionSlot::new(0, Codec::paper_assignment("xx", &empty));
-        let (before, _) = slot.refresh(2.0);
-        let (kept, rebuilt) = slot.refresh(f32::INFINITY);
-        assert_eq!(before, kept);
-        assert!(!rebuilt);
     }
 
     #[test]

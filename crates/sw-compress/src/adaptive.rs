@@ -11,9 +11,21 @@
 //! all-zero exponent code is reserved for zero (and magnitudes below the
 //! smallest recorded binade, which flush to zero), so the usable exponent
 //! codes are `1 ..= 2^Ne − 1`.
+//!
+//! The code body is the f32's `exponent | mantissa` word, rounded to
+//! `15 − Ne` mantissa bits and rebased so `exp_min` gets exponent code 1.
+//! The lane bodies below work on that word directly: rounding is one
+//! integer add whose carry runs into the exponent by itself, saturation
+//! is a clamp of the body, and flushing is a select on the magnitude.
+//! Defined edges: zero, f32 subnormals, ±Inf and NaN encode as signed
+//! zero; everything from `2^(exp_max + 1)` up — including a rounding
+//! carry out of the top binade — saturates to the largest value the
+//! window holds (top exponent code, all-ones mantissa), which keeps the
+//! round trip monotone and idempotent; a code whose exponent lies
+//! outside f32's range decodes to signed zero.
 
-use crate::stats::{unbiased_exponent, FieldStats};
-use crate::Codec16;
+use crate::stats::FieldStats;
+use crate::{select, Codec16, F32_INF};
 
 /// The adaptive-exponent codec, parameterized by an array's recorded
 /// exponent range.
@@ -58,50 +70,70 @@ impl AdaptiveCodec {
             Self::new(stats.exp_min.max(hi - 29), hi)
         }
     }
+
+    /// Dropped low mantissa bits.
+    #[inline(always)]
+    fn shift(&self) -> u32 {
+        23 - self.mant_bits
+    }
+
+    /// The f32 exponent field that maps to exponent code 0.
+    #[inline(always)]
+    fn rebase(&self) -> i32 {
+        self.exp_min + 126
+    }
+
+    /// Magnitude bits below which a value flushes to zero (`2^exp_min`,
+    /// and never less than the smallest normal f32).
+    #[inline(always)]
+    fn flush_below(&self) -> i32 {
+        (self.exp_min + 127).clamp(1, 255) << 23
+    }
 }
 
 impl Codec16 for AdaptiveCodec {
+    #[inline(always)]
     fn encode(&self, v: f32) -> u16 {
-        if v == 0.0 || !v.is_finite() {
-            return if v.is_sign_negative() { 0x8000 } else { 0 };
-        }
-        let sign = if v < 0.0 { 0x8000u16 } else { 0 };
-        let e = unbiased_exponent(v);
-        if e < self.exp_min {
-            return sign; // below the recorded range: flush to zero
-        }
-        let e = e.min(self.exp_max); // clamp above (saturate)
-        let code = (e - self.exp_min + 1) as u16;
-        // Extract the top `mant_bits` of the 23-bit mantissa, rounding.
-        let bits = v.abs().to_bits();
-        let frac = bits & 0x007f_ffff;
-        let shift = 23 - self.mant_bits;
-        let mut mant = frac >> shift;
-        let rem = frac & ((1u32 << shift) - 1);
-        if e == unbiased_exponent(v) && rem >= (1u32 << (shift - 1)) {
-            mant += 1;
-            if mant >> self.mant_bits != 0 {
-                // Carry into the exponent.
-                mant = 0;
-                let code = (code + 1).min((1u16 << self.exp_bits) - 1);
-                return sign | (code << self.mant_bits) | mant as u16;
-            }
-        }
-        sign | (code << self.mant_bits) | mant as u16
+        let shift = self.shift();
+        let bits = v.to_bits();
+        let sign = (bits >> 16) & 0x8000;
+        let abs = bits & 0x7fff_ffff;
+        // Round half up on the dropped bits, rebase the exponent.
+        let body = ((abs + (1 << (shift - 1))) >> shift) as i32 - (self.rebase() << self.mant_bits);
+        // `exp_max`'s exponent code over an all-ones mantissa.
+        let largest = ((self.exp_max - self.exp_min + 2) << self.mant_bits) - 1;
+        let body = if body > largest { largest } else { body };
+        let flush = ((abs as i32) < self.flush_below()) | (abs >= F32_INF);
+        (sign | select(flush, 0, body as u32)) as u16
     }
 
+    #[inline(always)]
     fn decode(&self, c: u16) -> f32 {
-        let sign = if c & 0x8000 != 0 { -1.0f32 } else { 1.0 };
+        let c = u32::from(c);
+        let sign = (c & 0x8000) << 16;
         let body = c & 0x7fff;
-        let code = body >> self.mant_bits;
-        if code == 0 {
-            return 0.0 * sign;
-        }
-        let e = self.exp_min + code as i32 - 1;
-        let mant = (body & ((1 << self.mant_bits) - 1)) as u32;
-        let frac = mant << (23 - self.mant_bits);
-        let bits = (((e + 127) as u32) << 23) | frac;
-        sign * f32::from_bits(bits)
+        let mag = ((body << self.shift()) as i32).wrapping_add(self.rebase() << 23);
+        // Exponent code 0, or an exponent f32 cannot hold (the add wrapped).
+        let zero = (body < (1 << self.mant_bits)) | (mag < (1 << 23));
+        f32::from_bits(sign | select(zero, 0, mag as u32))
+    }
+
+    /// The same rounding, saturation and flush as `decode(encode(v))`,
+    /// applied to the f32 bits in place.
+    #[inline(always)]
+    fn roundtrip(&self, v: f32) -> f32 {
+        let shift = self.shift();
+        let bits = v.to_bits();
+        let sign = bits & 0x8000_0000;
+        let abs = bits & 0x7fff_ffff;
+        let mag = ((abs + (1 << (shift - 1))) & !((1 << shift) - 1)) as i32;
+        // The largest body as f32 bits (past Inf for windows reaching
+        // beyond f32, where no finite input can round that far).
+        let largest =
+            ((i64::from(self.exp_max + 128) << 23) - (1 << shift)).min(i64::from(i32::MAX)) as i32;
+        let mag = if mag > largest { largest } else { mag };
+        let flush = ((abs as i32) < self.flush_below()) | (abs >= F32_INF);
+        f32::from_bits(sign | select(flush, 0, mag as u32))
     }
 
     fn max_abs_error(&self) -> f32 {

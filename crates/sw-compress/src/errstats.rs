@@ -1,16 +1,17 @@
-//! Round-trip + error-statistics loops for the health monitor's
-//! compression error budget.
+//! The §6.5 in-place round trip over whole arrays, with optional error
+//! statistics for the health monitor's compression error budget.
 //!
-//! Each value is encoded and decoded back in place (exactly what
-//! [`crate::par::roundtrip_par`] does), while a companion stats pass
-//! accumulates the max absolute error, the error sum of squares, and
-//! the max |original| that fixes the field's binade. Statistics are
-//! accumulated per [`PAR_CHUNK`]-sized chunk — in a fixed blocked
-//! order *within* each chunk (see [`chunk_stats`]) — and the per-chunk
-//! partials are folded **in chunk order** in both the serial and
-//! parallel variants, so the two are bit-identical for any thread
-//! count: the same deterministic-reduction discipline the solver's
-//! energy probe uses.
+//! [`roundtrip_arrays`] is the one call path: every array is cut into
+//! [`PAR_CHUNK`]-sized chunks, every chunk goes through
+//! [`Codec16::roundtrip_slice`] (the codec's lane body), and all chunks
+//! of all arrays form one flattened pass — one pool region, or a plain
+//! loop. With statistics on, a companion pass per chunk accumulates the
+//! max absolute error, the error sum of squares, and the max |original|
+//! that fixes the field's binade — in a fixed blocked order *within*
+//! each chunk (see [`chunk_stats`]) — and the per-chunk partials are
+//! folded **in chunk order**, so serial and parallel runs are
+//! bit-identical for any thread count: the same deterministic-reduction
+//! discipline the solver's energy probe uses.
 
 use crate::par::PAR_CHUNK;
 use crate::Codec16;
@@ -83,9 +84,7 @@ fn chunk_stats<C: Codec16>(codec: &C, chunk: &mut [f32]) -> RoundtripError {
     for block in chunk.chunks_mut(STATS_BLOCK) {
         let orig = &mut scratch[..block.len()];
         orig.copy_from_slice(block);
-        for v in block.iter_mut() {
-            *v = codec.decode(codec.encode(*v));
-        }
+        codec.roundtrip_slice(block);
         let mut o4 = orig.chunks_exact(4);
         let mut d4 = block.chunks_exact(4);
         for (os, ds) in (&mut o4).zip(&mut d4) {
@@ -127,21 +126,55 @@ fn chunk_stats<C: Codec16>(codec: &C, chunk: &mut [f32]) -> RoundtripError {
     s
 }
 
-/// Serial in-place round trip with fused error statistics. The stored
-/// values after the call are identical to [`Codec16`] round-tripping.
-pub fn roundtrip_err_stats<C: Codec16>(codec: &C, data: &mut [f32]) -> RoundtripError {
-    data.chunks_mut(PAR_CHUNK)
-        .map(|chunk| chunk_stats(codec, chunk))
-        .fold(RoundtripError::default(), merge)
+/// Round-trip every `(array, codec)` pair in place as one flattened
+/// pass over `(array, PAR_CHUNK)` items: a single pool region when
+/// `parallel`, a plain loop over the same items otherwise. Returns one
+/// [`RoundtripError`] per array — the chunk partials folded in chunk
+/// order when `stats` is set, all-zero (and no stats pass run) when not.
+/// The stored values never depend on `parallel` or `stats`.
+pub fn roundtrip_arrays<C: Codec16 + Sync>(
+    work: Vec<(&mut [f32], &C)>,
+    parallel: bool,
+    stats: bool,
+) -> Vec<RoundtripError> {
+    let arrays = work.len();
+    let items: Vec<(usize, &mut [f32], &C)> = work
+        .into_iter()
+        .enumerate()
+        .flat_map(|(i, (data, codec))| data.chunks_mut(PAR_CHUNK).map(move |c| (i, c, codec)))
+        .collect();
+    let kernel = |(i, chunk, codec): (usize, &mut [f32], &C)| {
+        if stats {
+            (i, chunk_stats(codec, chunk))
+        } else {
+            codec.roundtrip_slice(chunk);
+            (i, RoundtripError::default())
+        }
+    };
+    let partials: Vec<(usize, RoundtripError)> = if parallel {
+        items.into_par_iter().map(kernel).collect()
+    } else {
+        items.into_iter().map(kernel).collect()
+    };
+    let mut out = vec![RoundtripError::default(); arrays];
+    for (i, partial) in partials {
+        out[i] = merge(out[i], partial);
+    }
+    out
+}
+
+/// Serial in-place round trip of one array with error statistics. The
+/// stored values after the call are identical to [`Codec16`]
+/// round-tripping.
+pub fn roundtrip_err_stats<C: Codec16 + Sync>(codec: &C, data: &mut [f32]) -> RoundtripError {
+    roundtrip_arrays(vec![(data, codec)], false, true)[0]
 }
 
 /// Parallel variant of [`roundtrip_err_stats`]; bit-identical to it
 /// (values and statistics) because partials are collected per chunk
 /// and folded in chunk order.
 pub fn roundtrip_err_stats_par<C: Codec16 + Sync>(codec: &C, data: &mut [f32]) -> RoundtripError {
-    let partials: Vec<RoundtripError> =
-        data.par_chunks_mut(PAR_CHUNK).map(|chunk| chunk_stats(codec, chunk)).collect();
-    partials.into_iter().fold(RoundtripError::default(), merge)
+    roundtrip_arrays(vec![(data, codec)], true, true)[0]
 }
 
 #[cfg(test)]

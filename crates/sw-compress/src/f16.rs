@@ -8,74 +8,70 @@
 //! (overflow) and narrow ones (wasted exponent bits) are therefore
 //! faithfully present.
 
-use crate::Codec16;
+use crate::{select, Codec16, F32_INF};
+
+/// `2^-14`, the smallest normal binary16, as f32 bits.
+const F16_MIN_NORMAL: u32 = 113 << 23;
+/// `2^16`; the normal-range rounding carries 65520 and above to here,
+/// which is already the infinity code.
+const F16_OVERFLOW: u32 = (127 + 16) << 23;
+/// 65520, the smallest magnitude that rounds to infinity.
+const F16_ROUNDS_TO_INF: u32 = 0x477f_f000;
 
 /// Convert an f32 to IEEE binary16 bits with round-to-nearest-even.
+///
+/// Branch-free lane body. In the f16-normal range the rounding is an
+/// integer add on the f32 bits (`0xfff` + the kept mantissa's low bit,
+/// carrying naturally into the exponent) followed by the exponent rebias
+/// and a shift. In the f16-subnormal range `|v| + 0.5` lets the FP adder
+/// do the round-to-nearest-even: 0.5 has a `2^-24` ulp, the f16 subnormal
+/// quantum, so the sum's mantissa *is* the code (f32 subnormals and
+/// everything below `2^-25` land on 0.5, i.e. code 0).
+#[inline(always)]
 pub fn f32_to_f16(v: f32) -> u16 {
     let bits = v.to_bits();
-    let sign = ((bits >> 16) & 0x8000) as u16;
-    let exp = ((bits >> 23) & 0xff) as i32;
-    let frac = bits & 0x007f_ffff;
-
-    if exp == 0xff {
-        // Inf / NaN: keep a quiet-NaN payload bit so NaN stays NaN.
-        let nan_bit = if frac != 0 { 0x0200 } else { 0 };
-        return sign | 0x7c00 | nan_bit | ((frac >> 13) as u16 & 0x03ff);
-    }
-
-    // Unbiased exponent in f32 is exp - 127; f16 bias is 15.
-    let unbiased = exp - 127;
-    if unbiased > 15 {
-        // Overflow → signed infinity.
-        return sign | 0x7c00;
-    }
-    if unbiased >= -14 {
-        // Normal range: round 23-bit mantissa to 10 bits, nearest-even.
-        let half_exp = ((unbiased + 15) as u16) << 10;
-        let mant = frac >> 13;
-        let round_bits = frac & 0x1fff;
-        let mut out = sign | half_exp | mant as u16;
-        if round_bits > 0x1000 || (round_bits == 0x1000 && (mant & 1) == 1) {
-            out += 1; // may carry into the exponent, which is correct
-        }
-        return out;
-    }
-    if unbiased >= -25 {
-        // Subnormal range: shift the implicit leading 1 into the mantissa.
-        let full = 0x0080_0000 | frac;
-        let shift = (-14 - unbiased + 13) as u32;
-        let mant = full >> shift;
-        let rem = full & ((1u32 << shift) - 1);
-        let half = 1u32 << (shift - 1);
-        let mut out = sign | mant as u16;
-        if rem > half || (rem == half && (mant & 1) == 1) {
-            out += 1;
-        }
-        return out;
-    }
-    // Too small even for a subnormal: flush to signed zero.
-    sign
+    let sign = (bits >> 16) & 0x8000;
+    let abs = bits & 0x7fff_ffff;
+    let normal = (abs.wrapping_add(0xc800_0fff).wrapping_add((abs >> 13) & 1)) >> 13;
+    let subnormal = (f32::from_bits(abs) + 0.5).to_bits().wrapping_sub(0.5f32.to_bits());
+    // Inf / NaN: keep a quiet-NaN payload bit so NaN stays NaN.
+    let inf_nan = ((abs >> 13) & 0x7fff) | select(abs > F32_INF, 0x0200, 0);
+    let body = select(abs < F16_MIN_NORMAL, subnormal, normal);
+    let body = select(abs >= F16_OVERFLOW, 0x7c00, body);
+    let body = select(abs >= F32_INF, inf_nan, body);
+    (sign | body) as u16
 }
 
-/// Convert IEEE binary16 bits back to f32.
+/// Convert IEEE binary16 bits back to f32 (branch-free lane body; the
+/// subnormal arm renormalizes with one exact FP subtract).
+#[inline(always)]
 pub fn f16_to_f32(h: u16) -> f32 {
-    let sign = ((h & 0x8000) as u32) << 16;
-    let exp = ((h >> 10) & 0x1f) as u32;
-    let frac = (h & 0x03ff) as u32;
-    let bits = match (exp, frac) {
-        (0, 0) => sign,
-        (0, _) => {
-            // Subnormal: renormalize.
-            let lead = frac.leading_zeros() - 22; // zeros within the 10-bit field
-            let mant = (frac << (lead + 1)) & 0x03ff;
-            let e = 127 - 15 - lead;
-            sign | (e << 23) | (mant << 13)
-        }
-        (0x1f, 0) => sign | 0x7f80_0000,
-        (0x1f, _) => sign | 0x7f80_0000 | (frac << 13),
-        _ => sign | ((exp + 127 - 15) << 23) | (frac << 13),
-    };
-    f32::from_bits(bits)
+    let h = u32::from(h);
+    let sign = (h & 0x8000) << 16;
+    let body = (h & 0x7fff) << 13;
+    let exp = body & 0x0f80_0000;
+    let normal = body + ((127 - 15) << 23);
+    let inf_nan = body + ((255 - 31) << 23);
+    let subnormal =
+        (f32::from_bits(body + F16_MIN_NORMAL) - f32::from_bits(F16_MIN_NORMAL)).to_bits();
+    let mag = select(exp == 0, subnormal, select(exp == 0x0f80_0000, inf_nan, normal));
+    f32::from_bits(sign | mag)
+}
+
+/// `f16_to_f32(f32_to_f16(v))` without materializing the code: the same
+/// roundings applied in f32 bit space (add-and-mask in the normal range,
+/// `(|v| + 0.5) − 0.5` in the subnormal range).
+#[inline(always)]
+fn f16_roundtrip(v: f32) -> f32 {
+    let bits = v.to_bits();
+    let sign = bits & 0x8000_0000;
+    let abs = bits & 0x7fff_ffff;
+    let normal = (abs + 0xfff + ((abs >> 13) & 1)) & !0x1fff;
+    let subnormal = ((f32::from_bits(abs) + 0.5) - 0.5).to_bits();
+    let mag = select(abs < F16_MIN_NORMAL, subnormal, normal);
+    let mag = select(abs >= F16_ROUNDS_TO_INF, F32_INF, mag);
+    let mag = select(abs > F32_INF, (abs & !0x1fff) | 0x0040_0000, mag);
+    f32::from_bits(sign | mag)
 }
 
 /// [`Codec16`] wrapper for binary16.
@@ -83,12 +79,19 @@ pub fn f16_to_f32(h: u16) -> f32 {
 pub struct F16Codec;
 
 impl Codec16 for F16Codec {
+    #[inline(always)]
     fn encode(&self, v: f32) -> u16 {
         f32_to_f16(v)
     }
 
+    #[inline(always)]
     fn decode(&self, c: u16) -> f32 {
         f16_to_f32(c)
+    }
+
+    #[inline(always)]
+    fn roundtrip(&self, v: f32) -> f32 {
+        f16_roundtrip(v)
     }
 
     fn max_abs_error(&self) -> f32 {

@@ -48,29 +48,49 @@ impl Codec {
     }
 }
 
-impl Codec16 for Codec {
-    fn encode(&self, v: f32) -> u16 {
-        match self {
-            Codec::F16(c) => c.encode(v),
-            Codec::Adaptive(c) => c.encode(v),
-            Codec::Norm(c) => c.encode(v),
+/// Run `$body` with `$c` bound to the concrete codec inside `$codec`.
+macro_rules! with_variant {
+    ($codec:expr, $c:ident => $body:expr) => {
+        match $codec {
+            Codec::F16($c) => $body,
+            Codec::Adaptive($c) => $body,
+            Codec::Norm($c) => $body,
         }
+    };
+}
+
+/// Per-value calls dispatch per value; the slice methods dispatch **once
+/// per slice** and then run the concrete codec's vectorized loop.
+impl Codec16 for Codec {
+    #[inline]
+    fn encode(&self, v: f32) -> u16 {
+        with_variant!(self, c => c.encode(v))
     }
 
+    #[inline]
     fn decode(&self, c: u16) -> f32 {
-        match self {
-            Codec::F16(x) => x.decode(c),
-            Codec::Adaptive(x) => x.decode(c),
-            Codec::Norm(x) => x.decode(c),
-        }
+        with_variant!(self, x => x.decode(c))
+    }
+
+    #[inline]
+    fn roundtrip(&self, v: f32) -> f32 {
+        with_variant!(self, c => c.roundtrip(v))
     }
 
     fn max_abs_error(&self) -> f32 {
-        match self {
-            Codec::F16(c) => c.max_abs_error(),
-            Codec::Adaptive(c) => c.max_abs_error(),
-            Codec::Norm(c) => c.max_abs_error(),
-        }
+        with_variant!(self, c => c.max_abs_error())
+    }
+
+    fn encode_slice(&self, src: &[f32], dst: &mut [u16]) {
+        with_variant!(self, c => c.encode_slice(src, dst))
+    }
+
+    fn decode_slice(&self, src: &[u16], dst: &mut [f32]) {
+        with_variant!(self, c => c.decode_slice(src, dst))
+    }
+
+    fn roundtrip_slice(&self, data: &mut [f32]) {
+        with_variant!(self, c => c.roundtrip_slice(data))
     }
 }
 
@@ -96,18 +116,14 @@ impl CompressedField3 {
     /// Compress an existing f32 field.
     pub fn from_field(f: &Field3, codec: Codec) -> Self {
         let mut out = Self::new(f.dims(), f.halo(), codec);
-        for (d, &s) in out.data.iter_mut().zip(f.raw()) {
-            *d = codec.encode(s);
-        }
+        codec.encode_slice(f.raw(), &mut out.data);
         out
     }
 
     /// Decompress into a new f32 field.
     pub fn to_field(&self) -> Field3 {
         let mut f = Field3::new(self.interior, self.halo);
-        for (d, &s) in f.raw_mut().iter_mut().zip(&self.data) {
-            *d = self.codec.decode(s);
-        }
+        self.codec.decode_slice(&self.data, f.raw_mut());
         f
     }
 
@@ -155,18 +171,14 @@ impl CompressedField3 {
         let nz = self.interior.nz;
         assert_eq!(buf.len(), nz);
         let o = self.off(x, y, 0);
-        for (b, &c) in buf.iter_mut().zip(&self.data[o..o + nz]) {
-            *b = self.codec.decode(c);
-        }
+        self.codec.decode_slice(&self.data[o..o + nz], buf);
     }
 
     /// Compress an LDM-style buffer back into the z-run at `(x, y)`.
     pub fn encode_z_run(&mut self, x: usize, y: usize, buf: &[f32]) {
         assert_eq!(buf.len(), self.interior.nz);
         let o = self.off(x, y, 0);
-        for (c, &v) in self.data[o..o + buf.len()].iter_mut().zip(buf) {
-            *c = self.codec.encode(v);
-        }
+        self.codec.encode_slice(buf, &mut self.data[o..o + buf.len()]);
     }
 
     /// Batched read-modify-write of scattered cells — the source-injection

@@ -40,6 +40,24 @@ pub use plane::{value_bucket, EncodeStats, ResidentField3};
 pub use stats::FieldStats;
 
 /// Every lossy 16-bit codec compresses one f32 to one u16 and back.
+///
+/// # Lane bodies
+///
+/// `encode` and `decode` of the three codecs are **branch-free**:
+/// straight-line integer/float operations and selects on the value's
+/// bit pattern, no `match`, no data-dependent shift, no `leading_zeros`.
+/// The slice methods below are plain loops over that one body, which is
+/// exactly the shape the auto-vectorizer turns into SSE2 lanes (safe
+/// code only: no intrinsics, no `-C target-cpu`); a per-value call is the
+/// width-1 use of the same body. The branchy scalar conversions they
+/// replaced live on in `tests/oracle/` and every bit pattern must match
+/// them exactly (`tests/codec_lanes.rs`).
+///
+/// # The subnormal rule
+///
+/// An f32-subnormal input encodes as signed zero in every codec, decided
+/// on the bit pattern — so the result does not depend on whether the
+/// calling thread runs flush-to-zero ([`sw_grid::fpenv`]) or not.
 pub trait Codec16 {
     /// Compress a single value.
     fn encode(&self, v: f32) -> u16;
@@ -49,6 +67,14 @@ pub trait Codec16 {
     /// Worst-case absolute round-trip error for values inside the codec's
     /// declared domain.
     fn max_abs_error(&self) -> f32;
+
+    /// `decode(encode(v))`. Codecs may override this with a fused body
+    /// that never materializes the code, provided it returns the same
+    /// bits for every input (pinned exhaustively in `tests/codec_lanes.rs`).
+    #[inline]
+    fn roundtrip(&self, v: f32) -> f32 {
+        self.decode(self.encode(v))
+    }
 
     /// Compress a slice into a preallocated buffer.
     fn encode_slice(&self, src: &[f32], dst: &mut [u16]) {
@@ -64,5 +90,28 @@ pub trait Codec16 {
         for (d, &s) in dst.iter_mut().zip(src) {
             *d = self.decode(s);
         }
+    }
+
+    /// Round-trip a slice in place — the §6.5 16-bit inter-step storage,
+    /// simulated functionally.
+    fn roundtrip_slice(&self, data: &mut [f32]) {
+        for v in data {
+            *v = self.roundtrip(*v);
+        }
+    }
+}
+
+/// +Inf as f32 bits: every magnitude above it is a NaN.
+pub(crate) const F32_INF: u32 = 0x7f80_0000;
+
+/// `if c { a } else { b }` on lane words. Both arms are already
+/// computed, so this lowers to a compare mask and and/andn/or — the
+/// select every lane body is built from.
+#[inline(always)]
+pub(crate) fn select(c: bool, a: u32, b: u32) -> u32 {
+    if c {
+        a
+    } else {
+        b
     }
 }

@@ -14,7 +14,7 @@
 //! the 16-bit mantissa grid after rounding).
 
 use crate::stats::FieldStats;
-use crate::Codec16;
+use crate::{select, Codec16};
 
 /// The normalization codec, parameterized by an array's value range.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -57,24 +57,22 @@ impl NormCodec {
 }
 
 impl Codec16 for NormCodec {
-    #[inline]
+    #[inline(always)]
     fn encode(&self, v: f32) -> u16 {
+        // The subnormal rule: an f32-subnormal input is zero.
+        let bits = v.to_bits();
+        let v = f32::from_bits(select(bits & 0x7f80_0000 == 0, 0, bits));
         // Normalize into [1, 2); clamp out-of-range values to the ends.
         let n = 1.0 + (v - self.vmin) * self.scale;
         let n = n.clamp(1.0, 1.999_999_9);
         // Exponent is now 0 (biased 127): the top 16 mantissa bits, with
         // rounding, are the compressed value.
-        let bits = n.to_bits();
-        let frac = bits & 0x007f_ffff;
-        let rounded = frac + 0x40; // round at bit 6 (we keep bits 7..22)
-        if rounded > 0x007f_ffff {
-            0xffff // rounding would carry past 2.0: saturate
-        } else {
-            (rounded >> 7) as u16
-        }
+        // Round at bit 6 (we keep bits 7..22); a carry past 2.0 saturates.
+        let rounded = (n.to_bits() & 0x007f_ffff) + 0x40;
+        select(rounded > 0x007f_ffff, 0xffff, rounded >> 7) as u16
     }
 
-    #[inline]
+    #[inline(always)]
     fn decode(&self, c: u16) -> f32 {
         let bits = 0x3f80_0000u32 | ((c as u32) << 7);
         let n = f32::from_bits(bits);

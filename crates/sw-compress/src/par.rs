@@ -1,13 +1,15 @@
 //! Parallel codec loops (the CPE-pool analogue of Fig. 5c).
 //!
 //! On the Sunway port every (de)compression loop runs on the 64-CPE pool;
-//! here the same loops fan out over the shared Rayon pool. Each element is
-//! encoded/decoded independently by the same scalar codec call, so every
-//! function in this module is bit-identical to its serial counterpart in
-//! [`Codec16`] regardless of thread count or chunk boundaries.
+//! here the same loops fan out over the shared Rayon pool. Each chunk runs
+//! the codec's own slice method — the one lane body per codec — and each
+//! element is independent, so every function in this module is
+//! bit-identical to its serial counterpart in [`Codec16`] regardless of
+//! thread count or chunk boundaries.
 
 use crate::Codec16;
 use rayon::prelude::*;
+use sw_grid::Field3;
 
 /// Elements per parallel work unit. Large enough that the per-chunk
 /// dispatch overhead vanishes, small enough that a 64³ field (≈280 K
@@ -30,62 +32,46 @@ pub fn decode_par<C: Codec16 + Sync>(codec: &C, src: &[u16], dst: &mut [f32]) {
         .for_each(|(s, d)| codec.decode_slice(s, d));
 }
 
-/// Parallel in-place encode/decode round trip (the §6.5 16-bit inter-step
-/// storage, simulated functionally).
+/// Parallel [`Codec16::roundtrip_slice`].
 pub fn roundtrip_par<C: Codec16 + Sync>(codec: &C, data: &mut [f32]) {
-    data.par_chunks_mut(PAR_CHUNK).for_each(|chunk| {
-        for v in chunk {
-            *v = codec.decode(codec.encode(*v));
-        }
-    });
+    data.par_chunks_mut(PAR_CHUNK).for_each(|chunk| codec.roundtrip_slice(chunk));
 }
 
-/// Parallel decode of `codes` into `data` (which holds the pre-encode
-/// values), returning the maximum absolute round-trip error.
-pub fn decode_max_err_par<C: Codec16 + Sync>(codec: &C, codes: &[u16], data: &mut [f32]) -> f64 {
-    assert_eq!(codes.len(), data.len());
-    data.par_chunks_mut(PAR_CHUNK)
-        .zip(codes.par_chunks(PAR_CHUNK))
-        .map(|(chunk, cs)| {
-            let mut max_err = 0.0f64;
-            for (v, &c) in chunk.iter_mut().zip(cs) {
-                let decoded = codec.decode(c);
-                let err = f64::from((decoded - *v).abs());
-                if err > max_err {
-                    max_err = err;
-                }
-                *v = decoded;
-            }
-            max_err
-        })
-        .reduce(|| 0.0, f64::max)
+/// Max-abs over the interior rows of padded x-plane `x + halo`. `f32::max`
+/// skips NaN and reports ±Inf; the fold vectorizes (max is associative,
+/// so any lane order gives the same answer).
+fn plane_max_abs(f: &Field3, x: usize) -> f32 {
+    (0..f.dims().ny)
+        .map(|y| f.row(x, y).iter().fold(0.0f32, |m, &v| m.max(v.abs())))
+        .fold(0.0, f32::max)
 }
 
-/// Parallel maximum absolute value of a slice (0 for an empty slice).
-/// `max` is order-independent, so the chunked reduction is exact.
-pub fn max_abs_par(vs: &[f32]) -> f32 {
-    vs.par_chunks(PAR_CHUNK)
-        .map(|chunk| chunk.iter().fold(0.0f32, |m, &v| m.max(v.abs())))
-        .reduce(|| 0.0, f32::max)
+/// Interior max-abs of each field — the codec calibration scan, and the
+/// exact counterpart of [`Field3::max_abs`]. All fields are scanned as
+/// **one** flattened pass over `(field, x-plane)` items: one pool region
+/// when `parallel`, a plain loop otherwise.
+pub fn fields_max_abs(fields: &[&Field3], parallel: bool) -> Vec<f32> {
+    let items: Vec<(usize, usize)> = fields
+        .iter()
+        .enumerate()
+        .flat_map(|(i, f)| (0..f.dims().nx).map(move |x| (i, x)))
+        .collect();
+    let scan = |(i, x): (usize, usize)| (i, plane_max_abs(fields[i], x));
+    let partials: Vec<(usize, f32)> = if parallel {
+        items.into_par_iter().map(scan).collect()
+    } else {
+        items.into_iter().map(scan).collect()
+    };
+    let mut out = vec![0.0f32; fields.len()];
+    for (i, m) in partials {
+        out[i] = out[i].max(m);
+    }
+    out
 }
 
-/// Parallel interior maximum absolute value of a field — the exact
-/// parallel counterpart of [`sw_grid::Field3::max_abs`] (one task per x
-/// plane; NaNs are skipped by `f32::max`, as in the serial scan).
-pub fn field_max_abs_par(f: &sw_grid::Field3) -> f32 {
-    let d = f.dims();
-    (0..d.nx)
-        .into_par_iter()
-        .map(|x| {
-            let mut m = 0.0f32;
-            for y in 0..d.ny {
-                for &v in f.row(x, y) {
-                    m = m.max(v.abs());
-                }
-            }
-            m
-        })
-        .reduce(|| 0.0, f32::max)
+/// Parallel interior maximum absolute value of one field.
+pub fn field_max_abs_par(f: &Field3) -> f32 {
+    fields_max_abs(&[f], true)[0]
 }
 
 #[cfg(test)]
@@ -137,6 +123,9 @@ mod tests {
             }
             let mut par = data.clone();
             roundtrip_par(&codec, &mut par);
+            let mut slice = data.clone();
+            codec.roundtrip_slice(&mut slice);
+            assert_eq!(slice, par);
             assert_eq!(
                 serial.iter().map(|v| v.to_bits()).collect::<Vec<_>>(),
                 par.iter().map(|v| v.to_bits()).collect::<Vec<_>>()
@@ -145,38 +134,19 @@ mod tests {
     }
 
     #[test]
-    fn decode_max_err_par_matches_serial() {
-        let data = noisy(PAR_CHUNK + 1);
-        for codec in codecs(&data) {
-            let mut codes = vec![0u16; data.len()];
-            encode_par(&codec, &data, &mut codes);
-            let mut serial_err = 0.0f64;
-            let mut serial = data.clone();
-            for (v, &c) in serial.iter_mut().zip(&codes) {
-                let d = codec.decode(c);
-                serial_err = serial_err.max(f64::from((d - *v).abs()));
-                *v = d;
-            }
-            let mut par = data.clone();
-            let par_err = decode_max_err_par(&codec, &codes, &mut par);
-            assert_eq!(serial_err, par_err);
-            assert_eq!(serial, par);
-        }
-    }
-
-    #[test]
-    fn max_abs_par_matches_serial() {
-        let data = noisy(5 * PAR_CHUNK + 3);
-        let serial = data.iter().fold(0.0f32, |m, &v| m.max(v.abs()));
-        assert_eq!(serial, max_abs_par(&data));
-        assert_eq!(max_abs_par(&[]), 0.0);
-    }
-
-    #[test]
     fn field_max_abs_par_matches_serial() {
         let mut f = sw_grid::Field3::new(sw_grid::Dims3::new(9, 7, 11), 2);
         f.fill_with(|x, y, z| (x * 13 + y * 5 + z) as f32 - 40.0);
         f.set_i(-1, -1, -1, 1.0e9); // halo value must be ignored, as in max_abs
         assert_eq!(f.max_abs(), field_max_abs_par(&f));
+        // NaN is skipped, ±Inf is reported, several fields keep their order.
+        let mut g = f.clone();
+        g.set(3, 3, 3, f32::NAN);
+        let mut h = f.clone();
+        h.set(8, 6, 10, f32::NEG_INFINITY);
+        for parallel in [false, true] {
+            let got = fields_max_abs(&[&f, &g, &h], parallel);
+            assert_eq!(got, vec![f.max_abs(), g.max_abs(), f32::INFINITY]);
+        }
     }
 }

@@ -95,6 +95,10 @@ impl EncodeStats {
     }
 }
 
+/// Values decoded per block of the encode statistics pass (stays in L1
+/// between the decode and the fold).
+const STATS_BLOCK: usize = 1024;
+
 /// A 3-D field resident as 16-bit codes, one calibrated codec per padded
 /// x-plane. Same halo convention as [`Field3`]; plane indices are in
 /// *padded* x space (`0 .. dims.nx + 2*halo`), matching the contiguous
@@ -228,17 +232,31 @@ impl ResidentField3 {
     /// plane's own max-abs. Returns the round-trip statistics of the
     /// plane so the caller can fold them into the per-field health feed.
     pub fn encode_plane(&mut self, p: usize, src: &[f32]) -> EncodeStats {
-        let bucket = max_abs_bucket(Self::finite_max_abs(src).0);
-        self.encode_plane_with_bucket(p, src, bucket)
+        let scan = Self::finite_max_abs(src);
+        self.encode_scanned_plane(p, src, max_abs_bucket(scan.0), scan)
     }
 
     /// Encode `src` as padded plane `p` under an explicit bucket (restore
     /// path, and the escalation arm of [`apply_adds`](Self::apply_adds)).
     pub fn encode_plane_with_bucket(&mut self, p: usize, src: &[f32], bucket: i32) -> EncodeStats {
+        self.encode_scanned_plane(p, src, bucket, Self::finite_max_abs(src))
+    }
+
+    /// The one plane encoder: [`Codec16::encode_slice`] into the store,
+    /// then one statistics pass that decodes the fresh codes block by
+    /// block and folds the errors in element order.
+    fn encode_scanned_plane(
+        &mut self,
+        p: usize,
+        src: &[f32],
+        bucket: i32,
+        (max_abs, nonfinite): (f32, u64),
+    ) -> EncodeStats {
         assert_eq!(src.len(), self.plane_len(), "plane length mismatch");
-        let (max_abs, nonfinite) = Self::finite_max_abs(src);
         let codec = self.cache.get(bucket);
         let range = self.plane_range(p);
+        let codes = &mut self.data[range];
+        codec.encode_slice(src, codes);
         let mut stats = EncodeStats {
             max_abs,
             max_err: 0.0,
@@ -246,11 +264,14 @@ impl ResidentField3 {
             count: src.len() as u64 - nonfinite,
             nonfinite,
         };
-        for (c, &v) in self.data[range].iter_mut().zip(src) {
-            let code = codec.encode(v);
-            *c = code;
-            if v.is_finite() {
-                let err = (codec.decode(code) - v).abs();
+        let mut decoded = [0.0f32; STATS_BLOCK];
+        for (vs, cs) in src.chunks(STATS_BLOCK).zip(codes.chunks(STATS_BLOCK)) {
+            let ds = &mut decoded[..vs.len()];
+            codec.decode_slice(cs, ds);
+            for (&v, &d) in vs.iter().zip(ds.iter()) {
+                // Nonfinite values contribute a zero error (adding 0.0
+                // leaves both accumulators unchanged, bit for bit).
+                let err = if v.is_finite() { (d - v).abs() } else { 0.0 };
                 stats.max_err = stats.max_err.max(err);
                 stats.sum_sq_err += (err as f64) * (err as f64);
             }

@@ -52,8 +52,10 @@ fn bases() -> [(&'static str, Codec); 3] {
 /// The per-plane error bound the calibration contract promises for a plane
 /// whose finite max-abs lands in `bucket` (within the clamp window — the
 /// extreme-magnitude saturation cases are pinned separately below).
+/// Every codec encodes an f32-subnormal input as signed zero, so the
+/// floor of any bound is the subnormal's own magnitude.
 fn binade_bound(family: &str, codec: &Codec, bucket: i32, max_abs: f32) -> f32 {
-    match family {
+    let bound = match family {
         // Declared worst case of the calibrated window.
         "adaptive" | "norm" => codec.max_abs_error(),
         // binary16: half-ULP relative error down to the subnormal floor.
@@ -62,7 +64,8 @@ fn binade_bound(family: &str, codec: &Codec, bucket: i32, max_abs: f32) -> f32 {
             max_abs * 2.0f32.powi(-10) + 2.0f32.powi(-24)
         }
         _ => unreachable!(),
-    }
+    };
+    bound.max(f32::MIN_POSITIVE)
 }
 
 fn encode_one_plane(base: Codec, values: &[f32]) -> (ResidentField3, EncodeStats, usize) {
