@@ -1,7 +1,8 @@
 //! `codec` — single-thread throughput of the §6.5 16-bit codecs: the
 //! branch-free lane bodies (`Codec16::{encode,decode,roundtrip}_slice`)
 //! against the branchy scalar oracle they replaced (`tests/oracle/`), and
-//! the calibration scan against `Field3::max_abs`, on one 84³ array (the
+//! the calibration scan against the row-carried fold `Field3::max_abs`
+//! used to be (`oracle::max_abs_carried`), on one 84³ array (the
 //! padded 80³ wavefield of the `nonlinear-tangshan` benchmark workload).
 //!
 //! Per codec (`f16`, `adaptive`, `norm`) and operation (`encode`,
@@ -190,7 +191,7 @@ fn main() {
     let scalar = time(
         || (),
         || {
-            black_box(black_box(&field).max_abs());
+            black_box(oracle::max_abs_carried(black_box(&field)));
         },
     );
     report.records.extend(pair("scan", &lanes, &scalar, interior, &host));

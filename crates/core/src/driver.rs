@@ -31,7 +31,7 @@ use crate::kernels;
 use crate::kernels::FusedWavefield;
 use crate::resident::{ResidentEngine, ResidentMode, RESIDENT_FIELDS, SIDECAR_FIELD};
 use crate::state::{SolverState, StateOptions};
-use rayon::prelude::*;
+use std::borrow::Cow;
 use std::path::PathBuf;
 use std::sync::{Arc, Barrier};
 use std::time::Instant;
@@ -45,8 +45,10 @@ use sw_grid::{Dims3, Field3, HALO_WIDTH};
 use sw_health::{
     CflInfo, FieldProbe, HealthConfig, HealthLog, HealthRecord, HealthReport, StepProbe,
 };
-use sw_io::checkpoint::{Checkpoint, RestartController};
-use sw_io::store::{CheckpointStore, RestoredGeneration, WriteError};
+use sw_io::checkpoint::{self, Checkpoint, ImageMeta, RestartController};
+use sw_io::store::{
+    CheckpointStore, GenerationOutcome, GenerationWriter, RestoredGeneration, WriteError,
+};
 use sw_io::{PgvRecorder, SeismogramRecorder, SnapshotRecorder, Station};
 use sw_model::VelocityModel;
 use sw_parallel::{run_ranks, FaultVote, HaloExchanger, RankGrid, StopBarrier};
@@ -133,11 +135,13 @@ pub struct SimConfig {
     /// health records; 0 for single-rank runs).
     pub rank: usize,
     /// Durable checkpoint directory. When set (and
-    /// `checkpoint_interval > 0`), every due checkpoint is also
-    /// persisted through a [`CheckpointStore`] — atomic files, a
-    /// versioned manifest, keep-N retention.
+    /// `checkpoint_interval > 0`), every due checkpoint is persisted
+    /// through a [`CheckpointStore`] — atomic files, a versioned
+    /// manifest, keep-N retention — instead of being kept in
+    /// [`Simulation::checkpoints`].
     pub checkpoint_dir: Option<PathBuf>,
-    /// Checkpoint generations retained on disk.
+    /// Checkpoint generations retained: on disk with a store, in
+    /// [`Simulation::checkpoints`] without one.
     pub checkpoint_keep: usize,
     /// A pre-opened checkpoint store shared across ranks; wins over
     /// `checkpoint_dir` (set by [`run_multirank`] and the resume path).
@@ -309,7 +313,8 @@ impl SimConfig {
         self
     }
 
-    /// Keep the newest `keep` checkpoint generations on disk.
+    /// Keep the newest `keep` checkpoint generations (on disk, or in memory
+    /// when no store is configured).
     #[must_use]
     pub fn with_checkpoint_keep(mut self, keep: usize) -> Self {
         self.checkpoint_keep = keep.max(1);
@@ -702,12 +707,16 @@ pub struct Simulation {
     pub snapshots: SnapshotRecorder,
     /// Flop accounting.
     pub flops: FlopCounter,
-    /// In-memory checkpoints taken by the restart controller.
+    /// The newest in-memory checkpoints taken by the restart controller
+    /// when no durable store is configured — at most
+    /// [`SimConfig::checkpoint_keep`] of them, oldest dropped first (the
+    /// store's own retention rule). Empty when a store is configured.
     pub checkpoints: Vec<Checkpoint>,
     restart: RestartController,
-    /// Durable store due checkpoints are persisted into (in addition to
-    /// the in-memory list), when configured.
-    store: Option<Arc<CheckpointStore>>,
+    checkpoint_keep: usize,
+    /// Writer into the durable store due generations are persisted into,
+    /// when one is configured; holds the one generation in flight.
+    writer: Option<GenerationWriter>,
     /// Whether this simulation commits generations itself after writing
     /// (false when [`run_multirank`] commits centrally).
     store_commit: bool,
@@ -875,7 +884,7 @@ impl Simulation {
         config.validate()?;
         let store = config.open_store()?;
         let mut sim = Self::from_state(state, config);
-        sim.store = store;
+        sim.writer = store.map(GenerationWriter::new);
         Ok(sim)
     }
 
@@ -1037,7 +1046,8 @@ impl Simulation {
             flops: FlopCounter::default(),
             checkpoints: Vec::new(),
             restart: RestartController { interval: config.checkpoint_interval },
-            store: config.shared_store.clone(),
+            checkpoint_keep: config.checkpoint_keep,
+            writer: config.shared_store.clone().map(GenerationWriter::new),
             store_commit: config.store_commit,
             rank: config.rank,
             fault: config.fault.clone(),
@@ -1535,32 +1545,7 @@ impl Simulation {
             self.next_snapshot += 1;
         }
         if self.restart.due(self.step_count) {
-            // A scoped guard would hold a borrow across the &mut self
-            // calls below, so the checkpoint wall is timed by hand.
-            let t0 = self.perf.is_some().then(Instant::now);
-            {
-                let _p = tel.phase("checkpoint");
-                let ckpt = self.make_checkpoint();
-                if tel.is_enabled() || self.perf.is_some() {
-                    let bytes: usize = ckpt.fields.iter().map(|(_, f)| f.raw().len() * 4).sum();
-                    if tel.is_enabled() {
-                        tel.add("io.checkpoint_bytes", bytes as u64);
-                        tel.add("io.checkpoints", 1);
-                        tel.event(
-                            "io.checkpoint",
-                            &[("bytes", bytes as f64), ("step", self.step_count as f64)],
-                        );
-                    }
-                    if let Some(p) = self.perf.as_deref() {
-                        p.charge("checkpoint", self.state.dims.len() as u64, 0.0, bytes as u64);
-                    }
-                }
-                self.persist_checkpoint(&ckpt, &tel);
-                self.checkpoints.push(ckpt);
-            }
-            if let (Some(p), Some(t0)) = (self.perf.as_deref(), t0) {
-                p.add_wall("checkpoint", t0.elapsed().as_secs_f64());
-            }
+            self.cut_checkpoint(&tel);
         }
         if let Some(monitor) = &mut self.health {
             monitor.check(&self.state, self.step_count, self.time, self.path.is_parallel(), &tel);
@@ -1610,30 +1595,7 @@ impl Simulation {
         self.step_count += 1;
         // Surface snapshots are rejected at validation in this mode.
         if self.restart.due(self.step_count) {
-            let t0 = self.perf.is_some().then(Instant::now);
-            {
-                let _p = tel.phase("checkpoint");
-                let ckpt = self.make_checkpoint();
-                if tel.is_enabled() || self.perf.is_some() {
-                    let bytes: usize = ckpt.fields.iter().map(|(_, f)| f.raw().len() * 4).sum();
-                    if tel.is_enabled() {
-                        tel.add("io.checkpoint_bytes", bytes as u64);
-                        tel.add("io.checkpoints", 1);
-                        tel.event(
-                            "io.checkpoint",
-                            &[("bytes", bytes as f64), ("step", self.step_count as f64)],
-                        );
-                    }
-                    if let Some(p) = self.perf.as_deref() {
-                        p.charge("checkpoint", self.state.dims.len() as u64, 0.0, bytes as u64);
-                    }
-                }
-                self.persist_checkpoint(&ckpt, tel);
-                self.checkpoints.push(ckpt);
-            }
-            if let (Some(p), Some(t0)) = (self.perf.as_deref(), t0) {
-                p.add_wall("checkpoint", t0.elapsed().as_secs_f64());
-            }
+            self.cut_checkpoint(tel);
         }
         if let Some(monitor) = &mut self.health {
             let engine = self.resident.as_ref().expect("resident finish without engine");
@@ -1667,39 +1629,122 @@ impl Simulation {
         self.fused = Some(w);
     }
 
-    /// Write a due checkpoint into the durable store (when one is
-    /// configured). A failed write is a telemetry-counted warning, not a
-    /// run abort — the campaign continues on the previous generation.
-    /// An injected mid-write kill latches [`Self::fault_kill`] so
-    /// checked stepping dies like the real process would.
-    fn persist_checkpoint(&mut self, ckpt: &Checkpoint, tel: &Telemetry) {
-        let Some(store) = &self.store else { return };
-        let t0 = tel.is_enabled().then(Instant::now);
-        match store.write_rank(self.step_count, self.rank, ckpt) {
-            Ok(bytes) => {
-                tel.add("io.checkpoint_disk_bytes", bytes);
-                if self.store_commit {
-                    match store.commit_generation(self.step_count, self.time, 1) {
-                        Ok(()) => tel.add("io.checkpoint_generations", 1),
-                        Err(_) => tel.add("io.checkpoint_failures", 1),
-                    }
+    /// The restart controller's due step. With a durable store the
+    /// generation is encoded straight from the live state
+    /// ([`checkpoint::encode_image`]; no [`Checkpoint`] is cloned) and
+    /// handed to the store's writer thread; without one a snapshot is
+    /// kept in [`Simulation::checkpoints`], newest `checkpoint_keep`
+    /// only. `step.checkpoint` and the perf ledger's `checkpoint` row
+    /// time what the step thread spent here: the encode plus any wait
+    /// for the writer.
+    fn cut_checkpoint(&mut self, tel: &Telemetry) {
+        // A scoped guard would hold a borrow across the &mut self calls
+        // below, so the perf-ledger wall is timed by hand.
+        let t0 = self.perf.is_some().then(Instant::now);
+        {
+            let _p = tel.phase("checkpoint");
+            let fields = self.checkpoint_fields();
+            if tel.is_enabled() || self.perf.is_some() {
+                let bytes: usize = fields.iter().map(|(_, f)| f.raw().len() * 4).sum();
+                if tel.is_enabled() {
+                    tel.add("io.checkpoint_bytes", bytes as u64);
+                    tel.add("io.checkpoints", 1);
+                    tel.event(
+                        "io.checkpoint",
+                        &[("bytes", bytes as f64), ("step", self.step_count as f64)],
+                    );
+                }
+                if let Some(p) = self.perf.as_deref() {
+                    p.charge("checkpoint", self.state.dims.len() as u64, 0.0, bytes as u64);
                 }
             }
-            Err(WriteError::Killed) => {
-                self.fault_kill = Some(KilledError { step: self.step_count, rank: self.rank });
+            if self.writer.is_some() {
+                let borrowed: Vec<(&str, &Field3)> =
+                    fields.iter().map(|(name, f)| (name.as_str(), f.as_ref())).collect();
+                let image = checkpoint::encode_image(
+                    ImageMeta { step: self.step_count, time: self.time, flops: self.flops.flops },
+                    &borrowed,
+                    self.seismo.seismograms(),
+                    Some((self.pgv.nx(), self.pgv.ny(), &self.pgv.pgv)),
+                    self.path.is_parallel(),
+                );
+                drop(fields);
+                self.stage_generation(image, tel);
+            } else {
+                let ckpt = self.snapshot_of(fields);
+                self.checkpoints.push(ckpt);
+                if self.checkpoints.len() > self.checkpoint_keep {
+                    self.checkpoints.remove(0);
+                }
             }
-            Err(WriteError::Io(_)) => tel.add("io.checkpoint_failures", 1),
         }
-        if let Some(t0) = t0 {
-            tel.record_duration("io.checkpoint_write", t0.elapsed().as_secs_f64());
+        if let (Some(p), Some(t0)) = (self.perf.as_deref(), t0) {
+            p.add_wall("checkpoint", t0.elapsed().as_secs_f64());
         }
     }
 
-    /// Run `n` steps.
+    /// Hand an encoded generation to the writer thread, first waiting
+    /// for (and accounting) the one still in flight. The write and the
+    /// manifest commit then overlap the following steps — except when a
+    /// fault plan is armed, where drills need the store to look the same
+    /// after every step, and under [`run_multirank`], whose ranks commit
+    /// centrally behind a barrier: both wait in the same step.
+    /// `io.checkpoint_wait` is the time this thread spent blocked.
+    fn stage_generation(&mut self, image: Vec<u8>, tel: &Telemetry) {
+        let Some(writer) = self.writer.as_mut() else { return };
+        let same_step = self.fault.is_some() || !self.store_commit;
+        let t0 = Instant::now();
+        let previous =
+            writer.stage(self.step_count, self.time, self.rank, image, self.store_commit);
+        let this = if same_step { writer.join() } else { None };
+        tel.record_duration("io.checkpoint_wait", t0.elapsed().as_secs_f64());
+        for outcome in [previous, this].into_iter().flatten() {
+            self.note_generation(outcome, tel);
+        }
+    }
+
+    /// Wait for the generation in flight, if any, and account it.
+    fn join_writer(&mut self) {
+        let Some(writer) = self.writer.as_mut() else { return };
+        let tel = self.telemetry.clone();
+        let t0 = Instant::now();
+        if let Some(outcome) = writer.join() {
+            tel.record_duration("io.checkpoint_wait", t0.elapsed().as_secs_f64());
+            self.note_generation(outcome, &tel);
+        }
+    }
+
+    /// Fold a finished generation into the run. A failed write is a
+    /// telemetry-counted warning, not a run abort — the campaign
+    /// continues on the previous generation. An injected mid-write kill
+    /// latches [`Self::fault_kill`] so checked stepping dies like the
+    /// real process would. `io.checkpoint_write` is the writer thread's
+    /// own wall.
+    fn note_generation(&mut self, outcome: GenerationOutcome, tel: &Telemetry) {
+        match outcome.written {
+            Ok(bytes) => {
+                tel.add("io.checkpoint_disk_bytes", bytes);
+                match outcome.committed {
+                    Some(Ok(())) => tel.add("io.checkpoint_generations", 1),
+                    Some(Err(_)) => tel.add("io.checkpoint_failures", 1),
+                    None => {}
+                }
+            }
+            Err(WriteError::Killed) => {
+                self.fault_kill = Some(KilledError { step: outcome.step, rank: self.rank });
+            }
+            Err(WriteError::Io(_)) => tel.add("io.checkpoint_failures", 1),
+        }
+        tel.record_duration("io.checkpoint_write", outcome.wall_s);
+    }
+
+    /// Run `n` steps. The last checkpoint generation cut is on disk and
+    /// in the manifest when this returns.
     pub fn run(&mut self, n: usize) {
         for _ in 0..n {
             self.step();
         }
+        self.join_writer();
     }
 
     /// Advance one step, surfacing a fatal health verdict or an
@@ -1750,17 +1795,18 @@ impl Simulation {
 
     /// Run up to `n` steps, stopping at the watchdog's first fatal
     /// verdict or the fault plan's first kill. Without a health config
-    /// or fault plan it is equivalent to [`Simulation::run`].
+    /// or fault plan it is equivalent to [`Simulation::run`]; like it,
+    /// it returns — `Ok` or not — with no checkpoint write in flight.
     #[allow(clippy::result_large_err)] // cold abort-path error; see step_checked
     pub fn run_checked(&mut self, n: usize) -> Result<(), RunError> {
         if self.health.is_some() || self.fault.is_some() || self.fault_kill.is_some() {
-            for _ in 0..n {
-                self.step_checked()?;
-            }
+            let stepped = (0..n).try_for_each(|_| self.step_checked());
+            self.join_writer();
+            stepped
         } else {
             self.run(n);
+            Ok(())
         }
-        Ok(())
     }
 
     /// The health monitor's report so far (`None` when the simulation
@@ -1774,43 +1820,43 @@ impl Simulation {
         self.health.as_ref().and_then(|m| m.failure())
     }
 
-    /// Snapshot the full dynamic state. In parallel mode the sixteen
-    /// field clones fan out over the pool (order-preserving map, so the
-    /// checkpoint layout is identical either way).
-    pub fn make_checkpoint(&self) -> Checkpoint {
+    /// The named dynamic fields a checkpoint carries, borrowed from the
+    /// live state. Compressed-resident runs checkpoint decompressed f32
+    /// fields (same schema as full mode, so either mode can restore the
+    /// other's checkpoints) plus a bucket sidecar that lets a compressed
+    /// resume re-encode byte-identically; those are decoded here, owned.
+    fn checkpoint_fields(&self) -> Vec<(String, Cow<'_, Field3>)> {
+        let mut fields: Vec<(String, Cow<'_, Field3>)> =
+            Vec::with_capacity(RESIDENT_FIELDS.len() + 2);
         if let Some(engine) = &self.resident {
-            // Compressed-resident runs checkpoint decompressed f32 fields
-            // (same schema as full mode, so either mode can restore the
-            // other's checkpoints) plus a bucket sidecar that lets a
-            // compressed resume re-encode byte-identically.
-            let mut fields: Vec<(String, Field3)> = Vec::with_capacity(RESIDENT_FIELDS.len() + 2);
-            fields.push((SIDECAR_FIELD.to_string(), engine.sidecar()));
+            fields.push((SIDECAR_FIELD.to_string(), Cow::Owned(engine.sidecar())));
             for (i, name) in RESIDENT_FIELDS.iter().enumerate() {
-                fields.push((name.to_string(), engine.to_field(i)));
+                fields.push((name.to_string(), Cow::Owned(engine.to_field(i))));
             }
-            fields.push(("eqp".to_string(), self.state.eqp.clone()));
-            return Checkpoint {
-                step: self.step_count,
-                time: self.time,
-                flops: self.flops.flops,
-                fields,
-                seismograms: self.seismo.seismograms().to_vec(),
-                pgv: Some((self.pgv.nx(), self.pgv.ny(), self.pgv.pgv.clone())),
-            };
-        }
-        let mut sources: Vec<(String, &Field3)> = Vec::new();
-        for (i, name) in COMPRESSED_FIELDS.iter().enumerate() {
-            sources.push((name.to_string(), wavefield(&self.state, i)));
-        }
-        for (i, r) in self.state.r.iter().enumerate() {
-            sources.push((format!("r{}", i + 1), r));
-        }
-        sources.push(("eqp".to_string(), &self.state.eqp));
-        let fields: Vec<(String, Field3)> = if self.path.is_parallel() {
-            sources.into_par_iter().map(|(name, f)| (name, f.clone())).collect()
         } else {
-            sources.into_iter().map(|(name, f)| (name, f.clone())).collect()
-        };
+            for (i, name) in COMPRESSED_FIELDS.iter().enumerate() {
+                fields.push((name.to_string(), Cow::Borrowed(wavefield(&self.state, i))));
+            }
+            for (i, r) in self.state.r.iter().enumerate() {
+                fields.push((format!("r{}", i + 1), Cow::Borrowed(r)));
+            }
+        }
+        fields.push(("eqp".to_string(), Cow::Borrowed(&self.state.eqp)));
+        fields
+    }
+
+    /// Snapshot the full dynamic state.
+    pub fn make_checkpoint(&self) -> Checkpoint {
+        self.snapshot_of(self.checkpoint_fields())
+    }
+
+    /// An owned [`Checkpoint`] of `fields` and the observation state. In
+    /// parallel mode the field clones fan out over the pool
+    /// (order-preserving map, so the layout is identical either way).
+    fn snapshot_of(&self, fields: Vec<(String, Cow<'_, Field3>)>) -> Checkpoint {
+        let fields = sw_compress::par::map_ordered(fields, self.path.is_parallel(), |(name, f)| {
+            (name, f.into_owned())
+        });
         Checkpoint {
             step: self.step_count,
             time: self.time,
@@ -1827,6 +1873,9 @@ impl Simulation {
     /// when the checkpoint names an unknown field, carries a mismatched
     /// mesh, or references a memory variable this run does not have.
     pub fn restore(&mut self, ckpt: &Checkpoint) -> Result<(), RestoreError> {
+        // The store must not change under a state that is about to be
+        // rewound past the generation in flight.
+        self.join_writer();
         if self.resident.is_some() {
             return self.restore_resident(ckpt);
         }
@@ -2430,6 +2479,31 @@ mod tests {
         assert_eq!(sim.checkpoints.len(), 2);
         assert_eq!(sim.checkpoints[0].step, 10);
         assert_eq!(sim.checkpoints[1].step, 20);
+    }
+
+    #[test]
+    fn in_memory_retention_follows_checkpoint_keep() {
+        // Ten due steps with keep = 3 leave the newest three.
+        let cfg = explosion_config(10).with_checkpoint_interval(1).with_checkpoint_keep(3);
+        let model = HalfspaceModel::hard_rock();
+        let mut sim = Simulation::new(&model, &cfg).expect("valid config");
+        sim.run(cfg.steps);
+        let steps: Vec<u64> = sim.checkpoints.iter().map(|c| c.step).collect();
+        assert_eq!(steps, vec![8, 9, 10]);
+    }
+
+    #[test]
+    fn a_store_keeps_nothing_in_memory() {
+        let dir = std::env::temp_dir().join(format!("swquake_driver_keep_{}", std::process::id()));
+        let cfg = explosion_config(20).with_checkpoint_interval(5).with_checkpoint_dir(&dir);
+        let model = HalfspaceModel::hard_rock();
+        let mut sim = Simulation::new(&model, &cfg).expect("valid config");
+        sim.run(cfg.steps);
+        assert!(sim.checkpoints.is_empty(), "the store is the only copy");
+        let manifest = CheckpointStore::open(&dir, cfg.checkpoint_keep).expect("store").manifest();
+        let steps: Vec<u64> = manifest.generations.iter().map(|g| g.step).collect();
+        assert_eq!(steps, vec![10, 15, 20], "default keep = 3, all joined when run returns");
+        std::fs::remove_dir_all(&dir).ok();
     }
 
     #[test]

@@ -37,6 +37,22 @@ pub fn roundtrip_par<C: Codec16 + Sync>(codec: &C, data: &mut [f32]) {
     data.par_chunks_mut(PAR_CHUNK).for_each(|chunk| codec.roundtrip_slice(chunk));
 }
 
+/// `f` over `items`, results in input order: one pool region when
+/// `parallel`, a plain loop on the calling thread otherwise. Each item is
+/// evaluated by exactly one call either way, so the result does not
+/// depend on the mode or the pool width.
+pub fn map_ordered<T: Send, R: Send>(
+    items: Vec<T>,
+    parallel: bool,
+    f: impl Fn(T) -> R + Sync,
+) -> Vec<R> {
+    if parallel {
+        items.into_par_iter().map(f).collect()
+    } else {
+        items.into_iter().map(f).collect()
+    }
+}
+
 /// Max-abs over the interior rows of padded x-plane `x + halo`. `f32::max`
 /// skips NaN and reports ±Inf; the fold vectorizes (max is associative,
 /// so any lane order gives the same answer).
@@ -56,12 +72,7 @@ pub fn fields_max_abs(fields: &[&Field3], parallel: bool) -> Vec<f32> {
         .enumerate()
         .flat_map(|(i, f)| (0..f.dims().nx).map(move |x| (i, x)))
         .collect();
-    let scan = |(i, x): (usize, usize)| (i, plane_max_abs(fields[i], x));
-    let partials: Vec<(usize, f32)> = if parallel {
-        items.into_par_iter().map(scan).collect()
-    } else {
-        items.into_iter().map(scan).collect()
-    };
+    let partials = map_ordered(items, parallel, |(i, x)| (i, plane_max_abs(fields[i], x)));
     let mut out = vec![0.0f32; fields.len()];
     for (i, m) in partials {
         out[i] = out[i].max(m);

@@ -312,15 +312,16 @@ impl Field3 {
         }
     }
 
-    /// Maximum absolute interior value.
+    /// Maximum absolute interior value (`f32::max` skips NaN and reports
+    /// ±Inf). Folded per row, then over the row maxima: a fold that starts
+    /// fresh on each contiguous row vectorizes, one carried across rows
+    /// does not.
     pub fn max_abs(&self) -> f32 {
         let d = self.interior;
         let mut m = 0.0f32;
         for x in 0..d.nx {
             for y in 0..d.ny {
-                for &v in self.row(x, y) {
-                    m = m.max(v.abs());
-                }
+                m = m.max(self.row(x, y).iter().fold(0.0f32, |r, &v| r.max(v.abs())));
             }
         }
         m
@@ -530,6 +531,14 @@ mod tests {
         assert_eq!(f.max_abs(), 4.0);
         assert_eq!(f.min_max(), (-4.0, 3.0));
         assert_eq!(f.norm2(), 25.0);
+        // NaN is skipped wherever it sits in a row, ±Inf is reported,
+        // halo values are not looked at.
+        f.set(2, 0, 0, f32::NAN);
+        f.set(2, 2, 2, f32::NAN);
+        f.set_i(-1, 0, 0, 9.0);
+        assert_eq!(f.max_abs(), 4.0);
+        f.set(0, 2, 1, f32::NEG_INFINITY);
+        assert_eq!(f.max_abs(), f32::INFINITY);
     }
 
     #[test]

@@ -11,12 +11,21 @@
 //! accumulator, the useful-flops counter) so a resumed run reproduces the
 //! uninterrupted run's outputs byte-for-byte — not just its wavefields.
 //!
-//! Integrity is layered: a whole-file FNV-64 checksum (the trailing 8
-//! bytes) is verified *before* any length field is trusted, so a bit flip
-//! or truncation anywhere in the image is a classified
-//! [`CheckpointError`] rather than a panic, allocation blow-up, or silent
-//! wrong decode; per-field checksums then localize which wavefield a
-//! deeper corruption hit.
+//! Integrity is layered: a whole-file 64-bit checksum (the trailing 8
+//! bytes, [`checksum64`]) is verified *before* any length field is
+//! trusted, so a bit flip or truncation anywhere in the image is a
+//! classified [`CheckpointError`] rather than a panic, allocation
+//! blow-up, or silent wrong decode; per-field checksums then localize
+//! which wavefield a deeper corruption hit. The checksum is not
+//! cryptographic, so the lengths it vouches for are still bounded against
+//! what the image's own bytes could expand to before anything is sized
+//! by them.
+//!
+//! There is one encoder, [`encode_image`], over *borrowed* fields — the
+//! driver cuts a generation straight from its live state, and
+//! [`Checkpoint::encode`] is the same call on an owned snapshot — and one
+//! decoder, [`Checkpoint::decode`]. Both run the per-field work (checksum
+//! + LZ4) as one order-preserving map over the worker pool.
 //!
 //! [`Checkpoint::write_file`] is crash-consistent: the image is staged to
 //! a temp file, fsynced, atomically renamed over the destination, and the
@@ -26,7 +35,7 @@
 use std::path::{Path, PathBuf};
 
 use crate::recorder::{Seismogram, Station};
-use sw_compress::lz4;
+use sw_compress::{lz4, par};
 use sw_grid::{Dims3, Field3};
 
 /// Minimal little-endian cursor over a byte slice (replaces `bytes::Buf`;
@@ -87,12 +96,19 @@ impl ReadLe for &[u8] {
     }
 }
 
-/// Serialization magic (format v2: recorder state + whole-file checksum).
-const MAGIC: u32 = 0x5351_4b32; // "SQK2"
+/// Serialization magic (format v3: v2's layout — recorder state,
+/// whole-file checksum — with [`checksum64`] sums in place of byte-wise
+/// FNV-1a).
+const MAGIC: u32 = 0x5351_4b33; // "SQK3"
 
-/// Magic of the pre-recorder v1 format, recognized only to give a
-/// clearer error than "not a checkpoint".
-const MAGIC_V1: u32 = 0x5351_4b31; // "SQK1"
+/// Magics of the older formats (v1 pre-recorder, v2 FNV sums), recognized
+/// only to give a clearer error than "not a checkpoint".
+const OLDER_MAGICS: [u32; 2] = [0x5351_4b31, 0x5351_4b32]; // "SQK1", "SQK2"
+
+/// Widest halo a field section may declare. The solver's is
+/// [`sw_grid::HALO_WIDTH`] (2); the format stores a `u32`, and the padded
+/// allocation grows with its cube.
+const MAX_HALO: usize = 8;
 
 /// Error decoding a checkpoint image.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -197,7 +213,9 @@ pub struct Checkpoint {
     pub pgv: Option<(usize, usize, Vec<f32>)>,
 }
 
-/// FNV-1a over raw bytes: cheap, order-sensitive, dependency-free.
+/// FNV-1a over raw bytes: cheap, order-sensitive, dependency-free. One
+/// multiply per byte — fine for the short strings `sw_campaign::cache`
+/// keys, far too slow for images (see [`checksum64`]).
 pub fn fnv1a(bytes: &[u8]) -> u64 {
     let mut h = 0xcbf2_9ce4_8422_2325u64;
     for &b in bytes {
@@ -207,15 +225,60 @@ pub fn fnv1a(bytes: &[u8]) -> u64 {
     h
 }
 
-fn checksum(data: &[f32]) -> u64 {
-    let mut h = 0xcbf2_9ce4_8422_2325u64;
-    for v in data {
-        for b in v.to_le_bytes() {
-            h ^= b as u64;
-            h = h.wrapping_mul(0x1000_0000_01b3);
+/// SplitMix64's finalizer: every input bit reaches every output bit.
+#[inline(always)]
+fn avalanche(mut z: u64) -> u64 {
+    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+    z ^ (z >> 31)
+}
+
+/// The image and per-field checksum: four independent lanes each absorb
+/// one little-endian `u64` per 32-byte block (xor, odd multiply, fold the
+/// high half down), then the lanes and the length are avalanched
+/// together. The lanes have no dependency on each other, so the
+/// multiplies overlap and the loop runs at memory speed rather than at
+/// one multiply latency per byte.
+///
+/// Each lane step is a bijection of the lane for a fixed word and of the
+/// word for a fixed lane, so any change confined to one word changes the
+/// sum. The fold matters: an odd multiply alone never moves a difference
+/// in bit 63 anywhere else, and two flipped top bits would cancel.
+pub fn checksum64(bytes: &[u8]) -> u64 {
+    const LANE_MUL: [u64; 4] = [
+        0x9E37_79B9_7F4A_7C15,
+        0xC2B2_AE3D_27D4_EB4F,
+        0x1656_67B1_9E37_79F9,
+        0xD6E8_FEB8_6659_FD93,
+    ];
+    let mut lanes: [u64; 4] = [
+        0xcbf2_9ce4_8422_2325,
+        0x8422_2325_cbf2_9ce4,
+        0x2545_F491_4F6C_DD1D,
+        0x27D4_EB2F_1656_67C5,
+    ];
+    let absorb = |lanes: &mut [u64; 4], block: &[u8; 32]| {
+        for (l, word) in block.chunks_exact(8).enumerate() {
+            let mut w = [0u8; 8];
+            w.copy_from_slice(word);
+            let h = (lanes[l] ^ u64::from_le_bytes(w)).wrapping_mul(LANE_MUL[l]);
+            lanes[l] = h ^ (h >> 32);
         }
+    };
+    let mut blocks = bytes.chunks_exact(32);
+    for block in &mut blocks {
+        let mut b = [0u8; 32];
+        b.copy_from_slice(block);
+        absorb(&mut lanes, &b);
     }
-    h
+    // The zero-padded tail; the length below tells padding from data.
+    let tail = blocks.remainder();
+    if !tail.is_empty() {
+        let mut b = [0u8; 32];
+        b[..tail.len()].copy_from_slice(tail);
+        absorb(&mut lanes, &b);
+    }
+    lanes.iter().fold(bytes.len() as u64, |h, lane| avalanche(h ^ lane))
 }
 
 /// Crash-consistent file write: stage to `<path>.tmp`, fsync, rename over
@@ -259,58 +322,167 @@ pub fn temp_path(path: &Path) -> PathBuf {
     path.with_file_name(name)
 }
 
+/// The scalar header of an image.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct ImageMeta {
+    /// Time-step index.
+    pub step: u64,
+    /// Simulated time, s.
+    pub time: f64,
+    /// Useful flops accumulated up to `step`.
+    pub flops: f64,
+}
+
+/// One field section: name, shape, checksum of the interior's
+/// little-endian bytes, and those bytes as one LZ4 block — built row by
+/// row from the field's own storage.
+fn encode_field(name: &str, field: &Field3) -> Vec<u8> {
+    let d = field.dims();
+    let mut raw = vec![0u8; d.bytes_f32()];
+    if !raw.is_empty() {
+        let mut rows = raw.chunks_exact_mut(d.nz * 4);
+        for x in 0..d.nx {
+            for y in 0..d.ny {
+                let dst = rows.next().expect("one chunk per interior row");
+                lz4::f32_le_bytes(field.row(x, y), dst);
+            }
+        }
+    }
+    let mut out = Vec::with_capacity(64 + name.len() + raw.len() / 2);
+    out.extend_from_slice(&(name.len() as u16).to_le_bytes());
+    out.extend_from_slice(name.as_bytes());
+    out.extend_from_slice(&(d.nx as u64).to_le_bytes());
+    out.extend_from_slice(&(d.ny as u64).to_le_bytes());
+    out.extend_from_slice(&(d.nz as u64).to_le_bytes());
+    out.extend_from_slice(&(field.halo() as u32).to_le_bytes());
+    out.extend_from_slice(&checksum64(&raw).to_le_bytes());
+    let len_at = out.len();
+    out.extend_from_slice(&0u64.to_le_bytes());
+    lz4::compress_into(&raw, &mut out);
+    let compressed = (out.len() - len_at - 8) as u64;
+    out[len_at..len_at + 8].copy_from_slice(&compressed.to_le_bytes());
+    out
+}
+
+/// Serialize one image: header, per-field sections, seismogram and PGV
+/// sections, then the trailing whole-file [`checksum64`].
+///
+/// The fields are only borrowed, so a caller holding live state (the
+/// driver) cuts a generation without first cloning it into a
+/// [`Checkpoint`]. With `parallel` the field sections are built by one
+/// order-preserving map over the worker pool; the bytes are the same
+/// either way, for any pool width.
+pub fn encode_image(
+    meta: ImageMeta,
+    fields: &[(&str, &Field3)],
+    seismograms: &[Seismogram],
+    pgv: Option<(usize, usize, &[f32])>,
+    parallel: bool,
+) -> Vec<u8> {
+    let sections =
+        par::map_ordered(fields.to_vec(), parallel, |(name, field)| encode_field(name, field));
+    let mut out = Vec::with_capacity(64 + sections.iter().map(Vec::len).sum::<usize>());
+    out.extend_from_slice(&MAGIC.to_le_bytes());
+    out.extend_from_slice(&meta.step.to_le_bytes());
+    out.extend_from_slice(&meta.time.to_le_bytes());
+    out.extend_from_slice(&meta.flops.to_le_bytes());
+    out.extend_from_slice(&(fields.len() as u32).to_le_bytes());
+    for section in &sections {
+        out.extend_from_slice(section);
+    }
+    out.extend_from_slice(&(seismograms.len() as u32).to_le_bytes());
+    for s in seismograms {
+        out.extend_from_slice(&(s.station.name.len() as u16).to_le_bytes());
+        out.extend_from_slice(s.station.name.as_bytes());
+        out.extend_from_slice(&(s.station.ix as u64).to_le_bytes());
+        out.extend_from_slice(&(s.station.iy as u64).to_le_bytes());
+        out.extend_from_slice(&s.dt.to_le_bytes());
+        out.extend_from_slice(&(s.samples.len() as u64).to_le_bytes());
+        for sample in &s.samples {
+            for c in sample {
+                out.extend_from_slice(&c.to_le_bytes());
+            }
+        }
+    }
+    match pgv {
+        Some((nx, ny, values)) => {
+            out.push(1);
+            out.extend_from_slice(&(nx as u64).to_le_bytes());
+            out.extend_from_slice(&(ny as u64).to_le_bytes());
+            for v in values {
+                out.extend_from_slice(&v.to_le_bytes());
+            }
+        }
+        None => out.push(0),
+    }
+    let file_sum = checksum64(&out);
+    out.extend_from_slice(&file_sum.to_le_bytes());
+    out
+}
+
+/// A field section's header, its payload still compressed.
+struct FieldSection<'a> {
+    name: String,
+    dims: Dims3,
+    halo: usize,
+    sum: u64,
+    payload: &'a [u8],
+}
+
+impl FieldSection<'_> {
+    /// The shape a section header declares, if a `payload_len`-byte LZ4
+    /// block could decode to it at all and its padded allocation stays
+    /// addressable. The file checksum is no proof against a crafted
+    /// image, so this runs before anything is sized by the header.
+    fn checked_shape(n: [u64; 3], halo: u32, payload_len: usize) -> Option<(Dims3, usize)> {
+        let [nx, ny, nz] = n.map(|v| usize::try_from(v).ok());
+        let (nx, ny, nz, halo) = (nx?, ny?, nz?, usize::try_from(halo).ok()?);
+        let raw_len = nx.checked_mul(ny)?.checked_mul(nz)?.checked_mul(4)?;
+        if !lz4::can_expand_to(payload_len, raw_len) || halo > MAX_HALO {
+            return None;
+        }
+        let pad = |v: usize| v.checked_add(2 * halo);
+        pad(nx)?.checked_mul(pad(ny)?)?.checked_mul(pad(nz)?)?.checked_mul(4)?;
+        Some((Dims3::new(nx, ny, nz), halo))
+    }
+
+    /// Decompress (to exactly the declared interior, never past it),
+    /// verify, and rebuild the padded field.
+    fn decode(self) -> Result<(String, Field3), CheckpointError> {
+        let d = self.dims;
+        let raw = lz4::decompress_into(self.payload, d.bytes_f32())
+            .map_err(|_| CheckpointError::BadPayload)?;
+        if checksum64(&raw) != self.sum {
+            return Err(CheckpointError::Corrupt { field: self.name });
+        }
+        let mut field = Field3::new(d, self.halo);
+        if !raw.is_empty() {
+            let mut rows = raw.chunks_exact(d.nz * 4);
+            for x in 0..d.nx {
+                for y in 0..d.ny {
+                    let src = rows.next().expect("one chunk per interior row");
+                    lz4::f32_from_le_bytes(src, field.row_mut(x, y));
+                }
+            }
+        }
+        Ok((self.name, field))
+    }
+}
+
 impl Checkpoint {
-    /// Serialize: header, per-field sections, seismogram and PGV
-    /// sections, then a trailing whole-file FNV-64 checksum.
+    /// Serialize (see [`encode_image`], which this calls on its own
+    /// fields, over the worker pool).
     pub fn encode(&self) -> Vec<u8> {
-        let mut out = Vec::new();
-        out.extend_from_slice(&MAGIC.to_le_bytes());
-        out.extend_from_slice(&self.step.to_le_bytes());
-        out.extend_from_slice(&self.time.to_le_bytes());
-        out.extend_from_slice(&self.flops.to_le_bytes());
-        out.extend_from_slice(&(self.fields.len() as u32).to_le_bytes());
-        for (name, field) in &self.fields {
-            let interior = field.interior_to_vec();
-            let compressed = lz4::compress_f32(&interior);
-            out.extend_from_slice(&(name.len() as u16).to_le_bytes());
-            out.extend_from_slice(name.as_bytes());
-            let d = field.dims();
-            out.extend_from_slice(&(d.nx as u64).to_le_bytes());
-            out.extend_from_slice(&(d.ny as u64).to_le_bytes());
-            out.extend_from_slice(&(d.nz as u64).to_le_bytes());
-            out.extend_from_slice(&(field.halo() as u32).to_le_bytes());
-            out.extend_from_slice(&checksum(&interior).to_le_bytes());
-            out.extend_from_slice(&(compressed.len() as u64).to_le_bytes());
-            out.extend_from_slice(&compressed);
-        }
-        out.extend_from_slice(&(self.seismograms.len() as u32).to_le_bytes());
-        for s in &self.seismograms {
-            out.extend_from_slice(&(s.station.name.len() as u16).to_le_bytes());
-            out.extend_from_slice(s.station.name.as_bytes());
-            out.extend_from_slice(&(s.station.ix as u64).to_le_bytes());
-            out.extend_from_slice(&(s.station.iy as u64).to_le_bytes());
-            out.extend_from_slice(&s.dt.to_le_bytes());
-            out.extend_from_slice(&(s.samples.len() as u64).to_le_bytes());
-            for sample in &s.samples {
-                for c in sample {
-                    out.extend_from_slice(&c.to_le_bytes());
-                }
-            }
-        }
-        match &self.pgv {
-            Some((nx, ny, values)) => {
-                out.push(1);
-                out.extend_from_slice(&(*nx as u64).to_le_bytes());
-                out.extend_from_slice(&(*ny as u64).to_le_bytes());
-                for v in values {
-                    out.extend_from_slice(&v.to_le_bytes());
-                }
-            }
-            None => out.push(0),
-        }
-        let file_sum = fnv1a(&out);
-        out.extend_from_slice(&file_sum.to_le_bytes());
-        out
+        let fields: Vec<(&str, &Field3)> =
+            self.fields.iter().map(|(name, field)| (name.as_str(), field)).collect();
+        let pgv = self.pgv.as_ref().map(|(nx, ny, values)| (*nx, *ny, values.as_slice()));
+        encode_image(
+            ImageMeta { step: self.step, time: self.time, flops: self.flops },
+            &fields,
+            &self.seismograms,
+            pgv,
+            true,
+        )
     }
 
     /// Deserialize and verify.
@@ -318,14 +490,16 @@ impl Checkpoint {
     /// The whole-file checksum is verified before anything else, so on
     /// any post-encode corruption — flipped bits, truncation, garbage —
     /// this returns a classified error without trusting a single length
-    /// field from the damaged image.
+    /// field from the damaged image. The section headers are then walked
+    /// serially and the fields decoded by the same pool map the encoder
+    /// uses.
     pub fn decode(mut buf: &[u8]) -> Result<Self, CheckpointError> {
         if buf.remaining() < 4 {
             return Err(CheckpointError::BadHeader);
         }
         let magic = u32::from_le_bytes(buf[..4].try_into().unwrap());
         if magic != MAGIC {
-            if magic == MAGIC_V1 {
+            if OLDER_MAGICS.contains(&magic) {
                 return Err(CheckpointError::BadVersion { found: magic });
             }
             return Err(CheckpointError::BadHeader);
@@ -337,7 +511,7 @@ impl Checkpoint {
         }
         let body_len = buf.remaining() - 8;
         let stored_sum = u64::from_le_bytes(buf[body_len..].try_into().unwrap());
-        if fnv1a(&buf[..body_len]) != stored_sum {
+        if checksum64(&buf[..body_len]) != stored_sum {
             return Err(CheckpointError::CorruptFile);
         }
         buf = &buf[..body_len];
@@ -346,10 +520,10 @@ impl Checkpoint {
         let time = buf.get_f64_le();
         let flops = buf.get_f64_le();
         let n = buf.get_u32_le() as usize;
-        // Every bound below is belt-and-braces: the checksum already
-        // vouched for the image, so a failure here means an encoder bug,
-        // and CorruptFile keeps it an error instead of a panic.
-        let mut fields = Vec::with_capacity(n.min(buf.remaining()));
+        // The checksum already vouched for the image, so a failed bound
+        // below means an encoder bug or a crafted file; either way it
+        // stays an error instead of a panic or an allocation.
+        let mut sections = Vec::with_capacity(n.min(buf.remaining()));
         for _ in 0..n {
             if buf.remaining() < 2 {
                 return Err(CheckpointError::CorruptFile);
@@ -363,30 +537,20 @@ impl Checkpoint {
             if buf.remaining() < 8 * 3 + 4 + 8 + 8 {
                 return Err(CheckpointError::CorruptFile);
             }
-            let dims = Dims3::new(
-                buf.get_u64_le() as usize,
-                buf.get_u64_le() as usize,
-                buf.get_u64_le() as usize,
-            );
-            let halo = buf.get_u32_le() as usize;
+            let shape = [buf.get_u64_le(), buf.get_u64_le(), buf.get_u64_le()];
+            let halo = buf.get_u32_le();
             let sum = buf.get_u64_le();
-            let len = buf.get_u64_le() as usize;
-            if buf.remaining() < len {
-                return Err(CheckpointError::CorruptFile);
-            }
-            let interior =
-                lz4::decompress_f32(&buf[..len]).map_err(|_| CheckpointError::BadPayload)?;
-            buf.advance(len);
-            if interior.len() != dims.len() {
+            let len = usize::try_from(buf.get_u64_le()).ok().filter(|len| *len <= buf.remaining());
+            let Some(len) = len else { return Err(CheckpointError::CorruptFile) };
+            let Some((dims, halo)) = FieldSection::checked_shape(shape, halo, len) else {
                 return Err(CheckpointError::BadPayload);
-            }
-            if checksum(&interior) != sum {
-                return Err(CheckpointError::Corrupt { field: name });
-            }
-            let mut field = Field3::new(dims, halo);
-            field.interior_from_slice(&interior);
-            fields.push((name, field));
+            };
+            sections.push(FieldSection { name, dims, halo, sum, payload: &buf[..len] });
+            buf.advance(len);
         }
+        let fields = par::map_ordered(sections, true, FieldSection::decode)
+            .into_iter()
+            .collect::<Result<Vec<_>, _>>()?;
         if buf.remaining() < 4 {
             return Err(CheckpointError::CorruptFile);
         }
@@ -539,13 +703,112 @@ mod tests {
     }
 
     #[test]
-    fn v1_magic_reported_as_version_mismatch() {
-        let mut bytes = sample().encode();
-        bytes[..4].copy_from_slice(&MAGIC_V1.to_le_bytes());
-        assert_eq!(
-            Checkpoint::decode(&bytes),
-            Err(CheckpointError::BadVersion { found: MAGIC_V1 })
-        );
+    fn older_magics_reported_as_version_mismatch() {
+        // "SQK1" and "SQK2": one reader, no fallback fork.
+        for found in OLDER_MAGICS {
+            let mut bytes = sample().encode();
+            bytes[..4].copy_from_slice(&found.to_le_bytes());
+            assert_eq!(Checkpoint::decode(&bytes), Err(CheckpointError::BadVersion { found }));
+        }
+        assert_eq!(&MAGIC.to_le_bytes(), b"3KQS");
+    }
+
+    #[test]
+    fn checksum_sees_every_byte_the_length_and_top_bit_pairs() {
+        let data: Vec<u8> = (0..1000u32).map(|i| (i * 37 % 251) as u8).collect();
+        let base = checksum64(&data);
+        for i in 0..data.len() {
+            let mut d = data.clone();
+            d[i] ^= 0x80;
+            assert_ne!(checksum64(&d), base, "flip in byte {i} went unseen");
+        }
+        // Trailing zeros are data, not padding.
+        let mut longer = data.clone();
+        longer.push(0);
+        assert_ne!(checksum64(&longer), base);
+        assert_ne!(checksum64(&[]), checksum64(&[0]));
+        // The trap a fold-less word-wise FNV falls into: the top bits of
+        // two words of one lane (32 bytes apart) flipped together.
+        for i in (7..data.len() - 32).step_by(8) {
+            let mut d = data.clone();
+            d[i] ^= 0x80;
+            d[i + 32] ^= 0x80;
+            assert_ne!(checksum64(&d), base, "top-bit pair at {i} cancelled");
+        }
+    }
+
+    /// An image whose trailing checksum is *valid* (re-stamped after the
+    /// edit), so only the decoder's own bounds stand between a crafted
+    /// header and an allocation.
+    fn restamped(mut bytes: Vec<u8>, edit: impl FnOnce(&mut [u8])) -> Vec<u8> {
+        let body = bytes.len() - 8;
+        edit(&mut bytes[..body]);
+        let sum = checksum64(&bytes[..body]);
+        bytes[body..].copy_from_slice(&sum.to_le_bytes());
+        bytes
+    }
+
+    #[test]
+    fn absurd_shapes_under_a_valid_checksum_are_bad_payload() {
+        let c = sample();
+        let image = c.encode();
+        // First section: u16 name_len, "u", then nx ny nz (u64 each), halo.
+        let nx_at = 4 + 8 + 8 + 8 + 4 + 2 + 1;
+        let set_u64 = |at: usize, v: u64| {
+            restamped(image.clone(), |b| b[at..at + 8].copy_from_slice(&v.to_le_bytes()))
+        };
+        // nx * ny * nz overflows; is representable but far past what the
+        // payload could expand to; halo cubes past the address space.
+        for crafted in [
+            set_u64(nx_at, u64::MAX / 2),
+            set_u64(nx_at, 1 << 40),
+            set_u64(nx_at + 8, 1 << 20),
+            restamped(image.clone(), |b| b[nx_at + 24..nx_at + 28].fill(0xff)),
+        ] {
+            assert_eq!(Checkpoint::decode(&crafted), Err(CheckpointError::BadPayload));
+        }
+        // A shape the payload *could* reach but does not: refused by the
+        // bounded decode, one row past the real interior.
+        let one_more = set_u64(nx_at, 7);
+        assert_eq!(Checkpoint::decode(&one_more), Err(CheckpointError::BadPayload));
+    }
+
+    #[test]
+    fn match_length_bomb_under_a_valid_checksum_is_bad_payload() {
+        // One 2x1x1 field whose block claims 16 MiB of match from one
+        // literal: refused at the 8 declared bytes.
+        let mut bomb = vec![0x1f, 0xAA, 0x01, 0x00];
+        bomb.extend(std::iter::repeat_n(255u8, 64 * 1024));
+        bomb.push(0);
+        let mut image = Vec::new();
+        image.extend_from_slice(&MAGIC.to_le_bytes());
+        image.extend_from_slice(&[0u8; 24]); // step, time, flops
+        image.extend_from_slice(&1u32.to_le_bytes());
+        image.extend_from_slice(&1u16.to_le_bytes());
+        image.push(b'u');
+        for n in [2u64, 1, 1] {
+            image.extend_from_slice(&n.to_le_bytes());
+        }
+        image.extend_from_slice(&0u32.to_le_bytes()); // halo
+        image.extend_from_slice(&0u64.to_le_bytes()); // field sum
+        image.extend_from_slice(&(bomb.len() as u64).to_le_bytes());
+        image.extend_from_slice(&bomb);
+        image.extend_from_slice(&0u32.to_le_bytes()); // no seismograms
+        image.push(0); // no pgv
+        let sum = checksum64(&image);
+        image.extend_from_slice(&sum.to_le_bytes());
+        assert_eq!(Checkpoint::decode(&image), Err(CheckpointError::BadPayload));
+    }
+
+    #[test]
+    fn serial_and_pool_encodes_are_the_same_bytes() {
+        let c = sample();
+        let fields: Vec<(&str, &Field3)> = c.fields.iter().map(|(n, f)| (n.as_str(), f)).collect();
+        let pgv = c.pgv.as_ref().map(|(nx, ny, v)| (*nx, *ny, v.as_slice()));
+        let meta = ImageMeta { step: c.step, time: c.time, flops: c.flops };
+        let serial = encode_image(meta, &fields, &c.seismograms, pgv, false);
+        assert_eq!(serial, encode_image(meta, &fields, &c.seismograms, pgv, true));
+        assert_eq!(serial, c.encode());
     }
 
     #[test]

@@ -6,8 +6,9 @@
 //!   16-m Tangshan case would need 108 TB of restart wavefields without
 //!   compression);
 //! * [`store`] — the durable checkpoint lifecycle: atomic generation
-//!   files, a versioned manifest with keep-N retention, and
-//!   corrupt-generation fallback on restore;
+//!   files, a versioned manifest with keep-N retention,
+//!   corrupt-generation fallback on restore, and the one-deep writer
+//!   thread that keeps the fsyncs off the step thread;
 //! * [`groupio`] — the group-I/O and balanced-forwarding aggregation model
 //!   that reaches "a peak I/O bandwidth of 120 GB/s (92.3 % of the file
 //!   system we use)";
@@ -29,4 +30,6 @@ pub use checkpoint::{Checkpoint, CheckpointError, ReadError, RestartController};
 pub use doc::DocFile;
 pub use groupio::GroupIoModel;
 pub use recorder::{PgvRecorder, SeismogramRecorder, SnapshotRecorder, Station};
-pub use store::{CheckpointStore, Manifest, ManifestGeneration, RestoredGeneration, StoreError};
+pub use store::{
+    CheckpointStore, GenerationWriter, Manifest, ManifestGeneration, RestoredGeneration, StoreError,
+};

@@ -18,14 +18,24 @@
 //! simply never referenced, and a crash mid-manifest-write leaves the
 //! previous manifest.
 //!
+//! [`CheckpointStore::write_rank`] and
+//! [`CheckpointStore::commit_generation`] are synchronous building
+//! blocks. A single-rank run does not call them on its step thread: it
+//! hands each encoded image to a [`GenerationWriter`], which runs the two
+//! on a thread of their own, one generation at a time, so the fsyncs
+//! overlap the following steps.
+//!
 //! Retention keeps the newest `keep` generations; on restore,
 //! [`CheckpointStore::restore_newest_valid`] walks generations newest
 //! first, fully decoding every rank image, and falls back past any
 //! generation that fails validation — returning which ones were skipped
 //! and why so the caller can surface a health Warning instead of dying.
 
+use std::borrow::Cow;
 use std::path::{Path, PathBuf};
-use std::sync::Mutex;
+use std::sync::{Arc, Mutex};
+use std::thread::JoinHandle;
+use std::time::Instant;
 
 use serde::{Deserialize, Serialize};
 
@@ -285,11 +295,11 @@ impl CheckpointStore {
         Ok(())
     }
 
-    /// Write one rank's image for the step-`step` generation. Atomic on
-    /// the real path; any fault the plan schedules for `(step, rank)` is
-    /// injected here. Returns the encoded size in bytes.
-    pub fn write_rank(&self, step: u64, rank: usize, ckpt: &Checkpoint) -> Result<u64, WriteError> {
-        let mut bytes = ckpt.encode();
+    /// Write one rank's encoded image for the step-`step` generation.
+    /// Atomic on the real path; any fault the plan schedules for
+    /// `(step, rank)` is injected here. Returns the bytes written.
+    pub fn write_rank(&self, step: u64, rank: usize, image: &[u8]) -> Result<u64, WriteError> {
+        let mut image = Cow::Borrowed(image);
         let path = self.rank_path(step, rank);
         if let Some(plan) = &self.fault {
             if let Some(event) = plan.write_fault(step, rank) {
@@ -303,19 +313,19 @@ impl CheckpointStore {
                         // Stage the temp file, then "die": the rename
                         // never happens, so the generation is never
                         // visible and the previous one stays valid.
-                        let _ = checkpoint::stage_temp(&path, &bytes);
+                        let _ = checkpoint::stage_temp(&path, &image);
                         return Err(WriteError::Killed);
                     }
                     _ => {
                         // torn / flip: commit the damaged image so the
                         // restore-side fallback has something to catch.
-                        plan.corrupt(&event, step, rank, &mut bytes);
+                        plan.corrupt(&event, step, rank, image.to_mut());
                     }
                 }
             }
         }
-        checkpoint::write_atomic(&path, &bytes).map_err(WriteError::Io)?;
-        Ok(bytes.len() as u64)
+        checkpoint::write_atomic(&path, &image).map_err(WriteError::Io)?;
+        Ok(image.len() as u64)
     }
 
     /// Commit the step-`step` generation after all `ranks` images are on
@@ -412,6 +422,91 @@ impl CheckpointStore {
     }
 }
 
+/// What became of one generation handed to a [`GenerationWriter`].
+#[derive(Debug)]
+pub struct GenerationOutcome {
+    /// Step of the generation.
+    pub step: u64,
+    /// Bytes of the rank image on disk, or why it is not there.
+    pub written: Result<u64, WriteError>,
+    /// The manifest commit's result; `None` when the write failed or the
+    /// caller commits centrally (multirank).
+    pub committed: Option<Result<(), StoreError>>,
+    /// Wall time of the write and commit on the writer's thread, s.
+    pub wall_s: f64,
+}
+
+/// The one-deep generation writer: takes an encoded image off the step
+/// thread and runs [`CheckpointStore::write_rank`] +
+/// [`CheckpointStore::commit_generation`] on a thread of its own.
+///
+/// What crosses the thread is the encoded bytes — owned, immutable, a
+/// fraction of the state — never a cloned [`Checkpoint`]. At most one
+/// generation is in flight: [`GenerationWriter::stage`] first waits for
+/// the previous one, so generations reach the manifest in step order
+/// and the memory held is one image. A thread is spawned per generation
+/// (tens of microseconds against a write of tens of milliseconds), which
+/// makes the `JoinHandle` the whole hand-off: no channel, no parked
+/// thread, nothing running between generations or before the first.
+/// Dropping the writer waits for the generation in flight.
+#[derive(Debug)]
+pub struct GenerationWriter {
+    store: Arc<CheckpointStore>,
+    in_flight: Option<(u64, JoinHandle<GenerationOutcome>)>,
+}
+
+impl GenerationWriter {
+    /// A writer into `store`; spawns nothing until the first
+    /// [`GenerationWriter::stage`].
+    pub fn new(store: Arc<CheckpointStore>) -> Self {
+        Self { store, in_flight: None }
+    }
+
+    /// Hand over `image` as rank `rank`'s file of the step-`step`
+    /// generation, committing the generation afterwards when `commit`.
+    /// Blocks until the previous generation (if any) is finished and
+    /// returns its outcome.
+    pub fn stage(
+        &mut self,
+        step: u64,
+        time: f64,
+        rank: usize,
+        image: Vec<u8>,
+        commit: bool,
+    ) -> Option<GenerationOutcome> {
+        let previous = self.join();
+        let store = Arc::clone(&self.store);
+        let handle = std::thread::spawn(move || {
+            let t0 = Instant::now();
+            let written = store.write_rank(step, rank, &image);
+            let committed =
+                (commit && written.is_ok()).then(|| store.commit_generation(step, time, 1));
+            GenerationOutcome { step, written, committed, wall_s: t0.elapsed().as_secs_f64() }
+        });
+        self.in_flight = Some((step, handle));
+        previous
+    }
+
+    /// Wait for the generation in flight; `None` when there is none.
+    pub fn join(&mut self) -> Option<GenerationOutcome> {
+        let (step, handle) = self.in_flight.take()?;
+        // A panic on the writer thread is a failed write, not a reason
+        // to take the run down with it.
+        Some(handle.join().unwrap_or_else(|_| GenerationOutcome {
+            step,
+            written: Err(WriteError::Io(std::io::Error::other("checkpoint writer panicked"))),
+            committed: None,
+            wall_s: 0.0,
+        }))
+    }
+}
+
+impl Drop for GenerationWriter {
+    fn drop(&mut self) {
+        self.join();
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -443,7 +538,7 @@ mod tests {
         let dir = tmpdir("lifecycle");
         let store = CheckpointStore::create(&dir, 2).unwrap();
         for step in [10u64, 20, 30] {
-            store.write_rank(step, 0, &ckpt(step)).unwrap();
+            store.write_rank(step, 0, &ckpt(step).encode()).unwrap();
             store.commit_generation(step, step as f64 * 0.01, 1).unwrap();
         }
         let m = store.manifest();
@@ -468,7 +563,7 @@ mod tests {
     fn reopen_resumes_the_manifest_and_sweeps_tmp() {
         let dir = tmpdir("reopen");
         let store = CheckpointStore::create(&dir, 3).unwrap();
-        store.write_rank(50, 0, &ckpt(50)).unwrap();
+        store.write_rank(50, 0, &ckpt(50).encode()).unwrap();
         store.commit_generation(50, 0.5, 1).unwrap();
         // A crashed writer's staging leftovers…
         std::fs::write(dir.join("ckpt-00000060-r0.swq.tmp"), b"partial").unwrap();
@@ -484,7 +579,7 @@ mod tests {
         let dir = tmpdir("fallback");
         let store = CheckpointStore::create(&dir, 3).unwrap();
         for step in [10u64, 20] {
-            store.write_rank(step, 0, &ckpt(step)).unwrap();
+            store.write_rank(step, 0, &ckpt(step).encode()).unwrap();
             store.commit_generation(step, 0.0, 1).unwrap();
         }
         // Flip a byte in the newest image.
@@ -504,7 +599,7 @@ mod tests {
     fn all_generations_corrupt_is_a_classified_error() {
         let dir = tmpdir("exhausted");
         let store = CheckpointStore::create(&dir, 3).unwrap();
-        store.write_rank(10, 0, &ckpt(10)).unwrap();
+        store.write_rank(10, 0, &ckpt(10).encode()).unwrap();
         store.commit_generation(10, 0.1, 1).unwrap();
         std::fs::write(dir.join(CheckpointStore::rank_file_name(10, 0)), b"garbage").unwrap();
         match store.restore_newest_valid(1) {
@@ -518,7 +613,7 @@ mod tests {
     fn rank_mismatch_is_rejected() {
         let dir = tmpdir("ranks");
         let store = CheckpointStore::create(&dir, 3).unwrap();
-        store.write_rank(10, 0, &ckpt(10)).unwrap();
+        store.write_rank(10, 0, &ckpt(10).encode()).unwrap();
         store.commit_generation(10, 0.1, 1).unwrap();
         assert!(matches!(
             store.restore_newest_valid(4),
@@ -542,20 +637,20 @@ mod tests {
         let store =
             CheckpointStore::create(&dir, 5).unwrap().with_fault(Some(std::sync::Arc::new(plan)));
 
-        assert!(matches!(store.write_rank(10, 0, &ckpt(10)), Err(WriteError::Io(_))));
+        assert!(matches!(store.write_rank(10, 0, &ckpt(10).encode()), Err(WriteError::Io(_))));
         assert!(!dir.join(CheckpointStore::rank_file_name(10, 0)).exists());
 
         // Torn write commits a truncated image; restore must fall back.
-        store.write_rank(15, 0, &ckpt(15)).unwrap();
+        store.write_rank(15, 0, &ckpt(15).encode()).unwrap();
         store.commit_generation(15, 0.15, 1).unwrap();
-        store.write_rank(20, 0, &ckpt(20)).unwrap();
+        store.write_rank(20, 0, &ckpt(20).encode()).unwrap();
         store.commit_generation(20, 0.2, 1).unwrap();
         let restored = store.restore_newest_valid(1).unwrap();
         assert_eq!(restored.step, 15);
         assert_eq!(restored.skipped.len(), 1);
 
         // Kill mid-write stages the temp but never renames.
-        assert!(matches!(store.write_rank(30, 0, &ckpt(30)), Err(WriteError::Killed)));
+        assert!(matches!(store.write_rank(30, 0, &ckpt(30).encode()), Err(WriteError::Killed)));
         assert!(!dir.join(CheckpointStore::rank_file_name(30, 0)).exists());
         assert!(
             checkpoint::temp_path(&dir.join(CheckpointStore::rank_file_name(30, 0))).exists(),
@@ -566,6 +661,52 @@ mod tests {
         let reopened = CheckpointStore::open(&dir, 5).unwrap();
         assert!(!checkpoint::temp_path(&dir.join(CheckpointStore::rank_file_name(30, 0))).exists());
         assert_eq!(reopened.restore_newest_valid(1).unwrap().step, 15);
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn writer_is_one_deep_ordered_and_joined_on_drop() {
+        let dir = tmpdir("writer");
+        let store = Arc::new(CheckpointStore::create(&dir, 5).unwrap());
+        let mut writer = GenerationWriter::new(Arc::clone(&store));
+        assert!(writer.join().is_none(), "nothing staged, nothing to wait for");
+        assert!(writer.stage(10, 0.1, 0, ckpt(10).encode(), true).is_none());
+        // Staging the next generation hands back the previous one, done.
+        let first = writer.stage(20, 0.2, 0, ckpt(20).encode(), true).expect("10 was in flight");
+        assert_eq!(first.step, 10);
+        assert_eq!(first.written.unwrap(), ckpt(10).encode().len() as u64);
+        assert!(matches!(first.committed, Some(Ok(()))));
+        assert_eq!(store.manifest().generations[0].step, 10, "committed before 20 was staged");
+        // Without `commit` the file lands but the manifest is the caller's.
+        let second = writer.stage(30, 0.3, 0, ckpt(30).encode(), false).unwrap();
+        assert_eq!(second.step, 20);
+        let third = writer.join().expect("30 was in flight");
+        assert!(third.written.is_ok() && third.committed.is_none());
+        assert!(dir.join(CheckpointStore::rank_file_name(30, 0)).exists());
+        assert_eq!(store.manifest().generations.len(), 2);
+        // Dropping the writer waits for the generation in flight.
+        writer.stage(40, 0.4, 0, ckpt(40).encode(), true);
+        drop(writer);
+        let steps: Vec<u64> = store.manifest().generations.iter().map(|g| g.step).collect();
+        assert_eq!(steps, vec![10, 20, 40]);
+        assert_eq!(store.restore_newest_valid(1).unwrap().step, 40);
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn writer_reports_injected_faults_at_the_join() {
+        let dir = tmpdir("writer_faults");
+        let plan = FaultPlan::parse("seed=3;ioerr@10;killwrite@20").unwrap();
+        let store =
+            Arc::new(CheckpointStore::create(&dir, 5).unwrap().with_fault(Some(Arc::new(plan))));
+        let mut writer = GenerationWriter::new(Arc::clone(&store));
+        writer.stage(10, 0.1, 0, ckpt(10).encode(), true);
+        let failed = writer.stage(20, 0.2, 0, ckpt(20).encode(), true).unwrap();
+        assert!(matches!(failed.written, Err(WriteError::Io(_))) && failed.committed.is_none());
+        let killed = writer.join().unwrap();
+        assert!(matches!(killed.written, Err(WriteError::Killed)));
+        assert_eq!(killed.step, 20);
+        assert!(store.manifest().generations.is_empty());
         std::fs::remove_dir_all(&dir).ok();
     }
 }

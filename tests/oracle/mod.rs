@@ -1,4 +1,5 @@
-//! The scalar codec oracle.
+//! The scalar codec oracle (and, in [`lz4`], the byte-at-a-time LZ4
+//! reference).
 //!
 //! These are the branchy per-value conversions `sw-compress` shipped
 //! before its codecs became branch-free lane bodies — decision trees,
@@ -23,7 +24,26 @@
 
 #![allow(dead_code)]
 
+pub mod lz4;
+
 use sw_compress::stats::unbiased_exponent;
+
+/// `Field3::max_abs` as it was before it folded per row: one running
+/// maximum carried across every row, which does not vectorize. The
+/// calibration scan (`sw_compress::par::fields_max_abs`) and today's
+/// `Field3::max_abs` must return the same value for every input.
+pub fn max_abs_carried(f: &sw_grid::Field3) -> f32 {
+    let d = f.dims();
+    let mut m = 0.0f32;
+    for x in 0..d.nx {
+        for y in 0..d.ny {
+            for &v in f.row(x, y) {
+                m = m.max(v.abs());
+            }
+        }
+    }
+    m
+}
 
 fn is_subnormal_or_zero(v: f32) -> bool {
     v.to_bits() & 0x7f80_0000 == 0

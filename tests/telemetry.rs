@@ -72,12 +72,51 @@ fn quickstart_emits_metrics_for_every_phase() {
     assert_eq!(raw, 2 * enc, "16-bit codec halves the footprint");
     assert!(report.gauge("compress.max_roundtrip_error").is_some());
 
-    // Checkpoint I/O (interval 5 over 10 steps -> 2 checkpoints).
+    // Checkpoint I/O (interval 5 over 10 steps -> 2 checkpoints). With
+    // no durable store there is no writer: nothing to wait for or write.
     assert_eq!(report.counter("io.checkpoints"), Some(2));
     assert!(report.counter("io.checkpoint_bytes").expect("checkpoint bytes") > 0);
+    assert_eq!(report.timer("step.checkpoint").expect("checkpoint phase").calls, 2);
+    assert!(report.timer("io.checkpoint_wait").is_none());
+    assert!(report.timer("io.checkpoint_write").is_none());
 
     // Both the simulation accessor and the shared handle see one store.
     assert_eq!(telemetry.report(), report);
+}
+
+/// With a durable store, the step thread's share of a generation
+/// (`step.checkpoint`: encode + any wait), the time it spent blocked on
+/// the writer (`io.checkpoint_wait`) and the writer thread's own wall
+/// (`io.checkpoint_write`) are three separate numbers, complete when
+/// `run` returns.
+#[test]
+fn durable_checkpoints_time_the_step_thread_and_the_writer_separately() {
+    let dir = std::env::temp_dir().join(format!("swquake_telemetry_ckpt_{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    let telemetry = Telemetry::enabled();
+    let cfg = quickstart_config(10)
+        .with_telemetry(telemetry.clone())
+        .with_checkpoint_interval(5)
+        .with_checkpoint_dir(&dir);
+    let model = HalfspaceModel::hard_rock();
+    let mut sim = Simulation::new(&model, &cfg).expect("valid config");
+    sim.run(cfg.steps);
+
+    let report = sim.metrics();
+    assert_eq!(report.counter("io.checkpoints"), Some(2));
+    assert_eq!(report.counter("io.checkpoint_generations"), Some(2));
+    assert_eq!(report.counter("io.checkpoint_failures"), None);
+    let disk = report.counter("io.checkpoint_disk_bytes").expect("disk bytes");
+    assert!(disk > 0 && disk < report.counter("io.checkpoint_bytes").unwrap());
+    let step_thread = report.timer("step.checkpoint").expect("checkpoint phase");
+    let wait = report.timer("io.checkpoint_wait").expect("wait timer");
+    let write = report.timer("io.checkpoint_write").expect("write timer");
+    assert_eq!(step_thread.calls, 2);
+    assert_eq!(write.calls, 2, "one writer wall per generation, folded in at its join");
+    assert!(write.total_s > 0.0);
+    // One wait per hand-over plus the join when `run` returned.
+    assert_eq!(wait.calls, 3);
+    let _ = std::fs::remove_dir_all(&dir);
 }
 
 /// A multi-rank run must report per-rank halo pack/wait/unpack timings
