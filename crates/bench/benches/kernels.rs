@@ -1,9 +1,10 @@
-//! Benchmarks for the solver kernels: serial vs Rayon-parallel,
-//! linear vs nonlinear — the real-host counterpart of Fig. 7.
+//! Benchmarks for the solver kernels (each walked by the calling thread;
+//! `fig7_kernels` compares that with pool iteration) and of the linear
+//! vs nonlinear step — the real-host counterpart of Fig. 7.
 
 use sw_grid::Dims3;
 use sw_model::HalfspaceModel;
-use swq_bench::harness::{BenchmarkId, Criterion, Throughput};
+use swq_bench::harness::{Criterion, Throughput};
 use swq_bench::{criterion_group, criterion_main};
 use swquake_core::kernels;
 use swquake_core::state::{SolverState, StateOptions};
@@ -34,24 +35,14 @@ fn bench_kernels(c: &mut Criterion) {
     group.throughput(Throughput::Elements(points));
 
     let mut s = noisy_state(n, false);
-    group.bench_function(BenchmarkId::new("dvelc", "serial"), |b| {
+    group.bench_function("dvelc", |b| {
         b.iter(|| {
             kernels::dvelcx(&mut s);
             kernels::dvelcy(&mut s);
         })
     });
     let mut s = noisy_state(n, false);
-    group.bench_function(BenchmarkId::new("dvelc", "rayon"), |b| {
-        b.iter(|| kernels::dvelc_par(&mut s))
-    });
-    let mut s = noisy_state(n, false);
-    group.bench_function(BenchmarkId::new("dstrqc", "serial"), |b| {
-        b.iter(|| kernels::dstrqc(&mut s))
-    });
-    let mut s = noisy_state(n, false);
-    group.bench_function(BenchmarkId::new("dstrqc", "rayon"), |b| {
-        b.iter(|| kernels::dstrqc_par(&mut s))
-    });
+    group.bench_function("dstrqc", |b| b.iter(|| kernels::dstrqc(&mut s)));
     let mut s = noisy_state(n, true);
     group.bench_function("drprecpc_calc", |b| b.iter(|| kernels::drprecpc_calc(&mut s)));
     let mut s = noisy_state(n, true);
@@ -61,29 +52,6 @@ fn bench_kernels(c: &mut Criterion) {
     group.bench_function("fstr", |b| b.iter(|| kernels::fstr(&mut s)));
     let mut s = noisy_state(n, false);
     group.bench_function("apply_sponge", |b| b.iter(|| kernels::apply_sponge(&mut s)));
-    group.finish();
-
-    // Ablation: the §6.4 array-fusion layout experiment — nine strided
-    // scalar streams vs two unit-stride AoS streams.
-    let mut group = c.benchmark_group("fusion_ablation");
-    group.throughput(Throughput::Elements(points));
-    let mut s = noisy_state(n, false);
-    group.bench_function("dvelc_scalar_layout", |b| {
-        b.iter(|| {
-            kernels::dvelcx(&mut s);
-            kernels::dvelcy(&mut s);
-        })
-    });
-    let s = noisy_state(n, false);
-    let mut fused = kernels::FusedWavefield::from_state(&s);
-    group.bench_function("dvelc_fused_layout", |b| b.iter(|| kernels::dvelc_fused(&mut fused, &s)));
-    let mut s2 = noisy_state(n, false);
-    group.bench_function("dstrqc_scalar_layout", |b| b.iter(|| kernels::dstrqc(&mut s2)));
-    let s2 = noisy_state(n, false);
-    let mut fused2 = kernels::FusedWavefield::from_state(&s2);
-    group.bench_function("dstrqc_fused_layout", |b| {
-        b.iter(|| kernels::dstrqc_fused(&mut fused2, &s2))
-    });
     group.finish();
 
     // full steps: the linear-vs-nonlinear cost ratio of §3

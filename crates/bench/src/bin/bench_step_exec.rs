@@ -1,40 +1,40 @@
-//! `step_exec` — serial vs parallel vs simd full production step.
+//! `step_exec` — the full production step with its x-planes walked by
+//! the calling thread vs handed to the pool, and each kernel's one lane
+//! body against the naive kernel it replaced.
 //!
 //! Times the complete per-step pipeline (free surface, velocity, stress +
 //! attenuation, source injection, plasticity, sponge, and the §6.5
-//! compression round trip) on a 64³ mesh in all three [`ExecMode`]s and
-//! writes a schema-v2 [`BenchReport`]:
+//! compression round trip) on a 64³ mesh under [`ExecMode::Serial`] and
+//! [`ExecMode::Parallel`], then the stencil and pointwise kernels on that
+//! run's wavefield against `tests/oracle/kernels.rs`, and writes a
+//! schema-v2 [`BenchReport`]:
 //!
-//! * `step_exec/serial` — absolute seconds per step, reference kernels;
-//! * `step_exec/parallel` — absolute seconds per step, Rayon CPE-pool
-//!   kernels;
-//! * `step_exec/simd` — absolute seconds per step, vectorized
-//!   cache-tiled kernels (with a default build the `simd` mode degrades
-//!   to `parallel` and a warning is printed — gate the ratio only from
-//!   `--features simd` runs). All absolute records carry the host
-//!   fingerprint (so a diff against a baseline from another machine
-//!   skips them instead of comparing apples to oranges) and a generous
-//!   per-record tolerance for same-host reruns;
+//! * `step_exec/serial`, `step_exec/parallel` — absolute seconds per
+//!   step. All absolute records carry the host fingerprint (so a diff
+//!   against a baseline from another machine skips them instead of
+//!   comparing apples to oranges) and a generous per-record tolerance
+//!   for same-host reruns;
 //! * `step_exec/parallel_over_serial` — the **dimensionless ratio** of
-//!   the two medians (unit `ratio`). This is the record the committed
-//!   baseline `BENCH_step_exec.json` pins at 2/3 (= a 1.5× speedup
-//!   floor), so `swquake bench-diff BENCH_step_exec.json <this output>
-//!   --tolerance 0` passes exactly when the parallel path is at least
-//!   1.5× faster — a machine-independent gate, unlike the absolutes;
-//! * `step_exec/simd_over_serial` — same dimensionless gate for the
-//!   vectorized path; the committed baseline pins it at 0.62 (≈ 1.6×),
-//!   tighter than the parallel floor, so the gate fails if SIMD ever
-//!   stops paying for itself over plain `parallel`;
+//!   the two medians (unit `ratio`), a measurement carrying its own
+//!   tolerance of `1/0.7 − 1`: `bench-diff` against the committed
+//!   `BENCH_step_exec.json` fails when the pool's advantage at this
+//!   width drops below 0.7× the committed one;
+//! * `step_exec/<kernel>/lanes`, `…/oracle` and `…/lanes_over_oracle`
+//!   for `dvelc`, `dstrqc`, `drprecpc_calc` and `sponge` — one thread,
+//!   absolute seconds per call and their ratio under the same
+//!   tolerance: a body that stops vectorizing (or starts paying per-row
+//!   overhead) shows here before it shows in a step;
 //! * `step_exec/kernel/<name>` — absolute per-kernel wall seconds per
 //!   step from the perf ledger of the parallel run (host-stamped,
-//!   throughput in `cells`);
-//! * `step_exec/simd_kernel/<name>` — the same per-kernel records from
-//!   the simd run's ledger, so per-kernel speedups (dvelc, dstrqc, …)
-//!   are measured, not inferred.
+//!   throughput in `cells`).
 //!
 //! Usage: `bench_step_exec [out.json] [threads]` (defaults:
 //! `BENCH_step_exec_new.json`, `min(cores, 4)` worker threads).
 
+#[path = "../../../../tests/oracle/mod.rs"]
+mod oracle;
+
+use std::hint::black_box;
 use std::sync::Arc;
 use std::time::Instant;
 
@@ -43,7 +43,8 @@ use sw_model::LayeredModel;
 use sw_source::{MomentTensor, PointSource, SourceTimeFunction};
 use sw_telemetry::bench::{BenchRecord, BenchReport};
 use sw_telemetry::perf::{HostFingerprint, PerfLedger, PerfRecorder};
-use swquake_core::{simd_compiled, ExecMode, SimConfig, Simulation};
+use swquake_core::state::SolverState;
+use swquake_core::{kernels, ExecMode, SimConfig, Simulation};
 
 const SIDE: usize = 64;
 const WARMUP_STEPS: usize = 3;
@@ -51,8 +52,10 @@ const TIMED_STEPS: usize = 12;
 
 /// Fractional slowdown same-host reruns of the absolute records are
 /// allowed before gating (absolute wall times on a shared CI box are
-/// noisy; the ratio record is the tight gate).
+/// noisy; the ratio records are the gate).
 const ABSOLUTE_TOLERANCE: f64 = 10.0;
+/// A time ratio may grow to `1/0.7` of the committed measurement.
+const RATIO_TOLERANCE: f64 = 1.0 / 0.7 - 1.0;
 
 /// The production step shape: nonlinear + attenuation + sponge +
 /// self-calibrating compression, with a real source so the wavefield is
@@ -72,10 +75,10 @@ fn bench_config() -> SimConfig {
     cfg.with_compression(true)
 }
 
-/// Per-step wall times plus the perf ledger for one execution mode.
-/// Both modes run with the recorder armed so its (tiny) overhead
-/// cancels out of the parallel/serial ratio.
-fn time_mode(exec: ExecMode) -> (Vec<f64>, PerfLedger) {
+/// Per-step wall times, the perf ledger and the final state for one
+/// execution mode. Both modes run with the recorder armed so its (tiny)
+/// overhead cancels out of the parallel/serial ratio.
+fn time_mode(exec: ExecMode) -> (Vec<f64>, PerfLedger, SolverState) {
     let model = LayeredModel::north_china();
     let recorder = Arc::new(PerfRecorder::new());
     let cfg = bench_config().with_exec(exec).with_perf(Arc::clone(&recorder));
@@ -89,7 +92,37 @@ fn time_mode(exec: ExecMode) -> (Vec<f64>, PerfLedger) {
         })
         .collect();
     let ledger = sim.perf_ledger().expect("recorder is armed");
-    (samples, ledger)
+    (samples, ledger, sim.state)
+}
+
+/// `TIMED_STEPS` calls of `kernel`, each on a fresh copy of `state`.
+fn time_kernel(state: &SolverState, mut kernel: impl FnMut(&mut SolverState)) -> Vec<f64> {
+    let _fp = swquake_core::exec::kernel_fp_env();
+    (0..=TIMED_STEPS)
+        .map(|_| {
+            let mut s = state.clone();
+            let t0 = Instant::now();
+            kernel(black_box(&mut s));
+            t0.elapsed().as_secs_f64()
+        })
+        .skip(1)
+        .collect()
+}
+
+fn ratio_record(name: String, numerator: &BenchRecord, denominator: &BenchRecord) -> BenchRecord {
+    let ratio = numerator.median_s / denominator.median_s;
+    BenchRecord {
+        name,
+        samples: numerator.samples,
+        median_s: ratio,
+        mean_s: ratio,
+        min_s: ratio,
+        max_s: ratio,
+        throughput: 1.0,
+        throughput_unit: "ratio".to_string(),
+        tolerance: Some(RATIO_TOLERANCE),
+        host: None,
+    }
 }
 
 fn record(name: &str, samples: &[f64], host: &str) -> BenchRecord {
@@ -121,56 +154,67 @@ fn main() {
         rayon::current_num_threads()
     );
 
-    if !simd_compiled() {
-        println!(
-            "warning: built without --features simd; ExecMode::Simd degrades to \
-             parallel, so the simd records below measure the parallel path"
-        );
-    }
     let host = HostFingerprint::detect(threads as u64).id();
-    let (serial_samples, _serial_ledger) = time_mode(ExecMode::Serial);
-    let (parallel_samples, parallel_ledger) = time_mode(ExecMode::Parallel);
-    let (simd_samples, simd_ledger) = time_mode(ExecMode::Simd);
+    let (serial_samples, _, state) = time_mode(ExecMode::Serial);
+    let (parallel_samples, parallel_ledger, _) = time_mode(ExecMode::Parallel);
     let serial = record("step_exec/serial", &serial_samples, &host);
     let parallel = record("step_exec/parallel", &parallel_samples, &host);
-    let simd = record("step_exec/simd", &simd_samples, &host);
-    let ratio_record = |name: &str, numerator: &BenchRecord| BenchRecord {
-        name: name.to_string(),
-        samples: numerator.samples,
-        median_s: numerator.median_s / serial.median_s,
-        mean_s: numerator.median_s / serial.median_s,
-        min_s: numerator.median_s / serial.median_s,
-        max_s: numerator.median_s / serial.median_s,
-        throughput: 1.0,
-        throughput_unit: "ratio".to_string(),
-        tolerance: None,
-        host: None,
-    };
-    let par_ratio = ratio_record("step_exec/parallel_over_serial", &parallel);
-    let simd_ratio = ratio_record("step_exec/simd_over_serial", &simd);
+    let par_ratio = ratio_record("step_exec/parallel_over_serial".to_string(), &parallel, &serial);
     println!(
-        "serial {:.4} s/step, parallel {:.4} s/step ({:.2}x), simd {:.4} s/step ({:.2}x)",
+        "serial {:.4} s/step, parallel {:.4} s/step ({:.2}x)",
         serial.median_s,
         parallel.median_s,
         1.0 / par_ratio.median_s,
-        simd.median_s,
-        1.0 / simd_ratio.median_s,
     );
-
     let mut report = BenchReport::new();
-    report.records = vec![serial, parallel, simd, par_ratio, simd_ratio];
-    // Per-kernel absolute throughput records from the parallel and simd
-    // runs' ledgers (host-stamped; diffs against a foreign baseline skip
-    // them).
-    for (ledger, prefix) in
-        [(&parallel_ledger, "step_exec/kernel"), (&simd_ledger, "step_exec/simd_kernel")]
-    {
-        let mut kernel_report = ledger.to_bench_report(prefix);
-        for r in &mut kernel_report.records {
-            r.tolerance = Some(ABSOLUTE_TOLERANCE);
-        }
-        report.records.extend(kernel_report.records);
+    report.records = vec![serial, parallel, par_ratio];
+
+    // Each kernel's lane body against the naive loop, on one thread.
+    type Kernel = fn(&mut SolverState);
+    let pairs: [(&str, Kernel, Kernel); 4] = [
+        (
+            "dvelc",
+            |s| {
+                kernels::dvelcx(s);
+                kernels::dvelcy(s);
+            },
+            |s| {
+                oracle::kernels::dvelcx(s);
+                oracle::kernels::dvelcy(s);
+            },
+        ),
+        ("dstrqc", kernels::dstrqc, oracle::kernels::dstrqc),
+        (
+            "drprecpc_calc",
+            |s| {
+                black_box(kernels::drprecpc_calc(s));
+            },
+            |s| {
+                black_box(oracle::kernels::drprecpc_calc(s));
+            },
+        ),
+        ("sponge", kernels::apply_sponge, oracle::kernels::apply_sponge),
+    ];
+    for (name, lanes, naive) in pairs {
+        let lanes = record(&format!("step_exec/{name}/lanes"), &time_kernel(&state, lanes), &host);
+        let naive = record(&format!("step_exec/{name}/oracle"), &time_kernel(&state, naive), &host);
+        let ratio = ratio_record(format!("step_exec/{name}/lanes_over_oracle"), &lanes, &naive);
+        println!(
+            "{name:14} lanes {:8.3} ms   oracle {:8.3} ms   ({:.1}x)",
+            lanes.median_s * 1e3,
+            naive.median_s * 1e3,
+            1.0 / ratio.median_s
+        );
+        report.records.extend([lanes, naive, ratio]);
     }
+
+    // Per-kernel absolute throughput records from the parallel run's
+    // ledger (host-stamped; diffs against a foreign baseline skip them).
+    let mut kernel_report = parallel_ledger.to_bench_report("step_exec/kernel");
+    for r in &mut kernel_report.records {
+        r.tolerance = Some(ABSOLUTE_TOLERANCE);
+    }
+    report.records.extend(kernel_report.records);
     let n = report.records.len();
     report.write_file(std::path::Path::new(&path)).expect("failed to write bench JSON");
     println!("wrote {path} ({n} records)");

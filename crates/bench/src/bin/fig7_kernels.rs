@@ -1,8 +1,9 @@
 //! Regenerates Fig. 7: per-kernel speedups across the optimization levels
 //! (MPE → PAR → MEM → CMPR) and achieved DMA bandwidths — from the
-//! calibrated SW26010 model — plus a *real* measurement on this host: the
-//! serial vs Rayon-parallel kernel speedup, the host-side analogue of the
-//! MPE → PAR step.
+//! calibrated SW26010 model — plus a *real* measurement on this host: each
+//! kernel's one body with its x-planes walked by the calling thread vs
+//! handed to the Rayon pool, the host-side analogue of the MPE → PAR
+//! step (one core against the 64-CPE pool).
 
 use std::time::Instant;
 use sw_arch::perf::{KernelPerfModel, OptLevel};
@@ -75,7 +76,7 @@ fn main() {
         naive / mem
     );
 
-    // Real host measurement: serial vs Rayon-parallel kernels.
+    // Real host measurement: calling-thread vs pool iteration.
     println!("\nhost measurement (96^3 mesh, {} threads):", rayon::current_num_threads());
     let mut s = host_state();
     let t_vel_serial = time_it(|| {
@@ -89,13 +90,13 @@ fn main() {
     let mut s4 = host_state();
     let t_str_par = time_it(|| kernels::dstrqc_par(&mut s4));
     println!(
-        "  dvelc : serial {:>7.2} ms, parallel {:>7.2} ms -> {:.1}x",
+        "  dvelc : calling thread {:>7.2} ms, pool {:>7.2} ms -> {:.1}x",
         t_vel_serial * 1e3,
         t_vel_par * 1e3,
         t_vel_serial / t_vel_par
     );
     println!(
-        "  dstrqc: serial {:>7.2} ms, parallel {:>7.2} ms -> {:.1}x",
+        "  dstrqc: calling thread {:>7.2} ms, pool {:>7.2} ms -> {:.1}x",
         t_str_serial * 1e3,
         t_str_par * 1e3,
         t_str_serial / t_str_par

@@ -27,8 +27,7 @@ use crate::flops::{
     SPONGE_FLOPS,
 };
 use crate::health::HealthMonitor;
-use crate::kernels;
-use crate::kernels::FusedWavefield;
+use crate::kernels::{self, Region};
 use crate::resident::{ResidentEngine, ResidentMode, RESIDENT_FIELDS, SIDECAR_FIELD};
 use crate::state::{SolverState, StateOptions};
 use std::borrow::Cow;
@@ -90,28 +89,19 @@ pub struct SimConfig {
     pub compression_stats: Vec<(String, FieldStats)>,
     /// Physical position of grid index (0,0,0), m.
     pub origin: (f64, f64, f64),
-    /// Which kernel implementations run (serial reference, the Rayon
-    /// CPE-pool analogue, or the vectorized tiled path — all
-    /// bit-identical). Defaults to the `SWQUAKE_EXEC` environment
-    /// override when set, [`ExecMode::Auto`] otherwise.
+    /// Who walks the x-planes of each step phase: the calling thread or
+    /// the Rayon pool (bit-identical). Defaults to the `SWQUAKE_EXEC`
+    /// environment override when set, [`ExecMode::Auto`] otherwise.
     pub exec: ExecMode,
-    /// Run production steps on the §6.4 fused array layout
-    /// ([`FusedWavefield`]): kernels update the AoS vectors in place and
-    /// the scalar wavefields are refreshed only at output boundaries
-    /// (recorders each step; checkpoints, snapshots and health probes
-    /// when due). Bit-identical to the serial path. Incompatible with
-    /// attenuation, plasticity, inter-step compression and multirank
-    /// runs — [`SimConfig::validate`] rejects those combinations.
-    pub fused: bool,
     /// How the dynamic wavefields (and attenuation memory variables) live
     /// between steps: [`ResidentMode::Full`] keeps plain f32 arrays;
     /// [`ResidentMode::Compressed16`] keeps them as 16-bit planes and
     /// streams x-tiles through a small f32 slab each step (see
     /// [`crate::resident`]). Defaults to the `SWQUAKE_RESIDENT`
-    /// environment override when set. Incompatible with the fused
-    /// layout, §6.5 inter-step compression, surface snapshots and
-    /// multirank runs — [`SimConfig::validate`] / [`run_multirank`]
-    /// reject those combinations.
+    /// environment override when set. Incompatible with §6.5 inter-step
+    /// compression, surface snapshots and multirank runs —
+    /// [`SimConfig::validate`] / [`run_multirank`] reject those
+    /// combinations.
     pub resident: ResidentMode,
     /// Byte budget for the compressed-resident decode slab; the engine
     /// solves the widest tile that fits (see
@@ -188,7 +178,6 @@ impl SimConfig {
             compression_stats: Vec::new(),
             origin: (0.0, 0.0, 0.0),
             exec: ExecMode::from_env(),
-            fused: false,
             resident: ResidentMode::from_env(),
             memory_cap_bytes: None,
             threads: exec::threads_from_env(),
@@ -211,14 +200,6 @@ impl SimConfig {
     #[must_use]
     pub fn with_exec(mut self, exec: ExecMode) -> Self {
         self.exec = exec;
-        self
-    }
-
-    /// Run production steps on the fused array layout (§6.4); see
-    /// [`SimConfig::fused`] for the compatibility contract.
-    #[must_use]
-    pub fn with_fused(mut self, fused: bool) -> Self {
-        self.fused = fused;
         self
     }
 
@@ -408,21 +389,7 @@ impl SimConfig {
         if !scale.is_finite() || scale <= 0.0 {
             return Err(ConfigError::InvalidDtScale { dt_scale: scale });
         }
-        if self.fused {
-            if self.options.attenuation {
-                return Err(ConfigError::FusedUnsupported { feature: "attenuation" });
-            }
-            if self.options.nonlinear {
-                return Err(ConfigError::FusedUnsupported { feature: "plasticity" });
-            }
-            if self.compression {
-                return Err(ConfigError::FusedUnsupported { feature: "inter-step compression" });
-            }
-        }
         if self.resident == ResidentMode::Compressed16 {
-            if self.fused {
-                return Err(ConfigError::ResidentUnsupported { feature: "the fused layout" });
-            }
             if self.compression {
                 return Err(ConfigError::ResidentUnsupported { feature: "inter-step compression" });
             }
@@ -730,14 +697,9 @@ pub struct Simulation {
     snapshot_times: Vec<f64>,
     next_snapshot: usize,
     compression: Option<Vec<CompressionSlot>>,
-    /// The resolved kernel path every step phase routes through
-    /// (serial reference, Rayon CPE-pool analogue, or the vectorized
-    /// tiled kernels — all bit-identical).
+    /// Who walks the planes of every step phase (resolved from
+    /// [`SimConfig::exec`] for this mesh).
     path: ExecPath,
-    /// The fused AoS wavefield production steps run on when
-    /// [`SimConfig::fused`] is set; the scalar state is refreshed from
-    /// it at output boundaries only.
-    fused: Option<FusedWavefield>,
     /// The compressed-resident engine when [`SimConfig::resident`] is
     /// `Compressed16`; the state's dynamic arrays are detached and every
     /// step phase streams tiles through the engine's f32 slab instead.
@@ -754,45 +716,14 @@ pub struct Simulation {
     timeline: Option<Arc<TimelineRecorder>>,
 }
 
-/// Index a wavefield by its `COMPRESSED_FIELDS` position.
-fn wavefield_mut(state: &mut SolverState, idx: usize) -> &mut Field3 {
-    match idx {
-        0 => &mut state.u,
-        1 => &mut state.v,
-        2 => &mut state.w,
-        3 => &mut state.xx,
-        4 => &mut state.yy,
-        5 => &mut state.zz,
-        6 => &mut state.xy,
-        7 => &mut state.xz,
-        _ => &mut state.yz,
-    }
-}
-
 /// Feed the per-field resident-bytes gauges of one rank's working set
 /// into the run timeline: the nine wavefields individually (they are what
 /// the compressed-resident-grid arc will shrink), plus the attenuation
-/// memory variables, the material arrays, and any fused AoS mirror as
-/// aggregates. Called once at construction — allocations are fixed for
-/// the life of a simulation, so this is also the high-water mark.
-fn record_resident_memory(
-    tl: &TimelineRecorder,
-    rank: usize,
-    state: &SolverState,
-    fused: Option<&FusedWavefield>,
-) {
-    for name in COMPRESSED_FIELDS {
-        let f = match name {
-            "u" => &state.u,
-            "v" => &state.v,
-            "w" => &state.w,
-            "xx" => &state.xx,
-            "yy" => &state.yy,
-            "zz" => &state.zz,
-            "xy" => &state.xy,
-            "xz" => &state.xz,
-            _ => &state.yz,
-        };
+/// memory variables and the material arrays as aggregates. Called once at
+/// construction — allocations are fixed for the life of a simulation, so
+/// this is also the high-water mark.
+fn record_resident_memory(tl: &TimelineRecorder, rank: usize, state: &SolverState) {
+    for (name, f) in COMPRESSED_FIELDS.iter().zip(state.dynamic()) {
         tl.record_memory(rank, &format!("state.{name}"), f.resident_bytes() as u64);
     }
     let memvars: usize = state.r.iter().map(Field3::resident_bytes).sum();
@@ -817,10 +748,6 @@ fn record_resident_memory(
     .map(|f| f.resident_bytes())
     .sum();
     tl.record_memory(rank, "state.material", material as u64);
-    if let Some(fw) = fused {
-        tl.record_memory(rank, "fused.velocity", fw.vel.resident_bytes() as u64);
-        tl.record_memory(rank, "fused.stress", fw.stress.resident_bytes() as u64);
-    }
 }
 
 /// Build a health probe from the compressed-resident engine's per-step
@@ -848,20 +775,6 @@ fn resident_probe(engine: &ResidentEngine, step: u64, time: f64, rank: usize) ->
     let max_velocity = fields[..3].iter().fold(0.0f64, |m, f| m.max(f.max_abs));
     let max_stress = fields[3..].iter().fold(0.0f64, |m, f| m.max(f.max_abs));
     StepProbe { step, time, rank, max_velocity, max_stress, kinetic_energy: f64::NAN, fields }
-}
-
-fn wavefield(state: &SolverState, idx: usize) -> &Field3 {
-    match idx {
-        0 => &state.u,
-        1 => &state.v,
-        2 => &state.w,
-        3 => &state.xx,
-        4 => &state.yy,
-        5 => &state.zz,
-        6 => &state.xy,
-        7 => &state.xz,
-        _ => &state.yz,
-    }
 }
 
 impl Simulation {
@@ -982,12 +895,7 @@ impl Simulation {
         let path = config.exec.resolve_path(d.len());
         let telemetry = config.telemetry.clone();
         if telemetry.is_enabled() {
-            let mode = match path {
-                ExecPath::Serial => 0.0,
-                ExecPath::Parallel => 1.0,
-                ExecPath::Simd => 2.0,
-            };
-            telemetry.gauge("exec.mode", mode);
+            telemetry.gauge("exec.mode", f64::from(u8::from(path.is_parallel())));
             telemetry.gauge("exec.threads", rayon::current_num_threads() as f64);
         }
         let arch = telemetry.is_enabled().then(|| {
@@ -1007,22 +915,18 @@ impl Simulation {
                 config.compression,
             )
         });
-        let fused = config.fused.then(|| FusedWavefield::from_state(&state));
         let resident = (config.resident == ResidentMode::Compressed16).then(|| {
             let engine = ResidentEngine::new(&state, config.memory_cap_bytes);
             // The engine now holds the dynamic values 16-bit; detach the
             // f32 arrays so the footprint win is real, not additive.
-            for idx in 0..COMPRESSED_FIELDS.len() {
-                *wavefield_mut(&mut state, idx) = Field3::detached(d, HALO_WIDTH);
-            }
-            for r in &mut state.r {
-                *r = Field3::detached(d, HALO_WIDTH);
+            for f in state.dynamic_mut() {
+                *f = Field3::detached(d, HALO_WIDTH);
             }
             engine
         });
         let timeline = config.timeline.clone();
         if let Some(tl) = &timeline {
-            record_resident_memory(tl, config.rank, &state, fused.as_ref());
+            record_resident_memory(tl, config.rank, &state);
             if let Some(engine) = &resident {
                 for (i, name) in COMPRESSED_FIELDS.iter().enumerate() {
                     tl.record_memory(config.rank, &format!("state.{name}"), engine.stored_bytes(i));
@@ -1056,7 +960,6 @@ impl Simulation {
             next_snapshot: 0,
             compression,
             path,
-            fused,
             resident,
             telemetry,
             arch,
@@ -1070,21 +973,14 @@ impl Simulation {
         }
     }
 
-    /// Whether this simulation fans work out over the Rayon pool (true
-    /// for both the CPE-pool and the vectorized tiled paths).
+    /// Whether this simulation fans work out over the Rayon pool.
     pub fn is_parallel(&self) -> bool {
         self.path.is_parallel()
     }
 
-    /// The concrete kernel path the resolved [`ExecMode`] routes step
-    /// phases through.
+    /// What the configured [`ExecMode`] resolved to for this mesh.
     pub fn exec_path(&self) -> ExecPath {
         self.path
-    }
-
-    /// Whether production steps run on the fused array layout (§6.4).
-    pub fn is_fused(&self) -> bool {
-        self.fused.is_some()
     }
 
     /// How this simulation stores its wavefields between steps.
@@ -1172,7 +1068,7 @@ impl Simulation {
             step_p50_s: p50,
             step_p95_s: p95,
             exec_mode: Some(self.path.to_string()),
-            features: Some(if exec::simd_compiled() { "simd" } else { "" }.to_string()),
+            features: Some(String::new()),
             resident_mode: Some(self.resident_mode().to_string()),
             kernels,
         })
@@ -1251,52 +1147,17 @@ impl Simulation {
             self.resident = Some(engine);
             return;
         }
-        if let Some(mut w) = self.fused.take() {
-            let s = &self.state;
-            {
-                let _p = tel.phase("free_surface");
-                let _k = pscope(&self.perf, "fstr");
-                kernels::fstr_fused(&mut w, s);
-            }
-            {
-                let _p = tel.phase("velocity");
-                let _k = pscope(&self.perf, "dvelc");
-                kernels::dvelc_fused(&mut w, s);
-            }
-            self.fused = Some(w);
-            return;
-        }
+        let pool = self.path.is_parallel();
         let s = &mut self.state;
         {
             let _p = tel.phase("free_surface");
             let _k = pscope(&self.perf, "fstr");
-            match self.path {
-                ExecPath::Serial => kernels::fstr(s),
-                ExecPath::Parallel => kernels::fstr_par(s),
-                ExecPath::Simd => {
-                    #[cfg(feature = "simd")]
-                    kernels::simd::fstr_simd(s);
-                    #[cfg(not(feature = "simd"))]
-                    kernels::fstr_par(s);
-                }
-            }
+            kernels::fstr(s);
         }
         {
             let _p = tel.phase("velocity");
             let _k = pscope(&self.perf, "dvelc");
-            match self.path {
-                ExecPath::Serial => {
-                    kernels::dvelcx(s);
-                    kernels::dvelcy(s);
-                }
-                ExecPath::Parallel => kernels::dvelc_par(s),
-                ExecPath::Simd => {
-                    #[cfg(feature = "simd")]
-                    kernels::simd::dvelc_simd(s);
-                    #[cfg(not(feature = "simd"))]
-                    kernels::dvelc_par(s);
-                }
-            }
+            kernels::dvelc_region(s, &Region::whole(s.dims), pool);
         }
     }
 
@@ -1324,61 +1185,18 @@ impl Simulation {
             self.resident = Some(engine);
             return;
         }
-        if let Some(mut w) = self.fused.take() {
-            // The fused path covers the elastic step only (validated at
-            // construction): no attenuation memory, no plasticity, no
-            // compression round trip.
-            let s = &self.state;
-            {
-                let _p = tel.phase("free_surface");
-                let _k = pscope(&self.perf, "fstr");
-                kernels::fstr_fused(&mut w, s);
-            }
-            {
-                let _p = tel.phase("stress");
-                let _k = pscope(&self.perf, "dstrqc");
-                kernels::dstrqc_fused(&mut w, s);
-            }
-            {
-                let _p = tel.phase("source");
-                kernels::addsrc_fused(&mut w, s, &self.sources, self.time);
-            }
-            {
-                let _p = tel.phase("sponge");
-                let _k = pscope(&self.perf, "sponge");
-                kernels::apply_sponge_fused(&mut w, s);
-            }
-            self.fused = Some(w);
-            return;
-        }
+        let pool = self.path.is_parallel();
         let s = &mut self.state;
+        let nx = s.dims.nx;
         {
             let _p = tel.phase("free_surface");
             let _k = pscope(&self.perf, "fstr");
-            match self.path {
-                ExecPath::Serial => kernels::fstr(s),
-                ExecPath::Parallel => kernels::fstr_par(s),
-                ExecPath::Simd => {
-                    #[cfg(feature = "simd")]
-                    kernels::simd::fstr_simd(s);
-                    #[cfg(not(feature = "simd"))]
-                    kernels::fstr_par(s);
-                }
-            }
+            kernels::fstr(s);
         }
         {
             let _p = tel.phase("stress");
             let _k = pscope(&self.perf, "dstrqc");
-            match self.path {
-                ExecPath::Serial => kernels::dstrqc(s),
-                ExecPath::Parallel => kernels::dstrqc_par(s),
-                ExecPath::Simd => {
-                    #[cfg(feature = "simd")]
-                    kernels::simd::dstrqc_simd(s);
-                    #[cfg(not(feature = "simd"))]
-                    kernels::dstrqc_par(s);
-                }
-            }
+            kernels::dstrqc_region(s, &Region::whole(s.dims), pool);
         }
         {
             let _p = tel.phase("source");
@@ -1387,42 +1205,13 @@ impl Simulation {
         if s.options.nonlinear {
             let _p = tel.phase("plasticity");
             let _k = pscope(&self.perf, "drprecpc");
-            match self.path {
-                ExecPath::Serial => {
-                    kernels::drprecpc_calc(s);
-                    kernels::drprecpc_app(s);
-                }
-                ExecPath::Parallel => {
-                    kernels::drprecpc_calc_par(s);
-                    kernels::drprecpc_app_par(s);
-                }
-                ExecPath::Simd => {
-                    #[cfg(feature = "simd")]
-                    {
-                        kernels::simd::drprecpc_calc_simd(s);
-                        kernels::simd::drprecpc_app_simd(s);
-                    }
-                    #[cfg(not(feature = "simd"))]
-                    {
-                        kernels::drprecpc_calc_par(s);
-                        kernels::drprecpc_app_par(s);
-                    }
-                }
-            }
+            kernels::drprecpc_calc_region(s, 0..nx, pool);
+            kernels::drprecpc_app_region(s, 0..nx, pool);
         }
         {
             let _p = tel.phase("sponge");
             let _k = pscope(&self.perf, "sponge");
-            match self.path {
-                ExecPath::Serial => kernels::apply_sponge(s),
-                ExecPath::Parallel => kernels::apply_sponge_par(s),
-                ExecPath::Simd => {
-                    #[cfg(feature = "simd")]
-                    kernels::simd::apply_sponge_simd(s);
-                    #[cfg(not(feature = "simd"))]
-                    kernels::apply_sponge_par(s);
-                }
-            }
+            kernels::apply_sponge_region(s, 0..nx, pool);
         }
         self.compression_roundtrip();
     }
@@ -1445,8 +1234,8 @@ impl Simulation {
             let _k = pscope(&self.perf, "compression");
             let calibrating: Vec<usize> =
                 (0..slots.len()).filter(|&i| slots[i].cache.is_some()).collect();
-            let scanned: Vec<&Field3> =
-                calibrating.iter().map(|&i| wavefield(&self.state, i)).collect();
+            let wavefields = self.state.dynamic();
+            let scanned: Vec<&Field3> = calibrating.iter().map(|&i| wavefields[i]).collect();
             let maxima = sw_compress::par::fields_max_abs(&scanned, parallel);
             let mut rebuilds = 0u64;
             for (&i, &max_abs) in calibrating.iter().zip(&maxima) {
@@ -1462,12 +1251,9 @@ impl Simulation {
                 .as_ref()
                 .is_some_and(|m| m.wants_compression_sample(self.step_count + 1));
             let t0 = Instant::now();
-            let s = &mut self.state;
-            let fields = [
-                &mut s.u, &mut s.v, &mut s.w, &mut s.xx, &mut s.yy, &mut s.zz, &mut s.xy,
-                &mut s.xz, &mut s.yz,
-            ];
-            let work: Vec<(&mut [f32], &Codec)> = fields
+            let work: Vec<(&mut [f32], &Codec)> = self
+                .state
+                .dynamic_mut()
                 .into_iter()
                 .zip(&slots)
                 .map(|(f, slot)| (f.raw_mut(), &slot.active))
@@ -1508,14 +1294,6 @@ impl Simulation {
         if self.resident.is_some() {
             self.finish_step_resident(&tel);
             return;
-        }
-        if self.fused.is_some() {
-            // Output boundary: the recorders below read scalar
-            // velocities every step; checkpoints and health probes also
-            // read the stresses, so refresh those only when something
-            // this step will consume them.
-            let stress = self.health.is_some() || self.restart.due(self.step_count + 1);
-            self.sync_fused(stress);
         }
         {
             let _p = tel.phase("record");
@@ -1612,21 +1390,6 @@ impl Simulation {
                 monitor.check_probe(probe, cfl, tel);
             }
         }
-    }
-
-    /// Refresh the scalar wavefields from the fused layout (no-op when
-    /// the simulation does not run fused). Velocities are always
-    /// written back; stresses only when `stress` is set. External
-    /// callers reading [`Simulation::state`] mid-run — or calling
-    /// [`Simulation::make_checkpoint`] / [`Simulation::collect_stats`]
-    /// outside the step loop — should call `sync_fused(true)` first.
-    pub fn sync_fused(&mut self, stress: bool) {
-        let Some(w) = self.fused.take() else { return };
-        w.gather_velocities(&mut self.state);
-        if stress {
-            w.gather_stress(&mut self.state);
-        }
-        self.fused = Some(w);
     }
 
     /// The restart controller's due step. With a durable store the
@@ -1834,11 +1597,8 @@ impl Simulation {
                 fields.push((name.to_string(), Cow::Owned(engine.to_field(i))));
             }
         } else {
-            for (i, name) in COMPRESSED_FIELDS.iter().enumerate() {
-                fields.push((name.to_string(), Cow::Borrowed(wavefield(&self.state, i))));
-            }
-            for (i, r) in self.state.r.iter().enumerate() {
-                fields.push((format!("r{}", i + 1), Cow::Borrowed(r)));
+            for (name, f) in RESIDENT_FIELDS.iter().zip(self.state.dynamic()) {
+                fields.push((name.to_string(), Cow::Borrowed(f)));
             }
         }
         fields.push(("eqp".to_string(), Cow::Borrowed(&self.state.eqp)));
@@ -1895,7 +1655,7 @@ impl Simulation {
                 });
             }
             if let Some(i) = COMPRESSED_FIELDS.iter().position(|n| n == name) {
-                *wavefield_mut(&mut self.state, i) = field.clone();
+                *self.state.dynamic_mut()[i] = field.clone();
             } else if let Some(rest) = name.strip_prefix('r') {
                 let index: usize =
                     rest.parse().map_err(|_| RestoreError::UnknownField { field: name.clone() })?;
@@ -1970,12 +1730,6 @@ impl Simulation {
         // Skip snapshots whose trigger time the restored clock has
         // already passed — a resumed run must not re-emit them.
         self.next_snapshot = self.snapshot_times.iter().filter(|t| **t <= self.time).count();
-        // The fused layout mirrors the scalar wavefields the checkpoint
-        // just overwrote — rebuild it so the next step reads the
-        // restored values.
-        if self.fused.is_some() {
-            self.fused = Some(FusedWavefield::from_state(&self.state));
-        }
         Ok(())
     }
 
@@ -1994,8 +1748,8 @@ impl Simulation {
         }
         COMPRESSED_FIELDS
             .iter()
-            .enumerate()
-            .map(|(i, name)| (name.to_string(), scan(wavefield(&self.state, i))))
+            .zip(self.state.dynamic())
+            .map(|(name, f)| (name.to_string(), scan(f)))
             .collect()
     }
 }
@@ -2070,11 +1824,6 @@ pub fn run_multirank(
     grid: RankGrid,
 ) -> Result<MultiRankOutput, RunError> {
     config.validate()?;
-    // Halo exchange reads and writes the scalar wavefields; a fused
-    // rank would exchange stale planes.
-    if config.fused && grid.len() > 1 {
-        return Err(ConfigError::FusedUnsupported { feature: "multirank halo exchange" }.into());
-    }
     // Halo exchange (and the 1-rank degenerate case of this runner)
     // assumes f32 wavefield arrays, which the compressed-resident mode
     // detaches.

@@ -54,18 +54,10 @@ pub enum ConfigError {
         /// enum `Clone`/`PartialEq`).
         detail: String,
     },
-    /// The fused-layout production path was requested together with a
-    /// feature it does not cover (attenuation, plasticity, inter-step
-    /// compression, or multirank halo exchange — those operate on the
-    /// scalar wavefields).
-    FusedUnsupported {
-        /// The incompatible feature.
-        feature: &'static str,
-    },
     /// The compressed-resident wavefield path was requested together with
-    /// a feature it does not cover (the fused layout, the §6.5 inter-step
-    /// compression round trip, surface snapshots, or multirank halo
-    /// exchange — those operate on full f32 wavefields).
+    /// a feature it does not cover (the §6.5 inter-step compression round
+    /// trip, surface snapshots, or multirank halo exchange — those
+    /// operate on full f32 wavefields).
     ResidentUnsupported {
         /// The incompatible feature.
         feature: &'static str,
@@ -96,9 +88,6 @@ impl fmt::Display for ConfigError {
             }
             Self::CheckpointDir { path, detail } => {
                 write!(f, "checkpoint directory {path} unusable: {detail}")
-            }
-            Self::FusedUnsupported { feature } => {
-                write!(f, "the fused wavefield path does not support {feature}")
             }
             Self::ResidentUnsupported { feature } => {
                 write!(f, "the compressed-resident wavefield path does not support {feature}")

@@ -1,19 +1,21 @@
-//! Execution modes: which implementation of the step kernels runs.
+//! Execution modes: who walks the x-planes of a step.
 //!
 //! The paper's production runs never compute on the management core —
-//! every kernel of the step executes on the 64-CPE pool (§6.2, Fig. 4).
-//! [`ExecMode`] is the host-side version of that switch: `Serial` runs
-//! the reference kernels on the calling thread, `Parallel` routes every
-//! phase (free surface, velocity, stress, plasticity, sponge, the §6.5
-//! compression round trip, and checkpoint clones) through the Rayon
-//! CPE-pool analogue in [`crate::kernels::parallel`], and `Auto` — the
-//! default — picks `Parallel` when the grid is big enough to amortize the
-//! fan-out and more than one worker thread is available.
+//! every kernel of the step executes on the 64-CPE pool (§6.2, Fig. 4),
+//! and the kernels are the same code either way. [`ExecMode`] is the
+//! host-side version of that switch: every kernel has one body
+//! ([`crate::kernels`]); `Serial` iterates its planes on the calling
+//! thread, `Parallel` hands them (and the §6.5 compression round trip,
+//! checkpoint encodes and health scans) to the Rayon pool, and `Auto` —
+//! the default — picks `Parallel` when the grid is big enough to
+//! amortize the fan-out and more than one worker thread is available.
+//! `Simd` is accepted as another spelling of `Parallel`: the vector
+//! lanes it used to select run in every mode.
 //!
-//! Both paths are **bit-identical** (pinned by the `exec_equivalence`
-//! integration tests): the parallel kernels split the mesh into disjoint
-//! x planes and keep the in-plane floating-point evaluation order
-//! unchanged, so mode is purely a performance choice.
+//! Both paths are **bit-identical** (pinned by `tests/kernel_matrix.rs`
+//! and the `exec_equivalence` integration tests): planes are disjoint
+//! and each is computed by one call of the one body, so mode is purely a
+//! performance choice.
 //!
 //! ## Composing with the rank runtime
 //!
@@ -37,17 +39,15 @@ use sw_grid::fpenv;
 /// is roughly where one x plane reaches a few thousand points.
 pub const AUTO_PARALLEL_THRESHOLD: usize = 32 * 32 * 32;
 
-/// Which kernel implementations the driver runs.
+/// Who iterates the planes of every step phase.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum ExecMode {
-    /// Reference serial kernels on the calling thread.
+    /// The calling thread.
     Serial,
-    /// Rayon CPE-pool kernels for every step phase.
+    /// The Rayon pool.
     Parallel,
-    /// SIMD-vectorized, cache-tiled kernels on the Rayon pool. Requires
-    /// the `simd` cargo feature; without it the driver falls back to
-    /// `Parallel` (documented, and reported via the perf ledger's exec
-    /// stamp so the fallback is never silent in measurements).
+    /// Alias of [`ExecMode::Parallel`], kept because command lines and
+    /// `SWQUAKE_EXEC` values name it.
     Simd,
     /// `Parallel` when the grid exceeds [`AUTO_PARALLEL_THRESHOLD`]
     /// points and the pool has more than one thread; `Serial` otherwise.
@@ -55,25 +55,19 @@ pub enum ExecMode {
     Auto,
 }
 
-/// The concrete kernel path a mode resolved to for a given mesh — what
-/// the driver actually routes each step phase through.
+/// What a mode resolved to for a given mesh.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ExecPath {
-    /// Reference serial kernels.
+    /// Planes are walked on the calling thread.
     Serial,
-    /// Rayon x-plane fan-out, scalar inner loops.
+    /// Planes are handed to the Rayon pool.
     Parallel,
-    /// Rayon x-plane fan-out with SIMD lanes and z–y cache tiling.
-    Simd,
 }
 
 impl ExecPath {
-    /// Whether this path fans work out over the Rayon pool (the SIMD
-    /// path composes with the same x-plane decomposition, so every
-    /// pool-based fan-out — compression, checkpoint clones, health
-    /// scans — stays parallel under it).
+    /// Whether this path fans work out over the Rayon pool.
     pub fn is_parallel(self) -> bool {
-        !matches!(self, ExecPath::Serial)
+        self == ExecPath::Parallel
     }
 }
 
@@ -82,14 +76,14 @@ impl fmt::Display for ExecPath {
         f.write_str(match self {
             ExecPath::Serial => "serial",
             ExecPath::Parallel => "parallel",
-            ExecPath::Simd => "simd",
         })
     }
 }
 
-/// Whether this build carries the vectorized kernels (`--features simd`).
+/// Whether this build carries the vectorized kernels: always — they are
+/// the only kernels. Kept because `bench_e2e` asks.
 pub const fn simd_compiled() -> bool {
-    cfg!(feature = "simd")
+    true
 }
 
 impl ExecMode {
@@ -105,21 +99,11 @@ impl ExecMode {
         self.resolve_path(points).is_parallel()
     }
 
-    /// Resolve the mode for a mesh into the concrete kernel path.
-    /// `Simd` degrades to `Parallel` when the `simd` feature is not
-    /// compiled in (both are bit-identical to serial, so only throughput
-    /// changes).
+    /// Resolve the mode for a mesh of `points` interior cells.
     pub fn resolve_path(self, points: usize) -> ExecPath {
         match self {
             ExecMode::Serial => ExecPath::Serial,
-            ExecMode::Parallel => ExecPath::Parallel,
-            ExecMode::Simd => {
-                if simd_compiled() {
-                    ExecPath::Simd
-                } else {
-                    ExecPath::Parallel
-                }
-            }
+            ExecMode::Parallel | ExecMode::Simd => ExecPath::Parallel,
             ExecMode::Auto => {
                 if points >= AUTO_PARALLEL_THRESHOLD && rayon::current_num_threads() > 1 {
                     ExecPath::Parallel
@@ -174,7 +158,7 @@ pub fn configure_threads(threads: usize) {
 /// subnormals flush to zero ([`sw_grid::fpenv`]) — on the calling thread
 /// and on every pool helper it borrows while the guard lives; dropping
 /// the guard restores the caller's own mode. The driver holds one
-/// across every step, in every exec mode, layout, residency and rank, so
+/// across every step, in every exec mode, residency and rank, so
 /// all of them compute the same bits. Code that calls kernels directly
 /// enters it the same way.
 pub fn kernel_fp_env() -> fpenv::FlushGuard {
@@ -221,20 +205,8 @@ mod tests {
     fn fixed_modes_ignore_grid_size() {
         assert!(!ExecMode::Serial.resolve(usize::MAX));
         assert!(ExecMode::Parallel.resolve(1));
-        assert!(ExecMode::Simd.resolve(1), "simd is pool-based with or without the feature");
-    }
-
-    #[test]
-    fn simd_path_honours_the_compiled_feature() {
-        let path = ExecMode::Simd.resolve_path(1);
-        if simd_compiled() {
-            assert_eq!(path, ExecPath::Simd);
-        } else {
-            assert_eq!(path, ExecPath::Parallel, "feature off: degrade to parallel");
-        }
-        assert!(path.is_parallel());
+        assert_eq!(ExecMode::Simd.resolve_path(1), ExecPath::Parallel, "simd is an alias");
         assert_eq!(ExecMode::Serial.resolve_path(usize::MAX), ExecPath::Serial);
-        assert_eq!(ExecPath::Simd.to_string(), "simd");
     }
 
     #[test]

@@ -14,40 +14,42 @@
 //! column, so its arithmetic density is too low to profit from the CPEs
 //! (4–5× speedup instead of ~30×).
 
+use super::plane::for_each_plane;
 use crate::state::SolverState;
 use std::ops::Range;
+use sw_grid::HALO_WIDTH as H;
 
-/// Apply the free-surface condition to the stress (and `w`) halos.
+/// Apply the free-surface condition to the stress (and `w`) halos — on
+/// the calling thread in every mode: a pool region costs more than it.
 pub fn fstr(s: &mut SolverState) {
-    let nx = s.dims.nx;
-    fstr_region(s, 0..nx);
+    fstr_region(s, 0..s.dims.nx);
 }
 
-/// Apply the free-surface condition to the columns in `x_range` only.
-///
-/// Every halo value `fstr` writes is read back only at the same `(x, y)`
-/// column (the velocity/stress stencils are purely vertical through these
-/// planes), so imaging a sub-range of columns is exactly the restriction
-/// of the full kernel — the resident slab sweeps rely on this.
+/// [`fstr`] on the columns in `x_range` only. Every halo value it writes
+/// is read back only at the same `(x, y)` column, so this is exactly the
+/// restriction of the full kernel — the resident slab sweeps rely on it.
 pub fn fstr_region(s: &mut SolverState, x_range: Range<usize>) {
-    let d = s.dims;
-    for x in x_range {
-        for y in 0..d.ny {
-            let (xi, yi) = (x as isize, y as isize);
+    let ny = s.dims.ny;
+    let pnz = s.dims.nz + 2 * H;
+    let fields = [&mut s.zz, &mut s.xz, &mut s.yz, &mut s.w];
+    for_each_plane(fields, x_range, false, |_, [pzz, pxz, pyz, pw]| {
+        for y in 0..ny {
+            // padded depth `z` of this column; the surface is `H`
+            let at = |z: usize| (y + H) * pnz + z;
             // zz: zero on the surface plane, antisymmetric above.
-            s.zz.set(x, y, 0, 0.0);
-            s.zz.set_i(xi, yi, -1, -s.zz.get(x, y, 1));
-            s.zz.set_i(xi, yi, -2, -s.zz.get(x, y, 2));
+            pzz[at(H)] = 0.0;
+            pzz[at(H - 1)] = -pzz[at(H + 1)];
+            pzz[at(H - 2)] = -pzz[at(H + 2)];
             // xz, yz: antisymmetric about the surface (half-staggered).
-            s.xz.set_i(xi, yi, -1, -s.xz.get(x, y, 0));
-            s.xz.set_i(xi, yi, -2, -s.xz.get(x, y, 1));
-            s.yz.set_i(xi, yi, -1, -s.yz.get(x, y, 0));
-            s.yz.set_i(xi, yi, -2, -s.yz.get(x, y, 1));
+            pxz[at(H - 1)] = -pxz[at(H)];
+            pxz[at(H - 2)] = -pxz[at(H + 1)];
+            pyz[at(H - 1)] = -pyz[at(H)];
+            pyz[at(H - 2)] = -pyz[at(H + 1)];
             // w: symmetric continuation.
-            s.w.set_i(xi, yi, -1, s.w.get(x, y, 0));
-            s.w.set_i(xi, yi, -2, s.w.get(x, y, 1));
+            pw[at(H - 1)] = pw[at(H)];
+            pw[at(H - 2)] = pw[at(H + 1)];
         }
-    }
+    });
 }
 
 #[cfg(test)]

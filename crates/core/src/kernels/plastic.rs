@@ -14,86 +14,102 @@
 //! the entire program" — it touches every point, reads the whole stress
 //! tensor plus four material arrays, and takes a square root per point.
 
+use super::plane::for_each_plane;
 use crate::state::SolverState;
 use std::ops::Range;
+use std::sync::atomic::{AtomicUsize, Ordering};
+use sw_grid::HALO_WIDTH as H;
 
 /// `drprecpc_calc`: compute the yield factor `r` for every point into
 /// `yldfac` (1.0 where elastic). Returns the number of yielding points.
 pub fn drprecpc_calc(s: &mut SolverState) -> usize {
-    let nx = s.dims.nx;
-    drprecpc_calc_region(s, 0..nx)
+    drprecpc_calc_region(s, 0..s.dims.nx, false)
 }
 
-/// Pointwise yield-factor computation restricted to `x_range` columns.
-pub fn drprecpc_calc_region(s: &mut SolverState, x_range: Range<usize>) -> usize {
+/// [`drprecpc_calc`] over the columns of `x_range`, planes walked by the
+/// pool or the caller. The branch and the `sqrt` per point keep the row
+/// loop at width 1.
+pub fn drprecpc_calc_region(s: &mut SolverState, x_range: Range<usize>, pool: bool) -> usize {
     debug_assert!(s.options.nonlinear);
     let d = s.dims;
-    let mut yielding = 0usize;
-    for x in x_range {
+    let pnz = d.nz + 2 * H;
+    let (xx, yy, zz, xy, xz, yz) = (&s.xx, &s.yy, &s.zz, &s.xy, &s.xz, &s.yz);
+    let (sigma0, cohes, cosphi, sinphi, pf) = (&s.sigma0, &s.cohes, &s.cosphi, &s.sinphi, &s.pf);
+    // Integer sums do not depend on which thread adds which plane.
+    let yielding = AtomicUsize::new(0);
+    for_each_plane([&mut s.yldfac], x_range, pool, |x, [pyld]| {
+        let mut local = 0usize;
         for y in 0..d.ny {
+            let (rxx, ryy, rzz) = (xx.row(x, y), yy.row(x, y), zz.row(x, y));
+            let (rxy, rxz, ryz) = (xy.row(x, y), xz.row(x, y), yz.row(x, y));
+            let (rsig, rc) = (sigma0.row(x, y), cohes.row(x, y));
+            let (rcos, rsin, rpf) = (cosphi.row(x, y), sinphi.row(x, y), pf.row(x, y));
+            let base = (y + H) * pnz + H;
+            let out = &mut pyld[base..base + d.nz];
             for z in 0..d.nz {
-                let (sxx, syy, szz) = (s.xx.get(x, y, z), s.yy.get(x, y, z), s.zz.get(x, y, z));
-                let (sxy, sxz, syz) = (s.xy.get(x, y, z), s.xz.get(x, y, z), s.yz.get(x, y, z));
+                let (sxx, syy, szz) = (rxx[z], ryy[z], rzz[z]);
+                let (sxy, sxz, syz) = (rxy[z], rxz[z], ryz[z]);
                 let mean_dyn = (sxx + syy + szz) / 3.0;
-                let mean_total = mean_dyn + s.sigma0.get(x, y, z);
+                let mean_total = mean_dyn + rsig[z];
                 // deviator of the total stress = deviator of the dynamic
                 // part (the prestress is isotropic)
                 let (dxx, dyy, dzz) = (sxx - mean_dyn, syy - mean_dyn, szz - mean_dyn);
                 let j2 =
                     0.5 * (dxx * dxx + dyy * dyy + dzz * dzz) + sxy * sxy + sxz * sxz + syz * syz;
                 let tau_bar = j2.sqrt();
-                let c = s.cohes.get(x, y, z);
-                let y_stress = (c * s.cosphi.get(x, y, z)
-                    - (mean_total + s.pf.get(x, y, z)) * s.sinphi.get(x, y, z))
-                .max(0.0);
-                let r = if tau_bar > y_stress && tau_bar > 0.0 {
-                    yielding += 1;
+                let y_stress = (rc[z] * rcos[z] - (mean_total + rpf[z]) * rsin[z]).max(0.0);
+                out[z] = if tau_bar > y_stress && tau_bar > 0.0 {
+                    local += 1;
                     y_stress / tau_bar
                 } else {
                     1.0
                 };
-                s.yldfac.set(x, y, z, r);
             }
         }
-    }
-    yielding
+        yielding.fetch_add(local, Ordering::Relaxed);
+    });
+    yielding.into_inner()
 }
 
 /// `drprecpc_app`: apply the yield factors — scale the stress deviator
 /// back onto the yield surface and accumulate plastic strain.
 pub fn drprecpc_app(s: &mut SolverState) {
-    let nx = s.dims.nx;
-    drprecpc_app_region(s, 0..nx);
+    drprecpc_app_region(s, 0..s.dims.nx, false);
 }
 
-/// Pointwise return mapping restricted to `x_range` columns.
-pub fn drprecpc_app_region(s: &mut SolverState, x_range: Range<usize>) {
+/// [`drprecpc_app`] over the columns of `x_range`, pool or caller.
+pub fn drprecpc_app_region(s: &mut SolverState, x_range: Range<usize>, pool: bool) {
     debug_assert!(s.options.nonlinear);
     let d = s.dims;
-    for x in x_range {
+    let pnz = d.nz + 2 * H;
+    let (yldfac, mu) = (&s.yldfac, &s.mu);
+    let fields = [&mut s.xx, &mut s.yy, &mut s.zz, &mut s.xy, &mut s.xz, &mut s.yz, &mut s.eqp];
+    for_each_plane(fields, x_range, pool, |x, [pxx, pyy, pzz, pxy, pxz, pyz, peqp]| {
         for y in 0..d.ny {
+            let (ryld, rmu) = (yldfac.row(x, y), mu.row(x, y));
+            let base = (y + H) * pnz + H;
             for z in 0..d.nz {
-                let r = s.yldfac.get(x, y, z);
+                let r = ryld[z];
                 if r >= 1.0 {
                     continue;
                 }
-                let (sxx, syy, szz) = (s.xx.get(x, y, z), s.yy.get(x, y, z), s.zz.get(x, y, z));
+                let o = base + z;
+                let (sxx, syy, szz) = (pxx[o], pyy[o], pzz[o]);
                 let mean = (sxx + syy + szz) / 3.0;
-                s.xx.set(x, y, z, mean + r * (sxx - mean));
-                s.yy.set(x, y, z, mean + r * (syy - mean));
-                s.zz.set(x, y, z, mean + r * (szz - mean));
-                s.xy.set(x, y, z, r * s.xy.get(x, y, z));
-                s.xz.set(x, y, z, r * s.xz.get(x, y, z));
-                s.yz.set(x, y, z, r * s.yz.get(x, y, z));
+                pxx[o] = mean + r * (sxx - mean);
+                pyy[o] = mean + r * (syy - mean);
+                pzz[o] = mean + r * (szz - mean);
+                pxy[o] *= r;
+                pxz[o] *= r;
+                pyz[o] *= r;
                 // plastic strain increment ~ the relaxed deviatoric stress
                 // over the shear modulus
-                let mu = s.mu.get(x, y, z).max(1.0);
                 let tau_rel = (1.0 - r)
                     * ((sxx - mean).powi(2) + (syy - mean).powi(2) + (szz - mean).powi(2)).sqrt();
-                s.eqp.set(x, y, z, s.eqp.get(x, y, z) + tau_rel / mu);
+                peqp[o] += tau_rel / rmu[z].max(1.0);
             }
         }
-    }
+    });
 }
 
 /// J₂ deviatoric magnitude of the dynamic stress at a point (test probe).

@@ -6,44 +6,39 @@
 //! the mesh boundary does not reflect them back into the region of
 //! interest.
 
+use super::plane::{for_each_plane, sweep_row, Lane};
 use crate::state::SolverState;
 use std::ops::Range;
+use sw_grid::HALO_WIDTH as H;
 
 /// Apply the sponge to all dynamic fields.
 pub fn apply_sponge(s: &mut SolverState) {
-    let nx = s.dims.nx;
-    apply_sponge_region(s, 0..nx);
+    apply_sponge_region(s, 0..s.dims.nx, false);
 }
 
-/// Apply the sponge to the columns in `x_range` only.
-///
-/// The damping is a pointwise multiply by `dcrj`, so restricting the x
-/// range is exactly the restriction of the full kernel.
-pub fn apply_sponge_region(s: &mut SolverState, x_range: Range<usize>) {
+/// Apply the sponge to the columns of `x_range`, planes walked by the
+/// pool or the caller.
+pub fn apply_sponge_region(s: &mut SolverState, x_range: Range<usize>, pool: bool) {
     let d = s.dims;
     if s.options.sponge_width == 0 {
         return;
     }
-    for x in x_range {
+    let pnz = d.nz + 2 * H;
+    // The memory variables trail the nine wavefields.
+    let damped = if s.options.attenuation { 15 } else { 9 };
+    let (fields, dcrj) = s.dynamic_mut_and_damping();
+    for_each_plane(fields, x_range, pool, |x, mut planes| {
         for y in 0..d.ny {
-            let damp: Vec<f32> = s.dcrj.row(x, y).to_vec();
-            for f in [
-                &mut s.u, &mut s.v, &mut s.w, &mut s.xx, &mut s.yy, &mut s.zz, &mut s.xy,
-                &mut s.xz, &mut s.yz,
-            ] {
-                for (v, &g) in f.row_mut(x, y).iter_mut().zip(&damp) {
-                    *v *= g;
-                }
-            }
-            if s.options.attenuation {
-                for f in s.r.iter_mut() {
-                    for (v, &g) in f.row_mut(x, y).iter_mut().zip(&damp) {
-                        *v *= g;
-                    }
-                }
+            let damp = dcrj.row(x, y);
+            let base = (y + H) * pnz + H;
+            for plane in &mut planes[..damped] {
+                let row = &mut plane[base..base + d.nz];
+                sweep_row!(d.nz, |t, L| {
+                    (L::load(&row[t..]) * L::load(&damp[t..])).store(&mut row[t..]);
+                });
             }
         }
-    }
+    });
 }
 
 #[cfg(test)]

@@ -13,72 +13,99 @@
 //! so a `Q = ∞` (w = 0) medium is exactly elastic and smaller Q decays
 //! faster — the property the attenuation tests pin down.
 
-use crate::staggered::{dxm, dxp, dym, dyp, dzm, dzp};
+use super::plane::{
+    d_across, dz, for_each_plane, sweep_row, taps, tile_row, Lane, Region, DXM, DXP, DYM, DYP,
+};
 use crate::state::SolverState;
-use std::ops::Range;
+use sw_grid::tile::blocks;
+use sw_grid::HALO_WIDTH as H;
 
-/// Update stresses (and memory variables) in `x_range × y_range` (full z).
-pub fn update_stress_region(s: &mut SolverState, x_range: Range<usize>, y_range: Range<usize>) {
-    let d = s.dims;
+/// Update the stresses (and memory variables) in `region`, planes walked
+/// by the pool or the caller.
+pub fn dstrqc_region(s: &mut SolverState, region: &Region, pool: bool) {
+    let nz = s.dims.nz;
+    let pnz = nz + 2 * H;
     let inv_dx = (1.0 / s.dx) as f32;
     let dt = s.dt as f32;
-    let atten = s.options.attenuation;
     let tau = s.tau as f32;
-    let (a_coef, b_coef) = if atten {
-        ((2.0 * tau - dt) / (2.0 * tau + dt), 2.0 * dt / (2.0 * tau + dt))
-    } else {
-        (1.0, 0.0)
-    };
-    for x in x_range {
-        for y in y_range.clone() {
-            for z in 0..d.nz {
-                let lam = s.lam.get(x, y, z);
-                let mu = s.mu.get(x, y, z);
-                // strain rates (1/s)
-                let exx = dxm(&s.u, x, y, z) * inv_dx;
-                let eyy = dym(&s.v, x, y, z) * inv_dx;
-                let ezz = dzm(&s.w, x, y, z) * inv_dx;
-                let div = exx + eyy + ezz;
-                let exy = (dyp(&s.u, x, y, z) + dxp(&s.v, x, y, z)) * inv_dx;
-                let exz = (dzp(&s.u, x, y, z) + dxp(&s.w, x, y, z)) * inv_dx;
-                let eyz = (dzp(&s.v, x, y, z) + dyp(&s.w, x, y, z)) * inv_dx;
-                // elastic stress rates (Pa/s)
-                let rates = [
-                    lam * div + 2.0 * mu * exx,
-                    lam * div + 2.0 * mu * eyy,
-                    lam * div + 2.0 * mu * ezz,
-                    mu * exy,
-                    mu * exz,
-                    mu * eyz,
-                ];
-                let wp = s.wp.get(x, y, z);
-                let ws = s.ws.get(x, y, z);
-                let weights = [wp, wp, wp, ws, ws, ws];
-                let fields: [&mut sw_grid::Field3; 6] =
-                    [&mut s.xx, &mut s.yy, &mut s.zz, &mut s.xy, &mut s.xz, &mut s.yz];
-                for (c, field) in fields.into_iter().enumerate() {
-                    let e = rates[c];
-                    let r_old = s.r[c].get(x, y, z);
-                    let (r_new, r_bar) = if atten {
-                        let rn = a_coef * r_old + b_coef * weights[c] * e;
-                        (rn, 0.5 * (rn + r_old))
-                    } else {
-                        (0.0, 0.0)
-                    };
-                    field.set(x, y, z, field.get(x, y, z) + dt * (e - r_bar));
-                    if atten {
-                        s.r[c].set(x, y, z, r_new);
-                    }
+    let (a_coef, b_coef) = ((2.0 * tau - dt) / (2.0 * tau + dt), 2.0 * dt / (2.0 * tau + dt));
+    let atten = s.options.attenuation;
+    let (u, v, w, lam, mu, wp, ws) = (&s.u, &s.v, &s.w, &s.lam, &s.mu, &s.wp, &s.ws);
+    let [r1, r2, r3, r4, r5, r6] = &mut s.r;
+    let fields =
+        [&mut s.xx, &mut s.yy, &mut s.zz, &mut s.xy, &mut s.xz, &mut s.yz, r1, r2, r3, r4, r5, r6];
+    for_each_plane(fields, region.x.clone(), pool, |x, planes| {
+        let [pxx, pyy, pzz, pxy, pxz, pyz, pr1, pr2, pr3, pr4, pr5, pr6] = planes;
+        let (mut stress, mut mem) =
+            ([pxx, pyy, pzz, pxy, pxz, pyz], [pr1, pr2, pr3, pr4, pr5, pr6]);
+        for tile in blocks(nz, region.tile_z) {
+            for (y0, ylen) in blocks(region.y.len(), region.tile_y) {
+                for y in region.y.start + y0..region.y.start + y0 + ylen {
+                    // Tap rows, named by the difference they feed.
+                    let at = (x, y);
+                    let (dxm_u, dyp_u) = (taps(u, DXM, at, tile), taps(u, DYP, at, tile));
+                    let (dxp_v, dym_v) = (taps(v, DXP, at, tile), taps(v, DYM, at, tile));
+                    let (dxp_w, dyp_w) = (taps(w, DXP, at, tile), taps(w, DYP, at, tile));
+                    let (u_c, v_c, w_c) = (dxm_u[0], dym_v[0], dxp_w[1]);
+                    let (lam_c, mu_c) = (tile_row(lam, at, tile), tile_row(mu, at, tile));
+                    let (wp_c, ws_c) = (tile_row(wp, at, tile), tile_row(ws, at, tile));
+                    let out = (y + H) * pnz + H + tile.0..(y + H) * pnz + H + tile.0 + tile.1;
+                    let (stress, mem) = (
+                        stress.each_mut().map(|p| &mut p[out.clone()]),
+                        mem.each_mut().map(|p| &mut p[out.clone()]),
+                    );
+                    sweep_row!(tile.1, |t, L| {
+                        let i = t + H;
+                        let (inv_dx, dt) = (L::splat(inv_dx), L::splat(dt));
+                        let (lam, mu) = (L::load(&lam_c[i..]), L::load(&mu_c[i..]));
+                        // strain rates (1/s)
+                        let exx = d_across::<L>(&dxm_u, i) * inv_dx;
+                        let eyy = d_across::<L>(&dym_v, i) * inv_dx;
+                        let ezz = dz::<L>(w_c, i) * inv_dx;
+                        let div = exx + eyy + ezz;
+                        let exy = (d_across::<L>(&dyp_u, i) + d_across::<L>(&dxp_v, i)) * inv_dx;
+                        let exz = (dz::<L>(u_c, i + 1) + d_across::<L>(&dxp_w, i)) * inv_dx;
+                        let eyz = (dz::<L>(v_c, i + 1) + d_across::<L>(&dyp_w, i)) * inv_dx;
+                        // elastic stress rates (Pa/s)
+                        let two_mu = L::splat(2.0) * mu;
+                        let rates = [
+                            lam * div + two_mu * exx,
+                            lam * div + two_mu * eyy,
+                            lam * div + two_mu * ezz,
+                            mu * exy,
+                            mu * exz,
+                            mu * eyz,
+                        ];
+                        if atten {
+                            let (wp, ws) = (L::load(&wp_c[i..]), L::load(&ws_c[i..]));
+                            let weights = [wp, wp, wp, ws, ws, ws];
+                            for c in 0..6 {
+                                let r_old = L::load(&mem[c][t..]);
+                                let r_new = L::splat(a_coef) * r_old
+                                    + L::splat(b_coef) * weights[c] * rates[c];
+                                let r_bar = L::splat(0.5) * (r_new + r_old);
+                                (L::load(&stress[c][t..]) + dt * (rates[c] - r_bar))
+                                    .store(&mut stress[c][t..]);
+                                r_new.store(&mut mem[c][t..]);
+                            }
+                        } else {
+                            // `e − 0`, as the attenuated form reads with no memory.
+                            let zero = L::splat(0.0);
+                            for c in 0..6 {
+                                (L::load(&stress[c][t..]) + dt * (rates[c] - zero))
+                                    .store(&mut stress[c][t..]);
+                            }
+                        }
+                    });
                 }
             }
         }
-    }
+    });
 }
 
 /// `dstrqc`: the full-domain stress update.
 pub fn dstrqc(s: &mut SolverState) {
-    let d = s.dims;
-    update_stress_region(s, 0..d.nx, 0..d.ny);
+    dstrqc_region(s, &Region::whole(s.dims), false);
 }
 
 #[cfg(test)]

@@ -6,54 +6,71 @@
 //!
 //! AWP-ODC splits the update into a *central* kernel (`dvelcx`) and the
 //! y-boundary strips (`dvelcy`) so the central region can compute while
-//! the y halos are in flight; both call into the same region update.
+//! the y halos are in flight; both are regions of the one body below.
 
-use crate::staggered::{dxm, dxp, dym, dyp, dzm, dzp};
+use super::plane::{
+    d_across, dz, for_each_plane, sweep_row, taps, tile_row, Lane, Region, DXM, DXP, DYM, DYP,
+};
 use crate::state::SolverState;
-use std::ops::Range;
-use sw_grid::HALO_WIDTH;
+use sw_grid::tile::blocks;
+use sw_grid::HALO_WIDTH as H;
 
-/// Update velocities in the sub-box `x_range × y_range` (full z).
-///
-/// The per-cell density divide is hoisted into the precomputed
-/// `buoyancy` field (`1/ρ`), so the hottest loop multiplies instead.
-/// Bit-compat note: `dt_dx * (1/ρ)` rounds differently from `dt_dx / ρ`
-/// in general, so this changed results vs the pre-buoyancy kernels by
-/// ≤ 1 ulp per update; every execution path (scalar, parallel, SIMD,
-/// fused) shares the same buoyancy formulation and stays bit-identical
-/// across modes.
-pub fn update_velocity_region(s: &mut SolverState, x_range: Range<usize>, y_range: Range<usize>) {
-    let d = s.dims;
+/// Update `u, v, w` in `region`, planes walked by the pool or the caller.
+pub fn dvelc_region(s: &mut SolverState, region: &Region, pool: bool) {
+    let nz = s.dims.nz;
+    let pnz = nz + 2 * H;
+    // The per-cell density divide is hoisted into the precomputed
+    // `buoyancy` field (`1/ρ`), so the hottest loop multiplies.
     let dt_dx = (s.dt / s.dx) as f32;
-    for x in x_range {
-        for y in y_range.clone() {
-            for z in 0..d.nz {
-                let b = dt_dx * s.buoyancy.get(x, y, z);
-                let du = dxp(&s.xx, x, y, z) + dym(&s.xy, x, y, z) + dzm(&s.xz, x, y, z);
-                let dv = dxm(&s.xy, x, y, z) + dyp(&s.yy, x, y, z) + dzm(&s.yz, x, y, z);
-                let dw = dxm(&s.xz, x, y, z) + dym(&s.yz, x, y, z) + dzp(&s.zz, x, y, z);
-                s.u.set(x, y, z, s.u.get(x, y, z) + b * du);
-                s.v.set(x, y, z, s.v.get(x, y, z) + b * dv);
-                s.w.set(x, y, z, s.w.get(x, y, z) + b * dw);
+    let (xx, yy, zz, xy, xz, yz, buoyancy) =
+        (&s.xx, &s.yy, &s.zz, &s.xy, &s.xz, &s.yz, &s.buoyancy);
+    for_each_plane([&mut s.u, &mut s.v, &mut s.w], region.x.clone(), pool, |x, mut planes| {
+        for tile in blocks(nz, region.tile_z) {
+            for (y0, ylen) in blocks(region.y.len(), region.tile_y) {
+                for y in region.y.start + y0..region.y.start + y0 + ylen {
+                    // Tap rows, named by the difference they feed.
+                    let at = (x, y);
+                    let (dxp_xx, dyp_yy) = (taps(xx, DXP, at, tile), taps(yy, DYP, at, tile));
+                    let (dxm_xy, dym_xy) = (taps(xy, DXM, at, tile), taps(xy, DYM, at, tile));
+                    let (dxm_xz, dym_yz) = (taps(xz, DXM, at, tile), taps(yz, DYM, at, tile));
+                    let (xz_c, yz_c, zz_c) = (dxm_xz[0], dym_yz[0], tile_row(zz, at, tile));
+                    let b_c = tile_row(buoyancy, at, tile);
+                    let out = (y + H) * pnz + H + tile.0..(y + H) * pnz + H + tile.0 + tile.1;
+                    let [ou, ov, ow] = planes.each_mut().map(|p| &mut p[out.clone()]);
+                    sweep_row!(tile.1, |t, L| {
+                        let i = t + H;
+                        let b = L::splat(dt_dx) * L::load(&b_c[i..]);
+                        let du = d_across::<L>(&dxp_xx, i)
+                            + d_across::<L>(&dym_xy, i)
+                            + dz::<L>(xz_c, i);
+                        let dv = d_across::<L>(&dxm_xy, i)
+                            + d_across::<L>(&dyp_yy, i)
+                            + dz::<L>(yz_c, i);
+                        let dw = d_across::<L>(&dxm_xz, i)
+                            + d_across::<L>(&dym_yz, i)
+                            + dz::<L>(zz_c, i + 1);
+                        (L::load(&ou[t..]) + b * du).store(&mut ou[t..]);
+                        (L::load(&ov[t..]) + b * dv).store(&mut ov[t..]);
+                        (L::load(&ow[t..]) + b * dw).store(&mut ow[t..]);
+                    });
+                }
             }
         }
-    }
+    });
 }
 
 /// `dvelcx`: the central region — all x, y away from the halo strips.
 pub fn dvelcx(s: &mut SolverState) {
-    let d = s.dims;
-    let h = HALO_WIDTH.min(d.ny / 2);
-    update_velocity_region(s, 0..d.nx, h..d.ny - h);
+    let (d, h) = (s.dims, H.min(s.dims.ny / 2));
+    dvelc_region(s, &Region::new(0..d.nx, h..d.ny - h), false);
 }
 
 /// `dvelcy`: the two y-boundary strips of width `HALO_WIDTH` (computed
 /// after the y halo has arrived).
 pub fn dvelcy(s: &mut SolverState) {
-    let d = s.dims;
-    let h = HALO_WIDTH.min(d.ny / 2);
-    update_velocity_region(s, 0..d.nx, 0..h);
-    update_velocity_region(s, 0..d.nx, d.ny - h..d.ny);
+    let (d, h) = (s.dims, H.min(s.dims.ny / 2));
+    dvelc_region(s, &Region::new(0..d.nx, 0..h), false);
+    dvelc_region(s, &Region::new(0..d.nx, d.ny - h..d.ny), false);
 }
 
 #[cfg(test)]
@@ -126,7 +143,7 @@ mod tests {
         }
         dvelcx(&mut a);
         dvelcy(&mut a);
-        update_velocity_region(&mut b, 0..d.nx, 0..d.ny);
+        dvelc_region(&mut b, &Region::whole(d), false);
         assert_eq!(a.u.max_abs_diff(&b.u), 0.0);
         assert_eq!(a.v.max_abs_diff(&b.v), 0.0);
         assert_eq!(a.w.max_abs_diff(&b.w), 0.0);

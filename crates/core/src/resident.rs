@@ -7,7 +7,8 @@
 //! never materializing a full f32 copy. Every step phase runs as a sweep
 //! over column tiles: decode the tile (plus a two-column stencil skirt)
 //! into a reusable slab [`SolverState`], run the *unchanged* region
-//! kernels on the core columns, and re-encode only the planes the phase
+//! kernels on the core columns (calling-thread iteration of the one body
+//! per kernel), and re-encode only the planes the phase
 //! updated. The slab is the only f32 working set, so a scenario whose f32
 //! wavefields exceed RAM (or a configured cap) still runs; the cap solves
 //! the tile width.
@@ -31,6 +32,7 @@
 //! The sponge runs in its own pointwise sweep *after* the stress sweep
 //! (fused with plasticity), mirroring the full-mode phase order.
 
+use crate::kernels::{self, Region};
 use crate::state::SolverState;
 use std::fmt;
 use std::str::FromStr;
@@ -150,7 +152,8 @@ impl ResidentEngine {
         let dims = state.dims;
         let stores: Vec<ResidentField3> = RESIDENT_FIELDS
             .iter()
-            .map(|name| ResidentField3::from_field(wavefield_of(state, name), base_codec(name)))
+            .zip(state.dynamic())
+            .map(|(name, f)| ResidentField3::from_field(f, base_codec(name)))
             .collect();
         let tile_w = tile_width_for_cap(dims, cap);
         let slab = slab_state(state, tile_w);
@@ -179,15 +182,6 @@ impl ResidentEngine {
     pub fn working_set_bytes(&self) -> u64 {
         let s = &self.slab;
         let fields = [
-            &s.u,
-            &s.v,
-            &s.w,
-            &s.xx,
-            &s.yy,
-            &s.zz,
-            &s.xy,
-            &s.xz,
-            &s.yz,
             &s.lam,
             &s.mu,
             &s.rho,
@@ -203,11 +197,7 @@ impl ResidentEngine {
             &s.eqp,
             &s.dcrj,
         ];
-        let mut bytes: u64 = fields.iter().map(|f| (f.raw().len() * 4) as u64).sum();
-        for f in &s.r {
-            bytes += (f.raw().len() * 4) as u64;
-        }
-        bytes
+        fields.iter().chain(&s.dynamic()).map(|f| (f.raw().len() * 4) as u64).sum()
     }
 
     /// Per-field round-trip statistics merged over every encode of the
@@ -406,9 +396,8 @@ impl ResidentEngine {
         self.perf.decode_s += t0.elapsed().as_secs_f64();
         self.perf.decoded_cells += cells;
 
-        crate::kernels::fstr_region(&mut self.slab, core.clone());
-        let ny = self.dims.ny;
-        crate::kernels::velocity::update_velocity_region(&mut self.slab, core, 0..ny);
+        kernels::fstr_region(&mut self.slab, core.clone());
+        kernels::dvelc_region(&mut self.slab, &Region::new(core, 0..self.dims.ny), false);
 
         let t1 = Instant::now();
         let mut enc = 0u64;
@@ -461,9 +450,8 @@ impl ResidentEngine {
         self.perf.decode_s += t0.elapsed().as_secs_f64();
         self.perf.decoded_cells += cells;
 
-        crate::kernels::fstr_region(&mut self.slab, core.clone());
-        let ny = self.dims.ny;
-        crate::kernels::stress::update_stress_region(&mut self.slab, core, 0..ny);
+        kernels::fstr_region(&mut self.slab, core.clone());
+        kernels::dstrqc_region(&mut self.slab, &Region::new(core, 0..self.dims.ny), false);
 
         let t1 = Instant::now();
         let mut enc = 0u64;
@@ -531,11 +519,11 @@ impl ResidentEngine {
         self.perf.decoded_cells += cells;
 
         if nonlinear {
-            crate::kernels::drprecpc_calc_region(&mut self.slab, core.clone());
-            crate::kernels::drprecpc_app_region(&mut self.slab, core.clone());
+            kernels::drprecpc_calc_region(&mut self.slab, core.clone(), false);
+            kernels::drprecpc_app_region(&mut self.slab, core.clone(), false);
         }
         if sponge {
-            crate::kernels::apply_sponge_region(&mut self.slab, core);
+            kernels::apply_sponge_region(&mut self.slab, core, false);
         }
 
         let t1 = Instant::now();
@@ -571,28 +559,6 @@ impl ResidentEngine {
         if nonlinear {
             main.eqp.copy_planes_from(&self.slab.eqp, c0 - w0 + H, c0 + H, c1 - c0);
         }
-    }
-}
-
-/// The dynamic array of `state` matching a [`RESIDENT_FIELDS`] name.
-fn wavefield_of<'a>(state: &'a SolverState, name: &str) -> &'a Field3 {
-    match name {
-        "u" => &state.u,
-        "v" => &state.v,
-        "w" => &state.w,
-        "xx" => &state.xx,
-        "yy" => &state.yy,
-        "zz" => &state.zz,
-        "xy" => &state.xy,
-        "xz" => &state.xz,
-        "yz" => &state.yz,
-        "r1" => &state.r[0],
-        "r2" => &state.r[1],
-        "r3" => &state.r[2],
-        "r4" => &state.r[3],
-        "r5" => &state.r[4],
-        "r6" => &state.r[5],
-        other => panic!("not a resident field: {other}"),
     }
 }
 

@@ -276,6 +276,30 @@ impl SolverState {
         [&self.xx, &self.yy, &self.zz, &self.xy, &self.xz, &self.yz]
     }
 
+    /// The fifteen dynamic fields in
+    /// [`RESIDENT_FIELDS`](crate::resident::RESIDENT_FIELDS) order: the
+    /// nine wavefields ([`COMPRESSED_FIELDS`](crate::driver::COMPRESSED_FIELDS)),
+    /// then the six attenuation memory variables.
+    pub fn dynamic(&self) -> [&Field3; 15] {
+        let [r1, r2, r3, r4, r5, r6] = &self.r;
+        [
+            &self.u, &self.v, &self.w, &self.xx, &self.yy, &self.zz, &self.xy, &self.xz, &self.yz,
+            r1, r2, r3, r4, r5, r6,
+        ]
+    }
+
+    /// [`Self::dynamic`], mutably.
+    pub fn dynamic_mut(&mut self) -> [&mut Field3; 15] {
+        self.dynamic_mut_and_damping().0
+    }
+
+    /// The dynamic fields together with the Cerjan profile the sponge
+    /// multiplies them by (a disjoint borrow of `dcrj`).
+    pub(crate) fn dynamic_mut_and_damping(&mut self) -> ([&mut Field3; 15], &Field3) {
+        let Self { u, v, w, xx, yy, zz, xy, xz, yz, r: [r1, r2, r3, r4, r5, r6], dcrj, .. } = self;
+        ([u, v, w, xx, yy, zz, xy, xz, yz, r1, r2, r3, r4, r5, r6], dcrj)
+    }
+
     /// Kinetic energy of one x-plane's interior (before the cell-volume
     /// factor): the deterministic reduction unit shared by the serial
     /// and parallel energy probes.

@@ -11,7 +11,7 @@
 //! which the tests pin down — while every byte moved and every register
 //! message is charged to the hardware cost model.
 
-use crate::kernels::velocity::update_velocity_region;
+use crate::kernels::{dvelc_region, Region};
 use crate::state::SolverState;
 use sw_arch::analytic::{AnalyticModel, BlockingChoice, KernelShape};
 use sw_arch::dma::DmaDirection;
@@ -113,7 +113,7 @@ impl SunwayExecutor {
         }
         // Functional result: the coherent store computes the same update
         // the LDM pipeline produces on hardware.
-        update_velocity_region(s, 0..d.nx, 0..d.ny);
+        dvelc_region(s, &Region::whole(d), false);
         let dma = self.dma.stats();
         SunwayCost { dma, reg: self.mesh.stats(), ldm_high_water, tiles, seconds: dma.seconds }
     }

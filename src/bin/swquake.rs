@@ -33,14 +33,10 @@
 //! report; `--trace` records a Chrome trace-event timeline (open it in
 //! Perfetto / `chrome://tracing`) and `--roofline` writes the
 //! predicted-vs-simulated per-kernel attribution report. `--exec
-//! serial|parallel|simd|auto` picks the kernel implementation (serial
-//! reference, the bit-identical Rayon CPE-pool analogue, or the
-//! vectorized cache-tiled kernels — `simd` needs a `--features simd`
-//! build and degrades to `parallel` otherwise) and `--threads <n>`
-//! pins the worker-pool width. `--fused` runs whole steps on the fused
-//! wavefield layout (elastic core only — attenuation, plasticity, and
-//! compression scenarios are rejected at config validation).
-//! `--health <out.jsonl>`
+//! serial|parallel|auto` picks who walks the x-planes of each kernel
+//! (the calling thread or the bit-identical Rayon CPE-pool analogue;
+//! `simd` is accepted as an alias of `parallel`) and `--threads <n>`
+//! pins the worker-pool width. `--health <out.jsonl>`
 //! streams the in-situ simulation-health log (stability watchdog +
 //! compression error budget) and `--health-stride <n>` sets how often
 //! the wavefield is probed (default 10, or `SWQUAKE_HEALTH_STRIDE`).
@@ -127,19 +123,16 @@ flags:
   --metrics <out.json>         telemetry report (stable JSON schema)
   --trace <out.json>           Chrome trace-event timeline
   --roofline <out.json>        per-kernel predicted-vs-simulated report
-  --exec serial|parallel|simd|auto
-                               kernel implementation (default auto; simd
-                               needs a --features simd build)
+  --exec serial|parallel|auto  who walks each kernel's x-planes: the
+                               calling thread or the worker pool (default
+                               auto; simd is an alias of parallel)
   --threads <n>                worker-pool width for pool-based modes
-  --fused                      run whole steps on the fused wavefield
-                               layout (elastic core only: rejects
-                               attenuation/nonlinear/compression scenarios)
   --resident full|compressed16 wavefield storage between steps (default
                                full, or SWQUAKE_RESIDENT; compressed16
                                keeps wavefields 16-bit and streams tiles
                                through a capped f32 slab — rejects
-                               --fused, compression scenarios, snapshots
-                               and --ranks)
+                               compression scenarios, snapshots and
+                               --ranks)
   --memory-cap <bytes>         byte budget for the compressed16 decode
                                slab (suffixes k/m/g; default: an 8-column
                                tile)
@@ -156,7 +149,7 @@ flags:
   --ranks <MX>x<MY>            run on an MX x MY rank grid (multirank
                                halo exchange; observables are merged and
                                bit-identical to the single-rank run;
-                               incompatible with --fused and --perf)
+                               incompatible with --perf)
   --obs <dir>                  run timeline: stream heartbeat lines to
                                <dir>/run.jsonl and write the final
                                per-rank, per-phase <dir>/timeline.json
@@ -182,8 +175,8 @@ flags:
                                (default: the file's max_concurrent, or 1)
   --resume                     skip done scenarios, resume the interrupted one
   --fail-fast                  abort on the first failed/unstable scenario
-  --exec serial|parallel|simd|auto
-                               kernel implementation for every scenario
+  --exec serial|parallel|auto  who walks each kernel's x-planes, for every
+                               scenario (simd is an alias of parallel)
   --threads <n>                worker-pool width for pool-based modes
   --perf                       write each scenario's per-kernel ledger to
                                <dir>/<id>/perf.json (the summary.json
@@ -257,7 +250,6 @@ struct RunOutputs {
     roofline: Option<String>,
     exec: Option<ExecMode>,
     threads: Option<usize>,
-    fused: bool,
     resident: Option<ResidentMode>,
     memory_cap: Option<u64>,
     health: Option<String>,
@@ -301,7 +293,6 @@ fn parse_args(args: &[String]) -> Option<Command> {
             "--roofline" => outputs.roofline = Some(iter.next()?.clone()),
             "--exec" => outputs.exec = Some(iter.next()?.parse().ok()?),
             "--threads" => outputs.threads = Some(iter.next()?.parse().ok()?),
-            "--fused" => outputs.fused = true,
             "--resident" => outputs.resident = Some(iter.next()?.parse().ok()?),
             "--memory-cap" => outputs.memory_cap = Some(parse_bytes(iter.next()?)?),
             "--health" => outputs.health = Some(iter.next()?.clone()),
@@ -324,12 +315,10 @@ fn parse_args(args: &[String]) -> Option<Command> {
     if outputs.resume && outputs.checkpoint_dir.is_none() {
         return None;
     }
-    // The multirank runner exchanges scalar wavefield halos (no fused
-    // layout) and the per-kernel ledger needs a resident Simulation.
+    // The multirank runner exchanges f32 wavefield halos and the
+    // per-kernel ledger needs a resident Simulation.
     if outputs.ranks.is_some_and(|(mx, my)| mx * my > 1)
-        && (outputs.fused
-            || outputs.perf.is_some()
-            || outputs.resident == Some(ResidentMode::Compressed16))
+        && (outputs.perf.is_some() || outputs.resident == Some(ResidentMode::Compressed16))
     {
         return None;
     }
@@ -730,9 +719,6 @@ fn run(path: &str, outputs: &RunOutputs) -> Result<(), Error> {
     if let Some(threads) = outputs.threads {
         cfg = cfg.with_threads(threads);
     }
-    if outputs.fused {
-        cfg = cfg.with_fused(true);
-    }
     if let Some(resident) = outputs.resident {
         cfg = cfg.with_resident(resident);
     }
@@ -791,9 +777,11 @@ fn run(path: &str, outputs: &RunOutputs) -> Result<(), Error> {
     if let Some(tl) = &timeline {
         cfg = cfg.with_timeline(Arc::clone(tl));
     }
+    // Resolve the mode against the pool width the run will use.
+    swquake::core::exec::configure_threads(cfg.threads);
     println!(
         "mesh {} at dx = {} m, {} steps, model {}, nonlinear {}, compression {}, exec {} \
-         (path {}, features {}){}{}",
+         (path {}){}",
         cfg.dims,
         cfg.dx,
         cfg.steps,
@@ -802,8 +790,6 @@ fn run(path: &str, outputs: &RunOutputs) -> Result<(), Error> {
         scenario.compression,
         cfg.exec,
         cfg.exec.resolve_path(cfg.dims.len()),
-        if swquake::core::simd_compiled() { "simd" } else { "(default)" },
-        if cfg.fused { ", fused layout" } else { "" },
         if cfg.resident == ResidentMode::Compressed16 { ", resident compressed16" } else { "" }
     );
     // `--ranks MxN` routes through the multi-rank driver: same physics

@@ -77,7 +77,7 @@ fn sqk2_images_are_a_version_error() {
 fn driver_and_checkpoint_share_one_encoder_in_every_mode_and_width() {
     let model = LayeredModel::north_china();
     let mut images: Vec<Vec<u8>> = Vec::new();
-    for exec in [ExecMode::Serial, ExecMode::Parallel, ExecMode::Simd] {
+    for exec in [ExecMode::Serial, ExecMode::Parallel] {
         for threads in [1usize, 2, 4] {
             let dir = workdir(&format!("encoder_{exec}_{threads}"));
             let cfg = config(20).with_exec(exec).with_threads(threads).with_checkpoint_dir(&dir);

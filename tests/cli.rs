@@ -91,7 +91,8 @@ fn no_arguments_prints_usage() {
 fn unknown_flag_prints_usage_and_exits_2() {
     for args in [
         vec!["run", "scenario.json", "--frobnicate"],
-        vec!["scenario.json", "--metrics"], // flag missing its value
+        vec!["run", "scenario.json", "--fused"], // removed with the AoS step path
+        vec!["scenario.json", "--metrics"],      // flag missing its value
         vec!["bench-diff", "a.json", "b.json", "--frobnicate"],
         vec!["bench-diff", "only-one.json"],
     ] {
@@ -247,9 +248,20 @@ fn committed_step_exec_baseline_is_schema_v2() {
             .find(|r| r["name"] == n)
             .unwrap_or_else(|| panic!("record `{n}` missing from the committed baseline"))
     };
-    let ratio = by_name("step_exec/parallel_over_serial");
-    assert_eq!(ratio["throughput_unit"], "ratio");
-    assert!(ratio["median_s"].as_f64().unwrap() < 1.0, "parallel must beat serial");
+    // The ratios are measurements carrying their own tolerance, not
+    // hand-written floors.
+    let ratios = ["parallel_over_serial", "dvelc/lanes_over_oracle", "dstrqc/lanes_over_oracle"];
+    for n in ratios {
+        let ratio = by_name(&format!("step_exec/{n}"));
+        assert_eq!(ratio["throughput_unit"], "ratio");
+        assert!(ratio["median_s"].as_f64().unwrap() > 0.0);
+        assert!((ratio["tolerance"].as_f64().unwrap() - (1.0 / 0.7 - 1.0)).abs() < 1e-9, "{n}");
+    }
+    for k in ["dvelc", "dstrqc"] {
+        let ratio = by_name(&format!("step_exec/{k}/lanes_over_oracle"));
+        assert!(ratio["median_s"].as_f64().unwrap() < 1.0, "the {k} body must beat the oracle");
+    }
+    assert!(records.iter().all(|r| !r["name"].as_str().unwrap().contains("simd")));
     for n in ["step_exec/serial", "step_exec/parallel"] {
         let r = by_name(n);
         assert_eq!(r["throughput_unit"], "elements");
@@ -548,6 +560,52 @@ fn every_subcommand_answers_help_with_exit_0() {
     let stdout = String::from_utf8_lossy(&out.stdout);
     assert!(stdout.contains("--fail-fast"), "campaign help: {stdout}");
     assert!(stdout.contains("--resume"), "campaign help: {stdout}");
+    for sub in ["run", "campaign"] {
+        let out = Command::new(bin()).args([sub, "--help"]).output().unwrap();
+        let stdout = String::from_utf8_lossy(&out.stdout);
+        assert!(stdout.contains("simd is an alias of parallel"), "{sub} help: {stdout}");
+    }
+}
+
+/// `--exec simd` and `SWQUAKE_EXEC=simd` still parse, and take the path
+/// `--exec parallel` takes: the banner prints what the mode resolved to.
+#[test]
+fn exec_simd_is_an_alias_of_parallel() {
+    let dir = workdir("exec_alias");
+    let scenario = dir.join("scenario.json");
+    Command::new(bin()).args(["--write-example", scenario.to_str().unwrap()]).status().unwrap();
+    let mut json: serde_json::Value =
+        serde_json::from_str(&std::fs::read_to_string(&scenario).unwrap()).unwrap();
+    json["mesh"] = serde_json::json!([20, 20, 12]);
+    json["duration"] = serde_json::json!(0.3);
+    json["sources"][0]["position"] = serde_json::json!([10, 10, 6]);
+    json["stations"] = serde_json::json!([{"name": "probe", "ix": 14, "iy": 14}]);
+    std::fs::write(&scenario, serde_json::to_string(&json).unwrap()).unwrap();
+    let run = |args: &[&str], env: Option<&str>| {
+        let mut cmd = Command::new(bin());
+        cmd.current_dir(&dir).arg("run").arg(&scenario).args(args).env_remove("SWQUAKE_EXEC");
+        if let Some(mode) = env {
+            cmd.env("SWQUAKE_EXEC", mode);
+        }
+        let out = cmd.output().unwrap();
+        assert!(out.status.success(), "stderr: {}", String::from_utf8_lossy(&out.stderr));
+        (
+            String::from_utf8_lossy(&out.stdout).into_owned(),
+            std::fs::read(dir.join("swquake_out_seismograms.csv")).unwrap(),
+        )
+    };
+    let (serial, reference) = run(&["--exec", "serial"], None);
+    assert!(serial.contains("exec serial (path serial)"), "stdout: {serial}");
+    for (args, env) in [
+        (&["--exec", "simd"][..], None),
+        (&["--exec", "parallel"][..], None),
+        (&[][..], Some("simd")),
+    ] {
+        let (stdout, csv) = run(args, env);
+        assert!(stdout.contains("(path parallel)"), "{args:?} {env:?}: {stdout}");
+        assert_eq!(csv, reference, "{args:?} {env:?}: seismograms differ from serial");
+    }
+    std::fs::remove_dir_all(&dir).ok();
 }
 
 /// A legacy v1 scenario (no `schema` field, tuple stations) still runs,

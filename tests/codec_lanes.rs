@@ -443,7 +443,7 @@ fn telemetry_health_and_plain_runs_share_one_roundtrip() {
     rayon::ThreadPoolBuilder::new().num_threads(4).build_global().unwrap();
     let base = compressed_config();
     let reference = seismogram_bits(&base.clone().with_exec(ExecMode::Serial));
-    for exec in [ExecMode::Serial, ExecMode::Parallel, ExecMode::Simd] {
+    for exec in [ExecMode::Serial, ExecMode::Parallel] {
         let plain = base.clone().with_exec(exec);
         let telemetry = plain.clone().with_telemetry(Telemetry::enabled());
         let health = plain.clone().with_health(HealthConfig::default().with_stride(1));

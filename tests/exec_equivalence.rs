@@ -1,5 +1,6 @@
-//! The execution-mode contract: `ExecMode::Parallel` (the Rayon CPE-pool
-//! analogue) must be **bit-identical** to `ExecMode::Serial` on the full
+//! The execution-mode contract: `ExecMode::Parallel` (x-planes handed to
+//! the Rayon CPE-pool analogue) must be **bit-identical** to
+//! `ExecMode::Serial` (planes walked on the calling thread) on the full
 //! production feature set — nonlinear plasticity, attenuation, Cerjan
 //! sponge, and the §6.5 compression round trip — on the single-rank path,
 //! under the 2×2 rank decomposition, and across checkpoint/restore in
@@ -7,7 +8,7 @@
 //! performance choice.
 
 use swquake::core::driver::run_multirank;
-use swquake::core::{ConfigError, ExecMode, ExecPath, RunError, SimConfig, Simulation};
+use swquake::core::{ExecMode, ExecPath, SimConfig, Simulation};
 use swquake::grid::Dims3;
 use swquake::health::budget::{BudgetTracker, CompressionSample};
 use swquake::health::HealthConfig;
@@ -202,24 +203,24 @@ fn checkpoint_restore_is_mode_agnostic() {
     }
 }
 
-/// `ExecMode::Simd` — the vectorized, cache-tiled kernels when the
-/// `simd` feature is compiled in, the CPE-pool kernels otherwise (both
-/// bit-identical to serial, so this pin holds either way) — matches the
-/// serial reference bitwise on the full production feature set.
+/// `ExecMode::Simd` is an alias of `Parallel` on every build — and so is
+/// `Auto` on a mesh above its threshold: neither has a slower path to
+/// degrade to, and both match the serial reference bitwise on the full
+/// production feature set.
 #[test]
 fn simd_matches_serial_single_rank() {
     pin_pool();
-    let cfg = production_config();
+    let mut cfg = production_config();
+    cfg.dims = Dims3::new(36, 34, 28); // above `AUTO_PARALLEL_THRESHOLD`
+    cfg.steps = 20;
     let serial = run_mode(&cfg, ExecMode::Serial);
-    let simd = run_mode(&cfg, ExecMode::Simd);
     assert!(!serial.state.has_blown_up());
-    assert!(simd.exec_path().is_parallel(), "simd mode is pool-based");
-    if swquake::core::simd_compiled() {
-        assert_eq!(simd.exec_path(), ExecPath::Simd);
-    } else {
-        assert_eq!(simd.exec_path(), ExecPath::Parallel, "feature off: degrade to parallel");
+    assert_eq!(serial.exec_path(), ExecPath::Serial);
+    for exec in [ExecMode::Simd, ExecMode::Auto] {
+        let pooled = run_mode(&cfg, exec);
+        assert_eq!(pooled.exec_path(), ExecPath::Parallel, "{exec} takes the pool path");
+        assert_states_identical(&serial, &pooled);
     }
-    assert_states_identical(&serial, &simd);
 }
 
 /// A checkpoint taken under `Simd` restores into a serial run (and vice
@@ -289,111 +290,4 @@ fn exec_mode_deviation_spends_zero_error_budget() {
     for f in tracker.fields() {
         assert_eq!(f.worst_rel_err, 0.0, "{} spent error budget", f.field);
     }
-}
-
-/// The elastic subset the fused production path covers: attenuation,
-/// plasticity, and the compression round trip off; sponge, sources and
-/// stations on.
-fn elastic_config() -> SimConfig {
-    let mut cfg = production_config();
-    cfg.options.attenuation = false;
-    cfg.options.nonlinear = false;
-    cfg.compression = false;
-    cfg
-}
-
-/// The fused-layout production path (whole steps on the §6.4 AoS
-/// arrays, scalar state refreshed at output boundaries only) is
-/// bit-identical to the serial scalar path: wavefields, seismograms,
-/// and the hazard map.
-#[test]
-fn fused_production_path_matches_serial_bitwise() {
-    pin_pool();
-    let model = LayeredModel::north_china();
-    let cfg = elastic_config();
-    let reference = run_mode(&cfg, ExecMode::Serial);
-
-    let mut fused =
-        Simulation::new(&model, &cfg.clone().with_fused(true)).expect("valid fused config");
-    assert!(fused.is_fused());
-    fused.run(cfg.steps);
-    fused.sync_fused(true);
-
-    assert!(!reference.state.has_blown_up());
-    assert_states_identical(&reference, &fused);
-    let d = cfg.dims;
-    for x in 0..d.nx {
-        for y in 0..d.ny {
-            assert_eq!(reference.pgv.at(x, y), fused.pgv.at(x, y), "PGV differs at ({x},{y})");
-        }
-    }
-}
-
-/// Fused runs cross the checkpoint boundary transparently: a checkpoint
-/// taken mid-run from a fused simulation restores into a scalar run
-/// (and into another fused run) bit-identically to an uninterrupted
-/// serial run.
-#[test]
-fn fused_checkpoint_restore_is_layout_agnostic() {
-    pin_pool();
-    let model = LayeredModel::north_china();
-    let cfg = elastic_config();
-    let reference = run_mode(&cfg, ExecMode::Serial);
-
-    let mut first =
-        Simulation::new(&model, &cfg.clone().with_fused(true)).expect("valid fused config");
-    first.run(30);
-    first.sync_fused(true);
-    let ckpt = first.make_checkpoint();
-
-    for fused_resume in [false, true] {
-        let mut second = Simulation::new(&model, &cfg.clone().with_fused(fused_resume))
-            .expect("valid fused config");
-        second.restore(&ckpt).expect("matching checkpoint");
-        second.run(30);
-        second.sync_fused(true);
-        assert_eq!(
-            reference.state.u.max_abs_diff(&second.state.u),
-            0.0,
-            "u differs after fused -> fused={fused_resume} restore"
-        );
-        assert_eq!(
-            reference.state.xx.max_abs_diff(&second.state.xx),
-            0.0,
-            "xx differs after fused -> fused={fused_resume} restore"
-        );
-    }
-}
-
-/// The fused path's compatibility contract is enforced up front:
-/// attenuation, plasticity, compression, and multirank runs are
-/// rejected at validation, not silently mis-simulated.
-#[test]
-fn fused_config_rejects_unsupported_features() {
-    let base = elastic_config().with_fused(true);
-    assert!(base.validate().is_ok());
-
-    let mut atten = base.clone();
-    atten.options.attenuation = true;
-    assert!(matches!(
-        atten.validate(),
-        Err(ConfigError::FusedUnsupported { feature: "attenuation" })
-    ));
-
-    let mut plastic = base.clone();
-    plastic.options.nonlinear = true;
-    assert!(matches!(
-        plastic.validate(),
-        Err(ConfigError::FusedUnsupported { feature: "plasticity" })
-    ));
-
-    let compressed = base.clone().with_compression(true);
-    assert!(matches!(compressed.validate(), Err(ConfigError::FusedUnsupported { .. })));
-
-    let model = LayeredModel::north_china();
-    let multi = run_multirank(&model, &base, RankGrid::new(2, 2));
-    assert!(matches!(
-        multi,
-        Err(RunError::Config(ConfigError::FusedUnsupported { feature: "multirank halo exchange" }))
-    ));
 }

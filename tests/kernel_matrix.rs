@@ -1,0 +1,378 @@
+//! One body per kernel, pinned against the naive reference.
+//!
+//! `swquake-core` writes each stencil kernel once (a lane-generic plane
+//! body, `crates/core/src/kernels/`) and only chooses who walks the
+//! x-planes. This matrix runs that body — per kernel and over five full
+//! steps — on the calling thread and through the pool at widths 1, 2 and
+//! 4, under every physics combination, on meshes chosen to hit the vector
+//! tail (`nz % 8 ≠ 0`), rows shorter than one vector (`nz < 8`), meshes
+//! below and above one y-tile, forced 5 × 16 tiles whose edges cross the
+//! mesh, `ny = 1..4` (where the `dvelcx` / `dvelcy` split degenerates)
+//! and sponge widths 0 and 3, and compares **every bit of every dynamic
+//! array, halo planes included** with `tests/oracle/kernels.rs`.
+
+mod oracle;
+
+use oracle::kernels as naive;
+use std::sync::Mutex;
+use swquake::compress::{calibrated_codec, max_abs_bucket, Codec, Codec16, FieldStats};
+use swquake::core::driver::COMPRESSED_FIELDS;
+use swquake::core::kernels::{self, Region};
+use swquake::core::state::{PlasticityConfig, SolverState, StateOptions};
+use swquake::core::{ExecMode, ExecPath, ResidentMode, SimConfig, Simulation};
+use swquake::grid::{Dims3, Field3};
+use swquake::model::LayeredModel;
+use swquake::source::{MomentTensor, PointSource, SourceTimeFunction};
+
+/// The pool width is process-wide; tests that set it take turns.
+static POOL: Mutex<()> = Mutex::new(());
+
+fn with_pool_width<R>(threads: usize, f: impl FnOnce() -> R) -> R {
+    let _turn = POOL.lock().unwrap_or_else(|e| e.into_inner());
+    rayon::ThreadPoolBuilder::new().num_threads(threads).build_global().unwrap();
+    f()
+}
+
+#[derive(Debug, Clone, Copy, PartialEq)]
+enum Physics {
+    Elastic,
+    Attenuation,
+    NonlinearAttenuation,
+    /// … plus the §6.5 inter-step compression round trip (full steps only).
+    NonlinearAttenuationCompressed,
+}
+
+impl Physics {
+    const KERNEL_LEVEL: [Physics; 3] =
+        [Physics::Elastic, Physics::Attenuation, Physics::NonlinearAttenuation];
+    const ALL: [Physics; 4] = [
+        Physics::Elastic,
+        Physics::Attenuation,
+        Physics::NonlinearAttenuation,
+        Physics::NonlinearAttenuationCompressed,
+    ];
+
+    fn options(self, sponge_width: usize) -> StateOptions {
+        StateOptions {
+            attenuation: self != Physics::Elastic,
+            nonlinear: matches!(
+                self,
+                Physics::NonlinearAttenuation | Physics::NonlinearAttenuationCompressed
+            ),
+            sponge_width,
+            plasticity: PlasticityConfig {
+                cohesion_surface: 1.0e5,
+                cohesion_gradient: 0.0,
+                friction_angle_deg: 30.0,
+                fluid_pressure_ratio: 0.0,
+            },
+            ..Default::default()
+        }
+    }
+}
+
+/// Meshes of the matrix.
+const MESHES: [(usize, usize, usize); 8] = [
+    (6, 5, 19),  // nz % 8 = 3: two vectors and a tail
+    (5, 7, 5),   // nz < 8: tail only
+    (4, 40, 9),  // ny above one 32-row y-tile
+    (4, 12, 37), // edges of forced 5 x 16 tiles cross the mesh
+    (5, 1, 9),   // ny = 1: dvelcy owns nothing
+    (5, 2, 9),   // ny = 2: dvelcx owns nothing
+    (5, 3, 9),   // ny = 3: one-row strips
+    (5, 4, 9),   // ny = 4: the strips meet
+];
+
+/// Fill every stored value of `f`, halo included, with seeded noise.
+fn noise(f: &mut Field3, seed: u32, scale: f32) {
+    let mut s = seed.wrapping_mul(2_654_435_761).wrapping_add(12_345);
+    for v in f.raw_mut() {
+        s = s.wrapping_mul(1_664_525).wrapping_add(1_013_904_223);
+        *v = ((s >> 8) as f32 / (1u32 << 24) as f32 - 0.5) * scale;
+    }
+}
+
+/// A state whose fifteen dynamic arrays (and `eqp`) carry noise in every
+/// cell — so a wrong tap, a skipped row or a missed halo plane shows.
+fn noisy_state(dims: (usize, usize, usize), physics: Physics, sponge_width: usize) -> SolverState {
+    let mut s = SolverState::from_model(
+        &LayeredModel::north_china(),
+        Dims3::new(dims.0, dims.1, dims.2),
+        150.0,
+        (0.0, 0.0, 0.0),
+        physics.options(sponge_width),
+    );
+    let scales = [0.02, 0.02, 0.02, 4e6, 4e6, 4e6, 4e6, 4e6, 4e6, 2e3, 2e3, 2e3, 2e3, 2e3, 2e3];
+    for (i, (f, scale)) in s.dynamic_mut().into_iter().zip(scales).enumerate() {
+        noise(f, i as u32 + 1, scale);
+    }
+    noise(&mut s.eqp, 99, 1e-6);
+    s
+}
+
+/// Every stored bit of every array a kernel writes.
+fn assert_bitwise(reference: &SolverState, got: &SolverState, what: &str) {
+    let names = swquake::core::resident::RESIDENT_FIELDS;
+    let extra = [("yldfac", &reference.yldfac, &got.yldfac), ("eqp", &reference.eqp, &got.eqp)];
+    let pairs = names
+        .iter()
+        .copied()
+        .zip(reference.dynamic().into_iter().zip(got.dynamic()))
+        .map(|(n, (a, b))| (n, a, b))
+        .chain(extra);
+    for (name, a, b) in pairs {
+        let first = a.raw().iter().zip(b.raw()).position(|(x, y)| x.to_bits() != y.to_bits());
+        assert_eq!(first, None, "{what}: `{name}` differs from the oracle at raw index {first:?}");
+    }
+}
+
+/// One kernel, product vs oracle, from the same noisy state.
+fn check_kernel(
+    base: &SolverState,
+    what: &str,
+    reference: impl FnOnce(&mut SolverState) -> usize,
+    product: impl FnOnce(&mut SolverState) -> usize,
+) {
+    let (mut want, mut got) = (base.clone(), base.clone());
+    let (n_want, n_got) = (reference(&mut want), product(&mut got));
+    assert_eq!(n_want, n_got, "{what}: yield count");
+    assert_bitwise(&want, &got, what);
+}
+
+fn check_every_kernel(dims: (usize, usize, usize), physics: Physics, sponge: usize, pool: bool) {
+    let what = |k: &str| format!("{k} on {dims:?} {physics:?} sponge {sponge} pool {pool}");
+    let base = noisy_state(dims, physics, sponge);
+    let d = base.dims;
+    let whole = Region::whole(d);
+    let tiled = Region { tile_y: 5, tile_z: 16, ..Region::whole(d) };
+    let unit = |f: fn(&mut SolverState)| {
+        move |s: &mut SolverState| -> usize {
+            f(s);
+            0
+        }
+    };
+    // fstr has one form; it must leave the z-halo planes the oracle does.
+    check_kernel(&base, &what("fstr"), unit(naive::fstr), unit(kernels::fstr));
+    check_kernel(&base, &what("fstr_par"), unit(naive::fstr), unit(kernels::fstr_par));
+    let naive_dvelc = |s: &mut SolverState| {
+        naive::dvelcx(s);
+        naive::dvelcy(s);
+        0
+    };
+    for region in [&whole, &tiled] {
+        check_kernel(&base, &what("dvelc"), naive_dvelc, |s| {
+            kernels::dvelc_region(s, region, pool);
+            0
+        });
+        check_kernel(&base, &what("dstrqc"), unit(naive::dstrqc), |s| {
+            kernels::dstrqc_region(s, region, pool);
+            0
+        });
+    }
+    check_kernel(&base, &what("dvelcx+dvelcy"), naive_dvelc, |s| {
+        kernels::dvelcx(s);
+        kernels::dvelcy(s);
+        0
+    });
+    // Each half of the split covers exactly the oracle's half.
+    check_kernel(&base, &what("dvelcx"), unit(naive::dvelcx), unit(kernels::dvelcx));
+    check_kernel(&base, &what("dvelcy"), unit(naive::dvelcy), unit(kernels::dvelcy));
+    // A sub-box (the resident slab's use): interior columns only.
+    if d.nx > 2 {
+        check_kernel(
+            &base,
+            &what("dstrqc sub-box"),
+            |s| {
+                naive::update_stress_region(s, 1..d.nx - 1, 0..d.ny);
+                0
+            },
+            |s| {
+                kernels::dstrqc_region(s, &Region::new(1..d.nx - 1, 0..d.ny), pool);
+                0
+            },
+        );
+    }
+    if base.options.nonlinear {
+        check_kernel(&base, &what("drprecpc_calc"), naive::drprecpc_calc, |s| {
+            kernels::drprecpc_calc_region(s, 0..d.nx, pool)
+        });
+        // The return mapping consumes the yield factors: compute them
+        // once (with the oracle) and branch from there.
+        let mut yielded = base.clone();
+        assert!(naive::drprecpc_calc(&mut yielded) > 0, "the noisy state must yield somewhere");
+        check_kernel(&yielded, &what("drprecpc_app"), unit(naive::drprecpc_app), |s| {
+            kernels::drprecpc_app_region(s, 0..d.nx, pool);
+            0
+        });
+    }
+    check_kernel(&base, &what("sponge"), unit(naive::apply_sponge), |s| {
+        kernels::apply_sponge_region(s, 0..d.nx, pool);
+        0
+    });
+}
+
+#[test]
+fn every_kernel_matches_the_oracle_on_the_calling_thread() {
+    for dims in MESHES {
+        for physics in Physics::KERNEL_LEVEL {
+            for sponge in [0, 3] {
+                check_every_kernel(dims, physics, sponge, false);
+            }
+        }
+    }
+}
+
+#[test]
+fn every_kernel_matches_the_oracle_through_the_pool_at_widths_1_2_4() {
+    for threads in [1, 2, 4] {
+        with_pool_width(threads, || {
+            for dims in MESHES {
+                for physics in Physics::KERNEL_LEVEL {
+                    for sponge in [0, 3] {
+                        check_every_kernel(dims, physics, sponge, true);
+                    }
+                }
+            }
+        });
+    }
+}
+
+const STEPS: usize = 5;
+
+fn source(dims: (usize, usize, usize)) -> PointSource {
+    PointSource {
+        ix: dims.0 / 2,
+        iy: dims.1 / 2,
+        iz: dims.2 / 2,
+        moment: MomentTensor::double_couple(30.0, 80.0, 170.0, 3.0e13),
+        stf: SourceTimeFunction::Triangle { onset: 0.0, duration: 0.2 },
+    }
+}
+
+/// The driver's step sequence on the naive kernels, in the driver's
+/// floating-point environment, with the §6.5 round trip as the driver
+/// calibrates it (a codec is a pure function of the field's current
+/// max-abs bucket).
+fn oracle_steps(mut s: SolverState, sources: &[PointSource], compression: bool) -> SolverState {
+    let _fp = swquake::core::exec::kernel_fp_env();
+    let mut time = 0.0;
+    for _ in 0..STEPS {
+        naive::fstr(&mut s);
+        naive::dvelcx(&mut s);
+        naive::dvelcy(&mut s);
+        naive::fstr(&mut s);
+        naive::dstrqc(&mut s);
+        kernels::addsrc(&mut s, sources, time);
+        if s.options.nonlinear {
+            naive::drprecpc_calc(&mut s);
+            naive::drprecpc_app(&mut s);
+        }
+        naive::apply_sponge(&mut s);
+        if compression {
+            for (name, f) in COMPRESSED_FIELDS.iter().zip(s.dynamic_mut()) {
+                let base = Codec::paper_assignment(name, &FieldStats::empty());
+                let codec = calibrated_codec(&base, max_abs_bucket(f.max_abs()));
+                codec.roundtrip_slice(f.raw_mut());
+            }
+        }
+        time += s.dt;
+    }
+    s
+}
+
+fn check_full_steps(dims: (usize, usize, usize), physics: Physics, sponge: usize, exec: ExecMode) {
+    let what = format!("{STEPS} steps on {dims:?} {physics:?} sponge {sponge} exec {exec}");
+    let base = noisy_state(dims, physics, sponge);
+    let compression = physics == Physics::NonlinearAttenuationCompressed;
+    let mut cfg = SimConfig::new(base.dims, base.dx, STEPS)
+        .with_sources(vec![source(dims)])
+        .with_compression(compression)
+        .with_exec(exec)
+        .with_resident(ResidentMode::Full);
+    cfg.options = base.options;
+    let want = oracle_steps(base.clone(), &cfg.sources, compression);
+    let mut sim = Simulation::new_with_state(base, &cfg).expect("valid config");
+    let pool = exec != ExecMode::Serial;
+    assert_eq!(sim.exec_path().is_parallel(), pool, "{what}");
+    sim.run(STEPS);
+    assert!(!sim.state.has_blown_up(), "{what}: the run must stay finite");
+    assert_bitwise(&want, &sim.state, &what);
+}
+
+#[test]
+fn five_full_steps_match_the_oracle_on_the_calling_thread() {
+    for dims in MESHES {
+        for physics in Physics::ALL {
+            for sponge in [0, 3] {
+                check_full_steps(dims, physics, sponge, ExecMode::Serial);
+            }
+        }
+    }
+}
+
+#[test]
+fn five_full_steps_match_the_oracle_through_the_pool_at_widths_1_2_4() {
+    for threads in [1, 2, 4] {
+        with_pool_width(threads, || {
+            for dims in MESHES {
+                for physics in Physics::ALL {
+                    for sponge in [0, 3] {
+                        for exec in [ExecMode::Parallel, ExecMode::Simd] {
+                            check_full_steps(dims, physics, sponge, exec);
+                        }
+                    }
+                }
+            }
+        });
+    }
+}
+
+/// Compressed-resident runs stream slabs through the same bodies on the
+/// calling thread whatever the mode: the three spellings produce one
+/// byte sequence.
+#[test]
+fn resident_compressed16_is_the_same_under_every_exec_spelling() {
+    with_pool_width(4, || {
+        let dims = (12, 10, 19);
+        let run = |exec: ExecMode| {
+            let base = noisy_state(dims, Physics::NonlinearAttenuation, 3);
+            let mut cfg = SimConfig::new(base.dims, base.dx, STEPS)
+                .with_sources(vec![source(dims)])
+                .with_exec(exec)
+                .with_resident(ResidentMode::Compressed16)
+                .with_memory_cap(256 << 10);
+            cfg.options = base.options;
+            let mut sim = Simulation::new_with_state(base, &cfg).expect("valid config");
+            sim.run(STEPS);
+            sim.make_checkpoint()
+        };
+        let serial = run(ExecMode::Serial);
+        for exec in [ExecMode::Parallel, ExecMode::Simd] {
+            let other = run(exec);
+            assert_eq!(serial.fields.len(), other.fields.len());
+            for ((name, a), (_, b)) in serial.fields.iter().zip(&other.fields) {
+                let same = a.raw().iter().zip(b.raw()).all(|(x, y)| x.to_bits() == y.to_bits());
+                assert!(same, "resident field `{name}` differs between serial and {exec}");
+            }
+        }
+    });
+}
+
+/// `auto` above its threshold and the `simd` alias both resolve to the
+/// pool path on any build — there is no slower path to degrade to.
+#[test]
+fn auto_and_simd_resolve_to_the_pool_path() {
+    with_pool_width(2, || {
+        let big = 32 * 32 * 32;
+        assert_eq!(ExecMode::Auto.resolve_path(big), ExecPath::Parallel);
+        assert_eq!(ExecMode::Simd.resolve_path(1), ExecPath::Parallel);
+        assert_eq!(ExecMode::Parallel.resolve_path(1), ExecPath::Parallel);
+        assert_eq!(ExecMode::Auto.resolve_path(big - 1), ExecPath::Serial);
+    });
+    let exec_rs = include_str!("../crates/core/src/exec.rs");
+    assert!(
+        !exec_rs.contains("cfg(feature") && !exec_rs.contains("cfg!("),
+        "exec resolution must not depend on the build"
+    );
+    assert!(swquake::core::simd_compiled());
+}

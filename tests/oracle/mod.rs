@@ -1,5 +1,5 @@
 //! The scalar codec oracle (and, in [`lz4`], the byte-at-a-time LZ4
-//! reference).
+//! reference; in [`kernels`], the naive stencil kernels).
 //!
 //! These are the branchy per-value conversions `sw-compress` shipped
 //! before its codecs became branch-free lane bodies — decision trees,
@@ -24,6 +24,7 @@
 
 #![allow(dead_code)]
 
+pub mod kernels;
 pub mod lz4;
 
 use sw_compress::stats::unbiased_exponent;

@@ -8,7 +8,7 @@
 
 use swquake::compress::{lz4, AdaptiveCodec, Codec16, F16Codec, FieldStats, NormCodec};
 use swquake::grid::halo::{Face, HaloSpec};
-use swquake::grid::{Dims3, Field3, Vec3Field};
+use swquake::grid::{Dims3, Field3};
 use swquake::source::{m0_from_mw, mw_from_m0, MomentTensor};
 
 /// splitmix64: tiny, statistically solid, and fully deterministic.
@@ -135,32 +135,6 @@ fn stats_merge_is_consistent() {
         let merged = FieldStats::of_slice(&a).merge(&FieldStats::of_slice(&b));
         let direct = FieldStats::of_slice(&whole);
         assert_eq!(merged, direct);
-    }
-}
-
-#[test]
-fn fuse_split_identity() {
-    // Fused arrays are a bijection: fuse then split is the identity.
-    let mut rng = Rng(0x5351_0007);
-    for _ in 0..16 {
-        let seed = rng.next_u64() as u32;
-        let d = Dims3::new(3, 4, 5);
-        let mk = |salt: u32| {
-            let mut f = Field3::new(d, 2);
-            f.fill_with(|x, y, z| {
-                let h = seed
-                    .wrapping_mul(31)
-                    .wrapping_add(salt)
-                    .wrapping_add((x * 97 + y * 13 + z) as u32);
-                (h % 1000) as f32 - 500.0
-            });
-            f
-        };
-        let (a, b, c) = (mk(1), mk(2), mk(3));
-        let [a2, b2, c2] = Vec3Field::fuse([&a, &b, &c]).split();
-        assert_eq!(a, a2);
-        assert_eq!(b, b2);
-        assert_eq!(c, c2);
     }
 }
 
