@@ -1,80 +1,119 @@
 //! `resident` — overhead and footprint of the compressed-resident
 //! wavefield mode against the full f32 baseline.
 //!
-//! Times the complete per-step pipeline on a 48³ production-shaped mesh
+//! Times the complete per-step pipeline on a production-shaped mesh
 //! (nonlinear + attenuation + sponge, real source) in both storage
-//! modes and writes a [`BenchReport`] with five records:
+//! modes — 48³ under a slab cap that forces a narrow tile, and 128³ at
+//! the default tile width (the mesh size ROADMAP item 3's keep-or-cut
+//! gate is stated on) — and the plane codec on its own. Both modes step
+//! on the calling thread (`ExecMode::Serial`): the resident sweeps never
+//! open a pool region, so the ratio is the streaming and codec tax at
+//! equal parallelism and does not move with the number of cores the host
+//! happens to have free (a pooled full step is further ahead by whatever
+//! the pool gains on that host). The [`BenchReport`] holds
 //!
-//! * `resident/full` / `resident/compressed16` — absolute seconds per
-//!   step in each mode;
-//! * `resident/compressed16_over_full` — the dimensionless step-time
-//!   ratio (the decode/encode tax of streaming every tile through the
-//!   f32 slab);
-//! * `resident/footprint_ratio` — compressed dynamic bytes (16-bit
-//!   stores + decode slab) over the full-mode dynamic f32 bytes: the
-//!   memory the mode buys back, < 1.0 whenever the slab cap is tighter
-//!   than the mesh;
+//! * `resident/full`, `resident/compressed16` (and `…_128`) — absolute
+//!   seconds per step in each mode, host-stamped (a diff against another
+//!   host's baseline skips them);
+//! * `resident/compressed16_over_full` (and `…_128`) — the dimensionless
+//!   step-time ratio of the medians: the decode/encode tax of streaming
+//!   every tile through the f32 slab;
+//! * `resident/footprint_ratio` (and `…_128`) — compressed dynamic bytes
+//!   (16-bit stores + decode slab) over the full-mode dynamic f32 bytes:
+//!   the memory the mode buys back;
+//! * `resident/plane_encode_over_decode` — time to encode every plane of
+//!   the nine wavefields of a step-30 run (calibration scan +
+//!   `encode_slice`, as an unsampled step does it) over the time to
+//!   decode them. A ratio far above the committed one means the encode
+//!   side grew a pass again;
 //! * `resident/seismogram_misfit` — the normalized RMS misfit of the
-//!   compressed run's seismogram against the full run's (the Fig. 6
+//!   48³ compressed run's seismogram against the full run's (the Fig. 6
 //!   comparison quantity), recording the accuracy the overhead pays for.
+//!
+//! The ratios carry a tolerance of `1/0.7 − 1` for `bench-diff` against
+//! the committed `BENCH_resident.json`.
 //!
 //! Usage: `bench_resident [out.json] [threads]` (defaults:
 //! `BENCH_resident_new.json`, `min(cores, 4)` worker threads).
 
+use std::hint::black_box;
 use std::time::Instant;
 
+use sw_compress::{Codec, FieldStats, ResidentField3};
 use sw_grid::Dims3;
 use sw_io::Station;
 use sw_model::LayeredModel;
 use sw_source::{MomentTensor, PointSource, SourceTimeFunction};
 use sw_telemetry::bench::{BenchRecord, BenchReport};
+use sw_telemetry::perf::HostFingerprint;
+use swquake_core::driver::COMPRESSED_FIELDS;
 use swquake_core::{ExecMode, ResidentMode, SimConfig, Simulation};
 
-const SIDE: usize = 48;
-const WARMUP_STEPS: usize = 3;
-const TIMED_STEPS: usize = 60;
-/// Slab cap that forces a narrow tile on the 48³ mesh, so the bench
-/// exercises the streaming path rather than a whole-mesh slab.
-const MEMORY_CAP: u64 = 2 << 20;
+/// One timed mesh: side, slab cap, untimed and timed steps per mode, and
+/// the steps each mode runs before the other takes its turn.
+struct Mesh {
+    suffix: &'static str,
+    side: usize,
+    cap: Option<u64>,
+    warmup: usize,
+    timed: usize,
+    round: usize,
+}
+
+/// A cap that forces a narrow tile, so the bench exercises the streaming
+/// path rather than a whole-mesh slab.
+const CAPPED: Mesh =
+    Mesh { suffix: "", side: 48, cap: Some(2 << 20), warmup: 3, timed: 60, round: 10 };
+/// ROADMAP item 3's gate mesh at the default tile width.
+const LARGE: Mesh = Mesh { suffix: "_128", side: 128, cap: None, warmup: 2, timed: 10, round: 5 };
+
+/// The plane codec probe: steps before the wavefields are taken, reps.
+const PLANE_STEPS: usize = 30;
+const PLANE_REPS: usize = 15;
+
+/// Same-host reruns of the absolute records are noisy; the ratios gate.
+const ABSOLUTE_TOLERANCE: f64 = 10.0;
+/// A gated ratio may grow to `1/0.7` of the committed measurement.
+const RATIO_TOLERANCE: f64 = 1.0 / 0.7 - 1.0;
 
 /// The production step shape (as in `bench_checkpoint_overhead`, minus
-/// the §6.5 round trip, which the compressed-resident mode replaces).
-fn bench_config() -> SimConfig {
-    let mut cfg = SimConfig::new(Dims3::cube(SIDE), 100.0, WARMUP_STEPS + TIMED_STEPS);
+/// the §6.5 round trip, which the compressed-resident mode replaces), on
+/// the calling thread.
+fn bench_config(side: usize, steps: usize) -> SimConfig {
+    let mut cfg = SimConfig::new(Dims3::cube(side), 100.0, steps);
     cfg.options.sponge_width = 8;
     cfg.options.attenuation = true;
     cfg.options.nonlinear = true;
     cfg.sources = vec![PointSource {
-        ix: SIDE / 2,
-        iy: SIDE / 2,
-        iz: SIDE / 3,
+        ix: side / 2,
+        iy: side / 2,
+        iz: side / 3,
         moment: MomentTensor::double_couple(30.0, 80.0, 170.0, 3.0e14),
         stf: SourceTimeFunction::Triangle { onset: 0.02, duration: 0.3 },
     }];
-    cfg.stations = vec![Station { name: "probe".to_string(), ix: SIDE / 2 + 6, iy: SIDE / 2 + 6 }];
-    cfg.with_exec(ExecMode::Parallel)
+    cfg.stations = vec![Station { name: "probe".to_string(), ix: side / 2 + 6, iy: side / 2 + 6 }];
+    cfg.with_exec(ExecMode::Serial)
 }
 
 /// Time the two modes in interleaved rounds so slow drift lands evenly.
-fn time_variants() -> (Vec<Vec<f64>>, Vec<Simulation>) {
-    const ROUND: usize = 10;
+fn time_variants(mesh: &Mesh) -> (Vec<Vec<f64>>, Vec<Simulation>) {
     let model = LayeredModel::north_china();
     let mut sims: Vec<Simulation> = [ResidentMode::Full, ResidentMode::Compressed16]
         .into_iter()
         .map(|mode| {
-            let mut cfg = bench_config().with_resident(mode);
-            if mode == ResidentMode::Compressed16 {
-                cfg = cfg.with_memory_cap(MEMORY_CAP);
+            let mut cfg = bench_config(mesh.side, mesh.warmup + mesh.timed).with_resident(mode);
+            if let (ResidentMode::Compressed16, Some(cap)) = (mode, mesh.cap) {
+                cfg = cfg.with_memory_cap(cap);
             }
             let mut sim = Simulation::new(&model, &cfg).expect("valid bench config");
-            sim.run(WARMUP_STEPS);
+            sim.run(mesh.warmup);
             sim
         })
         .collect();
-    let mut samples = vec![Vec::with_capacity(TIMED_STEPS); sims.len()];
-    for _round in 0..TIMED_STEPS / ROUND {
+    let mut samples = vec![Vec::with_capacity(mesh.timed); sims.len()];
+    for _round in 0..mesh.timed / mesh.round {
         for (sim, out) in sims.iter_mut().zip(&mut samples) {
-            for _ in 0..ROUND {
+            for _ in 0..mesh.round {
                 let t0 = Instant::now();
                 sim.step();
                 out.push(t0.elapsed().as_secs_f64());
@@ -84,28 +123,27 @@ fn time_variants() -> (Vec<Vec<f64>>, Vec<Simulation>) {
     (samples, sims)
 }
 
-fn record(name: &str, samples: &[f64]) -> BenchRecord {
+fn record(name: String, samples: &[f64], elems: usize, host: &str) -> BenchRecord {
     let mut sorted = samples.to_vec();
     sorted.sort_by(f64::total_cmp);
     let n = sorted.len();
-    let median = swq_bench::median(&sorted);
     BenchRecord {
-        name: name.to_string(),
+        name,
         samples: n as u64,
-        median_s: median,
+        median_s: swq_bench::median(&sorted),
         mean_s: sorted.iter().sum::<f64>() / n as f64,
         min_s: sorted[0],
         max_s: sorted[n - 1],
-        throughput: (SIDE * SIDE * SIDE) as f64,
+        throughput: elems as f64,
         throughput_unit: "elements".to_string(),
-        tolerance: None,
-        host: None,
+        tolerance: Some(ABSOLUTE_TOLERANCE),
+        host: Some(host.to_string()),
     }
 }
 
-fn scalar_record(name: &str, value: f64, samples: u64) -> BenchRecord {
+fn ratio_record(name: String, value: f64, samples: u64) -> BenchRecord {
     BenchRecord {
-        name: name.to_string(),
+        name,
         samples,
         median_s: value,
         mean_s: value,
@@ -113,65 +151,122 @@ fn scalar_record(name: &str, value: f64, samples: u64) -> BenchRecord {
         max_s: value,
         throughput: 1.0,
         throughput_unit: "ratio".to_string(),
-        tolerance: None,
+        tolerance: Some(RATIO_TOLERANCE),
         host: None,
     }
 }
 
-fn main() {
-    let mut args = std::env::args().skip(1);
-    let path = args.next().unwrap_or_else(|| "BENCH_resident_new.json".to_string());
-    swq_bench::pin_pool(args.next());
-    println!(
-        "resident: {SIDE}^3 mesh, {TIMED_STEPS} timed steps per mode, {} worker threads, \
-         compressed16 slab cap {} MiB",
-        rayon::current_num_threads(),
-        MEMORY_CAP >> 20
-    );
-
-    let (samples, sims) = time_variants();
-    let full = record("resident/full", &samples[0]);
-    let compressed = record("resident/compressed16", &samples[1]);
-    let overhead = scalar_record(
-        "resident/compressed16_over_full",
-        compressed.mean_s / full.mean_s,
+/// The step-time and footprint records of one mesh, plus the two
+/// simulations (the caller reads the seismograms of the capped pair).
+fn mesh_records(mesh: &Mesh, host: &str) -> (Vec<BenchRecord>, Vec<Simulation>) {
+    let (samples, sims) = time_variants(mesh);
+    let cells = mesh.side.pow(3);
+    let sfx = mesh.suffix;
+    let full = record(format!("resident/full{sfx}"), &samples[0], cells, host);
+    let compressed = record(format!("resident/compressed16{sfx}"), &samples[1], cells, host);
+    let overhead = ratio_record(
+        format!("resident/compressed16_over_full{sfx}"),
+        compressed.median_s / full.median_s,
         compressed.samples,
     );
 
     // Footprint: full-mode dynamic f32 bytes (15 padded fields) vs the
     // compressed stores plus the bounded decode slab.
-    let full_dynamic: u64 = {
-        let s = &sims[0].state;
-        let fields = [&s.u, &s.v, &s.w, &s.xx, &s.yy, &s.zz, &s.xy, &s.xz, &s.yz];
-        let wave: u64 = fields.iter().map(|f| f.resident_bytes() as u64).sum();
-        wave + s.r.iter().map(|f| f.resident_bytes() as u64).sum::<u64>()
-    };
+    let full_dynamic: u64 = sims[0].state.dynamic().iter().map(|f| f.resident_bytes() as u64).sum();
     let compressed_dynamic = sims[1].resident_stored_bytes().expect("compressed mode")
         + sims[1].resident_working_set_bytes().expect("compressed mode");
-    let footprint = scalar_record(
-        "resident/footprint_ratio",
+    let footprint = ratio_record(
+        format!("resident/footprint_ratio{sfx}"),
         compressed_dynamic as f64 / full_dynamic as f64,
         1,
     );
-
-    let reference = &sims[0].seismo.seismograms()[0];
-    let misfit = sims[1].seismo.seismograms()[0].normalized_misfit(reference);
-    let misfit_rec = scalar_record("resident/seismogram_misfit", misfit, 1);
-
     println!(
-        "full {:.4} s/step, compressed16 {:.4} s/step ({:.2}x), footprint {:.3}x \
-         ({} -> {} dynamic bytes), seismogram misfit {:.3e}",
-        full.mean_s,
-        compressed.mean_s,
+        "{side}^3 ({tile}): full {:.4} s/step, compressed16 {:.4} s/step ({:.2}x), footprint \
+         {:.3}x ({full_dynamic} -> {compressed_dynamic} dynamic bytes)",
+        full.median_s,
+        compressed.median_s,
         overhead.median_s,
         footprint.median_s,
-        full_dynamic,
-        compressed_dynamic,
-        misfit
+        side = mesh.side,
+        tile = mesh.cap.map_or("default tile".to_string(), |c| format!("{} MiB slab", c >> 20)),
     );
+    (vec![full, compressed, overhead, footprint], sims)
+}
+
+/// Encode and decode every padded plane of the nine wavefields of a
+/// full-mode run at step [`PLANE_STEPS`], each under its Fig. 5d codec:
+/// `(encode seconds, decode seconds, values)` per pass, medians over
+/// [`PLANE_REPS`] interleaved passes.
+fn plane_codec_times() -> (f64, f64, usize) {
+    let model = LayeredModel::north_china();
+    let mut sim = Simulation::new(&model, &bench_config(CAPPED.side, PLANE_STEPS))
+        .expect("valid bench config");
+    sim.run(PLANE_STEPS);
+    let dynamic = sim.state.dynamic();
+    let fields = &dynamic[..COMPRESSED_FIELDS.len()];
+    let mut stores: Vec<ResidentField3> = COMPRESSED_FIELDS
+        .iter()
+        .zip(fields)
+        .map(|(name, f)| {
+            ResidentField3::from_field(f, Codec::paper_assignment(name, &FieldStats::empty()))
+        })
+        .collect();
+    let mut plane = vec![0.0f32; stores[0].plane_len()];
+    let (mut encode, mut decode) = (Vec::new(), Vec::new());
+    for _ in 0..PLANE_REPS {
+        let t0 = Instant::now();
+        for (store, f) in stores.iter_mut().zip(fields) {
+            for p in 0..store.plane_count() {
+                black_box(store.encode_plane(p, f.plane(p)));
+            }
+        }
+        encode.push(t0.elapsed().as_secs_f64());
+        let t1 = Instant::now();
+        for store in &stores {
+            for p in 0..store.plane_count() {
+                store.decode_plane_into(p, &mut plane);
+                black_box(&plane);
+            }
+        }
+        decode.push(t1.elapsed().as_secs_f64());
+    }
+    encode.sort_by(f64::total_cmp);
+    decode.sort_by(f64::total_cmp);
+    let values = fields.iter().map(|f| f.raw().len()).sum();
+    (swq_bench::median(&encode), swq_bench::median(&decode), values)
+}
+
+fn main() {
+    let mut args = std::env::args().skip(1);
+    let path = args.next().unwrap_or_else(|| "BENCH_resident_new.json".to_string());
+    let threads = swq_bench::pin_pool(args.next());
+    let host = HostFingerprint::detect(threads as u64).id();
+    println!("resident: {threads} worker threads, host {host}");
 
     let mut report = BenchReport::new();
-    report.records = vec![full, compressed, overhead, footprint, misfit_rec];
+    let (records, sims) = mesh_records(&CAPPED, &host);
+    report.records.extend(records);
+    let reference = &sims[0].seismo.seismograms()[0];
+    let misfit = sims[1].seismo.seismograms()[0].normalized_misfit(reference);
+    println!("seismogram misfit {misfit:.3e}");
+    drop(sims);
+    report.records.extend(mesh_records(&LARGE, &host).0);
+
+    let (encode_s, decode_s, values) = plane_codec_times();
+    println!(
+        "plane codec on {values} values: encode {:.0} Melem/s, decode {:.0} Melem/s ({:.2}x)",
+        values as f64 / encode_s / 1e6,
+        values as f64 / decode_s / 1e6,
+        encode_s / decode_s
+    );
+    report.records.push(ratio_record(
+        "resident/plane_encode_over_decode".to_string(),
+        encode_s / decode_s,
+        PLANE_REPS as u64,
+    ));
+    report.records.push(ratio_record("resident/seismogram_misfit".to_string(), misfit, 1));
+
+    let n = report.records.len();
     report.write_file(std::path::Path::new(&path)).expect("failed to write bench JSON");
-    println!("wrote {path} (5 records)");
+    println!("wrote {path} ({n} records)");
 }

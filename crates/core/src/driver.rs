@@ -1125,6 +1125,13 @@ impl Simulation {
         }
     }
 
+    /// Whether the health monitor will read the 16-bit round-trip error
+    /// statistics of the step now running (it samples the step that is
+    /// completing, so the count is one ahead).
+    fn compression_sampled(&self) -> bool {
+        self.health.as_ref().is_some_and(|m| m.wants_compression_sample(self.step_count + 1))
+    }
+
     /// The kernel sequence up to (not including) recording — split out so
     /// the multi-rank runner can interleave halo exchanges.
     fn step_interior(&mut self) {
@@ -1139,6 +1146,9 @@ impl Simulation {
         let tel = self.telemetry.clone();
         if let Some(mut engine) = self.resident.take() {
             engine.begin_step();
+            if self.compression_sampled() {
+                engine.sample_encode_errors();
+            }
             {
                 let _p = tel.phase("velocity");
                 let _k = pscope(&self.perf, "dvelc");
@@ -1245,11 +1255,7 @@ impl Simulation {
                 tel.add("compress.codec_rebuilds", rebuilds);
                 tel.add("compress.codec_reuses", calibrating.len() as u64 - rebuilds);
             }
-            // The health monitor samples the step that is completing.
-            let health_sampling = self
-                .health
-                .as_ref()
-                .is_some_and(|m| m.wants_compression_sample(self.step_count + 1));
+            let health_sampling = self.compression_sampled();
             let t0 = Instant::now();
             let work: Vec<(&mut [f32], &Codec)> = self
                 .state

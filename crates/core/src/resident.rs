@@ -5,13 +5,13 @@
 //! arrays (9 wavefields + 6 attenuation memory variables) by keeping them
 //! in [`ResidentField3`] stores — one calibrated codec per x-plane — and
 //! never materializing a full f32 copy. Every step phase runs as a sweep
-//! over column tiles: decode the tile (plus a two-column stencil skirt)
-//! into a reusable slab [`SolverState`], run the *unchanged* region
-//! kernels on the core columns (calling-thread iteration of the one body
-//! per kernel), and re-encode only the planes the phase
-//! updated. The slab is the only f32 working set, so a scenario whose f32
-//! wavefields exceed RAM (or a configured cap) still runs; the cap solves
-//! the tile width.
+//! over column tiles: decode the tile (plus the two columns each side
+//! that the x-stencils reach) into a reusable slab [`SolverState`], run
+//! the *unchanged* region kernels on the core columns (calling-thread
+//! iteration of the one body per kernel), and re-encode only the planes
+//! the phase updated. The slab is the only f32 working set, so a scenario
+//! whose f32 wavefields exceed RAM (or a configured cap) still runs; the
+//! cap solves the tile width.
 //!
 //! Correctness leans on two properties of the serial step, both pinned by
 //! tests:
@@ -124,6 +124,8 @@ pub struct ResidentEngine {
     dims: Dims3,
     tile_w: usize,
     step_stats: [EncodeStats; 15],
+    /// Whether this step's encodes also measure their round-trip error.
+    sample_errors: bool,
     perf: ResidentPerf,
 }
 
@@ -137,7 +139,8 @@ pub fn tile_width_for_cap(dims: Dims3, cap: Option<u64>) -> usize {
         Some(cap) => {
             let plane = ((dims.ny + 2 * H) * (dims.nz + 2 * H)) as u64;
             let per_column = (SLAB_FIELDS * 4) as u64 * plane;
-            // slab padded width = tile_w + 4·H (skirt + halo)
+            // slab padded width = tile_w + 4·H: the x-stencil reach (2·H
+            // planes, decoded) + the slab field's own x-halo (2·H, unread)
             (cap / per_column.max(1)).saturating_sub(4 * H as u64) as usize
         }
     };
@@ -163,6 +166,7 @@ impl ResidentEngine {
             dims,
             tile_w,
             step_stats: [EncodeStats::empty(); 15],
+            sample_errors: false,
             perf: ResidentPerf::default(),
         }
     }
@@ -200,9 +204,12 @@ impl ResidentEngine {
         fields.iter().chain(&s.dynamic()).map(|f| (f.raw().len() * 4) as u64).sum()
     }
 
-    /// Per-field round-trip statistics merged over every encode of the
+    /// Per-field encode statistics merged over every encode of the
     /// current step (reset by [`begin_step`](Self::begin_step)); pairs
-    /// with [`RESIDENT_FIELDS`].
+    /// with [`RESIDENT_FIELDS`]. `max_abs`, `count` and `nonfinite` come
+    /// from the calibration scan and are always filled; `max_err` and
+    /// `sum_sq_err` are zero unless the step was started with
+    /// [`sample_encode_errors`](Self::sample_encode_errors).
     pub fn step_stats(&self) -> impl Iterator<Item = (&'static str, EncodeStats)> + '_ {
         RESIDENT_FIELDS.iter().copied().zip(self.step_stats.iter().copied())
     }
@@ -216,7 +223,16 @@ impl ResidentEngine {
     /// Reset the per-step statistics; call once at the top of each step.
     pub fn begin_step(&mut self) {
         self.step_stats = [EncodeStats::empty(); 15];
+        self.sample_errors = false;
         self.perf = ResidentPerf::default();
+    }
+
+    /// Make the step just begun measure the round-trip error of every
+    /// plane it encodes (one extra decode per plane). The driver asks on
+    /// the steps whose statistics the health monitor will read; stored
+    /// codes and buckets do not depend on it.
+    pub fn sample_encode_errors(&mut self) {
+        self.sample_errors = true;
     }
 
     /// Decode one interior value of field `idx` (seismogram taps, PGV
@@ -378,13 +394,13 @@ impl ResidentEngine {
         let mut cells = 0u64;
         {
             let s = &mut self.slab;
-            // Stresses feed the velocity stencils: decode the whole slab
-            // (core + skirt), zero-filling past the grid edge.
+            // Stresses feed the velocity stencils: decode the core columns
+            // plus the H columns each side the x-stencils reach.
             for (store, f) in self.stores[3..9]
                 .iter()
                 .zip([&mut s.xx, &mut s.yy, &mut s.zz, &mut s.xy, &mut s.xz, &mut s.yz])
             {
-                cells += decode_window(store, f, w0);
+                cells += decode_window(store, f, w0, c0, c1);
             }
             // Velocities are read and written same-cell: core columns only.
             for (store, f) in self.stores[0..3].iter().zip([&mut s.u, &mut s.v, &mut s.w]) {
@@ -401,13 +417,14 @@ impl ResidentEngine {
 
         let t1 = Instant::now();
         let mut enc = 0u64;
+        let sample = self.sample_errors;
         let s = &self.slab;
         for ((store, f), stats) in self.stores[0..3]
             .iter_mut()
             .zip([&s.u, &s.v, &s.w])
             .zip(self.step_stats[0..3].iter_mut())
         {
-            enc += encode_core(store, f, w0, c0, c1, stats);
+            enc += encode_core(store, f, w0, c0, c1, sample, stats);
         }
         self.perf.encode_s += t1.elapsed().as_secs_f64();
         self.perf.encoded_cells += enc;
@@ -421,9 +438,9 @@ impl ResidentEngine {
         let mut cells = 0u64;
         {
             let s = &mut self.slab;
-            // Velocities feed the strain-rate stencils: whole-slab decode.
+            // Velocities feed the strain-rate stencils: core + reach.
             for (store, f) in self.stores[0..3].iter().zip([&mut s.u, &mut s.v, &mut s.w]) {
-                cells += decode_window(store, f, w0);
+                cells += decode_window(store, f, w0, c0, c1);
             }
             // Stresses and memory variables update same-cell: core only.
             for (store, f) in self.stores[3..9]
@@ -455,19 +472,20 @@ impl ResidentEngine {
 
         let t1 = Instant::now();
         let mut enc = 0u64;
+        let sample = self.sample_errors;
         let s = &self.slab;
         for ((store, f), stats) in self.stores[3..9]
             .iter_mut()
             .zip([&s.xx, &s.yy, &s.zz, &s.xy, &s.xz, &s.yz])
             .zip(self.step_stats[3..9].iter_mut())
         {
-            enc += encode_core(store, f, w0, c0, c1, stats);
+            enc += encode_core(store, f, w0, c0, c1, sample, stats);
         }
         if atten {
             for ((store, f), stats) in
                 self.stores[9..15].iter_mut().zip(s.r.iter()).zip(self.step_stats[9..15].iter_mut())
             {
-                enc += encode_core(store, f, w0, c0, c1, stats);
+                enc += encode_core(store, f, w0, c0, c1, sample, stats);
             }
         }
         self.perf.encode_s += t1.elapsed().as_secs_f64();
@@ -528,13 +546,14 @@ impl ResidentEngine {
 
         let t1 = Instant::now();
         let mut enc = 0u64;
+        let sample = self.sample_errors;
         let s = &self.slab;
         for ((store, f), stats) in self.stores[3..9]
             .iter_mut()
             .zip([&s.xx, &s.yy, &s.zz, &s.xy, &s.xz, &s.yz])
             .zip(self.step_stats[3..9].iter_mut())
         {
-            enc += encode_core(store, f, w0, c0, c1, stats);
+            enc += encode_core(store, f, w0, c0, c1, sample, stats);
         }
         if sponge {
             for ((store, f), stats) in self.stores[0..3]
@@ -542,7 +561,7 @@ impl ResidentEngine {
                 .zip([&s.u, &s.v, &s.w])
                 .zip(self.step_stats[0..3].iter_mut())
             {
-                enc += encode_core(store, f, w0, c0, c1, stats);
+                enc += encode_core(store, f, w0, c0, c1, sample, stats);
             }
             if atten {
                 for ((store, f), stats) in self.stores[9..15]
@@ -550,7 +569,7 @@ impl ResidentEngine {
                     .zip(s.r.iter())
                     .zip(self.step_stats[9..15].iter_mut())
                 {
-                    enc += encode_core(store, f, w0, c0, c1, stats);
+                    enc += encode_core(store, f, w0, c0, c1, sample, stats);
                 }
             }
         }
@@ -609,20 +628,18 @@ fn slab_state(main: &SolverState, tile_w: usize) -> SolverState {
     }
 }
 
-/// Decode every slab plane of `store` into `dst`, mapping slab padded
-/// plane `q` to global padded plane `q + w0` (zero-fill past the edge).
-/// Returns the number of values written.
-fn decode_window(store: &ResidentField3, dst: &mut Field3, w0: usize) -> u64 {
-    let planes = dst.raw().len() / dst.plane_len();
-    for q in 0..planes {
-        let g = q + w0;
-        if g < store.plane_count() {
-            store.decode_plane_into(g, dst.plane_mut(q));
-        } else {
-            dst.plane_mut(q).fill(0.0);
-        }
+/// Decode the slab planes the region kernels read when updating core
+/// columns `c0..c1`: the core and `H` columns each side, i.e. global
+/// padded planes `c0 .. c1 + 2·H` (all inside the grid's own padding)
+/// into slab padded planes `g − w0`. The slab field's outermost planes —
+/// its own x-halo, `2·H` of its `tile_w + 4·H` — are read by nothing and
+/// keep whatever an earlier tile left there. Returns the number of values
+/// decoded.
+fn decode_window(store: &ResidentField3, dst: &mut Field3, w0: usize, c0: usize, c1: usize) -> u64 {
+    for g in c0..c1 + 2 * H {
+        store.decode_plane_into(g, dst.plane_mut(g - w0));
     }
-    (planes * dst.plane_len()) as u64
+    ((c1 - c0 + 2 * H) * dst.plane_len()) as u64
 }
 
 /// Decode only the core interior planes `c0..c1` (global column indices).
@@ -634,23 +651,31 @@ fn decode_core(store: &ResidentField3, dst: &mut Field3, w0: usize, c0: usize, c
 }
 
 /// Re-encode the core interior planes `c0..c1` from the slab, folding the
-/// round-trip statistics into `stats`. Returns the number of values read.
+/// encode statistics into `stats` — with the round-trip errors when
+/// `sample`. Returns the number of values read.
 fn encode_core(
     store: &mut ResidentField3,
     src: &Field3,
     w0: usize,
     c0: usize,
     c1: usize,
+    sample: bool,
     stats: &mut EncodeStats,
 ) -> u64 {
     for x in c0..c1 {
-        stats.merge(&store.encode_plane(x + H, src.plane(x - w0 + H)));
+        let plane = src.plane(x - w0 + H);
+        stats.merge(&if sample {
+            store.encode_plane_sampled(x + H, plane)
+        } else {
+            store.encode_plane(x + H, plane)
+        });
     }
     ((c1 - c0) * src.plane_len()) as u64
 }
 
 /// Copy the core interior planes of a pointwise-read material array into
-/// the slab (stale skirt columns are never read by the region kernels).
+/// the slab (stale columns outside the core are never read by the region
+/// kernels).
 fn copy_core(dst: &mut Field3, src: &Field3, w0: usize, c0: usize, c1: usize) {
     dst.copy_planes_from(src, c0 + H, c0 - w0 + H, c1 - c0);
 }

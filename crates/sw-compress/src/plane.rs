@@ -19,7 +19,7 @@
 use crate::calib::{max_abs_bucket, CodecCache};
 use crate::field::Codec;
 use crate::stats::unbiased_exponent;
-use crate::Codec16;
+use crate::{select, Codec16, F32_INF};
 use sw_grid::{Dims3, Field3};
 
 /// Binade bucket of a single value (`i32::MIN` = zero; nonfinite values
@@ -93,6 +93,46 @@ impl EncodeStats {
             (self.sum_sq_err / self.count as f64).sqrt() as f32
         }
     }
+}
+
+/// Lanes of the calibration scan (two SSE2 registers of `u32`).
+const SCAN_LANES: usize = 8;
+
+/// The calibration scan: `(largest finite |v|, number of nonfinite v)`.
+///
+/// One branch-free lane body on the value's bit pattern — clear the
+/// sign, compare against +Inf, select, integer max, integer count.
+/// Finite magnitudes order as their bit patterns do, and max and count
+/// are order-independent, so the lanes return exactly what a carried
+/// scalar loop returns (`tests/oracle/` keeps that loop;
+/// `tests/codec_lanes.rs` pins the two together), and — like the codecs'
+/// subnormal rule — the result does not depend on the thread's
+/// flush-to-zero mode.
+pub fn finite_max_abs(src: &[f32]) -> (f32, u64) {
+    #[inline(always)]
+    fn lane(v: f32, max: &mut u32, nonfinite: &mut u32) {
+        let mag = v.to_bits() & 0x7fff_ffff;
+        let finite = mag < F32_INF;
+        *max = (*max).max(select(finite, mag, 0));
+        *nonfinite += u32::from(!finite);
+    }
+    let mut max = [0u32; SCAN_LANES];
+    let mut total = 0u64;
+    // u32 lane counters cannot wrap within a block this short.
+    for block in src.chunks(1 << 20) {
+        let mut nonfinite = [0u32; SCAN_LANES];
+        let (rows, tail) = block.as_chunks::<SCAN_LANES>();
+        for row in rows {
+            for ((&v, max), nonfinite) in row.iter().zip(&mut max).zip(&mut nonfinite) {
+                lane(v, max, nonfinite);
+            }
+        }
+        for &v in tail {
+            lane(v, &mut max[0], &mut nonfinite[0]);
+        }
+        total += nonfinite.iter().map(|&n| u64::from(n)).sum::<u64>();
+    }
+    (f32::from_bits(max.into_iter().max().unwrap_or(0)), total)
 }
 
 /// Values decoded per block of the encode statistics pass (stays in L1
@@ -229,22 +269,33 @@ impl ResidentField3 {
     }
 
     /// Encode `src` as padded plane `p`, calibrating the codec from the
-    /// plane's own max-abs. Returns the round-trip statistics of the
-    /// plane so the caller can fold them into the per-field health feed.
+    /// plane's own max-abs. The returned statistics hold what the
+    /// calibration scan saw (`max_abs`, `count`, `nonfinite`); the two
+    /// error fields stay zero — measuring them costs a decode of the
+    /// plane, see [`encode_plane_sampled`](Self::encode_plane_sampled).
     pub fn encode_plane(&mut self, p: usize, src: &[f32]) -> EncodeStats {
-        let scan = Self::finite_max_abs(src);
+        let scan = finite_max_abs(src);
         self.encode_scanned_plane(p, src, max_abs_bucket(scan.0), scan)
+    }
+
+    /// [`encode_plane`](Self::encode_plane) plus the round-trip error
+    /// statistics of the plane, for the steps whose statistics the health
+    /// monitor consumes. The stored codes, bucket and `plane_max` are the
+    /// ones `encode_plane` leaves.
+    pub fn encode_plane_sampled(&mut self, p: usize, src: &[f32]) -> EncodeStats {
+        let mut stats = self.encode_plane(p, src);
+        (stats.max_err, stats.sum_sq_err) = self.roundtrip_errors(p, src);
+        stats
     }
 
     /// Encode `src` as padded plane `p` under an explicit bucket (restore
     /// path, and the escalation arm of [`apply_adds`](Self::apply_adds)).
-    pub fn encode_plane_with_bucket(&mut self, p: usize, src: &[f32], bucket: i32) -> EncodeStats {
-        self.encode_scanned_plane(p, src, bucket, Self::finite_max_abs(src))
+    pub fn encode_plane_with_bucket(&mut self, p: usize, src: &[f32], bucket: i32) {
+        self.encode_scanned_plane(p, src, bucket, finite_max_abs(src));
     }
 
-    /// The one plane encoder: [`Codec16::encode_slice`] into the store,
-    /// then one statistics pass that decodes the fresh codes block by
-    /// block and folds the errors in element order.
+    /// The one plane encoder: [`Codec16::encode_slice`] into the store
+    /// under `bucket`'s calibrated codec.
     fn encode_scanned_plane(
         &mut self,
         p: usize,
@@ -255,15 +306,27 @@ impl ResidentField3 {
         assert_eq!(src.len(), self.plane_len(), "plane length mismatch");
         let codec = self.cache.get(bucket);
         let range = self.plane_range(p);
-        let codes = &mut self.data[range];
-        codec.encode_slice(src, codes);
-        let mut stats = EncodeStats {
+        codec.encode_slice(src, &mut self.data[range]);
+        self.plane_codecs[p] = codec;
+        self.plane_buckets[p] = bucket;
+        self.plane_max[p] = max_abs;
+        EncodeStats {
             max_abs,
             max_err: 0.0,
             sum_sq_err: 0.0,
             count: src.len() as u64 - nonfinite,
             nonfinite,
-        };
+        }
+    }
+
+    /// `(max_err, sum_sq_err)` of stored plane `p` against `src`, the
+    /// values it was encoded from: decodes the codes block by block and
+    /// folds the errors in element order (one f64 chain, so the sum is a
+    /// fixed function of the plane).
+    fn roundtrip_errors(&self, p: usize, src: &[f32]) -> (f32, f64) {
+        let codec = self.plane_codecs[p];
+        let codes = &self.data[self.plane_range(p)];
+        let (mut max_err, mut sum_sq_err) = (0.0f32, 0.0f64);
         let mut decoded = [0.0f32; STATS_BLOCK];
         for (vs, cs) in src.chunks(STATS_BLOCK).zip(codes.chunks(STATS_BLOCK)) {
             let ds = &mut decoded[..vs.len()];
@@ -272,28 +335,11 @@ impl ResidentField3 {
                 // Nonfinite values contribute a zero error (adding 0.0
                 // leaves both accumulators unchanged, bit for bit).
                 let err = if v.is_finite() { (d - v).abs() } else { 0.0 };
-                stats.max_err = stats.max_err.max(err);
-                stats.sum_sq_err += (err as f64) * (err as f64);
+                max_err = max_err.max(err);
+                sum_sq_err += (err as f64) * (err as f64);
             }
         }
-        self.plane_codecs[p] = codec;
-        self.plane_buckets[p] = bucket;
-        self.plane_max[p] = max_abs;
-        stats
-    }
-
-    fn finite_max_abs(src: &[f32]) -> (f32, u64) {
-        let mut max = 0.0f32;
-        let mut nonfinite = 0u64;
-        for &v in src {
-            let a = v.abs();
-            if a.is_finite() {
-                max = max.max(a);
-            } else {
-                nonfinite += 1;
-            }
-        }
-        (max, nonfinite)
+        (max_err, sum_sq_err)
     }
 
     #[inline(always)]
@@ -483,7 +529,7 @@ mod tests {
         let mut r = ResidentField3::new(d, 2, bases()[1]);
         let mut total = EncodeStats::empty();
         for p in 0..r.plane_count() {
-            total.merge(&r.encode_plane(p, f.plane(p)));
+            total.merge(&r.encode_plane_sampled(p, f.plane(p)));
         }
         assert_eq!(total.count, (r.plane_count() * r.plane_len()) as u64);
         assert_eq!(total.nonfinite, 0);
@@ -502,7 +548,7 @@ mod tests {
         let mut r = ResidentField3::new(d, 2, bases()[0]);
         let mut total = EncodeStats::empty();
         for p in 0..r.plane_count() {
-            total.merge(&r.encode_plane(p, f.plane(p)));
+            total.merge(&r.encode_plane_sampled(p, f.plane(p)));
         }
         assert_eq!(total.nonfinite, 2);
         assert!((total.max_abs - 0.25).abs() < 1e-7);

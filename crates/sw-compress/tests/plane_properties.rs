@@ -77,7 +77,7 @@ fn encode_one_plane(base: Codec, values: &[f32]) -> (ResidentField3, EncodeStats
     }
     let mut r = ResidentField3::new(d, 2, base);
     let p = 2; // first interior plane (halo = 2)
-    let stats = r.encode_plane(p, f.plane(p));
+    let stats = r.encode_plane_sampled(p, f.plane(p));
     (r, stats, p)
 }
 
@@ -279,6 +279,53 @@ fn resident_plane_path_agrees_bitwise_with_whole_field_decode() {
                     assert_eq!(r.get(x, y, z).to_bits(), whole.get(x, y, z).to_bits());
                 }
             }
+        }
+    }
+}
+
+/// The error statistics are a read-only pass over what the calibrating
+/// encode stored: a plane encoded with and without them has identical
+/// codes, bucket and `plane_max`, the scan half of the statistics is
+/// the same either way, and only the sampled encode fills the errors.
+#[test]
+fn error_statistics_never_change_what_is_stored() {
+    let mut rng = Rng::new(0x0b5e_55ed_c0de);
+    let d = Dims3::new(3, 7, 37);
+    for trial in 0..40 {
+        let scale = 2.0f32.powi(rng.int(-60, 40));
+        let mut f = Field3::new(d, 2);
+        for v in f.raw_mut() {
+            *v = rng.uniform() * scale;
+        }
+        if trial % 4 == 0 {
+            f.set(1, 2, 3, f32::NAN);
+            f.set(2, 6, 36, f32::NEG_INFINITY);
+        }
+        for (family, base) in bases() {
+            let mut plain = ResidentField3::new(d, 2, base);
+            let mut sampled = ResidentField3::new(d, 2, base);
+            let mut any_error = false;
+            for p in 0..plain.plane_count() {
+                let a = plain.encode_plane(p, f.plane(p));
+                let b = sampled.encode_plane_sampled(p, f.plane(p));
+                assert_eq!(
+                    (a.max_abs.to_bits(), a.count, a.nonfinite),
+                    (b.max_abs.to_bits(), b.count, b.nonfinite),
+                    "{family} trial {trial} plane {p}: scan"
+                );
+                assert_eq!((a.max_err, a.sum_sq_err), (0.0, 0.0), "{family}: unsampled errors");
+                any_error |= b.max_err > 0.0 && b.sum_sq_err > 0.0;
+            }
+            assert!(any_error, "{family} trial {trial}: the sampled encode measured nothing");
+            assert_eq!(plain, sampled, "{family} trial {trial}: codes / buckets");
+            let bits = |r: &ResidentField3| -> Vec<u32> {
+                r.plane_max().iter().map(|m| m.to_bits()).collect()
+            };
+            assert_eq!(bits(&plain), bits(&sampled), "{family} trial {trial}: plane_max");
+            // Construction and restore take the unsampled path.
+            let built = ResidentField3::from_field(&f, base);
+            assert_eq!(built, plain, "{family} trial {trial}: from_field");
+            assert_eq!(bits(&built), bits(&plain), "{family} trial {trial}: from_field plane_max");
         }
     }
 }

@@ -490,3 +490,70 @@ fn max_abs_folds_match_the_carried_fold() {
         }
     }
 }
+
+/// The resident store's calibration scan is a lane body; the carried
+/// scalar loop it replaced is the oracle. Pinned on `(max_abs bits,
+/// nonfinite count)` over seeded planes salted with NaN, ±Inf, −0.0 and
+/// subnormals, at every length 0..=67 (whole lane rows, every tail
+/// length) and a few plane-sized ones, plus the all-nonfinite, all-zero
+/// and all-subnormal planes.
+#[test]
+fn the_calibration_scan_matches_the_carried_scalar_scan() {
+    use swquake::compress::plane::finite_max_abs;
+    let pin = |plane: &[f32], what: &str| {
+        let (lane_max, lane_bad) = finite_max_abs(plane);
+        let (max, bad) = oracle::finite_max_abs(plane);
+        assert_eq!((lane_max.to_bits(), lane_bad), (max.to_bits(), bad), "{what}");
+    };
+    let specials = [
+        f32::NAN,
+        -f32::NAN,
+        f32::INFINITY,
+        f32::NEG_INFINITY,
+        -0.0,
+        0.0,
+        1.0e-40,
+        -7.0e-42,
+        f32::from_bits(1),
+        f32::MIN_POSITIVE,
+        f32::MAX,
+        -f32::MAX,
+    ];
+    let mut state = 0x5eed_1234_abcd_ef01u64;
+    let mut next = move || {
+        state ^= state << 13;
+        state ^= state >> 7;
+        state ^= state << 17;
+        state
+    };
+    for len in (0..=67).chain([64 * 64, 52 * 52 + 3, (1 << 20) + 9]) {
+        for salt in [0u64, 3, 11] {
+            let scale = 2.0f32.powi((next() % 200) as i32 - 120);
+            let plane: Vec<f32> = (0..len)
+                .map(|_| {
+                    let r = next();
+                    if salt != 0 && r % salt == 0 {
+                        specials[(r >> 32) as usize % specials.len()]
+                    } else {
+                        ((r >> 40) as f32 / (1u64 << 23) as f32 * 2.0 - 1.0) * scale
+                    }
+                })
+                .collect();
+            pin(&plane, &format!("len {len} salt {salt}"));
+        }
+    }
+    for len in [1usize, 7, 8, 9, 67] {
+        pin(&vec![f32::NAN; len], "all NaN");
+        pin(&vec![f32::NEG_INFINITY; len], "all -Inf");
+        pin(&vec![-0.0; len], "all -0.0");
+        pin(&vec![-3.0e-41; len], "all subnormal");
+    }
+    // Every lane position, alone: the maximum and the bad value are found
+    // wherever they sit.
+    for i in 0..19 {
+        let mut plane = vec![0.25f32; 19];
+        plane[i] = -8.0;
+        plane[(i + 5) % 19] = f32::NAN;
+        pin(&plane, &format!("peak at {i}"));
+    }
+}

@@ -46,6 +46,24 @@ pub fn max_abs_carried(f: &sw_grid::Field3) -> f32 {
     m
 }
 
+/// The resident store's plane calibration scan as it was before it
+/// became a lane body: a carried `max` behind a branch, one value at a
+/// time. `sw_compress::plane::finite_max_abs` must return the same
+/// `(max_abs bits, nonfinite)` for every plane.
+pub fn finite_max_abs(src: &[f32]) -> (f32, u64) {
+    let mut max = 0.0f32;
+    let mut nonfinite = 0u64;
+    for &v in src {
+        let a = v.abs();
+        if a.is_finite() {
+            max = max.max(a);
+        } else {
+            nonfinite += 1;
+        }
+    }
+    (max, nonfinite)
+}
+
 fn is_subnormal_or_zero(v: f32) -> bool {
     v.to_bits() & 0x7f80_0000 == 0
 }

@@ -15,12 +15,21 @@
 //!   both directions;
 //! * **The cap holds** — a mesh whose f32 footprint is >= 2x the
 //!   configured cap still runs end-to-end with the decode slab under
-//!   the cap, gauged and health-gated.
+//!   the cap, gauged and health-gated;
+//! * **Statistics are free when unread** — the round-trip error pass
+//!   runs only on the steps the health monitor samples, changes no
+//!   stored bit, and on those steps reports what an engine that runs it
+//!   on every step reports.
 
+use swquake::compress::EncodeStats;
 use swquake::core::driver::run_multirank;
-use swquake::core::{ConfigError, ExecMode, ResidentMode, RunError, SimConfig, Simulation};
+use swquake::core::exec::kernel_fp_env;
+use swquake::core::resident::{ResidentEngine, RESIDENT_FIELDS};
+use swquake::core::{
+    ConfigError, ExecMode, ResidentMode, RunError, SimConfig, Simulation, SolverState,
+};
 use swquake::grid::Dims3;
-use swquake::health::HealthConfig;
+use swquake::health::{BudgetTracker, CompressionSample, HealthConfig};
 use swquake::io::Station;
 use swquake::model::LayeredModel;
 use swquake::parallel::RankGrid;
@@ -183,8 +192,8 @@ fn full_mode_is_bitwise_unchanged_by_resident_knobs() {
 fn over_cap_scenario_completes_with_bounded_working_set() {
     pin_pool();
     // A taller mesh than the tier tests use: the cap must leave room
-    // for the slab's fixed 4H-plane skirt while staying under half the
-    // f32 footprint.
+    // for the slab's fixed 4H planes (stencil reach + the slab field's
+    // own x-halo) while staying under half the f32 footprint.
     let mut cfg = production_config().with_exec(ExecMode::Parallel);
     cfg.dims = Dims3::new(40, 36, 20);
     let reference = run_cfg(&cfg);
@@ -231,6 +240,94 @@ fn health_budget_gate_passes_under_compressed16() {
     assert!(report.checks > 0, "no health checks ran");
     assert!(!report.records.is_empty(), "no probes recorded");
     assert!(!report.budget.is_empty(), "no budget ledger entries");
+}
+
+/// One engine step as the driver sequences it, at simulated time `t`.
+fn engine_step(engine: &mut ResidentEngine, main: &mut SolverState, cfg: &SimConfig, t: f64) {
+    engine.velocity_sweep(main);
+    engine.stress_sweep(main);
+    engine.inject_sources(main, &cfg.sources, t);
+    engine.plastic_sponge_sweep(main);
+}
+
+/// The round-trip error pass rides only the sampled steps and is
+/// bit-neutral. Three compressed16 runs of one scenario — no health
+/// monitor, a monitor at stride 3, and a hand-driven engine that samples
+/// every step (what every encode did before the pass became optional) —
+/// end with identical stores and seismograms; a hand-driven engine
+/// sampling every third step reports on those steps exactly the
+/// statistics of the always-on one (bitwise, `sum_sq_err` included) and
+/// zero errors around the same scan on the others; and the monitored
+/// run's budget ledger is the always-on statistics of the stride steps,
+/// so the driver asks for the pass on exactly the steps it reads.
+#[test]
+fn error_statistics_ride_only_the_sampled_steps() {
+    pin_pool();
+    const STRIDE: u64 = 3;
+    let cfg = production_config()
+        .with_exec(ExecMode::Serial)
+        .with_resident(ResidentMode::Compressed16)
+        .with_memory_cap(1 << 20);
+    let plain = run_cfg(&cfg);
+    let health = HealthConfig::default().with_stride(STRIDE);
+    let budget = health.compression_budget;
+    let monitored = run_cfg(&cfg.clone().with_health(health));
+    assert_compressed_identical(&plain, &monitored, "no health vs --health-stride 3");
+
+    let model = LayeredModel::north_china();
+    let _fp = kernel_fp_env();
+    let mut main = SolverState::from_model(&model, cfg.dims, cfg.dx, cfg.origin, cfg.options);
+    let mut main_sparse = main.clone();
+    let mut always = ResidentEngine::new(&main, cfg.memory_cap_bytes);
+    let mut sparse = ResidentEngine::new(&main_sparse, cfg.memory_cap_bytes);
+    let mut ledger = BudgetTracker::new(budget);
+    let bits = |s: &EncodeStats| {
+        (s.max_abs.to_bits(), s.max_err.to_bits(), s.sum_sq_err.to_bits(), s.count, s.nonfinite)
+    };
+    let mut t = 0.0f64;
+    let mut measured = 0;
+    for step in 1..=cfg.steps as u64 {
+        let sampled = step % STRIDE == 0;
+        always.begin_step();
+        always.sample_encode_errors();
+        engine_step(&mut always, &mut main, &cfg, t);
+        sparse.begin_step();
+        if sampled {
+            sparse.sample_encode_errors();
+        }
+        engine_step(&mut sparse, &mut main_sparse, &cfg, t);
+        t += main.dt;
+        for ((name, a), (_, b)) in always.step_stats().zip(sparse.step_stats()) {
+            if sampled {
+                assert_eq!(bits(&a), bits(&b), "step {step} {name}: sampled statistics");
+                if a.count > 0 || a.nonfinite > 0 {
+                    measured += u32::from(a.sum_sq_err > 0.0);
+                    ledger.record(
+                        name,
+                        CompressionSample {
+                            max_abs_err: f64::from(a.max_err),
+                            sum_sq_err: a.sum_sq_err,
+                            count: a.count,
+                            max_abs_value: f64::from(a.max_abs),
+                        },
+                    );
+                }
+            } else {
+                let scan_only = EncodeStats { max_err: 0.0, sum_sq_err: 0.0, ..a };
+                assert_eq!(bits(&scan_only), bits(&b), "step {step} {name}: unsampled statistics");
+            }
+        }
+    }
+    assert!(measured > 0, "the sampled steps measured no round-trip error at all");
+    let ckpt = plain.make_checkpoint();
+    for (idx, name) in RESIDENT_FIELDS.iter().enumerate() {
+        let (_, stored) = ckpt.fields.iter().find(|(n, _)| n == name).expect("resident field");
+        assert_eq!(always.to_field(idx).raw(), stored.raw(), "always-on engine: field {name}");
+        assert_eq!(sparse.to_field(idx).raw(), stored.raw(), "sparse engine: field {name}");
+    }
+    assert_eq!(always.sidecar().raw(), sparse.sidecar().raw(), "plane buckets");
+    let report = monitored.health().expect("monitor attached");
+    assert_eq!(report.budget, ledger.fields(), "budget ledger of the monitored run");
 }
 
 /// Checkpoints cross the resident-mode boundary in both directions: a
