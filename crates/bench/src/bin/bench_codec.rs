@@ -15,7 +15,14 @@
 //!   ratio, carrying its own tolerance of `1/0.7 − 1`: `bench-diff`
 //!   against the committed `BENCH_codec.json` fails when the lane body's
 //!   advantage over the oracle drops below 0.7× the committed
-//!   measurement — which is what a lost vectorization looks like.
+//!   measurement — which is what a lost vectorization looks like;
+//! * `codec/<codec>/<op>/wide_over_baseline` — the lane body dispatched
+//!   to the host's lane tier over the same body under the baseline cap
+//!   (`swq_bench::wide_over_baseline`; stamped with the tier): 1.0 means
+//!   the body no longer inlines into `sw_grid::simd::wide`.
+//!
+//! Every tier the host offers is timed and printed; `lanes` is the
+//! dispatched one.
 //!
 //! Usage: `bench_codec [out.json] [threads]` (defaults:
 //! `BENCH_codec_new.json`, `min(cores, 4)`; the passes themselves run on
@@ -29,6 +36,7 @@ use std::time::Instant;
 
 use oracle::{AdaptiveOracle, NormOracle, Oracle};
 use sw_compress::{calibrated_codec, max_abs_bucket, AdaptiveCodec, Codec, Codec16, FieldStats};
+use sw_grid::simd::{per_tier, LaneTier};
 use sw_grid::{Dims3, Field3};
 use sw_telemetry::bench::{BenchRecord, BenchReport};
 use sw_telemetry::perf::HostFingerprint;
@@ -39,9 +47,6 @@ const REPS: usize = 15;
 
 /// Same-host reruns of the absolute records are noisy; the ratios gate.
 const ABSOLUTE_TOLERANCE: f64 = 10.0;
-/// The lanes-over-oracle time ratio may grow to `1/0.7` of the committed
-/// measurement (the speed-up may shrink to 0.7× of it).
-const RATIO_TOLERANCE: f64 = 1.0 / 0.7 - 1.0;
 
 /// A wavefield-shaped array: a quiescent tenth, then noise whose
 /// magnitude decays over 24 binades below a peak of 0.03 (so every
@@ -88,30 +93,40 @@ fn record(name: String, samples: &[f64], elems: usize, host: &str) -> BenchRecor
     }
 }
 
-/// The `lanes`, `oracle` and `lanes_over_oracle` records of one pairing.
-fn pair(what: &str, lanes: &[f64], oracle: &[f64], elems: usize, host: &str) -> [BenchRecord; 3] {
-    let lanes = record(format!("codec/{what}/lanes"), lanes, elems, host);
+/// The `lanes`, `oracle`, `lanes_over_oracle` and `wide_over_baseline`
+/// records of one pairing; `tiers` holds the lane body's samples under
+/// each tier, baseline first and the dispatched tier last.
+fn pair(
+    what: &str,
+    tiers: &[(LaneTier, Vec<f64>)],
+    oracle: &[f64],
+    elems: usize,
+    host: &str,
+) -> [BenchRecord; 4] {
+    let melem = |s: f64| elems as f64 / s / 1e6;
+    let (_, dispatched) = tiers.last().expect("the baseline tier always runs");
+    let lanes = record(format!("codec/{what}/lanes"), dispatched, elems, host);
     let oracle = record(format!("codec/{what}/oracle"), oracle, elems, host);
     let ratio = lanes.median_s / oracle.median_s;
+    let tier_rates: Vec<String> = tiers
+        .iter()
+        .map(|(tier, samples)| format!("{tier} {:6.0}", melem(swq_bench::median_of(samples))))
+        .collect();
     println!(
-        "{what:20} lanes {:7.0} Melem/s   oracle {:7.0} Melem/s   ({:.1}x)",
-        elems as f64 / lanes.median_s / 1e6,
-        elems as f64 / oracle.median_s / 1e6,
+        "{what:20} lanes {} Melem/s   oracle {:6.0} Melem/s   ({:.1}x)",
+        tier_rates.join("  "),
+        melem(oracle.median_s),
         1.0 / ratio
     );
-    let ratio = BenchRecord {
-        name: format!("codec/{what}/lanes_over_oracle"),
-        samples: lanes.samples,
-        median_s: ratio,
-        mean_s: ratio,
-        min_s: ratio,
-        max_s: ratio,
-        throughput: 1.0,
-        throughput_unit: "ratio".to_string(),
-        tolerance: Some(RATIO_TOLERANCE),
-        host: None,
-    };
-    [lanes, oracle, ratio]
+    let wide = swq_bench::wide_over_baseline(
+        &format!("codec/{what}"),
+        lanes.median_s,
+        swq_bench::median_of(&tiers[0].1),
+        lanes.samples,
+    );
+    let ratio =
+        swq_bench::ratio_record(format!("codec/{what}/lanes_over_oracle"), ratio, lanes.samples);
+    [lanes, oracle, ratio, wide]
 }
 
 fn main() {
@@ -123,7 +138,10 @@ fn main() {
     let field = wavefield();
     let src = field.raw();
     let n = src.len();
-    println!("codec: {n} elements ({SIDE}^3 + halo {HALO}), {REPS} passes, one thread");
+    println!(
+        "codec: {n} elements ({SIDE}^3 + halo {HALO}), {REPS} passes, one thread, lane tier {}",
+        LaneTier::detected()
+    );
 
     // The calibrated codecs the driver and the resident store would pick.
     let bucket = max_abs_bucket(field.max_abs());
@@ -146,7 +164,8 @@ fn main() {
     let mut codes = vec![0u16; n];
     let mut out = vec![0.0f32; n];
     for (name, codec, oracle) in &codecs {
-        let lanes = time(|| (), || codec.encode_slice(black_box(src), black_box(&mut codes)));
+        let lanes =
+            per_tier(|_| time(|| (), || codec.encode_slice(black_box(src), black_box(&mut codes))));
         let scalar = time(
             || (),
             || {
@@ -158,7 +177,9 @@ fn main() {
         report.records.extend(pair(&format!("{name}/encode"), &lanes, &scalar, n, &host));
 
         let coded = codes.clone();
-        let lanes = time(|| (), || codec.decode_slice(black_box(&coded), black_box(&mut out)));
+        let lanes = per_tier(|_| {
+            time(|| (), || codec.decode_slice(black_box(&coded), black_box(&mut out)))
+        });
         let scalar = time(
             || (),
             || {
@@ -172,7 +193,8 @@ fn main() {
         // In place, so every pass starts from a fresh copy (not timed).
         let cell = std::cell::RefCell::new(&mut out);
         let reset = || cell.borrow_mut().copy_from_slice(src);
-        let lanes = time(reset, || codec.roundtrip_slice(black_box(&mut cell.borrow_mut())));
+        let lanes =
+            per_tier(|_| time(reset, || codec.roundtrip_slice(black_box(&mut cell.borrow_mut()))));
         let scalar = time(reset, || {
             for v in black_box(&mut cell.borrow_mut()).iter_mut() {
                 *v = oracle.roundtrip(*v);
@@ -182,12 +204,14 @@ fn main() {
     }
 
     let interior = field.dims().len();
-    let lanes = time(
-        || (),
-        || {
-            black_box(sw_compress::par::fields_max_abs(&[black_box(&field)], false));
-        },
-    );
+    let lanes = per_tier(|_| {
+        time(
+            || (),
+            || {
+                black_box(sw_compress::par::fields_max_abs(&[black_box(&field)], false));
+            },
+        )
+    });
     let scalar = time(
         || (),
         || {

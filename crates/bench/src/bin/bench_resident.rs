@@ -28,7 +28,12 @@
 //!   side grew a pass again;
 //! * `resident/seismogram_misfit` — the normalized RMS misfit of the
 //!   48³ compressed run's seismogram against the full run's (the Fig. 6
-//!   comparison quantity), recording the accuracy the overhead pays for.
+//!   comparison quantity), recording the accuracy the overhead pays for;
+//! * `resident/{plane_encode,plane_decode,compressed16,compressed16_128}/wide_over_baseline`
+//!   — the plane passes and the compressed step dispatched to the host's
+//!   lane tier over the same code under the baseline cap
+//!   (`swq_bench::wide_over_baseline`; stamped with the tier): 1.0 means
+//!   the codec loops no longer inline into `sw_grid::simd::wide`.
 //!
 //! The ratios carry a tolerance of `1/0.7 − 1` for `bench-diff` against
 //! the committed `BENCH_resident.json`.
@@ -40,12 +45,14 @@ use std::hint::black_box;
 use std::time::Instant;
 
 use sw_compress::{Codec, FieldStats, ResidentField3};
+use sw_grid::simd::{cap_lanes, per_tier, LaneTier};
 use sw_grid::Dims3;
 use sw_io::Station;
 use sw_model::LayeredModel;
 use sw_source::{MomentTensor, PointSource, SourceTimeFunction};
 use sw_telemetry::bench::{BenchRecord, BenchReport};
 use sw_telemetry::perf::HostFingerprint;
+use swq_bench::ratio_record;
 use swquake_core::driver::COMPRESSED_FIELDS;
 use swquake_core::{ExecMode, ResidentMode, SimConfig, Simulation};
 
@@ -73,8 +80,6 @@ const PLANE_REPS: usize = 15;
 
 /// Same-host reruns of the absolute records are noisy; the ratios gate.
 const ABSOLUTE_TOLERANCE: f64 = 10.0;
-/// A gated ratio may grow to `1/0.7` of the committed measurement.
-const RATIO_TOLERANCE: f64 = 1.0 / 0.7 - 1.0;
 
 /// The production step shape (as in `bench_checkpoint_overhead`, minus
 /// the §6.5 round trip, which the compressed-resident mode replaces), on
@@ -95,12 +100,20 @@ fn bench_config(side: usize, steps: usize) -> SimConfig {
     cfg.with_exec(ExecMode::Serial)
 }
 
-/// Time the two modes in interleaved rounds so slow drift lands evenly.
+/// The timed variants: both modes as a run dispatches them, and the
+/// compressed mode once more under the baseline lane cap.
+const VARIANTS: [(ResidentMode, Option<LaneTier>); 3] = [
+    (ResidentMode::Full, None),
+    (ResidentMode::Compressed16, None),
+    (ResidentMode::Compressed16, Some(LaneTier::Baseline)),
+];
+
+/// Time the variants in interleaved rounds so slow drift lands evenly.
 fn time_variants(mesh: &Mesh) -> (Vec<Vec<f64>>, Vec<Simulation>) {
     let model = LayeredModel::north_china();
-    let mut sims: Vec<Simulation> = [ResidentMode::Full, ResidentMode::Compressed16]
+    let mut sims: Vec<Simulation> = VARIANTS
         .into_iter()
-        .map(|mode| {
+        .map(|(mode, _)| {
             let mut cfg = bench_config(mesh.side, mesh.warmup + mesh.timed).with_resident(mode);
             if let (ResidentMode::Compressed16, Some(cap)) = (mode, mesh.cap) {
                 cfg = cfg.with_memory_cap(cap);
@@ -112,7 +125,8 @@ fn time_variants(mesh: &Mesh) -> (Vec<Vec<f64>>, Vec<Simulation>) {
         .collect();
     let mut samples = vec![Vec::with_capacity(mesh.timed); sims.len()];
     for _round in 0..mesh.timed / mesh.round {
-        for (sim, out) in sims.iter_mut().zip(&mut samples) {
+        for ((sim, out), (_, cap)) in sims.iter_mut().zip(&mut samples).zip(VARIANTS) {
+            let _cap = cap.map(cap_lanes);
             for _ in 0..mesh.round {
                 let t0 = Instant::now();
                 sim.step();
@@ -141,23 +155,9 @@ fn record(name: String, samples: &[f64], elems: usize, host: &str) -> BenchRecor
     }
 }
 
-fn ratio_record(name: String, value: f64, samples: u64) -> BenchRecord {
-    BenchRecord {
-        name,
-        samples,
-        median_s: value,
-        mean_s: value,
-        min_s: value,
-        max_s: value,
-        throughput: 1.0,
-        throughput_unit: "ratio".to_string(),
-        tolerance: Some(RATIO_TOLERANCE),
-        host: None,
-    }
-}
-
-/// The step-time and footprint records of one mesh, plus the two
-/// simulations (the caller reads the seismograms of the capped pair).
+/// The step-time and footprint records of one mesh, plus its
+/// simulations in [`VARIANTS`] order (the caller reads the seismograms of
+/// the first two).
 fn mesh_records(mesh: &Mesh, host: &str) -> (Vec<BenchRecord>, Vec<Simulation>) {
     let (samples, sims) = time_variants(mesh);
     let cells = mesh.side.pow(3);
@@ -190,14 +190,29 @@ fn mesh_records(mesh: &Mesh, host: &str) -> (Vec<BenchRecord>, Vec<Simulation>) 
         side = mesh.side,
         tile = mesh.cap.map_or("default tile".to_string(), |c| format!("{} MiB slab", c >> 20)),
     );
-    (vec![full, compressed, overhead, footprint], sims)
+    let capped = swq_bench::median_of(&samples[2]);
+    let wide = swq_bench::wide_over_baseline(
+        &format!("resident/compressed16{sfx}"),
+        compressed.median_s,
+        capped,
+        compressed.samples,
+    );
+    println!(
+        "        compressed16 under the baseline lane cap {capped:.4} s/step (wide {:.2}x)",
+        1.0 / wide.median_s
+    );
+    (vec![full, compressed, overhead, footprint, wide], sims)
 }
+
+/// `(encode seconds, decode seconds)` of one pass over every plane.
+type PlaneTimes = (f64, f64);
 
 /// Encode and decode every padded plane of the nine wavefields of a
 /// full-mode run at step [`PLANE_STEPS`], each under its Fig. 5d codec:
-/// `(encode seconds, decode seconds, values)` per pass, medians over
-/// [`PLANE_REPS`] interleaved passes.
-fn plane_codec_times() -> (f64, f64, usize) {
+/// `(encode seconds, decode seconds)` per pass under each lane tier the
+/// host offers (baseline first), medians over [`PLANE_REPS`] interleaved
+/// passes, and the values in a pass.
+fn plane_codec_times() -> (Vec<(LaneTier, PlaneTimes)>, usize) {
     let model = LayeredModel::north_china();
     let mut sim = Simulation::new(&model, &bench_config(CAPPED.side, PLANE_STEPS))
         .expect("valid bench config");
@@ -212,28 +227,29 @@ fn plane_codec_times() -> (f64, f64, usize) {
         })
         .collect();
     let mut plane = vec![0.0f32; stores[0].plane_len()];
-    let (mut encode, mut decode) = (Vec::new(), Vec::new());
-    for _ in 0..PLANE_REPS {
-        let t0 = Instant::now();
-        for (store, f) in stores.iter_mut().zip(fields) {
-            for p in 0..store.plane_count() {
-                black_box(store.encode_plane(p, f.plane(p)));
-            }
-        }
-        encode.push(t0.elapsed().as_secs_f64());
-        let t1 = Instant::now();
-        for store in &stores {
-            for p in 0..store.plane_count() {
-                store.decode_plane_into(p, &mut plane);
-                black_box(&plane);
-            }
-        }
-        decode.push(t1.elapsed().as_secs_f64());
-    }
-    encode.sort_by(f64::total_cmp);
-    decode.sort_by(f64::total_cmp);
     let values = fields.iter().map(|f| f.raw().len()).sum();
-    (swq_bench::median(&encode), swq_bench::median(&decode), values)
+    let tiers = per_tier(|_| {
+        let (mut encode, mut decode) = (Vec::new(), Vec::new());
+        for _ in 0..PLANE_REPS {
+            let t0 = Instant::now();
+            for (store, f) in stores.iter_mut().zip(fields) {
+                for p in 0..store.plane_count() {
+                    black_box(store.encode_plane(p, f.plane(p)));
+                }
+            }
+            encode.push(t0.elapsed().as_secs_f64());
+            let t1 = Instant::now();
+            for store in &stores {
+                for p in 0..store.plane_count() {
+                    store.decode_plane_into(p, &mut plane);
+                    black_box(&plane);
+                }
+            }
+            decode.push(t1.elapsed().as_secs_f64());
+        }
+        (swq_bench::median_of(&encode), swq_bench::median_of(&decode))
+    });
+    (tiers, values)
 }
 
 fn main() {
@@ -241,7 +257,7 @@ fn main() {
     let path = args.next().unwrap_or_else(|| "BENCH_resident_new.json".to_string());
     let threads = swq_bench::pin_pool(args.next());
     let host = HostFingerprint::detect(threads as u64).id();
-    println!("resident: {threads} worker threads, host {host}");
+    println!("resident: {threads} worker threads, host {host}, lane tier {}", LaneTier::detected());
 
     let mut report = BenchReport::new();
     let (records, sims) = mesh_records(&CAPPED, &host);
@@ -252,18 +268,24 @@ fn main() {
     drop(sims);
     report.records.extend(mesh_records(&LARGE, &host).0);
 
-    let (encode_s, decode_s, values) = plane_codec_times();
-    println!(
-        "plane codec on {values} values: encode {:.0} Melem/s, decode {:.0} Melem/s ({:.2}x)",
-        values as f64 / encode_s / 1e6,
-        values as f64 / decode_s / 1e6,
-        encode_s / decode_s
-    );
-    report.records.push(ratio_record(
-        "resident/plane_encode_over_decode".to_string(),
-        encode_s / decode_s,
-        PLANE_REPS as u64,
-    ));
+    let (tiers, values) = plane_codec_times();
+    for (tier, (encode_s, decode_s)) in &tiers {
+        println!(
+            "plane codec on {values} values, {tier}: encode {:.0} Melem/s, decode {:.0} Melem/s \
+             ({:.2}x)",
+            values as f64 / encode_s / 1e6,
+            values as f64 / decode_s / 1e6,
+            encode_s / decode_s
+        );
+    }
+    let (base_encode_s, base_decode_s) = tiers[0].1;
+    let (encode_s, decode_s) = tiers[tiers.len() - 1].1;
+    let reps = PLANE_REPS as u64;
+    report.records.extend([
+        ratio_record("resident/plane_encode_over_decode".to_string(), encode_s / decode_s, reps),
+        swq_bench::wide_over_baseline("resident/plane_encode", encode_s, base_encode_s, reps),
+        swq_bench::wide_over_baseline("resident/plane_decode", decode_s, base_decode_s, reps),
+    ]);
     report.records.push(ratio_record("resident/seismogram_misfit".to_string(), misfit, 1));
 
     let n = report.records.len();

@@ -24,6 +24,11 @@
 //!   absolute seconds per call and their ratio under the same
 //!   tolerance: a body that stops vectorizing (or starts paying per-row
 //!   overhead) shows here before it shows in a step;
+//! * `step_exec/<kernel>/wide_over_baseline` — the lane body dispatched
+//!   to the host's lane tier over the same body under the baseline cap
+//!   (`swq_bench::wide_over_baseline`; stamped with the tier): 1.0 means
+//!   the body no longer inlines into `sw_grid::simd::wide`. Every tier
+//!   the host offers is timed and printed; `lanes` is the dispatched one;
 //! * `step_exec/kernel/<name>` — absolute per-kernel wall seconds per
 //!   step from the perf ledger of the parallel run (host-stamped,
 //!   throughput in `cells`).
@@ -38,6 +43,7 @@ use std::hint::black_box;
 use std::sync::Arc;
 use std::time::Instant;
 
+use sw_grid::simd::{per_tier, LaneTier};
 use sw_grid::Dims3;
 use sw_model::LayeredModel;
 use sw_source::{MomentTensor, PointSource, SourceTimeFunction};
@@ -54,8 +60,6 @@ const TIMED_STEPS: usize = 12;
 /// allowed before gating (absolute wall times on a shared CI box are
 /// noisy; the ratio records are the gate).
 const ABSOLUTE_TOLERANCE: f64 = 10.0;
-/// A time ratio may grow to `1/0.7` of the committed measurement.
-const RATIO_TOLERANCE: f64 = 1.0 / 0.7 - 1.0;
 
 /// The production step shape: nonlinear + attenuation + sponge +
 /// self-calibrating compression, with a real source so the wavefield is
@@ -109,20 +113,9 @@ fn time_kernel(state: &SolverState, mut kernel: impl FnMut(&mut SolverState)) ->
         .collect()
 }
 
+/// The gated ratio of two records' medians.
 fn ratio_record(name: String, numerator: &BenchRecord, denominator: &BenchRecord) -> BenchRecord {
-    let ratio = numerator.median_s / denominator.median_s;
-    BenchRecord {
-        name,
-        samples: numerator.samples,
-        median_s: ratio,
-        mean_s: ratio,
-        min_s: ratio,
-        max_s: ratio,
-        throughput: 1.0,
-        throughput_unit: "ratio".to_string(),
-        tolerance: Some(RATIO_TOLERANCE),
-        host: None,
-    }
+    swq_bench::ratio_record(name, numerator.median_s / denominator.median_s, numerator.samples)
 }
 
 fn record(name: &str, samples: &[f64], host: &str) -> BenchRecord {
@@ -150,8 +143,9 @@ fn main() {
     let threads = swq_bench::pin_pool(args.next());
     println!(
         "step_exec: {SIDE}^3 mesh, {TIMED_STEPS} timed steps per mode, \
-         {} worker threads",
-        rayon::current_num_threads()
+         {} worker threads, lane tier {}",
+        rayon::current_num_threads(),
+        LaneTier::detected()
     );
 
     let host = HostFingerprint::detect(threads as u64).id();
@@ -196,16 +190,28 @@ fn main() {
         ("sponge", kernels::apply_sponge, oracle::kernels::apply_sponge),
     ];
     for (name, lanes, naive) in pairs {
-        let lanes = record(&format!("step_exec/{name}/lanes"), &time_kernel(&state, lanes), &host);
+        let tiers = per_tier(|_| time_kernel(&state, lanes));
+        let (_, dispatched) = tiers.last().expect("the baseline tier always runs");
+        let lanes = record(&format!("step_exec/{name}/lanes"), dispatched, &host);
         let naive = record(&format!("step_exec/{name}/oracle"), &time_kernel(&state, naive), &host);
         let ratio = ratio_record(format!("step_exec/{name}/lanes_over_oracle"), &lanes, &naive);
+        let tier_ms: Vec<String> = tiers
+            .iter()
+            .map(|(tier, samples)| format!("{tier} {:7.3}", swq_bench::median_of(samples) * 1e3))
+            .collect();
         println!(
-            "{name:14} lanes {:8.3} ms   oracle {:8.3} ms   ({:.1}x)",
-            lanes.median_s * 1e3,
+            "{name:14} lanes {} ms   oracle {:8.3} ms   ({:.1}x)",
+            tier_ms.join("  "),
             naive.median_s * 1e3,
             1.0 / ratio.median_s
         );
-        report.records.extend([lanes, naive, ratio]);
+        let wide = swq_bench::wide_over_baseline(
+            &format!("step_exec/{name}"),
+            lanes.median_s,
+            swq_bench::median_of(&tiers[0].1),
+            lanes.samples,
+        );
+        report.records.extend([lanes, naive, ratio, wide]);
     }
 
     // Per-kernel absolute throughput records from the parallel run's

@@ -4,6 +4,9 @@
 //! paper and prints the paper's value next to the model/measurement, so
 //! EXPERIMENTS.md can be filled by running them.
 
+use sw_grid::simd::LaneTier;
+use sw_telemetry::bench::BenchRecord;
+
 /// Format a floating value with engineering-style precision.
 pub fn eng(v: f64) -> String {
     if v == 0.0 {
@@ -59,6 +62,47 @@ pub fn pin_pool(threads_arg: Option<String>) -> usize {
         .build_global()
         .expect("the vendored pool accepts reconfiguration");
     threads
+}
+
+/// What a gated time ratio may grow by before `bench-diff` fails it: to
+/// `1/0.7` of the committed measurement.
+pub const RATIO_TOLERANCE: f64 = 1.0 / 0.7 - 1.0;
+
+/// A dimensionless record (unit `ratio`, no host stamp) carrying
+/// [`RATIO_TOLERANCE`]: `bench-diff` gates it on every host.
+pub fn ratio_record(name: String, ratio: f64, samples: u64) -> BenchRecord {
+    BenchRecord {
+        name,
+        samples,
+        median_s: ratio,
+        mean_s: ratio,
+        min_s: ratio,
+        max_s: ratio,
+        throughput: 1.0,
+        throughput_unit: "ratio".to_string(),
+        tolerance: Some(RATIO_TOLERANCE),
+        host: None,
+    }
+}
+
+/// The `<what>/wide_over_baseline` record: seconds of one body
+/// dispatched to the host's tier over seconds of the same body under the
+/// baseline cap. A body whose inline chain into `sw_grid::simd::wide`
+/// broke reads 1.0. The record is stamped with the tier in place of a
+/// host id, so `bench-diff` gates it against a baseline from the same
+/// tier and skips it against any other.
+pub fn wide_over_baseline(what: &str, wide_s: f64, baseline_s: f64, samples: u64) -> BenchRecord {
+    BenchRecord {
+        host: Some(format!("lanes/{}", LaneTier::detected())),
+        ..ratio_record(format!("{what}/wide_over_baseline"), wide_s / baseline_s, samples)
+    }
+}
+
+/// Median of an unsorted sample set.
+pub fn median_of(samples: &[f64]) -> f64 {
+    let mut sorted = samples.to_vec();
+    sorted.sort_by(f64::total_cmp);
+    median(&sorted)
 }
 
 #[cfg(test)]

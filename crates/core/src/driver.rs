@@ -40,6 +40,7 @@ use sw_arch::spec::CoreGroupSpec;
 use sw_arch::{KernelPerfModel, OptLevel};
 use sw_compress::{max_abs_bucket, Codec, CodecCache, FieldStats};
 use sw_fault::FaultHook;
+use sw_grid::simd::LaneTier;
 use sw_grid::{Dims3, Field3, HALO_WIDTH};
 use sw_health::{
     CflInfo, FieldProbe, HealthConfig, HealthLog, HealthRecord, HealthReport, StepProbe,
@@ -897,6 +898,8 @@ impl Simulation {
         if telemetry.is_enabled() {
             telemetry.gauge("exec.mode", f64::from(u8::from(path.is_parallel())));
             telemetry.gauge("exec.threads", rayon::current_num_threads() as f64);
+            // 0 baseline, 1 avx2, 2 avx512 (`LaneTier`'s order).
+            telemetry.gauge("exec.lanes", f64::from(LaneTier::active() as u8));
         }
         let arch = telemetry.is_enabled().then(|| {
             // The analytic model's blocking for this block is the LDM
@@ -1068,7 +1071,7 @@ impl Simulation {
             step_p50_s: p50,
             step_p95_s: p95,
             exec_mode: Some(self.path.to_string()),
-            features: Some(String::new()),
+            features: Some(LaneTier::active().name().to_string()),
             resident_mode: Some(self.resident_mode().to_string()),
             kernels,
         })
@@ -2437,6 +2440,7 @@ mod tests {
         let report = sim.metrics();
         assert_eq!(report.gauge("exec.mode").unwrap().last, 1.0);
         assert!(report.gauge("exec.threads").unwrap().last >= 1.0);
+        assert_eq!(report.gauge("exec.lanes").unwrap().last, f64::from(LaneTier::active() as u8));
     }
 
     #[test]

@@ -62,6 +62,16 @@ pub enum ConfigError {
         /// The incompatible feature.
         feature: &'static str,
     },
+    /// A `SWQUAKE_*` default is set to something its option does not
+    /// accept ([`crate::exec::check_env`]).
+    InvalidEnv {
+        /// The variable.
+        var: &'static str,
+        /// What it holds.
+        value: String,
+        /// The values it accepts.
+        expected: &'static str,
+    },
 }
 
 impl fmt::Display for ConfigError {
@@ -91,6 +101,9 @@ impl fmt::Display for ConfigError {
             }
             Self::ResidentUnsupported { feature } => {
                 write!(f, "the compressed-resident wavefield path does not support {feature}")
+            }
+            Self::InvalidEnv { var, value, expected } => {
+                write!(f, "environment variable {var} is set to `{value}` (expected {expected})")
             }
         }
     }

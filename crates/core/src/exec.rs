@@ -30,6 +30,7 @@
 //!
 //! [`SimConfig::with_threads`]: crate::SimConfig::with_threads
 
+use crate::error::ConfigError;
 use std::fmt;
 use std::str::FromStr;
 use sw_grid::fpenv;
@@ -88,10 +89,11 @@ pub const fn simd_compiled() -> bool {
 
 impl ExecMode {
     /// The process-wide default: `SWQUAKE_EXEC` when set (same syntax as
-    /// `--exec`; invalid values are ignored), `Auto` otherwise. Explicit
+    /// `--exec`; an invalid value is ignored here and refused by
+    /// [`check_env`]), `Auto` otherwise. Explicit
     /// [`crate::SimConfig::with_exec`] always wins over the environment.
     pub fn from_env() -> Self {
-        std::env::var("SWQUAKE_EXEC").ok().and_then(|v| v.parse().ok()).unwrap_or_default()
+        env_default(&EXEC_ENV).unwrap_or_default()
     }
 
     /// Resolve the mode for a mesh: `true` means run a pool-based path.
@@ -176,15 +178,62 @@ pub fn kernel_fp_env() -> fpenv::FlushGuard {
     fpenv::flush_subnormals()
 }
 
+/// A `SWQUAKE_*` variable holding the default of an option, and the
+/// values that option accepts.
+pub(crate) struct EnvDefault {
+    var: &'static str,
+    expected: &'static str,
+}
+
+const EXEC_ENV: EnvDefault =
+    EnvDefault { var: "SWQUAKE_EXEC", expected: "serial|parallel|simd|auto" };
+const THREADS_ENV: EnvDefault =
+    EnvDefault { var: "SWQUAKE_THREADS", expected: "a thread count, 0 meaning every core" };
+pub(crate) const RESIDENT_ENV: EnvDefault =
+    EnvDefault { var: "SWQUAKE_RESIDENT", expected: "full|compressed16" };
+const HEALTH_STRIDE_ENV: EnvDefault =
+    EnvDefault { var: "SWQUAKE_HEALTH_STRIDE", expected: "a number of steps" };
+
+/// The parsed value of `env.var`: `Ok(None)` when unset, an error naming
+/// the variable when set to something `T` does not parse from.
+fn env_value<T: FromStr>(env: &EnvDefault) -> Result<Option<T>, ConfigError> {
+    let Some(raw) = std::env::var_os(env.var) else { return Ok(None) };
+    raw.to_str().and_then(|v| v.parse().ok()).map(Some).ok_or_else(|| ConfigError::InvalidEnv {
+        var: env.var,
+        value: raw.to_string_lossy().into_owned(),
+        expected: env.expected,
+    })
+}
+
+/// The lenient read the library constructors use: unset or unparsable
+/// is `None`.
+pub(crate) fn env_default<T: FromStr>(env: &EnvDefault) -> Option<T> {
+    env_value(env).ok().flatten()
+}
+
+/// Refuse a `SWQUAKE_EXEC`, `SWQUAKE_THREADS`, `SWQUAKE_RESIDENT` or
+/// `SWQUAKE_HEALTH_STRIDE` that is set but does not parse. The library
+/// constructors ([`ExecMode::from_env`] and friends) stay infallible and
+/// fall back to the built-in default; a front end that reads those
+/// variables on a user's behalf calls this first, so `SWQUAKE_EXEC=paralel`
+/// is an error and not a silent `auto`.
+pub fn check_env() -> Result<(), ConfigError> {
+    env_value::<ExecMode>(&EXEC_ENV)?;
+    env_value::<usize>(&THREADS_ENV)?;
+    env_value::<crate::ResidentMode>(&RESIDENT_ENV)?;
+    env_value::<u64>(&HEALTH_STRIDE_ENV)?;
+    Ok(())
+}
+
 /// The thread-count default from `SWQUAKE_THREADS` (0 = unset/invalid).
 pub fn threads_from_env() -> usize {
-    std::env::var("SWQUAKE_THREADS").ok().and_then(|v| v.parse().ok()).unwrap_or(0)
+    env_default(&THREADS_ENV).unwrap_or(0)
 }
 
 /// The health-probe stride default from `SWQUAKE_HEALTH_STRIDE`
 /// (`None` = unset/invalid, fall back to the CLI/config default).
 pub fn health_stride_from_env() -> Option<u64> {
-    std::env::var("SWQUAKE_HEALTH_STRIDE").ok().and_then(|v| v.parse().ok())
+    env_default(&HEALTH_STRIDE_ENV)
 }
 
 #[cfg(test)]

@@ -32,24 +32,30 @@ pub fn fstr_region(s: &mut SolverState, x_range: Range<usize>) {
     let ny = s.dims.ny;
     let pnz = s.dims.nz + 2 * H;
     let fields = [&mut s.zz, &mut s.xz, &mut s.yz, &mut s.w];
-    for_each_plane(fields, x_range, false, |_, [pzz, pxz, pyz, pw]| {
-        for y in 0..ny {
-            // padded depth `z` of this column; the surface is `H`
-            let at = |z: usize| (y + H) * pnz + z;
-            // zz: zero on the surface plane, antisymmetric above.
-            pzz[at(H)] = 0.0;
-            pzz[at(H - 1)] = -pzz[at(H + 1)];
-            pzz[at(H - 2)] = -pzz[at(H + 2)];
-            // xz, yz: antisymmetric about the surface (half-staggered).
-            pxz[at(H - 1)] = -pxz[at(H)];
-            pxz[at(H - 2)] = -pxz[at(H + 1)];
-            pyz[at(H - 1)] = -pyz[at(H)];
-            pyz[at(H - 2)] = -pyz[at(H + 1)];
-            // w: symmetric continuation.
-            pw[at(H - 1)] = pw[at(H)];
-            pw[at(H - 2)] = pw[at(H + 1)];
-        }
-    });
+    for_each_plane(
+        fields,
+        x_range,
+        false,
+        #[inline(always)]
+        |_, [pzz, pxz, pyz, pw]| {
+            for y in 0..ny {
+                // padded depth `z` of this column; the surface is `H`
+                let at = |z: usize| (y + H) * pnz + z;
+                // zz: zero on the surface plane, antisymmetric above.
+                pzz[at(H)] = 0.0;
+                pzz[at(H - 1)] = -pzz[at(H + 1)];
+                pzz[at(H - 2)] = -pzz[at(H + 2)];
+                // xz, yz: antisymmetric about the surface (half-staggered).
+                pxz[at(H - 1)] = -pxz[at(H)];
+                pxz[at(H - 2)] = -pxz[at(H + 1)];
+                pyz[at(H - 1)] = -pyz[at(H)];
+                pyz[at(H - 2)] = -pyz[at(H + 1)];
+                // w: symmetric continuation.
+                pw[at(H - 1)] = pw[at(H)];
+                pw[at(H - 2)] = pw[at(H + 1)];
+            }
+        },
+    );
 }
 
 #[cfg(test)]

@@ -10,10 +10,23 @@
 //! it at [`F32x8`] for the main run and at `f32` (width 1) for the tail.
 //! Both evaluate the scalar reference's expression tree per element
 //! (`tests/oracle/kernels.rs`), no FMA: every path computes the same bits.
+//!
+//! What an `F32x8` operation compiles to is decided per call of a plane
+//! body: [`for_each_plane`] makes that call through
+//! [`sw_grid::simd::wide`], on the thread that runs the plane, so the
+//! body — an `#[inline(always)]` closure, as are the lane operators
+//! under it — is compiled once per lane tier (8-way unrolled scalar and
+//! SSE2 code at the x86-64 baseline, one 256-bit instruction per lane
+//! operation under AVX2 / AVX-512) and the host's best tier runs. A
+//! kernel written as a plain closure or calling a non-inlined helper in
+//! its row loop still works; it just stays baseline code
+//! (`bench_step_exec`'s `wide_over_baseline` records and CI's
+//! disassembly check are there to notice).
 
 use crate::staggered::{C1, C2};
 use rayon::prelude::*;
 use std::ops::{Add, Mul, Range, Sub};
+use sw_grid::simd::wide;
 pub(crate) use sw_grid::simd::{F32x8, LANES};
 use sw_grid::{Dims3, Field3, HALO_WIDTH};
 
@@ -68,11 +81,19 @@ pub(crate) fn for_each_plane<const N: usize>(
         let planes = streams.each_mut().map(|s| s.next().expect("x_range lies inside the mesh"));
         (x, planes)
     };
+    // `wide` goes around each call, on the thread that makes it: what it
+    // selects does not carry over to a pool helper.
+    let run = |(x, planes)| {
+        wide(
+            #[inline(always)]
+            || body(x, planes),
+        )
+    };
     if pool {
         let planes: Vec<_> = x_range.map(planes_of).collect();
-        planes.into_par_iter().for_each(|(x, planes)| body(x, planes));
+        planes.into_par_iter().for_each(run);
     } else {
-        x_range.map(planes_of).for_each(|(x, planes)| body(x, planes));
+        x_range.map(planes_of).for_each(run);
     }
 }
 

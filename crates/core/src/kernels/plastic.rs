@@ -37,37 +37,45 @@ pub fn drprecpc_calc_region(s: &mut SolverState, x_range: Range<usize>, pool: bo
     let (sigma0, cohes, cosphi, sinphi, pf) = (&s.sigma0, &s.cohes, &s.cosphi, &s.sinphi, &s.pf);
     // Integer sums do not depend on which thread adds which plane.
     let yielding = AtomicUsize::new(0);
-    for_each_plane([&mut s.yldfac], x_range, pool, |x, [pyld]| {
-        let mut local = 0usize;
-        for y in 0..d.ny {
-            let (rxx, ryy, rzz) = (xx.row(x, y), yy.row(x, y), zz.row(x, y));
-            let (rxy, rxz, ryz) = (xy.row(x, y), xz.row(x, y), yz.row(x, y));
-            let (rsig, rc) = (sigma0.row(x, y), cohes.row(x, y));
-            let (rcos, rsin, rpf) = (cosphi.row(x, y), sinphi.row(x, y), pf.row(x, y));
-            let base = (y + H) * pnz + H;
-            let out = &mut pyld[base..base + d.nz];
-            for z in 0..d.nz {
-                let (sxx, syy, szz) = (rxx[z], ryy[z], rzz[z]);
-                let (sxy, sxz, syz) = (rxy[z], rxz[z], ryz[z]);
-                let mean_dyn = (sxx + syy + szz) / 3.0;
-                let mean_total = mean_dyn + rsig[z];
-                // deviator of the total stress = deviator of the dynamic
-                // part (the prestress is isotropic)
-                let (dxx, dyy, dzz) = (sxx - mean_dyn, syy - mean_dyn, szz - mean_dyn);
-                let j2 =
-                    0.5 * (dxx * dxx + dyy * dyy + dzz * dzz) + sxy * sxy + sxz * sxz + syz * syz;
-                let tau_bar = j2.sqrt();
-                let y_stress = (rc[z] * rcos[z] - (mean_total + rpf[z]) * rsin[z]).max(0.0);
-                out[z] = if tau_bar > y_stress && tau_bar > 0.0 {
-                    local += 1;
-                    y_stress / tau_bar
-                } else {
-                    1.0
-                };
+    for_each_plane(
+        [&mut s.yldfac],
+        x_range,
+        pool,
+        #[inline(always)]
+        |x, [pyld]| {
+            let mut local = 0usize;
+            for y in 0..d.ny {
+                let (rxx, ryy, rzz) = (xx.row(x, y), yy.row(x, y), zz.row(x, y));
+                let (rxy, rxz, ryz) = (xy.row(x, y), xz.row(x, y), yz.row(x, y));
+                let (rsig, rc) = (sigma0.row(x, y), cohes.row(x, y));
+                let (rcos, rsin, rpf) = (cosphi.row(x, y), sinphi.row(x, y), pf.row(x, y));
+                let base = (y + H) * pnz + H;
+                let out = &mut pyld[base..base + d.nz];
+                for z in 0..d.nz {
+                    let (sxx, syy, szz) = (rxx[z], ryy[z], rzz[z]);
+                    let (sxy, sxz, syz) = (rxy[z], rxz[z], ryz[z]);
+                    let mean_dyn = (sxx + syy + szz) / 3.0;
+                    let mean_total = mean_dyn + rsig[z];
+                    // deviator of the total stress = deviator of the dynamic
+                    // part (the prestress is isotropic)
+                    let (dxx, dyy, dzz) = (sxx - mean_dyn, syy - mean_dyn, szz - mean_dyn);
+                    let j2 = 0.5 * (dxx * dxx + dyy * dyy + dzz * dzz)
+                        + sxy * sxy
+                        + sxz * sxz
+                        + syz * syz;
+                    let tau_bar = j2.sqrt();
+                    let y_stress = (rc[z] * rcos[z] - (mean_total + rpf[z]) * rsin[z]).max(0.0);
+                    out[z] = if tau_bar > y_stress && tau_bar > 0.0 {
+                        local += 1;
+                        y_stress / tau_bar
+                    } else {
+                        1.0
+                    };
+                }
             }
-        }
-        yielding.fetch_add(local, Ordering::Relaxed);
-    });
+            yielding.fetch_add(local, Ordering::Relaxed);
+        },
+    );
     yielding.into_inner()
 }
 
@@ -84,32 +92,39 @@ pub fn drprecpc_app_region(s: &mut SolverState, x_range: Range<usize>, pool: boo
     let pnz = d.nz + 2 * H;
     let (yldfac, mu) = (&s.yldfac, &s.mu);
     let fields = [&mut s.xx, &mut s.yy, &mut s.zz, &mut s.xy, &mut s.xz, &mut s.yz, &mut s.eqp];
-    for_each_plane(fields, x_range, pool, |x, [pxx, pyy, pzz, pxy, pxz, pyz, peqp]| {
-        for y in 0..d.ny {
-            let (ryld, rmu) = (yldfac.row(x, y), mu.row(x, y));
-            let base = (y + H) * pnz + H;
-            for z in 0..d.nz {
-                let r = ryld[z];
-                if r >= 1.0 {
-                    continue;
+    for_each_plane(
+        fields,
+        x_range,
+        pool,
+        #[inline(always)]
+        |x, [pxx, pyy, pzz, pxy, pxz, pyz, peqp]| {
+            for y in 0..d.ny {
+                let (ryld, rmu) = (yldfac.row(x, y), mu.row(x, y));
+                let base = (y + H) * pnz + H;
+                for z in 0..d.nz {
+                    let r = ryld[z];
+                    if r >= 1.0 {
+                        continue;
+                    }
+                    let o = base + z;
+                    let (sxx, syy, szz) = (pxx[o], pyy[o], pzz[o]);
+                    let mean = (sxx + syy + szz) / 3.0;
+                    pxx[o] = mean + r * (sxx - mean);
+                    pyy[o] = mean + r * (syy - mean);
+                    pzz[o] = mean + r * (szz - mean);
+                    pxy[o] *= r;
+                    pxz[o] *= r;
+                    pyz[o] *= r;
+                    // plastic strain increment ~ the relaxed deviatoric stress
+                    // over the shear modulus
+                    let tau_rel = (1.0 - r)
+                        * ((sxx - mean).powi(2) + (syy - mean).powi(2) + (szz - mean).powi(2))
+                            .sqrt();
+                    peqp[o] += tau_rel / rmu[z].max(1.0);
                 }
-                let o = base + z;
-                let (sxx, syy, szz) = (pxx[o], pyy[o], pzz[o]);
-                let mean = (sxx + syy + szz) / 3.0;
-                pxx[o] = mean + r * (sxx - mean);
-                pyy[o] = mean + r * (syy - mean);
-                pzz[o] = mean + r * (szz - mean);
-                pxy[o] *= r;
-                pxz[o] *= r;
-                pyz[o] *= r;
-                // plastic strain increment ~ the relaxed deviatoric stress
-                // over the shear modulus
-                let tau_rel = (1.0 - r)
-                    * ((sxx - mean).powi(2) + (syy - mean).powi(2) + (szz - mean).powi(2)).sqrt();
-                peqp[o] += tau_rel / rmu[z].max(1.0);
             }
-        }
-    });
+        },
+    );
 }
 
 /// J₂ deviatoric magnitude of the dynamic stress at a point (test probe).

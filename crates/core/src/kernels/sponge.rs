@@ -27,18 +27,24 @@ pub fn apply_sponge_region(s: &mut SolverState, x_range: Range<usize>, pool: boo
     // The memory variables trail the nine wavefields.
     let damped = if s.options.attenuation { 15 } else { 9 };
     let (fields, dcrj) = s.dynamic_mut_and_damping();
-    for_each_plane(fields, x_range, pool, |x, mut planes| {
-        for y in 0..d.ny {
-            let damp = dcrj.row(x, y);
-            let base = (y + H) * pnz + H;
-            for plane in &mut planes[..damped] {
-                let row = &mut plane[base..base + d.nz];
-                sweep_row!(d.nz, |t, L| {
-                    (L::load(&row[t..]) * L::load(&damp[t..])).store(&mut row[t..]);
-                });
+    for_each_plane(
+        fields,
+        x_range,
+        pool,
+        #[inline(always)]
+        |x, mut planes| {
+            for y in 0..d.ny {
+                let damp = dcrj.row(x, y);
+                let base = (y + H) * pnz + H;
+                for plane in &mut planes[..damped] {
+                    let row = &mut plane[base..base + d.nz];
+                    sweep_row!(d.nz, |t, L| {
+                        (L::load(&row[t..]) * L::load(&damp[t..])).store(&mut row[t..]);
+                    });
+                }
             }
-        }
-    });
+        },
+    );
 }
 
 #[cfg(test)]

@@ -34,73 +34,80 @@ pub fn dstrqc_region(s: &mut SolverState, region: &Region, pool: bool) {
     let [r1, r2, r3, r4, r5, r6] = &mut s.r;
     let fields =
         [&mut s.xx, &mut s.yy, &mut s.zz, &mut s.xy, &mut s.xz, &mut s.yz, r1, r2, r3, r4, r5, r6];
-    for_each_plane(fields, region.x.clone(), pool, |x, planes| {
-        let [pxx, pyy, pzz, pxy, pxz, pyz, pr1, pr2, pr3, pr4, pr5, pr6] = planes;
-        let (mut stress, mut mem) =
-            ([pxx, pyy, pzz, pxy, pxz, pyz], [pr1, pr2, pr3, pr4, pr5, pr6]);
-        for tile in blocks(nz, region.tile_z) {
-            for (y0, ylen) in blocks(region.y.len(), region.tile_y) {
-                for y in region.y.start + y0..region.y.start + y0 + ylen {
-                    // Tap rows, named by the difference they feed.
-                    let at = (x, y);
-                    let (dxm_u, dyp_u) = (taps(u, DXM, at, tile), taps(u, DYP, at, tile));
-                    let (dxp_v, dym_v) = (taps(v, DXP, at, tile), taps(v, DYM, at, tile));
-                    let (dxp_w, dyp_w) = (taps(w, DXP, at, tile), taps(w, DYP, at, tile));
-                    let (u_c, v_c, w_c) = (dxm_u[0], dym_v[0], dxp_w[1]);
-                    let (lam_c, mu_c) = (tile_row(lam, at, tile), tile_row(mu, at, tile));
-                    let (wp_c, ws_c) = (tile_row(wp, at, tile), tile_row(ws, at, tile));
-                    let out = (y + H) * pnz + H + tile.0..(y + H) * pnz + H + tile.0 + tile.1;
-                    let (stress, mem) = (
-                        stress.each_mut().map(|p| &mut p[out.clone()]),
-                        mem.each_mut().map(|p| &mut p[out.clone()]),
-                    );
-                    sweep_row!(tile.1, |t, L| {
-                        let i = t + H;
-                        let (inv_dx, dt) = (L::splat(inv_dx), L::splat(dt));
-                        let (lam, mu) = (L::load(&lam_c[i..]), L::load(&mu_c[i..]));
-                        // strain rates (1/s)
-                        let exx = d_across::<L>(&dxm_u, i) * inv_dx;
-                        let eyy = d_across::<L>(&dym_v, i) * inv_dx;
-                        let ezz = dz::<L>(w_c, i) * inv_dx;
-                        let div = exx + eyy + ezz;
-                        let exy = (d_across::<L>(&dyp_u, i) + d_across::<L>(&dxp_v, i)) * inv_dx;
-                        let exz = (dz::<L>(u_c, i + 1) + d_across::<L>(&dxp_w, i)) * inv_dx;
-                        let eyz = (dz::<L>(v_c, i + 1) + d_across::<L>(&dyp_w, i)) * inv_dx;
-                        // elastic stress rates (Pa/s)
-                        let two_mu = L::splat(2.0) * mu;
-                        let rates = [
-                            lam * div + two_mu * exx,
-                            lam * div + two_mu * eyy,
-                            lam * div + two_mu * ezz,
-                            mu * exy,
-                            mu * exz,
-                            mu * eyz,
-                        ];
-                        if atten {
-                            let (wp, ws) = (L::load(&wp_c[i..]), L::load(&ws_c[i..]));
-                            let weights = [wp, wp, wp, ws, ws, ws];
-                            for c in 0..6 {
-                                let r_old = L::load(&mem[c][t..]);
-                                let r_new = L::splat(a_coef) * r_old
-                                    + L::splat(b_coef) * weights[c] * rates[c];
-                                let r_bar = L::splat(0.5) * (r_new + r_old);
-                                (L::load(&stress[c][t..]) + dt * (rates[c] - r_bar))
-                                    .store(&mut stress[c][t..]);
-                                r_new.store(&mut mem[c][t..]);
+    for_each_plane(
+        fields,
+        region.x.clone(),
+        pool,
+        #[inline(always)]
+        |x, planes| {
+            let [pxx, pyy, pzz, pxy, pxz, pyz, pr1, pr2, pr3, pr4, pr5, pr6] = planes;
+            let (mut stress, mut mem) =
+                ([pxx, pyy, pzz, pxy, pxz, pyz], [pr1, pr2, pr3, pr4, pr5, pr6]);
+            for tile in blocks(nz, region.tile_z) {
+                for (y0, ylen) in blocks(region.y.len(), region.tile_y) {
+                    for y in region.y.start + y0..region.y.start + y0 + ylen {
+                        // Tap rows, named by the difference they feed.
+                        let at = (x, y);
+                        let (dxm_u, dyp_u) = (taps(u, DXM, at, tile), taps(u, DYP, at, tile));
+                        let (dxp_v, dym_v) = (taps(v, DXP, at, tile), taps(v, DYM, at, tile));
+                        let (dxp_w, dyp_w) = (taps(w, DXP, at, tile), taps(w, DYP, at, tile));
+                        let (u_c, v_c, w_c) = (dxm_u[0], dym_v[0], dxp_w[1]);
+                        let (lam_c, mu_c) = (tile_row(lam, at, tile), tile_row(mu, at, tile));
+                        let (wp_c, ws_c) = (tile_row(wp, at, tile), tile_row(ws, at, tile));
+                        let out = (y + H) * pnz + H + tile.0..(y + H) * pnz + H + tile.0 + tile.1;
+                        let (stress, mem) = (
+                            stress.each_mut().map(|p| &mut p[out.clone()]),
+                            mem.each_mut().map(|p| &mut p[out.clone()]),
+                        );
+                        sweep_row!(tile.1, |t, L| {
+                            let i = t + H;
+                            let (inv_dx, dt) = (L::splat(inv_dx), L::splat(dt));
+                            let (lam, mu) = (L::load(&lam_c[i..]), L::load(&mu_c[i..]));
+                            // strain rates (1/s)
+                            let exx = d_across::<L>(&dxm_u, i) * inv_dx;
+                            let eyy = d_across::<L>(&dym_v, i) * inv_dx;
+                            let ezz = dz::<L>(w_c, i) * inv_dx;
+                            let div = exx + eyy + ezz;
+                            let exy =
+                                (d_across::<L>(&dyp_u, i) + d_across::<L>(&dxp_v, i)) * inv_dx;
+                            let exz = (dz::<L>(u_c, i + 1) + d_across::<L>(&dxp_w, i)) * inv_dx;
+                            let eyz = (dz::<L>(v_c, i + 1) + d_across::<L>(&dyp_w, i)) * inv_dx;
+                            // elastic stress rates (Pa/s)
+                            let two_mu = L::splat(2.0) * mu;
+                            let rates = [
+                                lam * div + two_mu * exx,
+                                lam * div + two_mu * eyy,
+                                lam * div + two_mu * ezz,
+                                mu * exy,
+                                mu * exz,
+                                mu * eyz,
+                            ];
+                            if atten {
+                                let (wp, ws) = (L::load(&wp_c[i..]), L::load(&ws_c[i..]));
+                                let weights = [wp, wp, wp, ws, ws, ws];
+                                for c in 0..6 {
+                                    let r_old = L::load(&mem[c][t..]);
+                                    let r_new = L::splat(a_coef) * r_old
+                                        + L::splat(b_coef) * weights[c] * rates[c];
+                                    let r_bar = L::splat(0.5) * (r_new + r_old);
+                                    (L::load(&stress[c][t..]) + dt * (rates[c] - r_bar))
+                                        .store(&mut stress[c][t..]);
+                                    r_new.store(&mut mem[c][t..]);
+                                }
+                            } else {
+                                // `e − 0`, as the attenuated form reads with no memory.
+                                let zero = L::splat(0.0);
+                                for c in 0..6 {
+                                    (L::load(&stress[c][t..]) + dt * (rates[c] - zero))
+                                        .store(&mut stress[c][t..]);
+                                }
                             }
-                        } else {
-                            // `e − 0`, as the attenuated form reads with no memory.
-                            let zero = L::splat(0.0);
-                            for c in 0..6 {
-                                (L::load(&stress[c][t..]) + dt * (rates[c] - zero))
-                                    .store(&mut stress[c][t..]);
-                            }
-                        }
-                    });
+                        });
+                    }
                 }
             }
-        }
-    });
+        },
+    );
 }
 
 /// `dstrqc`: the full-domain stress update.

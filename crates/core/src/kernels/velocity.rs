@@ -24,39 +24,45 @@ pub fn dvelc_region(s: &mut SolverState, region: &Region, pool: bool) {
     let dt_dx = (s.dt / s.dx) as f32;
     let (xx, yy, zz, xy, xz, yz, buoyancy) =
         (&s.xx, &s.yy, &s.zz, &s.xy, &s.xz, &s.yz, &s.buoyancy);
-    for_each_plane([&mut s.u, &mut s.v, &mut s.w], region.x.clone(), pool, |x, mut planes| {
-        for tile in blocks(nz, region.tile_z) {
-            for (y0, ylen) in blocks(region.y.len(), region.tile_y) {
-                for y in region.y.start + y0..region.y.start + y0 + ylen {
-                    // Tap rows, named by the difference they feed.
-                    let at = (x, y);
-                    let (dxp_xx, dyp_yy) = (taps(xx, DXP, at, tile), taps(yy, DYP, at, tile));
-                    let (dxm_xy, dym_xy) = (taps(xy, DXM, at, tile), taps(xy, DYM, at, tile));
-                    let (dxm_xz, dym_yz) = (taps(xz, DXM, at, tile), taps(yz, DYM, at, tile));
-                    let (xz_c, yz_c, zz_c) = (dxm_xz[0], dym_yz[0], tile_row(zz, at, tile));
-                    let b_c = tile_row(buoyancy, at, tile);
-                    let out = (y + H) * pnz + H + tile.0..(y + H) * pnz + H + tile.0 + tile.1;
-                    let [ou, ov, ow] = planes.each_mut().map(|p| &mut p[out.clone()]);
-                    sweep_row!(tile.1, |t, L| {
-                        let i = t + H;
-                        let b = L::splat(dt_dx) * L::load(&b_c[i..]);
-                        let du = d_across::<L>(&dxp_xx, i)
-                            + d_across::<L>(&dym_xy, i)
-                            + dz::<L>(xz_c, i);
-                        let dv = d_across::<L>(&dxm_xy, i)
-                            + d_across::<L>(&dyp_yy, i)
-                            + dz::<L>(yz_c, i);
-                        let dw = d_across::<L>(&dxm_xz, i)
-                            + d_across::<L>(&dym_yz, i)
-                            + dz::<L>(zz_c, i + 1);
-                        (L::load(&ou[t..]) + b * du).store(&mut ou[t..]);
-                        (L::load(&ov[t..]) + b * dv).store(&mut ov[t..]);
-                        (L::load(&ow[t..]) + b * dw).store(&mut ow[t..]);
-                    });
+    for_each_plane(
+        [&mut s.u, &mut s.v, &mut s.w],
+        region.x.clone(),
+        pool,
+        #[inline(always)]
+        |x, mut planes| {
+            for tile in blocks(nz, region.tile_z) {
+                for (y0, ylen) in blocks(region.y.len(), region.tile_y) {
+                    for y in region.y.start + y0..region.y.start + y0 + ylen {
+                        // Tap rows, named by the difference they feed.
+                        let at = (x, y);
+                        let (dxp_xx, dyp_yy) = (taps(xx, DXP, at, tile), taps(yy, DYP, at, tile));
+                        let (dxm_xy, dym_xy) = (taps(xy, DXM, at, tile), taps(xy, DYM, at, tile));
+                        let (dxm_xz, dym_yz) = (taps(xz, DXM, at, tile), taps(yz, DYM, at, tile));
+                        let (xz_c, yz_c, zz_c) = (dxm_xz[0], dym_yz[0], tile_row(zz, at, tile));
+                        let b_c = tile_row(buoyancy, at, tile);
+                        let out = (y + H) * pnz + H + tile.0..(y + H) * pnz + H + tile.0 + tile.1;
+                        let [ou, ov, ow] = planes.each_mut().map(|p| &mut p[out.clone()]);
+                        sweep_row!(tile.1, |t, L| {
+                            let i = t + H;
+                            let b = L::splat(dt_dx) * L::load(&b_c[i..]);
+                            let du = d_across::<L>(&dxp_xx, i)
+                                + d_across::<L>(&dym_xy, i)
+                                + dz::<L>(xz_c, i);
+                            let dv = d_across::<L>(&dxm_xy, i)
+                                + d_across::<L>(&dyp_yy, i)
+                                + dz::<L>(yz_c, i);
+                            let dw = d_across::<L>(&dxm_xz, i)
+                                + d_across::<L>(&dym_yz, i)
+                                + dz::<L>(zz_c, i + 1);
+                            (L::load(&ou[t..]) + b * du).store(&mut ou[t..]);
+                            (L::load(&ov[t..]) + b * dv).store(&mut ov[t..]);
+                            (L::load(&ow[t..]) + b * dw).store(&mut ow[t..]);
+                        });
+                    }
                 }
             }
-        }
-    });
+        },
+    );
 }
 
 /// `dvelcx`: the central region — all x, y away from the halo strips.

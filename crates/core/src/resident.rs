@@ -53,11 +53,11 @@ pub enum ResidentMode {
 
 impl ResidentMode {
     /// The process-wide default: `SWQUAKE_RESIDENT` when set (same syntax
-    /// as `--resident`; invalid values are ignored), `Full` otherwise.
-    /// Explicit [`crate::SimConfig::with_resident`] wins over the
-    /// environment.
+    /// as `--resident`; an invalid value is ignored here and refused by
+    /// [`crate::exec::check_env`]), `Full` otherwise. Explicit
+    /// [`crate::SimConfig::with_resident`] wins over the environment.
     pub fn from_env() -> Self {
-        std::env::var("SWQUAKE_RESIDENT").ok().and_then(|v| v.parse().ok()).unwrap_or_default()
+        crate::exec::env_default(&crate::exec::RESIDENT_ENV).unwrap_or_default()
     }
 }
 

@@ -60,7 +60,8 @@ macro_rules! with_variant {
 }
 
 /// Per-value calls dispatch per value; the slice methods dispatch **once
-/// per slice** and then run the concrete codec's vectorized loop.
+/// per slice** and then run the concrete codec's loop, which enters
+/// [`sw_grid::simd::wide`] itself.
 impl Codec16 for Codec {
     #[inline]
     fn encode(&self, v: f32) -> u16 {

@@ -39,6 +39,8 @@ pub use norm::NormCodec;
 pub use plane::{value_bucket, EncodeStats, ResidentField3};
 pub use stats::FieldStats;
 
+use sw_grid::simd::wide;
+
 /// Every lossy 16-bit codec compresses one f32 to one u16 and back.
 ///
 /// # Lane bodies
@@ -46,12 +48,18 @@ pub use stats::FieldStats;
 /// `encode` and `decode` of the three codecs are **branch-free**:
 /// straight-line integer/float operations and selects on the value's
 /// bit pattern, no `match`, no data-dependent shift, no `leading_zeros`.
-/// The slice methods below are plain loops over that one body, which is
-/// exactly the shape the auto-vectorizer turns into SSE2 lanes (safe
-/// code only: no intrinsics, no `-C target-cpu`); a per-value call is the
-/// width-1 use of the same body. The branchy scalar conversions they
-/// replaced live on in `tests/oracle/` and every bit pattern must match
-/// them exactly (`tests/codec_lanes.rs`).
+/// The slice methods below are plain loops over that one body (safe
+/// code only, no intrinsics); a per-value call is the width-1 use of the
+/// same body. Each loop is entered through [`sw_grid::simd::wide`], so
+/// the auto-vectorizer compiles it once per lane tier and the CPU's
+/// best one is picked at run time: 4-wide SSE2 at the x86-64 baseline
+/// (the build sets no `-C target-cpu`), 8-wide AVX2 or 16-wide AVX-512
+/// where the host has them, NEON on aarch64. An implementor keeps that
+/// by marking `encode`/`decode`/`roundtrip` `#[inline(always)]`; a body
+/// that is merely called from the loop stays baseline code. The branchy
+/// scalar conversions these bodies replaced live on in `tests/oracle/`
+/// and every bit pattern must match them exactly, at every tier
+/// (`tests/codec_lanes.rs`).
 ///
 /// # The subnormal rule
 ///
@@ -79,25 +87,40 @@ pub trait Codec16 {
     /// Compress a slice into a preallocated buffer.
     fn encode_slice(&self, src: &[f32], dst: &mut [u16]) {
         assert_eq!(src.len(), dst.len());
-        for (d, &s) in dst.iter_mut().zip(src) {
-            *d = self.encode(s);
-        }
+        wide(
+            #[inline(always)]
+            || {
+                for (d, &s) in dst.iter_mut().zip(src) {
+                    *d = self.encode(s);
+                }
+            },
+        )
     }
 
     /// Decompress a slice into a preallocated buffer.
     fn decode_slice(&self, src: &[u16], dst: &mut [f32]) {
         assert_eq!(src.len(), dst.len());
-        for (d, &s) in dst.iter_mut().zip(src) {
-            *d = self.decode(s);
-        }
+        wide(
+            #[inline(always)]
+            || {
+                for (d, &s) in dst.iter_mut().zip(src) {
+                    *d = self.decode(s);
+                }
+            },
+        )
     }
 
     /// Round-trip a slice in place — the §6.5 16-bit inter-step storage,
     /// simulated functionally.
     fn roundtrip_slice(&self, data: &mut [f32]) {
-        for v in data {
-            *v = self.roundtrip(*v);
-        }
+        wide(
+            #[inline(always)]
+            || {
+                for v in data {
+                    *v = self.roundtrip(*v);
+                }
+            },
+        )
     }
 }
 

@@ -9,6 +9,7 @@
 
 use crate::Codec16;
 use rayon::prelude::*;
+use sw_grid::simd::wide;
 use sw_grid::Field3;
 
 /// Elements per parallel work unit. Large enough that the per-chunk
@@ -53,13 +54,35 @@ pub fn map_ordered<T: Send, R: Send>(
     }
 }
 
+/// Lane accumulators of [`plane_max_abs`]: two AVX2 registers, so two
+/// independent max chains, and a whole number of rows of every mesh
+/// side that is a multiple of 16.
+const MAX_LANES: usize = 16;
+
 /// Max-abs over the interior rows of padded x-plane `x + halo`. `f32::max`
-/// skips NaN and reports ±Inf; the fold vectorizes (max is associative,
-/// so any lane order gives the same answer).
+/// skips NaN and reports ±Inf. One set of lane maxima is carried across
+/// the plane's rows — a row is too short to amortize a reduction of its
+/// own at the wide tiers — and max is associative and commutative, so
+/// any lane order gives the same answer.
 fn plane_max_abs(f: &Field3, x: usize) -> f32 {
-    (0..f.dims().ny)
-        .map(|y| f.row(x, y).iter().fold(0.0f32, |m, &v| m.max(v.abs())))
-        .fold(0.0, f32::max)
+    wide(
+        #[inline(always)]
+        || {
+            let mut max = [0.0f32; MAX_LANES];
+            for y in 0..f.dims().ny {
+                let (chunks, tail) = f.row(x, y).as_chunks::<MAX_LANES>();
+                for chunk in chunks {
+                    for (m, &v) in max.iter_mut().zip(chunk) {
+                        *m = m.max(v.abs());
+                    }
+                }
+                for (m, &v) in max.iter_mut().zip(tail) {
+                    *m = m.max(v.abs());
+                }
+            }
+            max.into_iter().fold(0.0, f32::max)
+        },
+    )
 }
 
 /// Interior max-abs of each field — the codec calibration scan, and the

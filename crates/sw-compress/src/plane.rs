@@ -20,6 +20,7 @@ use crate::calib::{max_abs_bucket, CodecCache};
 use crate::field::Codec;
 use crate::stats::unbiased_exponent;
 use crate::{select, Codec16, F32_INF};
+use sw_grid::simd::wide;
 use sw_grid::{Dims3, Field3};
 
 /// Binade bucket of a single value (`i32::MIN` = zero; nonfinite values
@@ -95,7 +96,7 @@ impl EncodeStats {
     }
 }
 
-/// Lanes of the calibration scan (two SSE2 registers of `u32`).
+/// Lanes of the calibration scan (one AVX2 register of `u32`, two SSE2).
 const SCAN_LANES: usize = 8;
 
 /// The calibration scan: `(largest finite |v|, number of nonfinite v)`.
@@ -107,7 +108,8 @@ const SCAN_LANES: usize = 8;
 /// scalar loop returns (`tests/oracle/` keeps that loop;
 /// `tests/codec_lanes.rs` pins the two together), and — like the codecs'
 /// subnormal rule — the result does not depend on the thread's
-/// flush-to-zero mode.
+/// flush-to-zero mode. Runs at the host's lane tier
+/// ([`sw_grid::simd::wide`]).
 pub fn finite_max_abs(src: &[f32]) -> (f32, u64) {
     #[inline(always)]
     fn lane(v: f32, max: &mut u32, nonfinite: &mut u32) {
@@ -116,23 +118,28 @@ pub fn finite_max_abs(src: &[f32]) -> (f32, u64) {
         *max = (*max).max(select(finite, mag, 0));
         *nonfinite += u32::from(!finite);
     }
-    let mut max = [0u32; SCAN_LANES];
-    let mut total = 0u64;
-    // u32 lane counters cannot wrap within a block this short.
-    for block in src.chunks(1 << 20) {
-        let mut nonfinite = [0u32; SCAN_LANES];
-        let (rows, tail) = block.as_chunks::<SCAN_LANES>();
-        for row in rows {
-            for ((&v, max), nonfinite) in row.iter().zip(&mut max).zip(&mut nonfinite) {
-                lane(v, max, nonfinite);
+    wide(
+        #[inline(always)]
+        || {
+            let mut max = [0u32; SCAN_LANES];
+            let mut total = 0u64;
+            // u32 lane counters cannot wrap within a block this short.
+            for block in src.chunks(1 << 20) {
+                let mut nonfinite = [0u32; SCAN_LANES];
+                let (rows, tail) = block.as_chunks::<SCAN_LANES>();
+                for row in rows {
+                    for ((&v, max), nonfinite) in row.iter().zip(&mut max).zip(&mut nonfinite) {
+                        lane(v, max, nonfinite);
+                    }
+                }
+                for &v in tail {
+                    lane(v, &mut max[0], &mut nonfinite[0]);
+                }
+                total += nonfinite.iter().map(|&n| u64::from(n)).sum::<u64>();
             }
-        }
-        for &v in tail {
-            lane(v, &mut max[0], &mut nonfinite[0]);
-        }
-        total += nonfinite.iter().map(|&n| u64::from(n)).sum::<u64>();
-    }
-    (f32::from_bits(max.into_iter().max().unwrap_or(0)), total)
+            (f32::from_bits(max.into_iter().max().unwrap_or(0)), total)
+        },
+    )
 }
 
 /// Values decoded per block of the encode statistics pass (stays in L1

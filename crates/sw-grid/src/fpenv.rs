@@ -27,8 +27,9 @@
 //! (glibc's `pthread_create` happens to copy the control word; nothing
 //! here relies on it.)
 //!
-//! This file holds the repository's only `unsafe` block; DESIGN.md
-//! ("The `unsafe` policy") says why it is here and what it relies on.
+//! This file holds one of the repository's two `unsafe` blocks (the
+//! other is the tier dispatch in [`crate::simd`]); DESIGN.md ("The
+//! `unsafe` policy") says why it is here and what it relies on.
 
 use std::marker::PhantomData;
 

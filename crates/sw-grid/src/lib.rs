@@ -7,7 +7,8 @@
 //!   **z is the fastest axis**, y second, x slowest;
 //! * [`Field3`] — a single scalar field with a stencil halo;
 //! * [`simd`] — the fixed-width `f32` lane type the stencil kernels
-//!   compute in;
+//!   compute in, and `wide`, the run-time dispatch that compiles every
+//!   lane loop for the instruction-set tier the host has;
 //! * [`tile`] — the multi-level blocking geometry of Fig. 4 (MPI partition →
 //!   core-group block → Athread region → LDM window);
 //! * [`halo`] — pack/unpack of halo faces for inter-rank exchange;

@@ -173,8 +173,12 @@ pub struct PerfLedger {
     /// ("serial" / "parallel" / "simd"). `None` in pre-extension
     /// ledgers (additive field; schema stays v1).
     pub exec_mode: Option<String>,
-    /// Compiled feature set active for the run (e.g. "simd"), empty
-    /// string for a default build. `None` in pre-extension ledgers.
+    /// The lane tier the run's lane loops were dispatched to
+    /// ("baseline" / "avx2" / "avx512", `sw_grid::simd::LaneTier`): two
+    /// ledgers with different stamps ran different machine code. The
+    /// field keeps the name it had when cargo features selected the
+    /// kernels; ledgers from those builds hold a feature list or the
+    /// empty string here, pre-extension ledgers `None`.
     pub features: Option<String>,
     /// Wavefield storage mode of the run ("full" / "compressed16");
     /// `None` in pre-extension ledgers (additive field; schema stays v1).
@@ -217,6 +221,22 @@ impl PerfLedger {
         Ok(Self::from_json(&std::fs::read_to_string(path)?))
     }
 
+    /// `exec: <path>  lanes: <tier>` — how the run executed, for the
+    /// header of a report and for each side of a diff; `None` for a
+    /// ledger that carries neither stamp.
+    pub fn stamps(&self) -> Option<String> {
+        (self.exec_mode.is_some() || self.features.is_some()).then(|| {
+            format!(
+                "exec: {}  lanes: {}",
+                self.exec_mode.as_deref().unwrap_or("unknown"),
+                match self.features.as_deref() {
+                    Some("") | None => "(not recorded)",
+                    Some(tier) => tier,
+                }
+            )
+        })
+    }
+
     /// Human-readable throughput table; kernels with a known roofline
     /// fraction below `min_fraction` are flagged `LOW`.
     pub fn text_table(&self, min_fraction: f64) -> String {
@@ -230,12 +250,9 @@ impl PerfLedger {
             self.step_p50_s,
             self.step_p95_s,
         ));
-        if self.exec_mode.is_some() || self.features.is_some() {
-            let features = self.features.as_deref().unwrap_or("");
+        if let Some(stamps) = self.stamps() {
             out.push_str(&format!(
-                "exec: {}  features: {}{}\n",
-                self.exec_mode.as_deref().unwrap_or("unknown"),
-                if features.is_empty() { "(default)" } else { features },
+                "{stamps}{}\n",
                 match self.resident_mode.as_deref() {
                     Some(mode) => format!("  resident: {mode}"),
                     None => String::new(),

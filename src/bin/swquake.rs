@@ -200,8 +200,9 @@ usage: swquake perf-report <perf.json> [--min-fraction <frac>]
 
 Render a per-kernel performance ledger (from `swquake run --perf` or a
 campaign scenario's perf.json) as a table: wall time, cells/s, GFLOP/s,
-GB/s and the achieved fraction of the modeled SW26010 roofline. Exit 0
-normally, 1 when any modeled kernel is below --min-fraction (default 0,
+GB/s and the achieved fraction of the modeled SW26010 roofline, under a
+header naming the host, the exec path and the lane tier (baseline /
+avx2 / avx512) the run dispatched to. Exit 0 normally, 1 when any modeled kernel is below --min-fraction (default 0,
 which never flags), 2 when the file fails to load.";
 
 const PERF_DIFF_HELP: &str = "\
@@ -210,8 +211,8 @@ usage: swquake perf-diff <old.json> <new.json> [--tolerance <frac>]
 Per-kernel perf-regression gate. Each side may be a perf ledger (from
 `run --perf`) or a BENCH_<name>.json report — auto-detected, so a
 ledger can be diffed against a committed bench baseline. Ledger sides
-echo their exec mode and compiled features above the table, so
-cross-mode comparisons are self-describing. Exit 0 on pass, 1 on
+echo their exec path and lane tier (baseline / avx2 / avx512) above the
+table, so cross-mode and cross-host comparisons are self-describing. Exit 0 on pass, 1 on
 regression beyond the tolerance (default 0.1; per-record `tolerance`
 overrides), 2 on load failures or unit mismatches.";
 
@@ -601,8 +602,9 @@ fn perf_diff(old_path: &str, new_path: &str, tolerance: f64) -> i32 {
     // A perf ledger has a top-level `kernels` array; a bench report has
     // `records`. Ledgers are lowered to per-kernel bench records so the
     // two formats diff against each other. The lowering drops the
-    // ledger's exec_mode/features stamps, so they are echoed per side
-    // here — a cross-mode diff must say what it is comparing.
+    // ledger's exec-path and lane-tier stamps, so they are echoed per
+    // side here — a cross-mode or cross-tier diff must say what it is
+    // comparing.
     let load = |path: &str, role: &str| -> Result<(BenchReport, Option<String>), String> {
         let text = std::fs::read_to_string(path)
             .map_err(|e| format!("perf-diff: cannot read {role} {path}: {e}"))?;
@@ -611,17 +613,7 @@ fn perf_diff(old_path: &str, new_path: &str, tolerance: f64) -> i32 {
         if probe.as_object().is_some_and(|o| o.iter().any(|(k, _)| k == "kernels")) {
             let ledger = PerfLedger::from_json(&text)
                 .map_err(|e| format!("perf-diff: cannot parse {role} ledger {path}: {e}"))?;
-            let echo = (ledger.exec_mode.is_some() || ledger.features.is_some()).then(|| {
-                format!(
-                    "exec: {}  features: {}",
-                    ledger.exec_mode.as_deref().unwrap_or("?"),
-                    match ledger.features.as_deref() {
-                        Some("") | None => "(default)",
-                        Some(f) => f,
-                    }
-                )
-            });
-            Ok((ledger.to_bench_report("perf"), echo))
+            Ok((ledger.to_bench_report("perf"), ledger.stamps()))
         } else {
             BenchReport::from_json(&text)
                 .map(|r| (r, None))
@@ -688,6 +680,7 @@ fn imbalance_report(path: &str, max_skew: Option<f64>) -> i32 {
 
 #[allow(clippy::result_large_err)] // cold abort-path error; see Scenario::from_json
 fn run(path: &str, outputs: &RunOutputs) -> Result<(), Error> {
+    swquake::core::exec::check_env()?;
     let text = std::fs::read_to_string(path)
         .map_err(|e| Error::Io { path: path.to_string(), source: e })?;
     let (scenario, version) = Scenario::from_json_versioned(&text)?;
@@ -781,7 +774,7 @@ fn run(path: &str, outputs: &RunOutputs) -> Result<(), Error> {
     swquake::core::exec::configure_threads(cfg.threads);
     println!(
         "mesh {} at dx = {} m, {} steps, model {}, nonlinear {}, compression {}, exec {} \
-         (path {}){}",
+         (path {}), lanes {}{}",
         cfg.dims,
         cfg.dx,
         cfg.steps,
@@ -790,6 +783,7 @@ fn run(path: &str, outputs: &RunOutputs) -> Result<(), Error> {
         scenario.compression,
         cfg.exec,
         cfg.exec.resolve_path(cfg.dims.len()),
+        swquake::grid::simd::LaneTier::active(),
         if cfg.resident == ResidentMode::Compressed16 { ", resident compressed16" } else { "" }
     );
     // `--ranks MxN` routes through the multi-rank driver: same physics

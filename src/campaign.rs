@@ -83,6 +83,14 @@ pub fn run_campaign_file(
         class: FailureClass::Usage,
     })?;
     let spec = CampaignSpec::from_json(&text)?;
+    // Every scenario takes its exec, thread, residency and health-stride
+    // defaults from the environment: refuse a mistyped one once, up front.
+    swquake_core::exec::check_env().map_err(|e| CampaignError {
+        scenario: None,
+        phase: Phase::Setup,
+        detail: Error::Config(e).to_string(),
+        class: FailureClass::Usage,
+    })?;
     let dir = opts.dir.clone().unwrap_or_else(|| format!("{}_campaign", spec.name));
     let engine_opts = CampaignOptions {
         jobs: opts.jobs,

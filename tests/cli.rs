@@ -595,7 +595,10 @@ fn exec_simd_is_an_alias_of_parallel() {
         )
     };
     let (serial, reference) = run(&["--exec", "serial"], None);
-    assert!(serial.contains("exec serial (path serial)"), "stdout: {serial}");
+    // The banner names the resolved path and the lane tier of the host.
+    let lanes = swquake::grid::simd::LaneTier::detected();
+    let banner = format!("exec serial (path serial), lanes {lanes}");
+    assert!(serial.contains(&banner), "stdout: {serial}");
     for (args, env) in [
         (&["--exec", "simd"][..], None),
         (&["--exec", "parallel"][..], None),
@@ -604,6 +607,64 @@ fn exec_simd_is_an_alias_of_parallel() {
         let (stdout, csv) = run(args, env);
         assert!(stdout.contains("(path parallel)"), "{args:?} {env:?}: {stdout}");
         assert_eq!(csv, reference, "{args:?} {env:?}: seismograms differ from serial");
+    }
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+/// A `SWQUAKE_*` default that is set but does not parse is a
+/// configuration error (exit 2) naming the variable and what it accepts
+/// — `SWQUAKE_EXEC=paralel` used to run `auto`, `SWQUAKE_THREADS=two`
+/// every core — for `run` and for `campaign`; valid values still run.
+#[test]
+fn unparsable_environment_defaults_are_rejected() {
+    let dir = workdir("bad_env");
+    let scenario = dir.join("scenario.json");
+    Command::new(bin()).args(["--write-example", scenario.to_str().unwrap()]).status().unwrap();
+    let mut json: serde_json::Value =
+        serde_json::from_str(&std::fs::read_to_string(&scenario).unwrap()).unwrap();
+    json["mesh"] = serde_json::json!([16, 16, 10]);
+    json["duration"] = serde_json::json!(0.1);
+    json["sources"][0]["position"] = serde_json::json!([8, 8, 5]);
+    json["stations"] = serde_json::json!([{"name": "probe", "ix": 10, "iy": 10}]);
+    std::fs::write(&scenario, serde_json::to_string(&json).unwrap()).unwrap();
+    let spec = dir.join("campaign.json");
+    let campaign = serde_json::json!({
+        "schema": 1, "name": "env", "scenarios": [{"id": "s1", "scenario": json}]
+    });
+    std::fs::write(&spec, serde_json::to_string(&campaign).unwrap()).unwrap();
+    const VARS: [&str; 4] =
+        ["SWQUAKE_EXEC", "SWQUAKE_THREADS", "SWQUAKE_RESIDENT", "SWQUAKE_HEALTH_STRIDE"];
+    let invoke = |subcommand: &[&str], var: &str, value: &str| {
+        let mut cmd = Command::new(bin());
+        cmd.current_dir(&dir).args(subcommand);
+        for v in VARS {
+            cmd.env_remove(v);
+        }
+        cmd.env(var, value).output().unwrap()
+    };
+    let run = ["run", scenario.to_str().unwrap()];
+    let camp = ["campaign", spec.to_str().unwrap(), "--dir", "camp"];
+    for (var, bad, accepted, good) in [
+        ("SWQUAKE_EXEC", "paralel", "serial|parallel|simd|auto", "parallel"),
+        ("SWQUAKE_THREADS", "two", "a thread count", "2"),
+        ("SWQUAKE_RESIDENT", "compressed", "full|compressed16", "compressed16"),
+        ("SWQUAKE_HEALTH_STRIDE", "-5", "a number of steps", "5"),
+    ] {
+        for subcommand in [&run[..], &camp[..]] {
+            let out = invoke(subcommand, var, bad);
+            let stderr = String::from_utf8_lossy(&out.stderr);
+            assert_eq!(out.status.code(), Some(2), "{subcommand:?} {var}={bad}: {stderr}");
+            assert!(
+                stderr.contains("invalid configuration")
+                    && stderr.contains(var)
+                    && stderr.contains(bad)
+                    && stderr.contains(accepted),
+                "{subcommand:?} {var}={bad}: {stderr}"
+            );
+        }
+        assert!(!dir.join("camp").exists(), "{var}: a refused campaign must not start");
+        let out = invoke(&run, var, good);
+        assert!(out.status.success(), "{var}={good}: {}", String::from_utf8_lossy(&out.stderr));
     }
     std::fs::remove_dir_all(&dir).ok();
 }

@@ -5,7 +5,9 @@
 //! run at width 1. The branchy scalar conversions those bodies replaced
 //! are kept in `tests/oracle/` and every bit pattern must match them —
 //! so seismograms, checkpoints, resident stores and the health ledger do
-//! not change by a bit. This file pins that, plus the codecs' ordering
+//! not change by a bit — under the baseline lane cap and under every
+//! wider lane tier this host offers (`sw_grid::simd::wide` compiles the
+//! slice loops once per tier). This file pins that, plus the codecs' ordering
 //! properties and the fact that the driver's telemetry / health / plain
 //! round-trip runs are one call path.
 
@@ -18,6 +20,7 @@ use swquake::compress::{
     calibrated_codec, AdaptiveCodec, Codec, Codec16, F16Codec, FieldStats, NormCodec,
 };
 use swquake::core::{ExecMode, SimConfig, Simulation};
+use swquake::grid::simd::{per_tier, LaneTier};
 use swquake::grid::Dims3;
 use swquake::health::HealthConfig;
 use swquake::io::Station;
@@ -83,7 +86,7 @@ fn assert_block_matches(codec: &Codec, oracle: &Oracle, block: &[f32]) {
     let mut tripped = block.to_vec();
     codec.roundtrip_slice(&mut tripped);
     for (i, &v) in block.iter().enumerate() {
-        let ctx = || format!("{codec:?} input {:#010x}", v.to_bits());
+        let ctx = || format!("{codec:?} input {:#010x} lanes {}", v.to_bits(), LaneTier::active());
         let want_code = oracle.encode(v);
         let want = oracle.decode(want_code).to_bits();
         assert_eq!(codes[i], want_code, "encode_slice: {}", ctx());
@@ -111,13 +114,15 @@ const SWEEP_STRIDE: u64 = 6_007;
 #[test]
 fn lane_bodies_match_the_scalar_oracle_on_a_strided_sweep() {
     const BLOCK: usize = 1 << 14;
-    for (codec, oracle) in all_codecs() {
-        let mut first = 0u64;
-        while first <= u64::from(u32::MAX) {
-            assert_block_matches(&codec, &oracle, &patterns(first, SWEEP_STRIDE, BLOCK));
-            first += SWEEP_STRIDE * BLOCK as u64;
+    per_tier(|_| {
+        for (codec, oracle) in all_codecs() {
+            let mut first = 0u64;
+            while first <= u64::from(u32::MAX) {
+                assert_block_matches(&codec, &oracle, &patterns(first, SWEEP_STRIDE, BLOCK));
+                first += SWEEP_STRIDE * BLOCK as u64;
+            }
         }
-    }
+    });
 }
 
 /// Magnitude bit patterns around which behaviour changes: f32's own
@@ -177,16 +182,19 @@ fn lane_bodies_match_the_scalar_oracle_at_every_edge() {
             }
         }
     }
-    for (codec, oracle) in all_codecs() {
-        assert_block_matches(&codec, &oracle, &edges);
-        // Every slice length around the vector width, at every alignment:
-        // the loop remainders run the same body.
-        for offset in 0..4 {
-            for len in 0..=17 {
-                assert_block_matches(&codec, &oracle, &edges[offset..offset + len]);
+    per_tier(|_| {
+        for (codec, oracle) in all_codecs() {
+            assert_block_matches(&codec, &oracle, &edges);
+            // Every slice length around the vector width (up to two
+            // 512-bit registers of codes and a tail), at every alignment:
+            // the loop remainders run the same body.
+            for offset in 0..4 {
+                for len in 0..=67 {
+                    assert_block_matches(&codec, &oracle, &edges[offset..offset + len]);
+                }
             }
         }
-    }
+    });
 }
 
 /// Decoding is total: every one of the 65 536 codes, emitted or not,
@@ -195,12 +203,15 @@ fn lane_bodies_match_the_scalar_oracle_at_every_edge() {
 fn every_code_decodes_as_the_oracle_does() {
     let codes: Vec<u16> = (0..=u16::MAX).collect();
     let mut decoded = vec![0.0f32; codes.len()];
-    for (codec, oracle) in all_codecs() {
-        codec.decode_slice(&codes, &mut decoded);
-        for (&c, d) in codes.iter().zip(&decoded) {
-            assert_eq!(d.to_bits(), oracle.decode(c).to_bits(), "{codec:?} code {c:#06x}");
+    per_tier(|tier| {
+        for (codec, oracle) in all_codecs() {
+            codec.decode_slice(&codes, &mut decoded);
+            for (&c, d) in codes.iter().zip(&decoded) {
+                let want = oracle.decode(c).to_bits();
+                assert_eq!(d.to_bits(), want, "{codec:?} code {c:#06x} lanes {tier}");
+            }
         }
-    }
+    });
 }
 
 /// Both defined-behaviour fixes, with and without flush-to-zero.
@@ -295,17 +306,19 @@ fn driver_adaptive_codec() -> (Codec, Oracle) {
     (codec, Oracle::Adaptive(AdaptiveOracle::new(-36, -6)))
 }
 
-/// All 2³² patterns, split over two threads.
+/// All 2³² patterns, split over two threads, once per lane tier.
 fn assert_matches_exhaustively(codec: Codec, oracle: Oracle) {
     const BLOCK: u64 = 1 << 16;
-    std::thread::scope(|s| {
-        for half in 0..2u64 {
-            s.spawn(move || {
-                for block in (half << 15)..((half + 1) << 15) {
-                    assert_block_matches(&codec, &oracle, &patterns(block * BLOCK, 1, 1 << 16));
-                }
-            });
-        }
+    per_tier(|_| {
+        std::thread::scope(|s| {
+            for half in 0..2u64 {
+                s.spawn(move || {
+                    for block in (half << 15)..((half + 1) << 15) {
+                        assert_block_matches(&codec, &oracle, &patterns(block * BLOCK, 1, 1 << 16));
+                    }
+                });
+            }
+        });
     });
 }
 
@@ -483,11 +496,16 @@ fn max_abs_folds_match_the_carried_fold() {
         let direct: Vec<u32> = fields.iter().map(|g| g.max_abs().to_bits()).collect();
         assert_eq!(direct, expect, "case {case}: Field3::max_abs");
         let refs: Vec<&Field3> = fields.iter().collect();
-        for parallel in [false, true] {
-            let scan: Vec<u32> =
-                fields_max_abs(&refs, parallel).iter().map(|m| m.to_bits()).collect();
-            assert_eq!(scan, expect, "case {case}: fields_max_abs(parallel = {parallel})");
-        }
+        per_tier(|tier| {
+            for parallel in [false, true] {
+                let scan: Vec<u32> =
+                    fields_max_abs(&refs, parallel).iter().map(|m| m.to_bits()).collect();
+                assert_eq!(
+                    scan, expect,
+                    "case {case}: fields_max_abs(parallel = {parallel}) lanes {tier}"
+                );
+            }
+        });
     }
 }
 
@@ -501,9 +519,11 @@ fn max_abs_folds_match_the_carried_fold() {
 fn the_calibration_scan_matches_the_carried_scalar_scan() {
     use swquake::compress::plane::finite_max_abs;
     let pin = |plane: &[f32], what: &str| {
-        let (lane_max, lane_bad) = finite_max_abs(plane);
         let (max, bad) = oracle::finite_max_abs(plane);
-        assert_eq!((lane_max.to_bits(), lane_bad), (max.to_bits(), bad), "{what}");
+        per_tier(|tier| {
+            let (lane_max, lane_bad) = finite_max_abs(plane);
+            assert_eq!((lane_max.to_bits(), lane_bad), (max.to_bits(), bad), "{what} lanes {tier}");
+        });
     };
     let specials = [
         f32::NAN,

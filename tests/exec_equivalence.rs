@@ -4,11 +4,14 @@
 //! production feature set — nonlinear plasticity, attenuation, Cerjan
 //! sponge, and the §6.5 compression round trip — on the single-rank path,
 //! under the 2×2 rank decomposition, and across checkpoint/restore in
-//! either direction. That is the property that lets mode be a pure
+//! either direction — and the same bits again under the baseline lane cap
+//! and every wider lane tier the host offers (`sw_grid::simd`). That is
+//! the property that lets mode, and the CPU a run lands on, be a pure
 //! performance choice.
 
 use swquake::core::driver::run_multirank;
 use swquake::core::{ExecMode, ExecPath, SimConfig, Simulation};
+use swquake::grid::simd::{cap_lanes, per_tier, LaneTier};
 use swquake::grid::Dims3;
 use swquake::health::budget::{BudgetTracker, CompressionSample};
 use swquake::health::HealthConfig;
@@ -69,15 +72,20 @@ fn assert_states_identical(a: &Simulation, b: &Simulation) {
 
 /// Single rank: the parallel step pipeline (free surface, velocity,
 /// stress, plasticity, sponge, compression) bit-matches the serial one
-/// over a 60-step nonlinear run.
+/// over a 60-step nonlinear run — at every lane tier, and every tier
+/// matches the baseline.
 #[test]
 fn parallel_matches_serial_single_rank() {
     pin_pool();
     let cfg = production_config();
-    let serial = run_mode(&cfg, ExecMode::Serial);
-    let parallel = run_mode(&cfg, ExecMode::Parallel);
-    assert!(!serial.state.has_blown_up());
-    assert_states_identical(&serial, &parallel);
+    let runs = per_tier(|_| (run_mode(&cfg, ExecMode::Serial), run_mode(&cfg, ExecMode::Parallel)));
+    let (_, (baseline, _)) = &runs[0];
+    assert!(!baseline.state.has_blown_up());
+    for (tier, (serial, parallel)) in &runs {
+        println!("lanes {tier}");
+        assert_states_identical(baseline, serial);
+        assert_states_identical(serial, parallel);
+    }
 }
 
 /// 2×2 ranks, each rank fanning its kernels out over the shared pool:
@@ -98,7 +106,10 @@ fn parallel_matches_serial_across_2x2_ranks() {
     cfg.compression_stats = stats;
 
     let serial_single = run_mode(&cfg, ExecMode::Serial);
-    for exec in [ExecMode::Serial, ExecMode::Parallel] {
+    let mut runs = vec![(ExecMode::Serial, None)];
+    runs.extend(LaneTier::available().map(|tier| (ExecMode::Parallel, Some(tier))));
+    for (exec, cap) in runs {
+        let _cap = cap.map(cap_lanes);
         let multi = run_multirank(&model, &cfg.clone().with_exec(exec), RankGrid::new(2, 2))
             .expect("valid config");
         for s in serial_single.seismo.seismograms() {

@@ -1,7 +1,9 @@
 //! The floating-point environment contract: every thread that runs
 //! kernel code flushes subnormals to zero (`sw_grid::fpenv`), whichever
 //! execution mode, layout or rank decomposition put it to work, and the
-//! caller of the library gets its own mode back afterwards.
+//! caller of the library gets its own mode back afterwards. The mode
+//! is one control word for SSE, VEX and EVEX arithmetic alike, so it
+//! holds inside `sw_grid::simd::wide` at every lane tier.
 //!
 //! Nothing here measures time. The first test pins the invariant that
 //! keeps a step at step 40 as cheap as at step 2 — no subnormal survives
@@ -16,6 +18,7 @@ use std::sync::{Barrier, Mutex, MutexGuard};
 use swquake::core::driver::run_multirank;
 use swquake::core::exec::kernel_fp_env;
 use swquake::core::{ExecMode, ResidentMode, SimConfig, Simulation};
+use swquake::grid::simd::{per_tier, wide};
 use swquake::grid::{fpenv, Dims3, Field3};
 use swquake::health::HealthConfig;
 use swquake::model::LayeredModel;
@@ -69,6 +72,16 @@ fn subnormals_in_state(sim: &Simulation) -> usize {
 /// thread flushes, `MIN_POSITIVE / 2` when it does not.
 fn tiny_product() -> f32 {
     black_box(f32::MIN_POSITIVE) * black_box(0.5)
+}
+
+/// A product with a subnormal operand and a normal result, computed in
+/// code compiled for the dispatched lane tier: zero when the executing
+/// thread reads subnormal operands as zero, `2 · MIN_POSITIVE` when not.
+fn wide_product_of_a_tiny_operand() -> f32 {
+    wide(
+        #[inline(always)]
+        || black_box(f32::MIN_POSITIVE * 0.5) * black_box(4.0),
+    )
 }
 
 /// After 40 steps no cell of `u, v, w, xx..yz` or `r[0..6]` is
@@ -140,6 +153,22 @@ fn compute_threads_adopt_the_spawners_mode_and_step_restores_the_callers() {
         assert_eq!(products.iter().filter(|&&(on_helper, _)| on_helper).count(), 2);
         assert!(products.iter().all(|&(_, product)| product == 0.0), "{products:?}");
 
+        // The same region once per lane tier, the product taken inside
+        // `wide`: wider registers do not leave the control word behind,
+        // on the caller or on a helper.
+        per_tier(|tier| {
+            let gate = Barrier::new(3);
+            let products: Vec<(bool, f32)> = (0..3usize)
+                .into_par_iter()
+                .map(|_| {
+                    gate.wait();
+                    (std::thread::current().id() != caller, wide_product_of_a_tiny_operand())
+                })
+                .collect();
+            assert_eq!(products.iter().filter(|&&(on_helper, _)| on_helper).count(), 2);
+            assert!(products.iter().all(|&(_, p)| p == 0.0), "lanes {tier}: {products:?}");
+        });
+
         let ranks = run_ranks(RankGrid::new(2, 1), |_| tiny_product());
         assert_eq!(ranks, vec![0.0, 0.0]);
         let jobs = run_jobs(2, 4, |_| tiny_product());
@@ -147,6 +176,7 @@ fn compute_threads_adopt_the_spawners_mode_and_step_restores_the_callers() {
     }
     // Without a guard on the spawner, the same threads do not flush.
     assert_eq!(tiny_product(), f32::MIN_POSITIVE / 2.0);
+    assert_eq!(wide_product_of_a_tiny_operand(), f32::MIN_POSITIVE * 2.0);
     assert_eq!(
         run_ranks(RankGrid::new(2, 1), |_| tiny_product()),
         vec![f32::MIN_POSITIVE / 2.0; 2]

@@ -9,7 +9,9 @@
 //! below and above one y-tile, forced 5 × 16 tiles whose edges cross the
 //! mesh, `ny = 1..4` (where the `dvelcx` / `dvelcy` split degenerates)
 //! and sponge widths 0 and 3, and compares **every bit of every dynamic
-//! array, halo planes included** with `tests/oracle/kernels.rs`.
+//! array, halo planes included** with `tests/oracle/kernels.rs` — once
+//! under the baseline lane cap (the code every host without AVX2 runs)
+//! and once per wider lane tier this host offers (`sw_grid::simd`).
 
 mod oracle;
 
@@ -20,6 +22,7 @@ use swquake::core::driver::COMPRESSED_FIELDS;
 use swquake::core::kernels::{self, Region};
 use swquake::core::state::{PlasticityConfig, SolverState, StateOptions};
 use swquake::core::{ExecMode, ExecPath, ResidentMode, SimConfig, Simulation};
+use swquake::grid::simd::{per_tier, LaneTier};
 use swquake::grid::{Dims3, Field3};
 use swquake::model::LayeredModel;
 use swquake::source::{MomentTensor, PointSource, SourceTimeFunction};
@@ -139,8 +142,15 @@ fn check_kernel(
     assert_bitwise(&want, &got, what);
 }
 
-fn check_every_kernel(dims: (usize, usize, usize), physics: Physics, sponge: usize, pool: bool) {
-    let what = |k: &str| format!("{k} on {dims:?} {physics:?} sponge {sponge} pool {pool}");
+fn check_every_kernel(
+    tier: LaneTier,
+    dims: (usize, usize, usize),
+    physics: Physics,
+    sponge: usize,
+    pool: bool,
+) {
+    let what =
+        |k: &str| format!("{k} on {dims:?} {physics:?} sponge {sponge} pool {pool} lanes {tier}");
     let base = noisy_state(dims, physics, sponge);
     let d = base.dims;
     let whole = Region::whole(d);
@@ -213,28 +223,32 @@ fn check_every_kernel(dims: (usize, usize, usize), physics: Physics, sponge: usi
 
 #[test]
 fn every_kernel_matches_the_oracle_on_the_calling_thread() {
-    for dims in MESHES {
-        for physics in Physics::KERNEL_LEVEL {
-            for sponge in [0, 3] {
-                check_every_kernel(dims, physics, sponge, false);
+    per_tier(|tier| {
+        for dims in MESHES {
+            for physics in Physics::KERNEL_LEVEL {
+                for sponge in [0, 3] {
+                    check_every_kernel(tier, dims, physics, sponge, false);
+                }
             }
         }
-    }
+    });
 }
 
 #[test]
 fn every_kernel_matches_the_oracle_through_the_pool_at_widths_1_2_4() {
-    for threads in [1, 2, 4] {
-        with_pool_width(threads, || {
-            for dims in MESHES {
-                for physics in Physics::KERNEL_LEVEL {
-                    for sponge in [0, 3] {
-                        check_every_kernel(dims, physics, sponge, true);
+    per_tier(|tier| {
+        for threads in [1, 2, 4] {
+            with_pool_width(threads, || {
+                for dims in MESHES {
+                    for physics in Physics::KERNEL_LEVEL {
+                        for sponge in [0, 3] {
+                            check_every_kernel(tier, dims, physics, sponge, true);
+                        }
                     }
                 }
-            }
-        });
-    }
+            });
+        }
+    });
 }
 
 const STEPS: usize = 5;
@@ -280,8 +294,15 @@ fn oracle_steps(mut s: SolverState, sources: &[PointSource], compression: bool) 
     s
 }
 
-fn check_full_steps(dims: (usize, usize, usize), physics: Physics, sponge: usize, exec: ExecMode) {
-    let what = format!("{STEPS} steps on {dims:?} {physics:?} sponge {sponge} exec {exec}");
+fn check_full_steps(
+    tier: LaneTier,
+    dims: (usize, usize, usize),
+    physics: Physics,
+    sponge: usize,
+    exec: ExecMode,
+) {
+    let what =
+        format!("{STEPS} steps on {dims:?} {physics:?} sponge {sponge} exec {exec} lanes {tier}");
     let base = noisy_state(dims, physics, sponge);
     let compression = physics == Physics::NonlinearAttenuationCompressed;
     let mut cfg = SimConfig::new(base.dims, base.dx, STEPS)
@@ -301,30 +322,34 @@ fn check_full_steps(dims: (usize, usize, usize), physics: Physics, sponge: usize
 
 #[test]
 fn five_full_steps_match_the_oracle_on_the_calling_thread() {
-    for dims in MESHES {
-        for physics in Physics::ALL {
-            for sponge in [0, 3] {
-                check_full_steps(dims, physics, sponge, ExecMode::Serial);
+    per_tier(|tier| {
+        for dims in MESHES {
+            for physics in Physics::ALL {
+                for sponge in [0, 3] {
+                    check_full_steps(tier, dims, physics, sponge, ExecMode::Serial);
+                }
             }
         }
-    }
+    });
 }
 
 #[test]
 fn five_full_steps_match_the_oracle_through_the_pool_at_widths_1_2_4() {
-    for threads in [1, 2, 4] {
-        with_pool_width(threads, || {
-            for dims in MESHES {
-                for physics in Physics::ALL {
-                    for sponge in [0, 3] {
-                        for exec in [ExecMode::Parallel, ExecMode::Simd] {
-                            check_full_steps(dims, physics, sponge, exec);
+    per_tier(|tier| {
+        for threads in [1, 2, 4] {
+            with_pool_width(threads, || {
+                for dims in MESHES {
+                    for physics in Physics::ALL {
+                        for sponge in [0, 3] {
+                            for exec in [ExecMode::Parallel, ExecMode::Simd] {
+                                check_full_steps(tier, dims, physics, sponge, exec);
+                            }
                         }
                     }
                 }
-            }
-        });
-    }
+            });
+        }
+    });
 }
 
 /// Compressed-resident runs stream slabs through the same bodies on the

@@ -16,6 +16,7 @@ use std::path::PathBuf;
 use std::process::Command;
 use std::sync::Arc;
 use swquake::core::{ExecMode, SimConfig, Simulation};
+use swquake::grid::simd::LaneTier;
 use swquake::grid::Dims3;
 use swquake::io::Station;
 use swquake::model::LayeredModel;
@@ -122,6 +123,10 @@ fn ledger_reports_nonzero_rates_for_every_production_kernel() {
     assert!(ledger.wall_s > 0.0);
     assert!(ledger.step_p50_s > 0.0);
     assert!(ledger.step_p95_s >= ledger.step_p50_s);
+    // The ledger says which machine code ran: the pool path at this
+    // host's lane tier.
+    assert_eq!(ledger.exec_mode.as_deref(), Some("parallel"));
+    assert_eq!(ledger.features.as_deref(), Some(LaneTier::detected().name()));
     for name in ["fstr", "dvelc", "dstrqc", "attenuation", "drprecpc", "sponge"] {
         let k = ledger.kernel(name).unwrap_or_else(|| panic!("kernel `{name}` missing"));
         assert!(k.wall_s > 0.0, "{name}: zero wall time");
@@ -153,12 +158,15 @@ fn perf_diff_cli_gates_a_seeded_regression() {
         .args(["perf-diff", old.to_str().unwrap(), new.to_str().unwrap()])
         .output()
         .unwrap();
-    assert_eq!(
-        out.status.code(),
-        Some(0),
-        "identical ledgers must pass; stdout: {}",
-        String::from_utf8_lossy(&out.stdout)
-    );
+    let stdout = String::from_utf8_lossy(&out.stdout);
+    assert_eq!(out.status.code(), Some(0), "identical ledgers must pass; stdout: {stdout}");
+    // Each side says how it ran, so ledgers from two tiers are never
+    // compared silently.
+    let stamps = format!("exec: parallel  lanes: {}", LaneTier::detected());
+    for side in ["baseline:", "candidate:"] {
+        let echoed = stdout.lines().any(|l| l.starts_with(side) && l.contains(&stamps));
+        assert!(echoed, "no `{side} {stamps}` line in: {stdout}");
+    }
 
     // Seed the regression: dvelc takes 10× the wall time.
     let mut slowed = ledger.clone();
@@ -196,6 +204,8 @@ fn perf_report_cli_flags_kernels_below_min_fraction() {
     assert_eq!(out.status.code(), Some(0), "default threshold never flags");
     let stdout = String::from_utf8_lossy(&out.stdout);
     assert!(stdout.contains("dvelc") && stdout.contains("roofline"), "stdout: {stdout}");
+    let lanes = format!("lanes: {}", LaneTier::detected());
+    assert!(stdout.contains(&lanes), "no `{lanes}` in the header: {stdout}");
 
     // Pin the fractions low so the threshold verdict is deterministic.
     let mut low = ledger.clone();

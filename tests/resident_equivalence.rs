@@ -12,7 +12,9 @@
 //!   compressed16 wavefield is *bitwise* identical across
 //!   serial/parallel (and the `simd` alias: `tests/kernel_matrix.rs`),
 //!   and checkpoints cross the mode boundary in
-//!   both directions;
+//!   both directions — and the lane-tier boundary: an image cut under
+//!   the baseline lane cap is the image a dispatched run cuts, and either
+//!   resumes at the other tier onto the uninterrupted run's bytes;
 //! * **The cap holds** — a mesh whose f32 footprint is >= 2x the
 //!   configured cap still runs end-to-end with the decode slab under
 //!   the cap, gauged and health-gated;
@@ -28,8 +30,10 @@ use swquake::core::resident::{ResidentEngine, RESIDENT_FIELDS};
 use swquake::core::{
     ConfigError, ExecMode, ResidentMode, RunError, SimConfig, Simulation, SolverState,
 };
+use swquake::grid::simd::{cap_lanes, LaneTier};
 use swquake::grid::Dims3;
 use swquake::health::{BudgetTracker, CompressionSample, HealthConfig};
+use swquake::io::checkpoint::Checkpoint;
 use swquake::io::Station;
 use swquake::model::LayeredModel;
 use swquake::parallel::RankGrid;
@@ -371,6 +375,46 @@ fn checkpoints_cross_the_resident_mode_boundary() {
     to_compressed.restore(&full_ckpt).expect("compressed mode accepts the full checkpoint");
     to_compressed.run(30);
     assert_within_epsilon(&reference, &to_compressed, "full -> compressed restore");
+}
+
+/// A checkpoint does not remember the lane tier that cut it: the first
+/// half of a compressed16 run under the baseline cap (the code a host
+/// without AVX2 runs) and under the host's own tier encode to the same
+/// image bytes, and each image, resumed at the *other* tier, ends on the
+/// uninterrupted run's stores and seismograms.
+#[test]
+fn checkpoints_cross_the_lane_tier_boundary() {
+    pin_pool();
+    let model = LayeredModel::north_china();
+    let cfg = production_config()
+        .with_exec(ExecMode::Parallel)
+        .with_resident(ResidentMode::Compressed16)
+        .with_memory_cap(512 << 10);
+    let uninterrupted = run_cfg(&cfg);
+    let half = |cap: Option<LaneTier>, image: Option<&[u8]>| {
+        let _cap = cap.map(cap_lanes);
+        let mut sim = Simulation::new(&model, &cfg).expect("valid config");
+        if let Some(image) = image {
+            sim.restore(&Checkpoint::decode(image).expect("own image")).expect("restores");
+        }
+        sim.run(30);
+        sim
+    };
+    let capped = half(Some(LaneTier::Baseline), None).make_checkpoint().encode();
+    let dispatched = half(None, None).make_checkpoint().encode();
+    assert!(capped == dispatched, "the step-30 image depends on the lane tier");
+    let label = |from: &str, to: &str| format!("cut at {from}, resumed at {to}");
+    let host = LaneTier::detected().name();
+    assert_compressed_identical(
+        &uninterrupted,
+        &half(None, Some(&capped)),
+        &label("baseline", host),
+    );
+    assert_compressed_identical(
+        &uninterrupted,
+        &half(Some(LaneTier::Baseline), Some(&dispatched)),
+        &label(host, "baseline"),
+    );
 }
 
 /// The compatibility contract is enforced up front: inter-step
