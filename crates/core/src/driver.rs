@@ -16,9 +16,14 @@
 //! checkpoints in `io.*`. With [`Telemetry::disabled`] (the default) every
 //! recording call is a branch on `None` and the numeric path is untouched.
 //!
-//! [`run_multirank`] runs the same step sequence on a 2-D rank grid with
-//! halo exchange (Fig. 4 level 1); its results are bit-identical to a
-//! single-rank run, which the integration tests pin down.
+//! There is one step schedule, [`Simulation::step`]: `[halo(stress)] →
+//! velocity → [halo(velocity)] → stress → finish → [settle]`. The
+//! bracketed stages exist when the simulation is one rank of a grid
+//! (Fig. 4 level 1): [`run_multirank`] only sets the ranks up, lets each
+//! run that same schedule, and merges their observables, which are
+//! bit-identical to a single-rank run (the integration tests pin that
+//! down). The compressed-resident engine is the implementation of the
+//! velocity/stress stages, not a second schedule.
 
 use crate::error::{ConfigError, KilledError, RestoreError, RunError, UnstableError};
 use crate::exec::{self, ExecMode, ExecPath};
@@ -32,7 +37,7 @@ use crate::resident::{ResidentEngine, ResidentMode, RESIDENT_FIELDS, SIDECAR_FIE
 use crate::state::{SolverState, StateOptions};
 use std::borrow::Cow;
 use std::path::PathBuf;
-use std::sync::{Arc, Barrier};
+use std::sync::{Arc, Barrier, Mutex};
 use std::time::Instant;
 use sw_arch::analytic::{AnalyticModel, KernelShape};
 use sw_arch::regcomm::RegisterMesh;
@@ -40,6 +45,7 @@ use sw_arch::spec::CoreGroupSpec;
 use sw_arch::{KernelPerfModel, OptLevel};
 use sw_compress::{max_abs_bucket, Codec, CodecCache, FieldStats};
 use sw_fault::FaultHook;
+use sw_grid::halo::Face;
 use sw_grid::simd::LaneTier;
 use sw_grid::{Dims3, Field3, HALO_WIDTH};
 use sw_health::{
@@ -51,10 +57,10 @@ use sw_io::store::{
 };
 use sw_io::{PgvRecorder, SeismogramRecorder, SnapshotRecorder, Station};
 use sw_model::VelocityModel;
-use sw_parallel::{run_ranks, FaultVote, HaloExchanger, RankGrid, StopBarrier};
+use sw_parallel::{run_ranks, FaultVote, HaloExchanger, RankComm, RankGrid, StopBarrier};
 use sw_source::{PointSource, SourcePartitioner};
 use sw_telemetry::perf::{
-    HostFingerprint, PerfKernel, PerfLedger, PerfRecorder, PerfScope, PERF_SCHEMA_VERSION,
+    HostFingerprint, PerfKernel, PerfLedger, PerfRecorder, PERF_SCHEMA_VERSION,
 };
 use sw_telemetry::timeline::{phase as tl_phase, TimelineRecorder};
 use sw_telemetry::Telemetry;
@@ -122,9 +128,6 @@ pub struct SimConfig {
     /// A pre-opened health log shared across ranks; wins over the
     /// config's `log_path` (set by [`run_multirank`] and the CLI).
     pub shared_health_log: Option<Arc<HealthLog>>,
-    /// This simulation's rank id in a multirank run (stamped into
-    /// health records; 0 for single-rank runs).
-    pub rank: usize,
     /// Durable checkpoint directory. When set (and
     /// `checkpoint_interval > 0`), every due checkpoint is persisted
     /// through a [`CheckpointStore`] — atomic files, a versioned
@@ -134,19 +137,16 @@ pub struct SimConfig {
     /// Checkpoint generations retained: on disk with a store, in
     /// [`Simulation::checkpoints`] without one.
     pub checkpoint_keep: usize,
-    /// A pre-opened checkpoint store shared across ranks; wins over
-    /// `checkpoint_dir` (set by [`run_multirank`] and the resume path).
-    pub shared_store: Option<Arc<CheckpointStore>>,
-    /// Whether this simulation commits generations itself after writing
-    /// (single-rank). [`run_multirank`] sets this false and commits
-    /// centrally, once all ranks have written.
-    pub store_commit: bool,
     /// Deterministic fault-injection plan for crash drills (`None` —
     /// the default — injects nothing and costs one branch per step).
     pub fault: FaultHook,
-    /// Resume from the newest valid generation under `checkpoint_dir`
-    /// instead of starting fresh (honoured by [`run_multirank`]; the
-    /// single-rank path uses [`Simulation::resume`] directly).
+    /// Resume from the newest generation under `checkpoint_dir` that is
+    /// valid for every rank, instead of starting fresh. The store must
+    /// already exist; corrupt or incomplete newer generations are
+    /// skipped and reported ([`ResumeInfo::skipped`]). [`run_multirank`]
+    /// reads this field; [`Simulation::resume`] is the same path for one
+    /// rank, whatever the field says, and [`Simulation::new`] always
+    /// starts fresh.
     pub resume: bool,
     /// Per-kernel performance recorder (`None` — the default — costs one
     /// branch per instrumentation site, same pattern as `fault`). When
@@ -185,11 +185,8 @@ impl SimConfig {
             telemetry: Telemetry::disabled(),
             health: None,
             shared_health_log: None,
-            rank: 0,
             checkpoint_dir: None,
             checkpoint_keep: sw_io::store::DEFAULT_KEEP,
-            shared_store: None,
-            store_commit: true,
             fault: None,
             resume: false,
             perf: None,
@@ -303,14 +300,6 @@ impl SimConfig {
         self
     }
 
-    /// Attach a pre-opened checkpoint store (shared across ranks);
-    /// overrides `checkpoint_dir`.
-    #[must_use]
-    pub fn with_checkpoint_store(mut self, store: Arc<CheckpointStore>) -> Self {
-        self.shared_store = Some(store);
-        self
-    }
-
     /// Arm a deterministic fault-injection plan (crash drills only).
     #[must_use]
     pub fn with_fault_plan(mut self, fault: FaultHook) -> Self {
@@ -319,8 +308,7 @@ impl SimConfig {
     }
 
     /// Resume from the newest valid checkpoint generation instead of
-    /// starting fresh (multirank; see [`Simulation::resume`] for the
-    /// single-rank entry point).
+    /// starting fresh; see [`SimConfig::resume`].
     #[must_use]
     pub fn with_resume(mut self, resume: bool) -> Self {
         self.resume = resume;
@@ -343,20 +331,20 @@ impl SimConfig {
         self
     }
 
-    /// Open (or create) the checkpoint store this config asks for:
-    /// the shared store if one is attached, a fresh store under
-    /// `checkpoint_dir` otherwise, `None` when persistence is off.
-    fn open_store(&self) -> Result<Option<Arc<CheckpointStore>>, ConfigError> {
-        if let Some(store) = &self.shared_store {
-            return Ok(Some(Arc::clone(store)));
-        }
+    /// The durable store under `checkpoint_dir` (`None` when persistence
+    /// is off), shared by every rank of the run: the existing one when
+    /// resuming — a resume that finds no store is an operator error, not
+    /// a fresh start — a fresh, cleared one otherwise.
+    fn open_store(&self, resume: bool) -> Result<Option<Arc<CheckpointStore>>, ConfigError> {
         let Some(dir) = &self.checkpoint_dir else { return Ok(None) };
-        CheckpointStore::create(dir, self.checkpoint_keep)
-            .map(|s| Some(Arc::new(s.with_fault(self.fault.clone()))))
-            .map_err(|e| ConfigError::CheckpointDir {
-                path: dir.display().to_string(),
-                detail: e.to_string(),
-            })
+        let store = if resume {
+            CheckpointStore::open(dir, self.checkpoint_keep)
+        } else {
+            CheckpointStore::create(dir, self.checkpoint_keep)
+        };
+        store.map(|s| Some(Arc::new(s.with_fault(self.fault.clone())))).map_err(|e| {
+            ConfigError::CheckpointDir { path: dir.display().to_string(), detail: e.to_string() }
+        })
     }
 
     /// Check that the configuration can produce a runnable simulation.
@@ -501,6 +489,20 @@ struct PerfKernelCharge {
     bytes: u64,
 }
 
+impl PerfKernelCharge {
+    /// Modeled halo traffic of one step: the rank sends its
+    /// width-`HALO_WIDTH` boundary planes of all 9 wavefields to each
+    /// neighbour (4 bytes per float), matching the exchanger's own byte
+    /// accounting.
+    fn halo(comm: &RankComm, local: Dims3) -> Self {
+        let sides = |faces: [Face; 2]| faces.iter().filter(|f| comm.has_neighbor(**f)).count();
+        let planes = sides([Face::West, Face::East]) * local.ny * local.nz
+            + sides([Face::South, Face::North]) * local.nx * local.nz;
+        let cells = (HALO_WIDTH * planes) as u64;
+        Self { name: "halo", cells, flops: 0.0, bytes: 9 * cells * 4 }
+    }
+}
+
 struct PerfCharges {
     kernels: Vec<PerfKernelCharge>,
 }
@@ -610,9 +612,99 @@ fn modeled_step_seconds(
     out
 }
 
-/// Open a perf scope when the recorder is armed (one branch when not).
-fn pscope<'a>(perf: &'a Option<Arc<PerfRecorder>>, name: &'static str) -> Option<PerfScope<'a>> {
-    perf.as_deref().map(|p| p.scope(name))
+/// Free-surface imaging, ahead of both halves on the f32 arrays.
+const FSTR: Stage = Stage::kernel("free_surface", "fstr");
+
+/// One stage of the step schedule, as each observer names it: the
+/// telemetry phase (`step.<phase>`, also the trace span), the perf
+/// ledger's kernel row, the run timeline's phase. [`Simulation::span`]
+/// is the only place a stage is timed.
+#[derive(Clone, Copy)]
+struct Stage {
+    phase: Option<&'static str>,
+    kernel: Option<&'static str>,
+    timeline: Option<&'static str>,
+}
+
+impl Stage {
+    /// A stage only telemetry times.
+    const fn phase(phase: &'static str) -> Self {
+        Self { phase: Some(phase), kernel: None, timeline: None }
+    }
+
+    /// A stage telemetry times and the perf ledger holds a row for.
+    const fn kernel(phase: &'static str, kernel: &'static str) -> Self {
+        Self { phase: Some(phase), kernel: Some(kernel), timeline: None }
+    }
+
+    /// One of the run timeline's per-rank thirds of the step.
+    const fn timeline(name: &'static str) -> Self {
+        Self { phase: None, kernel: None, timeline: Some(name) }
+    }
+}
+
+/// What the ranks of one run share: the halo fabric's exchanger and the
+/// three rendezvous of [`Simulation::settle`].
+struct RankShared {
+    exchanger: HaloExchanger,
+    /// Rank-death vote (`None` when no fault plan is armed).
+    kill: Option<FaultVote>,
+    /// The store every rank writes its image into and rank 0 commits,
+    /// behind `commit`, once all of them have.
+    store: Option<Arc<CheckpointStore>>,
+    commit: Barrier,
+    /// Health stop vote, cast at the probe steps.
+    stop: StopBarrier,
+    /// The abort the ranks agree on: each rank with a verdict of its own
+    /// offers it before a vote, all read the lowest rank's after it (the
+    /// vote's barrier orders the two; the offers of one vote are for one
+    /// step, so that is the earliest `(step, rank)`).
+    verdict: Mutex<Option<(usize, RunError)>>,
+}
+
+impl RankShared {
+    fn new(config: &SimConfig, parties: usize, store: Option<Arc<CheckpointStore>>) -> Self {
+        let mut exchanger = HaloExchanger::standard().with_telemetry(config.telemetry.clone());
+        if let Some(tl) = &config.timeline {
+            exchanger = exchanger.with_timeline(Arc::clone(tl));
+        }
+        Self {
+            exchanger,
+            kill: FaultVote::new(parties, &config.fault),
+            store,
+            commit: Barrier::new(parties),
+            stop: StopBarrier::new(parties),
+            verdict: Mutex::new(None),
+        }
+    }
+
+    /// One collective decision: offer `rank`'s verdict, cast `vote`, and
+    /// — when any rank voted to stop — return the verdict all ranks leave
+    /// with.
+    fn agree(
+        &self,
+        rank: usize,
+        mine: Option<RunError>,
+        vote: impl FnOnce(bool) -> bool,
+    ) -> Option<RunError> {
+        let verdict = || self.verdict.lock().expect("a rank panicked holding the verdict");
+        let stop = mine.is_some();
+        if let Some(e) = mine {
+            let mut agreed = verdict();
+            if agreed.as_ref().is_none_or(|(lowest, _)| rank < *lowest) {
+                *agreed = Some((rank, e));
+            }
+        }
+        vote(stop).then(|| verdict().clone()).flatten().map(|(_, e)| e)
+    }
+}
+
+/// What makes a simulation one rank of a grid: its endpoints in the halo
+/// fabric and what it shares with the other ranks. The halo stages and
+/// the rendezvous of [`Simulation::settle`] exist only with a link.
+struct RankLink {
+    comm: RankComm,
+    shared: Arc<RankShared>,
 }
 
 /// One compressed wavefield's codec state across steps.
@@ -685,16 +777,19 @@ pub struct Simulation {
     /// Writer into the durable store due generations are persisted into,
     /// when one is configured; holds the one generation in flight.
     writer: Option<GenerationWriter>,
-    /// Whether this simulation commits generations itself after writing
-    /// (false when [`run_multirank`] commits centrally).
-    store_commit: bool,
-    /// This rank's id (file naming in the store, fault targeting).
+    /// Present when this simulation is one rank of a grid.
+    link: Option<RankLink>,
+    /// This rank's id (file naming in the store, fault targeting, health
+    /// records); 0 without a link.
     rank: usize,
     /// The armed fault plan, if any.
     fault: FaultHook,
     /// Latched injected kill: once set, checked stepping refuses to
     /// continue, mimicking a dead process.
     fault_kill: Option<KilledError>,
+    /// The abort this rank's grid agreed on ([`RankShared::agree`]);
+    /// always `None` without a link.
+    halt: Option<RunError>,
     snapshot_times: Vec<f64>,
     next_snapshot: usize,
     compression: Option<Vec<CompressionSlot>>,
@@ -722,13 +817,23 @@ pub struct Simulation {
 /// the compressed-resident-grid arc will shrink), plus the attenuation
 /// memory variables and the material arrays as aggregates. Called once at
 /// construction — allocations are fixed for the life of a simulation, so
-/// this is also the high-water mark.
-fn record_resident_memory(tl: &TimelineRecorder, rank: usize, state: &SolverState) {
-    for (name, f) in COMPRESSED_FIELDS.iter().zip(state.dynamic()) {
-        tl.record_memory(rank, &format!("state.{name}"), f.resident_bytes() as u64);
+/// this is also the high-water mark. Compressed-resident, the dynamic
+/// fields are the engine's 16-bit stores (the f32 arrays are detached)
+/// and its decode slab is one more gauge.
+fn record_resident_memory(
+    tl: &TimelineRecorder,
+    rank: usize,
+    state: &SolverState,
+    resident: Option<&ResidentEngine>,
+) {
+    let dynamic = state.dynamic();
+    let bytes =
+        |i: usize| resident.map_or(dynamic[i].resident_bytes() as u64, |e| e.stored_bytes(i));
+    for (i, name) in COMPRESSED_FIELDS.iter().enumerate() {
+        tl.record_memory(rank, &format!("state.{name}"), bytes(i));
     }
-    let memvars: usize = state.r.iter().map(Field3::resident_bytes).sum();
-    tl.record_memory(rank, "state.memvars", memvars as u64);
+    let memvars: u64 = (COMPRESSED_FIELDS.len()..RESIDENT_FIELDS.len()).map(bytes).sum();
+    tl.record_memory(rank, "state.memvars", memvars);
     let material: usize = [
         &state.lam,
         &state.mu,
@@ -749,6 +854,9 @@ fn record_resident_memory(tl: &TimelineRecorder, rank: usize, state: &SolverStat
     .map(|f| f.resident_bytes())
     .sum();
     tl.record_memory(rank, "state.material", material as u64);
+    if let Some(engine) = resident {
+        tl.record_memory(rank, "resident.working_set", engine.working_set_bytes());
+    }
 }
 
 /// Build a health probe from the compressed-resident engine's per-step
@@ -796,10 +904,8 @@ impl Simulation {
     /// key covers exactly those — or restores and physics will mismatch.
     pub fn new_with_state(state: SolverState, config: &SimConfig) -> Result<Self, ConfigError> {
         config.validate()?;
-        let store = config.open_store()?;
-        let mut sim = Self::from_state(state, config);
-        sim.writer = store.map(GenerationWriter::new);
-        Ok(sim)
+        let store = config.open_store(false)?;
+        Ok(Self::build(state, config, store, None))
     }
 
     /// Build a single-rank simulation resumed from the newest valid
@@ -828,32 +934,22 @@ impl Simulation {
         state: SolverState,
         config: &SimConfig,
     ) -> Result<(Self, ResumeInfo), RunError> {
-        let Some(dir) = &config.checkpoint_dir else {
-            return Err(RunError::ResumeFailed {
-                detail: "no checkpoint directory configured".to_string(),
-            });
-        };
-        let store = CheckpointStore::open(dir, config.checkpoint_keep)
-            .map_err(|e| RunError::ResumeFailed { detail: e.to_string() })?
-            .with_fault(config.fault.clone());
-        let restored = store
-            .restore_newest_valid(1)
-            .map_err(|e| RunError::ResumeFailed { detail: e.to_string() })?;
-        let mut cfg = config.clone();
-        cfg.shared_store = Some(Arc::new(store));
-        let mut sim = Simulation::new_with_state(state, &cfg)?;
-        sim.restore(&restored.checkpoints[0])
-            .map_err(|e| RunError::ResumeFailed { detail: e.to_string() })?;
-        sim.note_resume(&restored);
-        Ok((
-            sim,
-            ResumeInfo { step: restored.step, time: restored.time, skipped: restored.skipped },
-        ))
+        config.validate()?;
+        let (store, restored) = resume_generation(config, &[config.dims])?;
+        let mut sim = Self::build(state, config, Some(store), None);
+        sim.rewind_to(&restored);
+        Ok((sim, ResumeInfo::of(&restored)))
     }
 
-    /// Record a completed restore in telemetry and, when generations
-    /// were skipped, as checkpoint-fallback warnings in the health log.
-    fn note_resume(&self, restored: &RestoredGeneration) {
+    /// Rewind a freshly built rank to its image of the generation
+    /// [`resume_generation`] chose and validated; rank 0 records the
+    /// resume in telemetry and, when generations were skipped, as
+    /// checkpoint-fallback warnings in the health log.
+    fn rewind_to(&mut self, restored: &RestoredGeneration) {
+        self.apply_checkpoint(&restored.checkpoints[self.rank]);
+        if self.rank != 0 {
+            return;
+        }
         let tel = &self.telemetry;
         tel.gauge("io.resume_step", restored.step as f64);
         if restored.skipped.is_empty() {
@@ -874,10 +970,16 @@ impl Simulation {
         }
     }
 
-    /// Build from an existing state (used by the multi-rank runner). The
-    /// caller is responsible for having validated the config.
-    pub fn from_state(mut state: SolverState, config: &SimConfig) -> Self {
+    /// Build one rank over `state` — the whole domain without a `link`.
+    /// The caller has validated the config and opened `store`.
+    fn build(
+        mut state: SolverState,
+        config: &SimConfig,
+        store: Option<Arc<CheckpointStore>>,
+        link: Option<RankLink>,
+    ) -> Self {
         let d = state.dims;
+        let rank = link.as_ref().map_or(0, |l| l.comm.rank);
         let compression = config.compression.then(|| {
             COMPRESSED_FIELDS
                 .iter()
@@ -911,12 +1013,14 @@ impl Simulation {
         });
         let perf = config.perf.clone();
         let perf_charges = perf.is_some().then(|| {
-            PerfCharges::model(
+            let mut charges = PerfCharges::model(
                 d,
                 config.options.nonlinear,
                 config.options.attenuation,
                 config.compression,
-            )
+            );
+            charges.kernels.extend(link.as_ref().map(|l| PerfKernelCharge::halo(&l.comm, d)));
+            charges
         });
         let resident = (config.resident == ResidentMode::Compressed16).then(|| {
             let engine = ResidentEngine::new(&state, config.memory_cap_bytes);
@@ -929,17 +1033,7 @@ impl Simulation {
         });
         let timeline = config.timeline.clone();
         if let Some(tl) = &timeline {
-            record_resident_memory(tl, config.rank, &state);
-            if let Some(engine) = &resident {
-                for (i, name) in COMPRESSED_FIELDS.iter().enumerate() {
-                    tl.record_memory(config.rank, &format!("state.{name}"), engine.stored_bytes(i));
-                }
-                let memvars: u64 = (COMPRESSED_FIELDS.len()..RESIDENT_FIELDS.len())
-                    .map(|i| engine.stored_bytes(i))
-                    .sum();
-                tl.record_memory(config.rank, "state.memvars", memvars);
-                tl.record_memory(config.rank, "resident.working_set", engine.working_set_bytes());
-            }
+            record_resident_memory(tl, rank, &state, resident.as_ref());
             tl.set_resident_mode(config.resident.to_string());
         }
         Self {
@@ -954,11 +1048,12 @@ impl Simulation {
             checkpoints: Vec::new(),
             restart: RestartController { interval: config.checkpoint_interval },
             checkpoint_keep: config.checkpoint_keep,
-            writer: config.shared_store.clone().map(GenerationWriter::new),
-            store_commit: config.store_commit,
-            rank: config.rank,
+            writer: store.map(GenerationWriter::new),
+            link,
+            rank,
             fault: config.fault.clone(),
             fault_kill: None,
+            halt: None,
             snapshot_times: config.snapshot_times.clone(),
             next_snapshot: 0,
             compression,
@@ -969,7 +1064,7 @@ impl Simulation {
             health: config
                 .health
                 .clone()
-                .map(|h| HealthMonitor::new(h, config.rank, config.shared_health_log.clone())),
+                .map(|h| HealthMonitor::new(h, rank, config.shared_health_log.clone())),
             perf,
             perf_charges,
             timeline,
@@ -1089,43 +1184,87 @@ impl Simulation {
         )
     }
 
-    /// Advance one step (single-rank path: no halo exchange needed).
+    /// Advance one step: the one schedule every rank of every run takes.
+    /// The halo stages and the end-of-step rendezvous exist only with
+    /// a rank link; a single-rank step records no halo phase and takes
+    /// no barrier.
     pub fn step(&mut self) {
+        const HALO_STRESS: Stage = Stage::kernel("halo_stress", "halo");
+        const HALO_VELOCITY: Stage = Stage::kernel("halo_velocity", "halo");
         let _fp = exec::kernel_fp_env();
         let tel = self.telemetry.clone();
-        let start =
-            (tel.is_enabled() || self.perf.is_some() || self.timeline.is_some()).then(Instant::now);
+        let observed = tel.is_enabled() || self.perf.is_some() || self.timeline.is_some();
+        // A `slow` fault stretches the step it is due for (the numbering
+        // is post-step, hence +1) by a fraction of its own measured wall
+        // time. The sleep sits inside the stress stage, so the timeline
+        // attributes the skew to this rank's compute — exactly what a
+        // real straggler looks like to its neighbours — and it never
+        // touches the numerics: outputs stay bit-identical.
+        let slow = self.fault.as_ref().and_then(|p| p.slow_due(self.step_count + 1, self.rank));
+        let start = (observed || slow.is_some()).then(Instant::now);
         {
             let _step = tel.phase("step");
-            if let Some(tl) = self.timeline.clone() {
-                // Same kernel sequence as the untimed branch; the extra
-                // clock reads never touch the numerics, so instrumented
-                // runs stay bit-identical.
-                let rank = self.rank;
-                let t = Instant::now();
-                self.velocity_half();
-                tl.record_phase(rank, tl_phase::VELOCITY, t.elapsed().as_secs_f64());
-                let t = Instant::now();
-                self.stress_half();
-                tl.record_phase(rank, tl_phase::STRESS, t.elapsed().as_secs_f64());
-                let t = Instant::now();
-                self.finish_step();
-                tl.record_phase(rank, tl_phase::FINISH, t.elapsed().as_secs_f64());
-            } else {
-                self.step_interior();
-                self.finish_step();
-            }
+            // Stress halos feed the velocity stencils, velocity halos the
+            // stress stencils (indices into `SolverState::dynamic_mut`).
+            self.halo_stage(HALO_STRESS, 3..9);
+            self.span(Stage::timeline(tl_phase::VELOCITY), |s| s.velocity_half());
+            self.halo_stage(HALO_VELOCITY, 0..3);
+            self.span(Stage::timeline(tl_phase::STRESS), |s| {
+                s.stress_half();
+                if let (Some(frac), Some(t0)) = (slow, start) {
+                    std::thread::sleep(t0.elapsed().mul_f64(frac));
+                }
+            });
+            self.span(Stage::timeline(tl_phase::FINISH), |s| s.finish_step());
         }
-        if let Some(start) = start {
+        if let Some(start) = start.filter(|_| observed) {
             let wall = start.elapsed().as_secs_f64();
             tel.sample("step.wall_s", wall);
-            if let Some(p) = self.perf.as_deref() {
+            // The ledger's counts are shared, so one rank reports step
+            // walls (duplicates would skew the percentiles); the timeline
+            // keeps them per rank (rank 0's also drive the heartbeats).
+            if let Some(p) = self.perf.as_deref().filter(|_| self.rank == 0) {
                 p.note_step(self.step_count, wall);
             }
             if let Some(tl) = self.timeline.as_deref() {
                 tl.note_step(self.rank, self.step_count, wall);
             }
         }
+        self.settle();
+    }
+
+    /// Enter one stage: the telemetry phase, the perf-ledger row and the
+    /// timeline phase it names all cover `body`, the latter two from one
+    /// pair of clock reads (the phase guard is also the trace span and
+    /// keeps its own). The extra clock reads never touch the numerics,
+    /// so instrumented runs stay bit-identical.
+    fn span<R>(&mut self, stage: Stage, body: impl FnOnce(&mut Self) -> R) -> R {
+        let _phase = stage.phase.map(|name| self.telemetry.phase(name));
+        let kernel = stage.kernel.filter(|_| self.perf.is_some());
+        let timeline = stage.timeline.filter(|_| self.timeline.is_some());
+        let t0 = (kernel.is_some() || timeline.is_some()).then(Instant::now);
+        let out = body(self);
+        if let Some(t0) = t0 {
+            let wall = t0.elapsed().as_secs_f64();
+            if let (Some(name), Some(p)) = (kernel, self.perf.as_deref()) {
+                p.add_wall(name, wall);
+            }
+            if let (Some(name), Some(tl)) = (timeline, self.timeline.as_deref()) {
+                tl.record_phase(self.rank, name, wall);
+            }
+        }
+        out
+    }
+
+    /// Exchange the halos of `fields` with the neighbouring ranks.
+    fn halo_stage(&mut self, stage: Stage, fields: std::ops::Range<usize>) {
+        if self.link.is_none() {
+            return;
+        }
+        self.span(stage, |s| {
+            let link = s.link.as_ref().expect("checked above");
+            link.shared.exchanger.exchange(&link.comm, &mut s.state.dynamic_mut()[fields]);
+        });
     }
 
     /// Whether the health monitor will read the 16-bit round-trip error
@@ -1135,96 +1274,59 @@ impl Simulation {
         self.health.as_ref().is_some_and(|m| m.wants_compression_sample(self.step_count + 1))
     }
 
-    /// The kernel sequence up to (not including) recording — split out so
-    /// the multi-rank runner can interleave halo exchanges.
-    fn step_interior(&mut self) {
-        self.velocity_half();
-        self.stress_half();
-    }
-
     /// First half of the step: free-surface imaging + the velocity
-    /// update. The multi-rank runner calls this after exchanging stress
-    /// halos (which feed the velocity stencils).
+    /// update, on the f32 arrays or — compressed-resident — tile by tile
+    /// through the engine, which images the free surface inside its
+    /// sweep.
     fn velocity_half(&mut self) {
-        let tel = self.telemetry.clone();
-        if let Some(mut engine) = self.resident.take() {
-            engine.begin_step();
-            if self.compression_sampled() {
-                engine.sample_encode_errors();
-            }
-            {
-                let _p = tel.phase("velocity");
-                let _k = pscope(&self.perf, "dvelc");
-                engine.velocity_sweep(&self.state);
-            }
-            self.resident = Some(engine);
-            return;
-        }
         let pool = self.path.is_parallel();
-        let s = &mut self.state;
-        {
-            let _p = tel.phase("free_surface");
-            let _k = pscope(&self.perf, "fstr");
-            kernels::fstr(s);
+        let whole = Region::whole(self.state.dims);
+        let sampled = self.compression_sampled();
+        match &mut self.resident {
+            Some(engine) => {
+                engine.begin_step();
+                if sampled {
+                    engine.sample_encode_errors();
+                }
+            }
+            None => self.span(FSTR, |s| kernels::fstr(&mut s.state)),
         }
-        {
-            let _p = tel.phase("velocity");
-            let _k = pscope(&self.perf, "dvelc");
-            kernels::dvelc_region(s, &Region::whole(s.dims), pool);
-        }
+        self.span(Stage::kernel("velocity", "dvelc"), |s| match &mut s.resident {
+            Some(engine) => engine.velocity_sweep(&s.state),
+            None => kernels::dvelc_region(&mut s.state, &whole, pool),
+        });
     }
 
     /// Second half of the step: stress update, source injection,
     /// plasticity, sponge, and the §6.5 compression round trip. The
-    /// multi-rank runner calls this after exchanging velocity halos
-    /// (which feed the stress stencils).
+    /// engine fuses plasticity into its sponge sweep, and validation
+    /// keeps the round trip off it (it stores 16-bit already).
     fn stress_half(&mut self) {
-        let tel = self.telemetry.clone();
-        if let Some(mut engine) = self.resident.take() {
-            {
-                let _p = tel.phase("stress");
-                let _k = pscope(&self.perf, "dstrqc");
-                engine.stress_sweep(&self.state);
-            }
-            {
-                let _p = tel.phase("source");
-                engine.inject_sources(&self.state, &self.sources, self.time);
-            }
-            if engine.wants_plastic_sponge() {
-                let _p = tel.phase("sponge");
-                let _k = pscope(&self.perf, "sponge");
-                engine.plastic_sponge_sweep(&mut self.state);
-            }
-            self.resident = Some(engine);
-            return;
-        }
         let pool = self.path.is_parallel();
-        let s = &mut self.state;
-        let nx = s.dims.nx;
-        {
-            let _p = tel.phase("free_surface");
-            let _k = pscope(&self.perf, "fstr");
-            kernels::fstr(s);
+        let whole = Region::whole(self.state.dims);
+        let nx = self.state.dims.nx;
+        if self.resident.is_none() {
+            self.span(FSTR, |s| kernels::fstr(&mut s.state));
         }
-        {
-            let _p = tel.phase("stress");
-            let _k = pscope(&self.perf, "dstrqc");
-            kernels::dstrqc_region(s, &Region::whole(s.dims), pool);
+        self.span(Stage::kernel("stress", "dstrqc"), |s| match &mut s.resident {
+            Some(engine) => engine.stress_sweep(&s.state),
+            None => kernels::dstrqc_region(&mut s.state, &whole, pool),
+        });
+        self.span(Stage::phase("source"), |s| match &mut s.resident {
+            Some(engine) => engine.inject_sources(&s.state, &s.sources, s.time),
+            None => kernels::addsrc(&mut s.state, &s.sources, s.time),
+        });
+        if self.resident.is_none() && self.state.options.nonlinear {
+            self.span(Stage::kernel("plasticity", "drprecpc"), |s| {
+                kernels::drprecpc_calc_region(&mut s.state, 0..nx, pool);
+                kernels::drprecpc_app_region(&mut s.state, 0..nx, pool);
+            });
         }
-        {
-            let _p = tel.phase("source");
-            kernels::addsrc(s, &self.sources, self.time);
-        }
-        if s.options.nonlinear {
-            let _p = tel.phase("plasticity");
-            let _k = pscope(&self.perf, "drprecpc");
-            kernels::drprecpc_calc_region(s, 0..nx, pool);
-            kernels::drprecpc_app_region(s, 0..nx, pool);
-        }
-        {
-            let _p = tel.phase("sponge");
-            let _k = pscope(&self.perf, "sponge");
-            kernels::apply_sponge_region(s, 0..nx, pool);
+        if self.resident.as_ref().is_none_or(ResidentEngine::wants_plastic_sponge) {
+            self.span(Stage::kernel("sponge", "sponge"), |s| match &mut s.resident {
+                Some(engine) => engine.plastic_sponge_sweep(&mut s.state),
+                None => kernels::apply_sponge_region(&mut s.state, 0..nx, pool),
+            });
         }
         self.compression_roundtrip();
     }
@@ -1242,12 +1344,10 @@ impl Simulation {
         let Some(mut slots) = self.compression.take() else { return };
         let tel = self.telemetry.clone();
         let parallel = self.path.is_parallel();
-        {
-            let _p = tel.phase("compression");
-            let _k = pscope(&self.perf, "compression");
+        self.span(Stage::kernel("compression", "compression"), |sim| {
             let calibrating: Vec<usize> =
                 (0..slots.len()).filter(|&i| slots[i].cache.is_some()).collect();
-            let wavefields = self.state.dynamic();
+            let wavefields = sim.state.dynamic();
             let scanned: Vec<&Field3> = calibrating.iter().map(|&i| wavefields[i]).collect();
             let maxima = sw_compress::par::fields_max_abs(&scanned, parallel);
             let mut rebuilds = 0u64;
@@ -1258,9 +1358,9 @@ impl Simulation {
                 tel.add("compress.codec_rebuilds", rebuilds);
                 tel.add("compress.codec_reuses", calibrating.len() as u64 - rebuilds);
             }
-            let health_sampling = self.compression_sampled();
+            let health_sampling = sim.compression_sampled();
             let t0 = Instant::now();
-            let work: Vec<(&mut [f32], &Codec)> = self
+            let work: Vec<(&mut [f32], &Codec)> = sim
                 .state
                 .dynamic_mut()
                 .into_iter()
@@ -1287,29 +1387,34 @@ impl Simulation {
                 );
             }
             if health_sampling {
-                if let Some(monitor) = &mut self.health {
+                if let Some(monitor) = &mut sim.health {
                     for (name, stats) in COMPRESSED_FIELDS.iter().zip(stats) {
                         monitor.record_compression(name, stats, &tel);
                     }
                 }
             }
-        }
+        });
         self.compression = Some(slots);
     }
 
-    /// Recording, flop accounting, checkpointing, clock advance.
+    /// Recording, flop accounting, checkpointing, clock advance, health.
+    /// The two points where the compressed-resident engine differs:
+    /// recorders tap decoded cells, and the health probe is built from
+    /// the step's encode statistics instead of scanning f32 arrays (which
+    /// are detached in that mode).
     fn finish_step(&mut self) {
         let tel = self.telemetry.clone();
-        if self.resident.is_some() {
-            self.finish_step_resident(&tel);
-            return;
-        }
-        {
-            let _p = tel.phase("record");
-            let s = &self.state;
-            self.seismo.record(&s.u, &s.v, &s.w);
-            self.pgv.record(&s.u, &s.v);
-        }
+        self.span(Stage::phase("record"), |s| match &s.resident {
+            Some(engine) => {
+                let tap = |field, x, y| engine.sample(field, x, y, 0);
+                s.seismo.record_with(|x, y| [tap(0, x, y), tap(1, x, y), tap(2, x, y)]);
+                s.pgv.record_with(|x, y| (tap(0, x, y), tap(1, x, y)));
+            }
+            None => {
+                s.seismo.record(&s.state.u, &s.state.v, &s.state.w);
+                s.pgv.record(&s.state.u, &s.state.v);
+            }
+        });
         let s = &self.state;
         let flops_before = self.flops.flops;
         self.flops.charge_step(s.dims, s.options.nonlinear, s.options.attenuation);
@@ -1321,9 +1426,18 @@ impl Simulation {
             for k in &charges.kernels {
                 p.charge(k.name, k.cells, k.flops, k.bytes);
             }
+            if let Some(rp) = self.resident.as_ref().map(ResidentEngine::perf) {
+                // DMA convention: each decoded/encoded value moves a 2-byte
+                // code on one side and a 4-byte float on the other.
+                p.add_wall("resident_decode", rp.decode_s);
+                p.charge("resident_decode", rp.decoded_cells, 0.0, rp.decoded_cells * 6);
+                p.add_wall("resident_encode", rp.encode_s);
+                p.charge("resident_encode", rp.encoded_cells, 0.0, rp.encoded_cells * 6);
+            }
         }
         self.time += s.dt;
         self.step_count += 1;
+        // (Never due compressed-resident: validation rejects snapshots.)
         if self.next_snapshot < self.snapshot_times.len()
             && self.time >= self.snapshot_times[self.next_snapshot]
         {
@@ -1334,70 +1448,70 @@ impl Simulation {
         if self.restart.due(self.step_count) {
             self.cut_checkpoint(&tel);
         }
-        if let Some(monitor) = &mut self.health {
+        let Some(monitor) = &mut self.health else { return };
+        let Some(engine) = &self.resident else {
             monitor.check(&self.state, self.step_count, self.time, self.path.is_parallel(), &tel);
+            return;
+        };
+        if monitor.wants_compression_sample(self.step_count) {
+            for (name, stats) in engine.step_stats() {
+                if stats.count > 0 || stats.nonfinite > 0 {
+                    monitor.record_encode_stats(name, stats, &tel);
+                }
+            }
+        }
+        if monitor.wants_probe(self.step_count) {
+            let probe = resident_probe(engine, self.step_count, self.time, self.rank);
+            let cfl = CflInfo { dt: self.state.dt, dt_stable: self.state.dt_stable };
+            monitor.check_probe(probe, cfl, &tel);
         }
     }
 
-    /// [`Simulation::finish_step`] for the compressed-resident path:
-    /// recorders tap decoded cells, the decode/encode traffic lands in
-    /// its own perf-ledger rows, and the health probe is built from the
-    /// step's encode statistics instead of scanning f32 arrays (which are
-    /// detached in this mode).
-    fn finish_step_resident(&mut self, tel: &Telemetry) {
-        {
-            let _p = tel.phase("record");
-            let engine = self.resident.as_ref().expect("resident finish without engine");
-            self.seismo.record_with(|ix, iy| {
-                [
-                    engine.sample(0, ix, iy, 0),
-                    engine.sample(1, ix, iy, 0),
-                    engine.sample(2, ix, iy, 0),
-                ]
-            });
-            self.pgv.record_with(|x, y| (engine.sample(0, x, y, 0), engine.sample(1, x, y, 0)));
+    /// End of the step: what the ranks of a grid settle together before
+    /// any of them starts the next one. Alone, only the fault plan's kill
+    /// latches — a single rank agrees with itself and takes no barrier.
+    ///
+    /// The order is the one that is safe. The rank-death vote comes
+    /// first: a step on which any rank dies must not commit its
+    /// generation, so the store looks exactly as if `kill -9` had hit the
+    /// process there (`fault_kill` folds in mid-write kills latched
+    /// during `finish_step`). Then the generation commit: rank 0 writes
+    /// the manifest only once every rank's image has landed — a crash can
+    /// leave orphan rank files but never a manifest entry pointing at a
+    /// half-written generation — and all ranks wait until it is durable,
+    /// so none races into the next step's writes mid-rewrite. Last the
+    /// stop vote at probe steps: every rank probes at the same step
+    /// numbers, so every rank reaches it, and a fatal verdict anywhere
+    /// pulls all ranks out together before the next halo exchange.
+    fn settle(&mut self) {
+        // An armed plan kills the run *after* the step completes.
+        if self.fault.as_ref().is_some_and(|p| p.kill_due(self.step_count, self.rank)) {
+            let died = KilledError { step: self.step_count, rank: self.rank };
+            self.fault_kill.get_or_insert(died);
         }
-        let s = &self.state;
-        let flops_before = self.flops.flops;
-        self.flops.charge_step(s.dims, s.options.nonlinear, s.options.attenuation);
-        tel.sample("step.flops", self.flops.flops - flops_before);
-        if let Some(arch) = &self.arch {
-            arch.charge(tel);
-        }
-        if let (Some(p), Some(charges)) = (self.perf.as_deref(), &self.perf_charges) {
-            for k in &charges.kernels {
-                p.charge(k.name, k.cells, k.flops, k.bytes);
+        let Some(link) = &self.link else { return };
+        let shared = &*link.shared;
+        if let Some(kill) = &shared.kill {
+            let mine = self.fault_kill.clone().map(RunError::Killed);
+            self.halt = shared.agree(self.rank, mine, |dead| kill.vote(dead));
+            if self.halt.is_some() {
+                return;
             }
         }
-        if let Some(p) = self.perf.as_deref() {
-            let rp = self.resident.as_ref().expect("resident finish without engine").perf();
-            // DMA convention: each decoded/encoded value moves a 2-byte
-            // code on one side and a 4-byte float on the other.
-            p.add_wall("resident_decode", rp.decode_s);
-            p.charge("resident_decode", rp.decoded_cells, 0.0, rp.decoded_cells * 6);
-            p.add_wall("resident_encode", rp.encode_s);
-            p.charge("resident_encode", rp.encoded_cells, 0.0, rp.encoded_cells * 6);
-        }
-        self.time += s.dt;
-        self.step_count += 1;
-        // Surface snapshots are rejected at validation in this mode.
-        if self.restart.due(self.step_count) {
-            self.cut_checkpoint(tel);
-        }
-        if let Some(monitor) = &mut self.health {
-            let engine = self.resident.as_ref().expect("resident finish without engine");
-            if monitor.wants_compression_sample(self.step_count) {
-                for (name, stats) in engine.step_stats() {
-                    if stats.count > 0 || stats.nonfinite > 0 {
-                        monitor.record_encode_stats(name, stats, tel);
-                    }
+        if let Some(store) = shared.store.as_ref().filter(|_| self.restart.due(self.step_count)) {
+            shared.commit.wait();
+            if self.rank == 0 {
+                let parties = link.comm.grid.len();
+                match store.commit_generation(self.step_count, self.time, parties) {
+                    Ok(()) => self.telemetry.add("io.checkpoint_generations", 1),
+                    Err(_) => self.telemetry.add("io.checkpoint_failures", 1),
                 }
             }
-            if monitor.wants_probe(self.step_count) {
-                let probe = resident_probe(engine, self.step_count, self.time, self.rank);
-                let cfl = CflInfo { dt: self.state.dt, dt_stable: self.state.dt_stable };
-                monitor.check_probe(probe, cfl, tel);
-            }
+            shared.commit.wait();
+        }
+        if self.health.as_ref().is_some_and(|m| m.probes_at(self.step_count)) {
+            let mine = self.health_failure().cloned().map(RunError::Unstable);
+            self.halt = shared.agree(self.rank, mine, |failed| shared.stop.vote(failed));
         }
     }
 
@@ -1410,64 +1524,59 @@ impl Simulation {
     /// time what the step thread spent here: the encode plus any wait
     /// for the writer.
     fn cut_checkpoint(&mut self, tel: &Telemetry) {
-        // A scoped guard would hold a borrow across the &mut self calls
-        // below, so the perf-ledger wall is timed by hand.
-        let t0 = self.perf.is_some().then(Instant::now);
-        {
-            let _p = tel.phase("checkpoint");
-            let fields = self.checkpoint_fields();
-            if tel.is_enabled() || self.perf.is_some() {
+        self.span(Stage::kernel("checkpoint", "checkpoint"), |sim| {
+            let fields = sim.checkpoint_fields();
+            if tel.is_enabled() || sim.perf.is_some() {
                 let bytes: usize = fields.iter().map(|(_, f)| f.raw().len() * 4).sum();
                 if tel.is_enabled() {
                     tel.add("io.checkpoint_bytes", bytes as u64);
                     tel.add("io.checkpoints", 1);
                     tel.event(
                         "io.checkpoint",
-                        &[("bytes", bytes as f64), ("step", self.step_count as f64)],
+                        &[("bytes", bytes as f64), ("step", sim.step_count as f64)],
                     );
                 }
-                if let Some(p) = self.perf.as_deref() {
-                    p.charge("checkpoint", self.state.dims.len() as u64, 0.0, bytes as u64);
+                if let Some(p) = sim.perf.as_deref() {
+                    p.charge("checkpoint", sim.state.dims.len() as u64, 0.0, bytes as u64);
                 }
             }
-            if self.writer.is_some() {
+            if sim.writer.is_some() {
                 let borrowed: Vec<(&str, &Field3)> =
                     fields.iter().map(|(name, f)| (name.as_str(), f.as_ref())).collect();
                 let image = checkpoint::encode_image(
-                    ImageMeta { step: self.step_count, time: self.time, flops: self.flops.flops },
+                    ImageMeta { step: sim.step_count, time: sim.time, flops: sim.flops.flops },
                     &borrowed,
-                    self.seismo.seismograms(),
-                    Some((self.pgv.nx(), self.pgv.ny(), &self.pgv.pgv)),
-                    self.path.is_parallel(),
+                    sim.seismo.seismograms(),
+                    Some((sim.pgv.nx(), sim.pgv.ny(), &sim.pgv.pgv)),
+                    sim.path.is_parallel(),
                 );
                 drop(fields);
-                self.stage_generation(image, tel);
+                sim.stage_generation(image, tel);
             } else {
-                let ckpt = self.snapshot_of(fields);
-                self.checkpoints.push(ckpt);
-                if self.checkpoints.len() > self.checkpoint_keep {
-                    self.checkpoints.remove(0);
+                let ckpt = sim.snapshot_of(fields);
+                sim.checkpoints.push(ckpt);
+                if sim.checkpoints.len() > sim.checkpoint_keep {
+                    sim.checkpoints.remove(0);
                 }
             }
-        }
-        if let (Some(p), Some(t0)) = (self.perf.as_deref(), t0) {
-            p.add_wall("checkpoint", t0.elapsed().as_secs_f64());
-        }
+        });
     }
 
     /// Hand an encoded generation to the writer thread, first waiting
     /// for (and accounting) the one still in flight. The write and the
     /// manifest commit then overlap the following steps — except when a
     /// fault plan is armed, where drills need the store to look the same
-    /// after every step, and under [`run_multirank`], whose ranks commit
-    /// centrally behind a barrier: both wait in the same step.
-    /// `io.checkpoint_wait` is the time this thread spent blocked.
+    /// after every step, and with a rank link, whose ranks commit
+    /// centrally behind a barrier ([`Self::settle`]; a per-rank commit
+    /// would publish a generation some ranks have not finished writing):
+    /// both wait in the same step. `io.checkpoint_wait` is the time this
+    /// thread spent blocked.
     fn stage_generation(&mut self, image: Vec<u8>, tel: &Telemetry) {
         let Some(writer) = self.writer.as_mut() else { return };
-        let same_step = self.fault.is_some() || !self.store_commit;
+        let alone = self.link.is_none();
+        let same_step = self.fault.is_some() || !alone;
         let t0 = Instant::now();
-        let previous =
-            writer.stage(self.step_count, self.time, self.rank, image, self.store_commit);
+        let previous = writer.stage(self.step_count, self.time, self.rank, image, alone);
         let this = if same_step { writer.join() } else { None };
         tel.record_duration("io.checkpoint_wait", t0.elapsed().as_secs_f64());
         for outcome in [previous, this].into_iter().flatten() {
@@ -1528,41 +1637,25 @@ impl Simulation {
     // boxing it would complicate the public API for a cold error.
     #[allow(clippy::result_large_err)]
     pub fn step_checked(&mut self) -> Result<(), RunError> {
+        self.verdict()?;
+        self.step();
+        self.verdict()
+    }
+
+    /// What stops this run, if anything has: the verdict this rank's
+    /// grid agreed on, else its own — an injected kill (latched after
+    /// the step it is due for, or mid-write by the store) outranks a
+    /// fatal health verdict latched the same step: it means "the process
+    /// died here", so crash drills exit as killed.
+    #[allow(clippy::result_large_err)] // see step_checked
+    fn verdict(&self) -> Result<(), RunError> {
+        if let Some(agreed) = &self.halt {
+            return Err(agreed.clone());
+        }
         if let Some(k) = &self.fault_kill {
             return Err(RunError::Killed(k.clone()));
         }
-        if let Some(e) = self.health_failure() {
-            return Err(RunError::Unstable(e.clone()));
-        }
-        // A `slow` fault stretches the step it is due for (step_count is
-        // pre-increment here, so +1 matches the post-step numbering the
-        // kill check uses) by sleeping a fraction of the step's own
-        // measured wall time. Sleeping never touches the numerics, so
-        // outputs stay bit-identical to a healthy run.
-        let slow = self.fault.as_ref().and_then(|p| p.slow_due(self.step_count + 1, self.rank));
-        let slow_t0 = slow.map(|_| Instant::now());
-        self.step();
-        if let (Some(frac), Some(t0)) = (slow, slow_t0) {
-            std::thread::sleep(std::time::Duration::from_secs_f64(
-                t0.elapsed().as_secs_f64() * frac,
-            ));
-        }
-        if let Some(e) = self.health_failure() {
-            return Err(RunError::Unstable(e.clone()));
-        }
-        // An armed plan kills the run *after* the step completes — the
-        // store then holds exactly the generations committed before the
-        // "crash", like a real `kill -9` between steps. A mid-write kill
-        // (`killwrite`) latches inside `persist_checkpoint` instead.
-        if let Some(plan) = &self.fault {
-            if plan.kill_due(self.step_count, self.rank) {
-                self.fault_kill = Some(KilledError { step: self.step_count, rank: self.rank });
-            }
-        }
-        match &self.fault_kill {
-            Some(k) => Err(RunError::Killed(k.clone())),
-            None => Ok(()),
-        }
+        self.health_failure().map_or(Ok(()), |e| Err(RunError::Unstable(e.clone())))
     }
 
     /// Run up to `n` steps, stopping at the watchdog's first fatal
@@ -1602,16 +1695,20 @@ impl Simulation {
             Vec::with_capacity(RESIDENT_FIELDS.len() + 2);
         if let Some(engine) = &self.resident {
             fields.push((SIDECAR_FIELD.to_string(), Cow::Owned(engine.sidecar())));
-            for (i, name) in RESIDENT_FIELDS.iter().enumerate() {
-                fields.push((name.to_string(), Cow::Owned(engine.to_field(i))));
-            }
-        } else {
-            for (name, f) in RESIDENT_FIELDS.iter().zip(self.state.dynamic()) {
-                fields.push((name.to_string(), Cow::Borrowed(f)));
-            }
         }
+        let named = RESIDENT_FIELDS.iter().enumerate();
+        fields.extend(named.map(|(i, name)| (name.to_string(), self.dynamic_field(i))));
         fields.push(("eqp".to_string(), Cow::Borrowed(&self.state.eqp)));
         fields
+    }
+
+    /// Dynamic field `i` ([`RESIDENT_FIELDS`] order) as f32: the live
+    /// array, or decoded from the compressed-resident store.
+    fn dynamic_field(&self, i: usize) -> Cow<'_, Field3> {
+        match &self.resident {
+            Some(engine) => Cow::Owned(engine.to_field(i)),
+            None => Cow::Borrowed(self.state.dynamic()[i]),
+        }
     }
 
     /// Snapshot the full dynamic state.
@@ -1638,108 +1735,51 @@ impl Simulation {
 
     /// Restore the dynamic state from a checkpoint.
     ///
-    /// Fails with [`RestoreError`] — leaving the state partially updated —
-    /// when the checkpoint names an unknown field, carries a mismatched
-    /// mesh, or references a memory variable this run does not have.
+    /// Fails with [`RestoreError`], before anything is touched, when the
+    /// checkpoint names an unknown field, carries a mismatched mesh, or
+    /// references a memory variable this run does not have.
     pub fn restore(&mut self, ckpt: &Checkpoint) -> Result<(), RestoreError> {
+        check_checkpoint(ckpt, self.state.dims)?;
         // The store must not change under a state that is about to be
         // rewound past the generation in flight.
         self.join_writer();
-        if self.resident.is_some() {
-            return self.restore_resident(ckpt);
-        }
-        let dims = self.state.dims;
-        for (name, field) in &ckpt.fields {
-            if name == SIDECAR_FIELD {
-                // A compressed-resident checkpoint's bucket sidecar; the
-                // fields themselves are stored decompressed, so a full-mode
-                // run restores them directly and the sidecar is moot.
-                continue;
-            }
-            if field.dims() != dims {
-                return Err(RestoreError::DimsMismatch {
-                    field: name.clone(),
-                    checkpoint: field.dims(),
-                    simulation: dims,
-                });
-            }
-            if let Some(i) = COMPRESSED_FIELDS.iter().position(|n| n == name) {
-                *self.state.dynamic_mut()[i] = field.clone();
-            } else if let Some(rest) = name.strip_prefix('r') {
-                let index: usize =
-                    rest.parse().map_err(|_| RestoreError::UnknownField { field: name.clone() })?;
-                if index == 0 || index > self.state.r.len() {
-                    return Err(RestoreError::MemoryVariableOutOfRange {
-                        index,
-                        available: self.state.r.len(),
-                    });
-                }
-                self.state.r[index - 1] = field.clone();
-            } else if name == "eqp" {
-                self.state.eqp = field.clone();
-            } else {
-                return Err(RestoreError::UnknownField { field: name.clone() });
-            }
-        }
-        self.restore_observables(ckpt)
+        self.apply_checkpoint(ckpt);
+        Ok(())
     }
 
-    /// [`Simulation::restore`] for the compressed-resident path: every
-    /// dynamic field is re-encoded into its 16-bit store. With the bucket
-    /// sidecar a compressed-mode checkpoint restores byte-identically;
-    /// a full-mode checkpoint (no sidecar) re-derives buckets from the
-    /// content.
-    fn restore_resident(&mut self, ckpt: &Checkpoint) -> Result<(), RestoreError> {
-        let dims = self.state.dims;
+    /// Rewind to a checkpoint [`check_checkpoint`] has accepted. A
+    /// compressed-resident run re-encodes every dynamic field into its
+    /// 16-bit store: with the bucket sidecar a compressed-mode checkpoint
+    /// restores byte-identically, a full-mode one (no sidecar) re-derives
+    /// the buckets from the content. A full-mode run takes the fields,
+    /// which are stored decompressed, as they are; the sidecar is moot.
+    fn apply_checkpoint(&mut self, ckpt: &Checkpoint) {
         let sidecar = ckpt.fields.iter().find(|(n, _)| n == SIDECAR_FIELD).map(|(_, f)| f);
         for (name, field) in &ckpt.fields {
-            if name == SIDECAR_FIELD {
-                continue;
-            }
-            if field.dims() != dims {
-                return Err(RestoreError::DimsMismatch {
-                    field: name.clone(),
-                    checkpoint: field.dims(),
-                    simulation: dims,
-                });
-            }
-            let engine = self.resident.as_mut().expect("resident restore without engine");
-            if engine.restore_field(name, field, sidecar) {
-                continue;
-            }
             if name == "eqp" {
                 self.state.eqp = field.clone();
-            } else {
-                return Err(RestoreError::UnknownField { field: name.clone() });
+            } else if let Some(i) = RESIDENT_FIELDS.iter().position(|n| n == name) {
+                match &mut self.resident {
+                    Some(engine) => {
+                        engine.restore_field(name, field, sidecar);
+                    }
+                    None => *self.state.dynamic_mut()[i] = field.clone(),
+                }
             }
         }
-        self.restore_observables(ckpt)
-    }
-
-    /// Recorder/accumulator tail shared by both restore paths, so a
-    /// resumed run's seismograms, hazard map and flop totals are
-    /// byte-identical to an uninterrupted one. (Missing in pre-v2
-    /// snapshots → left at whatever the simulation already holds.)
-    fn restore_observables(&mut self, ckpt: &Checkpoint) -> Result<(), RestoreError> {
-        let dims = self.state.dims;
+        // Recorders and accumulators, so a resumed run's seismograms,
+        // hazard map and flop totals are byte-identical to an
+        // uninterrupted one.
         self.step_count = ckpt.step;
         self.time = ckpt.time;
         self.flops = FlopCounter { flops: ckpt.flops, steps: ckpt.step };
         self.seismo.restore_samples(&ckpt.seismograms);
         if let Some((nx, ny, pgv)) = &ckpt.pgv {
-            if (*nx, *ny) != (dims.nx, dims.ny) {
-                return Err(RestoreError::DimsMismatch {
-                    field: "pgv".to_string(),
-                    checkpoint: Dims3::new(*nx, *ny, 1),
-                    simulation: Dims3::new(dims.nx, dims.ny, 1),
-                });
-            }
             self.pgv = PgvRecorder::from_parts(*nx, *ny, pgv.clone());
         }
         // Skip snapshots whose trigger time the restored clock has
         // already passed — a resumed run must not re-emit them.
         self.next_snapshot = self.snapshot_times.iter().filter(|t| **t <= self.time).count();
-        Ok(())
     }
 
     /// Collect per-wavefield statistics (the Fig. 5a coarse-run product).
@@ -1748,18 +1788,8 @@ impl Simulation {
     pub fn collect_stats(&self) -> Vec<(String, FieldStats)> {
         let scan =
             if self.path.is_parallel() { FieldStats::of_field_par } else { FieldStats::of_field };
-        if let Some(engine) = &self.resident {
-            return COMPRESSED_FIELDS
-                .iter()
-                .enumerate()
-                .map(|(i, name)| (name.to_string(), scan(&engine.to_field(i))))
-                .collect();
-        }
-        COMPRESSED_FIELDS
-            .iter()
-            .zip(self.state.dynamic())
-            .map(|(name, f)| (name.to_string(), scan(f)))
-            .collect()
+        let named = COMPRESSED_FIELDS.iter().enumerate();
+        named.map(|(i, name)| (name.to_string(), scan(&self.dynamic_field(i)))).collect()
     }
 }
 
@@ -1785,6 +1815,69 @@ pub fn rescale_coarse_stats(
         .collect()
 }
 
+/// Whether every field of `ckpt` — name and shape — and its PGV map fit
+/// a simulation over `dims`, so that applying it cannot fail half way.
+fn check_checkpoint(ckpt: &Checkpoint, dims: Dims3) -> Result<(), RestoreError> {
+    let mismatch = |field: &str, checkpoint: Dims3, simulation: Dims3| {
+        Err(RestoreError::DimsMismatch { field: field.to_string(), checkpoint, simulation })
+    };
+    let memvars = RESIDENT_FIELDS.len() - COMPRESSED_FIELDS.len();
+    for (name, field) in &ckpt.fields {
+        let (want, halo) = if name == SIDECAR_FIELD {
+            // One bucket per padded x-plane of each resident field.
+            (Dims3::new(RESIDENT_FIELDS.len(), dims.nx + 2 * HALO_WIDTH, 1), 0)
+        } else if name == "eqp" || RESIDENT_FIELDS.contains(&name.as_str()) {
+            (dims, HALO_WIDTH)
+        } else if let Some(index) = name.strip_prefix('r').and_then(|i| i.parse().ok()) {
+            return Err(RestoreError::MemoryVariableOutOfRange { index, available: memvars });
+        } else {
+            return Err(RestoreError::UnknownField { field: name.clone() });
+        };
+        if field.dims() != want {
+            return mismatch(name, field.dims(), want);
+        }
+        if field.halo() != halo {
+            let padded = Dims3::new(want.nx + 2 * halo, want.ny + 2 * halo, want.nz + 2 * halo);
+            return mismatch(name, field.padded_dims(), padded);
+        }
+    }
+    match &ckpt.pgv {
+        Some((nx, ny, pgv)) if (*nx, *ny) != (dims.nx, dims.ny) || pgv.len() != nx * ny => {
+            mismatch("pgv", Dims3::new(*nx, *ny, 1), Dims3::new(dims.nx, dims.ny, 1))
+        }
+        _ => Ok(()),
+    }
+}
+
+/// The one resume path: open the existing store and pick the newest
+/// generation that holds a valid image for every rank — `parts` are the
+/// rank subdomains, in rank order. All decoding and every shape check
+/// happen here, before any simulation is built or rank thread started,
+/// so the ranks agree on one generation by construction and none can
+/// fail to restore it while its neighbours walk into a halo exchange.
+#[allow(clippy::result_large_err)] // cold resume-path error; see Simulation::step_checked
+fn resume_generation(
+    config: &SimConfig,
+    parts: &[Dims3],
+) -> Result<(Arc<CheckpointStore>, RestoredGeneration), RunError> {
+    let failed = |detail: String| RunError::ResumeFailed { detail };
+    let store = config
+        .open_store(true)
+        .map_err(|e| failed(e.to_string()))?
+        .ok_or_else(|| failed("no checkpoint directory configured".to_string()))?;
+    let restored = store.restore_newest_valid(parts.len()).map_err(|e| failed(e.to_string()))?;
+    for (rank, (ckpt, dims)) in restored.checkpoints.iter().zip(parts).enumerate() {
+        check_checkpoint(ckpt, *dims).map_err(|e| {
+            failed(format!(
+                "rank {rank} of the step-{} generation: {e} — resume with the same mesh and \
+                 rank grid",
+                restored.step
+            ))
+        })?;
+    }
+    Ok((store, restored))
+}
+
 /// What a resume restored: the generation's step/time and any newer
 /// generations that were skipped as corrupt or incomplete.
 #[derive(Debug, Clone, PartialEq)]
@@ -1795,6 +1888,12 @@ pub struct ResumeInfo {
     pub time: f64,
     /// Newer generations skipped, newest first: `(step, reason)`.
     pub skipped: Vec<(u64, String)>,
+}
+
+impl ResumeInfo {
+    fn of(restored: &RestoredGeneration) -> Self {
+        Self { step: restored.step, time: restored.time, skipped: restored.skipped.clone() }
+    }
 }
 
 /// Output of a multi-rank run: merged observables.
@@ -1812,20 +1911,25 @@ pub struct MultiRankOutput {
     pub health: Vec<HealthRecord>,
     /// Timestep in seconds (CFL-derived, identical on every rank).
     pub dt: f64,
+    /// What the run resumed from (`None` for a fresh start).
+    pub resume: Option<ResumeInfo>,
 }
 
 /// Run `config` on an `Mx × My` rank grid; observables are merged and the
 /// wavefield evolution is bit-identical to the single-rank run.
 ///
-/// The global config is validated once up front; per-rank telemetry
-/// aggregates into the shared handle, with halo-fabric timings reported
-/// per rank (`halo.*.rankN`).
+/// This is set-up and merge only: every rank is a [`Simulation`] holding
+/// a rank link and runs [`Simulation::run_checked`] — the one step
+/// schedule — on its own thread. The global config is validated once up
+/// front; per-rank telemetry aggregates into the shared handle, with
+/// halo-fabric timings reported per rank (`halo.*.rankN`).
 ///
 /// With health monitoring enabled, all ranks probe at the same steps
 /// and vote through a collective stop barrier, so a fatal verdict on
 /// any rank aborts every rank at the same step — no rank is left
 /// blocking in a halo exchange. The error carries the earliest-failing
-/// rank's diagnosis.
+/// rank's diagnosis; a blow-up the probe stride missed is diagnosed from
+/// the ranks' end states.
 #[allow(clippy::result_large_err)] // cold abort-path error; see Simulation::step_checked
 pub fn run_multirank(
     model: &(dyn VelocityModel + Sync),
@@ -1840,92 +1944,29 @@ pub fn run_multirank(
         return Err(ConfigError::ResidentUnsupported { feature: "multirank halo exchange" }.into());
     }
     let global = config.dims;
-    let telemetry = config.telemetry.clone();
-    let partitioner = SourcePartitioner::new(grid.mx, grid.my, global.nx, global.ny);
-    let per_rank_sources = partitioner.partition(&config.sources);
-    let mut exchanger = HaloExchanger::standard().with_telemetry(telemetry.clone());
-    if let Some(tl) = &config.timeline {
-        exchanger = exchanger.with_timeline(Arc::clone(tl));
-    }
+    let spans: Vec<(usize, usize, Dims3)> =
+        (0..grid.len()).map(|rank| grid.local_span(rank, global)).collect();
+    let (store, restored) = if config.resume {
+        let parts: Vec<Dims3> = spans.iter().map(|&(_, _, local)| local).collect();
+        let (store, restored) = resume_generation(config, &parts)?;
+        (Some(store), Some(restored))
+    } else {
+        (config.open_store(false)?, None)
+    };
+    let sources =
+        SourcePartitioner::new(grid.mx, grid.my, global.nx, global.ny).partition(&config.sources);
     // All ranks stream into one shared JSONL log (per-line writes are
     // atomic); opening it per rank would truncate it repeatedly.
-    let shared_health_log: Option<Arc<HealthLog>> = match &config.health {
-        Some(h) if config.shared_health_log.is_none() => {
-            h.log_path.as_deref().and_then(|p| HealthLog::create(p).ok().map(Arc::new))
-        }
-        _ => config.shared_health_log.clone(),
-    };
-    let health_stride = config.health.as_ref().map(|h| h.effective_stride());
-    let stop = StopBarrier::new(grid.len());
-    // Durable checkpointing: one shared store for all ranks. Each rank
-    // writes its own file from `finish_step`; rank 0 commits the
-    // generation centrally, behind a barrier, only once every rank's
-    // write has landed — a crash can leave orphan rank files but never
-    // a manifest entry pointing at a half-written generation.
-    let store: Option<Arc<CheckpointStore>> = if let Some(s) = &config.shared_store {
-        Some(Arc::clone(s))
-    } else if let Some(dir) = &config.checkpoint_dir {
-        let s = if config.resume {
-            CheckpointStore::open(dir, config.checkpoint_keep)
-        } else {
-            CheckpointStore::create(dir, config.checkpoint_keep)
-        }
-        .map_err(|e| ConfigError::CheckpointDir {
-            path: dir.display().to_string(),
-            detail: e.to_string(),
-        })?;
-        Some(Arc::new(s.with_fault(config.fault.clone())))
-    } else {
-        None
-    };
-    // Resume is decided centrally, before any rank thread starts, so
-    // every rank restores the *same* generation even when fallback
-    // skipped a corrupt newer one.
-    let restored: Option<RestoredGeneration> = if config.resume {
-        let store = store.as_ref().ok_or_else(|| RunError::ResumeFailed {
-            detail: "no checkpoint directory configured".to_string(),
-        })?;
-        let r = store
-            .restore_newest_valid(grid.len())
-            .map_err(|e| RunError::ResumeFailed { detail: e.to_string() })?;
-        for (rank, ckpt) in r.checkpoints.iter().enumerate() {
-            let (_, _, local) = grid.local_span(rank, global);
-            if let Some((name, f)) = ckpt.fields.first() {
-                if f.dims() != local {
-                    return Err(RunError::ResumeFailed {
-                        detail: format!(
-                            "rank {rank} checkpoint field `{name}` is {}x{}x{} but the rank \
-                             subdomain is {}x{}x{} — resume with the same rank grid",
-                            f.dims().nx,
-                            f.dims().ny,
-                            f.dims().nz,
-                            local.nx,
-                            local.ny,
-                            local.nz
-                        ),
-                    });
-                }
-            }
-        }
-        Some(r)
-    } else {
-        None
-    };
-    let start_step = restored.as_ref().map_or(0, |r| r.step as usize);
-    // Rank-death vote (None when no plan is armed) and the generation
-    // commit barrier.
-    let fault_vote = FaultVote::new(grid.len(), &config.fault);
-    let commit = Barrier::new(grid.len());
-    let restart = RestartController { interval: config.checkpoint_interval };
-    let results = run_ranks(grid, |comm| {
-        // The rank loop below calls the step halves directly, not
-        // `Simulation::step`, so it enters the kernels' FP mode itself.
-        let _fp = exec::kernel_fp_env();
+    let health_log = config.shared_health_log.clone().or_else(|| {
+        let path = config.health.as_ref()?.log_path.as_deref()?;
+        HealthLog::create(path).ok().map(Arc::new)
+    });
+    let shared = Arc::new(RankShared::new(config, grid.len(), store.clone()));
+    let ranks = run_ranks(grid, |comm| {
         // Each rank thread records into its own trace lane (one process
         // row per rank in the exported Chrome trace).
-        telemetry.tracer().bind_lane(comm.rank as u64, &format!("rank{}", comm.rank));
-        let (x0, y0, local) = grid.local_span(comm.rank, global);
-        let (px, py) = grid.coords_of(comm.rank);
+        config.telemetry.tracer().bind_lane(comm.rank as u64, &format!("rank{}", comm.rank));
+        let (x0, y0, local) = spans[comm.rank];
         let mut cfg = config.clone();
         cfg.dims = local;
         cfg.origin = (
@@ -1934,165 +1975,44 @@ pub fn run_multirank(
             config.origin.2,
         );
         cfg.options.global_span = Some((global, x0, y0));
-        cfg.sources = per_rank_sources[px * grid.my + py].clone();
+        cfg.sources = sources[comm.rank].clone();
         cfg.stations = config
             .stations
             .iter()
             .filter(|s| s.ix >= x0 && s.ix < x0 + local.nx && s.iy >= y0 && s.iy < y0 + local.ny)
             .map(|s| Station { name: s.name.clone(), ix: s.ix - x0, iy: s.iy - y0 })
             .collect();
-        cfg.rank = comm.rank;
-        cfg.shared_health_log = shared_health_log.clone();
+        cfg.shared_health_log = health_log.clone();
         if let Some(h) = &mut cfg.health {
             h.log_path = None;
         }
-        cfg.shared_store = store.clone();
-        // Generations are committed centrally below, once ALL ranks
-        // have written — a per-rank commit would publish a generation
-        // some ranks have not finished writing yet.
-        cfg.store_commit = false;
-        let mut sim = Simulation::new(model, &cfg)
-            .expect("rank-local config is derived from the validated global config");
-        if let Some(r) = &restored {
-            sim.restore(&r.checkpoints[comm.rank])
-                .expect("rank checkpoint dims were validated against the rank grid");
-            if comm.rank == 0 {
-                sim.note_resume(r);
-            }
+        let state = SolverState::from_model(model, local, cfg.dx, cfg.origin, cfg.options);
+        let link = RankLink { comm: comm.clone(), shared: Arc::clone(&shared) };
+        let mut sim = Simulation::build(state, &cfg, store.clone(), Some(link));
+        if let Some(restored) = &restored {
+            sim.rewind_to(restored);
         }
-        let tel = telemetry.clone();
-        // Modeled halo traffic per step for the perf ledger: this rank
-        // sends its width-HALO_WIDTH boundary planes of all 9 wavefields
-        // to each neighbour (4 bytes per float), matching the
-        // exchanger's own byte accounting.
-        let halo_model = sim.perf.is_some().then(|| {
-            let hw = sw_grid::HALO_WIDTH as f64;
-            let x_neighbors = ((px > 0) as usize + (px + 1 < grid.mx) as usize) as f64;
-            let y_neighbors = ((py > 0) as usize + (py + 1 < grid.my) as usize) as f64;
-            let planes = x_neighbors * (local.ny * local.nz) as f64
-                + y_neighbors * (local.nx * local.nz) as f64;
-            let floats = 9.0 * hw * planes;
-            ((hw * planes) as u64, (floats * 4.0) as u64)
-        });
-        let timeline = config.timeline.clone();
-        for _ in start_step..config.steps {
-            let start =
-                (tel.is_enabled() || sim.perf.is_some() || timeline.is_some()).then(Instant::now);
-            // A `slow` fault stretches this rank's compute (step numbering
-            // is post-step, hence +1); the sleep lands inside the stress
-            // phase's timing window below, so the timeline attributes the
-            // skew to this rank's compute — exactly what a real straggler
-            // looks like to its neighbors.
-            let slow = sim.fault.as_ref().and_then(|p| p.slow_due(sim.step_count + 1, comm.rank));
-            let slow_t0 = slow.map(|_| Instant::now());
-            let _step = tel.phase("step");
-            // stress halos feed the velocity stencils
-            {
-                let _h = tel.phase("halo_stress");
-                let _k = pscope(&sim.perf, "halo");
-                let s = &mut sim.state;
-                exchanger.exchange(
-                    comm,
-                    &mut [&mut s.xx, &mut s.yy, &mut s.zz, &mut s.xy, &mut s.xz, &mut s.yz],
-                );
-            }
-            let t_vel = timeline.as_ref().map(|_| Instant::now());
-            sim.velocity_half();
-            if let (Some(tl), Some(t)) = (&timeline, t_vel) {
-                tl.record_phase(comm.rank, tl_phase::VELOCITY, t.elapsed().as_secs_f64());
-            }
-            // velocity halos feed the stress stencils
-            {
-                let _h = tel.phase("halo_velocity");
-                let _k = pscope(&sim.perf, "halo");
-                let s = &mut sim.state;
-                exchanger.exchange(comm, &mut [&mut s.u, &mut s.v, &mut s.w]);
-            }
-            let t_str = timeline.as_ref().map(|_| Instant::now());
-            sim.stress_half();
-            if let (Some(frac), Some(t0)) = (slow, slow_t0) {
-                std::thread::sleep(std::time::Duration::from_secs_f64(
-                    t0.elapsed().as_secs_f64() * frac,
-                ));
-            }
-            if let (Some(tl), Some(t)) = (&timeline, t_str) {
-                tl.record_phase(comm.rank, tl_phase::STRESS, t.elapsed().as_secs_f64());
-            }
-            let t_fin = timeline.as_ref().map(|_| Instant::now());
-            sim.finish_step();
-            if let (Some(tl), Some(t)) = (&timeline, t_fin) {
-                tl.record_phase(comm.rank, tl_phase::FINISH, t.elapsed().as_secs_f64());
-            }
-            if let (Some(p), Some((cells, bytes))) = (sim.perf.as_deref(), halo_model) {
-                p.charge("halo", cells, 0.0, bytes);
-            }
-            drop(_step);
-            if let Some(start) = start {
-                let wall = start.elapsed().as_secs_f64();
-                tel.sample("step.wall_s", wall);
-                // One rank reports step walls (the counts are shared;
-                // duplicate samples would skew the percentiles).
-                if comm.rank == 0 {
-                    if let Some(p) = sim.perf.as_deref() {
-                        p.note_step(sim.step_count, wall);
-                    }
-                }
-                // The timeline keeps per-rank step walls, so every rank
-                // reports (rank 0's notes also drive the heartbeats).
-                if let Some(tl) = &timeline {
-                    tl.note_step(comm.rank, sim.step_count, wall);
-                }
-            }
-            // Rank-death vote, BEFORE the commit barrier: a step on
-            // which any rank dies must not commit its generation — the
-            // on-disk store then looks exactly as if `kill -9` had hit
-            // the process at that step. `fault_kill` folds in mid-write
-            // kills latched by the store during `finish_step`.
-            if let Some(vote) = &fault_vote {
-                let mut my_kill = sim.fault_kill.is_some();
-                if !my_kill && vote.is_victim(sim.step_count, comm.rank) {
-                    sim.fault_kill = Some(KilledError { step: sim.step_count, rank: comm.rank });
-                    my_kill = true;
-                }
-                if vote.vote(my_kill) {
-                    break;
-                }
-            }
-            // Commit the generation once every rank's write has landed.
-            if let Some(s) = store.as_ref().filter(|_| restart.due(sim.step_count)) {
-                commit.wait();
-                if comm.rank == 0 {
-                    match s.commit_generation(sim.step_count, sim.time, grid.len()) {
-                        Ok(()) => tel.add("io.checkpoint_generations", 1),
-                        Err(_) => tel.add("io.checkpoint_failures", 1),
-                    }
-                }
-                // Hold all ranks until the manifest is durable, so no
-                // rank races into the next step's writes mid-rewrite.
-                commit.wait();
-            }
-            // Stop-vote at probe steps: every rank probes at the same
-            // step numbers, so every rank reaches the barrier, and a
-            // fatal verdict anywhere pulls all ranks out of the loop
-            // together before the next halo exchange.
-            if let Some(stride) = health_stride {
-                if sim.step_count.is_multiple_of(stride)
-                    && stop.vote(sim.health_failure().is_some())
-                {
-                    break;
-                }
-            }
-        }
-        (x0, y0, local, sim)
+        let outcome = sim.run_checked(config.steps.saturating_sub(sim.step_count as usize));
+        (sim, outcome)
     });
+    // A collective abort is the same error on every rank; a blow-up the
+    // probe stride missed is diagnosed per rank from its end state. All
+    // ranks stopped at the same step, so the first in rank order is the
+    // earliest `(step, rank)`.
+    for (sim, outcome) in &ranks {
+        outcome.clone()?;
+        if sim.state.has_blown_up() {
+            if let Some(e) = crate::health::diagnose(&sim.state, sim.step_count, sim.rank) {
+                return Err(e.into());
+            }
+        }
+    }
     // Merge observables.
     let mut seismograms = Vec::new();
     let mut pgv = PgvRecorder::new(global.nx, global.ny);
     let mut flops = 0.0;
     let mut health: Vec<HealthRecord> = Vec::new();
-    let mut failure: Option<UnstableError> = None;
-    let mut killed: Option<KilledError> = None;
-    for (x0, y0, local, sim) in &results {
+    for ((sim, _), &(x0, y0, local)) in ranks.iter().zip(&spans) {
         // Restore global surface coordinates on the rank-local stations.
         seismograms.extend(sim.seismo.seismograms().iter().map(|s| {
             let mut s = s.clone();
@@ -2113,26 +2033,6 @@ pub fn run_multirank(
         if let Some(report) = sim.health() {
             health.extend(report.records);
         }
-        if let Some(e) = sim.health_failure() {
-            let earlier = failure.as_ref().is_none_or(|f| (e.step, e.rank) < (f.step, f.rank));
-            if earlier {
-                failure = Some(e.clone());
-            }
-        }
-        if let Some(k) = &sim.fault_kill {
-            let earlier = killed.as_ref().is_none_or(|f| (k.step, k.rank) < (f.step, f.rank));
-            if earlier {
-                killed = Some(k.clone());
-            }
-        }
-    }
-    // An injected kill means "the process died here": it outranks any
-    // verdict latched the same step, so crash drills exit as killed.
-    if let Some(k) = killed {
-        return Err(RunError::Killed(k));
-    }
-    if let Some(e) = failure {
-        return Err(RunError::Unstable(e));
     }
     health.sort_by_key(|r| (r.step, r.rank));
     // Stations come back in the order the config listed them, not in
@@ -2140,8 +2040,9 @@ pub fn run_multirank(
     seismograms.sort_by_key(|s| {
         config.stations.iter().position(|st| st.name == s.station.name).unwrap_or(usize::MAX)
     });
-    let dt = results.first().map_or(0.0, |(_, _, _, sim)| sim.state.dt);
-    Ok(MultiRankOutput { seismograms, pgv, flops, health, dt })
+    let dt = ranks.first().map_or(0.0, |(sim, _)| sim.state.dt);
+    let resume = restored.as_ref().map(ResumeInfo::of);
+    Ok(MultiRankOutput { seismograms, pgv, flops, health, dt, resume })
 }
 
 #[cfg(test)]

@@ -308,10 +308,16 @@ impl HealthMonitor {
         self.failure.as_ref()
     }
 
+    /// Whether `step` is one of the steps every rank probes at — where
+    /// the ranks of a grid cast their stop vote, failed or not.
+    pub(crate) fn probes_at(&self, step: u64) -> bool {
+        step.is_multiple_of(self.stride())
+    }
+
     /// Should the compression pass of the step that will *complete* as
     /// `step` collect round-trip error statistics?
     pub(crate) fn wants_compression_sample(&self, step: u64) -> bool {
-        self.failure.is_none() && step.is_multiple_of(self.stride())
+        self.failure.is_none() && self.probes_at(step)
     }
 
     /// Fold one field's round-trip error statistics into the budget
@@ -375,7 +381,7 @@ impl HealthMonitor {
     /// Whether step `step` is a probe step (and the monitor is still
     /// live) — lets the driver skip building an expensive probe.
     pub(crate) fn wants_probe(&self, step: u64) -> bool {
-        self.failure.is_none() && step.is_multiple_of(self.stride())
+        self.failure.is_none() && self.probes_at(step)
     }
 
     /// Evaluate the state after step `step` completed. No-op except at

@@ -7,7 +7,7 @@
 
 use crate::grid::RankGrid;
 use std::sync::mpsc::{channel, Receiver, Sender};
-use std::sync::Mutex;
+use std::sync::{Arc, Mutex};
 use sw_grid::halo::Face;
 
 /// A message is one packed halo face.
@@ -22,18 +22,19 @@ fn face_index(f: Face) -> usize {
     }
 }
 
-/// One rank's endpoints.
-#[derive(Debug)]
+/// One rank's endpoints. A clone is another handle to the same
+/// mailboxes, so a rank's solver can hold its endpoints for the run.
+#[derive(Debug, Clone)]
 pub struct RankComm {
     /// This rank's id.
     pub rank: usize,
     /// The rank grid.
     pub grid: RankGrid,
-    senders: [Option<Sender<FaceBuffer>>; 4],
+    senders: Arc<[Option<Sender<FaceBuffer>>; 4]>,
     // `mpsc::Receiver` is `!Sync`; the Mutex restores `Sync` so scoped
     // rank threads can share `&RankComm`. Each face's receiver is only
     // ever drained by its owning rank, so the lock is uncontended.
-    receivers: [Option<Mutex<Receiver<FaceBuffer>>>; 4],
+    receivers: Arc<[Option<Mutex<Receiver<FaceBuffer>>>; 4]>,
 }
 
 impl RankComm {
@@ -91,7 +92,12 @@ impl Fabric {
             .into_iter()
             .zip(receivers)
             .enumerate()
-            .map(|(rank, (s, r))| RankComm { rank, grid, senders: s, receivers: r })
+            .map(|(rank, (s, r))| RankComm {
+                rank,
+                grid,
+                senders: Arc::new(s),
+                receivers: Arc::new(r),
+            })
             .collect()
     }
 }

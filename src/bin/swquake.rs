@@ -91,7 +91,7 @@
 use std::sync::Arc;
 use swquake::campaign::CampaignRunOptions;
 use swquake::core::driver::run_multirank;
-use swquake::core::{ExecMode, ResidentMode, Simulation};
+use swquake::core::{ExecMode, MultiRankOutput, ResidentMode, Simulation};
 use swquake::health::{HealthConfig, HealthLog};
 use swquake::parallel::RankGrid;
 use swquake::telemetry::bench::{compare, BenchReport};
@@ -312,15 +312,26 @@ fn parse_args(args: &[String]) -> Option<Command> {
             other => positional.push(other.to_string()),
         }
     }
-    // Resuming without a store to resume from is a usage error.
-    if outputs.resume && outputs.checkpoint_dir.is_none() {
-        return None;
-    }
-    // The multirank runner exchanges f32 wavefield halos and the
-    // per-kernel ledger needs a resident Simulation.
-    if outputs.ranks.is_some_and(|(mx, my)| mx * my > 1)
-        && (outputs.perf.is_some() || outputs.resident == Some(ResidentMode::Compressed16))
-    {
+    // Flag pairs that cannot work together are usage errors; say which
+    // pair and why before the usage text.
+    let ranked = outputs.ranks.is_some_and(|(mx, my)| mx * my > 1);
+    let clash = if outputs.resume && outputs.checkpoint_dir.is_none() {
+        Some("--resume needs --checkpoint-dir: there is no store to resume from")
+    } else if ranked && outputs.perf.is_some() {
+        Some(
+            "--ranks and --perf cannot be combined: the per-kernel ledger is frozen from one \
+             simulation, and a rank grid runs one per rank",
+        )
+    } else if ranked && outputs.resident == Some(ResidentMode::Compressed16) {
+        Some(
+            "--ranks and --resident compressed16 cannot be combined: the halo exchange reads \
+             the f32 wavefield arrays, which compressed16 does not keep",
+        )
+    } else {
+        None
+    };
+    if let Some(why) = clash {
+        eprintln!("{why}");
         return None;
     }
     if write_example {
@@ -786,55 +797,64 @@ fn run(path: &str, outputs: &RunOutputs) -> Result<(), Error> {
         swquake::grid::simd::LaneTier::active(),
         if cfg.resident == ResidentMode::Compressed16 { ", resident compressed16" } else { "" }
     );
-    // `--ranks MxN` routes through the multi-rank driver: same physics
-    // on halo-exchanged subdomains, observables merged back to global
-    // coordinates (bit-identical to the single-rank run).
-    if let Some((mx, my)) = outputs.ranks.filter(|&(mx, my)| mx * my > 1) {
-        cfg = cfg.with_resume(outputs.resume);
-        let t0 = std::time::Instant::now();
-        let out = run_multirank(model.as_ref(), &cfg, RankGrid::new(mx, my))?;
-        let wall = t0.elapsed().as_secs_f64();
-        println!(
-            "simulated {:.2} s in {wall:.1} s wall time ({:.2} Gflop/s sustained) on {mx}x{my} \
-             ranks",
-            cfg.steps as f64 * out.dt,
-            out.flops / wall / 1e9
-        );
-        let files = swquake::outputs::write_multirank_outputs(
-            &out,
-            &cfg,
-            &scenario.output_prefix,
-            &telemetry,
-        )?;
-        println!("wrote {} and {}", files.seismograms, files.hazard);
-        println!("PGV max {:.3e} m/s, max intensity {:.1}", files.pgv_max, files.max_intensity);
-        if let Some(metrics_path) = &outputs.metrics {
-            std::fs::write(metrics_path, telemetry.report().to_json())
-                .map_err(|e| Error::Io { path: metrics_path.to_string(), source: e })?;
-            println!("wrote metrics to {metrics_path}");
-        }
-        if let Some(roofline_path) = &outputs.roofline {
-            let report = swquake::core::roofline::attribute(
-                cfg.dims,
-                cfg.options.nonlinear,
-                cfg.compression,
-                &telemetry.report(),
-            );
-            std::fs::write(roofline_path, report.to_json())
-                .map_err(|e| Error::Io { path: roofline_path.to_string(), source: e })?;
-            print!("{}", report.text_table());
-            println!("wrote roofline report to {roofline_path}");
-        }
-        write_trace(outputs, &telemetry)?;
-        if let Some(health_path) = &outputs.health {
-            println!("wrote health log to {health_path} ({} records)", out.health.len());
-        }
-        finalize_timeline(outputs, timeline.as_ref())?;
-        return Ok(());
-    }
+    // Either path runs the one step schedule and hands the tail below
+    // the same things. `--ranks MxN` runs it on halo-exchanged
+    // subdomains and merges the observables back to global coordinates
+    // (bit-identical to the single-rank run); without it the simulation
+    // stays here, which is what the ledger and the resident banner need.
+    let ranks = outputs.ranks.filter(|&(mx, my)| mx * my > 1);
     let t0 = std::time::Instant::now();
-    let mut sim = if outputs.resume {
-        let (sim, info) = Simulation::resume(model.as_ref(), &cfg)?;
+    let done = match ranks {
+        Some((mx, my)) => {
+            cfg = cfg.with_resume(outputs.resume);
+            let out = run_multirank(model.as_ref(), &cfg, RankGrid::new(mx, my))?;
+            Finished { health: format!("{} records", out.health.len()), ledger: None, out }
+        }
+        None => {
+            let (mut sim, resume) = if outputs.resume {
+                let (sim, info) = Simulation::resume(model.as_ref(), &cfg)?;
+                (sim, Some(info))
+            } else {
+                (Simulation::new(model.as_ref(), &cfg)?, None)
+            };
+            if let (Some(stored), Some(slab)) =
+                (sim.resident_stored_bytes(), sim.resident_working_set_bytes())
+            {
+                println!(
+                    "resident compressed16: stores {stored} B, decode slab {slab} B{}",
+                    match outputs.memory_cap {
+                        Some(cap) => format!(" (cap {cap} B)"),
+                        None => String::new(),
+                    }
+                );
+            }
+            sim.run_checked(cfg.steps.saturating_sub(sim.step_count as usize))?;
+            if sim.state.has_blown_up() {
+                // The watchdog missed it (probe stride too coarse for the
+                // tail of the run) — diagnose post-hoc so the exit still
+                // explains where the wavefield first went bad, as
+                // `run_multirank` does from its ranks' end states.
+                if let Some(e) = swquake::core::health::diagnose(&sim.state, sim.step_count, 0) {
+                    return Err(Error::Unstable(e));
+                }
+            }
+            let health = sim.health().expect("the watchdog is armed above");
+            Finished {
+                health: format!("{} probes, {} warnings", health.checks, health.warnings),
+                ledger: sim.perf_ledger(),
+                out: MultiRankOutput {
+                    seismograms: sim.seismo.seismograms().to_vec(),
+                    pgv: sim.pgv.clone(),
+                    flops: sim.flops.flops,
+                    health: health.records,
+                    dt: sim.state.dt,
+                    resume,
+                },
+            }
+        }
+    };
+    let wall = t0.elapsed().as_secs_f64();
+    if let Some(info) = &done.out.resume {
         for (skipped_step, reason) in &info.skipped {
             eprintln!("warning: skipped checkpoint generation at step {skipped_step}: {reason}");
         }
@@ -842,51 +862,36 @@ fn run(path: &str, outputs: &RunOutputs) -> Result<(), Error> {
             "resumed from checkpoint generation at step {} (t = {:.4} s)",
             info.step, info.time
         );
-        sim
-    } else {
-        Simulation::new(model.as_ref(), &cfg)?
-    };
-    if let (Some(stored), Some(slab)) =
-        (sim.resident_stored_bytes(), sim.resident_working_set_bytes())
-    {
-        println!(
-            "resident compressed16: stores {stored} B, decode slab {slab} B{}",
-            match outputs.memory_cap {
-                Some(cap) => format!(" (cap {cap} B)"),
-                None => String::new(),
-            }
-        );
-    }
-    let remaining = cfg.steps.saturating_sub(sim.step_count as usize);
-    let run_result = sim.run_checked(remaining);
-    let wall = t0.elapsed().as_secs_f64();
-    run_result?;
-    if sim.state.has_blown_up() {
-        // The watchdog missed it (probe stride too coarse for the tail
-        // of the run) — diagnose post-hoc so the exit still explains
-        // where the wavefield first went bad.
-        if let Some(e) = swquake::core::health::diagnose(&sim.state, sim.step_count, 0) {
-            return Err(Error::Unstable(e));
-        }
     }
     println!(
-        "simulated {:.2} s in {wall:.1} s wall time ({:.2} Gflop/s sustained)",
-        sim.time,
-        sim.flops.rate(wall) / 1e9
+        "simulated {:.2} s in {wall:.1} s wall time ({:.2} Gflop/s sustained){}",
+        cfg.steps as f64 * done.out.dt,
+        done.out.flops / wall / 1e9,
+        ranks.map_or(String::new(), |(mx, my)| format!(" on {mx}x{my} ranks"))
     );
-
-    let files = swquake::outputs::write_outputs(&sim, &cfg, &scenario.output_prefix, &telemetry)?;
+    let files = swquake::outputs::write_result_files(
+        &done.out.seismograms,
+        &done.out.pgv,
+        done.out.dt,
+        &cfg,
+        &scenario.output_prefix,
+        &telemetry,
+    )?;
     println!("wrote {} and {}", files.seismograms, files.hazard);
     println!("PGV max {:.3e} m/s, max intensity {:.1}", files.pgv_max, files.max_intensity);
 
     if let Some(metrics_path) = &outputs.metrics {
-        let report = sim.metrics();
-        std::fs::write(metrics_path, report.to_json())
+        std::fs::write(metrics_path, telemetry.report().to_json())
             .map_err(|e| Error::Io { path: metrics_path.to_string(), source: e })?;
         println!("wrote metrics to {metrics_path}");
     }
     if let Some(roofline_path) = &outputs.roofline {
-        let report = sim.roofline();
+        let report = swquake::core::roofline::attribute(
+            cfg.dims,
+            cfg.options.nonlinear,
+            cfg.compression,
+            &telemetry.report(),
+        );
         std::fs::write(roofline_path, report.to_json())
             .map_err(|e| Error::Io { path: roofline_path.to_string(), source: e })?;
         print!("{}", report.text_table());
@@ -894,32 +899,29 @@ fn run(path: &str, outputs: &RunOutputs) -> Result<(), Error> {
     }
     write_trace(outputs, &telemetry)?;
     if let Some(health_path) = &outputs.health {
-        if let Some(report) = sim.health() {
-            println!(
-                "wrote health log to {health_path} ({} probes, {} warnings)",
-                report.checks, report.warnings
-            );
-        }
+        println!("wrote health log to {health_path} ({})", done.health);
     }
-    if let Some(perf_path) = &outputs.perf {
-        if let Some(ledger) = sim.perf_ledger() {
-            let path = std::path::Path::new(perf_path);
-            ledger
-                .write_file(path)
-                .map_err(|e| Error::Io { path: perf_path.clone(), source: e })?;
-            // Every instrumented run also lands one line in the durable
-            // history next to the ledger, so trends survive overwrites.
-            let history = path.with_file_name("perf_history.jsonl");
-            swquake::io::jsonl::append_line(&history, &ledger.history_line("run"))
-                .map_err(|e| Error::Io { path: history.display().to_string(), source: e })?;
-            println!(
-                "wrote perf ledger to {perf_path} (history appended to {})",
-                history.display()
-            );
-        }
+    if let (Some(perf_path), Some(ledger)) = (&outputs.perf, &done.ledger) {
+        let path = std::path::Path::new(perf_path);
+        ledger.write_file(path).map_err(|e| Error::Io { path: perf_path.clone(), source: e })?;
+        // Every instrumented run also lands one line in the durable
+        // history next to the ledger, so trends survive overwrites.
+        let history = path.with_file_name("perf_history.jsonl");
+        swquake::io::jsonl::append_line(&history, &ledger.history_line("run"))
+            .map_err(|e| Error::Io { path: history.display().to_string(), source: e })?;
+        println!("wrote perf ledger to {perf_path} (history appended to {})", history.display());
     }
-    finalize_timeline(outputs, timeline.as_ref())?;
-    Ok(())
+    finalize_timeline(outputs, timeline.as_ref())
+}
+
+/// What either way of executing a scenario hands the one tail of `run`:
+/// the observables (merged, for a rank grid) and what only one of them
+/// has.
+struct Finished {
+    out: MultiRankOutput,
+    /// What the `--health` line counts.
+    health: String,
+    ledger: Option<PerfLedger>,
 }
 
 /// Export the Chrome trace when `--trace` was given, warning first when

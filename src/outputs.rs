@@ -9,7 +9,7 @@ use crate::error::Error;
 use sw_io::recorder::{PgvRecorder, Seismogram};
 use sw_telemetry::Telemetry;
 use swquake_core::hazard::HazardMap;
-use swquake_core::{MultiRankOutput, SimConfig, Simulation};
+use swquake_core::{SimConfig, Simulation};
 
 /// What [`write_outputs`] produced, for the caller's result line.
 pub struct OutputFiles {
@@ -36,22 +36,11 @@ pub fn write_outputs(
     write_result_files(sim.seismo.seismograms(), &sim.pgv, sim.state.dt, cfg, prefix, telemetry)
 }
 
-/// Multi-rank twin of [`write_outputs`]: same files, same bytes, fed
-/// from the merged observables of [`swquake_core::driver::run_multirank`].
-#[allow(clippy::result_large_err)] // cold abort-path error; see Scenario::from_json
-pub fn write_multirank_outputs(
-    out: &MultiRankOutput,
-    cfg: &SimConfig,
-    prefix: &str,
-    telemetry: &Telemetry,
-) -> Result<OutputFiles, Error> {
-    write_result_files(&out.seismograms, &out.pgv, out.dt, cfg, prefix, telemetry)
-}
-
-/// Shared rendering core: both entry points funnel here so the
-/// single-rank and multi-rank paths stay byte-identical by construction.
+/// The rendering itself, from bare observables — one simulation's or the
+/// merged ones of [`swquake_core::driver::run_multirank`] — so every
+/// path writes the same bytes by construction.
 #[allow(clippy::result_large_err)]
-fn write_result_files(
+pub fn write_result_files(
     seismograms: &[Seismogram],
     pgv: &PgvRecorder,
     dt: f64,

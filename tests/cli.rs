@@ -2,7 +2,7 @@
 //! a full scenario run with output files, and error handling.
 
 use std::path::PathBuf;
-use std::process::Command;
+use std::process::{Command, Output};
 
 fn bin() -> &'static str {
     env!("CARGO_BIN_EXE_swquake")
@@ -736,5 +736,158 @@ fn campaign_usage_errors_exit_2() {
     let out = Command::new(bin()).args(["campaign", spec.to_str().unwrap()]).output().unwrap();
     assert_eq!(out.status.code(), Some(2), "stderr: {}", String::from_utf8_lossy(&out.stderr));
     assert!(String::from_utf8_lossy(&out.stderr).contains("campaign failed during spec"));
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+/// The example scenario shrunk to 24x24x14 (two stations, one on each
+/// side of a 2-wide rank grid), tweaked by `tweak`, with outputs under
+/// `<dir>/<prefix>`.
+fn shrunk_example(
+    dir: &std::path::Path,
+    prefix: &str,
+    tweak: impl FnOnce(&mut serde_json::Value),
+) -> PathBuf {
+    let scenario = dir.join(format!("{prefix}.json"));
+    Command::new(bin()).args(["--write-example", scenario.to_str().unwrap()]).status().unwrap();
+    let mut json: serde_json::Value =
+        serde_json::from_str(&std::fs::read_to_string(&scenario).unwrap()).unwrap();
+    json["mesh"] = serde_json::json!([24, 24, 14]);
+    json["duration"] = serde_json::json!(1.5);
+    json["sources"][0]["position"] = serde_json::json!([12, 12, 6]);
+    json["stations"] = serde_json::json!([
+        {"name": "west", "ix": 6, "iy": 6},
+        {"name": "east", "ix": 17, "iy": 15}
+    ]);
+    json["output_prefix"] = serde_json::json!(dir.join(prefix).to_str().unwrap());
+    tweak(&mut json);
+    std::fs::write(&scenario, serde_json::to_string(&json).unwrap()).unwrap();
+    scenario
+}
+
+/// `swquake run <scenario> <args>` with the `SWQUAKE_*` defaults a CI
+/// pass may carry taken out where they would change what is tested.
+fn run_scenario(scenario: &std::path::Path, args: &[&str], fault: Option<&str>) -> Output {
+    let mut cmd = Command::new(bin());
+    cmd.arg("run").arg(scenario).args(args);
+    cmd.env_remove("SWQUAKE_RESIDENT").env_remove("SWQUAKE_HEALTH_STRIDE");
+    match fault {
+        Some(plan) => cmd.env("SWQUAKE_FAULT_PLAN", plan),
+        None => cmd.env_remove("SWQUAKE_FAULT_PLAN"),
+    };
+    cmd.output().unwrap()
+}
+
+fn result_files(dir: &std::path::Path, prefix: &str) -> (Vec<u8>, Vec<u8>) {
+    let read = |suffix: &str| std::fs::read(dir.join(format!("{prefix}_{suffix}"))).unwrap();
+    (read("seismograms.csv"), read("hazard.json"))
+}
+
+/// A blow-up the watchdog's stride misses must not pass as a result: the
+/// run exits 1 with the classified diagnosis from the end state, on a
+/// rank grid as without one. (`--ranks 2x1` used to exit 0 with `PGV max
+/// inf` and NaN seismograms: only the single-rank tail looked.)
+#[test]
+fn a_blow_up_the_watchdog_misses_exits_1_on_every_rank_grid() {
+    let dir = workdir("late_blowup");
+    let scenario = shrunk_example(&dir, "bad", |json| {
+        json["dt_scale"] = serde_json::json!(1.6);
+        json["duration"] = serde_json::json!(2.0);
+    });
+    for ranks in [None, Some("1x1"), Some("2x1")] {
+        let mut args = vec!["--health-stride", "100000"];
+        args.extend(ranks.iter().flat_map(|r| ["--ranks", *r]));
+        let out = run_scenario(&scenario, &args, None);
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(1), "{ranks:?}: {stderr}");
+        assert!(
+            stderr.contains("solver unstable") && stderr.contains("CFL violation"),
+            "{ranks:?}: {stderr}"
+        );
+        let stdout = String::from_utf8_lossy(&out.stdout);
+        assert!(!stdout.contains("PGV max"), "{ranks:?} reported a result: {stdout}");
+    }
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+/// Flag pairs that cannot work together exit 2 with the usage — and, on
+/// the line before it, which two flags and why.
+#[test]
+fn clashing_run_flags_are_named_before_the_usage() {
+    for (args, named) in [
+        (&["--ranks", "2x1", "--perf", "p.json"][..], ["--ranks", "--perf"]),
+        (&["--ranks", "2x2", "--resident", "compressed16"][..], ["--ranks", "--resident"]),
+        (&["--resume"][..], ["--resume", "--checkpoint-dir"]),
+    ] {
+        let out = run_scenario(std::path::Path::new("scenario.json"), args, None);
+        assert_eq!(out.status.code(), Some(2), "{args:?}");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        let (why, usage) = stderr.split_once("usage:").expect("usage text");
+        assert!(named.iter().all(|flag| why.contains(flag)), "{args:?}: {stderr}");
+        assert!(usage.contains("swquake [run] <scenario.json>"), "{args:?}: {stderr}");
+    }
+    // One rank is no grid: the pair is fine (and fails later, on the file).
+    let out = run_scenario(
+        std::path::Path::new("does_not_exist.json"),
+        &["--ranks", "1x1", "--perf", "p.json"],
+        None,
+    );
+    assert!(String::from_utf8_lossy(&out.stderr).contains("cannot read"));
+}
+
+/// `--ranks` through the binary: the nonlinear + attenuation step writes
+/// the same bytes on one rank and on 2x2 halo-exchanged subdomains, and a
+/// 1x1 "grid" is the single-rank run, §6.5 compression included. (With
+/// compression a real grid calibrates its codecs per rank — the CLI has
+/// no coarse-run statistics to hand them — so that pair is pinned where
+/// the statistics are global: `tests/exec_equivalence.rs`.)
+#[test]
+fn rank_grids_write_the_same_files_as_a_single_rank() {
+    let dir = workdir("ranks_equal");
+    for (compression, grid) in [(true, "1x1"), (false, "2x2")] {
+        let production = |json: &mut serde_json::Value| {
+            json["nonlinear"] = serde_json::json!(true);
+            json["compression"] = serde_json::json!(compression);
+        };
+        let plain = shrunk_example(&dir, "plain", production);
+        let out = run_scenario(&plain, &[], None);
+        assert!(out.status.success(), "stderr: {}", String::from_utf8_lossy(&out.stderr));
+        let ranked = shrunk_example(&dir, "ranked", production);
+        let out = run_scenario(&ranked, &["--ranks", grid], None);
+        assert!(out.status.success(), "{grid}: {}", String::from_utf8_lossy(&out.stderr));
+        let stdout = String::from_utf8_lossy(&out.stdout);
+        assert_eq!(stdout.contains("on 2x2 ranks"), grid == "2x2", "{grid}: {stdout}");
+        assert!(
+            result_files(&dir, "ranked") == result_files(&dir, "plain"),
+            "--ranks {grid} diverged from the single-rank run"
+        );
+    }
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+/// The crash drill on a rank grid, through the binary: `kill@25` brings
+/// all four ranks down as exit 137 with the step-20 generation the last
+/// one committed, and `--ranks 2x2 --resume` says which generation it
+/// took and finishes byte-identical to a run that never died.
+#[test]
+fn a_killed_rank_grid_resumes_byte_identically() {
+    let dir = workdir("ranks_kill");
+    let reference = shrunk_example(&dir, "ref", |_| {});
+    let out = run_scenario(&reference, &["--ranks", "2x2"], None);
+    assert!(out.status.success(), "stderr: {}", String::from_utf8_lossy(&out.stderr));
+
+    let drill = shrunk_example(&dir, "drill", |_| {});
+    let ckpt = dir.join("ckpt");
+    let store = ["--checkpoint-dir", ckpt.to_str().unwrap(), "--checkpoint-interval", "10"];
+    let grid = ["--ranks", "2x2"];
+    let killed = run_scenario(&drill, &[&grid[..], &store[..]].concat(), Some("kill@25:rank=2"));
+    let stderr = String::from_utf8_lossy(&killed.stderr);
+    assert_eq!(killed.status.code(), Some(137), "stderr: {stderr}");
+    assert!(stderr.contains("killed at step 25 (injected fault on rank 2)"), "stderr: {stderr}");
+
+    let resumed = run_scenario(&drill, &[&grid[..], &store[..], &["--resume"][..]].concat(), None);
+    assert!(resumed.status.success(), "stderr: {}", String::from_utf8_lossy(&resumed.stderr));
+    let stdout = String::from_utf8_lossy(&resumed.stdout);
+    assert!(stdout.contains("resumed from checkpoint generation at step 20"), "stdout: {stdout}");
+    assert!(result_files(&dir, "drill") == result_files(&dir, "ref"), "diverged after resume");
     std::fs::remove_dir_all(&dir).ok();
 }

@@ -386,3 +386,70 @@ fn kill_mid_write_cannot_corrupt_the_store() {
     assert_eq!(reference.pgv.pgv, resumed.pgv.pgv, "hazard map diverged");
     std::fs::remove_dir_all(&dir).ok();
 }
+
+/// A rank image that passes every checksum but does not fit the run: it
+/// decodes, so the store calls the generation valid — what it holds is
+/// only known once its fields are laid against the rank's subdomain.
+/// That happens before any simulation is built or rank thread started,
+/// for every field of every rank, so the resume fails as
+/// `ResumeFailed` naming rank and field, on one rank and on 2x1, where
+/// it used to panic on a rank thread (only the first field's dims were
+/// looked at) while the neighbour walked into a halo exchange.
+#[test]
+fn a_crafted_rank_image_is_a_classified_resume_failure() {
+    use std::sync::mpsc;
+    use std::time::Duration;
+    use swquake::grid::Field3;
+    use swquake::io::{Checkpoint, CheckpointStore};
+
+    let model = LayeredModel::north_china();
+    type Craft = fn(&mut Checkpoint);
+    let crafts: [(&str, Craft); 2] = [
+        ("`v`", |ckpt| {
+            // The second field, on another mesh; the first still fits.
+            let (name, f) = &mut ckpt.fields[1];
+            assert_eq!(name, "v");
+            let d = f.dims();
+            *f = Field3::new(Dims3::new(d.nx + 1, d.ny, d.nz), f.halo());
+        }),
+        ("`stress_xx`", |ckpt| ckpt.fields[3].0 = "stress_xx".to_string()),
+    ];
+    for grid in [RankGrid::new(1, 1), RankGrid::new(2, 1)] {
+        for (field, craft) in crafts {
+            let dir = workdir(&format!("crafted_{}x{}", grid.mx, field.len()));
+            let cfg = drill_config(20).with_checkpoint_dir(&dir).with_checkpoint_interval(10);
+            run_multirank(&model, &cfg, grid).expect("persisting run");
+            // Re-encode the last rank's image of the newest generation.
+            let victim = grid.len() - 1;
+            let path = dir.join(CheckpointStore::rank_file_name(20, victim));
+            let mut ckpt = Checkpoint::read_file(&path).expect("committed image");
+            craft(&mut ckpt);
+            ckpt.write_file(&path).unwrap();
+
+            // On a thread of its own, so a hang is a failure, not a stall.
+            let (tx, rx) = mpsc::channel();
+            let resuming = cfg.clone().with_resume(true);
+            std::thread::spawn(move || {
+                let model = LayeredModel::north_china();
+                let mut errors = vec![run_multirank(&model, &resuming, grid).err()];
+                if grid.len() == 1 {
+                    errors.push(Simulation::resume(&model, &resuming).err());
+                }
+                tx.send(errors).ok();
+            });
+            let errors = rx
+                .recv_timeout(Duration::from_secs(120))
+                .expect("the resume neither returned nor failed cleanly: a hang or a rank panic");
+            for err in errors {
+                match err {
+                    Some(RunError::ResumeFailed { detail }) => assert!(
+                        detail.contains(&format!("rank {victim}")) && detail.contains(field),
+                        "{grid:?} {field}: {detail}"
+                    ),
+                    other => panic!("{grid:?} {field}: expected ResumeFailed, got {other:?}"),
+                }
+            }
+            std::fs::remove_dir_all(&dir).ok();
+        }
+    }
+}

@@ -188,3 +188,107 @@ fn disabled_telemetry_changes_no_output_bit() {
     // And the plain run recorded nothing.
     assert!(plain.metrics().timers.is_empty());
 }
+
+const PINNED_NAMES: [&str; 67] = [
+    "timer compress.roundtrip",
+    "timer io.checkpoint_wait",
+    "timer io.checkpoint_write",
+    "timer step",
+    "timer step.checkpoint",
+    "timer step.compression",
+    "timer step.free_surface",
+    "timer step.plasticity",
+    "timer step.record",
+    "timer step.source",
+    "timer step.sponge",
+    "timer step.stress",
+    "timer step.velocity",
+    "counter arch.dma_bytes.drprecpc_app",
+    "counter arch.dma_bytes.drprecpc_calc",
+    "counter arch.dma_bytes.dstrqc",
+    "counter arch.dma_bytes.dvelcx",
+    "counter arch.dma_bytes.dvelcy",
+    "counter arch.dma_bytes.fstr",
+    "counter arch.model_cycles.drprecpc_app",
+    "counter arch.model_cycles.drprecpc_calc",
+    "counter arch.model_cycles.dstrqc",
+    "counter arch.model_cycles.dvelcx",
+    "counter arch.model_cycles.dvelcy",
+    "counter arch.model_cycles.fstr",
+    "counter arch.regcomm_cycles",
+    "counter arch.regcomm_rounds",
+    "counter compress.codec_rebuilds",
+    "counter compress.codec_reuses",
+    "counter compress.encoded_bytes",
+    "counter compress.raw_bytes",
+    "counter health.checks",
+    "counter io.checkpoint_bytes",
+    "counter io.checkpoint_disk_bytes",
+    "counter io.checkpoint_generations",
+    "counter io.checkpoints",
+    "gauge arch.ldm_high_water_bytes",
+    "gauge arch.max_dma_block_bytes",
+    "gauge compress.achieved_ratio",
+    "gauge compress.max_roundtrip_error",
+    "gauge exec.lanes",
+    "gauge exec.mode",
+    "gauge exec.threads",
+    "gauge health.compress.cumulative_rms.u",
+    "gauge health.compress.cumulative_rms.v",
+    "gauge health.compress.cumulative_rms.w",
+    "gauge health.compress.cumulative_rms.xx",
+    "gauge health.compress.cumulative_rms.xy",
+    "gauge health.compress.cumulative_rms.xz",
+    "gauge health.compress.cumulative_rms.yy",
+    "gauge health.compress.cumulative_rms.yz",
+    "gauge health.compress.cumulative_rms.zz",
+    "gauge health.verdict_code",
+    "series health.compress.rel_err.u",
+    "series health.compress.rel_err.v",
+    "series health.compress.rel_err.w",
+    "series health.compress.rel_err.xx",
+    "series health.compress.rel_err.xy",
+    "series health.compress.rel_err.xz",
+    "series health.compress.rel_err.yy",
+    "series health.compress.rel_err.yz",
+    "series health.compress.rel_err.zz",
+    "series health.kinetic_energy",
+    "series health.max_stress",
+    "series health.max_velocity",
+    "series step.flops",
+    "series step.wall_s",
+];
+
+/// The metric names of a single-rank run are a contract (`--metrics`
+/// consumers key on them): every optional subsystem on — plasticity,
+/// attenuation, §6.5 compression, a durable store, the watchdog — must
+/// report exactly this set. A stray `step.halo_*` phase (the halo stages
+/// of the step schedule exist only on a rank grid) or a dropped
+/// `step.free_surface` fails here.
+#[test]
+fn single_rank_metric_names_are_pinned() {
+    let dir = std::env::temp_dir().join(format!("swquake_tel_names_{}", std::process::id()));
+    let telemetry = Telemetry::enabled();
+    let mut cfg = quickstart_config(10)
+        .with_compression(true)
+        .with_telemetry(telemetry.clone())
+        .with_health(swquake::health::HealthConfig::default().with_stride(5))
+        .with_checkpoint_interval(5)
+        .with_checkpoint_dir(&dir);
+    cfg.options.nonlinear = true;
+    cfg.options.attenuation = true;
+    let model = HalfspaceModel::hard_rock();
+    let mut sim = Simulation::new(&model, &cfg).expect("valid config");
+    sim.run_checked(cfg.steps).expect("healthy run");
+    let report = sim.metrics();
+    let _ = std::fs::remove_dir_all(&dir);
+
+    let names = |prefix: &str, names: Vec<&str>| -> Vec<String> {
+        names.into_iter().map(|n| format!("{prefix} {n}")).collect()
+    };
+    let mut got = names("timer", report.timers.iter().map(|t| t.name.as_str()).collect());
+    got.extend(names("counter", report.counters.iter().map(|c| c.name.as_str()).collect()));
+    got.extend(names("gauge", report.gauges.iter().map(|g| g.name.as_str()).collect()));
+    got.extend(names("series", report.series.iter().map(|s| s.name.as_str()).collect()));
+    assert_eq!(got, PINNED_NAMES, "the metric name set of a single-rank run changed");
+}
