@@ -9,11 +9,14 @@
 //! stored 16-bit between steps, which is functionally simulated by a
 //! per-step encode/decode round trip through the Fig. 5d codecs.
 //!
-//! Every phase of the step reports into the configured [`Telemetry`]
-//! handle (see [`SimConfig::with_telemetry`]): phase wall times nest under
-//! `step.*`, the compression round trip reports `compress.*` timers and
-//! byte counters, modeled SW26010 hardware charges land in `arch.*`, and
-//! checkpoints in `io.*`. With [`Telemetry::disabled`] (the default) every
+//! Every stage of the step reports into the configured [`Telemetry`]
+//! handle (see [`SimConfig::with_telemetry`]): stage wall times are the
+//! `step.*` timers, the compression round trip reports `compress.*`
+//! timers and byte counters, and checkpoints `io.*`. The step loop
+//! records only what it measured: the modeled SW26010 charges (`arch.*`,
+//! the perf ledger's byte and roofline columns) are the cost table of
+//! `sw_arch::perf::step_costs` times the steps run, computed where a
+//! report is frozen. With [`Telemetry::disabled`] (the default) every
 //! recording call is a branch on `None` and the numeric path is untouched.
 //!
 //! There is one step schedule, [`Simulation::step`]: `[halo(stress)] →
@@ -37,12 +40,10 @@ use crate::resident::{ResidentEngine, ResidentMode, RESIDENT_FIELDS, SIDECAR_FIE
 use crate::state::{SolverState, StateOptions};
 use std::borrow::Cow;
 use std::path::PathBuf;
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Barrier, Mutex};
 use std::time::Instant;
-use sw_arch::analytic::{AnalyticModel, KernelShape};
-use sw_arch::regcomm::RegisterMesh;
-use sw_arch::spec::CoreGroupSpec;
-use sw_arch::{KernelPerfModel, OptLevel};
+use sw_arch::perf::step_costs;
 use sw_compress::{max_abs_bucket, Codec, CodecCache, FieldStats};
 use sw_fault::FaultHook;
 use sw_grid::halo::Face;
@@ -60,7 +61,8 @@ use sw_model::VelocityModel;
 use sw_parallel::{run_ranks, FaultVote, HaloExchanger, RankComm, RankGrid, StopBarrier};
 use sw_source::{PointSource, SourcePartitioner};
 use sw_telemetry::perf::{
-    HostFingerprint, PerfKernel, PerfLedger, PerfRecorder, PERF_SCHEMA_VERSION,
+    sort_canonical, HostFingerprint, KernelCounts, PerfKernel, PerfLedger, PerfRecorder,
+    PERF_SCHEMA_VERSION,
 };
 use sw_telemetry::timeline::{phase as tl_phase, TimelineRecorder};
 use sw_telemetry::Telemetry;
@@ -150,8 +152,9 @@ pub struct SimConfig {
     pub resume: bool,
     /// Per-kernel performance recorder (`None` — the default — costs one
     /// branch per instrumentation site, same pattern as `fault`). When
-    /// armed, every production-step kernel accumulates wall time and
-    /// cell/flop/DMA-byte counts; freeze with [`Simulation::perf_ledger`].
+    /// armed, every production-step kernel accumulates wall time; freeze
+    /// with [`Simulation::perf_ledger`] (on a rank grid:
+    /// [`MultiRankOutput::ledger`]), which joins in the modeled counts.
     pub perf: Option<Arc<PerfRecorder>>,
     /// Step-aligned run-timeline recorder (`None` — the default — costs
     /// one branch per step, same pattern as `perf`). When armed, every
@@ -390,257 +393,113 @@ impl SimConfig {
     }
 }
 
-/// Per-step modeled SW26010 hardware charges, precomputed at construction
-/// from the §6.4 perf model so the per-step cost is a few counter adds
-/// (plus one instant trace event per kernel when a tracer is attached).
-struct ArchKernelCharge {
-    /// `arch.dma_bytes.<kernel>` counter name.
-    bytes_name: String,
-    /// `arch.model_cycles.<kernel>` counter name.
-    cycles_name: String,
-    /// `arch.dma.<kernel>` instant-event name.
-    event_name: String,
-    /// Modeled DMA bytes per step.
-    bytes: u64,
-    /// Modeled CPE cycles per step.
-    cycles: u64,
-}
-
-struct ArchCharges {
-    kernels: Vec<ArchKernelCharge>,
-    /// On-chip halo-exchange rounds per step (stress + velocity, §6.4).
-    regcomm_rounds: u64,
-    /// Register-bus cycles per round, from [`RegisterMesh::halo_round`].
-    regcomm_cycles_per_round: u64,
-}
-
-impl ArchCharges {
-    fn model(dims: Dims3, nonlinear: bool, compression: bool) -> Self {
-        let model = KernelPerfModel::paper();
-        let level = if compression { OptLevel::Cmpr } else { OptLevel::Mem };
-        let clock = CoreGroupSpec::sw26010().clock_hz;
-        let ratio = if compression { 0.5 } else { 1.0 };
-        let points = dims.len() as f64;
-        let kernels = model
-            .kernels()
-            .iter()
-            .filter(|k| nonlinear || !k.nonlinear_only)
-            .map(|k| {
-                let touched = points * k.coverage;
-                let bytes = touched * k.bytes_per_point() * ratio;
-                let cycles = touched * model.seconds_per_point(k, level) * clock;
-                ArchKernelCharge {
-                    bytes_name: format!("arch.dma_bytes.{}", k.name),
-                    cycles_name: format!("arch.model_cycles.{}", k.name),
-                    event_name: format!("arch.dma.{}", k.name),
-                    bytes: bytes as u64,
-                    cycles: cycles as u64,
-                }
-            })
-            .collect();
-        // On-chip halo traffic: each CPE hands its 2·H boundary planes of
-        // the LDM window (Wz floats each) to its neighbour, once for the
-        // velocity stencils and once for the stress stencils.
-        let choice = AnalyticModel::sw26010().optimize(&KernelShape::delcx_fused(dims.ny, dims.nz));
-        let mut mesh = RegisterMesh::sw26010();
-        let regcomm_cycles_per_round = mesh.halo_round(2 * 2 * choice.window.wz);
-        Self { kernels, regcomm_rounds: 2, regcomm_cycles_per_round }
-    }
-
-    fn charge(&self, tel: &Telemetry) {
-        for k in &self.kernels {
-            tel.add(&k.bytes_name, k.bytes);
-            tel.add(&k.cycles_name, k.cycles);
-            tel.event(&k.event_name, &[("bytes", k.bytes as f64), ("cycles", k.cycles as f64)]);
-        }
-        let cycles = self.regcomm_rounds * self.regcomm_cycles_per_round;
-        tel.add("arch.regcomm_rounds", self.regcomm_rounds);
-        tel.add("arch.regcomm_cycles", cycles);
-        tel.event(
-            "arch.regcomm",
-            &[("rounds", self.regcomm_rounds as f64), ("cycles", cycles as f64)],
-        );
-    }
-}
-
 /// Flops the fused stress kernel spends on the coarse-grained
 /// attenuation terms, per point (see `FlopCounter::charge_step`). The
-/// ledger splits the fused `dstrqc` charge by this share so the stress
-/// and attenuation rows stay additive.
+/// ledger splits the fused `dstrqc` row by this share so the stress and
+/// attenuation rows stay additive.
 const ATTENUATION_FLOPS: f64 = 36.0;
 
-/// Modeled DMA bytes per point for the sponge pass (9 wavefields read +
-/// written, 4 bytes each) — the §6.4 profiles do not cover it.
-const SPONGE_BYTES_PER_POINT: f64 = 72.0;
-
-/// Modeled DMA bytes per point for the §6.5 compression round trip:
-/// 9 wavefields × (encode 4r+2w, decode 2r+4w).
-const COMPRESSION_BYTES_PER_POINT: f64 = 108.0;
-
-/// Static per-step cell/flop/DMA-byte charges for the perf ledger,
-/// precomputed at construction so the per-step cost is a handful of
-/// slot adds. Flop counts mirror [`crate::flops`]; DMA bytes mirror the
-/// §6.4 kernel profiles (same convention as [`ArchCharges`], including
-/// the compression byte-ratio).
-struct PerfKernelCharge {
+/// One perf-ledger row's counts for one step of one rank: the host's
+/// cell and flop counts ([`crate::flops`]) beside the SW26010 cost
+/// table's DMA bytes and predicted seconds.
+struct LedgerRow {
     name: &'static str,
     cells: u64,
     flops: f64,
-    bytes: u64,
+    dma_bytes: u64,
+    /// 0 for what the model does not cover (halo exchange).
+    model_seconds: f64,
 }
 
-impl PerfKernelCharge {
-    /// Modeled halo traffic of one step: the rank sends its
-    /// width-`HALO_WIDTH` boundary planes of all 9 wavefields to each
-    /// neighbour (4 bytes per float), matching the exchanger's own byte
-    /// accounting.
-    fn halo(comm: &RankComm, local: Dims3) -> Self {
-        let sides = |faces: [Face; 2]| faces.iter().filter(|f| comm.has_neighbor(**f)).count();
-        let planes = sides([Face::West, Face::East]) * local.ny * local.nz
-            + sides([Face::South, Face::North]) * local.nx * local.nz;
-        let cells = (HALO_WIDTH * planes) as u64;
-        Self { name: "halo", cells, flops: 0.0, bytes: 9 * cells * 4 }
-    }
-}
-
-struct PerfCharges {
-    kernels: Vec<PerfKernelCharge>,
-}
-
-impl PerfCharges {
-    fn model(dims: Dims3, nonlinear: bool, attenuation: bool, compression: bool) -> Self {
-        let model = KernelPerfModel::paper();
-        let ratio = if compression { 0.5 } else { 1.0 };
-        let n = dims.len() as f64;
-        let cells = dims.len() as u64;
-        let surface = (dims.nx * dims.ny) as u64;
-        let bytes = |name: &str| {
-            model.kernel(name).map_or(0.0, |k| n * k.coverage * k.bytes_per_point() * ratio)
-        };
-        let mut kernels = vec![
-            PerfKernelCharge {
-                name: "fstr",
-                cells: surface,
-                flops: FSTR_FLOPS * surface as f64,
-                bytes: bytes("fstr") as u64,
-            },
-            PerfKernelCharge {
-                name: "dvelc",
-                cells,
-                flops: DVELC_FLOPS * n,
-                bytes: (bytes("dvelcx") + bytes("dvelcy")) as u64,
-            },
-        ];
-        // The stress update and the attenuation terms run fused in one
-        // kernel; split the charge by flop share so the rows stay
-        // additive (their sum equals the fused kernel's total).
-        let stress_flops = DSTRQC_FLOPS - ATTENUATION_FLOPS;
-        let att_share = if attenuation { ATTENUATION_FLOPS / DSTRQC_FLOPS } else { 0.0 };
-        let dstrqc_bytes = bytes("dstrqc");
-        kernels.push(PerfKernelCharge {
-            name: "dstrqc",
-            cells,
-            flops: stress_flops * n,
-            bytes: (dstrqc_bytes * (1.0 - att_share)) as u64,
-        });
-        if attenuation {
-            kernels.push(PerfKernelCharge {
-                name: "attenuation",
-                cells,
-                flops: ATTENUATION_FLOPS * n,
-                bytes: (dstrqc_bytes * att_share) as u64,
-            });
-        }
-        if nonlinear {
-            kernels.push(PerfKernelCharge {
-                name: "drprecpc",
-                cells,
-                flops: (DRPRECPC_CALC_FLOPS + DRPRECPC_APP_FLOPS) * n,
-                bytes: (bytes("drprecpc_calc") + bytes("drprecpc_app")) as u64,
-            });
-        }
-        kernels.push(PerfKernelCharge {
-            name: "sponge",
-            cells,
-            flops: SPONGE_FLOPS * n,
-            bytes: (n * SPONGE_BYTES_PER_POINT * ratio) as u64,
-        });
-        if compression {
-            kernels.push(PerfKernelCharge {
-                name: "compression",
-                cells,
-                flops: 0.0,
-                bytes: (n * COMPRESSION_BYTES_PER_POINT) as u64,
-            });
-        }
-        Self { kernels }
-    }
-}
-
-/// The roofline model's predicted SW26010 seconds per step, per ledger
-/// kernel. Stencil kernels come from the §6.4 per-point model; the
-/// sponge and compression passes get a memory-bandwidth floor; halo
-/// exchange and checkpoint I/O are unmodeled (fraction 0 in the ledger).
-fn modeled_step_seconds(
+/// The ledger's rows for one step over `dims`. Each sums the §6.4
+/// kernels the host kernel stands for; the fused stress kernel's bytes
+/// and seconds split by flop share between `dstrqc` and `attenuation`.
+fn ledger_rows(
     dims: Dims3,
     nonlinear: bool,
     attenuation: bool,
     compression: bool,
-) -> Vec<(&'static str, f64)> {
-    let model = KernelPerfModel::paper();
-    let level = if compression { OptLevel::Cmpr } else { OptLevel::Mem };
-    let ratio = if compression { 0.5 } else { 1.0 };
-    let n = dims.len() as f64;
-    let bw = CoreGroupSpec::sw26010().mem_bandwidth;
-    let sec = |name: &str| {
-        model.kernel(name).map_or(0.0, |k| n * k.coverage * model.seconds_per_point(k, level))
+) -> Vec<LedgerRow> {
+    let costs = step_costs(dims, nonlinear, compression);
+    let cells = dims.len() as u64;
+    let row = |name, cells: u64, flops_per_cell: f64, kernels: &[&str], share: f64| {
+        let of = kernels.iter().filter_map(|k| costs.get(k));
+        let (bytes, seconds) = of.fold((0.0, 0.0), |(bytes, seconds), k| {
+            (bytes + k.dma_bytes(), seconds + k.model_seconds)
+        });
+        LedgerRow {
+            name,
+            cells,
+            flops: flops_per_cell * cells as f64,
+            dma_bytes: (bytes * share) as u64,
+            model_seconds: seconds * share,
+        }
     };
-    let mut out = vec![("fstr", sec("fstr")), ("dvelc", sec("dvelcx") + sec("dvelcy"))];
-    let dstrqc = sec("dstrqc");
-    let att_share = if attenuation { ATTENUATION_FLOPS / DSTRQC_FLOPS } else { 0.0 };
-    out.push(("dstrqc", dstrqc * (1.0 - att_share)));
+    let att = if attenuation { ATTENUATION_FLOPS / DSTRQC_FLOPS } else { 0.0 };
+    let mut rows = vec![
+        row("fstr", (dims.nx * dims.ny) as u64, FSTR_FLOPS, &["fstr"], 1.0),
+        row("dvelc", cells, DVELC_FLOPS, &["dvelcx", "dvelcy"], 1.0),
+        row("dstrqc", cells, DSTRQC_FLOPS - ATTENUATION_FLOPS, &["dstrqc"], 1.0 - att),
+    ];
     if attenuation {
-        out.push(("attenuation", dstrqc * att_share));
+        rows.push(row("attenuation", cells, ATTENUATION_FLOPS, &["dstrqc"], att));
     }
     if nonlinear {
-        out.push(("drprecpc", sec("drprecpc_calc") + sec("drprecpc_app")));
+        let flops = DRPRECPC_CALC_FLOPS + DRPRECPC_APP_FLOPS;
+        rows.push(row("drprecpc", cells, flops, &["drprecpc_calc", "drprecpc_app"], 1.0));
     }
-    out.push(("sponge", n * SPONGE_BYTES_PER_POINT * ratio / bw));
+    rows.push(row("sponge", cells, SPONGE_FLOPS, &["sponge"], 1.0));
     if compression {
-        out.push(("compression", n * COMPRESSION_BYTES_PER_POINT / bw));
+        rows.push(row("compression", cells, 0.0, &["compression"], 1.0));
     }
-    out
+    rows
 }
 
-/// Free-surface imaging, ahead of both halves on the f32 arrays.
-const FSTR: Stage = Stage::kernel("free_surface", "fstr");
+/// Halo traffic of one step of one rank: it sends its width-`HALO_WIDTH`
+/// boundary planes of all 9 wavefields to each neighbour (4 bytes per
+/// float), matching the exchanger's own byte accounting.
+fn halo_row(comm: &RankComm, local: Dims3) -> LedgerRow {
+    let sides = |faces: [Face; 2]| faces.iter().filter(|f| comm.has_neighbor(**f)).count();
+    let planes = sides([Face::West, Face::East]) * local.ny * local.nz
+        + sides([Face::South, Face::North]) * local.nx * local.nz;
+    let cells = (HALO_WIDTH * planes) as u64;
+    LedgerRow { name: "halo", cells, flops: 0.0, dma_bytes: 9 * cells * 4, model_seconds: 0.0 }
+}
 
 /// One stage of the step schedule, as each observer names it: the
-/// telemetry phase (`step.<phase>`, also the trace span), the perf
-/// ledger's kernel row, the run timeline's phase. [`Simulation::span`]
-/// is the only place a stage is timed.
+/// telemetry timer (also the trace span), the perf ledger's row, the run
+/// timeline's third of the step. [`Simulation::span`] is the only place a
+/// stage is timed, and this the only list of stages.
 #[derive(Clone, Copy)]
 struct Stage {
-    phase: Option<&'static str>,
-    kernel: Option<&'static str>,
-    timeline: Option<&'static str>,
+    timer: Option<&'static str>,
+    row: Option<&'static str>,
+    third: Option<&'static str>,
 }
 
 impl Stage {
-    /// A stage only telemetry times.
-    const fn phase(phase: &'static str) -> Self {
-        Self { phase: Some(phase), kernel: None, timeline: None }
+    const fn timed(timer: &'static str, row: Option<&'static str>) -> Self {
+        Self { timer: Some(timer), row, third: None }
     }
 
-    /// A stage telemetry times and the perf ledger holds a row for.
-    const fn kernel(phase: &'static str, kernel: &'static str) -> Self {
-        Self { phase: Some(phase), kernel: Some(kernel), timeline: None }
+    const fn third(name: &'static str) -> Self {
+        Self { timer: None, row: None, third: Some(name) }
     }
 
-    /// One of the run timeline's per-rank thirds of the step.
-    const fn timeline(name: &'static str) -> Self {
-        Self { phase: None, kernel: None, timeline: Some(name) }
-    }
+    const HALO_STRESS: Self = Self::timed("step.halo_stress", Some("halo"));
+    const HALO_VELOCITY: Self = Self::timed("step.halo_velocity", Some("halo"));
+    const FREE_SURFACE: Self = Self::timed("step.free_surface", Some("fstr"));
+    const VELOCITY: Self = Self::timed("step.velocity", Some("dvelc"));
+    const STRESS: Self = Self::timed("step.stress", Some("dstrqc"));
+    const SOURCE: Self = Self::timed("step.source", None);
+    const PLASTICITY: Self = Self::timed("step.plasticity", Some("drprecpc"));
+    const SPONGE: Self = Self::timed("step.sponge", Some("sponge"));
+    const COMPRESSION: Self = Self::timed("step.compression", Some("compression"));
+    const RECORD: Self = Self::timed("step.record", None);
+    const CHECKPOINT: Self = Self::timed("step.checkpoint", Some("checkpoint"));
+    const VELOCITY_THIRD: Self = Self::third(tl_phase::VELOCITY);
+    const STRESS_THIRD: Self = Self::third(tl_phase::STRESS);
+    const FINISH_THIRD: Self = Self::third(tl_phase::FINISH);
 }
 
 /// What the ranks of one run share: the halo fabric's exchanger and the
@@ -801,12 +660,16 @@ pub struct Simulation {
     /// step phase streams tiles through the engine's f32 slab instead.
     resident: Option<ResidentEngine>,
     telemetry: Telemetry,
-    arch: Option<ArchCharges>,
+    /// Steps this simulation has taken itself (a restore rewinds
+    /// `step_count`, not this): what the cost table is multiplied by
+    /// where a report is frozen.
+    steps_run: u64,
+    /// How many of them [`Self::charge_model`] has put into telemetry.
+    model_charged: AtomicU64,
     health: Option<HealthMonitor>,
-    /// Per-kernel performance recorder (shared across ranks) and its
-    /// precomputed per-step charges; both `None` when perf is off.
+    /// Per-kernel performance recorder (shared across ranks), `None`
+    /// when perf is off.
     perf: Option<Arc<PerfRecorder>>,
-    perf_charges: Option<PerfCharges>,
     /// Step-aligned run-timeline recorder (shared across ranks), `None`
     /// when observability is off.
     timeline: Option<Arc<TimelineRecorder>>,
@@ -1003,25 +866,6 @@ impl Simulation {
             // 0 baseline, 1 avx2, 2 avx512 (`LaneTier`'s order).
             telemetry.gauge("exec.lanes", f64::from(LaneTier::active() as u8));
         }
-        let arch = telemetry.is_enabled().then(|| {
-            // The analytic model's blocking for this block is the LDM
-            // footprint the Sunway port would run with (eq. 6).
-            let choice = AnalyticModel::sw26010().optimize(&KernelShape::delcx_fused(d.ny, d.nz));
-            telemetry.gauge("arch.ldm_high_water_bytes", choice.ldm_bytes as f64);
-            telemetry.gauge("arch.max_dma_block_bytes", choice.max_dma_block as f64);
-            ArchCharges::model(d, config.options.nonlinear, config.compression)
-        });
-        let perf = config.perf.clone();
-        let perf_charges = perf.is_some().then(|| {
-            let mut charges = PerfCharges::model(
-                d,
-                config.options.nonlinear,
-                config.options.attenuation,
-                config.compression,
-            );
-            charges.kernels.extend(link.as_ref().map(|l| PerfKernelCharge::halo(&l.comm, d)));
-            charges
-        });
         let resident = (config.resident == ResidentMode::Compressed16).then(|| {
             let engine = ResidentEngine::new(&state, config.memory_cap_bytes);
             // The engine now holds the dynamic values 16-bit; detach the
@@ -1060,13 +904,13 @@ impl Simulation {
             path,
             resident,
             telemetry,
-            arch,
+            steps_run: 0,
+            model_charged: AtomicU64::new(0),
             health: config
                 .health
                 .clone()
                 .map(|h| HealthMonitor::new(h, rank, config.shared_health_log.clone())),
-            perf,
-            perf_charges,
+            perf: config.perf.clone(),
             timeline,
         }
     }
@@ -1108,68 +952,56 @@ impl Simulation {
     }
 
     /// Snapshot everything recorded so far into a serializable report
-    /// (empty, schema-stamped, when telemetry is disabled).
+    /// (empty, schema-stamped, when telemetry is disabled), the modeled
+    /// `arch.*` charges of the steps taken included.
     pub fn metrics(&self) -> sw_telemetry::Report {
+        self.charge_model();
         self.telemetry.report()
     }
 
-    /// Freeze the per-kernel performance ledger (when a recorder is
-    /// armed; `None` otherwise), joining the measured wall/cell/flop/
-    /// byte counts with the §6.4 roofline model's predicted seconds.
-    pub fn perf_ledger(&self) -> Option<PerfLedger> {
-        let rec = self.perf.as_deref()?;
-        let d = self.state.dims;
-        let nonlinear = self.state.options.nonlinear;
-        let attenuation = self.state.options.attenuation;
-        let compressed = self.compression.is_some();
-        let steps = rec.steps().max(self.step_count);
-        let mut counts = rec.counts();
-        // The fused stress kernel's wall covers both the stress update
-        // and the attenuation terms; split it by flop share so both
-        // rows carry real timings.
-        if attenuation {
-            let di = counts.iter().position(|c| c.name == "dstrqc");
-            let ai = counts.iter().position(|c| c.name == "attenuation");
-            if let (Some(di), Some(ai)) = (di, ai) {
-                let share = ATTENUATION_FLOPS / DSTRQC_FLOPS;
-                let wall = counts[di].wall_s;
-                counts[di].wall_s = wall * (1.0 - share);
-                counts[ai].wall_s = wall * share;
-                counts[ai].calls = counts[di].calls;
-            }
+    /// Put the SW26010 cost table, times the steps taken since the last
+    /// call, into the `arch.*` counters (and its LDM footprint into the
+    /// two gauges). The model is a function of the mesh, so nothing is
+    /// charged while stepping: this runs where a report is frozen —
+    /// [`Self::metrics`], and the end of [`Self::run`] /
+    /// [`Self::run_checked`] for readers of the shared handle. Ranks of a
+    /// grid each add their local mesh's share.
+    fn charge_model(&self) {
+        let tel = &self.telemetry;
+        if !tel.is_enabled() {
+            return;
         }
-        let modeled = modeled_step_seconds(d, nonlinear, attenuation, compressed);
-        let per_step =
-            |name: &str| modeled.iter().find(|(k, _)| *k == name).map_or(0.0, |(_, s)| *s);
-        let kernels = counts
-            .iter()
-            .map(|c| {
-                PerfKernel::from_counts(
-                    &c.name,
-                    c.wall_s,
-                    c.calls,
-                    c.cells,
-                    c.flops,
-                    c.dma_bytes,
-                    per_step(&c.name) * steps as f64,
-                )
-            })
-            .collect();
-        let (p50, p95) = rec.step_percentiles();
-        let threads = if self.path.is_parallel() { rayon::current_num_threads() } else { 1 };
-        Some(PerfLedger {
-            schema_version: PERF_SCHEMA_VERSION,
-            host: HostFingerprint::detect(threads as u64),
-            steps,
-            grid_cells: d.len() as u64,
-            wall_s: rec.total_step_wall(),
-            step_p50_s: p50,
-            step_p95_s: p95,
-            exec_mode: Some(self.path.to_string()),
-            features: Some(LaneTier::active().name().to_string()),
-            resident_mode: Some(self.resident_mode().to_string()),
-            kernels,
-        })
+        let steps = self.steps_run - self.model_charged.swap(self.steps_run, Ordering::Relaxed);
+        let s = &self.state;
+        let costs = step_costs(s.dims, s.options.nonlinear, self.compression.is_some());
+        tel.gauge("arch.ldm_high_water_bytes", costs.ldm_high_water_bytes as f64);
+        tel.gauge("arch.max_dma_block_bytes", costs.max_dma_block_bytes as f64);
+        if steps == 0 {
+            return;
+        }
+        for k in &costs.kernels {
+            tel.add(&format!("arch.dma_bytes.{}", k.kernel), k.dma_bytes() as u64 * steps);
+            tel.add(&format!("arch.model_cycles.{}", k.kernel), k.model_cycles() as u64 * steps);
+        }
+        tel.add("arch.regcomm_rounds", costs.regcomm_rounds * steps);
+        tel.add("arch.regcomm_cycles", costs.regcomm_cycles * steps);
+    }
+
+    /// This rank's perf-ledger rows for one step: the cost table over its
+    /// mesh plus, on a grid, its halo traffic.
+    fn ledger_rows(&self) -> Vec<LedgerRow> {
+        let o = &self.state.options;
+        let mut rows =
+            ledger_rows(self.state.dims, o.nonlinear, o.attenuation, self.compression.is_some());
+        rows.extend(self.link.as_ref().map(|l| halo_row(&l.comm, self.state.dims)));
+        rows
+    }
+
+    /// Freeze the per-kernel performance ledger (when a recorder is
+    /// armed; `None` otherwise): the recorder's measured walls joined with
+    /// the cost table of this mesh times the steps run.
+    pub fn perf_ledger(&self) -> Option<PerfLedger> {
+        self.perf.as_deref().map(|rec| freeze_ledger(rec, &[self]))
     }
 
     /// The predicted-vs-simulated per-kernel attribution for this run
@@ -1189,11 +1021,8 @@ impl Simulation {
     /// a rank link; a single-rank step records no halo phase and takes
     /// no barrier.
     pub fn step(&mut self) {
-        const HALO_STRESS: Stage = Stage::kernel("halo_stress", "halo");
-        const HALO_VELOCITY: Stage = Stage::kernel("halo_velocity", "halo");
         let _fp = exec::kernel_fp_env();
-        let tel = self.telemetry.clone();
-        let observed = tel.is_enabled() || self.perf.is_some() || self.timeline.is_some();
+        let observed = self.timers_armed() || self.perf.is_some() || self.timeline.is_some();
         // A `slow` fault stretches the step it is due for (the numbering
         // is post-step, hence +1) by a fraction of its own measured wall
         // time. The sleep sits inside the stress stage, so the timeline
@@ -1202,24 +1031,23 @@ impl Simulation {
         // touches the numerics: outputs stay bit-identical.
         let slow = self.fault.as_ref().and_then(|p| p.slow_due(self.step_count + 1, self.rank));
         let start = (observed || slow.is_some()).then(Instant::now);
-        {
-            let _step = tel.phase("step");
-            // Stress halos feed the velocity stencils, velocity halos the
-            // stress stencils (indices into `SolverState::dynamic_mut`).
-            self.halo_stage(HALO_STRESS, 3..9);
-            self.span(Stage::timeline(tl_phase::VELOCITY), |s| s.velocity_half());
-            self.halo_stage(HALO_VELOCITY, 0..3);
-            self.span(Stage::timeline(tl_phase::STRESS), |s| {
-                s.stress_half();
-                if let (Some(frac), Some(t0)) = (slow, start) {
-                    std::thread::sleep(t0.elapsed().mul_f64(frac));
-                }
-            });
-            self.span(Stage::timeline(tl_phase::FINISH), |s| s.finish_step());
-        }
+        // Stress halos feed the velocity stencils, velocity halos the
+        // stress stencils (indices into `SolverState::dynamic_mut`).
+        self.halo_stage(Stage::HALO_STRESS, 3..9);
+        self.span(Stage::VELOCITY_THIRD, |s| s.velocity_half());
+        self.halo_stage(Stage::HALO_VELOCITY, 0..3);
+        self.span(Stage::STRESS_THIRD, |s| {
+            s.stress_half();
+            if let (Some(frac), Some(t0)) = (slow, start) {
+                std::thread::sleep(t0.elapsed().mul_f64(frac));
+            }
+        });
+        self.span(Stage::FINISH_THIRD, |s| s.finish_step());
         if let Some(start) = start.filter(|_| observed) {
+            // The step wall, read once for all of its sinks.
             let wall = start.elapsed().as_secs_f64();
-            tel.sample("step.wall_s", wall);
+            self.telemetry.record_span("step", start, wall);
+            self.telemetry.sample("step.wall_s", wall);
             // The ledger's counts are shared, so one rank reports step
             // walls (duplicates would skew the percentiles); the timeline
             // keeps them per rank (rank 0's also drive the heartbeats).
@@ -1233,23 +1061,33 @@ impl Simulation {
         self.settle();
     }
 
-    /// Enter one stage: the telemetry phase, the perf-ledger row and the
-    /// timeline phase it names all cover `body`, the latter two from one
-    /// pair of clock reads (the phase guard is also the trace span and
-    /// keeps its own). The extra clock reads never touch the numerics,
-    /// so instrumented runs stay bit-identical.
+    /// Whether a recorded duration lands anywhere: in the metrics
+    /// registry or on an attached tracer's timeline.
+    fn timers_armed(&self) -> bool {
+        self.telemetry.is_enabled() || self.telemetry.tracer().is_enabled()
+    }
+
+    /// Enter one stage — the only clock of the step loop: one pair of
+    /// reads around `body`, fanned out to whichever of the stage's
+    /// observers is armed (the telemetry timer, which is also the trace
+    /// span; the perf ledger's row; the timeline's third). With none
+    /// armed the clock is not read, and the reads never touch the
+    /// numerics, so instrumented runs stay bit-identical.
     fn span<R>(&mut self, stage: Stage, body: impl FnOnce(&mut Self) -> R) -> R {
-        let _phase = stage.phase.map(|name| self.telemetry.phase(name));
-        let kernel = stage.kernel.filter(|_| self.perf.is_some());
-        let timeline = stage.timeline.filter(|_| self.timeline.is_some());
-        let t0 = (kernel.is_some() || timeline.is_some()).then(Instant::now);
+        let armed = (stage.timer.is_some() && self.timers_armed())
+            || (stage.row.is_some() && self.perf.is_some())
+            || (stage.third.is_some() && self.timeline.is_some());
+        let t0 = armed.then(Instant::now);
         let out = body(self);
         if let Some(t0) = t0 {
             let wall = t0.elapsed().as_secs_f64();
-            if let (Some(name), Some(p)) = (kernel, self.perf.as_deref()) {
-                p.add_wall(name, wall);
+            if let Some(name) = stage.timer {
+                self.telemetry.record_span(name, t0, wall);
             }
-            if let (Some(name), Some(tl)) = (timeline, self.timeline.as_deref()) {
+            if let (Some(name), Some(p)) = (stage.row, self.perf.as_deref()) {
+                p.add_wall(self.rank, name, wall);
+            }
+            if let (Some(name), Some(tl)) = (stage.third, self.timeline.as_deref()) {
                 tl.record_phase(self.rank, name, wall);
             }
         }
@@ -1289,9 +1127,9 @@ impl Simulation {
                     engine.sample_encode_errors();
                 }
             }
-            None => self.span(FSTR, |s| kernels::fstr(&mut s.state)),
+            None => self.span(Stage::FREE_SURFACE, |s| kernels::fstr(&mut s.state)),
         }
-        self.span(Stage::kernel("velocity", "dvelc"), |s| match &mut s.resident {
+        self.span(Stage::VELOCITY, |s| match &mut s.resident {
             Some(engine) => engine.velocity_sweep(&s.state),
             None => kernels::dvelc_region(&mut s.state, &whole, pool),
         });
@@ -1306,24 +1144,24 @@ impl Simulation {
         let whole = Region::whole(self.state.dims);
         let nx = self.state.dims.nx;
         if self.resident.is_none() {
-            self.span(FSTR, |s| kernels::fstr(&mut s.state));
+            self.span(Stage::FREE_SURFACE, |s| kernels::fstr(&mut s.state));
         }
-        self.span(Stage::kernel("stress", "dstrqc"), |s| match &mut s.resident {
+        self.span(Stage::STRESS, |s| match &mut s.resident {
             Some(engine) => engine.stress_sweep(&s.state),
             None => kernels::dstrqc_region(&mut s.state, &whole, pool),
         });
-        self.span(Stage::phase("source"), |s| match &mut s.resident {
+        self.span(Stage::SOURCE, |s| match &mut s.resident {
             Some(engine) => engine.inject_sources(&s.state, &s.sources, s.time),
             None => kernels::addsrc(&mut s.state, &s.sources, s.time),
         });
         if self.resident.is_none() && self.state.options.nonlinear {
-            self.span(Stage::kernel("plasticity", "drprecpc"), |s| {
+            self.span(Stage::PLASTICITY, |s| {
                 kernels::drprecpc_calc_region(&mut s.state, 0..nx, pool);
                 kernels::drprecpc_app_region(&mut s.state, 0..nx, pool);
             });
         }
         if self.resident.as_ref().is_none_or(ResidentEngine::wants_plastic_sponge) {
-            self.span(Stage::kernel("sponge", "sponge"), |s| match &mut s.resident {
+            self.span(Stage::SPONGE, |s| match &mut s.resident {
                 Some(engine) => engine.plastic_sponge_sweep(&mut s.state),
                 None => kernels::apply_sponge_region(&mut s.state, 0..nx, pool),
             });
@@ -1344,7 +1182,7 @@ impl Simulation {
         let Some(mut slots) = self.compression.take() else { return };
         let tel = self.telemetry.clone();
         let parallel = self.path.is_parallel();
-        self.span(Stage::kernel("compression", "compression"), |sim| {
+        self.span(Stage::COMPRESSION, |sim| {
             let calibrating: Vec<usize> =
                 (0..slots.len()).filter(|&i| slots[i].cache.is_some()).collect();
             let wavefields = sim.state.dynamic();
@@ -1404,7 +1242,7 @@ impl Simulation {
     /// are detached in that mode).
     fn finish_step(&mut self) {
         let tel = self.telemetry.clone();
-        self.span(Stage::phase("record"), |s| match &s.resident {
+        self.span(Stage::RECORD, |s| match &s.resident {
             Some(engine) => {
                 let tap = |field, x, y| engine.sample(field, x, y, 0);
                 s.seismo.record_with(|x, y| [tap(0, x, y), tap(1, x, y), tap(2, x, y)]);
@@ -1419,24 +1257,19 @@ impl Simulation {
         let flops_before = self.flops.flops;
         self.flops.charge_step(s.dims, s.options.nonlinear, s.options.attenuation);
         tel.sample("step.flops", self.flops.flops - flops_before);
-        if let Some(arch) = &self.arch {
-            arch.charge(&tel);
-        }
-        if let (Some(p), Some(charges)) = (self.perf.as_deref(), &self.perf_charges) {
-            for k in &charges.kernels {
-                p.charge(k.name, k.cells, k.flops, k.bytes);
-            }
-            if let Some(rp) = self.resident.as_ref().map(ResidentEngine::perf) {
-                // DMA convention: each decoded/encoded value moves a 2-byte
-                // code on one side and a 4-byte float on the other.
-                p.add_wall("resident_decode", rp.decode_s);
-                p.charge("resident_decode", rp.decoded_cells, 0.0, rp.decoded_cells * 6);
-                p.add_wall("resident_encode", rp.encode_s);
-                p.charge("resident_encode", rp.encoded_cells, 0.0, rp.encoded_cells * 6);
-            }
+        if let (Some(p), Some(engine)) = (self.perf.as_deref(), &self.resident) {
+            // What the engine measured inside its sweeps this step. DMA
+            // convention: each decoded/encoded value moves a 2-byte code
+            // on one side and a 4-byte float on the other.
+            let rp = engine.perf();
+            p.add_wall(self.rank, "resident_decode", rp.decode_s);
+            p.charge("resident_decode", rp.decoded_cells, 0.0, rp.decoded_cells * 6);
+            p.add_wall(self.rank, "resident_encode", rp.encode_s);
+            p.charge("resident_encode", rp.encoded_cells, 0.0, rp.encoded_cells * 6);
         }
         self.time += s.dt;
         self.step_count += 1;
+        self.steps_run += 1;
         // (Never due compressed-resident: validation rejects snapshots.)
         if self.next_snapshot < self.snapshot_times.len()
             && self.time >= self.snapshot_times[self.next_snapshot]
@@ -1524,7 +1357,7 @@ impl Simulation {
     /// time what the step thread spent here: the encode plus any wait
     /// for the writer.
     fn cut_checkpoint(&mut self, tel: &Telemetry) {
-        self.span(Stage::kernel("checkpoint", "checkpoint"), |sim| {
+        self.span(Stage::CHECKPOINT, |sim| {
             let fields = sim.checkpoint_fields();
             if tel.is_enabled() || sim.perf.is_some() {
                 let bytes: usize = fields.iter().map(|(_, f)| f.raw().len() * 4).sum();
@@ -1619,13 +1452,15 @@ impl Simulation {
         tel.record_duration("io.checkpoint_write", outcome.wall_s);
     }
 
-    /// Run `n` steps. The last checkpoint generation cut is on disk and
-    /// in the manifest when this returns.
+    /// Run `n` steps. When this returns the last checkpoint generation
+    /// cut is on disk and in the manifest, and the `arch.*` charges of the
+    /// steps taken are in the telemetry handle.
     pub fn run(&mut self, n: usize) {
         for _ in 0..n {
             self.step();
         }
         self.join_writer();
+        self.charge_model();
     }
 
     /// Advance one step, surfacing a fatal health verdict or an
@@ -1661,12 +1496,14 @@ impl Simulation {
     /// Run up to `n` steps, stopping at the watchdog's first fatal
     /// verdict or the fault plan's first kill. Without a health config
     /// or fault plan it is equivalent to [`Simulation::run`]; like it,
-    /// it returns — `Ok` or not — with no checkpoint write in flight.
+    /// it returns — `Ok` or not — with no checkpoint write in flight and
+    /// the model charged.
     #[allow(clippy::result_large_err)] // cold abort-path error; see step_checked
     pub fn run_checked(&mut self, n: usize) -> Result<(), RunError> {
         if self.health.is_some() || self.fault.is_some() || self.fault_kill.is_some() {
             let stepped = (0..n).try_for_each(|_| self.step_checked());
             self.join_writer();
+            self.charge_model();
             stepped
         } else {
             self.run(n);
@@ -1793,6 +1630,76 @@ impl Simulation {
     }
 }
 
+/// Freeze `rec` into a ledger for the run `ranks` took part in (one
+/// simulation, or every rank of a grid): a function of the configuration,
+/// the ranks' meshes and the recorder. Each rank's cost-table rows times
+/// the steps run are summed into the counts — cells, flops, modeled DMA
+/// bytes, the §6.4 model's predicted seconds — beside what the recorder
+/// measured: per row the wall of the rank that spent the most there, and
+/// the counts only a run knows (checkpoint bytes, resident planes).
+fn freeze_ledger(rec: &PerfRecorder, ranks: &[&Simulation]) -> PerfLedger {
+    let first = ranks[0];
+    let steps_run = first.steps_run;
+    let mut counts = rec.counts();
+    let mut modeled: Vec<(&str, f64)> = Vec::new();
+    for row in ranks.iter().flat_map(|sim| sim.ledger_rows()) {
+        let at = counts.iter().position(|c| c.name == row.name).unwrap_or_else(|| {
+            counts.push(KernelCounts { name: row.name.to_string(), ..Default::default() });
+            counts.len() - 1
+        });
+        counts[at].cells += row.cells * steps_run;
+        counts[at].flops += row.flops * steps_run as f64;
+        counts[at].dma_bytes += row.dma_bytes * steps_run;
+        match modeled.iter_mut().find(|(name, _)| *name == row.name) {
+            Some((_, seconds)) => *seconds += row.model_seconds,
+            None => modeled.push((row.name, row.model_seconds)),
+        }
+    }
+    sort_canonical(&mut counts);
+    // The fused stress kernel's wall covers both the stress update and
+    // the attenuation terms; split it by flop share so both rows carry
+    // real timings.
+    let di = counts.iter().position(|c| c.name == "dstrqc");
+    let ai = counts.iter().position(|c| c.name == "attenuation");
+    if let (Some(di), Some(ai)) = (di, ai) {
+        let share = ATTENUATION_FLOPS / DSTRQC_FLOPS;
+        let wall = counts[di].wall_s;
+        counts[di].wall_s = wall * (1.0 - share);
+        counts[ai].wall_s = wall * share;
+        counts[ai].calls = counts[di].calls;
+    }
+    let per_step = |name: &str| modeled.iter().find(|(k, _)| *k == name).map_or(0.0, |(_, s)| *s);
+    let kernels = counts
+        .iter()
+        .map(|c| {
+            PerfKernel::from_counts(
+                &c.name,
+                c.wall_s,
+                c.calls,
+                c.cells,
+                c.flops,
+                c.dma_bytes,
+                per_step(&c.name) * steps_run as f64,
+            )
+        })
+        .collect();
+    let (p50, p95) = rec.step_percentiles();
+    let threads = if first.path.is_parallel() { rayon::current_num_threads() } else { 1 };
+    PerfLedger {
+        schema_version: PERF_SCHEMA_VERSION,
+        host: HostFingerprint::detect(threads as u64),
+        steps: rec.steps().max(first.step_count),
+        grid_cells: ranks.iter().map(|sim| sim.state.dims.len() as u64).sum(),
+        wall_s: rec.total_step_wall(),
+        step_p50_s: p50,
+        step_p95_s: p95,
+        exec_mode: Some(first.path.to_string()),
+        features: Some(LaneTier::active().name().to_string()),
+        resident_mode: Some(first.resident_mode().to_string()),
+        kernels,
+    }
+}
+
 /// Remap coarse-run statistics (Fig. 5a) to a finer mesh: the stress
 /// arrays scale with the source cell volume ratio `(dx_c/dx_f)^3`
 /// (stress-glut injection density), while velocity amplitudes converge
@@ -1913,6 +1820,10 @@ pub struct MultiRankOutput {
     pub dt: f64,
     /// What the run resumed from (`None` for a fresh start).
     pub resume: Option<ResumeInfo>,
+    /// The per-kernel performance ledger, frozen at the merge (`None`
+    /// without a recorder in the config): counts summed over the ranks'
+    /// local meshes, each row's wall the slowest rank's.
+    pub ledger: Option<PerfLedger>,
 }
 
 /// Run `config` on an `Mx × My` rank grid; observables are merged and the
@@ -2042,7 +1953,9 @@ pub fn run_multirank(
     });
     let dt = ranks.first().map_or(0.0, |(sim, _)| sim.state.dt);
     let resume = restored.as_ref().map(ResumeInfo::of);
-    Ok(MultiRankOutput { seismograms, pgv, flops, health, dt, resume })
+    let sims: Vec<&Simulation> = ranks.iter().map(|(sim, _)| sim).collect();
+    let ledger = config.perf.as_deref().map(|rec| freeze_ledger(rec, &sims));
+    Ok(MultiRankOutput { seismograms, pgv, flops, health, dt, resume, ledger })
 }
 
 #[cfg(test)]
@@ -2261,6 +2174,92 @@ mod tests {
         let report = sim.metrics();
         assert_eq!(report.counter("arch.regcomm_rounds"), Some(2 * 8));
         assert!(report.counter("arch.regcomm_cycles").unwrap() > 0);
+    }
+
+    /// The ledger's per-step rows against the numbers the driver's own
+    /// per-step charge tables held before the one cost table replaced
+    /// them, recorded from them at PR 20: `(row, cells, flops, dma bytes,
+    /// modeled seconds)`.
+    #[test]
+    fn ledger_rows_match_the_recorded_charge_tables() {
+        type Row = (&'static str, u64, f64, u64, f64);
+        let cases: [(Dims3, [bool; 3], &[Row]); 6] = [
+            (
+                Dims3::new(48, 48, 24),
+                [false, false, false],
+                &[
+                    ("fstr", 2304, 18432.0, 33177, 6.290120637199567e-6),
+                    ("dvelc", 55296, 4202496.0, 2875392, 0.0001114172591769028),
+                    ("dstrqc", 55296, 3760128.0, 6856704, 0.000251576909352518),
+                    ("sponge", 55296, 497664.0, 3981312, 0.00011709741176470588),
+                ],
+            ),
+            (
+                Dims3::new(48, 48, 24),
+                [false, true, false],
+                &[
+                    ("fstr", 2304, 18432.0, 33177, 6.290120637199567e-6),
+                    ("dvelc", 55296, 4202496.0, 2875392, 0.0001114172591769028),
+                    ("dstrqc", 55296, 3760128.0, 4483229, 0.00016449259457664638),
+                    ("attenuation", 55296, 1990656.0, 2373474, 8.708431477587161e-5),
+                    ("sponge", 55296, 497664.0, 3981312, 0.00011709741176470588),
+                ],
+            ),
+            (
+                Dims3::new(48, 48, 24),
+                [true, true, true],
+                &[
+                    ("fstr", 2304, 18432.0, 16588, 3.1450603185997836e-6),
+                    ("dvelc", 55296, 4202496.0, 1437696, 8.650349114754098e-5),
+                    ("dstrqc", 55296, 3760128.0, 2241614, 0.00013244217139974778),
+                    ("attenuation", 55296, 1990656.0, 1186737, 7.011644368221941e-5),
+                    ("drprecpc", 55296, 2654208.0, 3538944, 0.0002472063580327869),
+                    ("sponge", 55296, 497664.0, 1990656, 5.854870588235294e-5),
+                    ("compression", 55296, 0.0, 5971968, 0.00017564611764705882),
+                ],
+            ),
+            (
+                Dims3::cube(80),
+                [false, false, false],
+                &[
+                    ("fstr", 6400, 51200.0, 307200, 5.824185775184784e-5),
+                    ("dvelc", 512000, 38912000.0, 26624000, 0.001031641288675026),
+                    ("dstrqc", 512000, 34816000.0, 63488000, 0.0023294158273381295),
+                    ("sponge", 512000, 4608000.0, 36864000, 0.0010842352941176471),
+                ],
+            ),
+            (
+                Dims3::cube(80),
+                [false, true, false],
+                &[
+                    ("fstr", 6400, 51200.0, 307200, 5.824185775184784e-5),
+                    ("dvelc", 512000, 38912000.0, 26624000, 0.001031641288675026),
+                    ("dstrqc", 512000, 34816000.0, 41511384, 0.0015230795794133924),
+                    ("attenuation", 512000, 18432000.0, 21976615, 0.0008063362479247371),
+                    ("sponge", 512000, 4608000.0, 36864000, 0.0010842352941176471),
+                ],
+            ),
+            (
+                Dims3::cube(80),
+                [true, true, true],
+                &[
+                    ("fstr", 6400, 51200.0, 153600, 2.912092887592392e-5),
+                    ("dvelc", 512000, 38912000.0, 13312000, 0.0008009582513661202),
+                    ("dstrqc", 512000, 34816000.0, 20755692, 0.0012263164018495164),
+                    ("attenuation", 512000, 18432000.0, 10988307, 0.0006492263303909205),
+                    ("drprecpc", 512000, 24576000.0, 32768000, 0.002288947759562841),
+                    ("sponge", 512000, 4608000.0, 18432000, 0.0005421176470588236),
+                    ("compression", 512000, 0.0, 55296000, 0.0016263529411764705),
+                ],
+            ),
+        ];
+        for (dims, [nonlinear, attenuation, compression], want) in cases {
+            let got: Vec<Row> = ledger_rows(dims, nonlinear, attenuation, compression)
+                .iter()
+                .map(|r| (r.name, r.cells, r.flops, r.dma_bytes, r.model_seconds))
+                .collect();
+            assert_eq!(got, want, "{dims} nonlinear {nonlinear} attenuation {attenuation}");
+        }
     }
 
     #[test]

@@ -9,11 +9,11 @@
 //!   moving the same floats per point ([`KernelShape::fused_traffic`]),
 //!   at the Table 3 block-size-dependent bandwidth;
 //! * **simulated** — the calibrated per-kernel performance model
-//!   ([`KernelPerfModel`]) with its redundancy factors and flop/issue
-//!   bounds, the same model the driver charges `arch.model_cycles.*`
-//!   counters from;
+//!   (`sw_arch::KernelPerfModel`) with its redundancy factors and
+//!   flop/issue bounds, read off the one cost table
+//!   ([`step_costs`]) the `arch.model_cycles.*` counters come from;
 //! * **traced** — the `arch.dma_bytes.*` / `arch.model_cycles.*`
-//!   counters and `step.*` phase timers out of a run's telemetry
+//!   counters and `step.*` stage timers out of a run's telemetry
 //!   [`Report`], so the table also shows what this simulation measured.
 //!
 //! The two models agree when their cycle ratio stays inside
@@ -24,7 +24,8 @@
 
 use serde::{Deserialize, Serialize};
 use sw_arch::analytic::{AnalyticModel, KernelShape, MODEL_AGREEMENT_FACTOR};
-use sw_arch::{KernelPerfModel, OptLevel};
+use sw_arch::perf::step_costs;
+use sw_arch::CoreGroupSpec;
 use sw_grid::Dims3;
 use sw_telemetry::Report;
 
@@ -131,8 +132,8 @@ impl RooflineReport {
     }
 }
 
-/// The driver phase whose wall time hosts a kernel.
-fn host_phase(kernel: &str) -> &'static str {
+/// The driver stage whose wall time hosts a kernel.
+fn host_timer(kernel: &str) -> &'static str {
     match kernel {
         "dvelcx" | "dvelcy" => "step.velocity",
         "dstrqc" => "step.stress",
@@ -150,56 +151,51 @@ pub fn attribute(
     compressed: bool,
     report: &Report,
 ) -> RooflineReport {
-    let model = KernelPerfModel::paper();
+    let costs = step_costs(dims, nonlinear, compressed);
     let analytic = AnalyticModel::sw26010();
-    let level = if compressed { OptLevel::Cmpr } else { OptLevel::Mem };
-    let clock = model.cg_spec().clock_hz;
+    let clock = CoreGroupSpec::sw26010().clock_hz;
     // §6.5: compression halves the bytes on the DMA bus.
     let cmpr_ratio = if compressed { 0.5 } else { 1.0 };
-    let kernels: Vec<&sw_arch::perf::KernelProfile> =
-        model.kernels().iter().filter(|k| nonlinear || !k.nonlinear_only).collect();
-    // Weights for splitting a multi-kernel phase's wall time.
-    let phase_weight = |phase: &str| -> f64 {
-        kernels
-            .iter()
-            .filter(|k| host_phase(k.name) == phase)
-            .map(|k| k.coverage * model.cycles_per_point(k, level))
-            .sum()
+    // A multi-kernel stage's wall time splits by modeled cycles.
+    let stage_cycles = |timer: &str| -> f64 {
+        let hosted = costs.kernels.iter().filter(|k| host_timer(k.kernel) == timer);
+        hosted.map(|k| k.model_cycles()).sum()
     };
-    let rows = kernels
+    let rows = costs
+        .kernels
         .iter()
         .map(|k| {
-            let floats = k.floats_read + k.floats_written;
+            // f32 values moved per point (the bytes before §6.5 halves them).
+            let floats = (k.bytes_per_cell / (4.0 * cmpr_ratio)) as usize;
             let shape = KernelShape::fused_traffic(floats, dims.ny, dims.nz);
             let choice = analytic.optimize(&shape);
             let points_per_pass = (shape.block_ny * shape.block_nz * shape.wx) as f64;
             let predicted = choice.dma_seconds / points_per_pass * clock * cmpr_ratio;
-            let simulated = model.cycles_per_point(k, level);
+            let simulated = k.model_cycles() / k.cells;
             let ratio = predicted / simulated;
-            let phase = host_phase(k.name);
-            let weight = k.coverage * simulated / phase_weight(phase).max(f64::MIN_POSITIVE);
-            let measured_wall_s = report.timer(phase).map(|t| t.total_s * weight).unwrap_or(0.0);
+            let timer = host_timer(k.kernel);
+            let weight = k.model_cycles() / stage_cycles(timer).max(f64::MIN_POSITIVE);
+            let traced = |what: &str| {
+                report.counter(&format!("arch.{what}.{}", k.kernel)).unwrap_or(0) as f64
+            };
             KernelAttribution {
-                name: k.name.to_string(),
-                flops_per_point: k.flops,
-                modeled_bytes_per_point: k.bytes_per_point() * cmpr_ratio,
+                name: k.kernel.to_string(),
+                flops_per_point: k.flops_per_cell,
+                modeled_bytes_per_point: k.bytes_per_cell,
                 predicted_cycles_per_point: predicted,
                 simulated_cycles_per_point: simulated,
                 ratio,
                 within_tolerance: (1.0 / MODEL_AGREEMENT_FACTOR..=MODEL_AGREEMENT_FACTOR)
                     .contains(&ratio),
-                traced_dma_bytes: report.counter(&format!("arch.dma_bytes.{}", k.name)).unwrap_or(0)
-                    as f64,
-                traced_model_cycles: report
-                    .counter(&format!("arch.model_cycles.{}", k.name))
-                    .unwrap_or(0) as f64,
-                measured_wall_s,
+                traced_dma_bytes: traced("dma_bytes"),
+                traced_model_cycles: traced("model_cycles"),
+                measured_wall_s: report.timer(timer).map_or(0.0, |t| t.total_s * weight),
             }
         })
         .collect();
     RooflineReport {
         schema_version: ROOFLINE_SCHEMA_VERSION,
-        opt_level: format!("{level:?}"),
+        opt_level: if compressed { "Cmpr" } else { "Mem" }.to_string(),
         tolerance_factor: MODEL_AGREEMENT_FACTOR,
         kernels: rows,
     }
@@ -213,22 +209,45 @@ mod tests {
         Dims3::new(24, 24, 16)
     }
 
+    /// The unit-test mesh, the shipped example scenario's, and the four
+    /// `BENCHMARK.json` workloads' (48³, 64³, 80³, 128³): the models must
+    /// agree on every mesh the product is run on, with and without §6.5
+    /// compression. `fstr` is the worst case everywhere — 0.185 at 64³,
+    /// the number [`MODEL_AGREEMENT_FACTOR`] is sized from.
     #[test]
     fn every_fd_kernel_is_listed_and_within_tolerance() {
-        let r = attribute(dims(), true, false, &Report::default());
-        let names: Vec<&str> = r.kernels.iter().map(|k| k.name.as_str()).collect();
-        assert_eq!(
-            names,
-            vec!["dvelcx", "dvelcy", "dstrqc", "fstr", "drprecpc_calc", "drprecpc_app"]
-        );
-        for k in &r.kernels {
-            assert!(k.flops_per_point > 0.0, "{}", k.name);
-            assert!(k.modeled_bytes_per_point > 0.0, "{}", k.name);
-            assert!(k.predicted_cycles_per_point > 0.0, "{}", k.name);
-            assert!(k.simulated_cycles_per_point > 0.0, "{}", k.name);
-            assert!(k.within_tolerance, "{} ratio {} outside tolerance", k.name, k.ratio);
+        let meshes = [
+            dims(),
+            Dims3::new(48, 48, 24),
+            Dims3::cube(48),
+            Dims3::cube(64),
+            Dims3::cube(80),
+            Dims3::cube(128),
+        ];
+        let mut worst: f64 = 1.0;
+        for (mesh, compressed) in meshes.iter().flat_map(|m| [(*m, false), (*m, true)]) {
+            let r = attribute(mesh, true, compressed, &Report::default());
+            let names: Vec<&str> = r.kernels.iter().map(|k| k.name.as_str()).collect();
+            assert_eq!(
+                names,
+                vec!["dvelcx", "dvelcy", "dstrqc", "fstr", "drprecpc_calc", "drprecpc_app"]
+            );
+            for k in &r.kernels {
+                assert!(k.flops_per_point > 0.0, "{}", k.name);
+                assert!(k.modeled_bytes_per_point > 0.0, "{}", k.name);
+                assert!(k.predicted_cycles_per_point > 0.0, "{}", k.name);
+                assert!(k.simulated_cycles_per_point > 0.0, "{}", k.name);
+                assert!(
+                    k.within_tolerance,
+                    "{mesh}: {} ratio {} outside tolerance",
+                    k.name, k.ratio
+                );
+                worst = worst.max(k.ratio.max(1.0 / k.ratio));
+            }
+            assert!(r.all_within_tolerance());
         }
-        assert!(r.all_within_tolerance());
+        // The bound is the measured worst case plus margin, not a guess.
+        assert!((5.40..5.42).contains(&worst), "worst disagreement moved: {worst}");
     }
 
     #[test]

@@ -28,12 +28,17 @@ use sw_grid::tile::{AthreadLayout, LdmWindow};
 /// the models agree to within their shared assumptions; outside it, one
 /// of them has drifted and the roofline report flags the kernel.
 ///
-/// The 3-D streamed kernels agree to within ~1.6×. The factor is sized
-/// by the worst case, `fstr`: a 2-D free-surface kernel with ~48-byte
-/// DMA blocks, for which the blocking model's fused-streaming assumption
-/// overpredicts bandwidth by ~5× — the same kernel the paper shows stuck
-/// at a 4–5× speedup while everything else reaches 20–50× (Fig. 7).
-pub const MODEL_AGREEMENT_FACTOR: f64 = 5.0;
+/// The 3-D streamed kernels agree to within ~2× (1.6× uncompressed).
+/// The factor is sized by the worst case, `fstr`: a 2-D free-surface
+/// kernel with ~48-byte DMA blocks, for which the blocking model's
+/// fused-streaming assumption overpredicts bandwidth by ~5× — the same
+/// kernel the paper shows stuck at a 4–5× speedup while everything else
+/// reaches 20–50× (Fig. 7). Measured over the meshes the product is run
+/// on (24×24×16, the example scenario's 48×48×24, and the benchmark's
+/// 48³, 64³, 80³, 128³; `roofline::tests` sweeps them) the `fstr` ratio
+/// is 0.185–0.218, i.e. 4.6–5.41× with the worst case at 64³; the bound
+/// is that plus a tenth.
+pub const MODEL_AGREEMENT_FACTOR: f64 = 6.0;
 
 /// One array a kernel streams through the LDM: `components` fused floats per
 /// grid point (1 for a scalar array, 3 for the fused velocity, 6 for the

@@ -20,9 +20,12 @@
 //! ~13× (PAR) → ~24× (MEM) → ~28–47× (CMPR) speedups with `fstr` stuck near
 //! 4–5×, and Fig. 8's 10.7 / 15.2 / 14.2 / 18.9 Pflops sustained rates.
 
+use crate::analytic::{AnalyticModel, KernelShape};
 use crate::dma::{DmaDirection, DmaEngine};
+use crate::regcomm::RegisterMesh;
 use crate::spec::CoreGroupSpec;
 use serde::{Deserialize, Serialize};
+use sw_grid::Dims3;
 
 /// Optimization level, matching Fig. 7's bar groups.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
@@ -205,22 +208,6 @@ impl KernelPerfModel {
         &self.kernels
     }
 
-    /// Look up one kernel profile by the paper's spelling of its name.
-    pub fn kernel(&self, name: &str) -> Option<&KernelProfile> {
-        self.kernels.iter().find(|k| k.name == name)
-    }
-
-    /// The core-group hardware spec the model is built on.
-    pub fn cg_spec(&self) -> &CoreGroupSpec {
-        &self.cg
-    }
-
-    /// CPE cycles per touched point for `kernel` at `level` (the
-    /// simulated-time side of the roofline attribution report).
-    pub fn cycles_per_point(&self, kernel: &KernelProfile, level: OptLevel) -> f64 {
-        self.seconds_per_point(kernel, level) * self.cg.clock_hz
-    }
-
     /// Seconds per touched point for `kernel` at `level`.
     pub fn seconds_per_point(&self, kernel: &KernelProfile, level: OptLevel) -> f64 {
         let bytes = kernel.bytes_per_point();
@@ -348,6 +335,132 @@ impl Default for KernelPerfModel {
     }
 }
 
+/// Modeled DMA bytes per point of the sponge pass (9 wavefields read +
+/// written, 4 bytes each).
+const SPONGE_BYTES_PER_POINT: f64 = 72.0;
+
+/// Modeled DMA bytes per point of the §6.5 compression round trip:
+/// 9 wavefields × (encode 4r+2w, decode 2r+4w).
+const COMPRESSION_BYTES_PER_POINT: f64 = 108.0;
+
+/// What one kernel costs per time step on one core group.
+#[derive(Debug, Clone, PartialEq)]
+pub struct KernelCost {
+    /// Kernel name as the paper spells it.
+    pub kernel: &'static str,
+    /// Grid points the kernel touches per step.
+    pub cells: f64,
+    /// Useful flops per touched point (§7.1 convention; 0 for the
+    /// unprofiled passes).
+    pub flops_per_cell: f64,
+    /// DMA bytes per touched point at the run's level (halved by §6.5
+    /// compression).
+    pub bytes_per_cell: f64,
+    /// Modeled seconds per step.
+    pub model_seconds: f64,
+}
+
+impl KernelCost {
+    /// Useful flops per step.
+    pub fn flops(&self) -> f64 {
+        self.cells * self.flops_per_cell
+    }
+
+    /// Modeled DMA bytes per step.
+    pub fn dma_bytes(&self) -> f64 {
+        self.cells * self.bytes_per_cell
+    }
+
+    /// Modeled CPE cycles per step.
+    pub fn model_cycles(&self) -> f64 {
+        self.model_seconds * CoreGroupSpec::sw26010().clock_hz
+    }
+}
+
+/// The SW26010 cost of one time step over a mesh: the one table every
+/// report that quotes the model reads (`arch.*` metrics, the perf
+/// ledger's byte and roofline columns, the roofline attribution).
+/// Counters multiply it by the steps a run took.
+#[derive(Debug, Clone, PartialEq)]
+pub struct StepCosts {
+    /// The §6.4 kernels, in the paper's order.
+    pub kernels: Vec<KernelCost>,
+    /// The whole-mesh passes the §6.4 profiles do not cover — `sponge`,
+    /// and `compression` when it is on — priced at the DDR3 bandwidth
+    /// floor.
+    pub passes: Vec<KernelCost>,
+    /// On-chip halo-exchange rounds (stress + velocity, §6.4).
+    pub regcomm_rounds: u64,
+    /// Register-bus cycles of those rounds.
+    pub regcomm_cycles: u64,
+    /// LDM bytes of the blocking the analytic model picks for this block
+    /// (left side of eq. 6).
+    pub ldm_high_water_bytes: usize,
+    /// Largest per-array DMA block of that blocking.
+    pub max_dma_block_bytes: usize,
+}
+
+impl StepCosts {
+    /// Look up a kernel or pass by name.
+    pub fn get(&self, name: &str) -> Option<&KernelCost> {
+        self.kernels.iter().chain(&self.passes).find(|k| k.kernel == name)
+    }
+}
+
+/// Price one time step over `dims`: the §6.4 kernels at the `Mem` level
+/// (`Cmpr` with §6.5 compression on; the plasticity kernels only when
+/// `nonlinear`), the unprofiled passes, the on-chip halo rounds and the
+/// LDM footprint. A pure function of its arguments — evaluate it where a
+/// report is written, never per step.
+pub fn step_costs(dims: Dims3, nonlinear: bool, compression: bool) -> StepCosts {
+    let model = KernelPerfModel::paper();
+    let level = if compression { OptLevel::Cmpr } else { OptLevel::Mem };
+    let ratio = if compression { CMPR_RATIO } else { 1.0 };
+    let points = dims.len() as f64;
+    let kernels = model
+        .kernels()
+        .iter()
+        .filter(|k| nonlinear || !k.nonlinear_only)
+        .map(|k| {
+            let cells = points * k.coverage;
+            KernelCost {
+                kernel: k.name,
+                cells,
+                flops_per_cell: k.flops,
+                bytes_per_cell: k.bytes_per_point() * ratio,
+                model_seconds: cells * model.seconds_per_point(k, level),
+            }
+        })
+        .collect();
+    let pass = |kernel, bytes_per_cell: f64| KernelCost {
+        kernel,
+        cells: points,
+        flops_per_cell: 0.0,
+        bytes_per_cell,
+        model_seconds: points * bytes_per_cell / model.cg.mem_bandwidth,
+    };
+    let mut passes = vec![pass("sponge", SPONGE_BYTES_PER_POINT * ratio)];
+    if compression {
+        passes.push(pass("compression", COMPRESSION_BYTES_PER_POINT));
+    }
+    // The analytic model's blocking for this block is the LDM footprint
+    // the Sunway port would run with (eq. 6). On-chip halo traffic: each
+    // CPE hands its 2·H boundary planes of the LDM window (Wz floats
+    // each) to its neighbour, once for the velocity stencils and once
+    // for the stress stencils.
+    let choice = AnalyticModel::sw26010().optimize(&KernelShape::delcx_fused(dims.ny, dims.nz));
+    let regcomm_rounds = 2;
+    let cycles_per_round = RegisterMesh::sw26010().halo_round(2 * 2 * choice.window.wz);
+    StepCosts {
+        kernels,
+        passes,
+        regcomm_rounds,
+        regcomm_cycles: regcomm_rounds * cycles_per_round,
+        ldm_high_water_bytes: choice.ldm_bytes,
+        max_dma_block_bytes: choice.max_dma_block,
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -461,6 +574,110 @@ mod tests {
         let per_cg = 7.8e12 / 160_000.0;
         assert!(comp > per_cg, "compressed capacity {comp} vs {per_cg}");
         assert!(plain < per_cg, "uncompressed cannot hold the 7.8 T case");
+    }
+
+    /// `step_costs` against the numbers the driver's three per-step
+    /// charge tables held before it replaced them (recorded from them at
+    /// PR 20): per kernel `(dma bytes, cycles)` as the `arch.*` counters
+    /// truncate them, the passes' `(bytes, seconds)`, the regcomm cycles
+    /// and the two LDM gauges.
+    #[test]
+    fn step_costs_match_the_recorded_charge_tables() {
+        struct Pinned {
+            dims: Dims3,
+            /// Nonlinear + compressed, or linear + uncompressed.
+            production: bool,
+            regcomm_cycles: u64,
+            ldm: (usize, usize),
+            kernels: &'static [(&'static str, u64, u64)],
+            passes: &'static [(&'static str, u64, f64)],
+        }
+        let small = Dims3::new(48, 48, 24);
+        let large = Dims3::cube(80);
+        let cases = [
+            Pinned {
+                dims: small,
+                production: false,
+                regcomm_cycles: 2 * 1540,
+                ldm: (24_000, 576),
+                kernels: &[
+                    ("dvelcx", 2_731_622, 153_477),
+                    ("dvelcy", 143_769, 8_077),
+                    ("dstrqc", 6_856_704, 364_786),
+                    ("fstr", 33_177, 9_120),
+                ],
+                passes: &[("sponge", 3_981_312, 0.00011709741176470588)],
+            },
+            Pinned {
+                dims: small,
+                production: true,
+                regcomm_cycles: 2 * 1540,
+                ldm: (24_000, 576),
+                kernels: &[
+                    ("dvelcx", 1_365_811, 119_158),
+                    ("dvelcy", 71_884, 6_271),
+                    ("dstrqc", 3_428_352, 293_709),
+                    ("fstr", 16_588, 4_560),
+                    ("drprecpc_calc", 1_990_656, 206_836),
+                    ("drprecpc_app", 1_548_288, 151_613),
+                ],
+                passes: &[
+                    ("sponge", 1_990_656, 5.854870588235294e-5),
+                    ("compression", 5_971_968, 0.00017564611764705882),
+                ],
+            },
+            Pinned {
+                dims: large,
+                production: false,
+                regcomm_cycles: 2 * 2380,
+                ldm: (57_600, 1152),
+                kernels: &[
+                    ("dvelcx", 25_292_800, 1_421_085),
+                    ("dvelcy", 1_331_200, 74_793),
+                    ("dstrqc", 63_488_000, 3_377_652),
+                    ("fstr", 307_200, 84_450),
+                ],
+                passes: &[("sponge", 36_864_000, 0.0010842352941176471)],
+            },
+            Pinned {
+                dims: large,
+                production: true,
+                regcomm_cycles: 2 * 2380,
+                ldm: (57_600, 1152),
+                kernels: &[
+                    ("dvelcx", 12_646_400, 1_103_319),
+                    ("dvelcy", 665_600, 58_069),
+                    ("dstrqc", 31_744_000, 2_719_536),
+                    ("fstr", 153_600, 42_225),
+                    ("drprecpc_calc", 18_432_000, 1_915_148),
+                    ("drprecpc_app", 14_336_000, 1_403_825),
+                ],
+                passes: &[
+                    ("sponge", 18_432_000, 0.0005421176470588236),
+                    ("compression", 55_296_000, 0.0016263529411764705),
+                ],
+            },
+        ];
+        for want in cases {
+            let dims = want.dims;
+            let costs = step_costs(dims, want.production, want.production);
+            let kernels: Vec<(&str, u64, u64)> = costs
+                .kernels
+                .iter()
+                .map(|k| (k.kernel, k.dma_bytes() as u64, k.model_cycles() as u64))
+                .collect();
+            assert_eq!(kernels, want.kernels, "{dims} production {}", want.production);
+            let passes: Vec<(&str, u64, f64)> = costs
+                .passes
+                .iter()
+                .map(|k| (k.kernel, k.dma_bytes() as u64, k.model_seconds))
+                .collect();
+            assert_eq!(passes, want.passes, "{dims} production {}", want.production);
+            assert_eq!((costs.regcomm_rounds, costs.regcomm_cycles), (2, want.regcomm_cycles));
+            assert_eq!((costs.ldm_high_water_bytes, costs.max_dma_block_bytes), want.ldm);
+            assert!(costs.get("sponge").is_some() && costs.get("dvelcx").is_some());
+            assert_eq!(costs.get("compression").is_some(), want.production);
+        }
     }
 
     /// The plasticity part is the most time-consuming of the program (§7.2).

@@ -62,12 +62,28 @@ impl HaloExchanger {
         self
     }
 
+    /// Whether anything reads the pack/wait/unpack split.
+    fn timed(&self) -> bool {
+        self.telemetry.is_enabled() || self.timeline.is_some()
+    }
+
+    /// One measured duration of `rank`, to every armed sink: the
+    /// `<phase>.rank<N>` timer (and trace span) and the run timeline.
+    fn record(&self, rank: usize, phase: &str, seconds: f64) {
+        if self.telemetry.is_enabled() {
+            self.telemetry.record_duration(&format!("{phase}.rank{rank}"), seconds);
+        }
+        if let Some(tl) = &self.timeline {
+            tl.record_phase(rank, phase, seconds);
+        }
+    }
+
     /// Post all faces of all `fields` (pack + non-blocking send). Fields
     /// are packed in order into one buffer per face, so one message per
     /// face carries every field — fewer, larger messages, as on the real
     /// network.
     pub fn post(&self, comm: &RankComm, fields: &[&Field3]) {
-        let start = (self.telemetry.is_enabled() || self.timeline.is_some()).then(Instant::now);
+        let start = self.timed().then(Instant::now);
         let mut bytes = 0usize;
         let mut scratch = Vec::new();
         for face in Face::ALL {
@@ -82,24 +98,20 @@ impl HaloExchanger {
             bytes += msg.len() * 4;
             comm.send(face, msg);
         }
+        let rank = comm.rank;
         if let Some(start) = start {
-            let rank = comm.rank;
-            let pack_s = start.elapsed().as_secs_f64();
-            if self.telemetry.is_enabled() {
-                self.telemetry.record_duration(&format!("halo.pack.rank{rank}"), pack_s);
-                self.telemetry.add("halo.bytes_sent", bytes as u64);
-                self.telemetry.add(&format!("halo.bytes_sent.rank{rank}"), bytes as u64);
-            }
-            if let Some(tl) = &self.timeline {
-                tl.record_phase(rank, phase::HALO_PACK, pack_s);
-            }
+            self.record(rank, phase::HALO_PACK, start.elapsed().as_secs_f64());
         }
-        self.telemetry.event("halo.send", &[("rank", comm.rank as f64), ("bytes", bytes as f64)]);
+        if self.telemetry.is_enabled() {
+            self.telemetry.add("halo.bytes_sent", bytes as u64);
+            self.telemetry.add(&format!("halo.bytes_sent.rank{rank}"), bytes as u64);
+        }
+        self.telemetry.event("halo.send", &[("rank", rank as f64), ("bytes", bytes as f64)]);
     }
 
     /// Receive and unpack all faces into the fields' halo slabs.
     pub fn finish(&self, comm: &RankComm, fields: &mut [&mut Field3]) {
-        let enabled = self.telemetry.is_enabled() || self.timeline.is_some();
+        let enabled = self.timed();
         let mut wait_s = 0.0;
         let mut unpack_s = 0.0;
         let mut recv_bytes = 0usize;
@@ -127,15 +139,8 @@ impl HaloExchanger {
             }
         }
         if enabled {
-            let rank = comm.rank;
-            if self.telemetry.is_enabled() {
-                self.telemetry.record_duration(&format!("halo.wait.rank{rank}"), wait_s);
-                self.telemetry.record_duration(&format!("halo.unpack.rank{rank}"), unpack_s);
-            }
-            if let Some(tl) = &self.timeline {
-                tl.record_phase(rank, phase::HALO_WAIT, wait_s);
-                tl.record_phase(rank, phase::HALO_UNPACK, unpack_s);
-            }
+            self.record(comm.rank, phase::HALO_WAIT, wait_s);
+            self.record(comm.rank, phase::HALO_UNPACK, unpack_s);
         }
         self.telemetry
             .event("halo.recv", &[("rank", comm.rank as f64), ("bytes", recv_bytes as f64)]);

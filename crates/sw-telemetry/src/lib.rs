@@ -3,10 +3,10 @@
 //! Every subsystem (driver, halo exchange, architecture model, compressor,
 //! I/O) reports into one [`Telemetry`] handle:
 //!
-//! * **phase timers** — scoped, nestable wall-time ranges
-//!   ([`Telemetry::phase`]); nested phases get dotted paths like
-//!   `step.velocity`, and timers on different threads aggregate into the
-//!   same named slot,
+//! * **timers** — measured wall-time ranges ([`Telemetry::record_span`],
+//!   [`Telemetry::record_duration`]) under dotted names like
+//!   `step.velocity`; the caller owns the clock, and timers on different
+//!   threads aggregate into the same named slot,
 //! * **counters** — monotonically increasing totals
 //!   ([`Telemetry::add`]), e.g. bytes moved over the halo fabric,
 //! * **gauges** — last-value + high-water marks ([`Telemetry::gauge`]),
@@ -18,9 +18,9 @@
 //! schema (see [`Report`]); `swquake run --metrics out.json` writes one.
 //!
 //! A handle can also carry a [`Tracer`] from the `sw-trace` crate
-//! ([`Telemetry::with_tracer`]): phases then additionally record as
-//! timeline *spans* and [`Telemetry::event`] emits instant events, so the
-//! same instrumentation sites feed both the aggregate report and a
+//! ([`Telemetry::with_tracer`]): recorded durations then additionally
+//! land as timeline *spans* and [`Telemetry::event`] emits instant events,
+//! so the same instrumentation sites feed both the aggregate report and a
 //! Chrome-trace export (`swquake run --trace out.json`). The bench-report
 //! schema shared by the bench harness and `swquake bench-diff` lives in
 //! the [`bench`] module.
@@ -32,7 +32,6 @@
 //! numeric path entirely.
 
 use serde::Serialize;
-use std::cell::RefCell;
 use std::collections::HashMap;
 use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 use std::time::Instant;
@@ -42,7 +41,7 @@ pub mod perf;
 pub mod timeline;
 
 pub use sw_trace as trace;
-pub use sw_trace::{TraceSpan, Tracer};
+pub use sw_trace::Tracer;
 
 /// Default capacity of a per-step sample ring buffer.
 pub const DEFAULT_SERIES_CAPACITY: usize = 4096;
@@ -87,8 +86,8 @@ impl Telemetry {
         Self { registry: None, tracer: Tracer::disabled() }
     }
 
-    /// Attach a tracer: phases additionally record as timeline spans and
-    /// [`Telemetry::event`] emits instant events into it.
+    /// Attach a tracer: recorded durations additionally land as timeline
+    /// spans and [`Telemetry::event`] emits instant events into it.
     pub fn with_tracer(mut self, tracer: Tracer) -> Self {
         self.tracer = tracer;
         self
@@ -103,36 +102,6 @@ impl Telemetry {
     /// True when this handle records aggregate metrics.
     pub fn is_enabled(&self) -> bool {
         self.registry.is_some()
-    }
-
-    /// Start a scoped phase timer. The returned guard records the elapsed
-    /// wall time when dropped. Phases nest: a `phase("velocity")` opened
-    /// while `phase("step")` is live on the same thread records as
-    /// `step.velocity`. With a tracer attached, the same range is also
-    /// recorded as a timeline span under the dotted path.
-    #[must_use = "the phase is timed until the guard drops"]
-    pub fn phase(&self, name: &str) -> PhaseGuard {
-        if self.registry.is_none() && !self.tracer.is_enabled() {
-            return PhaseGuard { inner: None };
-        }
-        let path = PHASE_STACK.with(|stack| {
-            let mut stack = stack.borrow_mut();
-            let path = match stack.last() {
-                Some(parent) => format!("{parent}.{name}"),
-                None => name.to_string(),
-            };
-            stack.push(path.clone());
-            path
-        });
-        let span = self.tracer.span("phase", &path);
-        PhaseGuard {
-            inner: Some(PhaseInner {
-                registry: self.registry.clone(),
-                _span: span,
-                path,
-                start: Instant::now(),
-            }),
-        }
     }
 
     /// Add to a monotonic counter.
@@ -171,9 +140,20 @@ impl Telemetry {
         }
     }
 
-    /// Record an already-measured duration into a timer slot (for callers
-    /// that cannot hold a guard across the timed region). With a tracer
-    /// attached, the range is also recorded as a span ending now.
+    /// Record a range the caller timed — it began at `start` and lasted
+    /// `seconds` — into a timer slot and, with a tracer attached, as that
+    /// exact span. Reads no clock: the caller's one pair of reads serves
+    /// every sink, and spans timed by one caller nest as they ran.
+    pub fn record_span(&self, name: &str, start: Instant, seconds: f64) {
+        if let Some(reg) = &self.registry {
+            reg.record_timer(name, seconds);
+        }
+        self.tracer.span_at("phase", name, start, seconds);
+    }
+
+    /// Record a measured duration into a timer slot, for a caller with no
+    /// single start to give (a sum of intervals). With a tracer attached,
+    /// it is also recorded as a span ending now.
     pub fn record_duration(&self, name: &str, seconds: f64) {
         if let Some(reg) = &self.registry {
             reg.record_timer(name, seconds);
@@ -208,54 +188,6 @@ impl Telemetry {
                     rep.counters.sort_by(|a, b| a.name.cmp(&b.name));
                 }
                 rep
-            }
-        }
-    }
-}
-
-thread_local! {
-    /// Per-thread stack of open phase paths, for dotted nesting.
-    static PHASE_STACK: RefCell<Vec<String>> = const { RefCell::new(Vec::new()) };
-}
-
-struct PhaseInner {
-    registry: Option<Arc<Registry>>,
-    /// Trace span opened at phase start; recording happens when this
-    /// drops with the guard.
-    _span: TraceSpan,
-    path: String,
-    start: Instant,
-}
-
-/// RAII guard returned by [`Telemetry::phase`]; records on drop.
-pub struct PhaseGuard {
-    inner: Option<PhaseInner>,
-}
-
-impl PhaseGuard {
-    /// The full dotted path this guard is timing (`None` when telemetry
-    /// is disabled).
-    pub fn path(&self) -> Option<&str> {
-        self.inner.as_ref().map(|i| i.path.as_str())
-    }
-}
-
-impl Drop for PhaseGuard {
-    fn drop(&mut self) {
-        if let Some(inner) = self.inner.take() {
-            let elapsed = inner.start.elapsed().as_secs_f64();
-            PHASE_STACK.with(|stack| {
-                let mut stack = stack.borrow_mut();
-                // Pop our own path; guards drop in LIFO order on a given
-                // thread, so it is the top entry.
-                if stack.last() == Some(&inner.path) {
-                    stack.pop();
-                } else if let Some(pos) = stack.iter().rposition(|p| p == &inner.path) {
-                    stack.remove(pos);
-                }
-            });
-            if let Some(reg) = &inner.registry {
-                reg.record_timer(&inner.path, elapsed);
             }
         }
     }
@@ -389,7 +321,7 @@ impl Ring {
 /// Aggregated statistics of one named timer.
 #[derive(Debug, Clone, PartialEq, Serialize, serde::Deserialize)]
 pub struct TimerStat {
-    /// Number of completed phase spans.
+    /// Number of recorded durations.
     pub calls: u64,
     /// Summed wall time, seconds.
     pub total_s: f64,
@@ -442,7 +374,7 @@ pub struct SeriesStat {
 /// One named timer in a [`Report`].
 #[derive(Debug, Clone, PartialEq, Serialize, serde::Deserialize)]
 pub struct TimerEntry {
-    /// Dotted phase path, e.g. `step.velocity`.
+    /// Dotted timer name, e.g. `step.velocity`.
     pub name: String,
     /// Aggregated timings.
     pub stat: TimerStat,
@@ -533,13 +465,11 @@ mod tests {
     #[test]
     fn disabled_records_nothing() {
         let t = Telemetry::disabled();
-        {
-            let _g = t.phase("step");
-            t.add("bytes", 100);
-            t.gauge("ldm", 1.0);
-            t.sample("wall", 0.5);
-            t.event("dma", &[("bytes", 64.0)]);
-        }
+        t.record_duration("step", 0.1);
+        t.add("bytes", 100);
+        t.gauge("ldm", 1.0);
+        t.sample("wall", 0.5);
+        t.event("dma", &[("bytes", 64.0)]);
         let r = t.report();
         assert_eq!(r.schema_version, SCHEMA_VERSION);
         assert!(r.timers.is_empty());
@@ -547,43 +477,6 @@ mod tests {
         assert!(r.gauges.is_empty());
         assert!(r.series.is_empty());
         assert!(!t.tracer().is_enabled());
-    }
-
-    #[test]
-    fn phases_nest_with_dotted_paths() {
-        let t = Telemetry::enabled();
-        {
-            let _outer = t.phase("step");
-            {
-                let _inner = t.phase("velocity");
-            }
-            {
-                let _inner = t.phase("stress");
-                let _inner2 = t.phase("plasticity");
-            }
-        }
-        {
-            let _again = t.phase("step");
-        }
-        let r = t.report();
-        let names: Vec<&str> = r.timers.iter().map(|e| e.name.as_str()).collect();
-        assert_eq!(names, vec!["step", "step.stress", "step.stress.plasticity", "step.velocity"]);
-        assert_eq!(r.timer("step").unwrap().calls, 2);
-        assert_eq!(r.timer("step.velocity").unwrap().calls, 1);
-    }
-
-    #[test]
-    fn nesting_resets_between_roots() {
-        let t = Telemetry::enabled();
-        {
-            let _a = t.phase("a");
-        }
-        {
-            let _b = t.phase("b");
-        }
-        let r = t.report();
-        assert!(r.timer("a.b").is_none());
-        assert!(r.timer("b").is_some());
     }
 
     #[test]
@@ -622,7 +515,7 @@ mod tests {
                 let t = t.clone();
                 s.spawn(move || {
                     for _ in 0..25 {
-                        let _g = t.phase("work");
+                        t.record_duration("work", 1.0e-6);
                         t.add("jobs", 1);
                     }
                 });
@@ -634,29 +527,10 @@ mod tests {
     }
 
     #[test]
-    fn sibling_threads_do_not_inherit_nesting() {
-        let t = Telemetry::enabled();
-        let _outer = t.phase("outer");
-        std::thread::scope(|s| {
-            let t2 = t.clone();
-            s.spawn(move || {
-                // Fresh thread: no `outer.` prefix.
-                let _g = t2.phase("inner");
-            });
-        });
-        drop(_outer);
-        let r = t.report();
-        assert!(r.timer("inner").is_some());
-        assert!(r.timer("outer.inner").is_none());
-    }
-
-    #[test]
     fn report_json_roundtrip_is_stable() {
         let t = Telemetry::enabled();
-        {
-            let _g = t.phase("step");
-            t.sample("wall", 0.25);
-        }
+        t.record_duration("step", 0.25);
+        t.sample("wall", 0.25);
         t.add("bytes", 7);
         t.gauge("ldm", 1024.0);
         let r = t.report();
@@ -762,33 +636,37 @@ mod tests {
     }
 
     #[test]
-    fn attached_tracer_records_phases_and_events() {
+    fn attached_tracer_records_durations_and_events() {
         let tracer = Tracer::enabled();
         let t = Telemetry::enabled().with_tracer(tracer.clone());
         t.tracer().bind_lane(0, "driver");
-        {
-            let _outer = t.phase("step");
-            let _inner = t.phase("velocity");
-            t.event("arch.dma.dvelcx", &[("bytes", 1024.0)]);
-        }
+        let step = Instant::now();
+        t.event("compress.roundtrip", &[("raw_bytes", 1024.0)]);
+        let velocity = Instant::now();
+        t.record_span("step.velocity", velocity, velocity.elapsed().as_secs_f64());
+        t.record_span("step", step, step.elapsed().as_secs_f64());
         t.record_duration("halo.pack", 0.001);
         let lanes = tracer.lanes();
         assert_eq!(lanes.len(), 1);
-        let names: Vec<&str> = lanes[0].1.iter().map(|e| e.name.as_str()).collect();
-        assert_eq!(names, vec!["arch.dma.dvelcx", "step.velocity", "step", "halo.pack"]);
-        // Aggregates recorded too, under the same dotted paths.
+        let events = &lanes[0].1;
+        let names: Vec<&str> = events.iter().map(|e| e.name.as_str()).collect();
+        assert_eq!(names, vec!["compress.roundtrip", "step.velocity", "step", "halo.pack"]);
+        // A span recorded from its caller's clock reads sits where it ran:
+        // the inner one inside the outer one.
+        let (inner, outer) = (&events[1], &events[2]);
+        assert!(outer.ts_us <= inner.ts_us);
+        assert!(inner.ts_us + inner.dur_us <= outer.ts_us + outer.dur_us);
+        // Aggregates recorded too, under the same dotted names.
         let r = t.report();
         assert_eq!(r.timer("step.velocity").unwrap().calls, 1);
         assert_eq!(r.timer("halo.pack").unwrap().calls, 1);
     }
 
     #[test]
-    fn tracer_without_registry_still_traces_phases() {
+    fn tracer_without_registry_still_traces_durations() {
         let tracer = Tracer::enabled();
         let t = Telemetry::disabled().with_tracer(tracer.clone());
-        {
-            let _g = t.phase("step");
-        }
+        t.record_span("step", Instant::now(), 0.001);
         assert!(!t.is_enabled());
         assert!(t.report().timers.is_empty());
         let lanes = tracer.lanes();

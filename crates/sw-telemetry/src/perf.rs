@@ -6,13 +6,14 @@
 //! host-side equivalent. A [`PerfRecorder`] rides inside the driver as an
 //! `Option<Arc<_>>` hook (same pattern as the fault and health hooks):
 //! when absent every instrumentation site is a branch on `None`, when
-//! present each production-step kernel accumulates wall time via scoped
-//! guards ([`PerfRecorder::scope`]) and cell/flop/DMA-byte counts via
-//! [`PerfRecorder::charge`]. The driver joins those counts with the
-//! roofline model's predicted seconds and freezes everything into a
-//! versioned [`PerfLedger`] (`perf.json`, schema v1) whose per-kernel
-//! records carry derived cells/s, GFLOP/s, GB/s, and an
-//! achieved-vs-roofline fraction.
+//! present the driver's stage spans add each production-step kernel's
+//! measured wall time per rank ([`PerfRecorder::add_wall`]) and the counts
+//! only a run can know — bytes checkpointed, planes decoded
+//! ([`PerfRecorder::charge`]). Where a ledger is frozen the driver joins
+//! those with the SW26010 cost table times the steps run (cells, flops,
+//! modeled DMA bytes, predicted seconds) into a versioned [`PerfLedger`]
+//! (`perf.json`, schema v1) whose per-kernel records carry derived
+//! cells/s, GFLOP/s, GB/s, and an achieved-vs-roofline fraction.
 //!
 //! A ledger converts into a [`BenchReport`](crate::bench::BenchReport)
 //! ([`PerfLedger::to_bench_report`]) so `swquake perf-diff` reuses the
@@ -26,7 +27,6 @@ use serde_json::json;
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;
-use std::time::Instant;
 
 /// Version stamp embedded in every [`PerfLedger`].
 pub const PERF_SCHEMA_VERSION: u32 = 1;
@@ -101,9 +101,10 @@ fn cpu_model() -> String {
 pub struct PerfKernel {
     /// Kernel name (one of [`KERNEL_ORDER`] for production kernels).
     pub name: String,
-    /// Total wall seconds inside this kernel.
+    /// Total wall seconds inside this kernel (on a rank grid: on the rank
+    /// that spent the most there).
     pub wall_s: f64,
-    /// Number of scoped invocations.
+    /// Number of timed invocations (on that rank).
     pub calls: u64,
     /// Total cells (grid points) processed.
     pub cells: u64,
@@ -355,9 +356,9 @@ pub fn diff(old: &PerfLedger, new: &PerfLedger, tolerance: f64) -> crate::bench:
 pub struct KernelCounts {
     /// Kernel name.
     pub name: String,
-    /// Total wall seconds from scoped timers.
+    /// Total wall seconds, of the rank that spent the most.
     pub wall_s: f64,
-    /// Scoped invocations.
+    /// Timed invocations on that rank.
     pub calls: u64,
     /// Cells charged.
     pub cells: u64,
@@ -369,8 +370,8 @@ pub struct KernelCounts {
 
 #[derive(Debug, Default)]
 struct Accum {
-    wall_s: f64,
-    calls: u64,
+    /// `(wall seconds, calls)` by rank.
+    walls: Vec<(f64, u64)>,
     cells: u64,
     flops: f64,
     dma_bytes: u64,
@@ -378,9 +379,12 @@ struct Accum {
 
 /// The live accumulator the driver records into.
 ///
-/// Thread-safe: scoped timers and count charges from concurrent ranks
-/// fold into the same named slots (a short mutex hold per event — the
-/// events are per-kernel-per-step, not per-cell).
+/// Thread-safe: walls and count charges from concurrent ranks fold into
+/// the same named slots (a short mutex hold per event — the events are
+/// per-kernel-per-step, not per-cell). Counts sum over the ranks; walls
+/// are kept per rank and a kernel reports its slowest rank's, so a row's
+/// wall stays comparable to the step wall instead of growing with the
+/// grid.
 #[derive(Debug, Default)]
 pub struct PerfRecorder {
     slots: Mutex<HashMap<String, Accum>>,
@@ -394,12 +398,6 @@ impl PerfRecorder {
         Self::default()
     }
 
-    /// Open a scoped wall timer for `name`; dropping the guard adds the
-    /// elapsed time (and one call) to the kernel's slot.
-    pub fn scope<'a>(&'a self, name: &'a str) -> PerfScope<'a> {
-        PerfScope { rec: self, name, start: Instant::now() }
-    }
-
     /// Add cell/flop/DMA-byte counts to `name`'s slot.
     pub fn charge(&self, name: &str, cells: u64, flops: f64, dma_bytes: u64) {
         let mut slots = lock_recover(&self.slots);
@@ -409,17 +407,16 @@ impl PerfRecorder {
         a.dma_bytes += dma_bytes;
     }
 
-    /// Add a hand-measured wall interval (and one call) to `name`'s
-    /// slot — for sites where a scoped guard's borrow would conflict.
-    pub fn add_wall(&self, name: &str, wall_s: f64) {
-        self.finish_scope(name, wall_s);
-    }
-
-    fn finish_scope(&self, name: &str, wall_s: f64) {
+    /// Add a measured wall interval (and one call) of `rank` to `name`'s
+    /// slot.
+    pub fn add_wall(&self, rank: usize, name: &str, wall_s: f64) {
         let mut slots = lock_recover(&self.slots);
-        let a = slots.entry(name.to_string()).or_default();
-        a.wall_s += wall_s;
-        a.calls += 1;
+        let walls = &mut slots.entry(name.to_string()).or_default().walls;
+        if walls.len() <= rank {
+            walls.resize(rank + 1, (0.0, 0));
+        }
+        walls[rank].0 += wall_s;
+        walls[rank].1 += 1;
     }
 
     /// Record one completed step: its 1-based index and wall seconds.
@@ -454,34 +451,28 @@ impl PerfRecorder {
         let slots = lock_recover(&self.slots);
         let mut out: Vec<KernelCounts> = slots
             .iter()
-            .map(|(name, a)| KernelCounts {
-                name: name.clone(),
-                wall_s: a.wall_s,
-                calls: a.calls,
-                cells: a.cells,
-                flops: a.flops,
-                dma_bytes: a.dma_bytes,
+            .map(|(name, a)| {
+                let slowest = a.walls.iter().copied().max_by(|x, y| x.0.total_cmp(&y.0));
+                let (wall_s, calls) = slowest.unwrap_or_default();
+                KernelCounts {
+                    name: name.clone(),
+                    wall_s,
+                    calls,
+                    cells: a.cells,
+                    flops: a.flops,
+                    dma_bytes: a.dma_bytes,
+                }
             })
             .collect();
-        let rank =
-            |n: &str| KERNEL_ORDER.iter().position(|k| *k == n).unwrap_or(KERNEL_ORDER.len());
-        out.sort_by(|a, b| rank(&a.name).cmp(&rank(&b.name)).then(a.name.cmp(&b.name)));
+        sort_canonical(&mut out);
         out
     }
 }
 
-/// Scoped wall timer returned by [`PerfRecorder::scope`].
-#[derive(Debug)]
-pub struct PerfScope<'a> {
-    rec: &'a PerfRecorder,
-    name: &'a str,
-    start: Instant,
-}
-
-impl Drop for PerfScope<'_> {
-    fn drop(&mut self) {
-        self.rec.finish_scope(self.name, self.start.elapsed().as_secs_f64());
-    }
+/// Sort kernel rows into [`KERNEL_ORDER`], then by name.
+pub fn sort_canonical(rows: &mut [KernelCounts]) {
+    let rank = |n: &str| KERNEL_ORDER.iter().position(|k| *k == n).unwrap_or(KERNEL_ORDER.len());
+    rows.sort_by(|a, b| rank(&a.name).cmp(&rank(&b.name)).then_with(|| a.name.cmp(&b.name)));
 }
 
 /// Lock, recovering from a poisoned mutex (aggregate updates are
@@ -523,14 +514,10 @@ mod tests {
     }
 
     #[test]
-    fn recorder_accumulates_scopes_and_charges() {
+    fn recorder_accumulates_walls_and_charges() {
         let rec = PerfRecorder::new();
-        {
-            let _s = rec.scope("dvelc");
-        }
-        {
-            let _s = rec.scope("dvelc");
-        }
+        rec.add_wall(0, "dvelc", 0.25);
+        rec.add_wall(0, "dvelc", 0.25);
         rec.charge("dvelc", 100, 7600.0, 4000);
         rec.charge("dvelc", 100, 7600.0, 4000);
         rec.charge("sponge", 50, 450.0, 3600);
@@ -541,8 +528,20 @@ mod tests {
         assert_eq!(counts[0].cells, 200);
         assert_eq!(counts[0].flops, 15_200.0);
         assert_eq!(counts[0].dma_bytes, 8_000);
-        assert!(counts[0].wall_s >= 0.0);
+        assert_eq!(counts[0].wall_s, 0.5);
         assert_eq!(counts[1].name, "sponge");
+    }
+
+    #[test]
+    fn a_kernel_reports_its_slowest_ranks_wall_and_every_ranks_counts() {
+        let rec = PerfRecorder::new();
+        for (rank, wall) in [(0, 0.1), (1, 0.3), (1, 0.3), (2, 0.2)] {
+            rec.add_wall(rank, "halo", wall);
+            rec.charge("halo", 10, 0.0, 360);
+        }
+        let halo = &rec.counts()[0];
+        assert_eq!((halo.wall_s, halo.calls), (0.6, 2), "rank 1 spent the most");
+        assert_eq!((halo.cells, halo.dma_bytes), (40, 1440), "counts sum over the ranks");
     }
 
     #[test]

@@ -5,13 +5,13 @@
 //! events on a timeline, so a run can be inspected span by span in
 //! Perfetto or `chrome://tracing`:
 //!
-//! * **spans** — ranges with a start timestamp and a duration
-//!   ([`Tracer::span`] returns a guard that records on drop;
-//!   [`Tracer::span_closed`] records an already-measured range), e.g. one
+//! * **spans** — ranges with a start timestamp and a duration, timed by
+//!   the caller ([`Tracer::span_at`] takes the start it read,
+//!   [`Tracer::span_closed`] only a length, ending now), e.g. one
 //!   `step.velocity` span per time step;
 //! * **instant events** — points in time with numeric arguments
-//!   ([`Tracer::instant`]), e.g. one `arch.dma.dvelcx` event per step
-//!   carrying the modeled bytes and cycles.
+//!   ([`Tracer::instant`]), e.g. one `compress.roundtrip` event per step
+//!   carrying the raw and encoded bytes.
 //!
 //! Events land in **lanes**: one lane per recording thread, mapped to a
 //! Chrome `(pid, tid)` pair. A rank runner binds its threads to named
@@ -61,7 +61,7 @@ pub enum EventKind {
 /// One recorded event.
 #[derive(Debug, Clone, PartialEq)]
 pub struct TraceEvent {
-    /// Event name, e.g. `step.velocity` or `arch.dma.dvelcx`.
+    /// Event name, e.g. `step.velocity` or `halo.send`.
     pub name: String,
     /// Category string (`phase`, `timer`, `event`, …), used by trace
     /// viewers for filtering.
@@ -225,27 +225,9 @@ impl Tracer {
         }
     }
 
-    /// Open a span on the calling thread's lane. The returned guard
-    /// records the event when dropped (the lane is captured at open, so
-    /// the guard may be dropped on another thread).
-    #[must_use = "the span is timed until the guard drops"]
-    pub fn span(&self, cat: &'static str, name: &str) -> TraceSpan {
-        match &self.registry {
-            None => TraceSpan { inner: None },
-            Some(reg) => TraceSpan {
-                inner: Some(SpanInner {
-                    registry: Arc::clone(reg),
-                    lane: reg.current_lane(),
-                    name: name.to_string(),
-                    cat,
-                    start_us: reg.now_us(),
-                }),
-            },
-        }
-    }
-
-    /// Record a completed span of `seconds` ending now (for callers that
-    /// measured a range themselves and cannot hold a guard across it).
+    /// Record a completed span of `seconds` ending now (for callers with
+    /// a measured length but no single start: a sum of intervals, another
+    /// thread's wall).
     pub fn span_closed(&self, cat: &'static str, name: &str, seconds: f64) {
         if let Some(reg) = &self.registry {
             let dur_us = seconds.max(0.0) * 1e6;
@@ -256,6 +238,23 @@ impl Tracer {
                 kind: EventKind::Span,
                 ts_us: (end - dur_us).max(0.0),
                 dur_us,
+                args: Vec::new(),
+            });
+        }
+    }
+
+    /// Record a completed span that began at `start` and lasted
+    /// `seconds`, exactly as the caller's own clock reads measured it —
+    /// no clock is read here, so spans timed by one caller nest on the
+    /// timeline the way they nested in time.
+    pub fn span_at(&self, cat: &'static str, name: &str, start: Instant, seconds: f64) {
+        if let Some(reg) = &self.registry {
+            reg.current_lane().record(TraceEvent {
+                name: name.to_string(),
+                cat,
+                kind: EventKind::Span,
+                ts_us: start.saturating_duration_since(reg.epoch).as_secs_f64() * 1e6,
+                dur_us: seconds.max(0.0) * 1e6,
                 args: Vec::new(),
             });
         }
@@ -362,47 +361,6 @@ impl Tracer {
     }
 }
 
-struct SpanInner {
-    registry: Arc<Registry>,
-    lane: Arc<Lane>,
-    name: String,
-    cat: &'static str,
-    start_us: f64,
-}
-
-/// RAII guard returned by [`Tracer::span`]; records the span on drop.
-pub struct TraceSpan {
-    inner: Option<SpanInner>,
-}
-
-impl TraceSpan {
-    /// A guard that records nothing (what a disabled tracer hands out).
-    pub fn disabled() -> Self {
-        Self { inner: None }
-    }
-
-    /// True when dropping this guard will record an event.
-    pub fn is_recording(&self) -> bool {
-        self.inner.is_some()
-    }
-}
-
-impl Drop for TraceSpan {
-    fn drop(&mut self) {
-        if let Some(inner) = self.inner.take() {
-            let end = inner.registry.now_us();
-            inner.lane.record(TraceEvent {
-                name: inner.name,
-                cat: inner.cat,
-                kind: EventKind::Span,
-                ts_us: inner.start_us,
-                dur_us: (end - inner.start_us).max(0.0),
-                args: Vec::new(),
-            });
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -410,11 +368,9 @@ mod tests {
     #[test]
     fn disabled_records_nothing() {
         let t = Tracer::disabled();
-        {
-            let _s = t.span("phase", "step");
-            t.instant("event", "dma", &[("bytes", 128.0)]);
-            t.span_closed("timer", "pack", 0.001);
-        }
+        t.span_at("phase", "step", Instant::now(), 0.001);
+        t.instant("event", "dma", &[("bytes", 128.0)]);
+        t.span_closed("timer", "pack", 0.001);
         assert!(!t.is_enabled());
         assert!(t.lanes().is_empty());
         let json: serde_json::Value = serde_json::from_str(&t.to_chrome_json()).unwrap();
@@ -425,11 +381,11 @@ mod tests {
     fn spans_and_instants_record_in_order() {
         let t = Tracer::enabled();
         t.bind_lane(0, "driver");
-        {
-            let _outer = t.span("phase", "step");
-            t.instant("event", "dma", &[("bytes", 4096.0)]);
-            let _inner = t.span("phase", "velocity");
-        }
+        let outer = Instant::now();
+        t.instant("event", "dma", &[("bytes", 4096.0)]);
+        let inner = Instant::now();
+        t.span_at("phase", "velocity", inner, inner.elapsed().as_secs_f64());
+        t.span_at("phase", "step", outer, outer.elapsed().as_secs_f64());
         let lanes = t.lanes();
         assert_eq!(lanes.len(), 1);
         let (info, events) = &lanes[0];
@@ -518,10 +474,9 @@ mod tests {
     fn chrome_export_is_valid_and_sorted() {
         let t = Tracer::enabled();
         t.bind_lane(3, "rank3");
-        {
-            let _s = t.span("phase", "step");
-            t.instant("event", "dma", &[("bytes", 64.0)]);
-        }
+        let start = Instant::now();
+        t.instant("event", "dma", &[("bytes", 64.0)]);
+        t.span_at("phase", "step", start, start.elapsed().as_secs_f64());
         let json: serde_json::Value = serde_json::from_str(&t.to_chrome_json()).unwrap();
         let events = json["traceEvents"].as_array().unwrap();
         // process_name + thread_name metadata, then the two events.
@@ -543,19 +498,5 @@ mod tests {
         assert!(span["dur"].as_f64().unwrap() >= 0.0);
         let inst = data.iter().find(|e| e["ph"] == "i").unwrap();
         assert_eq!(inst["args"]["bytes"], 64.0);
-    }
-
-    #[test]
-    fn span_guard_survives_cross_thread_drop() {
-        let t = Tracer::enabled();
-        t.bind_lane(0, "origin");
-        let span = t.span("phase", "handoff");
-        std::thread::scope(|s| {
-            s.spawn(move || drop(span));
-        });
-        let lanes = t.lanes();
-        let (info, events) = &lanes[0];
-        assert_eq!(info.name, "origin", "event lands on the opening thread's lane");
-        assert_eq!(events[0].name, "handoff");
     }
 }

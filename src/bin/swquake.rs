@@ -13,7 +13,7 @@
 //!   worker pool, and a durable manifest makes the whole campaign
 //!   resumable (`--resume`) after a crash;
 //! * `bench-diff <old.json> <new.json>` — the perf-regression gate over
-//!   two `BENCH_<name>.json` files;
+//!   two `BENCH_<name>.json` files (the same command as `perf-diff`);
 //! * `perf-report <perf.json>` — render a perf ledger (from `run
 //!   --perf` or a campaign's per-scenario `perf.json`) as a per-kernel
 //!   table, flagging kernels below `--min-fraction` of their modeled
@@ -46,8 +46,8 @@
 //! restarts a killed run from the newest valid generation —
 //! bit-identically, including the seismogram/hazard outputs.
 //! `--ranks <MX>x<MY>` runs the scenario on an MX×MY rank grid (the
-//! multirank runner: overlapped halo exchange, merged observables,
-//! bit-identical to single-rank). `--obs <dir>` arms the run timeline:
+//! multirank runner: two blocking halo exchanges per step, merged
+//! observables, bit-identical to single-rank). `--obs <dir>` arms the run timeline:
 //! heartbeat lines stream to `<dir>/run.jsonl` every `--obs-stride`
 //! steps (default 10) and the final per-rank, per-phase
 //! `<dir>/timeline.json` feeds `swquake imbalance-report`. The
@@ -145,11 +145,11 @@ flags:
   --perf <out.json>            per-kernel performance ledger (wall time,
                                cells/s, GFLOP/s, GB/s, roofline fraction);
                                also appends one line to perf_history.jsonl
-                               next to <out.json>
+                               next to <out.json>; with --ranks a row's
+                               wall is its slowest rank's
   --ranks <MX>x<MY>            run on an MX x MY rank grid (multirank
                                halo exchange; observables are merged and
-                               bit-identical to the single-rank run;
-                               incompatible with --perf)
+                               bit-identical to the single-rank run)
   --obs <dir>                  run timeline: stream heartbeat lines to
                                <dir>/run.jsonl and write the final
                                per-rank, per-phase <dir>/timeline.json
@@ -189,7 +189,8 @@ injected fault kills a scenario (the campaign aborts, resumable).";
 const BENCH_DIFF_HELP: &str = "\
 usage: swquake bench-diff <old.json> <new.json> [--tolerance <frac>]
 
-Compare two BENCH_<name>.json reports; exit 0 on pass, 1 on regression
+Compare two BENCH_<name>.json reports (or perf ledgers: this is the
+same command as `perf-diff`); exit 0 on pass, 1 on regression
 beyond the tolerance (default 0.1; a record's own `tolerance` field
 overrides it), 2 when either file fails to load or records disagree on
 (or omit) their throughput unit. Records stamped with different hosts
@@ -235,12 +236,29 @@ are listed). Exit 0 otherwise, 2 when the file fails to load.";
 enum Command {
     Help(&'static str),
     WriteExample(String),
-    Run { scenario: String, outputs: RunOutputs },
-    Campaign { path: String, opts: CampaignRunOptions },
-    BenchDiff { old: String, new: String, tolerance: f64 },
-    PerfReport { path: String, min_fraction: f64 },
-    PerfDiff { old: String, new: String, tolerance: f64 },
-    ImbalanceReport { path: String, max_skew: Option<f64> },
+    Run {
+        scenario: String,
+        outputs: RunOutputs,
+    },
+    Campaign {
+        path: String,
+        opts: CampaignRunOptions,
+    },
+    /// `bench-diff` or `perf-diff`, as `tool` spells it.
+    Diff {
+        tool: &'static str,
+        old: String,
+        new: String,
+        tolerance: f64,
+    },
+    PerfReport {
+        path: String,
+        min_fraction: f64,
+    },
+    ImbalanceReport {
+        path: String,
+        max_skew: Option<f64>,
+    },
 }
 
 /// Optional report files a `run` can emit, plus execution overrides.
@@ -271,14 +289,60 @@ impl RunOutputs {
     }
 }
 
+/// The value of `flag`, through `parse`. A missing or rejected value is
+/// named on stderr — with what `flag` `expects` — before the caller's
+/// `None` prints the usage.
+fn value<T>(
+    flag: &str,
+    args: &mut std::slice::Iter<'_, String>,
+    expects: &str,
+    parse: impl FnOnce(&str) -> Option<T>,
+) -> Option<T> {
+    let Some(raw) = args.next() else {
+        eprintln!("{flag} needs a value ({expects})");
+        return None;
+    };
+    let parsed = parse(raw);
+    if parsed.is_none() {
+        eprintln!("invalid value '{raw}' for {flag} (expected {expects})");
+    }
+    parsed
+}
+
+/// [`value`] for a flag that takes a path.
+fn file_arg(flag: &str, args: &mut std::slice::Iter<'_, String>) -> Option<String> {
+    value(flag, args, "a path", |v| Some(v.to_string()))
+}
+
+/// [`value`] through `T`'s own `FromStr`.
+fn parsed<T: std::str::FromStr>(
+    flag: &str,
+    args: &mut std::slice::Iter<'_, String>,
+    expects: &str,
+) -> Option<T> {
+    value(flag, args, expects, |v| v.parse().ok())
+}
+
+const EXEC_MODES: &str = "serial, parallel, simd or auto";
+
 fn parse_args(args: &[String]) -> Option<Command> {
+    let rest = args.get(1..).unwrap_or_default();
     match args.first().map(String::as_str) {
         Some("--help") | Some("-h") => return Some(Command::Help(GENERAL_USAGE)),
-        Some("bench-diff") => return parse_bench_diff(&args[1..]),
-        Some("perf-report") => return parse_perf_report(&args[1..]),
-        Some("perf-diff") => return parse_perf_diff(&args[1..]),
-        Some("imbalance-report") => return parse_imbalance_report(&args[1..]),
-        Some("campaign") => return parse_campaign(&args[1..]),
+        // One command under two names.
+        Some("bench-diff") => return parse_diff("bench-diff", BENCH_DIFF_HELP, rest),
+        Some("perf-diff") => return parse_diff("perf-diff", PERF_DIFF_HELP, rest),
+        Some("perf-report") => {
+            return parse_report(rest, PERF_REPORT_HELP, "--min-fraction", 1, |mut paths, min| {
+                Command::PerfReport { path: paths.remove(0), min_fraction: min.unwrap_or(0.0) }
+            })
+        }
+        Some("imbalance-report") => {
+            return parse_report(rest, IMBALANCE_REPORT_HELP, "--max-skew", 1, |mut paths, skew| {
+                Command::ImbalanceReport { path: paths.remove(0), max_skew: skew }
+            })
+        }
+        Some("campaign") => return parse_campaign(rest),
         _ => {}
     }
     let mut positional: Vec<String> = Vec::new();
@@ -289,25 +353,35 @@ fn parse_args(args: &[String]) -> Option<Command> {
         match a.as_str() {
             "--help" | "-h" => return Some(Command::Help(RUN_HELP)),
             "--write-example" => write_example = true,
-            "--metrics" => outputs.metrics = Some(iter.next()?.clone()),
-            "--trace" => outputs.trace = Some(iter.next()?.clone()),
-            "--roofline" => outputs.roofline = Some(iter.next()?.clone()),
-            "--exec" => outputs.exec = Some(iter.next()?.parse().ok()?),
-            "--threads" => outputs.threads = Some(iter.next()?.parse().ok()?),
-            "--resident" => outputs.resident = Some(iter.next()?.parse().ok()?),
-            "--memory-cap" => outputs.memory_cap = Some(parse_bytes(iter.next()?)?),
-            "--health" => outputs.health = Some(iter.next()?.clone()),
-            "--health-stride" => outputs.health_stride = Some(iter.next()?.parse().ok()?),
-            "--checkpoint-dir" => outputs.checkpoint_dir = Some(iter.next()?.clone()),
-            "--checkpoint-interval" => {
-                outputs.checkpoint_interval = Some(iter.next()?.parse().ok()?)
+            "--metrics" => outputs.metrics = Some(file_arg(a, &mut iter)?),
+            "--trace" => outputs.trace = Some(file_arg(a, &mut iter)?),
+            "--roofline" => outputs.roofline = Some(file_arg(a, &mut iter)?),
+            "--exec" => outputs.exec = Some(parsed(a, &mut iter, EXEC_MODES)?),
+            "--threads" => outputs.threads = Some(parsed(a, &mut iter, "a thread count")?),
+            "--resident" => outputs.resident = Some(parsed(a, &mut iter, "full or compressed16")?),
+            "--memory-cap" => {
+                let expects = "a byte count, optionally with a k, m or g suffix";
+                outputs.memory_cap = Some(value(a, &mut iter, expects, parse_bytes)?)
             }
-            "--checkpoint-keep" => outputs.checkpoint_keep = Some(iter.next()?.parse().ok()?),
+            "--health" => outputs.health = Some(file_arg(a, &mut iter)?),
+            "--health-stride" => {
+                outputs.health_stride = Some(parsed(a, &mut iter, "a number of steps")?)
+            }
+            "--checkpoint-dir" => outputs.checkpoint_dir = Some(file_arg(a, &mut iter)?),
+            "--checkpoint-interval" => {
+                outputs.checkpoint_interval = Some(parsed(a, &mut iter, "a number of steps")?)
+            }
+            "--checkpoint-keep" => {
+                outputs.checkpoint_keep = Some(parsed(a, &mut iter, "a number of generations")?)
+            }
             "--resume" => outputs.resume = true,
-            "--perf" => outputs.perf = Some(iter.next()?.clone()),
-            "--ranks" => outputs.ranks = Some(parse_rank_grid(iter.next()?)?),
-            "--obs" => outputs.obs = Some(iter.next()?.clone()),
-            "--obs-stride" => outputs.obs_stride = Some(iter.next()?.parse().ok()?),
+            "--perf" => outputs.perf = Some(file_arg(a, &mut iter)?),
+            "--ranks" => {
+                let expects = "<MX>x<MY>, both at least 1";
+                outputs.ranks = Some(value(a, &mut iter, expects, parse_rank_grid)?)
+            }
+            "--obs" => outputs.obs = Some(file_arg(a, &mut iter)?),
+            "--obs-stride" => outputs.obs_stride = Some(parsed(a, &mut iter, "a number of steps")?),
             flag if flag.starts_with("--") => return None,
             other => positional.push(other.to_string()),
         }
@@ -317,11 +391,6 @@ fn parse_args(args: &[String]) -> Option<Command> {
     let ranked = outputs.ranks.is_some_and(|(mx, my)| mx * my > 1);
     let clash = if outputs.resume && outputs.checkpoint_dir.is_none() {
         Some("--resume needs --checkpoint-dir: there is no store to resume from")
-    } else if ranked && outputs.perf.is_some() {
-        Some(
-            "--ranks and --perf cannot be combined: the per-kernel ledger is frozen from one \
-             simulation, and a rank grid runs one per rank",
-        )
     } else if ranked && outputs.resident == Some(ResidentMode::Compressed16) {
         Some(
             "--ranks and --resident compressed16 cannot be combined: the halo exchange reads \
@@ -370,25 +439,6 @@ fn parse_rank_grid(spec: &str) -> Option<(usize, usize)> {
     (mx >= 1 && my >= 1).then_some((mx, my))
 }
 
-fn parse_imbalance_report(args: &[String]) -> Option<Command> {
-    let mut positional: Vec<String> = Vec::new();
-    let mut max_skew = None;
-    let mut iter = args.iter();
-    while let Some(a) = iter.next() {
-        match a.as_str() {
-            "--help" | "-h" => return Some(Command::Help(IMBALANCE_REPORT_HELP)),
-            "--max-skew" => max_skew = Some(iter.next()?.parse().ok()?),
-            flag if flag.starts_with("--") => return None,
-            other => positional.push(other.to_string()),
-        }
-    }
-    if positional.len() == 1 {
-        Some(Command::ImbalanceReport { path: positional.remove(0), max_skew })
-    } else {
-        None
-    }
-}
-
 fn parse_campaign(args: &[String]) -> Option<Command> {
     let mut positional: Vec<String> = Vec::new();
     let mut opts = CampaignRunOptions::default();
@@ -396,12 +446,12 @@ fn parse_campaign(args: &[String]) -> Option<Command> {
     while let Some(a) = iter.next() {
         match a.as_str() {
             "--help" | "-h" => return Some(Command::Help(CAMPAIGN_HELP)),
-            "--dir" => opts.dir = Some(iter.next()?.clone()),
-            "--jobs" => opts.jobs = Some(iter.next()?.parse().ok()?),
+            "--dir" => opts.dir = Some(file_arg(a, &mut iter)?),
+            "--jobs" => opts.jobs = Some(parsed(a, &mut iter, "a number of scenarios")?),
             "--resume" => opts.resume = true,
             "--fail-fast" => opts.fail_fast = Some(true),
-            "--exec" => opts.exec = Some(iter.next()?.parse().ok()?),
-            "--threads" => opts.threads = Some(iter.next()?.parse().ok()?),
+            "--exec" => opts.exec = Some(parsed(a, &mut iter, EXEC_MODES)?),
+            "--threads" => opts.threads = Some(parsed(a, &mut iter, "a thread count")?),
             "--perf" => opts.perf = true,
             flag if flag.starts_with("--") => return None,
             other => positional.push(other.to_string()),
@@ -414,65 +464,35 @@ fn parse_campaign(args: &[String]) -> Option<Command> {
     }
 }
 
-fn parse_bench_diff(args: &[String]) -> Option<Command> {
+/// The report subcommands share one shape: `--help`, one optional
+/// fraction-valued `flag`, and exactly `paths` file arguments, which
+/// `build` turns into the command.
+fn parse_report(
+    args: &[String],
+    help: &'static str,
+    flag: &str,
+    paths: usize,
+    build: impl FnOnce(Vec<String>, Option<f64>) -> Command,
+) -> Option<Command> {
     let mut positional: Vec<String> = Vec::new();
-    let mut tolerance = 0.1;
+    let mut fraction = None;
     let mut iter = args.iter();
     while let Some(a) = iter.next() {
         match a.as_str() {
-            "--help" | "-h" => return Some(Command::Help(BENCH_DIFF_HELP)),
-            "--tolerance" => tolerance = iter.next()?.parse().ok()?,
-            flag if flag.starts_with("--") => return None,
+            "--help" | "-h" => return Some(Command::Help(help)),
+            given if given == flag => fraction = Some(parsed(a, &mut iter, "a fraction")?),
+            other if other.starts_with("--") => return None,
             other => positional.push(other.to_string()),
         }
     }
-    if positional.len() == 2 {
-        let new = positional.pop()?;
-        let old = positional.pop()?;
-        Some(Command::BenchDiff { old, new, tolerance })
-    } else {
-        None
-    }
+    (positional.len() == paths).then(|| build(positional, fraction))
 }
 
-fn parse_perf_report(args: &[String]) -> Option<Command> {
-    let mut positional: Vec<String> = Vec::new();
-    let mut min_fraction = 0.0;
-    let mut iter = args.iter();
-    while let Some(a) = iter.next() {
-        match a.as_str() {
-            "--help" | "-h" => return Some(Command::Help(PERF_REPORT_HELP)),
-            "--min-fraction" => min_fraction = iter.next()?.parse().ok()?,
-            flag if flag.starts_with("--") => return None,
-            other => positional.push(other.to_string()),
-        }
-    }
-    if positional.len() == 1 {
-        Some(Command::PerfReport { path: positional.remove(0), min_fraction })
-    } else {
-        None
-    }
-}
-
-fn parse_perf_diff(args: &[String]) -> Option<Command> {
-    let mut positional: Vec<String> = Vec::new();
-    let mut tolerance = 0.1;
-    let mut iter = args.iter();
-    while let Some(a) = iter.next() {
-        match a.as_str() {
-            "--help" | "-h" => return Some(Command::Help(PERF_DIFF_HELP)),
-            "--tolerance" => tolerance = iter.next()?.parse().ok()?,
-            flag if flag.starts_with("--") => return None,
-            other => positional.push(other.to_string()),
-        }
-    }
-    if positional.len() == 2 {
-        let new = positional.pop()?;
-        let old = positional.pop()?;
-        Some(Command::PerfDiff { old, new, tolerance })
-    } else {
-        None
-    }
+fn parse_diff(tool: &'static str, help: &'static str, args: &[String]) -> Option<Command> {
+    parse_report(args, help, "--tolerance", 2, |mut paths, tolerance| {
+        let new = paths.remove(1);
+        Command::Diff { tool, old: paths.remove(0), new, tolerance: tolerance.unwrap_or(0.1) }
+    })
 }
 
 fn main() {
@@ -505,9 +525,8 @@ fn main() {
             }
         },
         Some(Command::Campaign { path, opts }) => campaign(&path, &opts),
-        Some(Command::BenchDiff { old, new, tolerance }) => bench_diff(&old, &new, tolerance),
+        Some(Command::Diff { tool, old, new, tolerance }) => diff(tool, &old, &new, tolerance),
         Some(Command::PerfReport { path, min_fraction }) => perf_report(&path, min_fraction),
-        Some(Command::PerfDiff { old, new, tolerance }) => perf_diff(&old, &new, tolerance),
         Some(Command::ImbalanceReport { path, max_skew }) => imbalance_report(&path, max_skew),
     };
     std::process::exit(code);
@@ -545,30 +564,51 @@ fn campaign(path: &str, opts: &CampaignRunOptions) -> i32 {
     }
 }
 
-/// Compare two bench reports; exit 0 on pass, 1 on regression/missing,
-/// 2 when either file fails to load or parse.
-fn bench_diff(old_path: &str, new_path: &str, tolerance: f64) -> i32 {
-    let load = |path: &str, role: &str| -> Result<BenchReport, String> {
+/// The regression gate behind `bench-diff` and `perf-diff`: exit 0 on
+/// pass, 1 on regression/missing, 2 when either file fails to load or
+/// parse or records disagree on their units.
+///
+/// Each side is a bench report or a perf ledger — a ledger has a
+/// top-level `kernels` array, a bench report `records` — and ledgers are
+/// lowered to per-kernel bench records, so the two formats diff against
+/// each other. The lowering drops the ledger's exec-path and lane-tier
+/// stamps, so they are echoed per side here: a cross-mode or cross-tier
+/// diff must say what it is comparing.
+fn diff(tool: &str, old_path: &str, new_path: &str, tolerance: f64) -> i32 {
+    let load = |path: &str, role: &str| -> Result<(BenchReport, Option<String>), String> {
         let text = std::fs::read_to_string(path).map_err(|e| {
             if e.kind() == std::io::ErrorKind::NotFound {
                 format!(
-                    "bench-diff: {role} not found: {path}\n\
+                    "{tool}: {role} not found: {path}\n\
                      (run the benchmark first to produce it, or pass the right path)"
                 )
             } else {
-                format!("bench-diff: cannot read {role} {path}: {e}")
+                format!("{tool}: cannot read {role} {path}: {e}")
             }
         })?;
-        BenchReport::from_json(&text)
-            .map_err(|e| format!("bench-diff: cannot parse {role} {path}: {e}"))
-    };
-    let (old, new) = match (load(old_path, "baseline"), load(new_path, "candidate")) {
-        (Ok(o), Ok(n)) => (o, n),
-        (Err(e), _) | (_, Err(e)) => {
-            eprintln!("{e}");
-            return 2;
+        let parse_error = |e: serde_json::Error| format!("{tool}: cannot parse {role} {path}: {e}");
+        let probe: serde_json::Value = serde_json::from_str(&text).map_err(parse_error)?;
+        if probe.as_object().is_some_and(|o| o.iter().any(|(k, _)| k == "kernels")) {
+            let ledger = PerfLedger::from_json(&text).map_err(parse_error)?;
+            Ok((ledger.to_bench_report("perf"), ledger.stamps()))
+        } else {
+            BenchReport::from_json(&text).map(|r| (r, None)).map_err(parse_error)
         }
     };
+    let ((old, old_echo), (new, new_echo)) =
+        match (load(old_path, "baseline"), load(new_path, "candidate")) {
+            (Ok(o), Ok(n)) => (o, n),
+            (Err(e), _) | (_, Err(e)) => {
+                eprintln!("{e}");
+                return 2;
+            }
+        };
+    if let Some(echo) = &old_echo {
+        println!("baseline:  {echo}");
+    }
+    if let Some(echo) = &new_echo {
+        println!("candidate: {echo}");
+    }
     let cmp = compare(&old, &new, tolerance);
     print!("{}", cmp.text_table());
     // Unit disagreements (including the empty placeholder unit) are a
@@ -604,56 +644,6 @@ fn load_perf_ledger(path: &str) -> Result<PerfLedger, String> {
     let text = std::fs::read_to_string(path)
         .map_err(|e| format!("perf-report: cannot read {path}: {e}"))?;
     PerfLedger::from_json(&text).map_err(|e| format!("perf-report: cannot parse {path}: {e}"))
-}
-
-/// Per-kernel regression gate over two perf ledgers and/or bench
-/// reports (auto-detected); exit 0 pass, 1 regression, 2 on load
-/// failures or unit mismatches.
-fn perf_diff(old_path: &str, new_path: &str, tolerance: f64) -> i32 {
-    // A perf ledger has a top-level `kernels` array; a bench report has
-    // `records`. Ledgers are lowered to per-kernel bench records so the
-    // two formats diff against each other. The lowering drops the
-    // ledger's exec-path and lane-tier stamps, so they are echoed per
-    // side here — a cross-mode or cross-tier diff must say what it is
-    // comparing.
-    let load = |path: &str, role: &str| -> Result<(BenchReport, Option<String>), String> {
-        let text = std::fs::read_to_string(path)
-            .map_err(|e| format!("perf-diff: cannot read {role} {path}: {e}"))?;
-        let probe: serde_json::Value = serde_json::from_str(&text)
-            .map_err(|e| format!("perf-diff: cannot parse {role} {path}: {e}"))?;
-        if probe.as_object().is_some_and(|o| o.iter().any(|(k, _)| k == "kernels")) {
-            let ledger = PerfLedger::from_json(&text)
-                .map_err(|e| format!("perf-diff: cannot parse {role} ledger {path}: {e}"))?;
-            Ok((ledger.to_bench_report("perf"), ledger.stamps()))
-        } else {
-            BenchReport::from_json(&text)
-                .map(|r| (r, None))
-                .map_err(|e| format!("perf-diff: cannot parse {role} {path}: {e}"))
-        }
-    };
-    let ((old, old_echo), (new, new_echo)) =
-        match (load(old_path, "baseline"), load(new_path, "candidate")) {
-            (Ok(o), Ok(n)) => (o, n),
-            (Err(e), _) | (_, Err(e)) => {
-                eprintln!("{e}");
-                return 2;
-            }
-        };
-    if let Some(echo) = &old_echo {
-        println!("baseline:  {echo}");
-    }
-    if let Some(echo) = &new_echo {
-        println!("candidate: {echo}");
-    }
-    let cmp = compare(&old, &new, tolerance);
-    print!("{}", cmp.text_table());
-    if !cmp.unit_errors.is_empty() {
-        2
-    } else if cmp.passed() {
-        0
-    } else {
-        1
-    }
 }
 
 /// Render a run timeline as a per-phase imbalance table; with a skew
@@ -801,14 +791,14 @@ fn run(path: &str, outputs: &RunOutputs) -> Result<(), Error> {
     // the same things. `--ranks MxN` runs it on halo-exchanged
     // subdomains and merges the observables back to global coordinates
     // (bit-identical to the single-rank run); without it the simulation
-    // stays here, which is what the ledger and the resident banner need.
+    // stays here, which is what the resident banner needs.
     let ranks = outputs.ranks.filter(|&(mx, my)| mx * my > 1);
     let t0 = std::time::Instant::now();
     let done = match ranks {
         Some((mx, my)) => {
             cfg = cfg.with_resume(outputs.resume);
             let out = run_multirank(model.as_ref(), &cfg, RankGrid::new(mx, my))?;
-            Finished { health: format!("{} records", out.health.len()), ledger: None, out }
+            Finished { health: format!("{} records", out.health.len()), out }
         }
         None => {
             let (mut sim, resume) = if outputs.resume {
@@ -841,7 +831,6 @@ fn run(path: &str, outputs: &RunOutputs) -> Result<(), Error> {
             let health = sim.health().expect("the watchdog is armed above");
             Finished {
                 health: format!("{} probes, {} warnings", health.checks, health.warnings),
-                ledger: sim.perf_ledger(),
                 out: MultiRankOutput {
                     seismograms: sim.seismo.seismograms().to_vec(),
                     pgv: sim.pgv.clone(),
@@ -849,6 +838,7 @@ fn run(path: &str, outputs: &RunOutputs) -> Result<(), Error> {
                     health: health.records,
                     dt: sim.state.dt,
                     resume,
+                    ledger: sim.perf_ledger(),
                 },
             }
         }
@@ -901,7 +891,7 @@ fn run(path: &str, outputs: &RunOutputs) -> Result<(), Error> {
     if let Some(health_path) = &outputs.health {
         println!("wrote health log to {health_path} ({})", done.health);
     }
-    if let (Some(perf_path), Some(ledger)) = (&outputs.perf, &done.ledger) {
+    if let (Some(perf_path), Some(ledger)) = (&outputs.perf, &done.out.ledger) {
         let path = std::path::Path::new(perf_path);
         ledger.write_file(path).map_err(|e| Error::Io { path: perf_path.clone(), source: e })?;
         // Every instrumented run also lands one line in the durable
@@ -915,13 +905,12 @@ fn run(path: &str, outputs: &RunOutputs) -> Result<(), Error> {
 }
 
 /// What either way of executing a scenario hands the one tail of `run`:
-/// the observables (merged, for a rank grid) and what only one of them
-/// has.
+/// the observables and the ledger (merged, for a rank grid) and the one
+/// thing the two count differently.
 struct Finished {
     out: MultiRankOutput,
     /// What the `--health` line counts.
     health: String,
-    ledger: Option<PerfLedger>,
 }
 
 /// Export the Chrome trace when `--trace` was given, warning first when

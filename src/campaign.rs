@@ -222,8 +222,8 @@ fn try_run_scenario(
     cfg = cfg.with_telemetry(telemetry.clone());
     // Every scenario runs with the perf recorder armed: the campaign
     // summary's per-kernel rollup is unconditional (the recorder costs
-    // well under 1% of a step — see `bench_perf_overhead`); `--perf`
-    // only adds the per-scenario `perf.json` file.
+    // well under 1% of a step — the `perf` variant of `bench_obs_overhead`);
+    // `--perf` only adds the per-scenario `perf.json` file.
     let perf_recorder = Arc::new(sw_telemetry::perf::PerfRecorder::new());
     cfg = cfg.with_perf(Arc::clone(&perf_recorder));
     // The run timeline rides along the same way: always armed (no

@@ -103,7 +103,9 @@ fn unknown_flag_prints_usage_and_exits_2() {
 }
 
 /// `--trace` writes valid Chrome trace-event JSON with spans from the
-/// driver phases and instants from the modeled hardware.
+/// driver stages — and only what the run measured: the modeled hardware
+/// charges are constants of the mesh, not events (`--metrics` and
+/// `--roofline` carry them).
 #[test]
 fn run_with_trace_writes_chrome_trace_json() {
     let dir = workdir("trace");
@@ -130,7 +132,7 @@ fn run_with_trace_writes_chrome_trace_json() {
     let events = doc["traceEvents"].as_array().unwrap();
     let names: Vec<&str> = events.iter().filter_map(|e| e["name"].as_str()).collect();
     assert!(names.contains(&"step.velocity"), "no driver span in {names:?}");
-    assert!(names.contains(&"arch.dma.dvelcx"), "no DMA instant in {names:?}");
+    assert!(!names.iter().any(|n| n.starts_with("arch.")), "modeled constants in {names:?}");
     std::fs::remove_dir_all(&dir).ok();
 }
 
@@ -809,14 +811,22 @@ fn a_blow_up_the_watchdog_misses_exits_1_on_every_rank_grid() {
     std::fs::remove_dir_all(&dir).ok();
 }
 
-/// Flag pairs that cannot work together exit 2 with the usage — and, on
-/// the line before it, which two flags and why.
+/// Flag pairs that cannot work together, and flag values that do not
+/// parse, exit 2 with the usage — and, on the line before it, which flags
+/// (or which flag and which value) and why.
 #[test]
 fn clashing_run_flags_are_named_before_the_usage() {
     for (args, named) in [
-        (&["--ranks", "2x1", "--perf", "p.json"][..], ["--ranks", "--perf"]),
         (&["--ranks", "2x2", "--resident", "compressed16"][..], ["--ranks", "--resident"]),
         (&["--resume"][..], ["--resume", "--checkpoint-dir"]),
+        (&["--threads", "abc"][..], ["--threads", "'abc'"]),
+        (&["--health-stride", "x"][..], ["--health-stride", "'x'"]),
+        (&["--ranks", "2"][..], ["--ranks", "'2'"]),
+        (&["--ranks", "0x2"][..], ["--ranks", "'0x2'"]),
+        (&["--memory-cap", "1q"][..], ["--memory-cap", "'1q'"]),
+        (&["--obs-stride", "-1"][..], ["--obs-stride", "'-1'"]),
+        (&["--exec", "fast"][..], ["--exec", "'fast'"]),
+        (&["--metrics"][..], ["--metrics", "needs a value"]),
     ] {
         let out = run_scenario(std::path::Path::new("scenario.json"), args, None);
         assert_eq!(out.status.code(), Some(2), "{args:?}");
@@ -825,10 +835,25 @@ fn clashing_run_flags_are_named_before_the_usage() {
         assert!(named.iter().all(|flag| why.contains(flag)), "{args:?}: {stderr}");
         assert!(usage.contains("swquake [run] <scenario.json>"), "{args:?}: {stderr}");
     }
-    // One rank is no grid: the pair is fine (and fails later, on the file).
+    // The report subcommands name a rejected value the same way.
+    for (args, flag) in [
+        (&["bench-diff", "a.json", "b.json", "--tolerance", "junk"][..], "--tolerance"),
+        (&["perf-diff", "a.json", "b.json", "--tolerance", "junk"][..], "--tolerance"),
+        (&["perf-report", "p.json", "--min-fraction", "junk"][..], "--min-fraction"),
+        (&["imbalance-report", "t.json", "--max-skew", "junk"][..], "--max-skew"),
+        (&["campaign", "c.json", "--jobs", "junk"][..], "--jobs"),
+    ] {
+        let out = Command::new(bin()).args(args).output().unwrap();
+        assert_eq!(out.status.code(), Some(2), "{args:?}");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        let (why, _) = stderr.split_once("usage:").expect("usage text");
+        assert!(why.contains(flag) && why.contains("'junk'"), "{args:?}: {stderr}");
+    }
+    // `--ranks` with `--perf` is a pair that works (`tests/perf.rs` runs
+    // it): it gets as far as the file.
     let out = run_scenario(
         std::path::Path::new("does_not_exist.json"),
-        &["--ranks", "1x1", "--perf", "p.json"],
+        &["--ranks", "2x1", "--perf", "p.json"],
         None,
     );
     assert!(String::from_utf8_lossy(&out.stderr).contains("cannot read"));

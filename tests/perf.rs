@@ -10,7 +10,8 @@
 //! * `swquake perf-diff` gates a seeded per-kernel regression and
 //!   `swquake perf-report` flags kernels below `--min-fraction`;
 //! * `swquake run --perf` writes the ledger and appends one line to the
-//!   durable `perf_history.jsonl` next to it.
+//!   durable `perf_history.jsonl` next to it — on a rank grid too, where
+//!   the counts are the single-rank run's plus the halo traffic.
 
 use std::path::PathBuf;
 use std::process::Command;
@@ -229,12 +230,9 @@ fn perf_report_cli_flags_kernels_below_min_fraction() {
     std::fs::remove_dir_all(&dir).ok();
 }
 
-/// `swquake run --perf` writes the ledger next to the other outputs and
-/// appends one history line per instrumented run to `perf_history.jsonl`
-/// beside it.
-#[test]
-fn run_perf_cli_writes_ledger_and_appends_history() {
-    let dir = workdir("run");
+/// The example scenario shrunk to 20x20x12 and half a second, outputs
+/// under `dir`.
+fn small_scenario(dir: &std::path::Path) -> PathBuf {
     let scenario = dir.join("scenario.json");
     Command::new(bin()).args(["--write-example", scenario.to_str().unwrap()]).status().unwrap();
     let mut json: serde_json::Value =
@@ -245,7 +243,16 @@ fn run_perf_cli_writes_ledger_and_appends_history() {
     json["stations"] = serde_json::json!([{"name": "probe", "ix": 14, "iy": 14}]);
     json["output_prefix"] = serde_json::json!(dir.join("out").to_str().unwrap());
     std::fs::write(&scenario, serde_json::to_string(&json).unwrap()).unwrap();
+    scenario
+}
 
+/// `swquake run --perf` writes the ledger next to the other outputs and
+/// appends one history line per instrumented run to `perf_history.jsonl`
+/// beside it.
+#[test]
+fn run_perf_cli_writes_ledger_and_appends_history() {
+    let dir = workdir("run");
+    let scenario = small_scenario(&dir);
     let perf = dir.join("perf.json");
     for _ in 0..2 {
         let out = Command::new(bin())
@@ -269,5 +276,57 @@ fn run_perf_cli_writes_ledger_and_appends_history() {
         assert_eq!(line.get("label").and_then(|v| v.as_str()), Some("run"));
         assert!(line.get("kernels").and_then(|v| v.as_array()).is_some());
     }
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+/// `--ranks` with `--perf` (a usage error until the ledger stopped being
+/// frozen inside one simulation): the grid's ledger is frozen at the
+/// merge, its counts summed over the ranks' local meshes — so row by row
+/// the single-rank run's, plus a `halo` row — and each row's wall the
+/// slowest rank's, so no row outlasts the run. `perf-report` renders it.
+#[test]
+fn a_rank_grid_writes_the_single_rank_ledger_plus_a_halo_row() {
+    let dir = workdir("ranks");
+    let scenario = small_scenario(&dir);
+    let ledger_of = |name: &str, ranks: &[&str]| -> PerfLedger {
+        let perf = dir.join(name);
+        let out = Command::new(bin())
+            .args(["run", scenario.to_str().unwrap(), "--perf", perf.to_str().unwrap()])
+            .args(ranks)
+            .output()
+            .unwrap();
+        assert!(out.status.success(), "{ranks:?}: {}", String::from_utf8_lossy(&out.stderr));
+        PerfLedger::read_file(&perf).unwrap().unwrap()
+    };
+    let single = ledger_of("single.json", &[]);
+    let grid = ledger_of("grid.json", &["--ranks", "2x1"]);
+    assert_eq!((grid.steps, grid.grid_cells), (single.steps, single.grid_cells));
+    let rows = |l: &PerfLedger| l.kernels.iter().map(|k| k.name.clone()).collect::<Vec<_>>();
+    let mut with_halo = rows(&single);
+    with_halo.insert(with_halo.iter().position(|n| n == "sponge").unwrap() + 1, "halo".into());
+    assert_eq!(rows(&grid), with_halo);
+    for k in &single.kernels {
+        let g = grid.kernel(&k.name).unwrap();
+        assert_eq!((g.cells, g.flops), (k.cells, k.flops), "{}", k.name);
+        // Each rank truncates its own share of the modeled bytes per step.
+        let slack = 2 * single.steps;
+        assert!(g.dma_bytes.abs_diff(k.dma_bytes) <= slack, "{}: {g:?} vs {k:?}", k.name);
+        assert_eq!(g.roofline_fraction > 0.0, k.roofline_fraction > 0.0, "{}", k.name);
+    }
+    // 2x1: each rank sends one 2-wide x-face of 20x12 cells, 9 fields.
+    let halo = grid.kernel("halo").unwrap();
+    assert_eq!(halo.cells, 2 * 2 * 20 * 12 * grid.steps);
+    assert_eq!(halo.dma_bytes, halo.cells * 9 * 4);
+    assert_eq!(halo.calls, 2 * grid.steps, "two exchanges a step, on the slowest rank");
+    for k in &grid.kernels {
+        assert!(k.wall_s <= grid.wall_s, "{} outlasts the run: {k:?}", k.name);
+    }
+    let out = Command::new(bin())
+        .args(["perf-report", dir.join("grid.json").to_str().unwrap()])
+        .output()
+        .unwrap();
+    assert_eq!(out.status.code(), Some(0));
+    let stdout = String::from_utf8_lossy(&out.stdout);
+    assert!(stdout.contains("halo") && stdout.contains("unmodeled"), "stdout: {stdout}");
     std::fs::remove_dir_all(&dir).ok();
 }

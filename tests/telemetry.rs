@@ -3,6 +3,7 @@
 //! round-trip through its stable schema, and a disabled [`Telemetry`]
 //! must not change a single output bit.
 
+use swquake::arch::perf::step_costs;
 use swquake::core::driver::run_multirank;
 use swquake::core::{SimConfig, Simulation};
 use swquake::grid::Dims3;
@@ -140,6 +141,68 @@ fn multirank_run_reports_halo_fabric_metrics() {
     let total: u64 =
         (0..2).map(|r| report.counter(&format!("halo.bytes_sent.rank{r}")).unwrap()).sum();
     assert_eq!(report.counter("halo.bytes_sent"), Some(total));
+}
+
+/// The modeled SW26010 charges are the cost table times the steps run —
+/// nothing is charged while stepping. Every `arch.*` counter of a report
+/// must equal its per-step table value × steps and both LDM gauges must
+/// be there, on one rank and on a 2×2 grid, where each rank adds the
+/// table of its local mesh.
+#[test]
+fn arch_metrics_are_the_cost_table_times_the_steps_run() {
+    let steps = 7usize;
+    let model = HalfspaceModel::hard_rock();
+    let grid = RankGrid::new(2, 2);
+    let expected = |meshes: &[Dims3]| -> Vec<(String, u64)> {
+        let tables: Vec<_> = meshes.iter().map(|m| step_costs(*m, true, false)).collect();
+        let total = |per_step: &dyn Fn(&swquake::arch::perf::StepCosts) -> u64| {
+            tables.iter().map(per_step).sum::<u64>() * steps as u64
+        };
+        let mut want = vec![
+            ("arch.regcomm_rounds".to_string(), total(&|t| t.regcomm_rounds)),
+            ("arch.regcomm_cycles".to_string(), total(&|t| t.regcomm_cycles)),
+        ];
+        for (i, k) in tables[0].kernels.iter().enumerate() {
+            let bytes = total(&|t| t.kernels[i].dma_bytes() as u64);
+            let cycles = total(&|t| t.kernels[i].model_cycles() as u64);
+            want.push((format!("arch.dma_bytes.{}", k.kernel), bytes));
+            want.push((format!("arch.model_cycles.{}", k.kernel), cycles));
+        }
+        want.sort();
+        want
+    };
+    let check = |report: &Report, meshes: &[Dims3], what: &str| {
+        let got: Vec<(String, u64)> = report
+            .counters
+            .iter()
+            .filter(|c| c.name.starts_with("arch."))
+            .map(|c| (c.name.clone(), c.value))
+            .collect();
+        assert_eq!(got, expected(meshes), "{what}");
+        assert_eq!(got.len(), 2 + 2 * 6, "{what}: six kernels, nonlinear on");
+        for gauge in ["arch.ldm_high_water_bytes", "arch.max_dma_block_bytes"] {
+            assert!(report.gauge(gauge).is_some_and(|g| g.last > 0.0), "{what}: {gauge}");
+        }
+    };
+
+    let telemetry = Telemetry::enabled();
+    let mut cfg = quickstart_config(steps).with_telemetry(telemetry.clone());
+    cfg.options.nonlinear = true;
+    let mut sim = Simulation::new(&model, &cfg).expect("valid config");
+    // Stepping by hand charges nothing; asking for the report does, once.
+    for _ in 0..steps {
+        sim.step();
+    }
+    assert!(telemetry.report().counter("arch.regcomm_rounds").is_none());
+    check(&sim.metrics(), &[cfg.dims], "one rank");
+    check(&sim.metrics(), &[cfg.dims], "one rank, asked twice");
+    check(&telemetry.report(), &[cfg.dims], "one rank, through the shared handle");
+
+    let telemetry = Telemetry::enabled();
+    let cfg = cfg.with_telemetry(telemetry.clone());
+    run_multirank(&model, &cfg, grid).expect("valid config");
+    let meshes: Vec<Dims3> = (0..grid.len()).map(|r| grid.local_span(r, cfg.dims).2).collect();
+    check(&telemetry.report(), &meshes, "2x2 ranks");
 }
 
 /// The JSON report must survive a serialize/deserialize round trip
