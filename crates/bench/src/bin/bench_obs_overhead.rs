@@ -4,7 +4,9 @@
 //! Times the complete per-step pipeline on a 64³ mesh five ways — no
 //! sink, telemetry with a tracer attached (`--metrics --trace`), the
 //! perf ledger's recorder (`--perf`), the run timeline with heartbeats
-//! at the default stride (`--obs`), and all of them at once — and writes
+//! at the default stride (`--obs`), and all of them at once — each with
+//! the watchdog at its default stride, which `swquake run` and every
+//! campaign member arm whatever the flags — and writes
 //! a [`BenchReport`] with nine records:
 //!
 //! * `obs_overhead/{off,telemetry,perf,stride_default,all}` — absolute
@@ -19,12 +21,13 @@
 //!   committed `BENCH_obs_overhead.json`. Every stage is timed by one
 //!   pair of clock reads however many sinks are armed, so `all` costs
 //!   what its dearest part costs. The bar is under 1.02 (< 2 %
-//!   overhead): the ledger and the timeline meet it; telemetry on this
-//!   step does not, because with a registry attached the §6.5 round trip
-//!   also computes every wavefield's round-trip error statistics, every
-//!   step (`compress.max_roundtrip_error`) — that pass, not the clock
-//!   reads, is the whole of `telemetry_over_off` (EXPERIMENTS "One span,
-//!   one cost table").
+//!   overhead). The §6.5 round trip computes the wavefields' round-trip
+//!   error statistics only on the steps someone reads them — the
+//!   watchdog's probe steps, which `off` pays too — so the registry adds
+//!   its clock reads and nothing else; a registry attached *without* a
+//!   monitor (library use) samples them at the same stride for the
+//!   `compress.max_roundtrip_error` gauge and pays for it (≈ +10 %,
+//!   EXPERIMENTS "One scenario runner").
 //!
 //! Usage: `bench_obs_overhead [out.json] [threads]` (defaults:
 //! `BENCH_obs_overhead_new.json`, `min(cores, 4)` worker threads).
@@ -33,6 +36,7 @@ use std::sync::Arc;
 use std::time::Instant;
 
 use sw_grid::Dims3;
+use sw_health::HealthConfig;
 use sw_model::LayeredModel;
 use sw_source::{MomentTensor, PointSource, SourceTimeFunction};
 use sw_telemetry::bench::{BenchRecord, BenchReport};
@@ -65,7 +69,8 @@ const VARIANTS: [(&str, [bool; 3]); 5] = [
 ];
 
 /// The production step shape, as in `bench_step_exec`: nonlinear +
-/// attenuation + sponge + compression, with a real source.
+/// attenuation + sponge + compression, with a real source — and the
+/// watchdog no CLI run goes without.
 fn bench_config() -> SimConfig {
     let mut cfg = SimConfig::new(Dims3::cube(SIDE), 100.0, WARMUP_STEPS + TIMED_STEPS);
     cfg.options.sponge_width = 8;
@@ -78,7 +83,7 @@ fn bench_config() -> SimConfig {
         moment: MomentTensor::double_couple(30.0, 80.0, 170.0, 3.0e14),
         stf: SourceTimeFunction::Triangle { onset: 0.02, duration: 0.3 },
     }];
-    cfg.with_compression(true).with_exec(ExecMode::Parallel)
+    cfg.with_compression(true).with_exec(ExecMode::Parallel).with_health(HealthConfig::default())
 }
 
 /// Build one simulation per variant and time them in interleaved rounds

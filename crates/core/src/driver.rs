@@ -1196,7 +1196,14 @@ impl Simulation {
                 tel.add("compress.codec_rebuilds", rebuilds);
                 tel.add("compress.codec_reuses", calibrating.len() as u64 - rebuilds);
             }
+            // The error statistics cost most of a round trip: they run on
+            // the steps the monitor samples or, with a metrics registry
+            // and no monitor, at the default health stride for the gauge.
             let health_sampling = sim.compression_sampled();
+            let gauge_sampling = sim.health.is_none()
+                && tel.is_enabled()
+                && (sim.step_count + 1).is_multiple_of(HealthConfig::default().effective_stride());
+            let sampled = health_sampling || gauge_sampling;
             let t0 = Instant::now();
             let work: Vec<(&mut [f32], &Codec)> = sim
                 .state
@@ -1206,19 +1213,17 @@ impl Simulation {
                 .map(|(f, slot)| (f.raw_mut(), &slot.active))
                 .collect();
             let elems: usize = work.iter().map(|(data, _)| data.len()).sum();
-            let stats = sw_compress::errstats::roundtrip_arrays(
-                work,
-                parallel,
-                tel.is_enabled() || health_sampling,
-            );
+            let stats = sw_compress::errstats::roundtrip_arrays(work, parallel, sampled);
             if tel.is_enabled() {
                 let (raw, encoded) = ((elems * 4) as u64, (elems * 2) as u64);
-                let max_err = stats.iter().fold(0.0f64, |m, s| m.max(s.max_abs_err));
                 tel.record_duration("compress.roundtrip", t0.elapsed().as_secs_f64());
                 tel.add("compress.raw_bytes", raw);
                 tel.add("compress.encoded_bytes", encoded);
                 tel.gauge("compress.achieved_ratio", 2.0);
-                tel.gauge("compress.max_roundtrip_error", max_err);
+                if sampled {
+                    let max_err = stats.iter().fold(0.0f64, |m, s| m.max(s.max_abs_err));
+                    tel.gauge("compress.max_roundtrip_error", max_err);
+                }
                 tel.event(
                     "compress.roundtrip",
                     &[("raw_bytes", raw as f64), ("encoded_bytes", encoded as f64)],
@@ -1522,6 +1527,19 @@ impl Simulation {
         self.health.as_ref().and_then(|m| m.failure())
     }
 
+    /// End a single-rank run the way [`run_multirank`] ends a grid's: the
+    /// merge of one rank at offset 0. Fails with the post-hoc diagnosis
+    /// when the wavefield has blown up and the watchdog (probe stride too
+    /// coarse, or none armed) did not say so; `resume` is what the
+    /// simulation was resumed from, passed through.
+    #[allow(clippy::result_large_err)] // cold abort-path error; see step_checked
+    pub fn finish(self, resume: Option<ResumeInfo>) -> Result<MultiRankOutput, RunError> {
+        let dims = self.state.dims;
+        let stations: Vec<Station> =
+            self.seismo.seismograms().iter().map(|s| s.station.clone()).collect();
+        merge(&[&self], &[(0, 0, dims)], dims, &stations, resume)
+    }
+
     /// The named dynamic fields a checkpoint carries, borrowed from the
     /// live state. Compressed-resident runs checkpoint decompressed f32
     /// fields (same schema as full mode, so either mode can restore the
@@ -1814,8 +1832,13 @@ pub struct MultiRankOutput {
     /// Total useful flops.
     pub flops: f64,
     /// Health records merged across ranks, sorted by `(step, rank)`
-    /// (empty when the config carries no health monitoring).
+    /// (empty when the config carries no health monitoring): each rank's
+    /// retained window, not the whole log.
     pub health: Vec<HealthRecord>,
+    /// Probes the ranks' monitors evaluated over the run, summed.
+    pub probes: u64,
+    /// Warnings those probes raised, summed.
+    pub warnings: u64,
     /// Timestep in seconds (CFL-derived, identical on every rank).
     pub dt: f64,
     /// What the run resumed from (`None` for a fresh start).
@@ -1906,24 +1929,40 @@ pub fn run_multirank(
         let outcome = sim.run_checked(config.steps.saturating_sub(sim.step_count as usize));
         (sim, outcome)
     });
-    // A collective abort is the same error on every rank; a blow-up the
-    // probe stride missed is diagnosed per rank from its end state. All
-    // ranks stopped at the same step, so the first in rank order is the
-    // earliest `(step, rank)`.
-    for (sim, outcome) in &ranks {
+    // A collective abort is the same error on every rank.
+    for (_, outcome) in &ranks {
         outcome.clone()?;
-        if sim.state.has_blown_up() {
-            if let Some(e) = crate::health::diagnose(&sim.state, sim.step_count, sim.rank) {
-                return Err(e.into());
-            }
+    }
+    let sims: Vec<&Simulation> = ranks.iter().map(|(sim, _)| sim).collect();
+    merge(&sims, &spans, global, &config.stations, restored.as_ref().map(ResumeInfo::of))
+}
+
+/// Where every run ends, one rank ([`Simulation::finish`]) or a grid
+/// ([`run_multirank`]): `ranks[i]` covers `spans[i]` of `global`, and all
+/// of them have stopped stepping. A blow-up the probe stride missed is
+/// diagnosed here from the end states — all ranks stopped at the same
+/// step, so the first in rank order is the earliest `(step, rank)` —
+/// and otherwise the observables are merged back to global coordinates,
+/// `stations` giving the order of the seismograms.
+#[allow(clippy::result_large_err)] // cold abort-path error; see Simulation::step_checked
+fn merge(
+    ranks: &[&Simulation],
+    spans: &[(usize, usize, Dims3)],
+    global: Dims3,
+    stations: &[Station],
+    resume: Option<ResumeInfo>,
+) -> Result<MultiRankOutput, RunError> {
+    for sim in ranks.iter().filter(|sim| sim.state.has_blown_up()) {
+        if let Some(e) = crate::health::diagnose(&sim.state, sim.step_count, sim.rank) {
+            return Err(e.into());
         }
     }
-    // Merge observables.
     let mut seismograms = Vec::new();
     let mut pgv = PgvRecorder::new(global.nx, global.ny);
     let mut flops = 0.0;
     let mut health: Vec<HealthRecord> = Vec::new();
-    for ((sim, _), &(x0, y0, local)) in ranks.iter().zip(&spans) {
+    let (mut probes, mut warnings) = (0, 0);
+    for (sim, &(x0, y0, local)) in ranks.iter().zip(spans) {
         // Restore global surface coordinates on the rank-local stations.
         seismograms.extend(sim.seismo.seismograms().iter().map(|s| {
             let mut s = s.clone();
@@ -1943,19 +1982,20 @@ pub fn run_multirank(
         flops += sim.flops.flops;
         if let Some(report) = sim.health() {
             health.extend(report.records);
+            probes += report.checks;
+            warnings += report.warnings;
         }
     }
     health.sort_by_key(|r| (r.step, r.rank));
     // Stations come back in the order the config listed them, not in
     // rank order — stable across decompositions.
     seismograms.sort_by_key(|s| {
-        config.stations.iter().position(|st| st.name == s.station.name).unwrap_or(usize::MAX)
+        stations.iter().position(|st| st.name == s.station.name).unwrap_or(usize::MAX)
     });
-    let dt = ranks.first().map_or(0.0, |(sim, _)| sim.state.dt);
-    let resume = restored.as_ref().map(ResumeInfo::of);
-    let sims: Vec<&Simulation> = ranks.iter().map(|(sim, _)| sim).collect();
-    let ledger = config.perf.as_deref().map(|rec| freeze_ledger(rec, &sims));
-    Ok(MultiRankOutput { seismograms, pgv, flops, health, dt, resume, ledger })
+    let dt = ranks.first().map_or(0.0, |sim| sim.state.dt);
+    let ledger =
+        ranks.first().and_then(|sim| sim.perf.as_deref()).map(|rec| freeze_ledger(rec, ranks));
+    Ok(MultiRankOutput { seismograms, pgv, flops, health, probes, warnings, dt, resume, ledger })
 }
 
 #[cfg(test)]

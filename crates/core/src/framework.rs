@@ -39,19 +39,12 @@ pub struct FrameworkOutput {
 }
 
 impl UnifiedFramework {
-    /// Run the complete cycle on `grid` ranks.
-    #[allow(clippy::result_large_err)] // cold abort-path error; see Simulation::step_checked
-    pub fn run(
-        &self,
-        model: &(dyn VelocityModel + Sync),
-        grid: RankGrid,
-        rupture_snapshot_times: &[f64],
-    ) -> Result<FrameworkOutput, RunError> {
-        // 1. Dynamic rupture (CG-FDM stage).
+    /// Stages 1–2, shared by both ways of running the waves: dynamic
+    /// rupture (CG-FDM stage), then its export to kinematic subfaults on
+    /// the wave mesh, lowered to the point sources of the returned
+    /// wave-propagation config.
+    fn rupture_stage(&self, rupture_snapshot_times: &[f64]) -> (RuptureResult, SimConfig) {
         let rupture = self.rupture.solve(rupture_snapshot_times);
-        // 2. Export to kinematic subfaults on the wave mesh, lower to
-        //    point sources (the source partitioner runs inside the
-        //    multi-rank driver).
         let fault = export_kinematic(
             &self.rupture.geometry,
             &rupture,
@@ -66,10 +59,23 @@ impl UnifiedFramework {
         // mesh may not cover the full fault).
         let d = config.dims;
         config.sources.retain(|s| s.ix < d.nx && s.iy < d.ny && s.iz < d.nz);
-        // 3–4. Wave propagation with model interpolation and recording.
+        (rupture, config)
+    }
+
+    /// Run the complete cycle on `grid` ranks.
+    #[allow(clippy::result_large_err)] // cold abort-path error; see Simulation::step_checked
+    pub fn run(
+        &self,
+        model: &(dyn VelocityModel + Sync),
+        grid: RankGrid,
+        rupture_snapshot_times: &[f64],
+    ) -> Result<FrameworkOutput, RunError> {
+        let (rupture, config) = self.rupture_stage(rupture_snapshot_times);
+        // 3–4. Wave propagation with model interpolation and recording
+        //      (the source partitioner runs inside the multi-rank driver).
         let waves = run_multirank(model, &config, grid)?;
         // 5. Hazard map from the PGV field.
-        let hazard = HazardMap::from_pgv(&waves.pgv, d.nx, d.ny);
+        let hazard = HazardMap::from_pgv(&waves.pgv, config.dims.nx, config.dims.ny);
         Ok(FrameworkOutput { rupture, waves, hazard })
     }
 
@@ -79,19 +85,7 @@ impl UnifiedFramework {
         model: &dyn VelocityModel,
         rupture_snapshot_times: &[f64],
     ) -> Result<(RuptureResult, Simulation), ConfigError> {
-        let rupture = self.rupture.solve(rupture_snapshot_times);
-        let fault = export_kinematic(
-            &self.rupture.geometry,
-            &rupture,
-            self.rupture.params.shear_modulus,
-            self.config.dx,
-            self.config.origin,
-            self.rake_deg,
-        );
-        let mut config = self.config.clone();
-        config.sources = fault.to_point_sources();
-        let d = config.dims;
-        config.sources.retain(|s| s.ix < d.nx && s.iy < d.ny && s.iz < d.nz);
+        let (rupture, config) = self.rupture_stage(rupture_snapshot_times);
         let mut sim = Simulation::new(model, &config)?;
         sim.run(config.steps);
         Ok((rupture, sim))

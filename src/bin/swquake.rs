@@ -5,7 +5,10 @@
 //! * `run <scenario.json>` — run one earthquake scenario through the
 //!   full solver and write seismograms (CSV), the PGV field, and a
 //!   seismic-intensity hazard map (the bare legacy form
-//!   `swquake <scenario.json>` still works);
+//!   `swquake <scenario.json>` still works). The flags fill in a
+//!   [`swquake::run::RunPlan`]; executing it, and every file it leaves,
+//!   is [`swquake::run::run_scenario`] — the function a campaign member
+//!   runs through too;
 //! * `campaign <campaign.json>` — batch many scenarios through one
 //!   resident solver process: expensive setup artifacts (earth model,
 //!   material state, source lists) are shared through a content-hash
@@ -22,7 +25,7 @@
 //!   two perf ledgers (or bench reports — the formats are
 //!   auto-detected and interchangeable here);
 //! * `imbalance-report <timeline.json>` — render a run timeline (from
-//!   `run --obs`) as a per-phase imbalance table; `--max-skew <frac>`
+//!   `run --obs` or a campaign member) as a per-phase imbalance table; `--max-skew <frac>`
 //!   turns it into a gate that exits 1 when any phase's skew
 //!   `(max − min) / mean` across ranks exceeds the floor;
 //! * `--write-example [path]` — emit a commented scenario template.
@@ -47,12 +50,14 @@
 //! bit-identically, including the seismogram/hazard outputs.
 //! `--ranks <MX>x<MY>` runs the scenario on an MX×MY rank grid (the
 //! multirank runner: two blocking halo exchanges per step, merged
-//! observables, bit-identical to single-rank). `--obs <dir>` arms the run timeline:
-//! heartbeat lines stream to `<dir>/run.jsonl` every `--obs-stride`
-//! steps (default 10) and the final per-rank, per-phase
-//! `<dir>/timeline.json` feeds `swquake imbalance-report`. The
-//! `SWQUAKE_FAULT_PLAN` environment variable arms the deterministic
-//! crash drills (`seed=N;kill@STEP`, `torn@STEP:frac=F`,
+//! observables, bit-identical to single-rank). `--obs <dir>` makes
+//! `<dir>` what a campaign member directory is — `metrics.json`,
+//! `health.jsonl`, `perf.json` and the per-rank, per-phase
+//! `timeline.json` that feeds `swquake imbalance-report` (a path given to
+//! `--metrics`/`--health`/`--perf` moves that one file) — and streams
+//! heartbeat lines to `<dir>/run.jsonl` every `--obs-stride` steps
+//! (default 10). The `SWQUAKE_FAULT_PLAN` environment variable arms the
+//! deterministic crash drills (`seed=N;kill@STEP`, `torn@STEP:frac=F`,
 //! `slow@STEP:rank=R:frac=F`, ... — see `swquake::fault`).
 //!
 //! ```text
@@ -88,19 +93,16 @@
 //! (mirroring a SIGKILLed process). All solver failures flow through
 //! [`swquake::Error`] and are mapped to a code in one place, here.
 
-use std::sync::Arc;
+use std::path::PathBuf;
 use swquake::campaign::CampaignRunOptions;
-use swquake::core::driver::run_multirank;
-use swquake::core::{ExecMode, MultiRankOutput, ResidentMode, Simulation};
-use swquake::health::{HealthConfig, HealthLog};
-use swquake::parallel::RankGrid;
-use swquake::telemetry::bench::{compare, BenchReport};
-use swquake::telemetry::perf::{PerfLedger, PerfRecorder};
-use swquake::telemetry::timeline::{
-    TimelineRecorder, TimelineReport, DEFAULT_HEARTBEAT_STRIDE, RUN_LOG_NAME, TIMELINE_NAME,
+use swquake::core::ResidentMode;
+use swquake::run::{
+    fault_plan_from_env, run_scenario, Artifacts, Checkpoints, Material, Resume, RunPlan,
 };
-use swquake::telemetry::{Telemetry, Tracer};
-use swquake::{Error, Scenario, ScenarioVersion};
+use swquake::telemetry::bench::{compare, BenchReport};
+use swquake::telemetry::perf::PerfLedger;
+use swquake::telemetry::timeline::{TimelineReport, DEFAULT_HEARTBEAT_STRIDE, RUN_LOG_NAME};
+use swquake::{Error, Scenario};
 
 const GENERAL_USAGE: &str = "\
 usage: swquake [run] <scenario.json> [run flags]
@@ -138,8 +140,10 @@ flags:
                                tile)
   --health <out.jsonl>         stream the simulation-health log
   --health-stride <n>          wavefield probe cadence (default 10)
-  --checkpoint-dir <dir>       durable checkpoint store
-  --checkpoint-interval <n>    checkpoint every n steps
+  --checkpoint-dir <dir>       durable checkpoint store (without one no
+                               checkpoint is cut)
+  --checkpoint-interval <n>    checkpoint every n steps (default: the
+                               scenario's checkpoint_interval, else 10)
   --checkpoint-keep <n>        generations to retain
   --resume                     restart from the newest valid checkpoint
   --perf <out.json>            per-kernel performance ledger (wall time,
@@ -150,10 +154,11 @@ flags:
   --ranks <MX>x<MY>            run on an MX x MY rank grid (multirank
                                halo exchange; observables are merged and
                                bit-identical to the single-rank run)
-  --obs <dir>                  run timeline: stream heartbeat lines to
-                               <dir>/run.jsonl and write the final
-                               per-rank, per-phase <dir>/timeline.json
-                               (consumed by `swquake imbalance-report`)
+  --obs <dir>                  observe the run into <dir>, laid out as a
+                               campaign member: metrics.json, health.jsonl,
+                               perf.json, the per-rank per-phase
+                               timeline.json (for `imbalance-report`), plus
+                               heartbeat lines streamed to run.jsonl
   --obs-stride <n>             steps between heartbeat lines (default 10;
                                a final line is always written)";
 
@@ -220,8 +225,8 @@ overrides), 2 on load failures or unit mismatches.";
 const IMBALANCE_REPORT_HELP: &str = "\
 usage: swquake imbalance-report <timeline.json> [--max-skew <frac>]
 
-Render a run timeline (written by `swquake run --obs <dir>`) as a
-per-phase load-imbalance table: per-rank wall time, skew
+Render a run timeline (`swquake run --obs <dir>` and every campaign
+member write one) as a per-phase load-imbalance table: per-rank wall time, skew
 `(max - min) / mean`, the phase's critical rank, the run's overall
 critical-path rank (most non-wait work), the halo-wait fraction, and
 the per-field resident-memory gauges.
@@ -238,7 +243,10 @@ enum Command {
     WriteExample(String),
     Run {
         scenario: String,
-        outputs: RunOutputs,
+        plan: RunPlan,
+        /// `--perf` was given: the ledger also lands one line in the
+        /// history file beside it.
+        perf_history: bool,
     },
     Campaign {
         path: String,
@@ -261,32 +269,16 @@ enum Command {
     },
 }
 
-/// Optional report files a `run` can emit, plus execution overrides.
+/// The `run` flags that only mean something together; every other flag
+/// fills in its [`RunPlan`] field directly.
 #[derive(Default)]
-struct RunOutputs {
-    metrics: Option<String>,
-    trace: Option<String>,
-    roofline: Option<String>,
-    exec: Option<ExecMode>,
-    threads: Option<usize>,
-    resident: Option<ResidentMode>,
-    memory_cap: Option<u64>,
-    health: Option<String>,
-    health_stride: Option<u64>,
-    checkpoint_dir: Option<String>,
+struct StoreAndObs {
+    checkpoint_dir: Option<PathBuf>,
     checkpoint_interval: Option<u64>,
     checkpoint_keep: Option<usize>,
     resume: bool,
-    perf: Option<String>,
-    ranks: Option<(usize, usize)>,
-    obs: Option<String>,
+    obs: Option<PathBuf>,
     obs_stride: Option<u64>,
-}
-
-impl RunOutputs {
-    fn any(&self) -> bool {
-        self.metrics.is_some() || self.trace.is_some() || self.roofline.is_some()
-    }
 }
 
 /// The value of `flag`, through `parse`. A missing or rejected value is
@@ -310,8 +302,8 @@ fn value<T>(
 }
 
 /// [`value`] for a flag that takes a path.
-fn file_arg(flag: &str, args: &mut std::slice::Iter<'_, String>) -> Option<String> {
-    value(flag, args, "a path", |v| Some(v.to_string()))
+fn file_arg<T: From<String>>(flag: &str, args: &mut std::slice::Iter<'_, String>) -> Option<T> {
+    value(flag, args, "a path", |v| Some(v.to_string().into()))
 }
 
 /// [`value`] through `T`'s own `FromStr`.
@@ -325,73 +317,119 @@ fn parsed<T: std::str::FromStr>(
 
 const EXEC_MODES: &str = "serial, parallel, simd or auto";
 
-fn parse_args(args: &[String]) -> Option<Command> {
+/// The line of [`GENERAL_USAGE`] that names `subcommand`, as a usage text
+/// of its own: what a usage error prints under its reason.
+fn usage_of(subcommand: &str) -> String {
+    let line = GENERAL_USAGE.lines().find(|l| l.contains(subcommand)).unwrap_or(GENERAL_USAGE);
+    format!("usage: {}", line.trim_start_matches("usage:").trim_start())
+}
+
+/// `Err` is the usage text to print; the reason is already on stderr.
+fn parse_args(args: &[String]) -> Result<Command, String> {
     let rest = args.get(1..).unwrap_or_default();
-    match args.first().map(String::as_str) {
-        Some("--help") | Some("-h") => return Some(Command::Help(GENERAL_USAGE)),
+    let (subcommand, parsed) = match args.first().map(String::as_str) {
+        None => return Err(GENERAL_USAGE.to_string()),
+        Some("--help") | Some("-h") => return Ok(Command::Help(GENERAL_USAGE)),
         // One command under two names.
-        Some("bench-diff") => return parse_diff("bench-diff", BENCH_DIFF_HELP, rest),
-        Some("perf-diff") => return parse_diff("perf-diff", PERF_DIFF_HELP, rest),
-        Some("perf-report") => {
-            return parse_report(rest, PERF_REPORT_HELP, "--min-fraction", 1, |mut paths, min| {
+        Some("bench-diff") => ("bench-diff", parse_diff("bench-diff", BENCH_DIFF_HELP, rest)),
+        Some("perf-diff") => ("perf-diff", parse_diff("perf-diff", PERF_DIFF_HELP, rest)),
+        Some("perf-report") => (
+            "perf-report",
+            parse_report(rest, PERF_REPORT_HELP, "--min-fraction", 1, |mut paths, min| {
                 Command::PerfReport { path: paths.remove(0), min_fraction: min.unwrap_or(0.0) }
-            })
-        }
-        Some("imbalance-report") => {
-            return parse_report(rest, IMBALANCE_REPORT_HELP, "--max-skew", 1, |mut paths, skew| {
+            }),
+        ),
+        Some("imbalance-report") => (
+            "imbalance-report",
+            parse_report(rest, IMBALANCE_REPORT_HELP, "--max-skew", 1, |mut paths, skew| {
                 Command::ImbalanceReport { path: paths.remove(0), max_skew: skew }
-            })
-        }
-        Some("campaign") => return parse_campaign(rest),
-        _ => {}
+            }),
+        ),
+        Some("campaign") => ("campaign", parse_campaign(rest)),
+        // Optional `run` subcommand before the scenario path.
+        Some("run") => ("[run]", parse_run(rest)),
+        Some(_) => ("[run]", parse_run(args)),
+    };
+    parsed.ok_or_else(|| usage_of(subcommand))
+}
+
+/// Name an unknown flag on stderr; the caller's `None` prints the usage.
+fn unknown_flag<T>(flag: &str) -> Option<T> {
+    eprintln!("unknown flag '{flag}'");
+    None
+}
+
+/// Exactly `n` positional arguments (`what` they are, for the message), or
+/// the missing or stray one named on stderr.
+fn positionals(found: Vec<String>, n: usize, what: &str) -> Option<Vec<String>> {
+    if let Some(stray) = found.get(n) {
+        eprintln!("unexpected argument '{stray}'");
+        return None;
     }
+    if found.len() < n {
+        eprintln!("missing {what}");
+        return None;
+    }
+    Some(found)
+}
+
+fn parse_run(args: &[String]) -> Option<Command> {
     let mut positional: Vec<String> = Vec::new();
-    let mut outputs = RunOutputs::default();
+    let mut plan = RunPlan { announce: true, ..RunPlan::default() };
+    let mut late = StoreAndObs::default();
     let mut write_example = false;
     let mut iter = args.iter();
     while let Some(a) = iter.next() {
         match a.as_str() {
             "--help" | "-h" => return Some(Command::Help(RUN_HELP)),
             "--write-example" => write_example = true,
-            "--metrics" => outputs.metrics = Some(file_arg(a, &mut iter)?),
-            "--trace" => outputs.trace = Some(file_arg(a, &mut iter)?),
-            "--roofline" => outputs.roofline = Some(file_arg(a, &mut iter)?),
-            "--exec" => outputs.exec = Some(parsed(a, &mut iter, EXEC_MODES)?),
-            "--threads" => outputs.threads = Some(parsed(a, &mut iter, "a thread count")?),
-            "--resident" => outputs.resident = Some(parsed(a, &mut iter, "full or compressed16")?),
+            "--metrics" => plan.artifacts.metrics = Some(file_arg(a, &mut iter)?),
+            "--trace" => plan.artifacts.trace = Some(file_arg(a, &mut iter)?),
+            "--roofline" => plan.artifacts.roofline = Some(file_arg(a, &mut iter)?),
+            "--health" => plan.artifacts.health = Some(file_arg(a, &mut iter)?),
+            "--perf" => plan.artifacts.perf = Some(file_arg(a, &mut iter)?),
+            "--exec" => plan.exec = Some(parsed(a, &mut iter, EXEC_MODES)?),
+            "--threads" => plan.threads = Some(parsed(a, &mut iter, "a thread count")?),
+            "--resident" => plan.resident = Some(parsed(a, &mut iter, "full or compressed16")?),
             "--memory-cap" => {
                 let expects = "a byte count, optionally with a k, m or g suffix";
-                outputs.memory_cap = Some(value(a, &mut iter, expects, parse_bytes)?)
+                plan.memory_cap = Some(value(a, &mut iter, expects, parse_bytes)?)
             }
-            "--health" => outputs.health = Some(file_arg(a, &mut iter)?),
             "--health-stride" => {
-                outputs.health_stride = Some(parsed(a, &mut iter, "a number of steps")?)
+                plan.health_stride = Some(parsed(a, &mut iter, "a number of steps")?)
             }
-            "--checkpoint-dir" => outputs.checkpoint_dir = Some(file_arg(a, &mut iter)?),
-            "--checkpoint-interval" => {
-                outputs.checkpoint_interval = Some(parsed(a, &mut iter, "a number of steps")?)
-            }
-            "--checkpoint-keep" => {
-                outputs.checkpoint_keep = Some(parsed(a, &mut iter, "a number of generations")?)
-            }
-            "--resume" => outputs.resume = true,
-            "--perf" => outputs.perf = Some(file_arg(a, &mut iter)?),
             "--ranks" => {
                 let expects = "<MX>x<MY>, both at least 1";
-                outputs.ranks = Some(value(a, &mut iter, expects, parse_rank_grid)?)
+                plan.ranks = Some(value(a, &mut iter, expects, parse_rank_grid)?)
             }
-            "--obs" => outputs.obs = Some(file_arg(a, &mut iter)?),
-            "--obs-stride" => outputs.obs_stride = Some(parsed(a, &mut iter, "a number of steps")?),
-            flag if flag.starts_with("--") => return None,
+            "--checkpoint-dir" => late.checkpoint_dir = Some(file_arg(a, &mut iter)?),
+            "--checkpoint-interval" => {
+                late.checkpoint_interval = Some(parsed(a, &mut iter, "a number of steps")?)
+            }
+            "--checkpoint-keep" => {
+                late.checkpoint_keep = Some(parsed(a, &mut iter, "a number of generations")?)
+            }
+            "--resume" => late.resume = true,
+            "--obs" => late.obs = Some(file_arg(a, &mut iter)?),
+            "--obs-stride" => late.obs_stride = Some(parsed(a, &mut iter, "a number of steps")?),
+            flag if flag.starts_with("--") => return unknown_flag(flag),
             other => positional.push(other.to_string()),
         }
     }
-    // Flag pairs that cannot work together are usage errors; say which
-    // pair and why before the usage text.
-    let ranked = outputs.ranks.is_some_and(|(mx, my)| mx * my > 1);
-    let clash = if outputs.resume && outputs.checkpoint_dir.is_none() {
+    // Flag pairs that cannot work together, and flags that would silently
+    // do nothing alone, are usage errors; say which and why before the
+    // usage text.
+    let ranked = plan.ranks.is_some_and(|(mx, my)| mx * my > 1);
+    let store = late.checkpoint_dir.is_some();
+    let clash = if late.resume && !store {
         Some("--resume needs --checkpoint-dir: there is no store to resume from")
-    } else if ranked && outputs.resident == Some(ResidentMode::Compressed16) {
+    } else if late.checkpoint_interval.is_some() && !store {
+        Some("--checkpoint-interval needs --checkpoint-dir: without a store no checkpoint is cut")
+    } else if late.checkpoint_keep.is_some() && !store {
+        Some("--checkpoint-keep needs --checkpoint-dir: there is no store to retain anything in")
+    } else if late.obs_stride.is_some() && late.obs.is_none() {
+        Some("--obs-stride needs --obs: there is no heartbeat stream to pace")
+    } else if ranked && plan.resident == Some(ResidentMode::Compressed16) {
         Some(
             "--ranks and --resident compressed16 cannot be combined: the halo exchange reads \
              the f32 wavefield arrays, which compressed16 does not keep",
@@ -407,15 +445,26 @@ fn parse_args(args: &[String]) -> Option<Command> {
         let path = positional.first().cloned().unwrap_or_else(|| "scenario.json".to_string());
         return Some(Command::WriteExample(path));
     }
-    // Optional `run` subcommand before the scenario path.
-    if positional.first().map(String::as_str) == Some("run") {
-        positional.remove(0);
+    let scenario = positionals(positional, 1, "<scenario.json>")?.remove(0);
+    plan.checkpoints = late.checkpoint_dir.map(|dir| Checkpoints {
+        dir,
+        interval: late.checkpoint_interval,
+        keep: late.checkpoint_keep,
+    });
+    plan.resume = if late.resume { Resume::Required } else { Resume::Fresh };
+    // `--obs <dir>` is the member layout under <dir> plus the heartbeat
+    // stream; a path given by its own flag wins.
+    let perf_history = plan.artifacts.perf.is_some();
+    if let Some(dir) = late.obs {
+        let member = Artifacts::member(&dir, true);
+        let art = &mut plan.artifacts;
+        art.metrics = art.metrics.take().or(member.metrics);
+        art.health = art.health.take().or(member.health);
+        art.perf = art.perf.take().or(member.perf);
+        art.timeline = member.timeline;
+        art.heartbeat_stride = Some(late.obs_stride.unwrap_or(DEFAULT_HEARTBEAT_STRIDE));
     }
-    if positional.len() == 1 {
-        Some(Command::Run { scenario: positional.remove(0), outputs })
-    } else {
-        None
-    }
+    Some(Command::Run { scenario, plan, perf_history })
 }
 
 /// A byte count with an optional k/m/g suffix (powers of 1024), e.g.
@@ -450,18 +499,15 @@ fn parse_campaign(args: &[String]) -> Option<Command> {
             "--jobs" => opts.jobs = Some(parsed(a, &mut iter, "a number of scenarios")?),
             "--resume" => opts.resume = true,
             "--fail-fast" => opts.fail_fast = Some(true),
-            "--exec" => opts.exec = Some(parsed(a, &mut iter, EXEC_MODES)?),
-            "--threads" => opts.threads = Some(parsed(a, &mut iter, "a thread count")?),
+            "--exec" => opts.member.exec = Some(parsed(a, &mut iter, EXEC_MODES)?),
+            "--threads" => opts.member.threads = Some(parsed(a, &mut iter, "a thread count")?),
             "--perf" => opts.perf = true,
-            flag if flag.starts_with("--") => return None,
+            flag if flag.starts_with("--") => return unknown_flag(flag),
             other => positional.push(other.to_string()),
         }
     }
-    if positional.len() == 1 {
-        Some(Command::Campaign { path: positional.remove(0), opts })
-    } else {
-        None
-    }
+    let path = positionals(positional, 1, "<campaign.json>")?.remove(0);
+    Some(Command::Campaign { path, opts })
 }
 
 /// The report subcommands share one shape: `--help`, one optional
@@ -481,11 +527,12 @@ fn parse_report(
         match a.as_str() {
             "--help" | "-h" => return Some(Command::Help(help)),
             given if given == flag => fraction = Some(parsed(a, &mut iter, "a fraction")?),
-            other if other.starts_with("--") => return None,
+            other if other.starts_with("--") => return unknown_flag(other),
             other => positional.push(other.to_string()),
         }
     }
-    (positional.len() == paths).then(|| build(positional, fraction))
+    let what = if paths == 1 { "the report file" } else { "<old.json> <new.json>" };
+    Some(build(positionals(positional, paths, what)?, fraction))
 }
 
 fn parse_diff(tool: &'static str, help: &'static str, args: &[String]) -> Option<Command> {
@@ -498,36 +545,38 @@ fn parse_diff(tool: &'static str, help: &'static str, args: &[String]) -> Option
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let code = match parse_args(&args) {
-        None => {
-            eprintln!("{GENERAL_USAGE}");
+        Err(usage) => {
+            eprintln!("{usage}");
             2
         }
-        Some(Command::Help(text)) => {
+        Ok(Command::Help(text)) => {
             println!("{text}");
             0
         }
-        Some(Command::WriteExample(path)) => {
+        Ok(Command::WriteExample(path)) => {
             std::fs::write(&path, Scenario::example().to_json()).expect("write example scenario");
             println!("wrote example scenario to {path}");
             0
         }
-        Some(Command::Run { scenario, outputs }) => match run(&scenario, &outputs) {
-            Ok(()) => 0,
-            Err(e) => {
-                eprintln!("{e}");
-                match e {
-                    Error::Unstable(_) => 1,
-                    // Same code a SIGKILLed process reports (128 + 9):
-                    // the crash drills in CI assert on it.
-                    Error::Killed(_) => 137,
-                    _ => 2,
+        Ok(Command::Run { scenario, plan, perf_history }) => {
+            match run(&scenario, plan, perf_history) {
+                Ok(()) => 0,
+                Err(e) => {
+                    eprintln!("{e}");
+                    match e {
+                        Error::Unstable(_) => 1,
+                        // Same code a SIGKILLed process reports (128 + 9):
+                        // the crash drills in CI assert on it.
+                        Error::Killed(_) => 137,
+                        _ => 2,
+                    }
                 }
             }
-        },
-        Some(Command::Campaign { path, opts }) => campaign(&path, &opts),
-        Some(Command::Diff { tool, old, new, tolerance }) => diff(tool, &old, &new, tolerance),
-        Some(Command::PerfReport { path, min_fraction }) => perf_report(&path, min_fraction),
-        Some(Command::ImbalanceReport { path, max_skew }) => imbalance_report(&path, max_skew),
+        }
+        Ok(Command::Campaign { path, opts }) => campaign(&path, &opts),
+        Ok(Command::Diff { tool, old, new, tolerance }) => diff(tool, &old, &new, tolerance),
+        Ok(Command::PerfReport { path, min_fraction }) => perf_report(&path, min_fraction),
+        Ok(Command::ImbalanceReport { path, max_skew }) => imbalance_report(&path, max_skew),
     };
     std::process::exit(code);
 }
@@ -679,274 +728,83 @@ fn imbalance_report(path: &str, max_skew: Option<f64>) -> i32 {
     }
 }
 
+/// Flags → [`RunPlan`] happened at parsing; this is file → scenario →
+/// the one runner → print the [`swquake::run::RunSummary`].
 #[allow(clippy::result_large_err)] // cold abort-path error; see Scenario::from_json
-fn run(path: &str, outputs: &RunOutputs) -> Result<(), Error> {
+fn run(path: &str, mut plan: RunPlan, perf_history: bool) -> Result<(), Error> {
     swquake::core::exec::check_env()?;
     let text = std::fs::read_to_string(path)
         .map_err(|e| Error::Io { path: path.to_string(), source: e })?;
     let (scenario, version) = Scenario::from_json_versioned(&text)?;
-    if version == ScenarioVersion::V1 {
-        eprintln!(
-            "warning: {path} uses the deprecated v1 scenario schema (no `schema` field); \
-             re-emit it with `swquake --write-example` conventions (`schema: 2`)"
-        );
-    }
+    version.warn_if_deprecated(path);
+    plan.prefix = scenario.output_prefix.clone();
+    plan.fault = fault_plan_from_env()?;
     let model = scenario.build_model();
-    // Counters/timers feed --metrics and --roofline; the tracer feeds
-    // --trace. Without any of the three this stays the disabled
-    // (branch-on-None) telemetry, bit-identical to an uninstrumented run.
-    let mut telemetry = if outputs.any() { Telemetry::enabled() } else { Telemetry::disabled() };
-    if outputs.trace.is_some() {
-        telemetry = telemetry.with_tracer(Tracer::enabled());
-        telemetry.tracer().bind_lane(0, "driver");
-    }
-    let mut cfg = scenario.to_config(model.as_ref())?.with_telemetry(telemetry.clone());
-    // `--perf` arms the per-kernel ledger; without it the recorder stays
-    // `None` and every instrumentation site is a branch on a cold Option.
-    let perf_recorder = outputs.perf.as_ref().map(|_| Arc::new(PerfRecorder::new()));
-    if let Some(p) = &perf_recorder {
-        cfg = cfg.with_perf(Arc::clone(p));
-    }
-    if let Some(exec) = outputs.exec {
-        cfg = cfg.with_exec(exec);
-    }
-    if let Some(threads) = outputs.threads {
-        cfg = cfg.with_threads(threads);
-    }
-    if let Some(resident) = outputs.resident {
-        cfg = cfg.with_resident(resident);
-    }
-    if let Some(cap) = outputs.memory_cap {
-        cfg = cfg.with_memory_cap(cap);
-    }
-    // Health monitoring is always armed so a blow-up aborts with a
-    // diagnosis; `--health` additionally streams the JSONL log.
-    let stride = outputs
-        .health_stride
-        .or_else(swquake::core::exec::health_stride_from_env)
-        .unwrap_or(HealthConfig::default().stride);
-    let mut health_cfg = HealthConfig::default()
-        .with_stride(stride)
-        .with_bundle_dir(format!("{}_health_bundle", scenario.output_prefix));
-    if let Some(log_path) = &outputs.health {
-        let log = HealthLog::create(log_path)
-            .map_err(|e| Error::Io { path: log_path.clone(), source: e })?;
-        health_cfg.log_path = Some(log_path.clone());
-        cfg = cfg.with_health_log(Arc::new(log));
-    }
-    cfg = cfg.with_health(health_cfg);
-    // Durable checkpointing + crash drills.
-    if let Some(dir) = &outputs.checkpoint_dir {
-        cfg = cfg.with_checkpoint_dir(dir);
-        // Persisting needs a cadence: CLI flag > scenario field > a
-        // conservative default.
-        let interval = outputs.checkpoint_interval.unwrap_or(if cfg.checkpoint_interval > 0 {
-            cfg.checkpoint_interval
-        } else {
-            10
-        });
-        cfg = cfg.with_checkpoint_interval(interval);
-        if let Some(keep) = outputs.checkpoint_keep {
-            cfg = cfg.with_checkpoint_keep(keep);
-        }
-    }
-    let fault = swquake::fault::FaultPlan::from_env().map_err(|e| Error::FaultPlan(e.0))?;
-    if let Some(plan) = fault {
-        eprintln!("fault plan armed from SWQUAKE_FAULT_PLAN: {} event(s)", plan.events().len());
-        cfg = cfg.with_fault_plan(Some(Arc::new(plan)));
-    }
-    // `--obs` arms the run timeline: per-rank per-phase spans, streamed
-    // heartbeats in <dir>/run.jsonl, final report in <dir>/timeline.json.
-    let timeline = match &outputs.obs {
-        Some(dir) => {
-            let stride = outputs.obs_stride.unwrap_or(DEFAULT_HEARTBEAT_STRIDE);
-            let rec = TimelineRecorder::new()
-                .with_total_steps(cfg.steps as u64)
-                .with_stream(std::path::Path::new(dir), stride)
-                .map_err(|e| Error::Io { path: dir.clone(), source: e })?;
-            Some(Arc::new(rec))
-        }
-        None => None,
-    };
-    if let Some(tl) = &timeline {
-        cfg = cfg.with_timeline(Arc::clone(tl));
-    }
-    // Resolve the mode against the pool width the run will use.
-    swquake::core::exec::configure_threads(cfg.threads);
-    println!(
-        "mesh {} at dx = {} m, {} steps, model {}, nonlinear {}, compression {}, exec {} \
-         (path {}), lanes {}{}",
-        cfg.dims,
-        cfg.dx,
-        cfg.steps,
-        scenario.model,
-        scenario.nonlinear,
-        scenario.compression,
-        cfg.exec,
-        cfg.exec.resolve_path(cfg.dims.len()),
-        swquake::grid::simd::LaneTier::active(),
-        if cfg.resident == ResidentMode::Compressed16 { ", resident compressed16" } else { "" }
-    );
-    // Either path runs the one step schedule and hands the tail below
-    // the same things. `--ranks MxN` runs it on halo-exchanged
-    // subdomains and merges the observables back to global coordinates
-    // (bit-identical to the single-rank run); without it the simulation
-    // stays here, which is what the resident banner needs.
-    let ranks = outputs.ranks.filter(|&(mx, my)| mx * my > 1);
-    let t0 = std::time::Instant::now();
-    let done = match ranks {
-        Some((mx, my)) => {
-            cfg = cfg.with_resume(outputs.resume);
-            let out = run_multirank(model.as_ref(), &cfg, RankGrid::new(mx, my))?;
-            Finished { health: format!("{} records", out.health.len()), out }
-        }
-        None => {
-            let (mut sim, resume) = if outputs.resume {
-                let (sim, info) = Simulation::resume(model.as_ref(), &cfg)?;
-                (sim, Some(info))
-            } else {
-                (Simulation::new(model.as_ref(), &cfg)?, None)
-            };
-            if let (Some(stored), Some(slab)) =
-                (sim.resident_stored_bytes(), sim.resident_working_set_bytes())
-            {
-                println!(
-                    "resident compressed16: stores {stored} B, decode slab {slab} B{}",
-                    match outputs.memory_cap {
-                        Some(cap) => format!(" (cap {cap} B)"),
-                        None => String::new(),
-                    }
-                );
-            }
-            sim.run_checked(cfg.steps.saturating_sub(sim.step_count as usize))?;
-            if sim.state.has_blown_up() {
-                // The watchdog missed it (probe stride too coarse for the
-                // tail of the run) — diagnose post-hoc so the exit still
-                // explains where the wavefield first went bad, as
-                // `run_multirank` does from its ranks' end states.
-                if let Some(e) = swquake::core::health::diagnose(&sim.state, sim.step_count, 0) {
-                    return Err(Error::Unstable(e));
-                }
-            }
-            let health = sim.health().expect("the watchdog is armed above");
-            Finished {
-                health: format!("{} probes, {} warnings", health.checks, health.warnings),
-                out: MultiRankOutput {
-                    seismograms: sim.seismo.seismograms().to_vec(),
-                    pgv: sim.pgv.clone(),
-                    flops: sim.flops.flops,
-                    health: health.records,
-                    dt: sim.state.dt,
-                    resume,
-                    ledger: sim.perf_ledger(),
-                },
-            }
-        }
-    };
-    let wall = t0.elapsed().as_secs_f64();
-    if let Some(info) = &done.out.resume {
-        for (skipped_step, reason) in &info.skipped {
-            eprintln!("warning: skipped checkpoint generation at step {skipped_step}: {reason}");
-        }
+    let done = run_scenario(
+        &scenario,
+        Material { model: model.as_ref(), state: None, sources: None },
+        &plan,
+    )?;
+
+    if let Some(info) = &done.merged.resume {
         println!(
             "resumed from checkpoint generation at step {} (t = {:.4} s)",
             info.step, info.time
         );
     }
     println!(
-        "simulated {:.2} s in {wall:.1} s wall time ({:.2} Gflop/s sustained){}",
-        cfg.steps as f64 * done.out.dt,
-        done.out.flops / wall / 1e9,
-        ranks.map_or(String::new(), |(mx, my)| format!(" on {mx}x{my} ranks"))
+        "simulated {:.2} s in {:.1} s wall time ({:.2} Gflop/s sustained){}",
+        done.steps as f64 * done.merged.dt,
+        done.wall_s,
+        done.merged.flops / done.wall_s / 1e9,
+        match plan.ranks {
+            Some((mx, my)) if mx * my > 1 => format!(" on {mx}x{my} ranks"),
+            _ => String::new(),
+        }
     );
-    let files = swquake::outputs::write_result_files(
-        &done.out.seismograms,
-        &done.out.pgv,
-        done.out.dt,
-        &cfg,
-        &scenario.output_prefix,
-        &telemetry,
-    )?;
-    println!("wrote {} and {}", files.seismograms, files.hazard);
-    println!("PGV max {:.3e} m/s, max intensity {:.1}", files.pgv_max, files.max_intensity);
-
-    if let Some(metrics_path) = &outputs.metrics {
-        std::fs::write(metrics_path, telemetry.report().to_json())
-            .map_err(|e| Error::Io { path: metrics_path.to_string(), source: e })?;
-        println!("wrote metrics to {metrics_path}");
+    println!("wrote {} and {}", done.files.seismograms, done.files.hazard);
+    println!(
+        "PGV max {:.3e} m/s, max intensity {:.1}",
+        done.files.pgv_max, done.files.max_intensity
+    );
+    let art = &plan.artifacts;
+    if let Some(metrics) = &art.metrics {
+        println!("wrote metrics to {}", metrics.display());
     }
-    if let Some(roofline_path) = &outputs.roofline {
-        let report = swquake::core::roofline::attribute(
-            cfg.dims,
-            cfg.options.nonlinear,
-            cfg.compression,
-            &telemetry.report(),
-        );
-        std::fs::write(roofline_path, report.to_json())
-            .map_err(|e| Error::Io { path: roofline_path.to_string(), source: e })?;
+    if let (Some(roofline), Some(report)) = (&art.roofline, &done.roofline) {
         print!("{}", report.text_table());
-        println!("wrote roofline report to {roofline_path}");
+        println!("wrote roofline report to {}", roofline.display());
     }
-    write_trace(outputs, &telemetry)?;
-    if let Some(health_path) = &outputs.health {
-        println!("wrote health log to {health_path} ({})", done.health);
+    if let Some(trace) = &art.trace {
+        println!("wrote trace to {} (open in Perfetto or chrome://tracing)", trace.display());
     }
-    if let (Some(perf_path), Some(ledger)) = (&outputs.perf, &done.out.ledger) {
-        let path = std::path::Path::new(perf_path);
-        ledger.write_file(path).map_err(|e| Error::Io { path: perf_path.clone(), source: e })?;
-        // Every instrumented run also lands one line in the durable
-        // history next to the ledger, so trends survive overwrites.
-        let history = path.with_file_name("perf_history.jsonl");
-        swquake::io::jsonl::append_line(&history, &ledger.history_line("run"))
-            .map_err(|e| Error::Io { path: history.display().to_string(), source: e })?;
-        println!("wrote perf ledger to {perf_path} (history appended to {})", history.display());
-    }
-    finalize_timeline(outputs, timeline.as_ref())
-}
-
-/// What either way of executing a scenario hands the one tail of `run`:
-/// the observables and the ledger (merged, for a rank grid) and the one
-/// thing the two count differently.
-struct Finished {
-    out: MultiRankOutput,
-    /// What the `--health` line counts.
-    health: String,
-}
-
-/// Export the Chrome trace when `--trace` was given, warning first when
-/// ring-buffer eviction dropped events — the `trace.dropped_events`
-/// counter alone is easy to miss, and a silently truncated trace reads
-/// as a complete one.
-#[allow(clippy::result_large_err)] // cold abort-path error; see Scenario::from_json
-fn write_trace(outputs: &RunOutputs, telemetry: &Telemetry) -> Result<(), Error> {
-    let Some(trace_path) = &outputs.trace else { return Ok(()) };
-    let dropped = telemetry.tracer().dropped_events();
-    if dropped > 0 {
-        eprintln!(
-            "warning: {dropped} trace event(s) were dropped by ring-buffer eviction; \
-             the exported trace is incomplete"
+    if let Some(health) = &art.health {
+        println!(
+            "wrote health log to {} ({} probes, {} warnings)",
+            health.display(),
+            done.merged.probes,
+            done.merged.warnings
         );
     }
-    std::fs::write(trace_path, telemetry.tracer().to_chrome_json())
-        .map_err(|e| Error::Io { path: trace_path.to_string(), source: e })?;
-    println!("wrote trace to {trace_path} (open in Perfetto or chrome://tracing)");
-    Ok(())
-}
-
-/// Finalize the `--obs` timeline: emit the closing heartbeat, write
-/// `<dir>/timeline.json`, and print the per-phase imbalance table.
-#[allow(clippy::result_large_err)] // cold abort-path error; see Scenario::from_json
-fn finalize_timeline(
-    outputs: &RunOutputs,
-    timeline: Option<&Arc<TimelineRecorder>>,
-) -> Result<(), Error> {
-    let (Some(dir), Some(tl)) = (&outputs.obs, timeline) else { return Ok(()) };
-    let report = tl.finish();
-    let path = std::path::Path::new(dir).join(TIMELINE_NAME);
-    let text = serde_json::to_string(&report).expect("timeline serialization is infallible");
-    std::fs::write(&path, text)
-        .map_err(|e| Error::Io { path: path.display().to_string(), source: e })?;
-    print!("{}", report.text_table());
-    println!("wrote run timeline to {} (heartbeats in {dir}/{RUN_LOG_NAME})", path.display());
+    if let (Some(perf), Some(ledger)) = (&art.perf, &done.merged.ledger) {
+        print!("wrote perf ledger to {}", perf.display());
+        if perf_history {
+            // A ledger asked for by name also lands one line in the
+            // durable history next to it, so trends survive overwrites.
+            let history = perf.with_file_name("perf_history.jsonl");
+            swquake::io::jsonl::append_line(&history, &ledger.history_line("run"))
+                .map_err(|e| Error::Io { path: history.display().to_string(), source: e })?;
+            print!(" (history appended to {})", history.display());
+        }
+        println!();
+    }
+    if let (Some(dir), Some(report)) = (&art.timeline, &done.timeline) {
+        print!("{}", report.text_table());
+        println!(
+            "wrote run timeline to {} (heartbeats in {})",
+            dir.join(swquake::telemetry::timeline::TIMELINE_NAME).display(),
+            dir.join(RUN_LOG_NAME).display()
+        );
+    }
     Ok(())
 }

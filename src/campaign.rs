@@ -6,9 +6,10 @@
 //! the durable manifest. This module supplies the solver side: parsing
 //! each scenario ([`Scenario::from_value_versioned`]), sharing the
 //! expensive setup artifacts across scenarios through the campaign's
-//! [`sw_campaign::ArtifactCache`], wiring per-scenario health logs / checkpoint
-//! stores / telemetry, running (or resuming) the simulation, and writing
-//! the same output files `swquake run` writes.
+//! [`sw_campaign::ArtifactCache`], and handing each member to
+//! [`crate::run::run_scenario`] — the function `swquake run` calls —
+//! with the member directory's fixed file names
+//! ([`Artifacts::member`]).
 //!
 //! # What gets shared
 //!
@@ -16,7 +17,7 @@
 //!   extent-free models share one instance campaign-wide, extent-bound
 //!   ones per mesh shape;
 //! * `state/…` — the sampled material state
-//!   ([`SolverState::from_model`], the dominant setup cost), keyed by
+//!   ([`Scenario::sample_state`], the dominant setup cost), keyed by
 //!   model + mesh + spacing + solver options; scenarios differing only
 //!   in sources/stations/duration share it;
 //! * `sources/…` — the lowered source list, keyed by a content hash of
@@ -27,8 +28,8 @@
 //! `campaign.artifact_misses` in the campaign telemetry and summary.
 
 use crate::error::Error;
-use crate::outputs::write_outputs;
-use crate::scenario::{Scenario, ScenarioVersion};
+use crate::run::{self, Artifacts, Checkpoints, Material, Resume, RunPlan};
+use crate::scenario::Scenario;
 use std::sync::Arc;
 use sw_campaign::{
     content_hash, CampaignError, CampaignOptions, CampaignReport, CampaignSpec, FailureClass,
@@ -38,11 +39,6 @@ use sw_model::VelocityModel;
 use sw_source::PointSource;
 use sw_telemetry::Telemetry;
 use swquake_core::state::SolverState;
-use swquake_core::{ExecMode, Simulation};
-
-/// Checkpoint cadence for campaign scenarios that do not set one
-/// (matches the `swquake run --checkpoint-dir` default).
-const DEFAULT_CHECKPOINT_INTERVAL: u64 = 10;
 
 /// The `swquake campaign` flags, resolved.
 #[derive(Default)]
@@ -55,10 +51,11 @@ pub struct CampaignRunOptions {
     pub resume: bool,
     /// Override the spec's `fail_fast`.
     pub fail_fast: Option<bool>,
-    /// Kernel implementation for every scenario.
-    pub exec: Option<ExecMode>,
-    /// Worker-pool width for every scenario.
-    pub threads: Option<usize>,
+    /// What every member's plan starts from: `--exec` and `--threads`
+    /// land here; the fault plan is read from the environment, and the
+    /// per-member fields (prefix, store, artifacts, resume) are filled in
+    /// per scenario.
+    pub member: RunPlan,
     /// Campaign-wide telemetry handle (`campaign.*` counters land here);
     /// `None` uses a fresh enabled handle.
     pub telemetry: Option<Telemetry>,
@@ -101,19 +98,16 @@ pub fn run_campaign_file(
     // The fault plan is read once, campaign-wide: every scenario arms the
     // same drill (kill@N kills whichever scenario reaches step N — the
     // crash drills run sequentially so the victim is deterministic).
-    let fault = sw_fault::FaultPlan::from_env().map_err(|e| CampaignError {
+    let fault = run::fault_plan_from_env().map_err(|e| CampaignError {
         scenario: None,
         phase: Phase::Setup,
-        detail: format!("invalid fault plan: {}", e.0),
+        detail: e.to_string(),
         class: FailureClass::Usage,
     })?;
-    if let Some(plan) = &fault {
-        eprintln!("fault plan armed from SWQUAKE_FAULT_PLAN: {} event(s)", plan.events().len());
-    }
-    let fault = fault.map(Arc::new);
+    let member = RunPlan { fault, ..opts.member.clone() };
     retain_freed_heap();
     sw_campaign::run_campaign(&spec, std::path::Path::new(&dir), &engine_opts, |task| {
-        run_scenario(task, opts, fault.clone())
+        run_member(task, &member, opts.perf)
     })
 }
 
@@ -153,12 +147,8 @@ pub fn exit_code(report: &CampaignReport) -> i32 {
 }
 
 /// Run one scenario for the engine, classifying any failure.
-fn run_scenario(
-    task: &Task<'_>,
-    opts: &CampaignRunOptions,
-    fault: Option<Arc<sw_fault::FaultPlan>>,
-) -> Outcome {
-    match try_run_scenario(task, opts, fault) {
+fn run_member(task: &Task<'_>, member: &RunPlan, perf: bool) -> Outcome {
+    match try_run_member(task, member, perf) {
         Ok(detail) => Outcome::Done { detail },
         Err(Error::Unstable(e)) => Outcome::Unstable { detail: e.to_string() },
         Err(Error::Killed(e)) => Outcome::Killed { detail: e.to_string() },
@@ -176,140 +166,49 @@ fn phase_of(e: &Error) -> Phase {
     }
 }
 
+/// Cache look-ups, then the one runner with the member directory's fixed
+/// names, then the rollups.
 #[allow(clippy::result_large_err)] // cold abort-path error; see Scenario::from_json
-fn try_run_scenario(
-    task: &Task<'_>,
-    opts: &CampaignRunOptions,
-    fault: Option<Arc<sw_fault::FaultPlan>>,
-) -> Result<String, Error> {
+fn try_run_member(task: &Task<'_>, member: &RunPlan, perf: bool) -> Result<String, Error> {
     let (scenario, version) = Scenario::from_value_versioned(task.scenario)?;
-    if version == ScenarioVersion::V1 {
-        eprintln!(
-            "warning: scenario `{}` uses the deprecated v1 schema (no `schema` field); \
-             re-emit it with `swquake --write-example` conventions (`schema: 2`)",
-            task.id
-        );
-    }
-    std::fs::create_dir_all(&task.dir)
-        .map_err(|e| Error::Io { path: task.dir.display().to_string(), source: e })?;
+    version.warn_if_deprecated(&format!("scenario `{}`", task.id));
 
-    // --- shared artifacts -------------------------------------------------
     let model: Arc<Box<dyn VelocityModel>> =
         task.cache.get_or_build(&scenario.model_cache_key(), || scenario.build_model());
-    let mut cfg = scenario.to_config(model.as_ref().as_ref())?;
+    let model = model.as_ref().as_ref();
     let sources_json =
         serde_json::to_string(&scenario.sources).expect("source spec serialization is infallible");
-    let sources: Arc<Vec<PointSource>> = task
-        .cache
-        .get_or_build(&format!("sources/{}", content_hash(&sources_json)), || cfg.sources.clone());
-    cfg.sources = (*sources).clone();
-    // The material state is the dominant setup cost: key it by everything
-    // `SolverState::from_model` reads so equal-mesh scenarios share it.
-    let state_key = format!(
-        "state/{}/{}@{}/{:?}/{:?}",
-        scenario.model_cache_key(),
-        cfg.dims,
-        cfg.dx,
-        cfg.origin,
-        cfg.options,
-    );
-    let state: Arc<SolverState> = task.cache.get_or_build(&state_key, || {
-        SolverState::from_model(model.as_ref().as_ref(), cfg.dims, cfg.dx, cfg.origin, cfg.options)
-    });
-
-    // --- per-scenario wiring ---------------------------------------------
-    let telemetry = Telemetry::enabled();
-    cfg = cfg.with_telemetry(telemetry.clone());
-    // Every scenario runs with the perf recorder armed: the campaign
-    // summary's per-kernel rollup is unconditional (the recorder costs
-    // well under 1% of a step — the `perf` variant of `bench_obs_overhead`);
-    // `--perf` only adds the per-scenario `perf.json` file.
-    let perf_recorder = Arc::new(sw_telemetry::perf::PerfRecorder::new());
-    cfg = cfg.with_perf(Arc::clone(&perf_recorder));
-    // The run timeline rides along the same way: always armed (no
-    // heartbeat stream — phase timing is a few monotonic-clock reads per
-    // step), final report written to `<dir>/timeline.json` and its skew
-    // summary deposited in the campaign rollup.
-    let timeline_rec = Arc::new(
-        sw_telemetry::timeline::TimelineRecorder::new().with_total_steps(cfg.steps as u64),
-    );
-    cfg = cfg.with_timeline(Arc::clone(&timeline_rec));
-    if let Some(exec) = opts.exec {
-        cfg = cfg.with_exec(exec);
-    }
-    if let Some(threads) = opts.threads {
-        cfg = cfg.with_threads(threads);
-    }
-    let health_log_path = task.dir.join("health.jsonl");
-    let health_log = sw_health::HealthLog::create(&health_log_path)
-        .map_err(|e| Error::Io { path: health_log_path.display().to_string(), source: e })?;
-    let stride = swquake_core::exec::health_stride_from_env()
-        .unwrap_or(sw_health::HealthConfig::default().stride);
-    let mut health_cfg = sw_health::HealthConfig::default()
-        .with_stride(stride)
-        .with_bundle_dir(task.dir.join("health_bundle").display().to_string());
-    health_cfg.log_path = Some(health_log_path.display().to_string());
-    cfg = cfg.with_health(health_cfg).with_health_log(Arc::new(health_log));
-    let interval = if cfg.checkpoint_interval > 0 {
-        cfg.checkpoint_interval
-    } else {
-        DEFAULT_CHECKPOINT_INTERVAL
+    let sources: Arc<Vec<PointSource>> =
+        task.cache.get_or_build(&format!("sources/{}", content_hash(&sources_json)), || {
+            scenario.point_sources()
+        });
+    let state = || -> SolverState {
+        let cached: Arc<SolverState> =
+            task.cache.get_or_build(&scenario.state_cache_key(), || scenario.sample_state(model));
+        (*cached).clone()
     };
-    cfg = cfg
-        .with_checkpoint_dir(task.dir.join("ckpt"))
-        .with_checkpoint_interval(interval)
-        .with_fault_plan(fault);
 
-    // --- run (or resume) --------------------------------------------------
-    let mut sim = if task.resume {
+    // A member always measures: the metrics report, the streamed health
+    // log and the timeline are its files, and the summary's per-kernel
+    // rollup wants the ledger whether or not `--perf` also writes it (the
+    // recorder costs well under 1 % of a step — `bench_obs_overhead`).
+    let plan = RunPlan {
+        checkpoints: Some(Checkpoints { dir: task.dir.join("ckpt"), interval: None, keep: None }),
         // The crash may have hit before the first checkpoint was cut; an
-        // empty/unusable store falls back to a fresh start rather than
-        // wedging the campaign.
-        match Simulation::resume_with_state((*state).clone(), &cfg) {
-            Ok((sim, _info)) => sim,
-            Err(swquake_core::error::RunError::ResumeFailed { detail }) => {
-                eprintln!(
-                    "note: scenario `{}` restarts from scratch (no usable checkpoint: {detail})",
-                    task.id
-                );
-                Simulation::new_with_state((*state).clone(), &cfg)?
-            }
-            Err(e) => return Err(e.into()),
-        }
-    } else {
-        Simulation::new_with_state((*state).clone(), &cfg)?
+        // empty store restarts the member rather than wedging the campaign.
+        resume: if task.resume { Resume::OrRestart } else { Resume::Fresh },
+        prefix: task.dir.join("out").display().to_string(),
+        artifacts: Artifacts::member(&task.dir, perf),
+        ..member.clone()
     };
-    let remaining = cfg.steps.saturating_sub(sim.step_count as usize);
-    sim.run_checked(remaining)?;
-    if sim.state.has_blown_up() {
-        // The watchdog missed it (probe stride coarser than the blow-up
-        // tail) — diagnose post-hoc so the manifest still explains it.
-        if let Some(e) = swquake_core::health::diagnose(&sim.state, sim.step_count, 0) {
-            return Err(Error::Unstable(e));
-        }
+    let material = Material { model, state: Some(&state), sources: Some(&sources) };
+    let summary = run::run_scenario(&scenario, material, &plan)?;
+    if let Some(ledger) = summary.merged.ledger {
+        task.perf.record(task.id, ledger);
     }
-
-    // --- outputs ----------------------------------------------------------
-    let prefix = task.dir.join("out").display().to_string();
-    let files = write_outputs(&sim, &cfg, &prefix, &telemetry)?;
-    let metrics_path = task.dir.join("metrics.json");
-    std::fs::write(&metrics_path, sim.metrics().to_json())
-        .map_err(|e| Error::Io { path: metrics_path.display().to_string(), source: e })?;
-    if let Some(ledger) = sim.perf_ledger() {
-        task.perf.record(task.id, ledger.clone());
-        if opts.perf {
-            let perf_path = task.dir.join("perf.json");
-            ledger
-                .write_file(&perf_path)
-                .map_err(|e| Error::Io { path: perf_path.display().to_string(), source: e })?;
-        }
+    if let Some(timeline) = summary.timeline {
+        task.timeline.record(task.id, timeline);
     }
-    let timeline = timeline_rec.finish();
-    let timeline_path = task.dir.join(sw_telemetry::timeline::TIMELINE_NAME);
-    let timeline_text =
-        serde_json::to_string(&timeline).expect("timeline serialization is infallible");
-    std::fs::write(&timeline_path, timeline_text)
-        .map_err(|e| Error::Io { path: timeline_path.display().to_string(), source: e })?;
-    task.timeline.record(task.id, timeline);
+    let files = summary.files;
     Ok(format!("PGV max {:.3e} m/s, max intensity {:.1}", files.pgv_max, files.max_intensity))
 }

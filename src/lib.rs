@@ -44,7 +44,10 @@
 //!   to this crate's scenarios — shared artifact cache, bounded
 //!   concurrency, durable manifest with `--resume` (what `swquake
 //!   campaign` runs);
-//! * [`outputs`] — the result-file writer `run` and campaigns share;
+//! * [`run`] — the one scenario runner: `swquake run` and every campaign
+//!   member execute a scenario through [`run::run_scenario`], which also
+//!   defines the one artifact layout ([`run::Artifacts::member`]);
+//! * [`outputs`] — the result-file writer behind it;
 //! * [`error`] — the crate-level [`enum@Error`]; fallible constructors
 //!   (`Simulation::new`, `run_multirank`, `Simulation::restore`,
 //!   scenario parsing) return typed errors instead of exiting.
@@ -112,6 +115,7 @@
 pub mod campaign;
 pub mod error;
 pub mod outputs;
+pub mod run;
 pub mod scenario;
 
 pub use error::Error;

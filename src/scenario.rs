@@ -23,7 +23,11 @@ use sw_grid::Dims3;
 use sw_io::Station;
 use sw_model::{HalfspaceModel, LayeredModel, TangshanModel, VelocityModel};
 use sw_source::{m0_from_mw, MomentTensor, PointSource, SourceTimeFunction};
+use swquake_core::state::{SolverState, StateOptions};
 use swquake_core::SimConfig;
+
+/// Scenario meshes start at their model's origin.
+const ORIGIN: (f64, f64, f64) = (0.0, 0.0, 0.0);
 
 /// The scenario schema version this build writes.
 pub const SCENARIO_SCHEMA_VERSION: u32 = 2;
@@ -37,6 +41,20 @@ pub enum ScenarioVersion {
     /// Current: `"schema": 2`, typed model tag, named stations, unknown
     /// keys rejected.
     V2,
+}
+
+impl ScenarioVersion {
+    /// Tell the operator on stderr that `what` (a scenario file's path, a
+    /// campaign member's id) is written in the deprecated v1 schema; a
+    /// no-op for v2.
+    pub fn warn_if_deprecated(self, what: &str) {
+        if self == Self::V1 {
+            eprintln!(
+                "warning: {what} uses the deprecated v1 scenario schema (no `schema` field); \
+                 re-emit it with `swquake --write-example` conventions (`schema: 2`)"
+            );
+        }
+    }
 }
 
 /// The earth models the solver provides, as a typed scenario tag.
@@ -123,8 +141,9 @@ pub struct Scenario {
     /// above 1 deliberately violate the CFL bound — used by the
     /// instability drills in CI).
     pub dt_scale: Option<f64>,
-    /// Checkpoint every N steps (omitted = the CLI default when a
-    /// checkpoint directory is configured, otherwise never).
+    /// Checkpoint every N steps into the run's checkpoint store
+    /// (`--checkpoint-dir`, a campaign member's `ckpt/`); omitted = every
+    /// 10 steps. Without a store no checkpoint is cut, whatever this says.
     pub checkpoint_interval: Option<u64>,
     /// Wavefield storage between steps: `"full"` (omitted default) or
     /// `"compressed16"` (16-bit resident stores streamed through a
@@ -325,41 +344,71 @@ impl Scenario {
         }
     }
 
+    /// Content key for caching the sampled material state across
+    /// scenarios (campaigns): everything [`Scenario::sample_state`] reads,
+    /// so scenarios differing only in sources, stations or duration share
+    /// one.
+    pub fn state_cache_key(&self) -> String {
+        let [nx, ny, nz] = self.mesh;
+        format!(
+            "state/{}/{nx}x{ny}x{nz}@{}/{:?}",
+            self.model_cache_key(),
+            self.dx,
+            self.state_options()
+        )
+    }
+
+    /// Sample `model` onto this scenario's mesh — the dominant set-up
+    /// cost, and the state [`Scenario::to_config`]'s simulation runs on.
+    pub fn sample_state(&self, model: &dyn VelocityModel) -> SolverState {
+        SolverState::from_model(model, self.dims(), self.dx, ORIGIN, self.state_options())
+    }
+
+    /// The source list, lowered to the solver's point sources.
+    pub fn point_sources(&self) -> Vec<PointSource> {
+        let lower = |s: &ScenarioSource| PointSource {
+            ix: s.position[0],
+            iy: s.position[1],
+            iz: s.position[2],
+            moment: MomentTensor::double_couple(
+                s.mechanism[0],
+                s.mechanism[1],
+                s.mechanism[2],
+                m0_from_mw(s.mw),
+            ),
+            stf: SourceTimeFunction::Triangle { onset: s.onset, duration: s.duration },
+        };
+        self.sources.iter().map(lower).collect()
+    }
+
+    fn dims(&self) -> Dims3 {
+        Dims3::new(self.mesh[0], self.mesh[1], self.mesh[2])
+    }
+
+    fn state_options(&self) -> StateOptions {
+        StateOptions {
+            nonlinear: self.nonlinear,
+            attenuation: self.attenuation,
+            sponge_width: self.sponge_width,
+            dt_scale: self.dt_scale.unwrap_or(1.0),
+            ..StateOptions::default()
+        }
+    }
+
     /// Lower to a validated solver configuration against `model`.
     #[allow(clippy::result_large_err)] // cold abort-path error; see from_json
     pub fn to_config(&self, model: &dyn VelocityModel) -> Result<SimConfig, Error> {
-        let dims = Dims3::new(self.mesh[0], self.mesh[1], self.mesh[2]);
-        let dt_scale = self.dt_scale.unwrap_or(1.0);
-        let dt = swquake_core::staggered::stable_dt(self.dx, model.vp_max() as f64) * dt_scale;
-        let mut cfg = SimConfig::new(dims, self.dx, (self.duration / dt).ceil() as usize)
+        let options = self.state_options();
+        let dt =
+            swquake_core::staggered::stable_dt(self.dx, model.vp_max() as f64) * options.dt_scale;
+        let stations =
+            self.stations.iter().map(|s| Station { name: s.name.clone(), ix: s.ix, iy: s.iy });
+        let mut cfg = SimConfig::new(self.dims(), self.dx, (self.duration / dt).ceil() as usize)
             .with_compression(self.compression)
-            .with_sources(
-                self.sources
-                    .iter()
-                    .map(|s| PointSource {
-                        ix: s.position[0],
-                        iy: s.position[1],
-                        iz: s.position[2],
-                        moment: MomentTensor::double_couple(
-                            s.mechanism[0],
-                            s.mechanism[1],
-                            s.mechanism[2],
-                            m0_from_mw(s.mw),
-                        ),
-                        stf: SourceTimeFunction::Triangle { onset: s.onset, duration: s.duration },
-                    })
-                    .collect(),
-            )
-            .with_stations(
-                self.stations
-                    .iter()
-                    .map(|s| Station { name: s.name.clone(), ix: s.ix, iy: s.iy })
-                    .collect(),
-            );
-        cfg.options.nonlinear = self.nonlinear;
-        cfg.options.attenuation = self.attenuation;
-        cfg.options.sponge_width = self.sponge_width;
-        cfg.options.dt_scale = dt_scale;
+            .with_sources(self.point_sources())
+            .with_stations(stations.collect());
+        cfg.options = options;
+        cfg.origin = ORIGIN;
         cfg.checkpoint_interval = self.checkpoint_interval.unwrap_or(0);
         if let Some(tag) = &self.resident {
             let mode = tag.parse().map_err(Error::Scenario)?;

@@ -1,7 +1,7 @@
 //! End-to-end tests of the `swquake` CLI binary: template generation,
 //! a full scenario run with output files, and error handling.
 
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 use std::process::{Command, Output};
 
 fn bin() -> &'static str {
@@ -784,10 +784,31 @@ fn result_files(dir: &std::path::Path, prefix: &str) -> (Vec<u8>, Vec<u8>) {
     (read("seismograms.csv"), read("hazard.json"))
 }
 
+/// The scenario at `path` as the one member `m` of a campaign run into
+/// `<dir>/<name>` (the returned directory) with probe stride `stride`.
+fn one_member_campaign(dir: &Path, name: &str, path: &Path, stride: &str) -> (PathBuf, Output) {
+    let scenario: serde_json::Value =
+        serde_json::from_str(&std::fs::read_to_string(path).unwrap()).unwrap();
+    let spec = dir.join(format!("{name}.json"));
+    let campaign = serde_json::json!({
+        "schema": 1, "name": name, "scenarios": [{"id": "m", "scenario": scenario}]
+    });
+    std::fs::write(&spec, serde_json::to_string(&campaign).unwrap()).unwrap();
+    let camp = dir.join(name);
+    let mut cmd = Command::new(bin());
+    cmd.arg("campaign").arg(&spec).arg("--dir").arg(&camp).arg("--perf");
+    cmd.env_remove("SWQUAKE_RESIDENT").env_remove("SWQUAKE_FAULT_PLAN");
+    // A member takes its probe stride from the environment.
+    cmd.env("SWQUAKE_HEALTH_STRIDE", stride);
+    (camp, cmd.output().unwrap())
+}
+
 /// A blow-up the watchdog's stride misses must not pass as a result: the
 /// run exits 1 with the classified diagnosis from the end state, on a
 /// rank grid as without one. (`--ranks 2x1` used to exit 0 with `PGV max
-/// inf` and NaN seismograms: only the single-rank tail looked.)
+/// inf` and NaN seismograms: only the single-rank tail looked.) Every way
+/// of executing ends in the one merge, so `run`, `run --ranks` and a
+/// campaign member report the same step, field, index and cause.
 #[test]
 fn a_blow_up_the_watchdog_misses_exits_1_on_every_rank_grid() {
     let dir = workdir("late_blowup");
@@ -795,6 +816,11 @@ fn a_blow_up_the_watchdog_misses_exits_1_on_every_rank_grid() {
         json["dt_scale"] = serde_json::json!(1.6);
         json["duration"] = serde_json::json!(2.0);
     });
+    let diagnosis = |text: &str| {
+        let at = text.find("solver unstable at step").unwrap_or_else(|| panic!("in: {text}"));
+        text[at..].lines().next().unwrap().to_string()
+    };
+    let mut diagnoses = Vec::new();
     for ranks in [None, Some("1x1"), Some("2x1")] {
         let mut args = vec!["--health-stride", "100000"];
         args.extend(ranks.iter().flat_map(|r| ["--ranks", *r]));
@@ -807,7 +833,16 @@ fn a_blow_up_the_watchdog_misses_exits_1_on_every_rank_grid() {
         );
         let stdout = String::from_utf8_lossy(&out.stdout);
         assert!(!stdout.contains("PGV max"), "{ranks:?} reported a result: {stdout}");
+        diagnoses.push(diagnosis(&stderr));
     }
+    let (camp, out) = one_member_campaign(&dir, "camp", &scenario, "100000");
+    assert_eq!(out.status.code(), Some(1), "stderr: {}", String::from_utf8_lossy(&out.stderr));
+    let manifest: serde_json::Value =
+        serde_json::from_str(&std::fs::read_to_string(camp.join("MANIFEST.json")).unwrap())
+            .unwrap();
+    assert_eq!(manifest["scenarios"][0]["state"], "unstable");
+    diagnoses.push(diagnosis(manifest["scenarios"][0]["detail"].as_str().unwrap()));
+    assert!(diagnoses.iter().all(|d| *d == diagnoses[0]), "diagnoses differ: {diagnoses:#?}");
     std::fs::remove_dir_all(&dir).ok();
 }
 
@@ -827,27 +862,41 @@ fn clashing_run_flags_are_named_before_the_usage() {
         (&["--obs-stride", "-1"][..], ["--obs-stride", "'-1'"]),
         (&["--exec", "fast"][..], ["--exec", "'fast'"]),
         (&["--metrics"][..], ["--metrics", "needs a value"]),
+        // Flags that would silently do nothing alone.
+        (&["--checkpoint-interval", "5"][..], ["--checkpoint-interval", "--checkpoint-dir"]),
+        (&["--checkpoint-keep", "2"][..], ["--checkpoint-keep", "--checkpoint-dir"]),
+        (&["--obs-stride", "5"][..], ["--obs-stride", "--obs"]),
+        // An unknown flag and a stray positional are named too.
+        (&["--bogus"][..], ["unknown flag", "'--bogus'"]),
+        (&["b.json"][..], ["unexpected argument", "'b.json'"]),
     ] {
         let out = run_scenario(std::path::Path::new("scenario.json"), args, None);
         assert_eq!(out.status.code(), Some(2), "{args:?}");
         let stderr = String::from_utf8_lossy(&out.stderr);
         let (why, usage) = stderr.split_once("usage:").expect("usage text");
         assert!(named.iter().all(|flag| why.contains(flag)), "{args:?}: {stderr}");
-        assert!(usage.contains("swquake [run] <scenario.json>"), "{args:?}: {stderr}");
+        assert_eq!(usage.trim(), "swquake [run] <scenario.json> [run flags]", "{args:?}");
     }
-    // The report subcommands name a rejected value the same way.
-    for (args, flag) in [
-        (&["bench-diff", "a.json", "b.json", "--tolerance", "junk"][..], "--tolerance"),
-        (&["perf-diff", "a.json", "b.json", "--tolerance", "junk"][..], "--tolerance"),
-        (&["perf-report", "p.json", "--min-fraction", "junk"][..], "--min-fraction"),
-        (&["imbalance-report", "t.json", "--max-skew", "junk"][..], "--max-skew"),
-        (&["campaign", "c.json", "--jobs", "junk"][..], "--jobs"),
+    // The other subcommands name a rejected value, an unknown flag or a
+    // stray argument the same way, above their own usage line.
+    for (args, named) in [
+        (&["bench-diff", "a.json", "b.json", "--tolerance", "junk"][..], ["--tolerance", "'junk'"]),
+        (&["perf-diff", "a.json", "b.json", "--tolerance", "junk"][..], ["--tolerance", "'junk'"]),
+        (&["perf-report", "p.json", "--min-fraction", "junk"][..], ["--min-fraction", "'junk'"]),
+        (&["imbalance-report", "t.json", "--max-skew", "junk"][..], ["--max-skew", "'junk'"]),
+        (&["campaign", "c.json", "--jobs", "junk"][..], ["--jobs", "'junk'"]),
+        (&["campaign", "c.json", "--ranks", "2x1"][..], ["unknown flag", "'--ranks'"]),
+        (&["campaign", "c.json", "d.json"][..], ["unexpected argument", "'d.json'"]),
+        (&["perf-report", "p.json", "--bogus"][..], ["unknown flag", "'--bogus'"]),
+        (&["perf-diff", "a.json"][..], ["missing", "<new.json>"]),
     ] {
         let out = Command::new(bin()).args(args).output().unwrap();
         assert_eq!(out.status.code(), Some(2), "{args:?}");
         let stderr = String::from_utf8_lossy(&out.stderr);
-        let (why, _) = stderr.split_once("usage:").expect("usage text");
-        assert!(why.contains(flag) && why.contains("'junk'"), "{args:?}: {stderr}");
+        let (why, usage) = stderr.split_once("usage:").expect("usage text");
+        assert!(named.iter().all(|part| why.contains(part)), "{args:?}: {stderr}");
+        assert_eq!(usage.lines().count(), 1, "{args:?}: not the subcommand's line: {stderr}");
+        assert!(usage.contains(&format!("swquake {} <", args[0])), "{args:?}: {stderr}");
     }
     // `--ranks` with `--perf` is a pair that works (`tests/perf.rs` runs
     // it): it gets as far as the file.
@@ -914,5 +963,118 @@ fn a_killed_rank_grid_resumes_byte_identically() {
     let stdout = String::from_utf8_lossy(&resumed.stdout);
     assert!(stdout.contains("resumed from checkpoint generation at step 20"), "stdout: {stdout}");
     assert!(result_files(&dir, "drill") == result_files(&dir, "ref"), "diverged after resume");
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+/// `(kind, name)` of every metric in a `--metrics` / `metrics.json` file.
+fn metric_names(path: &Path) -> std::collections::BTreeSet<(String, String)> {
+    let report: serde_json::Value =
+        serde_json::from_str(&std::fs::read_to_string(path).unwrap()).unwrap();
+    ["timers", "counters", "gauges", "series"]
+        .into_iter()
+        .flat_map(|kind| {
+            let entries = report[kind].as_array().cloned().unwrap_or_default();
+            entries.into_iter().map(move |e| (kind.to_string(), e["name"].as_str().unwrap().into()))
+        })
+        .collect()
+}
+
+/// Without a store nothing can read a checkpoint, so none is cut: a
+/// scenario's `checkpoint_interval` alone used to clone the whole dynamic
+/// state every N steps into a list nobody looked at.
+#[test]
+fn a_scenario_cadence_without_a_store_cuts_no_checkpoint() {
+    let dir = workdir("no_store");
+    let plain = shrunk_example(&dir, "plain", |_| {});
+    let cadenced = shrunk_example(&dir, "cadenced", |json| {
+        json["checkpoint_interval"] = serde_json::json!(5);
+    });
+    let out = run_scenario(&plain, &[], None);
+    assert!(out.status.success(), "stderr: {}", String::from_utf8_lossy(&out.stderr));
+    let metrics = dir.join("m.json");
+    let out = run_scenario(&cadenced, &["--metrics", metrics.to_str().unwrap()], None);
+    assert!(out.status.success(), "stderr: {}", String::from_utf8_lossy(&out.stderr));
+    let names = metric_names(&metrics);
+    for (kind, name) in [("counters", "io.checkpoints"), ("timers", "step.checkpoint")] {
+        assert!(!names.contains(&(kind.to_string(), name.to_string())), "{name} in {names:?}");
+    }
+    assert!(result_files(&dir, "cadenced") == result_files(&dir, "plain"));
+    // With a store the field is the cadence.
+    let ckpt = dir.join("ckpt");
+    let stored =
+        ["--checkpoint-dir", ckpt.to_str().unwrap(), "--metrics", metrics.to_str().unwrap()];
+    let out = run_scenario(&cadenced, &stored, None);
+    assert!(out.status.success(), "stderr: {}", String::from_utf8_lossy(&out.stderr));
+    assert!(metric_names(&metrics).contains(&("counters".into(), "io.checkpoints".into())));
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+/// One artifact layout: `run --obs d --checkpoint-dir d/ckpt` leaves in
+/// `d` what a campaign leaves in a member directory (plus its heartbeat
+/// stream), the same result bytes and the same metric names, and the
+/// report tools read either directory.
+#[test]
+fn run_obs_and_a_campaign_member_leave_one_layout() {
+    let dir = workdir("layout");
+    let obs = dir.join("d");
+    let ckpt = obs.join("ckpt");
+    let scenario = shrunk_example(&dir, "layout", |json| {
+        json["output_prefix"] = serde_json::json!(obs.join("out").to_str().unwrap());
+    });
+    let flags = ["--obs", obs.to_str().unwrap(), "--checkpoint-dir", ckpt.to_str().unwrap()];
+    let out = run_scenario(&scenario, &flags, None);
+    assert!(out.status.success(), "stderr: {}", String::from_utf8_lossy(&out.stderr));
+    let (camp, out) = one_member_campaign(&dir, "camp", &scenario, "10");
+    assert_eq!(out.status.code(), Some(0), "stderr: {}", String::from_utf8_lossy(&out.stderr));
+    let member = camp.join("m");
+
+    let listing = |d: &Path| -> std::collections::BTreeSet<String> {
+        let entries = std::fs::read_dir(d).unwrap();
+        entries.map(|e| e.unwrap().file_name().into_string().unwrap()).collect()
+    };
+    let mut in_obs = listing(&obs);
+    assert!(in_obs.remove("run.jsonl"), "no heartbeat stream in {in_obs:?}");
+    assert_eq!(in_obs, listing(&member));
+    for file in ["out_seismograms.csv", "out_hazard.json"] {
+        assert!(
+            std::fs::read(obs.join(file)).unwrap() == std::fs::read(member.join(file)).unwrap()
+        );
+    }
+    assert_eq!(metric_names(&obs.join("metrics.json")), metric_names(&member.join("metrics.json")));
+    for d in [&obs, &member] {
+        for (tool, file) in [("perf-report", "perf.json"), ("imbalance-report", "timeline.json")] {
+            let out = Command::new(bin()).arg(tool).arg(d.join(file)).output().unwrap();
+            assert_eq!(out.status.code(), Some(0), "{tool} {}", d.display());
+        }
+    }
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+/// Every sink armed at once, on one rank and on a grid: both end in the
+/// one merge, so the health line counts the same things either way.
+#[test]
+fn the_health_line_has_one_shape_on_every_rank_grid() {
+    let dir = workdir("health_line");
+    let scenario = shrunk_example(&dir, "out", |_| {});
+    let path = |name: &str| dir.join(name).to_str().unwrap().to_string();
+    let sinks = [
+        ("--perf", path("p.json")),
+        ("--metrics", path("m.json")),
+        ("--health", path("h.jsonl")),
+        ("--obs", path("obs")),
+    ];
+    let mut lines = Vec::new();
+    for ranks in [None, Some("2x1")] {
+        let mut args: Vec<&str> = sinks.iter().flat_map(|(f, p)| [*f, p.as_str()]).collect();
+        args.extend(ranks.iter().flat_map(|r| ["--ranks", *r]));
+        let out = run_scenario(&scenario, &args, None);
+        assert!(out.status.success(), "{ranks:?}: {}", String::from_utf8_lossy(&out.stderr));
+        let stdout = String::from_utf8_lossy(&out.stdout).into_owned();
+        let line = stdout.lines().find(|l| l.starts_with("wrote health log")).expect("health line");
+        // The digits aside: a grid evaluates one probe per rank.
+        lines.push(line.chars().filter(|c| !c.is_ascii_digit()).collect::<String>());
+    }
+    assert!(lines[0].ends_with("( probes,  warnings)"), "{lines:?}");
+    assert_eq!(lines[0], lines[1]);
     std::fs::remove_dir_all(&dir).ok();
 }

@@ -450,7 +450,10 @@ fn seismogram_bits(cfg: &SimConfig) -> Vec<u32> {
 /// Telemetry on, health sampling every step, and neither used to be
 /// three round-trip implementations; they are now one chunk kernel, and
 /// a compressed run's seismograms are byte-identical across all three —
-/// in every execution mode.
+/// in every execution mode. The error statistics ride only the steps
+/// someone reads them on: the monitor's probe steps or, with a metrics
+/// registry and no monitor, the default health stride (the
+/// `compress.max_roundtrip_error` gauge).
 #[test]
 fn telemetry_health_and_plain_runs_share_one_roundtrip() {
     rayon::ThreadPoolBuilder::new().num_threads(4).build_global().unwrap();
@@ -466,6 +469,15 @@ fn telemetry_health_and_plain_runs_share_one_roundtrip() {
         {
             assert_eq!(seismogram_bits(&cfg), reference, "{exec:?} {what}");
         }
+    }
+    let model = LayeredModel::north_china();
+    for (steps, sampled) in [(9, false), (10, true)] {
+        let telemetry = Telemetry::enabled();
+        let cfg = base.clone().with_telemetry(telemetry.clone());
+        Simulation::new(&model, &cfg).expect("valid config").run(steps);
+        let report = telemetry.report();
+        let gauge = report.gauge("compress.max_roundtrip_error");
+        assert_eq!(gauge.is_some(), sampled, "{steps} steps");
     }
 }
 
