@@ -37,7 +37,7 @@ use crate::flops::{
 use crate::health::HealthMonitor;
 use crate::kernels::{self, Region};
 use crate::resident::{ResidentEngine, ResidentMode, RESIDENT_FIELDS, SIDECAR_FIELD};
-use crate::state::{SolverState, StateOptions};
+use crate::state::{ArrayClass, SolverState, StateOptions};
 use std::borrow::Cow;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -106,8 +106,7 @@ pub struct SimConfig {
     /// between steps: [`ResidentMode::Full`] keeps plain f32 arrays;
     /// [`ResidentMode::Compressed16`] keeps them as 16-bit planes and
     /// streams x-tiles through a small f32 slab each step (see
-    /// [`crate::resident`]). Defaults to the `SWQUAKE_RESIDENT`
-    /// environment override when set. Incompatible with §6.5 inter-step
+    /// [`crate::resident`]). Incompatible with §6.5 inter-step
     /// compression, surface snapshots and multirank runs —
     /// [`SimConfig::validate`] / [`run_multirank`] reject those
     /// combinations.
@@ -182,7 +181,7 @@ impl SimConfig {
             compression_stats: Vec::new(),
             origin: (0.0, 0.0, 0.0),
             exec: ExecMode::from_env(),
-            resident: ResidentMode::from_env(),
+            resident: ResidentMode::default(),
             memory_cap_bytes: None,
             threads: exec::threads_from_env(),
             telemetry: Telemetry::disabled(),
@@ -204,9 +203,8 @@ impl SimConfig {
         self
     }
 
-    /// Choose how wavefields are stored between steps (overrides the
-    /// `SWQUAKE_RESIDENT` default); see [`SimConfig::resident`] for the
-    /// compatibility contract.
+    /// Choose how wavefields are stored between steps; see
+    /// [`SimConfig::resident`] for the compatibility contract.
     #[must_use]
     pub fn with_resident(mut self, resident: ResidentMode) -> Self {
         self.resident = resident;
@@ -678,7 +676,8 @@ pub struct Simulation {
 /// Feed the per-field resident-bytes gauges of one rank's working set
 /// into the run timeline: the nine wavefields individually (they are what
 /// the compressed-resident-grid arc will shrink), plus the attenuation
-/// memory variables and the material arrays as aggregates. Called once at
+/// memory variables and the material arrays as aggregates — together
+/// exactly the bytes of [`SolverState::arrays`]. Called once at
 /// construction — allocations are fixed for the life of a simulation, so
 /// this is also the high-water mark. Compressed-resident, the dynamic
 /// fields are the engine's 16-bit stores (the f32 arrays are detached)
@@ -689,34 +688,22 @@ fn record_resident_memory(
     state: &SolverState,
     resident: Option<&ResidentEngine>,
 ) {
-    let dynamic = state.dynamic();
-    let bytes =
-        |i: usize| resident.map_or(dynamic[i].resident_bytes() as u64, |e| e.stored_bytes(i));
-    for (i, name) in COMPRESSED_FIELDS.iter().enumerate() {
-        tl.record_memory(rank, &format!("state.{name}"), bytes(i));
+    let live = state.arrays().map(|(name, class, f)| (name, class, f.resident_bytes() as u64));
+    // The engine's stores are the leading, dynamic arrays of the options' list.
+    let stored = resident.into_iter().flat_map(|e| {
+        let classed = e.carried().zip(state.options.arrays());
+        classed.map(move |((i, name), (_, class))| (name, class, e.stored_bytes(i)))
+    });
+    let (mut memvars, mut material) = (0, 0);
+    for (name, class, bytes) in live.chain(stored) {
+        match class {
+            ArrayClass::Wavefield => tl.record_memory(rank, &format!("state.{name}"), bytes),
+            ArrayClass::MemoryVariable => memvars += bytes,
+            ArrayClass::Material => material += bytes,
+        }
     }
-    let memvars: u64 = (COMPRESSED_FIELDS.len()..RESIDENT_FIELDS.len()).map(bytes).sum();
     tl.record_memory(rank, "state.memvars", memvars);
-    let material: usize = [
-        &state.lam,
-        &state.mu,
-        &state.rho,
-        &state.buoyancy,
-        &state.wp,
-        &state.ws,
-        &state.cohes,
-        &state.sinphi,
-        &state.cosphi,
-        &state.pf,
-        &state.sigma0,
-        &state.yldfac,
-        &state.eqp,
-        &state.dcrj,
-    ]
-    .iter()
-    .map(|f| f.resident_bytes())
-    .sum();
-    tl.record_memory(rank, "state.material", material as u64);
+    tl.record_memory(rank, "state.material", material);
     if let Some(engine) = resident {
         tl.record_memory(rank, "resident.working_set", engine.working_set_bytes());
     }
@@ -1540,30 +1527,24 @@ impl Simulation {
         merge(&[&self], &[(0, 0, dims)], dims, &stations, resume)
     }
 
-    /// The named dynamic fields a checkpoint carries, borrowed from the
-    /// live state. Compressed-resident runs checkpoint decompressed f32
-    /// fields (same schema as full mode, so either mode can restore the
-    /// other's checkpoints) plus a bucket sidecar that lets a compressed
-    /// resume re-encode byte-identically; those are decoded here, owned.
+    /// The named fields a checkpoint carries — the dynamic arrays this run
+    /// has, and `eqp` — borrowed from the live state. Compressed-resident
+    /// runs checkpoint decompressed f32 fields (same schema as full mode,
+    /// so either mode can restore the other's checkpoints) plus a bucket
+    /// sidecar that lets a compressed resume re-encode byte-identically;
+    /// those are decoded here, owned.
     fn checkpoint_fields(&self) -> Vec<(String, Cow<'_, Field3>)> {
         let mut fields: Vec<(String, Cow<'_, Field3>)> =
             Vec::with_capacity(RESIDENT_FIELDS.len() + 2);
         if let Some(engine) = &self.resident {
             fields.push((SIDECAR_FIELD.to_string(), Cow::Owned(engine.sidecar())));
+            let stored = engine.carried();
+            fields
+                .extend(stored.map(|(i, name)| (name.to_string(), Cow::Owned(engine.to_field(i)))));
         }
-        let named = RESIDENT_FIELDS.iter().enumerate();
-        fields.extend(named.map(|(i, name)| (name.to_string(), self.dynamic_field(i))));
-        fields.push(("eqp".to_string(), Cow::Borrowed(&self.state.eqp)));
+        let live = self.state.arrays().filter(|&(name, class, _)| checkpointed(name, class));
+        fields.extend(live.map(|(name, _, f)| (name.to_string(), Cow::Borrowed(f))));
         fields
-    }
-
-    /// Dynamic field `i` ([`RESIDENT_FIELDS`] order) as f32: the live
-    /// array, or decoded from the compressed-resident store.
-    fn dynamic_field(&self, i: usize) -> Cow<'_, Field3> {
-        match &self.resident {
-            Some(engine) => Cow::Owned(engine.to_field(i)),
-            None => Cow::Borrowed(self.state.dynamic()[i]),
-        }
     }
 
     /// Snapshot the full dynamic state.
@@ -1591,10 +1572,11 @@ impl Simulation {
     /// Restore the dynamic state from a checkpoint.
     ///
     /// Fails with [`RestoreError`], before anything is touched, when the
-    /// checkpoint names an unknown field, carries a mismatched mesh, or
-    /// references a memory variable this run does not have.
+    /// checkpoint names an unknown field, carries a mismatched mesh,
+    /// references a memory variable no run has, or lacks an array this
+    /// run advances.
     pub fn restore(&mut self, ckpt: &Checkpoint) -> Result<(), RestoreError> {
-        check_checkpoint(ckpt, self.state.dims)?;
+        check_checkpoint(ckpt, self.state.dims, &self.state.options)?;
         // The store must not change under a state that is about to be
         // rewound past the generation in flight.
         self.join_writer();
@@ -1608,18 +1590,23 @@ impl Simulation {
     /// restores byte-identically, a full-mode one (no sidecar) re-derives
     /// the buckets from the content. A full-mode run takes the fields,
     /// which are stored decompressed, as they are; the sidecar is moot.
+    /// A field this run does not carry (the all-zero memory variables and
+    /// `eqp` older builds wrote for elastic runs) is ignored.
     fn apply_checkpoint(&mut self, ckpt: &Checkpoint) {
         let sidecar = ckpt.fields.iter().find(|(n, _)| n == SIDECAR_FIELD).map(|(_, f)| f);
         for (name, field) in &ckpt.fields {
-            if name == "eqp" {
-                self.state.eqp = field.clone();
-            } else if let Some(i) = RESIDENT_FIELDS.iter().position(|n| n == name) {
-                match &mut self.resident {
+            let live = match RESIDENT_FIELDS.iter().position(|n| n == name) {
+                Some(i) => match &mut self.resident {
                     Some(engine) => {
                         engine.restore_field(name, field, sidecar);
+                        None
                     }
-                    None => *self.state.dynamic_mut()[i] = field.clone(),
-                }
+                    None => self.state.dynamic_mut().into_iter().nth(i),
+                },
+                None => (name == "eqp").then_some(&mut self.state.eqp),
+            };
+            if let Some(live) = live.filter(|f| !f.is_detached()) {
+                *live = field.clone();
             }
         }
         // Recorders and accumulators, so a resumed run's seismograms,
@@ -1643,8 +1630,11 @@ impl Simulation {
     pub fn collect_stats(&self) -> Vec<(String, FieldStats)> {
         let scan =
             if self.path.is_parallel() { FieldStats::of_field_par } else { FieldStats::of_field };
-        let named = COMPRESSED_FIELDS.iter().enumerate();
-        named.map(|(i, name)| (name.to_string(), scan(&self.dynamic_field(i)))).collect()
+        let stats = |i| match &self.resident {
+            Some(engine) => scan(&engine.to_field(i)),
+            None => scan(self.state.dynamic()[i]),
+        };
+        COMPRESSED_FIELDS.iter().enumerate().map(|(i, name)| (name.to_string(), stats(i))).collect()
     }
 }
 
@@ -1740,9 +1730,21 @@ pub fn rescale_coarse_stats(
         .collect()
 }
 
+/// Whether `class`'s array `name` is part of a checkpoint: everything the
+/// stencils advance, and the accumulated plastic strain.
+fn checkpointed(name: &str, class: ArrayClass) -> bool {
+    class != ArrayClass::Material || name == "eqp"
+}
+
 /// Whether every field of `ckpt` — name and shape — and its PGV map fit
-/// a simulation over `dims`, so that applying it cannot fail half way.
-fn check_checkpoint(ckpt: &Checkpoint, dims: Dims3) -> Result<(), RestoreError> {
+/// a simulation over `dims`, and every array a run with `options`
+/// checkpoints is there, so that applying it cannot fail half way or
+/// leave an array at zero. Known fields the run does not carry are fine.
+fn check_checkpoint(
+    ckpt: &Checkpoint,
+    dims: Dims3,
+    options: &StateOptions,
+) -> Result<(), RestoreError> {
     let mismatch = |field: &str, checkpoint: Dims3, simulation: Dims3| {
         Err(RestoreError::DimsMismatch { field: field.to_string(), checkpoint, simulation })
     };
@@ -1766,6 +1768,11 @@ fn check_checkpoint(ckpt: &Checkpoint, dims: Dims3) -> Result<(), RestoreError> 
             return mismatch(name, field.padded_dims(), padded);
         }
     }
+    let mut required = options.arrays().filter(|&(name, class)| checkpointed(name, class));
+    if let Some((field, _)) = required.find(|(name, _)| ckpt.fields.iter().all(|(n, _)| n != name))
+    {
+        return Err(RestoreError::MissingField { field });
+    }
     match &ckpt.pgv {
         Some((nx, ny, pgv)) if (*nx, *ny) != (dims.nx, dims.ny) || pgv.len() != nx * ny => {
             mismatch("pgv", Dims3::new(*nx, *ny, 1), Dims3::new(dims.nx, dims.ny, 1))
@@ -1776,10 +1783,11 @@ fn check_checkpoint(ckpt: &Checkpoint, dims: Dims3) -> Result<(), RestoreError> 
 
 /// The one resume path: open the existing store and pick the newest
 /// generation that holds a valid image for every rank — `parts` are the
-/// rank subdomains, in rank order. All decoding and every shape check
-/// happen here, before any simulation is built or rank thread started,
-/// so the ranks agree on one generation by construction and none can
-/// fail to restore it while its neighbours walk into a halo exchange.
+/// rank subdomains, in rank order. All decoding and every shape and
+/// completeness check happen here, before any simulation is built or
+/// rank thread started, so the ranks agree on one generation by
+/// construction and none can fail to restore it while its neighbours
+/// walk into a halo exchange.
 #[allow(clippy::result_large_err)] // cold resume-path error; see Simulation::step_checked
 fn resume_generation(
     config: &SimConfig,
@@ -1792,7 +1800,7 @@ fn resume_generation(
         .ok_or_else(|| failed("no checkpoint directory configured".to_string()))?;
     let restored = store.restore_newest_valid(parts.len()).map_err(|e| failed(e.to_string()))?;
     for (rank, (ckpt, dims)) in restored.checkpoints.iter().zip(parts).enumerate() {
-        check_checkpoint(ckpt, *dims).map_err(|e| {
+        check_checkpoint(ckpt, *dims, &config.options).map_err(|e| {
             failed(format!(
                 "rank {rank} of the step-{} generation: {e} — resume with the same mesh and \
                  rank grid",

@@ -136,6 +136,12 @@ pub enum RestoreError {
         /// How many memory variables this simulation carries.
         available: usize,
     },
+    /// The checkpoint lacks an array this simulation advances: resuming
+    /// from it would restart that array at zero.
+    MissingField {
+        /// The array's name.
+        field: &'static str,
+    },
 }
 
 impl fmt::Display for RestoreError {
@@ -159,6 +165,9 @@ impl fmt::Display for RestoreError {
                 "checkpoint memory variable r{index} is out of range \
                  (simulation carries {available})"
             ),
+            Self::MissingField { field } => {
+                write!(f, "checkpoint lacks field `{field}`, which this run carries")
+            }
         }
     }
 }

@@ -180,7 +180,7 @@ pub fn kernel_fp_env() -> fpenv::FlushGuard {
 
 /// A `SWQUAKE_*` variable holding the default of an option, and the
 /// values that option accepts.
-pub(crate) struct EnvDefault {
+struct EnvDefault {
     var: &'static str,
     expected: &'static str,
 }
@@ -189,10 +189,6 @@ const EXEC_ENV: EnvDefault =
     EnvDefault { var: "SWQUAKE_EXEC", expected: "serial|parallel|simd|auto" };
 const THREADS_ENV: EnvDefault =
     EnvDefault { var: "SWQUAKE_THREADS", expected: "a thread count, 0 meaning every core" };
-pub(crate) const RESIDENT_ENV: EnvDefault =
-    EnvDefault { var: "SWQUAKE_RESIDENT", expected: "full|compressed16" };
-const HEALTH_STRIDE_ENV: EnvDefault =
-    EnvDefault { var: "SWQUAKE_HEALTH_STRIDE", expected: "a number of steps" };
 
 /// The parsed value of `env.var`: `Ok(None)` when unset, an error naming
 /// the variable when set to something `T` does not parse from.
@@ -207,33 +203,25 @@ fn env_value<T: FromStr>(env: &EnvDefault) -> Result<Option<T>, ConfigError> {
 
 /// The lenient read the library constructors use: unset or unparsable
 /// is `None`.
-pub(crate) fn env_default<T: FromStr>(env: &EnvDefault) -> Option<T> {
+fn env_default<T: FromStr>(env: &EnvDefault) -> Option<T> {
     env_value(env).ok().flatten()
 }
 
-/// Refuse a `SWQUAKE_EXEC`, `SWQUAKE_THREADS`, `SWQUAKE_RESIDENT` or
-/// `SWQUAKE_HEALTH_STRIDE` that is set but does not parse. The library
-/// constructors ([`ExecMode::from_env`] and friends) stay infallible and
-/// fall back to the built-in default; a front end that reads those
-/// variables on a user's behalf calls this first, so `SWQUAKE_EXEC=paralel`
-/// is an error and not a silent `auto`.
+/// Refuse a `SWQUAKE_EXEC` or `SWQUAKE_THREADS` that is set but does not
+/// parse. The library constructors ([`ExecMode::from_env`],
+/// [`threads_from_env`]) stay infallible and fall back to the built-in
+/// default; a front end that reads those variables on a user's behalf
+/// calls this first, so `SWQUAKE_EXEC=paralel` is an error and not a
+/// silent `auto`.
 pub fn check_env() -> Result<(), ConfigError> {
     env_value::<ExecMode>(&EXEC_ENV)?;
     env_value::<usize>(&THREADS_ENV)?;
-    env_value::<crate::ResidentMode>(&RESIDENT_ENV)?;
-    env_value::<u64>(&HEALTH_STRIDE_ENV)?;
     Ok(())
 }
 
 /// The thread-count default from `SWQUAKE_THREADS` (0 = unset/invalid).
 pub fn threads_from_env() -> usize {
     env_default(&THREADS_ENV).unwrap_or(0)
-}
-
-/// The health-probe stride default from `SWQUAKE_HEALTH_STRIDE`
-/// (`None` = unset/invalid, fall back to the CLI/config default).
-pub fn health_stride_from_env() -> Option<u64> {
-    env_default(&HEALTH_STRIDE_ENV)
 }
 
 #[cfg(test)]

@@ -13,7 +13,7 @@
 use std::sync::Arc;
 
 use crate::error::UnstableError;
-use crate::state::SolverState;
+use crate::state::{ArrayClass, SolverState};
 use rayon::prelude::*;
 use sw_compress::errstats::RoundtripError;
 use sw_grid::Field3;
@@ -26,18 +26,9 @@ use sw_telemetry::Telemetry;
 /// The wavefields the monitor scans, in probe order: the three
 /// velocity components, then the six stresses (the same order the
 /// compression pipeline uses).
-fn monitored_fields(state: &SolverState) -> [(&'static str, &Field3); 9] {
-    [
-        ("u", &state.u),
-        ("v", &state.v),
-        ("w", &state.w),
-        ("xx", &state.xx),
-        ("yy", &state.yy),
-        ("zz", &state.zz),
-        ("xy", &state.xy),
-        ("xz", &state.xz),
-        ("yz", &state.yz),
-    ]
+fn monitored_fields(state: &SolverState) -> Vec<(&'static str, &Field3)> {
+    let wavefields = state.arrays().filter(|(_, class, _)| *class == ArrayClass::Wavefield);
+    wavefields.map(|(name, _, field)| (name, field)).collect()
 }
 
 /// Per-x-plane scan partial: the deterministic reduction unit.

@@ -64,7 +64,8 @@ impl Region {
 }
 
 /// Call `body(x, planes)` once per interior column `x` of `x_range`,
-/// `planes[i]` being the padded x-plane of `fields[i]` there: on the
+/// `planes[i]` being the padded x-plane of `fields[i]` there — empty for
+/// a detached field, which the body then must not index: on the
 /// calling thread in ascending `x`, or — with `pool` — as one pool region
 /// (handing a CG block's regions to the CPE threads, §6.2).
 pub(crate) fn for_each_plane<const N: usize>(
@@ -74,11 +75,14 @@ pub(crate) fn for_each_plane<const N: usize>(
     body: impl Fn(usize, [&mut [f32]; N]) + Sync,
 ) {
     let mut streams = fields.map(|f| {
-        let len = f.plane_len();
-        f.raw_mut().chunks_mut(len).skip(HALO_WIDTH + x_range.start)
+        let (len, detached) = (f.plane_len(), f.is_detached());
+        (detached, f.raw_mut().chunks_mut(len).skip(HALO_WIDTH + x_range.start))
     });
     let planes_of = |x| {
-        let planes = streams.each_mut().map(|s| s.next().expect("x_range lies inside the mesh"));
+        let planes = streams.each_mut().map(|(detached, s)| {
+            let absent = || detached.then(Default::default);
+            s.next().or_else(absent).expect("x_range lies inside the mesh")
+        });
         (x, planes)
     };
     // `wide` goes around each call, on the thread that makes it: what it

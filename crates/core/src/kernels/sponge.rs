@@ -1,10 +1,12 @@
 //! The Cerjan absorbing sponge.
 //!
-//! Multiplies velocity, stress, and memory variables by the precomputed
-//! damping profile `dcrj` (1 in the interior, < 1 in the sponge bands
-//! along the five absorbing faces), gradually absorbing outgoing waves so
-//! the mesh boundary does not reflect them back into the region of
-//! interest.
+//! Multiplies velocity, stress, and memory variables by the damping
+//! taper ([`SpongeProfile`](crate::state::SpongeProfile): 1 in the
+//! interior, < 1 in the sponge bands along the five absorbing faces),
+//! gradually absorbing outgoing waves so the mesh boundary does not
+//! reflect them back into the region of interest. A column inside a
+//! horizontal band is damped top to bottom; one outside them only over
+//! the bottom band, the cells above it being multiplied by exactly 1.
 
 use super::plane::{for_each_plane, sweep_row, Lane};
 use crate::state::SolverState;
@@ -26,19 +28,19 @@ pub fn apply_sponge_region(s: &mut SolverState, x_range: Range<usize>, pool: boo
     let pnz = d.nz + 2 * H;
     // The memory variables trail the nine wavefields.
     let damped = if s.options.attenuation { 15 } else { 9 };
-    let (fields, dcrj) = s.dynamic_mut_and_damping();
+    let profile = s.sponge.clone();
     for_each_plane(
-        fields,
+        s.dynamic_mut(),
         x_range,
         pool,
         #[inline(always)]
         |x, mut planes| {
             for y in 0..d.ny {
-                let damp = dcrj.row(x, y);
-                let base = (y + H) * pnz + H;
+                let (z0, damp) = profile.column(x, y);
+                let base = (y + H) * pnz + H + z0;
                 for plane in &mut planes[..damped] {
-                    let row = &mut plane[base..base + d.nz];
-                    sweep_row!(d.nz, |t, L| {
+                    let row = &mut plane[base..base + damp.len()];
+                    sweep_row!(damp.len(), |t, L| {
                         (L::load(&row[t..]) * L::load(&damp[t..])).store(&mut row[t..]);
                     });
                 }

@@ -53,12 +53,16 @@ pub fn dstrqc_region(s: &mut SolverState, region: &Region, pool: bool) {
                         let (dxp_w, dyp_w) = (taps(w, DXP, at, tile), taps(w, DYP, at, tile));
                         let (u_c, v_c, w_c) = (dxm_u[0], dym_v[0], dxp_w[1]);
                         let (lam_c, mu_c) = (tile_row(lam, at, tile), tile_row(mu, at, tile));
-                        let (wp_c, ws_c) = (tile_row(wp, at, tile), tile_row(ws, at, tile));
                         let out = (y + H) * pnz + H + tile.0..(y + H) * pnz + H + tile.0 + tile.1;
-                        let (stress, mem) = (
-                            stress.each_mut().map(|p| &mut p[out.clone()]),
-                            mem.each_mut().map(|p| &mut p[out.clone()]),
-                        );
+                        let stress = stress.each_mut().map(|p| &mut p[out.clone()]);
+                        // The Q weights and memory variables are detached
+                        // without attenuation: rows of nothing, never read.
+                        let (wp_c, ws_c, mem_out) = if atten {
+                            (tile_row(wp, at, tile), tile_row(ws, at, tile), out)
+                        } else {
+                            (&[][..], &[][..], 0..0)
+                        };
+                        let mem = mem.each_mut().map(|p| &mut p[mem_out.clone()]);
                         sweep_row!(tile.1, |t, L| {
                             let i = t + H;
                             let (inv_dx, dt) = (L::splat(inv_dx), L::splat(dt));

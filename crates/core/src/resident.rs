@@ -1,10 +1,10 @@
 //! Compressed-resident wavefields: the dynamic state lives as 16-bit
 //! planes and each step streams x-column tiles through a small f32 slab.
 //!
-//! [`ResidentMode::Compressed16`] halves the footprint of the 15 dynamic
-//! arrays (9 wavefields + 6 attenuation memory variables) by keeping them
-//! in [`ResidentField3`] stores — one calibrated codec per x-plane — and
-//! never materializing a full f32 copy. Every step phase runs as a sweep
+//! [`ResidentMode::Compressed16`] halves the footprint of the dynamic
+//! arrays (9 wavefields, + 6 memory variables with attenuation) by
+//! keeping them in [`ResidentField3`] stores — one calibrated codec per
+//! x-plane — and never materializing a full f32 copy. Every step phase runs as a sweep
 //! over column tiles: decode the tile (plus the two columns each side
 //! that the x-stencils reach) into a reusable slab [`SolverState`], run
 //! the *unchanged* region kernels on the core columns (calling-thread
@@ -35,6 +35,7 @@
 use crate::kernels::{self, Region};
 use crate::state::SolverState;
 use std::fmt;
+use std::ops::Range;
 use std::str::FromStr;
 use std::time::Instant;
 use sw_compress::{Codec, EncodeStats, FieldStats, ResidentField3};
@@ -49,16 +50,6 @@ pub enum ResidentMode {
     Full,
     /// 16-bit plane-compressed stores streamed through an f32 slab.
     Compressed16,
-}
-
-impl ResidentMode {
-    /// The process-wide default: `SWQUAKE_RESIDENT` when set (same syntax
-    /// as `--resident`; an invalid value is ignored here and refused by
-    /// [`crate::exec::check_env`]), `Full` otherwise. Explicit
-    /// [`crate::SimConfig::with_resident`] wins over the environment.
-    pub fn from_env() -> Self {
-        crate::exec::env_default(&crate::exec::RESIDENT_ENV).unwrap_or_default()
-    }
 }
 
 impl FromStr for ResidentMode {
@@ -95,11 +86,6 @@ pub const SIDECAR_FIELD: &str = "__resident_planes";
 /// constrains it.
 pub const DEFAULT_TILE_W: usize = 8;
 
-/// f32 arrays the slab state keeps live (everything except `rho`, which
-/// only seeds `buoyancy`): 9 wavefields + 6 memory variables + 13
-/// material/derived arrays.
-const SLAB_FIELDS: usize = 28;
-
 const H: usize = HALO_WIDTH;
 
 /// Decode/encode traffic of one step, for the perf ledger's
@@ -129,16 +115,16 @@ pub struct ResidentEngine {
     perf: ResidentPerf,
 }
 
-/// Solve the widest tile whose slab working set fits `cap` bytes
-/// (`None` → [`DEFAULT_TILE_W`]). The floor is one column — the cap is a
-/// target for the *slab*; the compressed stores themselves are a fixed
-/// cost of the scenario.
-pub fn tile_width_for_cap(dims: Dims3, cap: Option<u64>) -> usize {
+/// Solve the widest tile whose slab working set — `arrays` f32 arrays —
+/// fits `cap` bytes (`None` → [`DEFAULT_TILE_W`]). The floor is one
+/// column — the cap is a target for the *slab*; the compressed stores
+/// themselves are a fixed cost of the scenario.
+pub fn tile_width_for_cap(dims: Dims3, arrays: usize, cap: Option<u64>) -> usize {
     let w = match cap {
         None => DEFAULT_TILE_W,
         Some(cap) => {
             let plane = ((dims.ny + 2 * H) * (dims.nz + 2 * H)) as u64;
-            let per_column = (SLAB_FIELDS * 4) as u64 * plane;
+            let per_column = (arrays * 4) as u64 * plane;
             // slab padded width = tile_w + 4·H: the x-stencil reach (2·H
             // planes, decoded) + the slab field's own x-halo (2·H, unread)
             (cap / per_column.max(1)).saturating_sub(4 * H as u64) as usize
@@ -148,17 +134,27 @@ pub fn tile_width_for_cap(dims: Dims3, cap: Option<u64>) -> usize {
 }
 
 impl ResidentEngine {
-    /// Compress `state`'s dynamic fields into resident stores and build
-    /// the f32 slab sized for `cap` bytes. `state` itself is not
-    /// modified; the driver detaches its dynamic arrays afterwards.
+    /// Compress `state`'s dynamic fields into resident stores — empty
+    /// ones for the memory variables a state without attenuation does
+    /// not carry — and build the f32 slab sized for `cap` bytes. `state`
+    /// itself is not modified; the driver detaches its dynamic arrays
+    /// afterwards.
     pub fn new(state: &SolverState, cap: Option<u64>) -> Self {
         let dims = state.dims;
         let stores: Vec<ResidentField3> = RESIDENT_FIELDS
             .iter()
             .zip(state.dynamic())
-            .map(|(name, f)| ResidentField3::from_field(f, base_codec(name)))
+            .map(|(name, f)| {
+                if f.is_detached() {
+                    ResidentField3::new(Dims3::new(0, 0, 0), 0, base_codec(name))
+                } else {
+                    ResidentField3::from_field(f, base_codec(name))
+                }
+            })
             .collect();
-        let tile_w = tile_width_for_cap(dims, cap);
+        // How many arrays a slab carries does not depend on its width.
+        let arrays = slab_state(state, 0).arrays().count();
+        let tile_w = tile_width_for_cap(dims, arrays, cap);
         let slab = slab_state(state, tile_w);
         Self {
             stores,
@@ -171,11 +167,6 @@ impl ResidentEngine {
         }
     }
 
-    /// Core columns per slab pass (solved from the memory cap).
-    pub fn tile_w(&self) -> usize {
-        self.tile_w
-    }
-
     /// Bytes held by the 16-bit store of field `idx`.
     pub fn stored_bytes(&self, idx: usize) -> u64 {
         self.stores[idx].stored_bytes() as u64
@@ -184,24 +175,14 @@ impl ResidentEngine {
     /// f32 bytes of the reusable slab — the step's whole decompressed
     /// working set, and the quantity the memory cap bounds.
     pub fn working_set_bytes(&self) -> u64 {
-        let s = &self.slab;
-        let fields = [
-            &s.lam,
-            &s.mu,
-            &s.rho,
-            &s.buoyancy,
-            &s.wp,
-            &s.ws,
-            &s.cohes,
-            &s.sinphi,
-            &s.cosphi,
-            &s.pf,
-            &s.sigma0,
-            &s.yldfac,
-            &s.eqp,
-            &s.dcrj,
-        ];
-        fields.iter().chain(&s.dynamic()).map(|f| (f.raw().len() * 4) as u64).sum()
+        self.slab.arrays().map(|(_, _, f)| f.resident_bytes() as u64).sum()
+    }
+
+    /// Index and name of every dynamic field this run carries (the empty
+    /// stores are the ones it does not).
+    pub fn carried(&self) -> impl Iterator<Item = (usize, &'static str)> + '_ {
+        let names = RESIDENT_FIELDS.iter().copied().enumerate();
+        names.filter(|&(i, _)| self.stores[i].stored_bytes() > 0)
     }
 
     /// Per-field encode statistics merged over every encode of the
@@ -239,11 +220,6 @@ impl ResidentEngine {
     /// scans, spot checks).
     pub fn sample(&self, idx: usize, x: usize, y: usize, z: usize) -> f32 {
         self.stores[idx].get(x, y, z)
-    }
-
-    /// Largest advisory plane max-abs of field `idx`.
-    pub fn max_abs(&self, idx: usize) -> f32 {
-        self.stores[idx].max_abs()
     }
 
     /// Decompress field `idx` into a fresh f32 field (checkpoints,
@@ -302,9 +278,9 @@ impl ResidentEngine {
     /// `sidecar` buckets the re-encode is byte-identical to the store the
     /// checkpoint was taken from; without (a checkpoint written by a
     /// full-mode run) the buckets are re-derived from the content.
-    /// Returns `false` when `name` is not a resident field.
+    /// Returns `false` when `name` is not a resident field of this run.
     pub fn restore_field(&mut self, name: &str, f: &Field3, sidecar: Option<&Field3>) -> bool {
-        let Some(idx) = RESIDENT_FIELDS.iter().position(|n| *n == name) else {
+        let Some((idx, _)) = self.carried().find(|(_, n)| *n == name) else {
             return false;
         };
         assert_eq!(f.dims(), self.dims, "checkpoint field dims mismatch for {name}");
@@ -328,23 +304,15 @@ impl ResidentEngine {
 
     /// The velocity half-step: free-surface imaging + `dvelc` per tile.
     pub fn velocity_sweep(&mut self, main: &SolverState) {
-        let nx = self.dims.nx;
-        let mut c0 = 0;
-        while c0 < nx {
-            let c1 = (c0 + self.tile_w).min(nx);
-            self.velocity_tile(main, c0, c1);
-            c0 = c1;
+        for tile in self.tiles() {
+            self.velocity_tile(main, tile);
         }
     }
 
     /// The stress half-step: free-surface imaging + `dstrqc` per tile.
     pub fn stress_sweep(&mut self, main: &SolverState) {
-        let nx = self.dims.nx;
-        let mut c0 = 0;
-        while c0 < nx {
-            let c1 = (c0 + self.tile_w).min(nx);
-            self.stress_tile(main, c0, c1);
-            c0 = c1;
+        for tile in self.tiles() {
+            self.stress_tile(main, tile);
         }
     }
 
@@ -375,209 +343,146 @@ impl ResidentEngine {
     /// Writes the accumulated plastic strain back into `main.eqp` (the
     /// only dynamic array that stays f32-resident).
     pub fn plastic_sponge_sweep(&mut self, main: &mut SolverState) {
-        if !self.wants_plastic_sponge() {
-            return;
-        }
-        let nx = self.dims.nx;
-        let mut c0 = 0;
-        while c0 < nx {
-            let c1 = (c0 + self.tile_w).min(nx);
-            self.plastic_sponge_tile(main, c0, c1);
-            c0 = c1;
+        if self.wants_plastic_sponge() {
+            for tile in self.tiles() {
+                self.plastic_sponge_tile(main, tile);
+            }
         }
     }
 
-    fn velocity_tile(&mut self, main: &SolverState, c0: usize, c1: usize) {
-        let w0 = c0.saturating_sub(H);
-        let core = (c0 - w0)..(c1 - w0);
+    /// The column tiles of one sweep, in ascending x.
+    fn tiles(&self) -> impl Iterator<Item = Tile> {
+        let (nx, w) = (self.dims.nx, self.tile_w);
+        (0..nx).step_by(w).map(move |c0| Tile {
+            w0: c0.saturating_sub(H),
+            c0,
+            c1: (c0 + w).min(nx),
+        })
+    }
+
+    /// Decode the dynamic `fields` ([`RESIDENT_FIELDS`] indices) this run
+    /// carries into the slab: the tile's core columns, plus — `reach` —
+    /// the `H` columns each side that the x-stencils read. Returns the
+    /// number of values decoded.
+    fn decode(&mut self, fields: Range<usize>, reach: bool, t: Tile) -> u64 {
+        let slab = &mut self.slab.dynamic_mut()[fields.clone()];
+        let carried = self.stores[fields].iter().zip(slab).filter(|(s, _)| s.stored_bytes() > 0);
+        carried
+            .map(|(s, f)| if reach { decode_window(s, f, t) } else { decode_core(s, f, t) })
+            .sum()
+    }
+
+    /// Re-encode the core columns of the dynamic `fields` this run
+    /// carries from the slab, folding the encode statistics (with the
+    /// round-trip errors on a sampled step) into the step's.
+    fn encode(&mut self, fields: Range<usize>, t: Tile) {
+        let t1 = Instant::now();
+        let slab = &self.slab.dynamic()[fields.clone()];
+        let stats = &mut self.step_stats[fields.clone()];
+        let stores = self.stores[fields].iter_mut().zip(slab).zip(stats);
+        for ((store, f), stats) in stores.filter(|((s, _), _)| s.stored_bytes() > 0) {
+            self.perf.encoded_cells += encode_core(store, f, t, self.sample_errors, stats);
+        }
+        self.perf.encode_s += t1.elapsed().as_secs_f64();
+    }
+
+    fn velocity_tile(&mut self, main: &SolverState, t: Tile) {
         let t0 = Instant::now();
-        let mut cells = 0u64;
-        {
-            let s = &mut self.slab;
-            // Stresses feed the velocity stencils: decode the core columns
-            // plus the H columns each side the x-stencils reach.
-            for (store, f) in self.stores[3..9]
-                .iter()
-                .zip([&mut s.xx, &mut s.yy, &mut s.zz, &mut s.xy, &mut s.xz, &mut s.yz])
-            {
-                cells += decode_window(store, f, w0, c0, c1);
-            }
-            // Velocities are read and written same-cell: core columns only.
-            for (store, f) in self.stores[0..3].iter().zip([&mut s.u, &mut s.v, &mut s.w]) {
-                cells += decode_core(store, f, w0, c0, c1);
-            }
-            // Buoyancy is read pointwise at the updated cell.
-            copy_core(&mut s.buoyancy, &main.buoyancy, w0, c0, c1);
+        // Stresses feed the velocity stencils: decode the core columns
+        // plus the H columns each side the x-stencils reach. Velocities
+        // are read and written same-cell: core columns only.
+        let cells = self.decode(STRESSES, true, t) + self.decode(VELOCITIES, false, t);
+        // Buoyancy is read pointwise at the updated cell.
+        copy_core(&mut self.slab.buoyancy, &main.buoyancy, t);
+        self.perf.decode_s += t0.elapsed().as_secs_f64();
+        self.perf.decoded_cells += cells;
+
+        kernels::fstr_region(&mut self.slab, t.core());
+        kernels::dvelc_region(&mut self.slab, &Region::new(t.core(), 0..self.dims.ny), false);
+        self.encode(VELOCITIES, t);
+    }
+
+    fn stress_tile(&mut self, main: &SolverState, t: Tile) {
+        let t0 = Instant::now();
+        // Velocities feed the strain-rate stencils: core + reach. Stresses
+        // and memory variables update same-cell: core only.
+        let cells = self.decode(VELOCITIES, true, t) + self.decode(STRESS_SIDE, false, t);
+        // Moduli (and the Q weights, with attenuation) are read
+        // pointwise at the updated cell.
+        let s = &mut self.slab;
+        for (src, dst) in [
+            (&main.lam, &mut s.lam),
+            (&main.mu, &mut s.mu),
+            (&main.wp, &mut s.wp),
+            (&main.ws, &mut s.ws),
+        ] {
+            copy_core(dst, src, t);
         }
         self.perf.decode_s += t0.elapsed().as_secs_f64();
         self.perf.decoded_cells += cells;
 
-        kernels::fstr_region(&mut self.slab, core.clone());
-        kernels::dvelc_region(&mut self.slab, &Region::new(core, 0..self.dims.ny), false);
-
-        let t1 = Instant::now();
-        let mut enc = 0u64;
-        let sample = self.sample_errors;
-        let s = &self.slab;
-        for ((store, f), stats) in self.stores[0..3]
-            .iter_mut()
-            .zip([&s.u, &s.v, &s.w])
-            .zip(self.step_stats[0..3].iter_mut())
-        {
-            enc += encode_core(store, f, w0, c0, c1, sample, stats);
-        }
-        self.perf.encode_s += t1.elapsed().as_secs_f64();
-        self.perf.encoded_cells += enc;
+        kernels::fstr_region(&mut self.slab, t.core());
+        kernels::dstrqc_region(&mut self.slab, &Region::new(t.core(), 0..self.dims.ny), false);
+        self.encode(STRESS_SIDE, t);
     }
 
-    fn stress_tile(&mut self, main: &SolverState, c0: usize, c1: usize) {
-        let w0 = c0.saturating_sub(H);
-        let core = (c0 - w0)..(c1 - w0);
-        let atten = self.slab.options.attenuation;
-        let t0 = Instant::now();
-        let mut cells = 0u64;
-        {
-            let s = &mut self.slab;
-            // Velocities feed the strain-rate stencils: core + reach.
-            for (store, f) in self.stores[0..3].iter().zip([&mut s.u, &mut s.v, &mut s.w]) {
-                cells += decode_window(store, f, w0, c0, c1);
-            }
-            // Stresses and memory variables update same-cell: core only.
-            for (store, f) in self.stores[3..9]
-                .iter()
-                .zip([&mut s.xx, &mut s.yy, &mut s.zz, &mut s.xy, &mut s.xz, &mut s.yz])
-            {
-                cells += decode_core(store, f, w0, c0, c1);
-            }
-            if atten {
-                for (store, f) in self.stores[9..15].iter().zip(s.r.iter_mut()) {
-                    cells += decode_core(store, f, w0, c0, c1);
-                }
-            }
-            // Moduli are read pointwise at the updated cell.
-            for (src, dst) in [
-                (&main.lam, &mut s.lam),
-                (&main.mu, &mut s.mu),
-                (&main.wp, &mut s.wp),
-                (&main.ws, &mut s.ws),
-            ] {
-                copy_core(dst, src, w0, c0, c1);
-            }
-        }
-        self.perf.decode_s += t0.elapsed().as_secs_f64();
-        self.perf.decoded_cells += cells;
-
-        kernels::fstr_region(&mut self.slab, core.clone());
-        kernels::dstrqc_region(&mut self.slab, &Region::new(core, 0..self.dims.ny), false);
-
-        let t1 = Instant::now();
-        let mut enc = 0u64;
-        let sample = self.sample_errors;
-        let s = &self.slab;
-        for ((store, f), stats) in self.stores[3..9]
-            .iter_mut()
-            .zip([&s.xx, &s.yy, &s.zz, &s.xy, &s.xz, &s.yz])
-            .zip(self.step_stats[3..9].iter_mut())
-        {
-            enc += encode_core(store, f, w0, c0, c1, sample, stats);
-        }
-        if atten {
-            for ((store, f), stats) in
-                self.stores[9..15].iter_mut().zip(s.r.iter()).zip(self.step_stats[9..15].iter_mut())
-            {
-                enc += encode_core(store, f, w0, c0, c1, sample, stats);
-            }
-        }
-        self.perf.encode_s += t1.elapsed().as_secs_f64();
-        self.perf.encoded_cells += enc;
-    }
-
-    fn plastic_sponge_tile(&mut self, main: &mut SolverState, c0: usize, c1: usize) {
-        let w0 = c0.saturating_sub(H);
-        let core = (c0 - w0)..(c1 - w0);
+    fn plastic_sponge_tile(&mut self, main: &mut SolverState, t: Tile) {
         let nonlinear = self.slab.options.nonlinear;
-        let sponge = self.slab.options.sponge_width > 0;
-        let atten = self.slab.options.attenuation;
+        // The sponge damps every dynamic field, plasticity the stresses.
+        let damped = if self.slab.options.sponge_width > 0 { DYNAMIC } else { STRESSES };
         let t0 = Instant::now();
-        let mut cells = 0u64;
-        {
-            let s = &mut self.slab;
-            for (store, f) in self.stores[3..9]
-                .iter()
-                .zip([&mut s.xx, &mut s.yy, &mut s.zz, &mut s.xy, &mut s.xz, &mut s.yz])
-            {
-                cells += decode_core(store, f, w0, c0, c1);
-            }
-            if sponge {
-                for (store, f) in self.stores[0..3].iter().zip([&mut s.u, &mut s.v, &mut s.w]) {
-                    cells += decode_core(store, f, w0, c0, c1);
-                }
-                if atten {
-                    for (store, f) in self.stores[9..15].iter().zip(s.r.iter_mut()) {
-                        cells += decode_core(store, f, w0, c0, c1);
-                    }
-                }
-                copy_core(&mut s.dcrj, &main.dcrj, w0, c0, c1);
-            }
-            if nonlinear {
-                for (src, dst) in [
-                    (&main.mu, &mut s.mu),
-                    (&main.sigma0, &mut s.sigma0),
-                    (&main.cohes, &mut s.cohes),
-                    (&main.cosphi, &mut s.cosphi),
-                    (&main.sinphi, &mut s.sinphi),
-                    (&main.pf, &mut s.pf),
-                    (&main.eqp, &mut s.eqp),
-                ] {
-                    copy_core(dst, src, w0, c0, c1);
-                }
+        let cells = self.decode(damped.clone(), false, t);
+        let s = &mut self.slab;
+        s.sponge = main.sponge.shifted(t.w0);
+        if nonlinear {
+            for (src, dst) in [
+                (&main.mu, &mut s.mu),
+                (&main.sigma0, &mut s.sigma0),
+                (&main.cohes, &mut s.cohes),
+                (&main.cosphi, &mut s.cosphi),
+                (&main.sinphi, &mut s.sinphi),
+                (&main.pf, &mut s.pf),
+                (&main.eqp, &mut s.eqp),
+            ] {
+                copy_core(dst, src, t);
             }
         }
         self.perf.decode_s += t0.elapsed().as_secs_f64();
         self.perf.decoded_cells += cells;
 
         if nonlinear {
-            kernels::drprecpc_calc_region(&mut self.slab, core.clone(), false);
-            kernels::drprecpc_app_region(&mut self.slab, core.clone(), false);
+            kernels::drprecpc_calc_region(&mut self.slab, t.core(), false);
+            kernels::drprecpc_app_region(&mut self.slab, t.core(), false);
         }
-        if sponge {
-            kernels::apply_sponge_region(&mut self.slab, core, false);
-        }
-
-        let t1 = Instant::now();
-        let mut enc = 0u64;
-        let sample = self.sample_errors;
-        let s = &self.slab;
-        for ((store, f), stats) in self.stores[3..9]
-            .iter_mut()
-            .zip([&s.xx, &s.yy, &s.zz, &s.xy, &s.xz, &s.yz])
-            .zip(self.step_stats[3..9].iter_mut())
-        {
-            enc += encode_core(store, f, w0, c0, c1, sample, stats);
-        }
-        if sponge {
-            for ((store, f), stats) in self.stores[0..3]
-                .iter_mut()
-                .zip([&s.u, &s.v, &s.w])
-                .zip(self.step_stats[0..3].iter_mut())
-            {
-                enc += encode_core(store, f, w0, c0, c1, sample, stats);
-            }
-            if atten {
-                for ((store, f), stats) in self.stores[9..15]
-                    .iter_mut()
-                    .zip(s.r.iter())
-                    .zip(self.step_stats[9..15].iter_mut())
-                {
-                    enc += encode_core(store, f, w0, c0, c1, sample, stats);
-                }
-            }
-        }
-        self.perf.encode_s += t1.elapsed().as_secs_f64();
-        self.perf.encoded_cells += enc;
+        kernels::apply_sponge_region(&mut self.slab, t.core(), false);
+        self.encode(damped, t);
         if nonlinear {
-            main.eqp.copy_planes_from(&self.slab.eqp, c0 - w0 + H, c0 + H, c1 - c0);
+            main.eqp.copy_planes_from(&self.slab.eqp, t.c0 - t.w0 + H, t.c0 + H, t.c1 - t.c0);
         }
+    }
+}
+
+/// [`RESIDENT_FIELDS`] indices of the velocities, of the stresses, of
+/// what the stress half updates (the stresses and their memory variables)
+/// and of every dynamic field.
+const VELOCITIES: Range<usize> = 0..3;
+const STRESSES: Range<usize> = 3..9;
+const STRESS_SIDE: Range<usize> = 3..15;
+const DYNAMIC: Range<usize> = 0..15;
+
+/// One pass of the slab: global core columns `c0..c1`, decoded with the
+/// slab's padded plane `q` holding global padded plane `q + w0`.
+#[derive(Clone, Copy)]
+struct Tile {
+    w0: usize,
+    c0: usize,
+    c1: usize,
+}
+
+impl Tile {
+    /// The core columns in the slab's interior coordinates.
+    fn core(self) -> Range<usize> {
+        self.c0 - self.w0..self.c1 - self.w0
     }
 }
 
@@ -590,42 +495,14 @@ fn base_codec(name: &str) -> Codec {
 
 /// Build the reusable slab: a narrow [`SolverState`] of `tile_w + 2·H`
 /// interior columns whose padded planes map to the global padded planes
-/// `q ↦ q + w0` for the tile starting at `w0 = c0 − H`.
+/// `q ↦ q + w0` for the tile starting at `w0 = c0 − H`. It carries the
+/// arrays `main`'s options call for, except `rho`, which only seeds
+/// `buoyancy` (and feeds the energy probe the resident path skips).
 fn slab_state(main: &SolverState, tile_w: usize) -> SolverState {
     let dims = Dims3::new((tile_w + 2 * H).min(main.dims.nx), main.dims.ny, main.dims.nz);
-    let f = || Field3::new(dims, H);
-    SolverState {
-        dims,
-        dx: main.dx,
-        dt: main.dt,
-        dt_stable: main.dt_stable,
-        u: f(),
-        v: f(),
-        w: f(),
-        xx: f(),
-        yy: f(),
-        zz: f(),
-        xy: f(),
-        xz: f(),
-        yz: f(),
-        r: [f(), f(), f(), f(), f(), f()],
-        lam: f(),
-        mu: f(),
-        rho: Field3::detached(dims, H),
-        buoyancy: f(),
-        wp: f(),
-        ws: f(),
-        cohes: f(),
-        sinphi: f(),
-        cosphi: f(),
-        pf: f(),
-        sigma0: f(),
-        yldfac: Field3::filled(dims, H, 1.0),
-        eqp: f(),
-        dcrj: Field3::filled(dims, H, 1.0),
-        tau: main.tau,
-        options: main.options,
-    }
+    let mut slab = SolverState::blank(dims, main.dx, main.dt, main.dt_stable, main.options);
+    slab.rho = Field3::detached(dims, H);
+    slab
 }
 
 /// Decode the slab planes the region kernels read when updating core
@@ -635,19 +512,19 @@ fn slab_state(main: &SolverState, tile_w: usize) -> SolverState {
 /// its own x-halo, `2·H` of its `tile_w + 4·H` — are read by nothing and
 /// keep whatever an earlier tile left there. Returns the number of values
 /// decoded.
-fn decode_window(store: &ResidentField3, dst: &mut Field3, w0: usize, c0: usize, c1: usize) -> u64 {
-    for g in c0..c1 + 2 * H {
-        store.decode_plane_into(g, dst.plane_mut(g - w0));
+fn decode_window(store: &ResidentField3, dst: &mut Field3, t: Tile) -> u64 {
+    for g in t.c0..t.c1 + 2 * H {
+        store.decode_plane_into(g, dst.plane_mut(g - t.w0));
     }
-    ((c1 - c0 + 2 * H) * dst.plane_len()) as u64
+    ((t.c1 - t.c0 + 2 * H) * dst.plane_len()) as u64
 }
 
 /// Decode only the core interior planes `c0..c1` (global column indices).
-fn decode_core(store: &ResidentField3, dst: &mut Field3, w0: usize, c0: usize, c1: usize) -> u64 {
-    for x in c0..c1 {
-        store.decode_plane_into(x + H, dst.plane_mut(x - w0 + H));
+fn decode_core(store: &ResidentField3, dst: &mut Field3, t: Tile) -> u64 {
+    for x in t.c0..t.c1 {
+        store.decode_plane_into(x + H, dst.plane_mut(x - t.w0 + H));
     }
-    ((c1 - c0) * dst.plane_len()) as u64
+    ((t.c1 - t.c0) * dst.plane_len()) as u64
 }
 
 /// Re-encode the core interior planes `c0..c1` from the slab, folding the
@@ -656,28 +533,28 @@ fn decode_core(store: &ResidentField3, dst: &mut Field3, w0: usize, c0: usize, c
 fn encode_core(
     store: &mut ResidentField3,
     src: &Field3,
-    w0: usize,
-    c0: usize,
-    c1: usize,
+    t: Tile,
     sample: bool,
     stats: &mut EncodeStats,
 ) -> u64 {
-    for x in c0..c1 {
-        let plane = src.plane(x - w0 + H);
+    for x in t.c0..t.c1 {
+        let plane = src.plane(x - t.w0 + H);
         stats.merge(&if sample {
             store.encode_plane_sampled(x + H, plane)
         } else {
             store.encode_plane(x + H, plane)
         });
     }
-    ((c1 - c0) * src.plane_len()) as u64
+    ((t.c1 - t.c0) * src.plane_len()) as u64
 }
 
 /// Copy the core interior planes of a pointwise-read material array into
 /// the slab (stale columns outside the core are never read by the region
-/// kernels).
-fn copy_core(dst: &mut Field3, src: &Field3, w0: usize, c0: usize, c1: usize) {
-    dst.copy_planes_from(src, c0 + H, c0 - w0 + H, c1 - c0);
+/// kernels). An array the options rule out is detached on both sides.
+fn copy_core(dst: &mut Field3, src: &Field3, t: Tile) {
+    if !src.is_detached() {
+        dst.copy_planes_from(src, t.c0 + H, t.c0 - t.w0 + H, t.c1 - t.c0);
+    }
 }
 
 #[cfg(test)]
@@ -696,16 +573,17 @@ mod tests {
     #[test]
     fn tile_width_honours_the_cap() {
         let d = Dims3::new(64, 32, 32);
-        assert_eq!(tile_width_for_cap(d, None), DEFAULT_TILE_W);
+        assert_eq!(tile_width_for_cap(d, 20, None), DEFAULT_TILE_W);
         // A huge cap admits the whole grid as one tile.
-        assert_eq!(tile_width_for_cap(d, Some(u64::MAX)), 64);
+        assert_eq!(tile_width_for_cap(d, 20, Some(u64::MAX)), 64);
         // A tiny cap clamps to the one-column floor instead of failing.
-        assert_eq!(tile_width_for_cap(d, Some(1)), 1);
-        // The solved width's slab actually fits the cap when above floor.
-        let cap = 64u64 << 20;
-        let w = tile_width_for_cap(d, Some(cap));
+        assert_eq!(tile_width_for_cap(d, 20, Some(1)), 1);
+        // The solved width's slab actually fits the cap when above floor,
+        // and fewer arrays buy a wider tile.
+        let cap = 4u64 << 20;
+        let w = tile_width_for_cap(d, 20, Some(cap));
         let plane = ((d.ny + 2 * H) * (d.nz + 2 * H)) as u64;
-        assert!((SLAB_FIELDS * 4) as u64 * plane * (w as u64 + 4 * H as u64) <= cap);
-        assert!(w >= 1);
+        assert!(20 * 4 * plane * (w as u64 + 4 * H as u64) <= cap);
+        assert!(w >= 1 && tile_width_for_cap(d, 12, Some(cap)) > w);
     }
 }

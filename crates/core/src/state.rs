@@ -1,14 +1,23 @@
-//! The full simulation state.
+//! The full simulation state, and the one list of its arrays.
 //!
 //! §3 of the paper counts the arrays: a linear run needs 28 3-D arrays,
 //! the nonlinear Drucker–Prager run over 35 — "which almost increase 25 %
 //! of both the memory capacity and memory bandwidth". This module owns
-//! those arrays: three velocity components, six stresses, six attenuation
-//! memory variables, the material fields, and the plasticity set
-//! (cohesion, friction angle, fluid pressure, initial mean stress, yield
-//! factor, accumulated plastic strain), plus the Cerjan damping profile.
+//! those arrays and is the only one that knows which exist:
+//! [`SolverState::blank`] allocates what the options' physics uses — the
+//! nine wavefields and four material arrays always, the six attenuation
+//! memory variables and two Q weights with attenuation, the seven
+//! plasticity arrays (cohesion, friction angle, fluid pressure, initial
+//! mean stress, yield factor, accumulated plastic strain) with
+//! plasticity — and leaves the rest [`Field3::detached`], which own no
+//! storage and panic on any element access. [`SolverState::arrays`] names
+//! the allocated ones; memory gauges, checkpoint field sets, the resident
+//! slab and the §3 accounting read that list instead of keeping their
+//! own. The Cerjan taper is not an array: it is a function of a cell's
+//! distance to the nearest absorbing face, tabulated in [`SpongeProfile`].
 
 use crate::staggered::stable_dt;
+use std::sync::Arc;
 use sw_grid::{Dims3, Field3, HALO_WIDTH};
 use sw_model::VelocityModel;
 
@@ -74,6 +83,129 @@ impl Default for StateOptions {
     }
 }
 
+/// What an array is to a step — who advances it, and which memory gauge
+/// and checkpoint set it falls into.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum ArrayClass {
+    /// `u v w xx yy zz xy xz yz`: advanced by the stencils, exchanged
+    /// between ranks, stored 16-bit by the codecs.
+    Wavefield,
+    /// `r1..r6`: advanced with the stresses when attenuation is on.
+    MemoryVariable,
+    /// Read pointwise: the media parameters, the Q weights and the
+    /// plasticity set (of which the plasticity kernels write `yldfac`,
+    /// every step, and `eqp`, the one a checkpoint carries).
+    Material,
+}
+
+/// Whether a state built with the options carries a group of arrays.
+type Wanted = fn(&StateOptions) -> bool;
+
+/// Every array a state can carry, grouped by class and by the physics
+/// that calls for it, in [`SolverState::arrays`] order (the first fifteen
+/// are [`RESIDENT_FIELDS`](crate::resident::RESIDENT_FIELDS)).
+const ARRAYS: [(&[&str], ArrayClass, Wanted); 5] = [
+    (&["u", "v", "w", "xx", "yy", "zz", "xy", "xz", "yz"], ArrayClass::Wavefield, |_| true),
+    (&["r1", "r2", "r3", "r4", "r5", "r6"], ArrayClass::MemoryVariable, |o| o.attenuation),
+    // `rho` stays beside `buoyancy`: `kinetic_energy` reads it.
+    (&["lam", "mu", "rho", "buoyancy"], ArrayClass::Material, |_| true),
+    (&["wp", "ws"], ArrayClass::Material, |o| o.attenuation),
+    (&["cohes", "sinphi", "cosphi", "pf", "sigma0", "yldfac", "eqp"], ArrayClass::Material, |o| {
+        o.nonlinear
+    }),
+];
+
+/// [`ARRAYS`], one row per array.
+fn rows() -> impl Iterator<Item = (&'static str, ArrayClass, Wanted)> {
+    let groups = ARRAYS.iter();
+    groups.flat_map(|&(names, class, wanted)| names.iter().map(move |&name| (name, class, wanted)))
+}
+
+impl StateOptions {
+    /// Name and class of every array a state built with these options
+    /// allocates: 13 always, 8 more with attenuation, 7 more with
+    /// plasticity.
+    pub fn arrays(self) -> impl Iterator<Item = (&'static str, ArrayClass)> {
+        rows().filter(move |(_, _, wanted)| wanted(&self)).map(|(name, class, _)| (name, class))
+    }
+}
+
+/// The Cerjan taper as a table. The factor at a cell depends only on its
+/// distance to the nearest of the five absorbing faces (z = 0 is the free
+/// surface): `min(h, nz − 1 − z)`, `h` being the horizontal distance of
+/// its column. One row of `nz` factors per `h` below `sponge_width` that
+/// the global mesh has, and one shared row for every column further in,
+/// whose factors are 1.0 above the bottom band — the kernel skips those
+/// (`x · 1.0` is the identity on every value a step stores; none is
+/// subnormal, which `tests/fpenv.rs` pins). Rows are indexed in global
+/// coordinates, so rank pieces and resident tiles agree with the
+/// single-rank run bit for bit, and the table's size is bounded by the
+/// mesh whatever the width.
+#[derive(Debug, Clone)]
+pub struct SpongeProfile {
+    /// `bands` rows for `h = 0..bands`, then the shared row.
+    taper: Arc<[f32]>,
+    nz: usize,
+    bands: usize,
+    /// First cell of the shared row that is below 1.0.
+    z0: usize,
+    /// Global `(nx, ny)`, and this piece's offset in it.
+    global: (usize, usize),
+    offset: (usize, usize),
+}
+
+impl SpongeProfile {
+    fn new(dims: Dims3, options: &StateOptions) -> Self {
+        let n = options.sponge_width;
+        let alpha = 0.095f32; // classic Cerjan decay constant
+        let (global, x_off, y_off) = options.global_span.unwrap_or((dims, 0, 0));
+        let factor = |dist: usize| -> f32 {
+            if dist >= n {
+                1.0
+            } else {
+                let a = alpha * (n - dist) as f32 / n as f32;
+                (-a * a * 10.0).exp()
+            }
+        };
+        let bands = n.min(global.nx.min(global.ny).div_ceil(2));
+        // The last row: every column at least `n` from the four sides.
+        let taper = (0..bands)
+            .chain([usize::MAX])
+            .flat_map(|h| (0..dims.nz).map(move |z| factor(h.min(global.nz - 1 - z))))
+            .collect();
+        Self {
+            taper,
+            nz: dims.nz,
+            bands,
+            z0: global.nz.saturating_sub(n).min(dims.nz),
+            global: (global.nx, global.ny),
+            offset: (x_off, y_off),
+        }
+    }
+
+    /// The cells of local column `(x, y)` the sponge changes: the first
+    /// one's `z` and the factors from there down to the bottom.
+    #[inline]
+    pub fn column(&self, x: usize, y: usize) -> (usize, &[f32]) {
+        let (gx, gy) = (x + self.offset.0, y + self.offset.1);
+        let h = gx.min(self.global.0 - 1 - gx).min(gy.min(self.global.1 - 1 - gy));
+        let z0 = if h < self.bands { 0 } else { self.z0 };
+        (z0, &self.taper[h.min(self.bands) * self.nz + z0..][..self.nz - z0])
+    }
+
+    /// Factors tabulated: `nz` per row, a row per horizontal distance the
+    /// global mesh has below the width, and the shared one.
+    pub fn factors(&self) -> usize {
+        self.taper.len()
+    }
+
+    /// The same table seen from a piece `x` columns further along — a
+    /// resident tile of this (sub)domain.
+    pub(crate) fn shifted(&self, x: usize) -> Self {
+        Self { offset: (self.offset.0 + x, self.offset.1), ..self.clone() }
+    }
+}
+
 /// All simulation arrays for one (sub)domain.
 #[derive(Debug, Clone)]
 pub struct SolverState {
@@ -103,7 +235,8 @@ pub struct SolverState {
     pub xz: Field3,
     /// Shear stress yz (at `(i, j+1/2, k+1/2)`).
     pub yz: Field3,
-    /// Attenuation memory variables, one per stress component.
+    /// Attenuation memory variables, one per stress component (detached
+    /// without attenuation, as are `wp` and `ws`).
     pub r: [Field3; 6],
     /// Lamé λ, Pa.
     pub lam: Field3,
@@ -120,7 +253,8 @@ pub struct SolverState {
     pub wp: Field3,
     /// S attenuation weight `1/Qs`.
     pub ws: Field3,
-    /// Cohesion, Pa (nonlinear only; empty-sized otherwise).
+    /// Cohesion, Pa (this and the six below: nonlinear only, detached
+    /// otherwise).
     pub cohes: Field3,
     /// sin of the friction angle.
     pub sinphi: Field3,
@@ -136,7 +270,7 @@ pub struct SolverState {
     /// Accumulated plastic strain.
     pub eqp: Field3,
     /// Cerjan damping profile (multiplies velocity and stress).
-    pub dcrj: Field3,
+    pub sponge: SpongeProfile,
     /// Attenuation relaxation time, s.
     pub tau: f64,
     /// Options this state was built with.
@@ -144,6 +278,50 @@ pub struct SolverState {
 }
 
 impl SolverState {
+    /// A state with zeroed arrays (`yldfac` at 1, elastic): exactly the
+    /// ones `options` call for ([`StateOptions::arrays`]); the others are
+    /// detached. [`Self::from_model`] and the resident slab start here.
+    pub fn blank(dims: Dims3, dx: f64, dt: f64, dt_stable: f64, options: StateOptions) -> Self {
+        let f = |name: &str| match options.arrays().find(|(wanted, _)| *wanted == name) {
+            Some(_) => Field3::new(dims, HALO_WIDTH),
+            None => Field3::detached(dims, HALO_WIDTH),
+        };
+        let mut state = Self {
+            dims,
+            dx,
+            dt,
+            dt_stable,
+            u: f("u"),
+            v: f("v"),
+            w: f("w"),
+            xx: f("xx"),
+            yy: f("yy"),
+            zz: f("zz"),
+            xy: f("xy"),
+            xz: f("xz"),
+            yz: f("yz"),
+            r: ["r1", "r2", "r3", "r4", "r5", "r6"].map(f),
+            lam: f("lam"),
+            mu: f("mu"),
+            rho: f("rho"),
+            buoyancy: f("buoyancy"),
+            wp: f("wp"),
+            ws: f("ws"),
+            cohes: f("cohes"),
+            sinphi: f("sinphi"),
+            cosphi: f("cosphi"),
+            pf: f("pf"),
+            sigma0: f("sigma0"),
+            yldfac: f("yldfac"),
+            eqp: f("eqp"),
+            sponge: SpongeProfile::new(dims, &options),
+            tau: 1.0 / (2.0 * std::f64::consts::PI * options.reference_frequency),
+            options,
+        };
+        state.yldfac.raw_mut().fill(1.0);
+        state
+    }
+
     /// Build a state from a velocity model. `origin` is the physical
     /// position (m) of grid index (0, 0, 0); depth = `origin.2 + z·dx`.
     pub fn from_model(
@@ -154,41 +332,7 @@ impl SolverState {
         options: StateOptions,
     ) -> Self {
         let dt_stable = stable_dt(dx, model.vp_max() as f64);
-        let dt = dt_stable * options.dt_scale;
-        let h = HALO_WIDTH;
-        let f = || Field3::new(dims, h);
-        let mut state = Self {
-            dims,
-            dx,
-            dt,
-            dt_stable,
-            u: f(),
-            v: f(),
-            w: f(),
-            xx: f(),
-            yy: f(),
-            zz: f(),
-            xy: f(),
-            xz: f(),
-            yz: f(),
-            r: [f(), f(), f(), f(), f(), f()],
-            lam: f(),
-            mu: f(),
-            rho: f(),
-            buoyancy: f(),
-            wp: f(),
-            ws: f(),
-            cohes: f(),
-            sinphi: f(),
-            cosphi: f(),
-            pf: f(),
-            sigma0: f(),
-            yldfac: Field3::filled(dims, h, 1.0),
-            eqp: f(),
-            dcrj: Field3::filled(dims, h, 1.0),
-            tau: 1.0 / (2.0 * std::f64::consts::PI * options.reference_frequency),
-            options,
-        };
+        let mut state = Self::blank(dims, dx, dt_stable * options.dt_scale, dt_stable, options);
         let p = options.plasticity;
         let (sp, cp) = p.friction_angle_deg.to_radians().sin_cos();
         for x in 0..dims.nx {
@@ -204,8 +348,10 @@ impl SolverState {
                     state.mu.set(x, y, z, m.mu());
                     state.rho.set(x, y, z, m.rho);
                     state.buoyancy.set(x, y, z, 1.0 / m.rho);
-                    state.wp.set(x, y, z, 1.0 / m.qp);
-                    state.ws.set(x, y, z, 1.0 / m.qs);
+                    if options.attenuation {
+                        state.wp.set(x, y, z, 1.0 / m.qp);
+                        state.ws.set(x, y, z, 1.0 / m.qs);
+                    }
                     if options.nonlinear {
                         let depth = depth as f32;
                         let litho = -(m.rho - 1000.0) * 9.81 * depth; // effective, compressive < 0
@@ -218,49 +364,25 @@ impl SolverState {
                 }
             }
         }
-        state.build_sponge();
         state
     }
 
-    /// Fill the Cerjan damping profile: the five absorbing faces (not the
-    /// z = 0 free surface) taper over `sponge_width` points.
-    fn build_sponge(&mut self) {
-        let n = self.options.sponge_width;
-        if n == 0 {
-            return;
-        }
-        let alpha = 0.095f32; // classic Cerjan decay constant
-        let d = self.dims;
-        let (global, x_off, y_off) = self.options.global_span.unwrap_or((d, 0, 0));
-        let factor = |dist: usize| -> f32 {
-            if dist >= n {
-                1.0
-            } else {
-                let a = alpha * (n - dist) as f32 / n as f32;
-                (-a * a * 10.0).exp()
-            }
-        };
-        for x in 0..d.nx {
-            for y in 0..d.ny {
-                for z in 0..d.nz {
-                    let gx = x + x_off;
-                    let gy = y + y_off;
-                    let dist = gx
-                        .min(global.nx - 1 - gx)
-                        .min(gy.min(global.ny - 1 - gy))
-                        .min(global.nz - 1 - z); // z = 0 face is the free surface
-                    self.dcrj.set(x, y, z, factor(dist));
-                }
-            }
-        }
+    /// The allocated arrays — name, class, field — in one fixed order:
+    /// the only enumeration of a state's arrays there is. A detached
+    /// array (one the options rule out, or one the resident engine has
+    /// taken over 16-bit) is not listed.
+    pub fn arrays(&self) -> impl Iterator<Item = (&'static str, ArrayClass, &Field3)> {
+        let Self { lam, mu, rho, buoyancy, wp, ws, cohes, sinphi, cosphi, pf, .. } = self;
+        let Self { sigma0, yldfac, eqp, .. } = self;
+        let material =
+            [lam, mu, rho, buoyancy, wp, ws, cohes, sinphi, cosphi, pf, sigma0, yldfac, eqp];
+        let fields = self.dynamic().into_iter().chain(material);
+        rows().zip(fields).filter(|(_, f)| !f.is_detached()).map(|((n, c, _), f)| (n, c, f))
     }
 
     /// Number of 3-D arrays the state carries (the §3 accounting).
     pub fn array_count(&self) -> usize {
-        let base = 3 + 6 + 6 + 1; // vel + stress + material (incl. buoyancy) + dcrj
-        let atten = if self.options.attenuation { 6 + 2 } else { 0 };
-        let plast = if self.options.nonlinear { 7 } else { 0 };
-        base + atten + plast
+        self.arrays().count()
     }
 
     /// Recompute `buoyancy = 1/ρ` from the current density field — for
@@ -271,15 +393,11 @@ impl SolverState {
         }
     }
 
-    /// The stress components as an array of references (xx..yz order).
-    pub fn stress(&self) -> [&Field3; 6] {
-        [&self.xx, &self.yy, &self.zz, &self.xy, &self.xz, &self.yz]
-    }
-
     /// The fifteen dynamic fields in
     /// [`RESIDENT_FIELDS`](crate::resident::RESIDENT_FIELDS) order: the
     /// nine wavefields ([`COMPRESSED_FIELDS`](crate::driver::COMPRESSED_FIELDS)),
-    /// then the six attenuation memory variables.
+    /// then the six attenuation memory variables (detached without
+    /// attenuation).
     pub fn dynamic(&self) -> [&Field3; 15] {
         let [r1, r2, r3, r4, r5, r6] = &self.r;
         [
@@ -290,14 +408,8 @@ impl SolverState {
 
     /// [`Self::dynamic`], mutably.
     pub fn dynamic_mut(&mut self) -> [&mut Field3; 15] {
-        self.dynamic_mut_and_damping().0
-    }
-
-    /// The dynamic fields together with the Cerjan profile the sponge
-    /// multiplies them by (a disjoint borrow of `dcrj`).
-    pub(crate) fn dynamic_mut_and_damping(&mut self) -> ([&mut Field3; 15], &Field3) {
-        let Self { u, v, w, xx, yy, zz, xy, xz, yz, r: [r1, r2, r3, r4, r5, r6], dcrj, .. } = self;
-        ([u, v, w, xx, yy, zz, xy, xz, yz, r1, r2, r3, r4, r5, r6], dcrj)
+        let Self { u, v, w, xx, yy, zz, xy, xz, yz, r: [r1, r2, r3, r4, r5, r6], .. } = self;
+        [u, v, w, xx, yy, zz, xy, xz, yz, r1, r2, r3, r4, r5, r6]
     }
 
     /// Kinetic energy of one x-plane's interior (before the cell-volume
@@ -355,6 +467,7 @@ impl SolverState {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::resident::RESIDENT_FIELDS;
     use sw_model::HalfspaceModel;
 
     fn state(nonlinear: bool) -> SolverState {
@@ -367,12 +480,17 @@ mod tests {
     fn array_count_matches_paper_scaling() {
         let lin = state(false);
         let nl = state(true);
-        assert!(nl.array_count() > lin.array_count());
+        let (n_lin, n_nl) = (lin.arrays().count(), nl.arrays().count());
+        assert_eq!((n_lin, n_nl), (21, 28));
+        assert_eq!((lin.array_count(), nl.array_count()), (n_lin, n_nl));
         // §3: moving to nonlinear adds ~25 % more arrays.
-        let ratio = nl.array_count() as f64 / lin.array_count() as f64;
+        let ratio = n_nl as f64 / n_lin as f64;
         assert!((1.15..1.45).contains(&ratio), "array ratio {ratio}");
-        assert!(lin.array_count() >= 20);
-        assert!(nl.array_count() >= 27);
+        // What the options promise is what is allocated, in one order.
+        let names = |s: &SolverState| s.arrays().map(|(n, c, _)| (n, c)).collect::<Vec<_>>();
+        assert_eq!(names(&lin), lin.options.arrays().collect::<Vec<_>>());
+        assert_eq!(names(&nl), nl.options.arrays().collect::<Vec<_>>());
+        assert_eq!(names(&nl)[..15].iter().map(|a| a.0).collect::<Vec<_>>(), RESIDENT_FIELDS);
     }
 
     #[test]
@@ -418,14 +536,26 @@ mod tests {
     #[test]
     fn sponge_damps_edges_not_interior_or_surface() {
         let s = state(false);
+        let factor = |x, y, z: usize| {
+            let (z0, taper) = s.sponge.column(x, y);
+            z.checked_sub(z0).map_or(1.0, |i| taper[i])
+        };
         // Interior of a small grid is inside the sponge reach, so use the
         // relative ordering instead of absolute 1.0.
-        let corner = s.dcrj.get(0, 5, 7);
-        let center = s.dcrj.get(6, 5, 1);
+        let corner = factor(0, 5, 7);
+        let center = factor(6, 5, 1);
         assert!(corner < center, "edges damp harder: {corner} vs {center}");
         // free surface (z = 0) is not damped by the z criterion
-        let surf = s.dcrj.get(6, 5, 0);
-        assert!(surf >= corner);
+        assert!(factor(6, 5, 0) >= corner);
+    }
+
+    #[test]
+    fn sponge_table_is_bounded_by_the_mesh_not_the_width() {
+        let options = StateOptions { sponge_width: usize::MAX / 2, ..Default::default() };
+        let profile = SpongeProfile::new(Dims3::new(8, 6, 5), &options);
+        // Three distinct distances on the 6-wide axis, and the shared row.
+        assert_eq!(profile.factors(), (3 + 1) * 5);
+        assert_eq!(profile.column(4, 3), (0, &profile.taper[2 * 5..3 * 5]));
     }
 
     #[test]
@@ -444,9 +574,10 @@ mod tests {
     #[test]
     fn linear_state_skips_plasticity_arrays() {
         let s = state(false);
-        assert_eq!(s.cohes.get(3, 3, 3), 0.0);
-        assert_eq!(s.sigma0.get(3, 3, 3), 0.0);
-        // yldfac defaults to elastic everywhere in both modes
-        assert_eq!(s.yldfac.get(3, 3, 3), 1.0);
+        for f in [&s.cohes, &s.sinphi, &s.cosphi, &s.pf, &s.sigma0, &s.yldfac, &s.eqp] {
+            assert!(f.is_detached() && f.resident_bytes() == 0);
+        }
+        // where plasticity runs, yldfac starts elastic everywhere
+        assert_eq!(state(true).yldfac.get(3, 3, 3), 1.0);
     }
 }

@@ -42,7 +42,7 @@
 //! pins the worker-pool width. `--health <out.jsonl>`
 //! streams the in-situ simulation-health log (stability watchdog +
 //! compression error budget) and `--health-stride <n>` sets how often
-//! the wavefield is probed (default 10, or `SWQUAKE_HEALTH_STRIDE`).
+//! the wavefield is probed (default 10).
 //! `--checkpoint-dir <dir>` persists checkpoints durably (atomic files,
 //! versioned manifest, keep-N retention; `--checkpoint-interval` and
 //! `--checkpoint-keep` tune the cadence and retention) and `--resume`
@@ -130,11 +130,10 @@ flags:
                                auto; simd is an alias of parallel)
   --threads <n>                worker-pool width for pool-based modes
   --resident full|compressed16 wavefield storage between steps (default
-                               full, or SWQUAKE_RESIDENT; compressed16
-                               keeps wavefields 16-bit and streams tiles
-                               through a capped f32 slab — rejects
-                               compression scenarios, snapshots and
-                               --ranks)
+                               full; compressed16 keeps wavefields 16-bit
+                               and streams tiles through a capped f32
+                               slab — rejects compression scenarios,
+                               snapshots and --ranks)
   --memory-cap <bytes>         byte budget for the compressed16 decode
                                slab (suffixes k/m/g; default: an 8-column
                                tile)

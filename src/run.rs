@@ -140,12 +140,11 @@ pub struct RunPlan {
     /// Worker-pool width (`None`: `SWQUAKE_THREADS`, else every core).
     pub threads: Option<usize>,
     /// Wavefield storage between steps (`None`: the scenario's field,
-    /// else `SWQUAKE_RESIDENT`, else full).
+    /// else full).
     pub resident: Option<ResidentMode>,
     /// Byte budget of the compressed16 decode slab.
     pub memory_cap: Option<u64>,
-    /// Watchdog probe cadence (`None`: `SWQUAKE_HEALTH_STRIDE`, else the
-    /// [`HealthConfig`] default).
+    /// Watchdog probe cadence (`None`: the [`HealthConfig`] default).
     pub health_stride: Option<u64>,
     /// Run on this rank grid; `None` or 1x1 is one rank on the calling
     /// thread.
@@ -244,10 +243,7 @@ pub fn run_scenario(
     }
     // The watchdog is always armed, so a blow-up aborts with a diagnosis;
     // a health path additionally streams the JSONL log.
-    let stride = plan
-        .health_stride
-        .or_else(exec::health_stride_from_env)
-        .unwrap_or(HealthConfig::default().stride);
+    let stride = plan.health_stride.unwrap_or(HealthConfig::default().stride);
     let mut health = HealthConfig::default()
         .with_stride(stride)
         .with_bundle_dir(format!("{}_health_bundle", plan.prefix));

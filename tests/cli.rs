@@ -634,8 +634,7 @@ fn unparsable_environment_defaults_are_rejected() {
         "schema": 1, "name": "env", "scenarios": [{"id": "s1", "scenario": json}]
     });
     std::fs::write(&spec, serde_json::to_string(&campaign).unwrap()).unwrap();
-    const VARS: [&str; 4] =
-        ["SWQUAKE_EXEC", "SWQUAKE_THREADS", "SWQUAKE_RESIDENT", "SWQUAKE_HEALTH_STRIDE"];
+    const VARS: [&str; 2] = ["SWQUAKE_EXEC", "SWQUAKE_THREADS"];
     let invoke = |subcommand: &[&str], var: &str, value: &str| {
         let mut cmd = Command::new(bin());
         cmd.current_dir(&dir).args(subcommand);
@@ -649,8 +648,6 @@ fn unparsable_environment_defaults_are_rejected() {
     for (var, bad, accepted, good) in [
         ("SWQUAKE_EXEC", "paralel", "serial|parallel|simd|auto", "parallel"),
         ("SWQUAKE_THREADS", "two", "a thread count", "2"),
-        ("SWQUAKE_RESIDENT", "compressed", "full|compressed16", "compressed16"),
-        ("SWQUAKE_HEALTH_STRIDE", "-5", "a number of steps", "5"),
     ] {
         for subcommand in [&run[..], &camp[..]] {
             let out = invoke(subcommand, var, bad);
@@ -766,12 +763,10 @@ fn shrunk_example(
     scenario
 }
 
-/// `swquake run <scenario> <args>` with the `SWQUAKE_*` defaults a CI
-/// pass may carry taken out where they would change what is tested.
+/// `swquake run <scenario> <args>`, under fault plan `fault` or none.
 fn run_scenario(scenario: &std::path::Path, args: &[&str], fault: Option<&str>) -> Output {
     let mut cmd = Command::new(bin());
     cmd.arg("run").arg(scenario).args(args);
-    cmd.env_remove("SWQUAKE_RESIDENT").env_remove("SWQUAKE_HEALTH_STRIDE");
     match fault {
         Some(plan) => cmd.env("SWQUAKE_FAULT_PLAN", plan),
         None => cmd.env_remove("SWQUAKE_FAULT_PLAN"),
@@ -785,8 +780,8 @@ fn result_files(dir: &std::path::Path, prefix: &str) -> (Vec<u8>, Vec<u8>) {
 }
 
 /// The scenario at `path` as the one member `m` of a campaign run into
-/// `<dir>/<name>` (the returned directory) with probe stride `stride`.
-fn one_member_campaign(dir: &Path, name: &str, path: &Path, stride: &str) -> (PathBuf, Output) {
+/// `<dir>/<name>` (the returned directory).
+fn one_member_campaign(dir: &Path, name: &str, path: &Path) -> (PathBuf, Output) {
     let scenario: serde_json::Value =
         serde_json::from_str(&std::fs::read_to_string(path).unwrap()).unwrap();
     let spec = dir.join(format!("{name}.json"));
@@ -797,9 +792,7 @@ fn one_member_campaign(dir: &Path, name: &str, path: &Path, stride: &str) -> (Pa
     let camp = dir.join(name);
     let mut cmd = Command::new(bin());
     cmd.arg("campaign").arg(&spec).arg("--dir").arg(&camp).arg("--perf");
-    cmd.env_remove("SWQUAKE_RESIDENT").env_remove("SWQUAKE_FAULT_PLAN");
-    // A member takes its probe stride from the environment.
-    cmd.env("SWQUAKE_HEALTH_STRIDE", stride);
+    cmd.env_remove("SWQUAKE_FAULT_PLAN");
     (camp, cmd.output().unwrap())
 }
 
@@ -808,13 +801,18 @@ fn one_member_campaign(dir: &Path, name: &str, path: &Path, stride: &str) -> (Pa
 /// rank grid as without one. (`--ranks 2x1` used to exit 0 with `PGV max
 /// inf` and NaN seismograms: only the single-rank tail looked.) Every way
 /// of executing ends in the one merge, so `run`, `run --ranks` and a
-/// campaign member report the same step, field, index and cause.
+/// campaign member report the same step, field, index and cause. (A
+/// member probes at the default stride of 10, which nothing but
+/// `--health-stride` changes: the run is nine steps of a time step a
+/// thousand times the stable one, gone non-finite before a probe is due.)
 #[test]
 fn a_blow_up_the_watchdog_misses_exits_1_on_every_rank_grid() {
     let dir = workdir("late_blowup");
     let scenario = shrunk_example(&dir, "bad", |json| {
-        json["dt_scale"] = serde_json::json!(1.6);
-        json["duration"] = serde_json::json!(2.0);
+        json["dt_scale"] = serde_json::json!(1000.0);
+        json["duration"] = serde_json::json!(130.0);
+        json["sources"][0]["onset"] = serde_json::json!(0.0);
+        json["sources"][0]["duration"] = serde_json::json!(60.0);
     });
     let diagnosis = |text: &str| {
         let at = text.find("solver unstable at step").unwrap_or_else(|| panic!("in: {text}"));
@@ -835,7 +833,7 @@ fn a_blow_up_the_watchdog_misses_exits_1_on_every_rank_grid() {
         assert!(!stdout.contains("PGV max"), "{ranks:?} reported a result: {stdout}");
         diagnoses.push(diagnosis(&stderr));
     }
-    let (camp, out) = one_member_campaign(&dir, "camp", &scenario, "100000");
+    let (camp, out) = one_member_campaign(&dir, "camp", &scenario);
     assert_eq!(out.status.code(), Some(1), "stderr: {}", String::from_utf8_lossy(&out.stderr));
     let manifest: serde_json::Value =
         serde_json::from_str(&std::fs::read_to_string(camp.join("MANIFEST.json")).unwrap())
@@ -1024,7 +1022,7 @@ fn run_obs_and_a_campaign_member_leave_one_layout() {
     let flags = ["--obs", obs.to_str().unwrap(), "--checkpoint-dir", ckpt.to_str().unwrap()];
     let out = run_scenario(&scenario, &flags, None);
     assert!(out.status.success(), "stderr: {}", String::from_utf8_lossy(&out.stderr));
-    let (camp, out) = one_member_campaign(&dir, "camp", &scenario, "10");
+    let (camp, out) = one_member_campaign(&dir, "camp", &scenario);
     assert_eq!(out.status.code(), Some(0), "stderr: {}", String::from_utf8_lossy(&out.stderr));
     let member = camp.join("m");
 

@@ -404,7 +404,7 @@ fn a_crafted_rank_image_is_a_classified_resume_failure() {
 
     let model = LayeredModel::north_china();
     type Craft = fn(&mut Checkpoint);
-    let crafts: [(&str, Craft); 2] = [
+    let crafts: [(&str, Craft); 3] = [
         ("`v`", |ckpt| {
             // The second field, on another mesh; the first still fits.
             let (name, f) = &mut ckpt.fields[1];
@@ -413,6 +413,9 @@ fn a_crafted_rank_image_is_a_classified_resume_failure() {
             *f = Field3::new(Dims3::new(d.nx + 1, d.ny, d.nz), f.halo());
         }),
         ("`stress_xx`", |ckpt| ckpt.fields[3].0 = "stress_xx".to_string()),
+        // Every field that is there checks out, but one the run advances
+        // is not: resuming would restart `w` from zero.
+        ("`w`", |ckpt| ckpt.fields.retain(|(name, _)| name != "w")),
     ];
     for grid in [RankGrid::new(1, 1), RankGrid::new(2, 1)] {
         for (field, craft) in crafts {
@@ -452,4 +455,46 @@ fn a_crafted_rank_image_is_a_classified_resume_failure() {
             std::fs::remove_dir_all(&dir).ok();
         }
     }
+}
+
+/// The other direction: an image may hold known fields the run does not
+/// carry. Builds before the state allocated by physics wrote six all-zero
+/// memory variables and `eqp` for an elastic run; such a store still
+/// resumes, the extras are ignored (the run has nowhere to put them), and
+/// the result is the undisturbed run's, bit for bit.
+#[test]
+fn an_image_with_fields_the_run_does_not_carry_still_resumes() {
+    use swquake::grid::Field3;
+    use swquake::io::{Checkpoint, CheckpointStore};
+
+    let model = LayeredModel::north_china();
+    let dir = workdir("extra_fields");
+    let mut cfg = drill_config(30).with_compression(false);
+    cfg.options.attenuation = false;
+    let mut reference = Simulation::new(&model, &cfg).expect("valid config");
+    reference.run(cfg.steps);
+
+    let stored = cfg.clone().with_checkpoint_dir(&dir).with_checkpoint_interval(10);
+    let mut first = Simulation::new(&model, &stored).expect("valid config");
+    first.run(20);
+    drop(first);
+    let path = dir.join(CheckpointStore::rank_file_name(20, 0));
+    let mut ckpt = Checkpoint::read_file(&path).expect("committed image");
+    let names: Vec<&str> = ckpt.fields.iter().map(|(name, _)| name.as_str()).collect();
+    assert_eq!(names, ["u", "v", "w", "xx", "yy", "zz", "xy", "xz", "yz"], "an elastic image");
+    let zeros = Field3::new(ckpt.fields[0].1.dims(), ckpt.fields[0].1.halo());
+    for name in ["r1", "r2", "r3", "r4", "r5", "r6", "eqp"] {
+        ckpt.fields.push((name.to_string(), zeros.clone()));
+    }
+    ckpt.write_file(&path).unwrap();
+
+    let (mut resumed, info) = Simulation::resume(&model, &stored).expect("the extras are fine");
+    assert_eq!(info.step, 20);
+    assert_eq!(resumed.state.arrays().count(), 13, "nothing was attached to hold them");
+    resumed.run(cfg.steps - 20);
+    for ((name, _, a), (_, _, b)) in reference.state.arrays().zip(resumed.state.arrays()) {
+        assert_eq!(a.max_abs_diff(b), 0.0, "`{name}` diverged");
+    }
+    assert_eq!(reference.pgv.pgv, resumed.pgv.pgv, "hazard map diverged");
+    std::fs::remove_dir_all(&dir).ok();
 }

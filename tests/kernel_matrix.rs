@@ -8,10 +8,16 @@
 //! tail (`nz % 8 ≠ 0`), rows shorter than one vector (`nz < 8`), meshes
 //! below and above one y-tile, forced 5 × 16 tiles whose edges cross the
 //! mesh, `ny = 1..4` (where the `dvelcx` / `dvelcy` split degenerates)
-//! and sponge widths 0 and 3, and compares **every bit of every dynamic
-//! array, halo planes included** with `tests/oracle/kernels.rs` — once
-//! under the baseline lane cap (the code every host without AVX2 runs)
-//! and once per wider lane tier this host offers (`sw_grid::simd`).
+//! and sponge widths 0 and 3, and compares **every bit of every array
+//! the state carries, halo planes included** with
+//! `tests/oracle/kernels.rs` — once under the baseline lane cap (the code
+//! every host without AVX2 runs) and once per wider lane tier this host
+//! offers (`sw_grid::simd`). Two more axes pin the one list of arrays:
+//! the sponge's tabulated taper against the oracle's whole-mesh profile
+//! over the geometries that bend it (no sponge, overlapping bands, a
+//! non-cubic mesh, rank pieces, a width far beyond the mesh), and the
+//! set of arrays each physics allocates — and that a step touches no
+//! other.
 
 mod oracle;
 
@@ -20,7 +26,7 @@ use std::sync::Mutex;
 use swquake::compress::{calibrated_codec, max_abs_bucket, Codec, Codec16, FieldStats};
 use swquake::core::driver::COMPRESSED_FIELDS;
 use swquake::core::kernels::{self, Region};
-use swquake::core::state::{PlasticityConfig, SolverState, StateOptions};
+use swquake::core::state::{ArrayClass, PlasticityConfig, SolverState, StateOptions};
 use swquake::core::{ExecMode, ExecPath, ResidentMode, SimConfig, Simulation};
 use swquake::grid::simd::{per_tier, LaneTier};
 use swquake::grid::{Dims3, Field3};
@@ -40,28 +46,28 @@ fn with_pool_width<R>(threads: usize, f: impl FnOnce() -> R) -> R {
 enum Physics {
     Elastic,
     Attenuation,
+    /// Plasticity over an elastic medium: no memory variable, no Q weight.
+    Nonlinear,
     NonlinearAttenuation,
     /// … plus the §6.5 inter-step compression round trip (full steps only).
     NonlinearAttenuationCompressed,
 }
 
 impl Physics {
-    const KERNEL_LEVEL: [Physics; 3] =
-        [Physics::Elastic, Physics::Attenuation, Physics::NonlinearAttenuation];
-    const ALL: [Physics; 4] = [
+    const KERNEL_LEVEL: [Physics; 4] =
+        [Physics::Elastic, Physics::Attenuation, Physics::Nonlinear, Physics::NonlinearAttenuation];
+    const ALL: [Physics; 5] = [
         Physics::Elastic,
         Physics::Attenuation,
+        Physics::Nonlinear,
         Physics::NonlinearAttenuation,
         Physics::NonlinearAttenuationCompressed,
     ];
 
     fn options(self, sponge_width: usize) -> StateOptions {
         StateOptions {
-            attenuation: self != Physics::Elastic,
-            nonlinear: matches!(
-                self,
-                Physics::NonlinearAttenuation | Physics::NonlinearAttenuationCompressed
-            ),
+            attenuation: !matches!(self, Physics::Elastic | Physics::Nonlinear),
+            nonlinear: !matches!(self, Physics::Elastic | Physics::Attenuation),
             sponge_width,
             plasticity: PlasticityConfig {
                 cohesion_surface: 1.0e5,
@@ -95,16 +101,16 @@ fn noise(f: &mut Field3, seed: u32, scale: f32) {
     }
 }
 
-/// A state whose fifteen dynamic arrays (and `eqp`) carry noise in every
-/// cell — so a wrong tap, a skipped row or a missed halo plane shows.
+/// A state whose dynamic arrays (and `eqp`) carry noise in every cell —
+/// so a wrong tap, a skipped row or a missed halo plane shows. (Filling a
+/// detached array fills nothing.)
 fn noisy_state(dims: (usize, usize, usize), physics: Physics, sponge_width: usize) -> SolverState {
-    let mut s = SolverState::from_model(
-        &LayeredModel::north_china(),
-        Dims3::new(dims.0, dims.1, dims.2),
-        150.0,
-        (0.0, 0.0, 0.0),
-        physics.options(sponge_width),
-    );
+    noisy(Dims3::new(dims.0, dims.1, dims.2), physics.options(sponge_width))
+}
+
+fn noisy(dims: Dims3, options: StateOptions) -> SolverState {
+    let model = LayeredModel::north_china();
+    let mut s = SolverState::from_model(&model, dims, 150.0, (0.0, 0.0, 0.0), options);
     let scales = [0.02, 0.02, 0.02, 4e6, 4e6, 4e6, 4e6, 4e6, 4e6, 2e3, 2e3, 2e3, 2e3, 2e3, 2e3];
     for (i, (f, scale)) in s.dynamic_mut().into_iter().zip(scales).enumerate() {
         noise(f, i as u32 + 1, scale);
@@ -113,17 +119,11 @@ fn noisy_state(dims: (usize, usize, usize), physics: Physics, sponge_width: usiz
     s
 }
 
-/// Every stored bit of every array a kernel writes.
+/// Every stored bit of every array the two states carry — the same ones.
 fn assert_bitwise(reference: &SolverState, got: &SolverState, what: &str) {
-    let names = swquake::core::resident::RESIDENT_FIELDS;
-    let extra = [("yldfac", &reference.yldfac, &got.yldfac), ("eqp", &reference.eqp, &got.eqp)];
-    let pairs = names
-        .iter()
-        .copied()
-        .zip(reference.dynamic().into_iter().zip(got.dynamic()))
-        .map(|(n, (a, b))| (n, a, b))
-        .chain(extra);
-    for (name, a, b) in pairs {
+    assert_eq!(reference.arrays().count(), got.arrays().count(), "{what}: an array came or went");
+    for ((name, _, a), (other, _, b)) in reference.arrays().zip(got.arrays()) {
+        assert_eq!(name, other, "{what}: the states carry different arrays");
         let first = a.raw().iter().zip(b.raw()).position(|(x, y)| x.to_bits() != y.to_bits());
         assert_eq!(first, None, "{what}: `{name}` differs from the oracle at raw index {first:?}");
     }
@@ -215,8 +215,19 @@ fn check_every_kernel(
             0
         });
     }
-    check_kernel(&base, &what("sponge"), unit(naive::apply_sponge), |s| {
-        kernels::apply_sponge_region(s, 0..d.nx, pool);
+    check_sponge(&base, &what("sponge"), pool);
+}
+
+/// The tabulated taper against the oracle's whole-mesh profile.
+fn check_sponge(base: &SolverState, what: &str, pool: bool) {
+    let dcrj = naive::whole_mesh_sponge(base);
+    let nx = base.dims.nx;
+    let reference = |s: &mut SolverState| {
+        naive::apply_sponge(s, &dcrj);
+        0
+    };
+    check_kernel(base, what, reference, |s| {
+        kernels::apply_sponge_region(s, 0..nx, pool);
         0
     });
 }
@@ -269,6 +280,7 @@ fn source(dims: (usize, usize, usize)) -> PointSource {
 /// max-abs bucket).
 fn oracle_steps(mut s: SolverState, sources: &[PointSource], compression: bool) -> SolverState {
     let _fp = swquake::core::exec::kernel_fp_env();
+    let dcrj = naive::whole_mesh_sponge(&s);
     let mut time = 0.0;
     for _ in 0..STEPS {
         naive::fstr(&mut s);
@@ -281,7 +293,7 @@ fn oracle_steps(mut s: SolverState, sources: &[PointSource], compression: bool) 
             naive::drprecpc_calc(&mut s);
             naive::drprecpc_app(&mut s);
         }
-        naive::apply_sponge(&mut s);
+        naive::apply_sponge(&mut s, &dcrj);
         if compression {
             for (name, f) in COMPRESSED_FIELDS.iter().zip(s.dynamic_mut()) {
                 let base = Codec::paper_assignment(name, &FieldStats::empty());
@@ -348,6 +360,135 @@ fn five_full_steps_match_the_oracle_through_the_pool_at_widths_1_2_4() {
                     }
                 }
             });
+        }
+    });
+}
+
+/// The sponge-geometry axis. The taper is a table indexed by a column's
+/// horizontal distance to the global mesh's sides; every way that index
+/// can go wrong — no sponge at all, bands that overlap because the width
+/// is half the mesh or more, axes of different lengths, a width no mesh
+/// could hold — must leave the bits the whole-mesh profile leaves, with
+/// attenuation (fifteen damped arrays) and without (nine).
+#[test]
+fn sponge_geometries_match_the_whole_mesh_profile() {
+    let geometries: [((usize, usize, usize), usize); 6] = [
+        ((9, 9, 9), 0),              // no sponge
+        ((9, 9, 9), 5),              // bands overlap: no interior column
+        ((8, 8, 8), 4),              // … exactly meeting, on an even axis
+        ((13, 6, 21), 4),            // non-cubic: ny caps the distances
+        ((7, 11, 3), 5),             // wider than the mesh is deep
+        ((8, 8, 8), usize::MAX / 2), // a width no mesh holds
+    ];
+    per_tier(|tier| {
+        for (dims, width) in geometries {
+            for physics in [Physics::Elastic, Physics::Attenuation] {
+                let base = noisy_state(dims, physics, width);
+                let d = base.dims;
+                assert!(
+                    base.sponge.factors() <= (d.nx.min(d.ny).div_ceil(2) + 1) * d.nz,
+                    "{dims:?} width {width}: the table outgrew the mesh"
+                );
+                for pool in [false, true] {
+                    let what = format!(
+                        "sponge on {dims:?} width {width} {physics:?} pool {pool} lanes {tier}"
+                    );
+                    check_sponge(&base, &what, pool);
+                }
+            }
+        }
+    });
+}
+
+/// 2 × 2 rank pieces, each built with `global_span`, damp their cells
+/// with the bits the whole mesh damps them with — uneven splits, a width
+/// that crosses the cut, and the bottom band under every piece.
+#[test]
+fn rank_pieces_damp_like_the_whole_mesh() {
+    let global = Dims3::new(11, 9, 7);
+    for width in [3, 6] {
+        let options = Physics::Attenuation.options(width);
+        let mut whole = noisy(global, options);
+        let before = whole.clone();
+        naive::apply_sponge(&mut whole, &naive::whole_mesh_sponge(&before));
+        for (x0, nx) in [(0, 6), (6, 5)] {
+            for (y0, ny) in [(0, 4), (4, 5)] {
+                let local = Dims3::new(nx, ny, global.nz);
+                let span = StateOptions { global_span: Some((global, x0, y0)), ..options };
+                let mut piece = noisy(local, span);
+                for (mine, all) in piece.dynamic_mut().into_iter().zip(before.dynamic()) {
+                    mine.fill_with(|x, y, z| all.get(x0 + x, y0 + y, z));
+                }
+                for pool in [false, true] {
+                    let mut damped = piece.clone();
+                    kernels::apply_sponge_region(&mut damped, 0..nx, pool);
+                    for (name, got, want) in damped
+                        .arrays()
+                        .zip(whole.arrays())
+                        .filter(|((_, class, _), _)| *class != ArrayClass::Material)
+                        .map(|((name, _, got), (_, _, want))| (name, got, want))
+                    {
+                        for (x, y, z) in local.iter() {
+                            assert_eq!(
+                                got.get(x, y, z).to_bits(),
+                                want.get(x0 + x, y0 + y, z).to_bits(),
+                                "`{name}` at piece ({x0}, {y0}) cell ({x}, {y}, {z}), width {width}"
+                            );
+                        }
+                    }
+                }
+            }
+        }
+    }
+}
+
+/// The options axis: each physics allocates exactly its arrays — 13
+/// always, 8 more with attenuation, 7 more with plasticity — and a full
+/// step, walked by the caller or the pool, reads and writes no other
+/// (touching a detached array panics) and attaches none.
+#[test]
+fn each_physics_carries_exactly_its_arrays_and_a_step_touches_no_other() {
+    const ALWAYS: [&str; 13] =
+        ["u", "v", "w", "xx", "yy", "zz", "xy", "xz", "yz", "lam", "mu", "rho", "buoyancy"];
+    const ATTENUATION: [&str; 8] = ["r1", "r2", "r3", "r4", "r5", "r6", "wp", "ws"];
+    const NONLINEAR: [&str; 7] = ["cohes", "sinphi", "cosphi", "pf", "sigma0", "yldfac", "eqp"];
+    let dims = (9, 8, 11);
+    with_pool_width(2, || {
+        for (physics, count) in [
+            (Physics::Elastic, 13),
+            (Physics::Attenuation, 21),
+            (Physics::Nonlinear, 20),
+            (Physics::NonlinearAttenuation, 28),
+        ] {
+            let base = noisy_state(dims, physics, 3);
+            let mut expected: Vec<&str> = ALWAYS.to_vec();
+            if base.options.attenuation {
+                expected.extend(ATTENUATION);
+            }
+            if base.options.nonlinear {
+                expected.extend(NONLINEAR);
+            }
+            let names = |s: &SolverState| {
+                let mut names: Vec<&str> = s.arrays().map(|(name, _, _)| name).collect();
+                names.sort_unstable();
+                names
+            };
+            expected.sort_unstable();
+            assert_eq!(names(&base), expected, "{physics:?}");
+            assert_eq!((base.arrays().count(), base.array_count()), (count, count), "{physics:?}");
+            let bytes =
+                |s: &SolverState| s.arrays().map(|(_, _, f)| f.resident_bytes()).sum::<usize>();
+            assert_eq!(bytes(&base), count * base.u.resident_bytes(), "{physics:?}");
+            for exec in [ExecMode::Serial, ExecMode::Parallel] {
+                let mut cfg = SimConfig::new(base.dims, base.dx, STEPS)
+                    .with_sources(vec![source(dims)])
+                    .with_exec(exec)
+                    .with_resident(ResidentMode::Full);
+                cfg.options = base.options;
+                let mut sim = Simulation::new_with_state(base.clone(), &cfg).expect("valid config");
+                sim.run(STEPS);
+                assert_eq!(names(&sim.state), expected, "{physics:?} after {STEPS} steps, {exec}");
+            }
         }
     });
 }

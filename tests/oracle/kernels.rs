@@ -9,7 +9,7 @@
 //! of `swquake_core::staggered`.
 
 use std::ops::Range;
-use sw_grid::HALO_WIDTH;
+use sw_grid::{Field3, HALO_WIDTH};
 use swquake_core::staggered::{dxm, dxp, dym, dyp, dzm, dzp};
 use swquake_core::state::SolverState;
 
@@ -90,14 +90,16 @@ pub fn update_stress_region(s: &mut SolverState, x_range: Range<usize>, y_range:
                     mu * exz,
                     mu * eyz,
                 ];
-                let wp = s.wp.get(x, y, z);
-                let ws = s.ws.get(x, y, z);
+                // (Without attenuation the Q weights and memory variables
+                // are no longer allocated; they were read and ignored.)
+                let (wp, ws) =
+                    if atten { (s.wp.get(x, y, z), s.ws.get(x, y, z)) } else { (0.0, 0.0) };
                 let weights = [wp, wp, wp, ws, ws, ws];
-                let fields: [&mut sw_grid::Field3; 6] =
+                let fields: [&mut Field3; 6] =
                     [&mut s.xx, &mut s.yy, &mut s.zz, &mut s.xy, &mut s.xz, &mut s.yz];
                 for (c, field) in fields.into_iter().enumerate() {
                     let e = rates[c];
-                    let r_old = s.r[c].get(x, y, z);
+                    let r_old = if atten { s.r[c].get(x, y, z) } else { 0.0 };
                     let (r_new, r_bar) = if atten {
                         let rn = a_coef * r_old + b_coef * weights[c] * e;
                         (rn, 0.5 * (rn + r_old))
@@ -232,24 +234,62 @@ pub fn drprecpc_app_region(s: &mut SolverState, x_range: Range<usize>) {
     }
 }
 
-/// Apply the sponge to all dynamic fields.
-pub fn apply_sponge(s: &mut SolverState) {
+/// The Cerjan damping profile as `SolverState::build_sponge` filled it
+/// into a whole-mesh array (`dcrj`) before the product tabulated it per
+/// distance (`SpongeProfile`): the five absorbing faces (not the z = 0
+/// free surface) taper over `sponge_width` points.
+pub fn whole_mesh_sponge(s: &SolverState) -> Field3 {
+    let d = s.dims;
+    let mut dcrj = Field3::filled(d, HALO_WIDTH, 1.0);
+    let n = s.options.sponge_width;
+    if n == 0 {
+        return dcrj;
+    }
+    let alpha = 0.095f32; // classic Cerjan decay constant
+    let (global, x_off, y_off) = s.options.global_span.unwrap_or((d, 0, 0));
+    let factor = |dist: usize| -> f32 {
+        if dist >= n {
+            1.0
+        } else {
+            let a = alpha * (n - dist) as f32 / n as f32;
+            (-a * a * 10.0).exp()
+        }
+    };
+    for x in 0..d.nx {
+        for y in 0..d.ny {
+            for z in 0..d.nz {
+                let gx = x + x_off;
+                let gy = y + y_off;
+                let dist = gx
+                    .min(global.nx - 1 - gx)
+                    .min(gy.min(global.ny - 1 - gy))
+                    .min(global.nz - 1 - z); // z = 0 face is the free surface
+                dcrj.set(x, y, z, factor(dist));
+            }
+        }
+    }
+    dcrj
+}
+
+/// Apply the sponge to all dynamic fields (`dcrj` is no longer part of
+/// the state: build it once with [`whole_mesh_sponge`]).
+pub fn apply_sponge(s: &mut SolverState, dcrj: &Field3) {
     let nx = s.dims.nx;
-    apply_sponge_region(s, 0..nx);
+    apply_sponge_region(s, dcrj, 0..nx);
 }
 
 /// Apply the sponge to the columns in `x_range` only.
 ///
 /// The damping is a pointwise multiply by `dcrj`, so restricting the x
 /// range is exactly the restriction of the full kernel.
-pub fn apply_sponge_region(s: &mut SolverState, x_range: Range<usize>) {
+pub fn apply_sponge_region(s: &mut SolverState, dcrj: &Field3, x_range: Range<usize>) {
     let d = s.dims;
     if s.options.sponge_width == 0 {
         return;
     }
     for x in x_range {
         for y in 0..d.ny {
-            let damp: Vec<f32> = s.dcrj.row(x, y).to_vec();
+            let damp: Vec<f32> = dcrj.row(x, y).to_vec();
             for f in [
                 &mut s.u, &mut s.v, &mut s.w, &mut s.xx, &mut s.yy, &mut s.zz, &mut s.xy,
                 &mut s.xz, &mut s.yz,

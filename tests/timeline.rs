@@ -60,6 +60,33 @@ fn single_rank_run_populates_the_timeline() {
     assert!(rep.memory.high_water_bytes >= rep.memory.resident_bytes);
 }
 
+/// The memory gauges are the allocation: they add up to the bytes of the
+/// arrays the state lists, so a state that carries less reports less.
+#[test]
+fn memory_gauges_add_up_to_the_arrays_the_state_carries() {
+    let model = LayeredModel::north_china();
+    let gauged = |attenuation: bool, nonlinear: bool| {
+        let mut cfg = small_config(1);
+        cfg.options.attenuation = attenuation;
+        cfg.options.nonlinear = nonlinear;
+        let rec = Arc::new(TimelineRecorder::new());
+        let sim = Simulation::new(&model, &cfg.with_timeline(Arc::clone(&rec))).expect("valid");
+        let arrays: usize = sim.state.arrays().map(|(_, _, f)| f.resident_bytes()).sum();
+        let rep = rec.finish();
+        let gauges: u64 = rep.memory.fields.iter().map(|f| f.total_bytes).sum();
+        assert_eq!(gauges, arrays as u64, "attenuation {attenuation} nonlinear {nonlinear}");
+        assert_eq!(rep.memory.resident_bytes, gauges);
+        (sim.state.arrays().count(), gauges)
+    };
+    let (elastic, attenuating, nonlinear) =
+        (gauged(false, false), gauged(true, false), gauged(true, true));
+    assert_eq!((elastic.0, attenuating.0, nonlinear.0), (13, 21, 28));
+    // One padded array is the unit: 13 : 21 : 28 of them.
+    assert_eq!(elastic.1 * 21, attenuating.1 * 13);
+    assert_eq!(elastic.1 * 28, nonlinear.1 * 13);
+    assert!(elastic.1 < nonlinear.1);
+}
+
 /// The timeline hook must be a pure observer: seismograms and PGV of an
 /// instrumented run are bit-identical to the uninstrumented run, single-
 /// and multi-rank.
