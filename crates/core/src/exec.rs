@@ -17,6 +17,18 @@
 //! and each is computed by one call of the one body, so mode is purely a
 //! performance choice.
 //!
+//! ## Who walks which planes in a pool region
+//!
+//! The calling thread and each helper it borrows own one contiguous
+//! slab of the region's x-planes and walk it in ascending `x`, the host
+//! form of the paper's per-CPE sub-block (§6.2): a plane read by the
+//! ±2-plane x-stencil stays in the cache of the one core that reads it.
+//! A participant that runs dry takes the back half of the fullest slab,
+//! so a preempted core or a costly stretch of planes (the sponge's
+//! damped x-bands) does not hold the region up. Which thread computes a
+//! plane is not promised and never enters a result (DESIGN.md, "Plane
+//! ownership").
+//!
 //! ## Composing with the rank runtime
 //!
 //! `run_multirank` spawns one OS thread per rank; each rank's step then

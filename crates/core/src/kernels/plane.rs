@@ -67,7 +67,8 @@ impl Region {
 /// `planes[i]` being the padded x-plane of `fields[i]` there — empty for
 /// a detached field, which the body then must not index: on the
 /// calling thread in ascending `x`, or — with `pool` — as one pool region
-/// (handing a CG block's regions to the CPE threads, §6.2).
+/// in which each participant walks a contiguous slab of `x` upwards
+/// (handing a CG block's sub-blocks to the CPE threads, §6.2).
 pub(crate) fn for_each_plane<const N: usize>(
     fields: [&mut Field3; N],
     x_range: Range<usize>,

@@ -3,10 +3,11 @@
 //! `swquake-core` writes each stencil kernel once (a lane-generic plane
 //! body, `crates/core/src/kernels/`) and only chooses who walks the
 //! x-planes. This matrix runs that body — per kernel and over five full
-//! steps — on the calling thread and through the pool at widths 1, 2 and
-//! 4, under every physics combination, on meshes chosen to hit the vector
-//! tail (`nz % 8 ≠ 0`), rows shorter than one vector (`nz < 8`), meshes
-//! below and above one y-tile, forced 5 × 16 tiles whose edges cross the
+//! steps — on the calling thread and through the pool at widths 1 to 4
+//! (3 puts seams between slabs of unequal length), under every physics
+//! combination, on meshes chosen to hit the vector tail (`nz % 8 ≠ 0`),
+//! rows shorter than one vector (`nz < 8`), meshes below and above one
+//! y-tile, forced 5 × 16 tiles whose edges cross the
 //! mesh, `ny = 1..4` (where the `dvelcx` / `dvelcy` split degenerates)
 //! and sponge widths 0 and 3, and compares **every bit of every array
 //! the state carries, halo planes included** with
@@ -246,9 +247,9 @@ fn every_kernel_matches_the_oracle_on_the_calling_thread() {
 }
 
 #[test]
-fn every_kernel_matches_the_oracle_through_the_pool_at_widths_1_2_4() {
+fn every_kernel_matches_the_oracle_through_the_pool_at_widths_1_2_3_4() {
     per_tier(|tier| {
-        for threads in [1, 2, 4] {
+        for threads in [1, 2, 3, 4] {
             with_pool_width(threads, || {
                 for dims in MESHES {
                     for physics in Physics::KERNEL_LEVEL {
@@ -346,9 +347,9 @@ fn five_full_steps_match_the_oracle_on_the_calling_thread() {
 }
 
 #[test]
-fn five_full_steps_match_the_oracle_through_the_pool_at_widths_1_2_4() {
+fn five_full_steps_match_the_oracle_through_the_pool_at_widths_1_2_3_4() {
     per_tier(|tier| {
-        for threads in [1, 2, 4] {
+        for threads in [1, 2, 3, 4] {
             with_pool_width(threads, || {
                 for dims in MESHES {
                     for physics in Physics::ALL {
