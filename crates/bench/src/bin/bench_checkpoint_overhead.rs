@@ -1,7 +1,7 @@
 //! `checkpoint_overhead` — what durable checkpointing costs, on the full
 //! production step and piece by piece. The committed baseline is
 //! `BENCH_checkpoint.json`; CI reruns this binary and gates the
-//! dimensionless records with `swquake bench-diff`.
+//! dimensionless records with `swquake inspect --diff`.
 //!
 //! **The step.** The complete per-step pipeline on a 48³ mesh three ways
 //! — store off, committing a generation every 10 steps (the CLI

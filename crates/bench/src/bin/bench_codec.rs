@@ -12,7 +12,7 @@
 //!   pass, host-stamped (a diff against another host's baseline skips
 //!   them);
 //! * `codec/<codec>/<op>/lanes_over_oracle` — the dimensionless time
-//!   ratio, carrying its own tolerance of `1/0.7 − 1`: `bench-diff`
+//!   ratio, carrying its own tolerance of `1/0.7 − 1`: `inspect --diff`
 //!   against the committed `BENCH_codec.json` fails when the lane body's
 //!   advantage over the oracle drops below 0.7× the committed
 //!   measurement — which is what a lost vectorization looks like;

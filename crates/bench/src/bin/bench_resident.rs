@@ -35,7 +35,7 @@
 //!   (`swq_bench::wide_over_baseline`; stamped with the tier): 1.0 means
 //!   the codec loops no longer inline into `sw_grid::simd::wide`.
 //!
-//! The ratios carry a tolerance of `1/0.7 − 1` for `bench-diff` against
+//! The ratios carry a tolerance of `1/0.7 − 1` for `inspect --diff` against
 //! the committed `BENCH_resident.json`.
 //!
 //! Usage: `bench_resident [out.json] [threads]` (defaults:

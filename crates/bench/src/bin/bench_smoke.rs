@@ -4,7 +4,7 @@
 //! Writes a [`BenchReport`]-schema JSON (`BENCH_smoke.json` by default,
 //! or the path given as the first argument). CI runs this twice is not
 //! needed — one run is uploaded as an artifact and gated against the
-//! same file via `swquake bench-diff`, which by construction passes on
+//! same file via `swquake inspect --diff`, which by construction passes on
 //! identical inputs and exercises the whole regression pipe.
 
 use sw_compress::{lz4, Codec16, F16Codec, FieldStats, NormCodec};

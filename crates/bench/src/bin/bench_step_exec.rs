@@ -19,7 +19,7 @@
 //! * `step_exec/parallel_over_serial` — the **dimensionless ratio** at 64³:
 //!   the median over rounds of each round's parallel over serial median,
 //!   with the rounds' spread as `min_s`/`max_s`. A measurement carrying its
-//!   own tolerance of `1/0.7 − 1`: `bench-diff` against the committed
+//!   own tolerance of `1/0.7 − 1`: `inspect --diff` against the committed
 //!   `BENCH_step_exec.json` fails when the pool's advantage at this width
 //!   drops below 0.7× the committed one;
 //! * `step_exec/crossover/<side>/parallel_over_serial` — the same ratio

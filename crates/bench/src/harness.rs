@@ -10,7 +10,7 @@
 //! [`BenchReport`] (the stable `BENCH_<name>.json` schema from
 //! `sw_telemetry::bench`), so a run can be saved with
 //! [`Criterion::save_json`] and compared against a baseline with
-//! `swquake bench-diff` — the CI perf-regression gate.
+//! `swquake inspect --diff` — the CI perf-regression gate.
 
 use std::time::Instant;
 use sw_telemetry::bench::{BenchRecord, BenchReport};
@@ -167,7 +167,7 @@ impl Bencher {
             if sorted.is_empty() { 0.0 } else { sorted.iter().sum::<f64>() / sorted.len() as f64 };
         // A bench that declares no throughput still gets a real unit
         // (one iteration per iteration): empty units are placeholders
-        // and the bench-diff comparator rejects them.
+        // and the `inspect --diff` comparator rejects them.
         let (tp, unit) = match throughput {
             Some(Throughput::Elements(n)) => (n as f64, "elements"),
             Some(Throughput::Bytes(n)) => (n as f64, "bytes"),

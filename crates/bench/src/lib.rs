@@ -64,12 +64,12 @@ pub fn pin_pool(threads_arg: Option<String>) -> usize {
     threads
 }
 
-/// What a gated time ratio may grow by before `bench-diff` fails it: to
+/// What a gated time ratio may grow by before `inspect --diff` fails it: to
 /// `1/0.7` of the committed measurement.
 pub const RATIO_TOLERANCE: f64 = 1.0 / 0.7 - 1.0;
 
 /// A dimensionless record (unit `ratio`, no host stamp) carrying
-/// [`RATIO_TOLERANCE`]: `bench-diff` gates it on every host.
+/// [`RATIO_TOLERANCE`]: `inspect --diff` gates it on every host.
 pub fn ratio_record(name: String, ratio: f64, samples: u64) -> BenchRecord {
     BenchRecord {
         name,
@@ -89,7 +89,7 @@ pub fn ratio_record(name: String, ratio: f64, samples: u64) -> BenchRecord {
 /// dispatched to the host's tier over seconds of the same body under the
 /// baseline cap. A body whose inline chain into `sw_grid::simd::wide`
 /// broke reads 1.0. The record is stamped with the tier in place of a
-/// host id, so `bench-diff` gates it against a baseline from the same
+/// host id, so `inspect --diff` gates it against a baseline from the same
 /// tier and skips it against any other.
 pub fn wide_over_baseline(what: &str, wide_s: f64, baseline_s: f64, samples: u64) -> BenchRecord {
     BenchRecord {
@@ -136,7 +136,7 @@ pub mod harness;
 ///
 /// When `SWQUAKE_BENCH_JSON` is set, the accumulated records are also
 /// written to that path in the `BENCH_<name>.json` schema, ready for
-/// `swquake bench-diff`.
+/// `swquake inspect --diff`.
 #[macro_export]
 macro_rules! criterion_group {
     (name = $name:ident; config = $config:expr; targets = $($target:path),+ $(,)?) => {

@@ -991,18 +991,6 @@ impl Simulation {
         self.perf.as_deref().map(|rec| freeze_ledger(rec, &[self]))
     }
 
-    /// The predicted-vs-simulated per-kernel attribution for this run
-    /// (see [`crate::roofline`]), joining whatever the telemetry handle
-    /// has recorded so far.
-    pub fn roofline(&self) -> crate::roofline::RooflineReport {
-        crate::roofline::attribute(
-            self.state.dims,
-            self.state.options.nonlinear,
-            self.compression.is_some(),
-            &self.metrics(),
-        )
-    }
-
     /// Advance one step: the one schedule every rank of every run takes.
     /// The halo stages and the end-of-step rendezvous exist only with
     /// a rank link; a single-rank step records no halo phase and takes
@@ -2204,19 +2192,31 @@ mod tests {
         assert_eq!(report.series("step.flops").unwrap().pushed, 10);
     }
 
+    /// Every modeled kernel's row joins the cost table (cells, bytes,
+    /// roofline fraction) with a measured wall, and every kernel of the
+    /// cost table reaches the telemetry as `arch.*` counters.
     #[test]
-    fn roofline_joins_traced_counters_and_phase_times() {
-        let mut cfg = explosion_config(8).with_telemetry(Telemetry::enabled());
+    fn ledger_joins_the_cost_table_and_measured_walls() {
+        let mut cfg = explosion_config(8)
+            .with_telemetry(Telemetry::enabled())
+            .with_perf(Arc::new(PerfRecorder::new()));
         cfg.options.nonlinear = true;
         let model = HalfspaceModel::hard_rock();
         let mut sim = Simulation::new(&model, &cfg).expect("valid config");
         sim.run(cfg.steps);
-        let r = sim.roofline();
-        assert!(r.all_within_tolerance());
-        for k in &r.kernels {
-            assert!(k.traced_dma_bytes > 0.0, "{} has no traced bytes", k.name);
-            assert!(k.traced_model_cycles > 0.0, "{} has no traced cycles", k.name);
-            assert!(k.measured_wall_s > 0.0, "{} has no wall attribution", k.name);
+        let ledger = sim.perf_ledger().expect("recorder armed");
+        for name in ["fstr", "dvelc", "dstrqc", "drprecpc", "sponge"] {
+            let k = ledger.kernel(name).unwrap_or_else(|| panic!("no `{name}` row"));
+            assert!(k.wall_s > 0.0 && k.calls > 0, "{name} has no measured wall: {k:?}");
+            assert!(k.cells > 0 && k.dma_bytes > 0, "{name} has no modeled work: {k:?}");
+            assert!(k.roofline_fraction > 0.0, "{name} has no roofline fraction: {k:?}");
+        }
+        let report = sim.metrics();
+        for k in &step_costs(cfg.dims, true, false).kernels {
+            for what in ["dma_bytes", "model_cycles"] {
+                let counter = format!("arch.{what}.{}", k.kernel);
+                assert!(report.counter(&counter).unwrap_or(0) > 0, "{counter} not charged");
+            }
         }
         // The regcomm accounting rides along with the arch charges.
         let report = sim.metrics();

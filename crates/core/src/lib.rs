@@ -32,9 +32,6 @@
 //!   → interpolate → propagate → record);
 //! * [`hazard`] — PGV → Chinese seismic intensity hazard maps
 //!   (Fig. 11e–f);
-//! * [`roofline`] — the predicted-vs-simulated per-kernel attribution
-//!   report (Table 3 / Fig. 7-style breakdown) joining the analytic
-//!   blocking model, the calibrated perf model, and a run's telemetry;
 //! * [`sunway`] — execution of a kernel through the simulated SW26010
 //!   memory hierarchy (LDM windows + DMA + register-communication halos),
 //!   bit-identical to the plain kernel while charging hardware costs.
@@ -48,7 +45,6 @@ pub mod hazard;
 pub mod health;
 pub mod kernels;
 pub mod resident;
-pub mod roofline;
 pub mod staggered;
 pub mod state;
 pub mod sunway;

@@ -379,7 +379,7 @@ impl KernelCost {
 
 /// The SW26010 cost of one time step over a mesh: the one table every
 /// report that quotes the model reads (`arch.*` metrics, the perf
-/// ledger's byte and roofline columns, the roofline attribution).
+/// ledger's byte and roofline columns).
 /// Counters multiply it by the steps a run took.
 #[derive(Debug, Clone, PartialEq)]
 pub struct StepCosts {

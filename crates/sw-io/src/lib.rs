@@ -14,15 +14,12 @@
 //!   system we use)";
 //! * [`doc`] — durable single-JSON-document files (campaign manifests)
 //!   reusing the store's atomic-write and temp-sweep conventions;
-//! * [`jsonl`] — durable append-only JSONL history files (one fsynced
-//!   single-buffer append per record, e.g. `perf_history.jsonl`);
 //! * [`recorder`] — seismogram, snapshot and peak-ground-velocity
 //!   recorders (the "Snapshot/Seismo Recorder" box of Fig. 3).
 
 pub mod checkpoint;
 pub mod doc;
 pub mod groupio;
-pub mod jsonl;
 pub mod recorder;
 pub mod store;
 

@@ -1,8 +1,8 @@
 //! Stable bench-report schema and the regression comparator.
 //!
 //! The bench harness writes one [`BenchReport`] (`BENCH_<name>.json`) per
-//! run; `swquake bench-diff old.json new.json --tolerance 0.15` parses two
-//! of them with [`compare`] and fails when any benchmark's median slowed
+//! run; `swquake inspect --diff old.json new.json --tolerance 0.15`
+//! parses two of them with [`compare`] and fails when any benchmark's median slowed
 //! down by more than the tolerance, or when a benchmark disappeared. CI
 //! runs this as the perf-regression gate, so both ends of the pipe live
 //! here next to the report schema they share.

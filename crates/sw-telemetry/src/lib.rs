@@ -21,9 +21,10 @@
 //! ([`Telemetry::with_tracer`]): recorded durations then additionally
 //! land as timeline *spans* and [`Telemetry::event`] emits instant events,
 //! so the same instrumentation sites feed both the aggregate report and a
-//! Chrome-trace export (`swquake run --trace out.json`). The bench-report
-//! schema shared by the bench harness and `swquake bench-diff` lives in
-//! the [`bench`] module.
+//! Chrome-trace export (a run bundle's `trace.json`). The per-kernel
+//! ledger ([`perf`]) and the per-rank timeline ([`timeline`]) are the
+//! bundle's other two reports, and the bench-report schema shared by the
+//! bench harness and `swquake inspect --diff` lives in [`bench`].
 //!
 //! The handle is an `Option<Arc<Registry>>` under the hood:
 //! [`Telemetry::disabled`] carries `None` (and a disabled tracer), so

@@ -1,5 +1,5 @@
-//! Per-kernel performance ledger: schema, recorder, and the perf-diff
-//! bridge into the bench comparator.
+//! Per-kernel performance ledger: schema, recorder, and the bridge into
+//! the bench comparator.
 //!
 //! The paper attributes performance kernel-by-kernel (velocity, stress,
 //! attenuation, plasticity) against a machine model; this module is the
@@ -15,15 +15,14 @@
 //! (`perf.json`, schema v1) whose per-kernel records carry derived
 //! cells/s, GFLOP/s, GB/s, and an achieved-vs-roofline fraction.
 //!
-//! A ledger converts into a [`BenchReport`](crate::bench::BenchReport)
-//! ([`PerfLedger::to_bench_report`]) so `swquake perf-diff` reuses the
-//! same comparator (and unit/tolerance rules) as `bench-diff`, and
-//! renders as a one-line JSON history record
-//! ([`PerfLedger::history_line`]) for the durable `perf_history.jsonl`.
+//! `swquake inspect` renders a ledger ([`PerfLedger::text_table`]), and
+//! `swquake inspect --diff` lowers it into a
+//! [`BenchReport`](crate::bench::BenchReport)
+//! ([`PerfLedger::to_bench_report`]) so ledgers and bench reports share
+//! one comparator (and its unit/tolerance rules).
 
 use crate::bench::{BenchRecord, BenchReport, BENCH_SCHEMA_VERSION};
 use serde::{Deserialize, Serialize};
-use serde_json::json;
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;
@@ -290,7 +289,7 @@ impl PerfLedger {
     }
 
     /// Convert to a bench report (schema v2) so the ledger can ride the
-    /// `bench-diff` comparator: one record per kernel, median = mean wall
+    /// bench comparator: one record per kernel, median = mean wall
     /// seconds per step, throughput = cells per step (unit `cells`), the
     /// host fingerprint attached so cross-host diffs skip rather than lie.
     pub fn to_bench_report(&self, prefix: &str) -> BenchReport {
@@ -314,41 +313,6 @@ impl PerfLedger {
         }
         report
     }
-
-    /// One-line JSON record for `perf_history.jsonl` (compact: identity,
-    /// totals, and per-kernel headline rates only).
-    pub fn history_line(&self, label: &str) -> String {
-        let kernels: Vec<serde_json::Value> = self
-            .kernels
-            .iter()
-            .map(|k| {
-                json!({
-                    "name": k.name,
-                    "cells_per_s": k.cells_per_s,
-                    "gflops_per_s": k.gflops_per_s,
-                    "roofline_fraction": k.roofline_fraction,
-                })
-            })
-            .collect();
-        serde_json::to_string(&json!({
-            "schema_version": PERF_SCHEMA_VERSION,
-            "label": label,
-            "host": self.host.id(),
-            "steps": self.steps,
-            "grid_cells": self.grid_cells,
-            "wall_s": self.wall_s,
-            "step_p50_s": self.step_p50_s,
-            "step_p95_s": self.step_p95_s,
-            "kernels": serde_json::Value::Array(kernels),
-        }))
-        .expect("history line serialization is infallible")
-    }
-}
-
-/// Compare two ledgers with the bench comparator: per-kernel wall seconds
-/// per step, `tolerance` fractional slowdown allowed.
-pub fn diff(old: &PerfLedger, new: &PerfLedger, tolerance: f64) -> crate::bench::BenchComparison {
-    crate::bench::compare(&old.to_bench_report("perf"), &new.to_bench_report("perf"), tolerance)
 }
 
 /// Raw accumulated counts for one kernel (pre-rate-derivation).
@@ -601,27 +565,6 @@ mod tests {
         assert_eq!(r.throughput, 1000.0);
         assert_eq!(r.throughput_unit, "cells");
         assert_eq!(r.host.as_deref(), Some("linux/x86_64/test-cpu/4t"));
-    }
-
-    #[test]
-    fn diff_gates_a_slowed_kernel() {
-        let old = ledger();
-        let mut new = ledger();
-        new.kernels[0].wall_s *= 2.0;
-        assert!(diff(&old, &old, 0.1).passed());
-        let cmp = diff(&old, &new, 0.1);
-        assert!(!cmp.passed());
-        assert!(cmp.entries.iter().any(|e| e.name == "perf/dvelc" && e.regressed));
-    }
-
-    #[test]
-    fn history_line_is_single_line_json() {
-        let line = ledger().history_line("run");
-        assert!(!line.contains('\n'));
-        let v: serde_json::Value = serde_json::from_str(&line).unwrap();
-        assert_eq!(v.get("label").unwrap().as_str(), Some("run"));
-        assert_eq!(v.get("steps").unwrap().as_u64(), Some(10));
-        assert_eq!(v.get("kernels").unwrap().as_array().unwrap().len(), 2);
     }
 
     #[test]

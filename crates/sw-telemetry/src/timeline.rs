@@ -18,8 +18,8 @@
 //! [`TimelineReport`] is the analysis side (schema v1): per-phase per-rank
 //! wall time, skew `(max − min) / mean`, the critical-path rank (most
 //! non-wait work), the halo-wait fraction, and a per-field memory block
-//! with an allocation high-water mark. The CLI writes it as
-//! `timeline.json` and gates on it with `swquake imbalance-report`.
+//! with an allocation high-water mark. A run bundle holds it as
+//! `timeline.json`; `swquake inspect --max-skew` gates on it.
 //!
 //! With a stream attached ([`TimelineRecorder::with_stream`]) the recorder
 //! also emits heartbeat lines to `<dir>/run.jsonl` every `stride` steps —
@@ -42,13 +42,10 @@ use crate::lock;
 /// Version stamp of [`TimelineReport`]. Bump on breaking changes.
 pub const TIMELINE_SCHEMA_VERSION: u32 = 1;
 
-/// Default heartbeat stride (steps between `run.jsonl` lines).
-pub const DEFAULT_HEARTBEAT_STRIDE: u64 = 10;
-
-/// File name of the streamed heartbeat log inside an `--obs` directory.
+/// File name of the streamed heartbeat log inside a run bundle.
 pub const RUN_LOG_NAME: &str = "run.jsonl";
 
-/// File name of the final report inside an `--obs` directory.
+/// File name of the final report inside a run bundle.
 pub const TIMELINE_NAME: &str = "timeline.json";
 
 /// Well-known phase names recorded by the driver and halo exchanger.
@@ -408,7 +405,7 @@ pub struct MemoryReport {
 }
 
 /// Step-aligned per-rank timeline (schema v1): what `timeline.json`
-/// holds and what `swquake imbalance-report` consumes.
+/// holds and what `swquake inspect` renders.
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct TimelineReport {
     /// [`TIMELINE_SCHEMA_VERSION`].
@@ -443,7 +440,7 @@ impl TimelineReport {
         self.phases.iter().filter(|p| p.skew > floor).collect()
     }
 
-    /// Human-readable table mirroring `perf-report`'s text form.
+    /// Human-readable table mirroring the perf ledger's text form.
     pub fn text_table(&self) -> String {
         let mut out = String::new();
         out.push_str(&format!(

@@ -32,7 +32,7 @@
 //! [`Tracer::to_chrome_json`] exports the Chrome trace-event format
 //! (`{"traceEvents": [...]}` with `ph: "X"` complete events and
 //! `ph: "i"` instants, plus `"M"` metadata naming processes and lanes);
-//! `swquake run <scenario> --trace out.json` writes one.
+//! `swquake run <scenario> --obs <dir>` writes one as `<dir>/trace.json`.
 
 use std::cell::RefCell;
 use std::collections::VecDeque;

@@ -8,8 +8,7 @@
 //! expensive setup artifacts across scenarios through the campaign's
 //! [`sw_campaign::ArtifactCache`], and handing each member to
 //! [`crate::run::run_scenario`] — the function `swquake run` calls —
-//! with the member directory's fixed file names
-//! ([`Artifacts::member`]).
+//! with the member directory as its bundle ([`Artifacts::bundle`]).
 //!
 //! # What gets shared
 //!
@@ -59,9 +58,6 @@ pub struct CampaignRunOptions {
     /// Campaign-wide telemetry handle (`campaign.*` counters land here);
     /// `None` uses a fresh enabled handle.
     pub telemetry: Option<Telemetry>,
-    /// Also write each scenario's perf ledger to `<dir>/<id>/perf.json`
-    /// (the `summary.json` rollup is always populated regardless).
-    pub perf: bool,
 }
 
 /// Read, parse, and run (or resume) the campaign described by `path`.
@@ -107,7 +103,7 @@ pub fn run_campaign_file(
     let member = RunPlan { fault, ..opts.member.clone() };
     retain_freed_heap();
     sw_campaign::run_campaign(&spec, std::path::Path::new(&dir), &engine_opts, |task| {
-        run_member(task, &member, opts.perf)
+        run_member(task, &member)
     })
 }
 
@@ -147,8 +143,8 @@ pub fn exit_code(report: &CampaignReport) -> i32 {
 }
 
 /// Run one scenario for the engine, classifying any failure.
-fn run_member(task: &Task<'_>, member: &RunPlan, perf: bool) -> Outcome {
-    match try_run_member(task, member, perf) {
+fn run_member(task: &Task<'_>, member: &RunPlan) -> Outcome {
+    match try_run_member(task, member) {
         Ok(detail) => Outcome::Done { detail },
         Err(Error::Unstable(e)) => Outcome::Unstable { detail: e.to_string() },
         Err(Error::Killed(e)) => Outcome::Killed { detail: e.to_string() },
@@ -166,10 +162,10 @@ fn phase_of(e: &Error) -> Phase {
     }
 }
 
-/// Cache look-ups, then the one runner with the member directory's fixed
-/// names, then the rollups.
+/// Cache look-ups, then the one runner with the member directory as its
+/// bundle, then the rollups.
 #[allow(clippy::result_large_err)] // cold abort-path error; see Scenario::from_json
-fn try_run_member(task: &Task<'_>, member: &RunPlan, perf: bool) -> Result<String, Error> {
+fn try_run_member(task: &Task<'_>, member: &RunPlan) -> Result<String, Error> {
     let (scenario, version) = Scenario::from_value_versioned(task.scenario)?;
     version.warn_if_deprecated(&format!("scenario `{}`", task.id));
 
@@ -188,17 +184,16 @@ fn try_run_member(task: &Task<'_>, member: &RunPlan, perf: bool) -> Result<Strin
         (*cached).clone()
     };
 
-    // A member always measures: the metrics report, the streamed health
-    // log and the timeline are its files, and the summary's per-kernel
-    // rollup wants the ledger whether or not `--perf` also writes it (the
-    // recorder costs well under 1 % of a step — `bench_obs_overhead`).
+    // A member is always observed: its directory is a bundle, and the
+    // summary's rollups read its ledger and timeline (every sink at once
+    // costs under 2 % of a step — `bench_obs_overhead`).
     let plan = RunPlan {
         checkpoints: Some(Checkpoints { dir: task.dir.join("ckpt"), interval: None, keep: None }),
         // The crash may have hit before the first checkpoint was cut; an
         // empty store restarts the member rather than wedging the campaign.
         resume: if task.resume { Resume::OrRestart } else { Resume::Fresh },
         prefix: task.dir.join("out").display().to_string(),
-        artifacts: Artifacts::member(&task.dir, perf),
+        artifacts: Artifacts::bundle(&task.dir),
         ..member.clone()
     };
     let material = Material { model, state: Some(&state), sources: Some(&sources) };

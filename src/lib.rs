@@ -31,9 +31,9 @@
 //! * [`telemetry`] — the metrics spine every subsystem reports into:
 //!   nestable phase timers, counters, gauges, per-step sample rings, and
 //!   a stable-schema JSON report;
-//! * [`trace`] — the low-overhead span/event recorder behind
-//!   `swquake run --trace`: per-rank lanes of monotonic timestamps
-//!   exported as Chrome trace-event JSON (Perfetto-viewable).
+//! * [`trace`] — the low-overhead span/event recorder behind a bundle's
+//!   `trace.json`: per-rank lanes of monotonic timestamps exported as
+//!   Chrome trace-event JSON (Perfetto-viewable).
 //!
 //! Plus the crate's own front end:
 //!
@@ -46,7 +46,8 @@
 //!   campaign` runs);
 //! * [`run`] — the one scenario runner: `swquake run` and every campaign
 //!   member execute a scenario through [`run::run_scenario`], which also
-//!   defines the one artifact layout ([`run::Artifacts::member`]);
+//!   defines the one observed layout ([`run::Artifacts::bundle`]) that
+//!   `swquake inspect` reads;
 //! * [`outputs`] — the result-file writer behind it;
 //! * [`error`] — the crate-level [`enum@Error`]; fallible constructors
 //!   (`Simulation::new`, `run_multirank`, `Simulation::restore`,
@@ -107,9 +108,9 @@
 //! register-communication rounds, halo traffic, compression round
 //! trips, checkpoint I/O), one lane per rank, exportable as Chrome
 //! trace-event JSON via [`trace::Tracer::to_chrome_json`] — that is
-//! what `swquake run --trace out.json` writes. The per-kernel
-//! predicted-vs-simulated attribution table (`--roofline`) comes from
-//! [`core::roofline`], and `swquake bench-diff` gates two
+//! the `trace.json` of a `swquake run --obs <dir>` bundle. `swquake
+//! inspect` renders a bundle's per-kernel ledger and timeline, and
+//! `swquake inspect --diff` gates two ledgers or
 //! [`telemetry::bench::BenchReport`] files against a tolerance.
 
 pub mod campaign;

@@ -16,17 +16,15 @@
 //! * a rank grid ([`RunPlan::ranks`]), whose ranks each sample their own
 //!   subdomain from the model.
 //!
-//! # The artifact layout
+//! # The bundle
 //!
 //! [`Artifacts`] names every file a run can leave besides its results.
-//! [`Artifacts::member`] is the one directory layout — `metrics.json`,
-//! `health.jsonl`, `timeline.json` and, when asked, `perf.json` — that a
-//! campaign member directory and `swquake run --obs <dir>` both resolve
-//! to, so `perf-report` and `imbalance-report` read either alike. The
-//! Chrome trace and the roofline attribution stay explicit paths: no
-//! member grows a tracer ring it did not ask for. The diagnostic bundle
-//! of an unstable run rides the result prefix
-//! (`<prefix>_health_bundle/`).
+//! [`Artifacts::bundle`] is the one observed layout: a directory holding
+//! `metrics.json`, `health.jsonl`, `perf.json`, `timeline.json`,
+//! `trace.json` and the heartbeat stream `run.jsonl`. `swquake run --obs
+//! <dir>` and every campaign member directory resolve to it, and
+//! `swquake inspect` reads either. The diagnostic bundle of an unstable
+//! run rides the result prefix (`<prefix>_health_bundle/`).
 
 use crate::error::Error;
 use crate::outputs::{write_result_files, OutputFiles};
@@ -43,7 +41,6 @@ use sw_telemetry::timeline::{TimelineRecorder, TimelineReport, TIMELINE_NAME};
 use sw_telemetry::{Telemetry, Tracer};
 use swquake_core::driver::run_multirank;
 use swquake_core::error::RunError;
-use swquake_core::roofline::RooflineReport;
 use swquake_core::state::SolverState;
 use swquake_core::{exec, ExecMode, MultiRankOutput, ResidentMode, Simulation};
 
@@ -93,40 +90,31 @@ pub enum Resume {
     OrRestart,
 }
 
+/// The perf ledger's file name in a bundle.
+pub const LEDGER_NAME: &str = "perf.json";
+
 /// The files a run leaves besides its results; every `None` is a sink
 /// that is not armed.
 #[derive(Debug, Clone, Default)]
 pub struct Artifacts {
-    /// The telemetry report. Arms the metrics registry, as `trace` and
-    /// `roofline` do.
+    /// The bundle directory. Arms the tracer, the per-kernel ledger and
+    /// the run timeline, whose heartbeats follow the watchdog's probe
+    /// stride.
+    pub bundle: Option<PathBuf>,
+    /// The telemetry report; arms the metrics registry.
     pub metrics: Option<PathBuf>,
-    /// The Chrome trace; arms the tracer.
-    pub trace: Option<PathBuf>,
-    /// The predicted-vs-simulated per-kernel attribution.
-    pub roofline: Option<PathBuf>,
-    /// The per-kernel ledger. The recorder is armed by this or by
-    /// `timeline` — an observed run always measures per-kernel walls
-    /// (`RunSummary::merged.ledger`); this only says where to write them.
-    pub perf: Option<PathBuf>,
     /// The streamed health log (the watchdog itself is always armed).
     pub health: Option<PathBuf>,
-    /// The directory `timeline.json` lands in; arms the run timeline.
-    pub timeline: Option<PathBuf>,
-    /// Also stream a heartbeat line to `<timeline>/run.jsonl` every this
-    /// many steps (`None`: no stream).
-    pub heartbeat_stride: Option<u64>,
 }
 
 impl Artifacts {
-    /// The one directory layout, under `dir`: what a campaign member
+    /// The one observed layout, under `dir`: what a campaign member
     /// leaves and what `swquake run --obs <dir>` resolves to.
-    pub fn member(dir: &Path, perf: bool) -> Self {
+    pub fn bundle(dir: &Path) -> Self {
         Self {
+            bundle: Some(dir.to_path_buf()),
             metrics: Some(dir.join("metrics.json")),
             health: Some(dir.join("health.jsonl")),
-            perf: perf.then(|| dir.join("perf.json")),
-            timeline: Some(dir.to_path_buf()),
-            ..Self::default()
         }
     }
 }
@@ -181,10 +169,8 @@ pub struct RunSummary {
     pub files: OutputFiles,
     /// Why a [`Resume::OrRestart`] run started over instead.
     pub restarted: Option<String>,
-    /// The run timeline, when armed.
+    /// The run timeline, when a bundle armed it.
     pub timeline: Option<TimelineReport>,
-    /// The attribution table, when `artifacts.roofline` asked for it.
-    pub roofline: Option<RooflineReport>,
 }
 
 /// The crash drill `SWQUAKE_FAULT_PLAN` arms, announced on stderr. Read
@@ -220,30 +206,25 @@ pub fn run_scenario(
     cfg.resident = plan.resident.unwrap_or(cfg.resident);
     cfg.memory_cap_bytes = plan.memory_cap.or(cfg.memory_cap_bytes);
 
-    // Counters and timers feed the metrics and roofline reports, the
-    // tracer the trace. Without any of the three this stays the disabled
-    // (branch-on-None) telemetry of an uninstrumented run.
-    let registry = art.metrics.is_some() || art.trace.is_some() || art.roofline.is_some();
-    let mut telemetry = if registry { Telemetry::enabled() } else { Telemetry::disabled() };
-    if art.trace.is_some() {
+    // Counters and timers feed the metrics report. Without it this stays
+    // the disabled (branch-on-None) telemetry of an uninstrumented run.
+    let mut telemetry =
+        if art.metrics.is_some() { Telemetry::enabled() } else { Telemetry::disabled() };
+    // One cadence: heartbeats follow the watchdog's probes.
+    let stride = plan.health_stride.unwrap_or(HealthConfig::default().stride);
+    if let Some(dir) = &art.bundle {
+        std::fs::create_dir_all(dir).map_err(io_error(dir))?;
         telemetry = telemetry.with_tracer(Tracer::enabled());
         telemetry.tracer().bind_lane(0, "driver");
+        let timeline = TimelineRecorder::new()
+            .with_total_steps(cfg.steps as u64)
+            .with_stream(dir, stride)
+            .map_err(io_error(dir))?;
+        cfg = cfg.with_perf(Arc::new(PerfRecorder::new())).with_timeline(Arc::new(timeline));
     }
     cfg = cfg.with_telemetry(telemetry.clone());
-    if art.perf.is_some() || art.timeline.is_some() {
-        cfg = cfg.with_perf(Arc::new(PerfRecorder::new()));
-    }
-    if let Some(dir) = &art.timeline {
-        std::fs::create_dir_all(dir).map_err(io_error(dir))?;
-        let mut timeline = TimelineRecorder::new().with_total_steps(cfg.steps as u64);
-        if let Some(stride) = art.heartbeat_stride {
-            timeline = timeline.with_stream(dir, stride).map_err(io_error(dir))?;
-        }
-        cfg = cfg.with_timeline(Arc::new(timeline));
-    }
     // The watchdog is always armed, so a blow-up aborts with a diagnosis;
     // a health path additionally streams the JSONL log.
-    let stride = plan.health_stride.unwrap_or(HealthConfig::default().stride);
     let mut health = HealthConfig::default()
         .with_stride(stride)
         .with_bundle_dir(format!("{}_health_bundle", plan.prefix));
@@ -328,36 +309,24 @@ pub fn run_scenario(
     if let Some(path) = &art.metrics {
         std::fs::write(path, telemetry.report().to_json()).map_err(io_error(path))?;
     }
-    let roofline = match &art.roofline {
-        Some(path) => {
-            let report = swquake_core::roofline::attribute(
-                cfg.dims,
-                cfg.options.nonlinear,
-                cfg.compression,
-                &telemetry.report(),
-            );
-            std::fs::write(path, report.to_json()).map_err(io_error(path))?;
-            Some(report)
-        }
-        None => None,
-    };
-    if let Some(path) = &art.trace {
-        // The `trace.dropped_events` counter alone is easy to miss, and a
-        // silently truncated trace reads as a complete one.
-        let dropped = telemetry.tracer().dropped_events();
-        if dropped > 0 {
-            eprintln!(
-                "warning: {dropped} trace event(s) were dropped by ring-buffer eviction; \
-                 the exported trace is incomplete"
-            );
-        }
-        std::fs::write(path, telemetry.tracer().to_chrome_json()).map_err(io_error(path))?;
-    }
-    if let (Some(path), Some(ledger)) = (&art.perf, &out.ledger) {
-        ledger.write_file(path).map_err(io_error(path))?;
-    }
-    let timeline = match (&art.timeline, &cfg.timeline) {
+    let timeline = match (&art.bundle, &cfg.timeline) {
         (Some(dir), Some(recorder)) => {
+            // The `trace.dropped_events` counter alone is easy to miss, and
+            // a silently truncated trace reads as a complete one.
+            let dropped = telemetry.tracer().dropped_events();
+            if dropped > 0 {
+                eprintln!(
+                    "warning: {dropped} trace event(s) were dropped by ring-buffer eviction; \
+                     the exported trace is incomplete"
+                );
+            }
+            let trace = dir.join("trace.json");
+            std::fs::write(&trace, telemetry.tracer().to_chrome_json())
+                .map_err(io_error(&trace))?;
+            if let Some(ledger) = &out.ledger {
+                let path = dir.join(LEDGER_NAME);
+                ledger.write_file(&path).map_err(io_error(&path))?;
+            }
             // Emits the closing heartbeat.
             let report = recorder.finish();
             let path = dir.join(TIMELINE_NAME);
@@ -368,7 +337,7 @@ pub fn run_scenario(
         }
         _ => None,
     };
-    Ok(RunSummary { merged: out, steps: cfg.steps, wall_s, files, restarted, timeline, roofline })
+    Ok(RunSummary { merged: out, steps: cfg.steps, wall_s, files, restarted, timeline })
 }
 
 /// The second banner line of a compressed-resident run: what the 16-bit

@@ -383,7 +383,7 @@ fn campaign_exit_codes_follow_the_contract() {
 /// The campaign performance rollup: `summary.json` always carries the
 /// aggregate per-kernel totals, per-scenario step percentiles, and the
 /// artifact-cache hit rate; `campaign.jsonl` gets a heartbeat progress
-/// line per completion; `--perf` adds a per-scenario `perf.json`.
+/// line per completion; each member's bundle holds its own `perf.json`.
 #[test]
 fn campaign_summary_rolls_up_perf_and_streams_heartbeats() {
     let dir = workdir("perf");
@@ -398,7 +398,7 @@ fn campaign_summary_rolls_up_perf_and_streams_heartbeats() {
     .unwrap();
     let camp = dir.join("camp");
     let out = Command::new(bin())
-        .args(["campaign", spec_path.to_str().unwrap(), "--dir", camp.to_str().unwrap(), "--perf"])
+        .args(["campaign", spec_path.to_str().unwrap(), "--dir", camp.to_str().unwrap()])
         .output()
         .unwrap();
     assert_eq!(out.status.code(), Some(0), "stderr: {}", String::from_utf8_lossy(&out.stderr));
@@ -436,7 +436,7 @@ fn campaign_summary_rolls_up_perf_and_streams_heartbeats() {
     assert_eq!(last["pending"], 0);
     assert!(last["eta_s"].as_f64().is_some());
 
-    // --perf writes the per-scenario ledgers next to metrics.json.
+    // Every member's bundle holds its ledger next to metrics.json.
     for id in ["a", "b"] {
         let ledger: serde_json::Value = serde_json::from_str(
             &std::fs::read_to_string(camp.join(id).join("perf.json")).unwrap(),
@@ -448,9 +448,9 @@ fn campaign_summary_rolls_up_perf_and_streams_heartbeats() {
     std::fs::remove_dir_all(&dir).ok();
 }
 
-/// Without `--perf` no per-scenario ledger file is written, but the
-/// summary rollup is populated regardless — instrumentation is always
-/// on for campaigns.
+/// There is no `--perf` opt-in any more: a plain campaign's members are
+/// bundles — ledger, trace and heartbeats included — and the summary
+/// rollup is populated from them.
 #[test]
 fn campaign_rollup_is_populated_even_without_perf_flag() {
     let dir = workdir("noperf");
@@ -463,7 +463,9 @@ fn campaign_rollup_is_populated_even_without_perf_flag() {
         .output()
         .unwrap();
     assert_eq!(out.status.code(), Some(0), "stderr: {}", String::from_utf8_lossy(&out.stderr));
-    assert!(!camp.join("a").join("perf.json").exists(), "no ledger file without --perf");
+    for file in ["perf.json", "timeline.json", "trace.json", "run.jsonl"] {
+        assert!(camp.join("a").join(file).exists(), "member `a` has no {file}");
+    }
     let summary: serde_json::Value =
         serde_json::from_str(&std::fs::read_to_string(camp.join("summary.json")).unwrap()).unwrap();
     assert!(!summary["perf"]["kernels"].as_array().unwrap().is_empty());

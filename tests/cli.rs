@@ -93,8 +93,8 @@ fn unknown_flag_prints_usage_and_exits_2() {
         vec!["run", "scenario.json", "--frobnicate"],
         vec!["run", "scenario.json", "--fused"], // removed with the AoS step path
         vec!["scenario.json", "--metrics"],      // flag missing its value
-        vec!["bench-diff", "a.json", "b.json", "--frobnicate"],
-        vec!["bench-diff", "only-one.json"],
+        vec!["inspect", "--diff", "a.json", "b.json", "--frobnicate"],
+        vec!["inspect", "--diff", "only-one.json"],
     ] {
         let out = Command::new(bin()).args(&args).output().unwrap();
         assert_eq!(out.status.code(), Some(2), "args {args:?}");
@@ -102,10 +102,10 @@ fn unknown_flag_prints_usage_and_exits_2() {
     }
 }
 
-/// `--trace` writes valid Chrome trace-event JSON with spans from the
-/// driver stages — and only what the run measured: the modeled hardware
-/// charges are constants of the mesh, not events (`--metrics` and
-/// `--roofline` carry them).
+/// A bundle's `trace.json` is valid Chrome trace-event JSON with spans
+/// from the driver stages — and only what the run measured: the modeled
+/// hardware charges are constants of the mesh, not events (`metrics.json`
+/// and the ledger carry them).
 #[test]
 fn run_with_trace_writes_chrome_trace_json() {
     let dir = workdir("trace");
@@ -120,12 +120,13 @@ fn run_with_trace_writes_chrome_trace_json() {
     json["output_prefix"] = serde_json::json!(dir.join("out").to_str().unwrap());
     std::fs::write(&scenario, serde_json::to_string(&json).unwrap()).unwrap();
 
-    let trace = dir.join("trace.json");
+    let obs = dir.join("obs");
     let out = Command::new(bin())
-        .args(["run", scenario.to_str().unwrap(), "--trace", trace.to_str().unwrap()])
+        .args(["run", scenario.to_str().unwrap(), "--obs", obs.to_str().unwrap()])
         .output()
         .unwrap();
     assert!(out.status.success(), "stderr: {}", String::from_utf8_lossy(&out.stderr));
+    let trace = obs.join("trace.json");
 
     let doc: serde_json::Value =
         serde_json::from_str(&std::fs::read_to_string(&trace).unwrap()).unwrap();
@@ -136,7 +137,7 @@ fn run_with_trace_writes_chrome_trace_json() {
     std::fs::remove_dir_all(&dir).ok();
 }
 
-/// `bench-diff` is the perf gate: identical inputs pass (exit 0), an
+/// `inspect --diff` is the perf gate: identical inputs pass (exit 0), an
 /// injected regression fails (exit 1), garbage input is a usage-class
 /// error (exit 2).
 #[test]
@@ -161,7 +162,7 @@ fn bench_diff_gates_regressions() {
     std::fs::write(&new, report(1e-3)).unwrap();
 
     let identical = Command::new(bin())
-        .args(["bench-diff", old.to_str().unwrap(), new.to_str().unwrap()])
+        .args(["inspect", "--diff", old.to_str().unwrap(), new.to_str().unwrap()])
         .output()
         .unwrap();
     assert_eq!(identical.status.code(), Some(0));
@@ -169,7 +170,8 @@ fn bench_diff_gates_regressions() {
 
     std::fs::write(&new, report(2e-3)).unwrap();
     let regressed = Command::new(bin())
-        .args(["bench-diff", old.to_str().unwrap(), new.to_str().unwrap(), "--tolerance", "0.15"])
+        .args(["inspect", "--diff", old.to_str().unwrap(), new.to_str().unwrap()])
+        .args(["--tolerance", "0.15"])
         .output()
         .unwrap();
     assert_eq!(regressed.status.code(), Some(1));
@@ -177,7 +179,7 @@ fn bench_diff_gates_regressions() {
 
     std::fs::write(&new, "{ not json").unwrap();
     let garbage = Command::new(bin())
-        .args(["bench-diff", old.to_str().unwrap(), new.to_str().unwrap()])
+        .args(["inspect", "--diff", old.to_str().unwrap(), new.to_str().unwrap()])
         .output()
         .unwrap();
     assert_eq!(garbage.status.code(), Some(2));
@@ -211,7 +213,7 @@ fn bench_diff_unit_errors_are_hard_errors_exit_2() {
     std::fs::write(&old, report("cells", 8000.0)).unwrap();
     std::fs::write(&new, report("elements", 8000.0)).unwrap();
     let out = Command::new(bin())
-        .args(["bench-diff", old.to_str().unwrap(), new.to_str().unwrap()])
+        .args(["inspect", "--diff", old.to_str().unwrap(), new.to_str().unwrap()])
         .output()
         .unwrap();
     assert_eq!(out.status.code(), Some(2), "stdout: {}", String::from_utf8_lossy(&out.stdout));
@@ -222,7 +224,7 @@ fn bench_diff_unit_errors_are_hard_errors_exit_2() {
     // The empty placeholder unit, on either side.
     std::fs::write(&new, report("", 0.0)).unwrap();
     let out = Command::new(bin())
-        .args(["bench-diff", old.to_str().unwrap(), new.to_str().unwrap()])
+        .args(["inspect", "--diff", old.to_str().unwrap(), new.to_str().unwrap()])
         .output()
         .unwrap();
     assert_eq!(out.status.code(), Some(2));
@@ -293,7 +295,7 @@ fn bench_diff_missing_baseline_exits_2_with_clear_message() {
 
     let missing = dir.join("does_not_exist.json");
     let out = Command::new(bin())
-        .args(["bench-diff", missing.to_str().unwrap(), new.to_str().unwrap()])
+        .args(["inspect", "--diff", missing.to_str().unwrap(), new.to_str().unwrap()])
         .output()
         .unwrap();
     assert_eq!(out.status.code(), Some(2));
@@ -303,7 +305,7 @@ fn bench_diff_missing_baseline_exits_2_with_clear_message() {
 
     // Same class of failure for a missing candidate, named as such.
     let out = Command::new(bin())
-        .args(["bench-diff", new.to_str().unwrap(), missing.to_str().unwrap()])
+        .args(["inspect", "--diff", new.to_str().unwrap(), missing.to_str().unwrap()])
         .output()
         .unwrap();
     assert_eq!(out.status.code(), Some(2));
@@ -548,9 +550,7 @@ fn every_subcommand_answers_help_with_exit_0() {
         vec!["-h"],
         vec!["run", "--help"],
         vec!["campaign", "--help"],
-        vec!["bench-diff", "--help"],
-        vec!["perf-report", "--help"],
-        vec!["perf-diff", "--help"],
+        vec!["inspect", "--help"],
     ] {
         let out = Command::new(bin()).args(&args).output().unwrap();
         assert_eq!(out.status.code(), Some(0), "args {args:?}");
@@ -791,7 +791,7 @@ fn one_member_campaign(dir: &Path, name: &str, path: &Path) -> (PathBuf, Output)
     std::fs::write(&spec, serde_json::to_string(&campaign).unwrap()).unwrap();
     let camp = dir.join(name);
     let mut cmd = Command::new(bin());
-    cmd.arg("campaign").arg(&spec).arg("--dir").arg(&camp).arg("--perf");
+    cmd.arg("campaign").arg(&spec).arg("--dir").arg(&camp);
     cmd.env_remove("SWQUAKE_FAULT_PLAN");
     (camp, cmd.output().unwrap())
 }
@@ -857,15 +857,18 @@ fn clashing_run_flags_are_named_before_the_usage() {
         (&["--ranks", "2"][..], ["--ranks", "'2'"]),
         (&["--ranks", "0x2"][..], ["--ranks", "'0x2'"]),
         (&["--memory-cap", "1q"][..], ["--memory-cap", "'1q'"]),
-        (&["--obs-stride", "-1"][..], ["--obs-stride", "'-1'"]),
         (&["--exec", "fast"][..], ["--exec", "'fast'"]),
         (&["--metrics"][..], ["--metrics", "needs a value"]),
         // Flags that would silently do nothing alone.
         (&["--checkpoint-interval", "5"][..], ["--checkpoint-interval", "--checkpoint-dir"]),
         (&["--checkpoint-keep", "2"][..], ["--checkpoint-keep", "--checkpoint-dir"]),
-        (&["--obs-stride", "5"][..], ["--obs-stride", "--obs"]),
-        // An unknown flag and a stray positional are named too.
+        // An unknown flag and a stray positional are named too, and so
+        // are the per-sink switches `--obs` replaced.
         (&["--bogus"][..], ["unknown flag", "'--bogus'"]),
+        (&["--trace", "t.json"][..], ["unknown flag", "'--trace'"]),
+        (&["--roofline", "r.json"][..], ["unknown flag", "'--roofline'"]),
+        (&["--perf", "p.json"][..], ["unknown flag", "'--perf'"]),
+        (&["--obs", "d", "--obs-stride", "5"][..], ["unknown flag", "'--obs-stride'"]),
         (&["b.json"][..], ["unexpected argument", "'b.json'"]),
     ] {
         let out = run_scenario(std::path::Path::new("scenario.json"), args, None);
@@ -878,29 +881,35 @@ fn clashing_run_flags_are_named_before_the_usage() {
     // The other subcommands name a rejected value, an unknown flag or a
     // stray argument the same way, above their own usage line.
     for (args, named) in [
-        (&["bench-diff", "a.json", "b.json", "--tolerance", "junk"][..], ["--tolerance", "'junk'"]),
-        (&["perf-diff", "a.json", "b.json", "--tolerance", "junk"][..], ["--tolerance", "'junk'"]),
-        (&["perf-report", "p.json", "--min-fraction", "junk"][..], ["--min-fraction", "'junk'"]),
-        (&["imbalance-report", "t.json", "--max-skew", "junk"][..], ["--max-skew", "'junk'"]),
+        (
+            &["inspect", "--diff", "a.json", "b.json", "--tolerance", "junk"][..],
+            ["--tolerance", "'junk'"],
+        ),
+        (&["inspect", "p.json", "--min-fraction", "junk"][..], ["--min-fraction", "'junk'"]),
+        (&["inspect", "t.json", "--max-skew", "junk"][..], ["--max-skew", "'junk'"]),
+        (&["inspect", "t.json", "--tolerance", "0.1"][..], ["--tolerance", "with --diff"]),
+        (&["inspect", "--diff", "a", "b", "--max-skew", "1"][..], ["--max-skew", "without --diff"]),
         (&["campaign", "c.json", "--jobs", "junk"][..], ["--jobs", "'junk'"]),
         (&["campaign", "c.json", "--ranks", "2x1"][..], ["unknown flag", "'--ranks'"]),
+        (&["campaign", "c.json", "--perf"][..], ["unknown flag", "'--perf'"]),
         (&["campaign", "c.json", "d.json"][..], ["unexpected argument", "'d.json'"]),
-        (&["perf-report", "p.json", "--bogus"][..], ["unknown flag", "'--bogus'"]),
-        (&["perf-diff", "a.json"][..], ["missing", "<new.json>"]),
+        (&["inspect", "p.json", "--bogus"][..], ["unknown flag", "'--bogus'"]),
+        (&["inspect", "--diff", "a.json"][..], ["missing", "<old> <new>"]),
+        (&["inspect"][..], ["missing", "<bundle|campaign-dir|file>"]),
     ] {
         let out = Command::new(bin()).args(args).output().unwrap();
         assert_eq!(out.status.code(), Some(2), "{args:?}");
         let stderr = String::from_utf8_lossy(&out.stderr);
         let (why, usage) = stderr.split_once("usage:").expect("usage text");
         assert!(named.iter().all(|part| why.contains(part)), "{args:?}: {stderr}");
-        assert_eq!(usage.lines().count(), 1, "{args:?}: not the subcommand's line: {stderr}");
-        assert!(usage.contains(&format!("swquake {} <", args[0])), "{args:?}: {stderr}");
+        let own = format!("swquake {} ", args[0]);
+        assert!(usage.lines().all(|l| l.contains(&own)), "{args:?}: not its own lines: {stderr}");
     }
-    // `--ranks` with `--perf` is a pair that works (`tests/perf.rs` runs
+    // `--ranks` with `--obs` is a pair that works (`tests/perf.rs` runs
     // it): it gets as far as the file.
     let out = run_scenario(
         std::path::Path::new("does_not_exist.json"),
-        &["--ranks", "2x1", "--perf", "p.json"],
+        &["--ranks", "2x1", "--obs", "obs"],
         None,
     );
     assert!(String::from_utf8_lossy(&out.stderr).contains("cannot read"));
@@ -1007,10 +1016,10 @@ fn a_scenario_cadence_without_a_store_cuts_no_checkpoint() {
     std::fs::remove_dir_all(&dir).ok();
 }
 
-/// One artifact layout: `run --obs d --checkpoint-dir d/ckpt` leaves in
-/// `d` what a campaign leaves in a member directory (plus its heartbeat
-/// stream), the same result bytes and the same metric names, and the
-/// report tools read either directory.
+/// One bundle: `run --obs d --checkpoint-dir d/ckpt` leaves in `d` what a
+/// campaign leaves in a member directory, the same result bytes and the
+/// same metric names, and `inspect` reads either directory — and the
+/// campaign directory, member by member.
 #[test]
 fn run_obs_and_a_campaign_member_leave_one_layout() {
     let dir = workdir("layout");
@@ -1030,8 +1039,11 @@ fn run_obs_and_a_campaign_member_leave_one_layout() {
         let entries = std::fs::read_dir(d).unwrap();
         entries.map(|e| e.unwrap().file_name().into_string().unwrap()).collect()
     };
-    let mut in_obs = listing(&obs);
-    assert!(in_obs.remove("run.jsonl"), "no heartbeat stream in {in_obs:?}");
+    let in_obs = listing(&obs);
+    for file in ["metrics.json", "health.jsonl", "perf.json", "timeline.json", "trace.json"] {
+        assert!(in_obs.contains(file), "no {file} in {in_obs:?}");
+    }
+    assert!(in_obs.contains("run.jsonl"), "no heartbeat stream in {in_obs:?}");
     assert_eq!(in_obs, listing(&member));
     for file in ["out_seismograms.csv", "out_hazard.json"] {
         assert!(
@@ -1039,11 +1051,11 @@ fn run_obs_and_a_campaign_member_leave_one_layout() {
         );
     }
     assert_eq!(metric_names(&obs.join("metrics.json")), metric_names(&member.join("metrics.json")));
-    for d in [&obs, &member] {
-        for (tool, file) in [("perf-report", "perf.json"), ("imbalance-report", "timeline.json")] {
-            let out = Command::new(bin()).arg(tool).arg(d.join(file)).output().unwrap();
-            assert_eq!(out.status.code(), Some(0), "{tool} {}", d.display());
-        }
+    for d in [&obs, &member, &camp] {
+        let out = Command::new(bin()).arg("inspect").arg(d).output().unwrap();
+        assert_eq!(out.status.code(), Some(0), "inspect {}", d.display());
+        let stdout = String::from_utf8_lossy(&out.stdout);
+        assert!(stdout.contains("dvelc") && stdout.contains("critical rank"), "{stdout}");
     }
     std::fs::remove_dir_all(&dir).ok();
 }
@@ -1055,12 +1067,8 @@ fn the_health_line_has_one_shape_on_every_rank_grid() {
     let dir = workdir("health_line");
     let scenario = shrunk_example(&dir, "out", |_| {});
     let path = |name: &str| dir.join(name).to_str().unwrap().to_string();
-    let sinks = [
-        ("--perf", path("p.json")),
-        ("--metrics", path("m.json")),
-        ("--health", path("h.jsonl")),
-        ("--obs", path("obs")),
-    ];
+    let sinks =
+        [("--metrics", path("m.json")), ("--health", path("h.jsonl")), ("--obs", path("obs"))];
     let mut lines = Vec::new();
     for ranks in [None, Some("2x1")] {
         let mut args: Vec<&str> = sinks.iter().flat_map(|(f, p)| [*f, p.as_str()]).collect();
@@ -1074,5 +1082,176 @@ fn the_health_line_has_one_shape_on_every_rank_grid() {
     }
     assert!(lines[0].ends_with("( probes,  warnings)"), "{lines:?}");
     assert_eq!(lines[0], lines[1]);
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+/// `--write-example` into a directory that does not exist is an I/O
+/// error naming the path (exit 2), not a panic (it used to exit 101
+/// with a backtrace).
+#[test]
+fn write_example_into_a_missing_directory_exits_2_naming_the_path() {
+    let out =
+        Command::new(bin()).args(["--write-example", "/no/such/dir/s.json"]).output().unwrap();
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(2), "stderr: {stderr}");
+    assert!(stderr.contains("/no/such/dir/s.json") && !stderr.contains("panicked"), "{stderr}");
+}
+
+/// A perf ledger as `inspect` reads it: schema v1, one modeled kernel at
+/// half its roofline.
+fn ledger_json() -> serde_json::Value {
+    serde_json::json!({
+        "schema_version": 1,
+        "host": {"os": "linux", "arch": "x86_64", "cpu": "test-cpu", "threads": 2},
+        "steps": 10, "grid_cells": 1000, "wall_s": 2.0, "step_p50_s": 0.19, "step_p95_s": 0.25,
+        "kernels": [{"name": "dvelc", "wall_s": 1.0, "calls": 10, "cells": 10000,
+            "flops": 760000.0, "dma_bytes": 400000, "cells_per_s": 10000.0,
+            "gflops_per_s": 0.00076, "gb_per_s": 0.0004, "roofline_fraction": 0.5}]
+    })
+}
+
+/// A two-rank run timeline whose `stress` phase has skew 1.0 (rank 1
+/// took three times rank 0's second).
+fn timeline_json() -> serde_json::Value {
+    serde_json::json!({
+        "schema_version": 1, "ranks": 2, "steps": 10, "total_steps": 10, "wall_s": 4.0,
+        "phases": [{"name": "stress", "per_rank_s": [1.0, 3.0], "calls": [10, 10],
+            "mean_s": 2.0, "min_s": 1.0, "max_s": 3.0, "skew": 1.0, "critical_rank": 1}],
+        "critical_rank": 1, "max_skew": 1.0, "halo_wait_frac": 0.0,
+        "memory": {"fields": [], "resident_bytes": 0, "high_water_bytes": 0}
+    })
+}
+
+fn write_json(path: &Path, value: &serde_json::Value) {
+    std::fs::create_dir_all(path.parent().unwrap()).unwrap();
+    std::fs::write(path, serde_json::to_string(value).unwrap()).unwrap();
+}
+
+/// `swquake inspect <args>`: exit code, stdout, stderr.
+fn inspect(args: &[&Path]) -> (Option<i32>, String, String) {
+    let out = Command::new(bin()).arg("inspect").args(args).output().unwrap();
+    let text = |b: &[u8]| String::from_utf8_lossy(b).into_owned();
+    (out.status.code(), text(&out.stdout), text(&out.stderr))
+}
+
+/// Every fraction `inspect` takes goes through one parser: `nan` would
+/// pass every gate (`skew > NaN` is false — `imbalance-report --max-skew
+/// nan` used to print "no phase over skew NaN" and exit 0 on a skew of
+/// 1.0), `inf` would never trip one, and a negative floor means nothing.
+/// Each is a usage error naming the flag; a real floor still gates.
+#[test]
+fn inspect_fractions_reject_nan_inf_and_negative_values() {
+    let dir = workdir("inspect_fractions");
+    let timeline = dir.join("timeline.json");
+    write_json(&timeline, &timeline_json());
+    let t = timeline.to_str().unwrap();
+    for (flag, value) in ["--max-skew", "--min-fraction", "--tolerance"]
+        .iter()
+        .flat_map(|f| ["nan", "inf", "-0.5"].map(|v| (*f, v)))
+    {
+        let args: Vec<&str> = match flag {
+            "--tolerance" => vec!["inspect", "--diff", t, t, flag, value],
+            _ => vec!["inspect", t, flag, value],
+        };
+        let out = Command::new(bin()).args(&args).output().unwrap();
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(2), "{flag} {value}: {stderr}");
+        assert!(stderr.contains(&format!("'{value}' for {flag}")), "{flag} {value}: {stderr}");
+    }
+    let (code, _, stderr) = inspect(&[&timeline, Path::new("--max-skew"), Path::new("0.5")]);
+    assert_eq!(code, Some(1), "{stderr}");
+    assert!(stderr.contains("phase `stress` skew 1.000 exceeds 0.500 (critical rank 1)"));
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+/// A ledger cut short by a crash mid-write is a parse error naming it.
+#[test]
+fn inspect_names_a_truncated_ledger() {
+    let dir = workdir("inspect_truncated");
+    let path = dir.join("perf.json");
+    let text = serde_json::to_string(&ledger_json()).unwrap();
+    std::fs::write(&path, &text[..text.len() / 2]).unwrap();
+    let (code, _, stderr) = inspect(&[&path]);
+    assert_eq!(code, Some(2), "{stderr}");
+    assert!(stderr.contains("cannot parse") && stderr.contains(path.to_str().unwrap()), "{stderr}");
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+/// A rank count past every integer (`1e400` reads as infinity) is a
+/// parse error naming the file, never a saturated count.
+#[test]
+fn inspect_names_a_timeline_with_an_impossible_rank_count() {
+    let dir = workdir("inspect_ranks");
+    let path = dir.join("timeline.json");
+    let text =
+        serde_json::to_string(&timeline_json()).unwrap().replace("\"ranks\":2", "\"ranks\":1e400");
+    assert!(text.contains("1e400"), "{text}");
+    std::fs::write(&path, text).unwrap();
+    let (code, _, stderr) = inspect(&[&path]);
+    assert_eq!(code, Some(2), "{stderr}");
+    assert!(stderr.contains("ranks") && stderr.contains(path.to_str().unwrap()), "{stderr}");
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+/// A JSON file that is neither a ledger nor a timeline — the
+/// repository's `BENCHMARK.json` — is named as such.
+#[test]
+fn inspect_names_a_file_that_is_no_report() {
+    let path = Path::new(concat!(env!("CARGO_MANIFEST_DIR"), "/BENCHMARK.json"));
+    let (code, _, stderr) = inspect(&[path]);
+    assert_eq!(code, Some(2), "{stderr}");
+    assert!(stderr.contains("BENCHMARK.json is neither a perf ledger nor a run timeline"));
+}
+
+/// An empty directory holds nothing to read.
+#[test]
+fn inspect_refuses_an_empty_directory() {
+    let dir = workdir("inspect_empty");
+    let empty = dir.join("empty");
+    std::fs::create_dir_all(&empty).unwrap();
+    let (code, _, stderr) = inspect(&[&empty]);
+    assert_eq!(code, Some(2), "{stderr}");
+    assert!(stderr.contains(empty.to_str().unwrap()) && stderr.contains("to read"), "{stderr}");
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+/// A directory with files, none of them one `inspect` knows, is refused
+/// the same way.
+#[test]
+fn inspect_refuses_a_directory_with_no_known_file() {
+    let dir = workdir("inspect_unknown");
+    let other = dir.join("other");
+    write_json(&other.join("metrics.json"), &serde_json::json!({"schema_version": 2}));
+    let (code, _, stderr) = inspect(&[&other]);
+    assert_eq!(code, Some(2), "{stderr}");
+    assert!(stderr.contains("no perf.json, timeline.json or MANIFEST.json"), "{stderr}");
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+/// A campaign whose member `b` lost its ledger: `a` still renders, `b`'s
+/// missing file is named, the exit is 2; a member that never finished is
+/// listed with its state and not read.
+#[test]
+fn inspect_renders_every_campaign_member_and_names_a_missing_ledger() {
+    let dir = workdir("inspect_campaign");
+    let camp = dir.join("camp");
+    let member =
+        |id: &str, state: &str| serde_json::json!({"id": id, "state": state, "detail": ""});
+    let manifest = serde_json::json!({"schema_version": 1, "name": "c",
+        "scenarios": [member("a", "done"), member("b", "done"), member("c", "unstable")]});
+    write_json(&camp.join("MANIFEST.json"), &manifest);
+    for id in ["a", "b"] {
+        write_json(&camp.join(id).join("timeline.json"), &timeline_json());
+    }
+    write_json(&camp.join("a").join("perf.json"), &ledger_json());
+    let (code, stdout, stderr) = inspect(&[&camp]);
+    assert_eq!(code, Some(2), "{stdout}\n{stderr}");
+    let missing = camp.join("b").join("perf.json");
+    assert!(stderr.contains(&format!("cannot read {}", missing.display())), "{stderr}");
+    let rendered = |id: &str, file: &str| format!("== {}", camp.join(id).join(file).display());
+    for (id, file) in [("a", "perf.json"), ("a", "timeline.json"), ("b", "timeline.json")] {
+        assert!(stdout.contains(&rendered(id, file)), "{id}/{file} not rendered: {stdout}");
+    }
+    assert!(stdout.contains("member `c`: unstable"), "{stdout}");
     std::fs::remove_dir_all(&dir).ok();
 }

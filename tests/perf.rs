@@ -7,11 +7,11 @@
 //!   is bit-identical to an uninstrumented one on every physics output;
 //! * every production-step kernel reports non-zero throughput and a
 //!   non-zero achieved-vs-roofline fraction;
-//! * `swquake perf-diff` gates a seeded per-kernel regression and
-//!   `swquake perf-report` flags kernels below `--min-fraction`;
-//! * `swquake run --perf` writes the ledger and appends one line to the
-//!   durable `perf_history.jsonl` next to it — on a rank grid too, where
-//!   the counts are the single-rank run's plus the halo traffic.
+//! * `swquake inspect --diff` gates a seeded per-kernel regression and
+//!   `swquake inspect` flags kernels below `--min-fraction`;
+//! * `swquake run --obs` writes the ledger into its bundle — on a rank
+//!   grid too, where the counts are the single-rank run's plus the halo
+//!   traffic.
 
 use std::path::PathBuf;
 use std::process::Command;
@@ -143,7 +143,7 @@ fn ledger_reports_nonzero_rates_for_every_production_kernel() {
     assert!(c.roofline_fraction > 0.0);
 }
 
-/// `perf-diff` end to end: a ledger diffed against itself passes (exit
+/// `inspect --diff` end to end: a ledger diffed against itself passes (exit
 /// 0); seeding a 10× slowdown into one kernel fails the gate (exit 1).
 #[test]
 fn perf_diff_cli_gates_a_seeded_regression() {
@@ -156,7 +156,7 @@ fn perf_diff_cli_gates_a_seeded_regression() {
     ledger.write_file(&old).unwrap();
     ledger.write_file(&new).unwrap();
     let out = Command::new(bin())
-        .args(["perf-diff", old.to_str().unwrap(), new.to_str().unwrap()])
+        .args(["inspect", "--diff", old.to_str().unwrap(), new.to_str().unwrap()])
         .output()
         .unwrap();
     let stdout = String::from_utf8_lossy(&out.stdout);
@@ -175,7 +175,8 @@ fn perf_diff_cli_gates_a_seeded_regression() {
     k.wall_s *= 10.0;
     slowed.write_file(&new).unwrap();
     let out = Command::new(bin())
-        .args(["perf-diff", old.to_str().unwrap(), new.to_str().unwrap(), "--tolerance", "0.5"])
+        .args(["inspect", "--diff", old.to_str().unwrap(), new.to_str().unwrap()])
+        .args(["--tolerance", "0.5"])
         .output()
         .unwrap();
     assert_eq!(
@@ -190,7 +191,7 @@ fn perf_diff_cli_gates_a_seeded_regression() {
     std::fs::remove_dir_all(&dir).ok();
 }
 
-/// `perf-report` renders the table (exit 0 with the default
+/// `inspect` renders the table (exit 0 with the default
 /// never-flagging threshold) and exits 1 when a kernel sits below
 /// `--min-fraction` of its modeled roofline.
 #[test]
@@ -201,7 +202,7 @@ fn perf_report_cli_flags_kernels_below_min_fraction() {
     let (_, ledger) = run_with_perf(&cfg, ExecMode::Parallel);
     let path = dir.join("perf.json");
     ledger.write_file(&path).unwrap();
-    let out = Command::new(bin()).args(["perf-report", path.to_str().unwrap()]).output().unwrap();
+    let out = Command::new(bin()).args(["inspect", path.to_str().unwrap()]).output().unwrap();
     assert_eq!(out.status.code(), Some(0), "default threshold never flags");
     let stdout = String::from_utf8_lossy(&out.stdout);
     assert!(stdout.contains("dvelc") && stdout.contains("roofline"), "stdout: {stdout}");
@@ -217,7 +218,7 @@ fn perf_report_cli_flags_kernels_below_min_fraction() {
     }
     low.write_file(&path).unwrap();
     let out = Command::new(bin())
-        .args(["perf-report", path.to_str().unwrap(), "--min-fraction", "0.5"])
+        .args(["inspect", path.to_str().unwrap(), "--min-fraction", "0.5"])
         .output()
         .unwrap();
     assert_eq!(out.status.code(), Some(1), "kernels below the floor must flag");
@@ -225,7 +226,7 @@ fn perf_report_cli_flags_kernels_below_min_fraction() {
 
     // Garbage input is a usage error.
     std::fs::write(&path, "{ not json").unwrap();
-    let out = Command::new(bin()).args(["perf-report", path.to_str().unwrap()]).output().unwrap();
+    let out = Command::new(bin()).args(["inspect", path.to_str().unwrap()]).output().unwrap();
     assert_eq!(out.status.code(), Some(2));
     std::fs::remove_dir_all(&dir).ok();
 }
@@ -246,60 +247,53 @@ fn small_scenario(dir: &std::path::Path) -> PathBuf {
     scenario
 }
 
-/// `swquake run --perf` writes the ledger next to the other outputs and
-/// appends one history line per instrumented run to `perf_history.jsonl`
-/// beside it.
+/// `swquake run --obs d` writes the ledger into the bundle next to the
+/// other reports, and `inspect d` renders it with the timeline.
 #[test]
-fn run_perf_cli_writes_ledger_and_appends_history() {
+fn run_obs_writes_the_ledger_into_the_bundle() {
     let dir = workdir("run");
     let scenario = small_scenario(&dir);
-    let perf = dir.join("perf.json");
-    for _ in 0..2 {
-        let out = Command::new(bin())
-            .args(["run", scenario.to_str().unwrap(), "--perf", perf.to_str().unwrap()])
-            .output()
-            .unwrap();
-        assert!(out.status.success(), "stderr: {}", String::from_utf8_lossy(&out.stderr));
-        assert!(String::from_utf8_lossy(&out.stdout).contains("wrote perf ledger"));
-    }
-    let ledger = PerfLedger::read_file(&perf).unwrap().unwrap();
+    let obs = dir.join("obs");
+    let out = Command::new(bin())
+        .args(["run", scenario.to_str().unwrap(), "--obs", obs.to_str().unwrap()])
+        .output()
+        .unwrap();
+    assert!(out.status.success(), "stderr: {}", String::from_utf8_lossy(&out.stderr));
+    assert!(String::from_utf8_lossy(&out.stdout).contains("wrote bundle"));
+    let ledger = PerfLedger::read_file(&obs.join("perf.json")).unwrap().unwrap();
     assert_eq!(ledger.schema_version, PERF_SCHEMA_VERSION);
     let dvelc = ledger.kernel("dvelc").expect("dvelc in the ledger");
     assert!(dvelc.cells_per_s > 0.0);
     assert!(dvelc.roofline_fraction > 0.0);
+    assert!(!dir.join("perf_history.jsonl").exists(), "no history file beside the bundle");
 
-    // Two instrumented runs → two history lines, each parseable.
-    let history = swquake::io::jsonl::read_lines(&dir.join("perf_history.jsonl")).unwrap();
-    assert_eq!(history.len(), 2, "one history line per instrumented run");
-    for line in &history {
-        assert_eq!(line.get("schema_version").and_then(|v| v.as_u64()), Some(1));
-        assert_eq!(line.get("label").and_then(|v| v.as_str()), Some("run"));
-        assert!(line.get("kernels").and_then(|v| v.as_array()).is_some());
-    }
+    let out = Command::new(bin()).arg("inspect").arg(&obs).output().unwrap();
+    assert_eq!(out.status.code(), Some(0));
+    let stdout = String::from_utf8_lossy(&out.stdout);
+    assert!(stdout.contains("dvelc") && stdout.contains("critical rank"), "stdout: {stdout}");
     std::fs::remove_dir_all(&dir).ok();
 }
 
-/// `--ranks` with `--perf` (a usage error until the ledger stopped being
-/// frozen inside one simulation): the grid's ledger is frozen at the
-/// merge, its counts summed over the ranks' local meshes — so row by row
-/// the single-rank run's, plus a `halo` row — and each row's wall the
-/// slowest rank's, so no row outlasts the run. `perf-report` renders it.
+/// A rank grid's bundle: the grid's ledger is frozen at the merge, its
+/// counts summed over the ranks' local meshes — so row by row the
+/// single-rank run's, plus a `halo` row — and each row's wall the slowest
+/// rank's, so no row outlasts the run. `inspect` renders it.
 #[test]
 fn a_rank_grid_writes_the_single_rank_ledger_plus_a_halo_row() {
     let dir = workdir("ranks");
     let scenario = small_scenario(&dir);
     let ledger_of = |name: &str, ranks: &[&str]| -> PerfLedger {
-        let perf = dir.join(name);
+        let obs = dir.join(name);
         let out = Command::new(bin())
-            .args(["run", scenario.to_str().unwrap(), "--perf", perf.to_str().unwrap()])
+            .args(["run", scenario.to_str().unwrap(), "--obs", obs.to_str().unwrap()])
             .args(ranks)
             .output()
             .unwrap();
         assert!(out.status.success(), "{ranks:?}: {}", String::from_utf8_lossy(&out.stderr));
-        PerfLedger::read_file(&perf).unwrap().unwrap()
+        PerfLedger::read_file(&obs.join("perf.json")).unwrap().unwrap()
     };
-    let single = ledger_of("single.json", &[]);
-    let grid = ledger_of("grid.json", &["--ranks", "2x1"]);
+    let single = ledger_of("single", &[]);
+    let grid = ledger_of("grid", &["--ranks", "2x1"]);
     assert_eq!((grid.steps, grid.grid_cells), (single.steps, single.grid_cells));
     let rows = |l: &PerfLedger| l.kernels.iter().map(|k| k.name.clone()).collect::<Vec<_>>();
     let mut with_halo = rows(&single);
@@ -321,10 +315,8 @@ fn a_rank_grid_writes_the_single_rank_ledger_plus_a_halo_row() {
     for k in &grid.kernels {
         assert!(k.wall_s <= grid.wall_s, "{} outlasts the run: {k:?}", k.name);
     }
-    let out = Command::new(bin())
-        .args(["perf-report", dir.join("grid.json").to_str().unwrap()])
-        .output()
-        .unwrap();
+    let out =
+        Command::new(bin()).args(["inspect", dir.join("grid").to_str().unwrap()]).output().unwrap();
     assert_eq!(out.status.code(), Some(0));
     let stdout = String::from_utf8_lossy(&out.stdout);
     assert!(stdout.contains("halo") && stdout.contains("unmodeled"), "stdout: {stdout}");

@@ -41,7 +41,7 @@ fn traced_run(steps: usize) -> Telemetry {
 /// compression round trips and checkpoint I/O, and the whole timeline
 /// exports as well-formed Chrome trace-event JSON. It carries what the
 /// run measured and nothing else: the modeled SW26010 charges are
-/// constants of the mesh (`arch.*` metrics, the roofline report), not
+/// constants of the mesh (`arch.*` metrics, the perf ledger), not
 /// events to repeat every step.
 #[test]
 fn traced_run_exports_valid_chrome_json_with_all_subsystems() {
