@@ -62,6 +62,18 @@ pub enum ConfigError {
         /// The incompatible feature.
         feature: &'static str,
     },
+    /// The state's arrays cannot be allocated: their bytes overflow 64
+    /// bits, or exceed the host's memory plus swap.
+    StateTooLarge {
+        /// The mesh.
+        dims: Dims3,
+        /// Arrays the options call for.
+        arrays: usize,
+        /// Their bytes, halos included (`None`: past `u64::MAX`).
+        bytes: Option<u64>,
+        /// The host's `MemTotal + SwapTotal`, bytes, where readable.
+        host: Option<u64>,
+    },
     /// A `SWQUAKE_*` default is set to something its option does not
     /// accept ([`crate::exec::check_env`]).
     InvalidEnv {
@@ -101,6 +113,16 @@ impl fmt::Display for ConfigError {
             }
             Self::ResidentUnsupported { feature } => {
                 write!(f, "the compressed-resident wavefield path does not support {feature}")
+            }
+            Self::StateTooLarge { dims, arrays, bytes, host } => {
+                write!(f, "a {dims} mesh's {arrays} arrays need ")?;
+                match (bytes, host) {
+                    (Some(bytes), Some(host)) => write!(
+                        f,
+                        "{bytes} bytes, more than this host's {host} bytes of memory and swap"
+                    ),
+                    _ => write!(f, "more than {} bytes", u64::MAX),
+                }
             }
             Self::InvalidEnv { var, value, expected } => {
                 write!(f, "environment variable {var} is set to `{value}` (expected {expected})")

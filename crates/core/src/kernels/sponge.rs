@@ -9,9 +9,16 @@
 //! the bottom band, the cells above it being multiplied by exactly 1.
 
 use super::plane::{for_each_plane, sweep_row, Lane};
-use crate::state::SolverState;
+use crate::state::{ArrayClass, SolverState, StateOptions};
 use std::ops::Range;
 use sw_grid::HALO_WIDTH as H;
+
+/// Arrays one sponge pass damps: the nine wavefields, then the memory
+/// variables when the options carry them (they trail the wavefields in
+/// [`SolverState::dynamic_mut`]).
+pub fn damped_arrays(options: &StateOptions) -> usize {
+    options.arrays().filter(|(_, class)| *class != ArrayClass::Material).count()
+}
 
 /// Apply the sponge to all dynamic fields.
 pub fn apply_sponge(s: &mut SolverState) {
@@ -26,8 +33,7 @@ pub fn apply_sponge_region(s: &mut SolverState, x_range: Range<usize>, pool: boo
         return;
     }
     let pnz = d.nz + 2 * H;
-    // The memory variables trail the nine wavefields.
-    let damped = if s.options.attenuation { 15 } else { 9 };
+    let damped = damped_arrays(&s.options);
     let profile = s.sponge.clone();
     for_each_plane(
         s.dynamic_mut(),
@@ -93,6 +99,15 @@ mod tests {
         assert_eq!(s.w.get(8, 8, 0), 1.0);
         // …but the bottom absorbs.
         assert!(s.w.get(8, 8, 15) < 1.0);
+    }
+
+    #[test]
+    fn an_elastic_state_damps_the_nine_wavefields() {
+        let elastic = StateOptions { attenuation: false, ..Default::default() };
+        assert_eq!(damped_arrays(&elastic) as f64, crate::flops::SPONGE_FLOPS);
+        assert_eq!(damped_arrays(&StateOptions::default()), 15);
+        let plastic = StateOptions { nonlinear: true, ..elastic };
+        assert_eq!(damped_arrays(&plastic), 9);
     }
 
     #[test]

@@ -193,6 +193,18 @@ impl SpongeProfile {
         (z0, &self.taper[h.min(self.bands) * self.nz + z0..][..self.nz - z0])
     }
 
+    /// Cells of a `dims` piece the sponge changes: its columns' lengths
+    /// summed. A grid's pieces add up to the whole mesh's count.
+    pub fn damped_cells(&self, dims: Dims3) -> u64 {
+        let mut cells = 0;
+        for x in 0..dims.nx {
+            for y in 0..dims.ny {
+                cells += self.column(x, y).1.len() as u64;
+            }
+        }
+        cells
+    }
+
     /// Factors tabulated: `nz` per row, a row per horizontal distance the
     /// global mesh has below the width, and the shared one.
     pub fn factors(&self) -> usize {

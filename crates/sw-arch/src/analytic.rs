@@ -424,7 +424,7 @@ mod tests {
             let shape = KernelShape::fused_traffic(floats, dims.ny, dims.nz);
             let points_per_pass = (shape.block_ny * shape.block_nz * shape.wx) as f64;
             let predicted = analytic.optimize(&shape).dma_seconds / points_per_pass * clock * cmpr;
-            predicted / (k.model_cycles() / k.cells)
+            predicted / (k.model_seconds * clock / k.cells)
         };
         costs.kernels.iter().map(|k| (k.kernel, ratio(k))).collect()
     }

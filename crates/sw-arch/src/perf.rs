@@ -20,9 +20,7 @@
 //! ~13× (PAR) → ~24× (MEM) → ~28–47× (CMPR) speedups with `fstr` stuck near
 //! 4–5×, and Fig. 8's 10.7 / 15.2 / 14.2 / 18.9 Pflops sustained rates.
 
-use crate::analytic::{AnalyticModel, KernelShape};
 use crate::dma::{DmaDirection, DmaEngine};
-use crate::regcomm::RegisterMesh;
 use crate::spec::CoreGroupSpec;
 use serde::{Deserialize, Serialize};
 use sw_grid::Dims3;
@@ -350,9 +348,6 @@ pub struct KernelCost {
     pub kernel: &'static str,
     /// Grid points the kernel touches per step.
     pub cells: f64,
-    /// Useful flops per touched point (§7.1 convention; 0 for the
-    /// unprofiled passes).
-    pub flops_per_cell: f64,
     /// DMA bytes per touched point at the run's level (halved by §6.5
     /// compression).
     pub bytes_per_cell: f64,
@@ -361,26 +356,15 @@ pub struct KernelCost {
 }
 
 impl KernelCost {
-    /// Useful flops per step.
-    pub fn flops(&self) -> f64 {
-        self.cells * self.flops_per_cell
-    }
-
     /// Modeled DMA bytes per step.
     pub fn dma_bytes(&self) -> f64 {
         self.cells * self.bytes_per_cell
     }
-
-    /// Modeled CPE cycles per step.
-    pub fn model_cycles(&self) -> f64 {
-        self.model_seconds * CoreGroupSpec::sw26010().clock_hz
-    }
 }
 
-/// The SW26010 cost of one time step over a mesh: the one table every
-/// report that quotes the model reads (`arch.*` metrics, the perf
-/// ledger's byte and roofline columns).
-/// Counters multiply it by the steps a run took.
+/// The SW26010 cost of one time step over a mesh: the one table the
+/// perf ledger's byte and roofline columns read. The ledger multiplies
+/// it by the steps a run took.
 #[derive(Debug, Clone, PartialEq)]
 pub struct StepCosts {
     /// The §6.4 kernels, in the paper's order.
@@ -389,15 +373,6 @@ pub struct StepCosts {
     /// and `compression` when it is on — priced at the DDR3 bandwidth
     /// floor.
     pub passes: Vec<KernelCost>,
-    /// On-chip halo-exchange rounds (stress + velocity, §6.4).
-    pub regcomm_rounds: u64,
-    /// Register-bus cycles of those rounds.
-    pub regcomm_cycles: u64,
-    /// LDM bytes of the blocking the analytic model picks for this block
-    /// (left side of eq. 6).
-    pub ldm_high_water_bytes: usize,
-    /// Largest per-array DMA block of that blocking.
-    pub max_dma_block_bytes: usize,
 }
 
 impl StepCosts {
@@ -409,9 +384,8 @@ impl StepCosts {
 
 /// Price one time step over `dims`: the §6.4 kernels at the `Mem` level
 /// (`Cmpr` with §6.5 compression on; the plasticity kernels only when
-/// `nonlinear`), the unprofiled passes, the on-chip halo rounds and the
-/// LDM footprint. A pure function of its arguments — evaluate it where a
-/// report is written, never per step.
+/// `nonlinear`) and the unprofiled passes. A pure function of its
+/// arguments — evaluate it once per mesh, never per step.
 pub fn step_costs(dims: Dims3, nonlinear: bool, compression: bool) -> StepCosts {
     let model = KernelPerfModel::paper();
     let level = if compression { OptLevel::Cmpr } else { OptLevel::Mem };
@@ -426,7 +400,6 @@ pub fn step_costs(dims: Dims3, nonlinear: bool, compression: bool) -> StepCosts 
             KernelCost {
                 kernel: k.name,
                 cells,
-                flops_per_cell: k.flops,
                 bytes_per_cell: k.bytes_per_point() * ratio,
                 model_seconds: cells * model.seconds_per_point(k, level),
             }
@@ -435,7 +408,6 @@ pub fn step_costs(dims: Dims3, nonlinear: bool, compression: bool) -> StepCosts 
     let pass = |kernel, bytes_per_cell: f64| KernelCost {
         kernel,
         cells: points,
-        flops_per_cell: 0.0,
         bytes_per_cell,
         model_seconds: points * bytes_per_cell / model.cg.mem_bandwidth,
     };
@@ -443,22 +415,7 @@ pub fn step_costs(dims: Dims3, nonlinear: bool, compression: bool) -> StepCosts 
     if compression {
         passes.push(pass("compression", COMPRESSION_BYTES_PER_POINT));
     }
-    // The analytic model's blocking for this block is the LDM footprint
-    // the Sunway port would run with (eq. 6). On-chip halo traffic: each
-    // CPE hands its 2·H boundary planes of the LDM window (Wz floats
-    // each) to its neighbour, once for the velocity stencils and once
-    // for the stress stencils.
-    let choice = AnalyticModel::sw26010().optimize(&KernelShape::delcx_fused(dims.ny, dims.nz));
-    let regcomm_rounds = 2;
-    let cycles_per_round = RegisterMesh::sw26010().halo_round(2 * 2 * choice.window.wz);
-    StepCosts {
-        kernels,
-        passes,
-        regcomm_rounds,
-        regcomm_cycles: regcomm_rounds * cycles_per_round,
-        ldm_high_water_bytes: choice.ldm_bytes,
-        max_dma_block_bytes: choice.max_dma_block,
-    }
+    StepCosts { kernels, passes }
 }
 
 #[cfg(test)]
@@ -578,17 +535,14 @@ mod tests {
 
     /// `step_costs` against the numbers the driver's three per-step
     /// charge tables held before it replaced them (recorded from them at
-    /// PR 20): per kernel `(dma bytes, cycles)` as the `arch.*` counters
-    /// truncate them, the passes' `(bytes, seconds)`, the regcomm cycles
-    /// and the two LDM gauges.
+    /// PR 20): per kernel `(dma bytes, cycles)` truncated to integers,
+    /// and the passes' `(bytes, seconds)`.
     #[test]
     fn step_costs_match_the_recorded_charge_tables() {
         struct Pinned {
             dims: Dims3,
             /// Nonlinear + compressed, or linear + uncompressed.
             production: bool,
-            regcomm_cycles: u64,
-            ldm: (usize, usize),
             kernels: &'static [(&'static str, u64, u64)],
             passes: &'static [(&'static str, u64, f64)],
         }
@@ -598,8 +552,6 @@ mod tests {
             Pinned {
                 dims: small,
                 production: false,
-                regcomm_cycles: 2 * 1540,
-                ldm: (24_000, 576),
                 kernels: &[
                     ("dvelcx", 2_731_622, 153_477),
                     ("dvelcy", 143_769, 8_077),
@@ -611,8 +563,6 @@ mod tests {
             Pinned {
                 dims: small,
                 production: true,
-                regcomm_cycles: 2 * 1540,
-                ldm: (24_000, 576),
                 kernels: &[
                     ("dvelcx", 1_365_811, 119_158),
                     ("dvelcy", 71_884, 6_271),
@@ -629,8 +579,6 @@ mod tests {
             Pinned {
                 dims: large,
                 production: false,
-                regcomm_cycles: 2 * 2380,
-                ldm: (57_600, 1152),
                 kernels: &[
                     ("dvelcx", 25_292_800, 1_421_085),
                     ("dvelcy", 1_331_200, 74_793),
@@ -642,8 +590,6 @@ mod tests {
             Pinned {
                 dims: large,
                 production: true,
-                regcomm_cycles: 2 * 2380,
-                ldm: (57_600, 1152),
                 kernels: &[
                     ("dvelcx", 12_646_400, 1_103_319),
                     ("dvelcy", 665_600, 58_069),
@@ -658,13 +604,14 @@ mod tests {
                 ],
             },
         ];
+        let clock = CoreGroupSpec::sw26010().clock_hz;
         for want in cases {
             let dims = want.dims;
             let costs = step_costs(dims, want.production, want.production);
             let kernels: Vec<(&str, u64, u64)> = costs
                 .kernels
                 .iter()
-                .map(|k| (k.kernel, k.dma_bytes() as u64, k.model_cycles() as u64))
+                .map(|k| (k.kernel, k.dma_bytes() as u64, (k.model_seconds * clock) as u64))
                 .collect();
             assert_eq!(kernels, want.kernels, "{dims} production {}", want.production);
             let passes: Vec<(&str, u64, f64)> = costs
@@ -673,8 +620,6 @@ mod tests {
                 .map(|k| (k.kernel, k.dma_bytes() as u64, k.model_seconds))
                 .collect();
             assert_eq!(passes, want.passes, "{dims} production {}", want.production);
-            assert_eq!((costs.regcomm_rounds, costs.regcomm_cycles), (2, want.regcomm_cycles));
-            assert_eq!((costs.ldm_high_water_bytes, costs.max_dma_block_bytes), want.ldm);
             assert!(costs.get("sponge").is_some() && costs.get("dvelcx").is_some());
             assert_eq!(costs.get("compression").is_some(), want.production);
         }

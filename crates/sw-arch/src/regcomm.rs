@@ -108,27 +108,6 @@ impl RegisterMesh {
         a + b
     }
 
-    /// Charge one on-chip halo-exchange round: every CPE hands its
-    /// `floats_per_thread` boundary floats to its successor in the
-    /// row-major thread order (the §6.4 scheme where each thread acquires
-    /// its halo "from the neighboring threads through register
-    /// communication"). Successors in the same row ride the row bus
-    /// directly; at row boundaries (thread 7→8, 15→16, …) the transfer
-    /// relays through the corner CPE. Returns the total bus cycles
-    /// charged for the round.
-    pub fn halo_round(&mut self, floats_per_thread: usize) -> u64 {
-        let n = self.side * self.side;
-        let mut cycles = 0;
-        for from in 0..n - 1 {
-            let to = from + 1;
-            cycles += match self.send(from, to, floats_per_thread) {
-                Ok(c) => c,
-                Err(_) => self.send_relayed(from, to, floats_per_thread),
-            };
-        }
-        cycles
-    }
-
     /// Accumulated statistics.
     pub fn stats(&self) -> RegCommStats {
         self.stats
@@ -197,19 +176,6 @@ mod tests {
         let mut m = RegisterMesh::sw26010();
         let cycles = m.send(1, 2, 108).unwrap();
         assert!(cycles < 120, "register halo ({cycles} cy) must beat DRAM latency");
-    }
-
-    #[test]
-    fn halo_round_relays_at_row_boundaries() {
-        let mut m = RegisterMesh::sw26010();
-        let cycles = m.halo_round(16);
-        // 63 successor hand-offs: 56 same-row sends + 7 row-boundary
-        // relays of 2 messages each = 70 messages.
-        assert_eq!(m.stats().messages, 70);
-        assert_eq!(m.stats().floats, 16 * 70);
-        // Each 16-float message costs 11 + 1 cycles; relays pay twice.
-        assert_eq!(cycles, 12 * 70);
-        assert_eq!(m.stats().cycles, cycles);
     }
 
     #[test]

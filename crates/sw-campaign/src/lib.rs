@@ -20,15 +20,11 @@
 //! * **Streaming results** — a JSONL [`log`] gets an event per scenario
 //!   completion, a `heartbeat` progress line after each one (cumulative
 //!   states, in-flight/pending counts, running-mean ETA), and a final
-//!   summary, also written to `summary.json`;
-//! * **Performance rollup** — runners deposit per-scenario
-//!   [`PerfLedger`]s in a [`PerfRollup`]; `summary.json` carries the
-//!   aggregate per-kernel totals, per-scenario step-time percentiles and
-//!   the artifact-cache hit rate;
-//! * **Timeline rollup** — runners that arm a run timeline deposit each
-//!   scenario's final [`TimelineReport`] in a [`TimelineRollup`];
-//!   `summary.json` carries one skew summary per scenario (max phase
-//!   skew, critical-path rank, halo-wait fraction).
+//!   summary, also written to `summary.json`. The summary holds the
+//!   campaign's state (tallies, artifact-cache traffic, the abort, each
+//!   scenario's standing), nothing a member measured: each member's
+//!   directory keeps its own ledger and timeline, and `swquake inspect
+//!   <campaign dir>` reads every done one from disk.
 //!
 //! The engine is solver-agnostic: scenarios are opaque JSON values, and
 //! the embedding crate supplies a runner closure that lowers and runs
@@ -53,8 +49,6 @@ use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::Mutex;
 use std::time::Instant;
-use sw_telemetry::perf::{PerfLedger, KERNEL_ORDER};
-use sw_telemetry::timeline::TimelineReport;
 use sw_telemetry::Telemetry;
 
 /// Campaign file schema version this build reads.
@@ -300,70 +294,6 @@ pub enum Outcome {
     },
 }
 
-/// Per-scenario performance ledgers accumulated campaign-wide.
-///
-/// The runner closure deposits each scenario's [`PerfLedger`] here via
-/// [`PerfRollup::record`]; the engine folds the collection into the
-/// `perf` block of `summary.json` (aggregate per-kernel totals plus
-/// per-scenario step-time percentiles).
-#[derive(Debug, Default)]
-pub struct PerfRollup {
-    ledgers: Mutex<Vec<(String, PerfLedger)>>,
-}
-
-impl PerfRollup {
-    /// An empty rollup.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Deposit one scenario's ledger under its id.
-    pub fn record(&self, id: &str, ledger: PerfLedger) {
-        self.ledgers.lock().unwrap_or_else(|p| p.into_inner()).push((id.to_string(), ledger));
-    }
-
-    /// Snapshot of the deposited ledgers, sorted by scenario id so the
-    /// summary is deterministic under concurrent completion order.
-    pub fn ledgers(&self) -> Vec<(String, PerfLedger)> {
-        let mut out = self.ledgers.lock().unwrap_or_else(|p| p.into_inner()).clone();
-        out.sort_by(|a, b| a.0.cmp(&b.0));
-        out
-    }
-}
-
-/// Per-scenario run timelines accumulated campaign-wide.
-///
-/// Runner closures that arm a timeline recorder deposit each scenario's
-/// final [`TimelineReport`] here; the engine folds the collection into
-/// the `timeline` block of `summary.json` — one skew summary per
-/// scenario (max phase skew, critical-path rank, halo-wait fraction) so
-/// a campaign-wide imbalance scan does not have to open every
-/// scenario's `timeline.json`.
-#[derive(Debug, Default)]
-pub struct TimelineRollup {
-    reports: Mutex<Vec<(String, TimelineReport)>>,
-}
-
-impl TimelineRollup {
-    /// An empty rollup.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Deposit one scenario's final timeline report under its id.
-    pub fn record(&self, id: &str, report: TimelineReport) {
-        self.reports.lock().unwrap_or_else(|p| p.into_inner()).push((id.to_string(), report));
-    }
-
-    /// Snapshot of the deposited reports, sorted by scenario id so the
-    /// summary is deterministic under concurrent completion order.
-    pub fn reports(&self) -> Vec<(String, TimelineReport)> {
-        let mut out = self.reports.lock().unwrap_or_else(|p| p.into_inner()).clone();
-        out.sort_by(|a, b| a.0.cmp(&b.0));
-        out
-    }
-}
-
 /// One scenario's slot handed to the runner closure.
 pub struct Task<'a> {
     /// Queue position.
@@ -382,13 +312,6 @@ pub struct Task<'a> {
     pub cache: &'a ArtifactCache,
     /// The campaign-wide telemetry handle.
     pub telemetry: &'a Telemetry,
-    /// The campaign-wide performance rollup; deposit the scenario's
-    /// [`PerfLedger`] here so `summary.json` can aggregate it.
-    pub perf: &'a PerfRollup,
-    /// The campaign-wide timeline rollup; deposit the scenario's final
-    /// [`TimelineReport`] here so `summary.json` carries its skew
-    /// summary.
-    pub timeline: &'a TimelineRollup,
 }
 
 /// Engine options (the CLI flags, minus the campaign file itself).
@@ -448,12 +371,6 @@ pub struct CampaignReport {
     pub aborted: Option<CampaignError>,
     /// Per-scenario standing, in queue order.
     pub scenarios: Vec<ScenarioReport>,
-    /// Per-scenario performance ledgers deposited by the runner, sorted
-    /// by scenario id (empty when the runner records none).
-    pub perf: Vec<(String, PerfLedger)>,
-    /// Per-scenario timeline reports deposited by the runner, sorted by
-    /// scenario id (empty when the runner records none).
-    pub timeline: Vec<(String, TimelineReport)>,
 }
 
 impl CampaignReport {
@@ -470,8 +387,6 @@ impl CampaignReport {
             "artifact_misses": self.artifact_misses,
             "artifact_hit_rate": self.artifact_hit_rate(),
             "wall_s": self.wall_s,
-            "perf": self.perf_json(),
-            "timeline": self.timeline_json(),
             "aborted": match &self.aborted {
                 None => Value::Null,
                 Some(e) => json!({
@@ -497,93 +412,6 @@ impl CampaignReport {
         } else {
             self.artifact_hits as f64 / total as f64
         }
-    }
-
-    /// The `perf` block of `summary.json`: aggregate per-kernel totals
-    /// across every deposited ledger (rates recomputed from the summed
-    /// counts) plus per-scenario step counts and step-time percentiles.
-    fn perf_json(&self) -> Value {
-        // Sum counts per kernel name, then order production kernels as
-        // [`KERNEL_ORDER`] does, with any extras appended by name.
-        let mut totals: Vec<(String, f64, u64, u64, f64, u64)> = Vec::new();
-        for (_, ledger) in &self.perf {
-            for k in &ledger.kernels {
-                match totals.iter_mut().find(|t| t.0 == k.name) {
-                    Some(t) => {
-                        t.1 += k.wall_s;
-                        t.2 += k.calls;
-                        t.3 += k.cells;
-                        t.4 += k.flops;
-                        t.5 += k.dma_bytes;
-                    }
-                    None => totals.push((
-                        k.name.clone(),
-                        k.wall_s,
-                        k.calls,
-                        k.cells,
-                        k.flops,
-                        k.dma_bytes,
-                    )),
-                }
-            }
-        }
-        let rank =
-            |name: &str| KERNEL_ORDER.iter().position(|k| *k == name).unwrap_or(KERNEL_ORDER.len());
-        totals.sort_by(|a, b| rank(&a.0).cmp(&rank(&b.0)).then_with(|| a.0.cmp(&b.0)));
-        let kernels: Vec<Value> = totals
-            .iter()
-            .map(|(name, wall_s, calls, cells, flops, bytes)| {
-                let rate = |x: f64| if *wall_s > 0.0 { x / wall_s } else { 0.0 };
-                json!({
-                    "name": name,
-                    "wall_s": wall_s,
-                    "calls": calls,
-                    "cells": cells,
-                    "flops": flops,
-                    "dma_bytes": bytes,
-                    "cells_per_s": rate(*cells as f64),
-                    "gflops_per_s": rate(*flops) / 1.0e9,
-                    "gb_per_s": rate(*bytes as f64) / 1.0e9,
-                })
-            })
-            .collect();
-        let scenarios: Vec<Value> = self
-            .perf
-            .iter()
-            .map(|(id, l)| {
-                json!({
-                    "id": id,
-                    "steps": l.steps,
-                    "wall_s": l.wall_s,
-                    "step_p50_s": l.step_p50_s,
-                    "step_p95_s": l.step_p95_s,
-                })
-            })
-            .collect();
-        json!({ "kernels": kernels, "scenarios": scenarios })
-    }
-
-    /// The `timeline` block of `summary.json`: one skew summary per
-    /// deposited report, in scenario-id order. Full per-phase detail
-    /// stays in each scenario's own `timeline.json`; the summary carries
-    /// only the fields an imbalance scan filters on.
-    fn timeline_json(&self) -> Value {
-        let scenarios: Vec<Value> = self
-            .timeline
-            .iter()
-            .map(|(id, t)| {
-                json!({
-                    "id": id,
-                    "ranks": t.ranks,
-                    "steps": t.steps,
-                    "wall_s": t.wall_s,
-                    "max_skew": t.max_skew,
-                    "critical_rank": t.critical_rank,
-                    "halo_wait_frac": t.halo_wait_frac,
-                })
-            })
-            .collect();
-        json!({ "scenarios": scenarios })
     }
 }
 
@@ -644,8 +472,6 @@ where
     }));
     let abort: Mutex<Option<CampaignError>> = Mutex::new(None);
     let abort_flag = AtomicBool::new(false);
-    let perf_rollup = PerfRollup::new();
-    let timeline_rollup = TimelineRollup::new();
     // Heartbeat state: scenarios already terminal before this run, plus
     // live counters updated as this run's scenarios start and finish.
     let total = spec.scenarios.len();
@@ -735,8 +561,6 @@ where
             resume: resume_scenario,
             cache: &cache,
             telemetry,
-            perf: &perf_rollup,
-            timeline: &timeline_rollup,
         };
         // A scenario whose state cannot be persisted must not run: the
         // manifest is the durable record resume trusts.
@@ -854,8 +678,6 @@ where
         wall_s,
         aborted: abort.into_inner().unwrap_or_else(|p| p.into_inner()),
         scenarios: reports,
-        perf: perf_rollup.ledgers(),
-        timeline: timeline_rollup.reports(),
     };
     let summary = report.summary_json();
     log.event(&json!({
@@ -1023,52 +845,22 @@ mod tests {
         assert!(err.detail.contains("does not match"), "got: {err}");
     }
 
-    fn toy_ledger(steps: u64) -> PerfLedger {
-        use sw_telemetry::perf::{HostFingerprint, PerfKernel, PERF_SCHEMA_VERSION};
-        PerfLedger {
-            schema_version: PERF_SCHEMA_VERSION,
-            host: HostFingerprint::detect(1),
-            steps,
-            grid_cells: 1000,
-            wall_s: steps as f64 * 0.01,
-            step_p50_s: 0.01,
-            step_p95_s: 0.012,
-            exec_mode: None,
-            features: None,
-            resident_mode: None,
-            kernels: vec![PerfKernel::from_counts(
-                "dvelc",
-                steps as f64 * 0.004,
-                steps,
-                steps * 1000,
-                steps as f64 * 76_000.0,
-                steps * 64_000,
-                steps as f64 * 0.002,
-            )],
-        }
-    }
-
     #[test]
-    fn summary_rolls_up_perf_and_heartbeats() {
-        let d = dir("perf");
-        let report = run_campaign(&spec(3), &d, &CampaignOptions::default(), |task| {
-            task.perf.record(task.id, toy_ledger(10));
-            Outcome::Done { detail: String::new() }
+    fn summary_holds_state_and_the_log_streams_heartbeats() {
+        let d = dir("heartbeat");
+        run_campaign(&spec(3), &d, &CampaignOptions::default(), |_| Outcome::Done {
+            detail: String::new(),
         })
         .unwrap();
-        assert_eq!(report.perf.len(), 3);
         let text = std::fs::read_to_string(d.join(SUMMARY_NAME)).unwrap();
         let summary: Value = serde_json::from_str(&text).unwrap();
-        let perf = summary.get("perf").expect("summary carries a perf block");
-        let kernels = perf.get("kernels").and_then(Value::as_array).unwrap();
-        assert_eq!(kernels.len(), 1, "three dvelc entries fold into one aggregate");
-        let k = &kernels[0];
-        assert_eq!(k.get("name").and_then(Value::as_str), Some("dvelc"));
-        assert_eq!(k.get("cells").and_then(Value::as_u64), Some(30_000));
-        assert!(k.get("cells_per_s").and_then(Value::as_f64).unwrap() > 0.0);
-        assert_eq!(perf.get("scenarios").and_then(Value::as_array).unwrap().len(), 3);
+        assert_eq!(summary.get("done").and_then(Value::as_u64), Some(3));
         let hit_rate = summary.get("artifact_hit_rate").and_then(Value::as_f64);
         assert_eq!(hit_rate, Some(0.0), "no artifact lookups in this campaign");
+        // What members measured is read from their directories, not here.
+        for key in ["perf", "timeline"] {
+            assert!(summary.get(key).is_none(), "summary carries `{key}`");
+        }
         // One heartbeat per completion, counting up to done=3 pending=0.
         let log = std::fs::read_to_string(d.join(LOG_NAME)).unwrap();
         let beats: Vec<Value> = log
@@ -1081,36 +873,6 @@ mod tests {
         assert_eq!(last.get("done").and_then(Value::as_u64), Some(3));
         assert_eq!(last.get("pending").and_then(Value::as_u64), Some(0));
         assert!(last.get("eta_s").and_then(Value::as_f64).is_some());
-    }
-
-    #[test]
-    fn summary_rolls_up_timeline_skew() {
-        use sw_telemetry::timeline::{phase, TimelineRecorder};
-        let d = dir("timeline");
-        let report = run_campaign(&spec(2), &d, &CampaignOptions::default(), |task| {
-            // Two ranks with a 3:1 stress imbalance on rank 1.
-            let rec = TimelineRecorder::new();
-            rec.record_phase(0, phase::STRESS, 1.0);
-            rec.record_phase(1, phase::STRESS, 3.0);
-            task.timeline.record(task.id, rec.finish());
-            Outcome::Done { detail: String::new() }
-        })
-        .unwrap();
-        assert_eq!(report.timeline.len(), 2);
-        let text = std::fs::read_to_string(d.join(SUMMARY_NAME)).unwrap();
-        let summary: Value = serde_json::from_str(&text).unwrap();
-        let scenarios = summary
-            .get("timeline")
-            .and_then(|t| t.get("scenarios"))
-            .and_then(Value::as_array)
-            .expect("summary carries a timeline block");
-        assert_eq!(scenarios.len(), 2);
-        for (i, s) in scenarios.iter().enumerate() {
-            assert_eq!(s.get("id").and_then(Value::as_str), Some(format!("s{i}").as_str()));
-            assert_eq!(s.get("critical_rank").and_then(Value::as_u64), Some(1));
-            let skew = s.get("max_skew").and_then(Value::as_f64).unwrap();
-            assert!((skew - 1.0).abs() < 1e-12, "(3-1)/2 = 1.0, got {skew}");
-        }
     }
 
     #[test]

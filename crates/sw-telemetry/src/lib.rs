@@ -163,8 +163,8 @@ impl Telemetry {
     }
 
     /// Emit an instant event with numeric arguments into the attached
-    /// tracer (no-op without one). Used for point-in-time facts like "this
-    /// step moved N modeled DMA bytes for kernel K".
+    /// tracer (no-op without one). Used for point-in-time facts a run
+    /// measured, like "rank R sent N halo bytes".
     pub fn event(&self, name: &str, args: &[(&str, f64)]) {
         self.tracer.instant("event", name, args);
     }
@@ -393,7 +393,7 @@ pub struct CounterEntry {
 /// One named gauge in a [`Report`].
 #[derive(Debug, Clone, PartialEq, Serialize, serde::Deserialize)]
 pub struct GaugeEntry {
-    /// Gauge name, e.g. `arch.ldm_high_water_bytes`.
+    /// Gauge name, e.g. `exec.threads`.
     pub name: String,
     /// Last + max values.
     pub stat: GaugeStat,

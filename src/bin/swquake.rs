@@ -152,10 +152,12 @@ file queues scenario descriptions ({\"scenarios\": [{\"id\": ...,
 material state, source lists) are shared across scenarios through a
 content-hash cache, and a durable MANIFEST.json records per-scenario
 state so an interrupted campaign resumes where it stopped. Results
-stream to campaign.jsonl as each scenario finishes; summary.json and
-per-scenario directories land next to the manifest. Each scenario
-directory is a bundle, as `swquake run --obs` writes one, plus its
-results; `swquake inspect <dir>` reads every done one.
+stream to campaign.jsonl as each scenario finishes; summary.json (the
+campaign's state: tallies, artifact-cache traffic, each scenario's
+standing) and per-scenario directories land next to the manifest. Each
+scenario directory is a bundle, as `swquake run --obs` writes one, plus
+its results; `swquake inspect <dir>` is the campaign's roll-up: it
+renders every done member's ledger and timeline, after a --resume too.
 
 flags:
   --dir <dir>                  campaign directory (default <name>_campaign)

@@ -62,9 +62,9 @@ pub struct CampaignRunOptions {
 
 /// Read, parse, and run (or resume) the campaign described by `path`.
 ///
-/// Campaign-level telemetry lands in the returned report and in
-/// `summary.json` in the campaign directory; per-scenario telemetry in
-/// `<dir>/<id>/metrics.json`.
+/// The campaign's state lands in the returned report and in
+/// `summary.json` in the campaign directory; what each scenario measured
+/// in its bundle `<dir>/<id>/`.
 pub fn run_campaign_file(
     path: &str,
     opts: &CampaignRunOptions,
@@ -163,7 +163,7 @@ fn phase_of(e: &Error) -> Phase {
 }
 
 /// Cache look-ups, then the one runner with the member directory as its
-/// bundle, then the rollups.
+/// bundle.
 #[allow(clippy::result_large_err)] // cold abort-path error; see Scenario::from_json
 fn try_run_member(task: &Task<'_>, member: &RunPlan) -> Result<String, Error> {
     let (scenario, version) = Scenario::from_value_versioned(task.scenario)?;
@@ -184,9 +184,9 @@ fn try_run_member(task: &Task<'_>, member: &RunPlan) -> Result<String, Error> {
         (*cached).clone()
     };
 
-    // A member is always observed: its directory is a bundle, and the
-    // summary's rollups read its ledger and timeline (every sink at once
-    // costs under 2 % of a step — `bench_obs_overhead`).
+    // A member is always observed: its directory is a bundle, which
+    // `swquake inspect <campaign dir>` reads (every sink at once costs
+    // under 2 % of a step — `bench_obs_overhead`).
     let plan = RunPlan {
         checkpoints: Some(Checkpoints { dir: task.dir.join("ckpt"), interval: None, keep: None }),
         // The crash may have hit before the first checkpoint was cut; an
@@ -197,13 +197,6 @@ fn try_run_member(task: &Task<'_>, member: &RunPlan) -> Result<String, Error> {
         ..member.clone()
     };
     let material = Material { model, state: Some(&state), sources: Some(&sources) };
-    let summary = run::run_scenario(&scenario, material, &plan)?;
-    if let Some(ledger) = summary.merged.ledger {
-        task.perf.record(task.id, ledger);
-    }
-    if let Some(timeline) = summary.timeline {
-        task.timeline.record(task.id, timeline);
-    }
-    let files = summary.files;
+    let files = run::run_scenario(&scenario, material, &plan)?.files;
     Ok(format!("PGV max {:.3e} m/s, max intensity {:.1}", files.pgv_max, files.max_intensity))
 }

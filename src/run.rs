@@ -37,7 +37,7 @@ use sw_model::VelocityModel;
 use sw_parallel::RankGrid;
 use sw_source::PointSource;
 use sw_telemetry::perf::PerfRecorder;
-use sw_telemetry::timeline::{TimelineRecorder, TimelineReport, TIMELINE_NAME};
+use sw_telemetry::timeline::{TimelineRecorder, TIMELINE_NAME};
 use sw_telemetry::{Telemetry, Tracer};
 use swquake_core::driver::run_multirank;
 use swquake_core::error::RunError;
@@ -155,7 +155,7 @@ pub struct RunPlan {
     pub announce: bool,
 }
 
-/// What a finished run did, for the caller to print or roll up.
+/// What a finished run did, for the caller to print.
 pub struct RunSummary {
     /// What the solver's merge returned: the observables, the watchdog's
     /// counts, the per-kernel ledger (when the recorder was armed) and the
@@ -169,8 +169,6 @@ pub struct RunSummary {
     pub files: OutputFiles,
     /// Why a [`Resume::OrRestart`] run started over instead.
     pub restarted: Option<String>,
-    /// The run timeline, when a bundle armed it.
-    pub timeline: Option<TimelineReport>,
 }
 
 /// The crash drill `SWQUAKE_FAULT_PLAN` arms, announced on stderr. Read
@@ -309,35 +307,29 @@ pub fn run_scenario(
     if let Some(path) = &art.metrics {
         std::fs::write(path, telemetry.report().to_json()).map_err(io_error(path))?;
     }
-    let timeline = match (&art.bundle, &cfg.timeline) {
-        (Some(dir), Some(recorder)) => {
-            // The `trace.dropped_events` counter alone is easy to miss, and
-            // a silently truncated trace reads as a complete one.
-            let dropped = telemetry.tracer().dropped_events();
-            if dropped > 0 {
-                eprintln!(
-                    "warning: {dropped} trace event(s) were dropped by ring-buffer eviction; \
-                     the exported trace is incomplete"
-                );
-            }
-            let trace = dir.join("trace.json");
-            std::fs::write(&trace, telemetry.tracer().to_chrome_json())
-                .map_err(io_error(&trace))?;
-            if let Some(ledger) = &out.ledger {
-                let path = dir.join(LEDGER_NAME);
-                ledger.write_file(&path).map_err(io_error(&path))?;
-            }
-            // Emits the closing heartbeat.
-            let report = recorder.finish();
-            let path = dir.join(TIMELINE_NAME);
-            let text =
-                serde_json::to_string(&report).expect("timeline serialization is infallible");
-            std::fs::write(&path, text).map_err(io_error(&path))?;
-            Some(report)
+    if let (Some(dir), Some(recorder)) = (&art.bundle, &cfg.timeline) {
+        // The `trace.dropped_events` counter alone is easy to miss, and
+        // a silently truncated trace reads as a complete one.
+        let dropped = telemetry.tracer().dropped_events();
+        if dropped > 0 {
+            eprintln!(
+                "warning: {dropped} trace event(s) were dropped by ring-buffer eviction; \
+                 the exported trace is incomplete"
+            );
         }
-        _ => None,
-    };
-    Ok(RunSummary { merged: out, steps: cfg.steps, wall_s, files, restarted, timeline })
+        let trace = dir.join("trace.json");
+        std::fs::write(&trace, telemetry.tracer().to_chrome_json()).map_err(io_error(&trace))?;
+        if let Some(ledger) = &out.ledger {
+            let path = dir.join(LEDGER_NAME);
+            ledger.write_file(&path).map_err(io_error(&path))?;
+        }
+        // Emits the closing heartbeat.
+        let report = recorder.finish();
+        let path = dir.join(TIMELINE_NAME);
+        let text = serde_json::to_string(&report).expect("timeline serialization is infallible");
+        std::fs::write(&path, text).map_err(io_error(&path))?;
+    }
+    Ok(RunSummary { merged: out, steps: cfg.steps, wall_s, files, restarted })
 }
 
 /// The second banner line of a compressed-resident run: what the 16-bit

@@ -59,6 +59,48 @@ fn campaign_json(name: &str, scenarios: &[(&str, serde_json::Value)]) -> String 
     .unwrap()
 }
 
+/// `swquake inspect <dir>`, which must exit 0; its stdout.
+fn inspect(dir: &std::path::Path) -> String {
+    let out = Command::new(bin()).args(["inspect", dir.to_str().unwrap()]).output().unwrap();
+    let stdout = String::from_utf8_lossy(&out.stdout).into_owned();
+    assert_eq!(out.status.code(), Some(0), "{stdout}{}", String::from_utf8_lossy(&out.stderr));
+    stdout
+}
+
+/// The members `inspect` rendered a ledger with a `dvelc` row and a
+/// timeline for, in the order it rendered them.
+fn inspected_members(dir: &std::path::Path, stdout: &str) -> Vec<String> {
+    let sections: Vec<&str> = stdout.split("== ").skip(1).collect();
+    let member = |section: &str, file: &str| -> Option<String> {
+        let path = section.lines().next()?.strip_suffix(file)?;
+        let id = path.strip_prefix(dir.to_str()?)?.trim_matches('/');
+        Some(id.to_string())
+    };
+    let ledgers: Vec<String> = sections
+        .iter()
+        .filter(|s| s.lines().any(|l| l.starts_with("dvelc ")))
+        .filter_map(|s| member(s, "perf.json"))
+        .collect();
+    let timelines: Vec<String> = sections
+        .iter()
+        .filter(|s| s.contains("critical rank:"))
+        .filter_map(|s| member(s, "timeline.json"))
+        .collect();
+    assert_eq!(ledgers, timelines, "every member's ledger and timeline:\n{stdout}");
+    ledgers
+}
+
+/// `summary.json` holds the campaign's state, and nothing a member
+/// measured.
+fn summary(dir: &std::path::Path) -> serde_json::Value {
+    let text = std::fs::read_to_string(dir.join("summary.json")).unwrap();
+    let summary: serde_json::Value = serde_json::from_str(&text).unwrap();
+    for key in ["perf", "timeline"] {
+        assert!(summary.get(key).is_none(), "summary.json carries `{key}`: {summary:?}");
+    }
+    summary
+}
+
 fn manifest_states(dir: &std::path::Path) -> Vec<(String, String)> {
     let text = std::fs::read_to_string(dir.join("MANIFEST.json")).unwrap();
     let v: serde_json::Value = serde_json::from_str(&text).unwrap();
@@ -192,10 +234,7 @@ fn campaign_builds_shared_artifacts_exactly_once() {
         assert!(sdir.join("ckpt").join("MANIFEST.json").exists(), "{id} checkpoint store");
     }
     // The summary mirrors the report.
-    let summary: serde_json::Value = serde_json::from_str(
-        &std::fs::read_to_string(dir.join("camp").join("summary.json")).unwrap(),
-    )
-    .unwrap();
+    let summary = summary(&dir.join("camp"));
     assert_eq!(summary["done"], 3);
     assert_eq!(summary["artifact_misses"], 3);
     assert_eq!(summary["artifact_hits"], 6);
@@ -206,19 +245,13 @@ fn campaign_builds_shared_artifacts_exactly_once() {
     std::fs::remove_dir_all(&dir).ok();
 }
 
-/// The campaign crash drill: an injected kill aborts the campaign with
-/// exit 137 leaving the victim `running` in the manifest; `--resume`
-/// skips the completed scenarios (their outputs untouched), resumes the
-/// victim from its checkpoint store, and the final outputs are
-/// byte-identical to an uninterrupted campaign.
-#[test]
-fn killed_campaign_resumes_byte_identically() {
-    let dir = workdir("drill");
+/// Queue `s1`, `s2` (short) and `s3` (long) in `<dir>/campaign.json`,
+/// with a kill step that lands in `s3` only, past its first checkpoint.
+fn drill_spec(dir: &std::path::Path) -> (PathBuf, usize) {
     let short = 0.3;
     let long = 1.2;
-    // Pin the kill between the short scenarios' end and the long one's,
-    // past the first checkpoint, deriving steps from the real lowering so
-    // the drill cannot silently stop covering the interesting window.
+    // Derive steps from the real lowering so the drill cannot silently
+    // stop covering the interesting window.
     let probe = |d: f64| {
         let v = scenario_value(d, None);
         let (s, _) = Scenario::from_json_versioned(&serde_json::to_string(&v).unwrap()).unwrap();
@@ -230,31 +263,19 @@ fn killed_campaign_resumes_byte_identically() {
     let kill_at = steps_short + 4;
     assert!(kill_at > 10, "kill must land past the first checkpoint (interval 10)");
     assert!(steps_long > kill_at + 4, "long scenario must still be running at the kill");
-
     let spec_path = dir.join("campaign.json");
-    std::fs::write(
-        &spec_path,
-        campaign_json(
-            "drill",
-            &[
-                ("s1", scenario_value(short, None)),
-                ("s2", scenario_value(short, None)),
-                ("s3", scenario_value(long, None)),
-            ],
-        ),
-    )
-    .unwrap();
+    let members = [
+        ("s1", scenario_value(short, None)),
+        ("s2", scenario_value(short, None)),
+        ("s3", scenario_value(long, None)),
+    ];
+    std::fs::write(&spec_path, campaign_json("drill", &members)).unwrap();
+    (spec_path, kill_at)
+}
 
-    // Reference: the same campaign, never interrupted.
-    let ref_dir = dir.join("reference");
-    let out = Command::new(bin())
-        .args(["campaign", spec_path.to_str().unwrap(), "--dir", ref_dir.to_str().unwrap()])
-        .output()
-        .unwrap();
-    assert_eq!(out.status.code(), Some(0), "stderr: {}", String::from_utf8_lossy(&out.stderr));
-
-    // Crash run: the kill hits s3 (the only scenario long enough).
-    let camp_dir = dir.join("crashed");
+/// Run the drill campaign into `camp_dir` with the kill armed: exit 137,
+/// the victim left `running`.
+fn crash(spec_path: &std::path::Path, camp_dir: &std::path::Path, kill_at: usize) {
     let out = Command::new(bin())
         .args(["campaign", spec_path.to_str().unwrap(), "--dir", camp_dir.to_str().unwrap()])
         .env("SWQUAKE_FAULT_PLAN", format!("seed=7;kill@{kill_at}"))
@@ -262,7 +283,7 @@ fn killed_campaign_resumes_byte_identically() {
         .unwrap();
     assert_eq!(out.status.code(), Some(137), "stderr: {}", String::from_utf8_lossy(&out.stderr));
     assert_eq!(
-        manifest_states(&camp_dir),
+        manifest_states(camp_dir),
         vec![
             ("s1".to_string(), "done".to_string()),
             ("s2".to_string(), "done".to_string()),
@@ -270,12 +291,11 @@ fn killed_campaign_resumes_byte_identically() {
         ],
         "a kill leaves the victim `running`, exactly like a real SIGKILL"
     );
-    let mtime = |p: &std::path::Path| std::fs::metadata(p).unwrap().modified().unwrap();
-    let s1_csv = camp_dir.join("s1").join("out_seismograms.csv");
-    let s1_before = mtime(&s1_csv);
+}
 
-    // Resume (no fault plan): completed scenarios are skipped, the
-    // victim picks up from its checkpoint store.
+/// `--resume` (no fault plan) the crashed drill in `camp_dir`: exit 0,
+/// every member done.
+fn resume(spec_path: &std::path::Path, camp_dir: &std::path::Path) {
     let out = Command::new(bin())
         .args([
             "campaign",
@@ -287,7 +307,37 @@ fn killed_campaign_resumes_byte_identically() {
         .output()
         .unwrap();
     assert_eq!(out.status.code(), Some(0), "stderr: {}", String::from_utf8_lossy(&out.stderr));
-    assert!(manifest_states(&camp_dir).iter().all(|(_, s)| s == "done"));
+    assert!(manifest_states(camp_dir).iter().all(|(_, s)| s == "done"));
+}
+
+/// The campaign crash drill: an injected kill aborts the campaign with
+/// exit 137 leaving the victim `running` in the manifest; `--resume`
+/// skips the completed scenarios (their outputs untouched), resumes the
+/// victim from its checkpoint store, and the final outputs are
+/// byte-identical to an uninterrupted campaign.
+#[test]
+fn killed_campaign_resumes_byte_identically() {
+    let dir = workdir("drill");
+    let (spec_path, kill_at) = drill_spec(&dir);
+
+    // Reference: the same campaign, never interrupted.
+    let ref_dir = dir.join("reference");
+    let out = Command::new(bin())
+        .args(["campaign", spec_path.to_str().unwrap(), "--dir", ref_dir.to_str().unwrap()])
+        .output()
+        .unwrap();
+    assert_eq!(out.status.code(), Some(0), "stderr: {}", String::from_utf8_lossy(&out.stderr));
+
+    // Crash run: the kill hits s3 (the only scenario long enough).
+    let camp_dir = dir.join("crashed");
+    crash(&spec_path, &camp_dir, kill_at);
+    let mtime = |p: &std::path::Path| std::fs::metadata(p).unwrap().modified().unwrap();
+    let s1_csv = camp_dir.join("s1").join("out_seismograms.csv");
+    let s1_before = mtime(&s1_csv);
+
+    // Resume: completed scenarios are skipped, the victim picks up from
+    // its checkpoint store.
+    resume(&spec_path, &camp_dir);
     assert_eq!(s1_before, mtime(&s1_csv), "done scenarios must not be re-run on resume");
 
     // The resumed campaign's outputs are byte-identical to the
@@ -299,6 +349,23 @@ fn killed_campaign_resumes_byte_identically() {
             assert_eq!(a, b, "{id}/{file} differs from the uninterrupted reference");
         }
     }
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+/// After a kill and a resume, the one roll-up reads every done member
+/// from disk — the two the first invocation finished, and the one the
+/// second resumed — while `summary.json` holds state only. (A roll-up
+/// kept in the summary listed the resumed member alone.)
+#[test]
+fn inspect_rolls_up_every_member_of_a_resumed_campaign() {
+    let dir = workdir("resumed_rollup");
+    let (spec_path, kill_at) = drill_spec(&dir);
+    let camp_dir = dir.join("camp");
+    crash(&spec_path, &camp_dir, kill_at);
+    resume(&spec_path, &camp_dir);
+    assert_eq!(inspected_members(&camp_dir, &inspect(&camp_dir)), ["s1", "s2", "s3"]);
+    let summary = summary(&camp_dir);
+    assert_eq!((summary["done"].as_u64(), summary["skipped"].as_u64()), (Some(3), Some(2)));
     std::fs::remove_dir_all(&dir).ok();
 }
 
@@ -380,12 +447,13 @@ fn campaign_exit_codes_follow_the_contract() {
     std::fs::remove_dir_all(&dir).ok();
 }
 
-/// The campaign performance rollup: `summary.json` always carries the
-/// aggregate per-kernel totals, per-scenario step percentiles, and the
-/// artifact-cache hit rate; `campaign.jsonl` gets a heartbeat progress
-/// line per completion; each member's bundle holds its own `perf.json`.
+/// The campaign roll-up is `swquake inspect <campaign dir>`: it renders
+/// every done member's ledger and timeline from its bundle.
+/// `summary.json` carries the campaign's state (tallies, the
+/// artifact-cache hit rate) and `campaign.jsonl` a heartbeat progress
+/// line per completion.
 #[test]
-fn campaign_summary_rolls_up_perf_and_streams_heartbeats() {
+fn inspect_rolls_up_the_members_and_the_log_streams_heartbeats() {
     let dir = workdir("perf");
     let spec_path = dir.join("campaign.json");
     std::fs::write(
@@ -403,25 +471,11 @@ fn campaign_summary_rolls_up_perf_and_streams_heartbeats() {
         .unwrap();
     assert_eq!(out.status.code(), Some(0), "stderr: {}", String::from_utf8_lossy(&out.stderr));
 
-    let summary: serde_json::Value =
-        serde_json::from_str(&std::fs::read_to_string(camp.join("summary.json")).unwrap()).unwrap();
+    let summary = summary(&camp);
+    assert_eq!(summary["done"], 2);
     let hit_rate = summary["artifact_hit_rate"].as_f64().unwrap();
     assert!((0.0..=1.0).contains(&hit_rate) && hit_rate > 0.0, "hit rate {hit_rate}");
-    let kernels = summary["perf"]["kernels"].as_array().unwrap();
-    assert!(!kernels.is_empty(), "summary: {summary:?}");
-    let dvelc = kernels
-        .iter()
-        .find(|k| k["name"] == "dvelc")
-        .expect("aggregate dvelc kernel in the rollup");
-    assert!(dvelc["wall_s"].as_f64().unwrap() > 0.0);
-    assert!(dvelc["cells_per_s"].as_f64().unwrap() > 0.0);
-    let scenarios = summary["perf"]["scenarios"].as_array().unwrap();
-    assert_eq!(scenarios.len(), 2, "one perf row per scenario");
-    for s in scenarios {
-        assert!(s["steps"].as_u64().unwrap() > 0);
-        assert!(s["step_p50_s"].as_f64().unwrap() > 0.0);
-        assert!(s["step_p95_s"].as_f64().unwrap() >= s["step_p50_s"].as_f64().unwrap());
-    }
+    assert_eq!(inspected_members(&camp, &inspect(&camp)), ["a", "b"]);
 
     // One heartbeat per completed scenario, with progress counts and ETA.
     let log = std::fs::read_to_string(camp.join("campaign.jsonl")).unwrap();
@@ -443,14 +497,17 @@ fn campaign_summary_rolls_up_perf_and_streams_heartbeats() {
         )
         .unwrap();
         assert_eq!(ledger["schema_version"], 1, "{id} ledger schema");
-        assert!(!ledger["kernels"].as_array().unwrap().is_empty(), "{id} ledger kernels");
+        let dvelc = ledger["kernels"].as_array().unwrap().iter().find(|k| k["name"] == "dvelc");
+        let dvelc = dvelc.unwrap_or_else(|| panic!("{id} ledger has no dvelc row"));
+        assert!(dvelc["wall_s"].as_f64().unwrap() > 0.0);
+        assert!(ledger["step_p95_s"].as_f64().unwrap() >= ledger["step_p50_s"].as_f64().unwrap());
     }
     std::fs::remove_dir_all(&dir).ok();
 }
 
 /// There is no `--perf` opt-in any more: a plain campaign's members are
-/// bundles — ledger, trace and heartbeats included — and the summary
-/// rollup is populated from them.
+/// bundles — ledger, trace and heartbeats included — and the roll-up,
+/// `swquake inspect`, is populated from them.
 #[test]
 fn campaign_rollup_is_populated_even_without_perf_flag() {
     let dir = workdir("noperf");
@@ -466,10 +523,8 @@ fn campaign_rollup_is_populated_even_without_perf_flag() {
     for file in ["perf.json", "timeline.json", "trace.json", "run.jsonl"] {
         assert!(camp.join("a").join(file).exists(), "member `a` has no {file}");
     }
-    let summary: serde_json::Value =
-        serde_json::from_str(&std::fs::read_to_string(camp.join("summary.json")).unwrap()).unwrap();
-    assert!(!summary["perf"]["kernels"].as_array().unwrap().is_empty());
-    assert_eq!(summary["perf"]["scenarios"].as_array().unwrap().len(), 1);
+    summary(&camp);
+    assert_eq!(inspected_members(&camp, &inspect(&camp)), ["a"]);
     std::fs::remove_dir_all(&dir).ok();
 }
 
@@ -508,8 +563,7 @@ fn concurrent_campaign_completes_and_shares() {
         .unwrap();
     assert_eq!(out.status.code(), Some(0), "stderr: {}", String::from_utf8_lossy(&out.stderr));
     assert!(manifest_states(&camp).iter().all(|(_, s)| s == "done"));
-    let summary: serde_json::Value =
-        serde_json::from_str(&std::fs::read_to_string(camp.join("summary.json")).unwrap()).unwrap();
+    let summary = summary(&camp);
     assert_eq!(summary["done"], 4);
     // All four scenarios are identical: one build each for model, state,
     // and sources; nine shared requests.

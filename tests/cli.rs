@@ -407,6 +407,33 @@ fn unknown_model_is_rejected() {
     std::fs::remove_dir_all(&dir).ok();
 }
 
+/// A mesh whose arrays cannot be allocated is a configuration error,
+/// exit 2 naming the bytes, before anything is allocated: one whose byte
+/// count overflows 64 bits, and one past any host's memory and swap
+/// (8.4·10^16 bytes; a single-rank 4096³ mesh, 2.8·10^11, is past most).
+/// They used to abort on the failed allocation (exit 134) or panic on a
+/// capacity overflow (exit 101).
+#[test]
+fn a_mesh_too_large_to_allocate_exits_2_naming_its_bytes() {
+    let dir = workdir("toolarge");
+    let scenario = dir.join("scenario.json");
+    Command::new(bin()).args(["--write-example", scenario.to_str().unwrap()]).status().unwrap();
+    let mut json: serde_json::Value =
+        serde_json::from_str(&std::fs::read_to_string(&scenario).unwrap()).unwrap();
+    for (n, needle) in [
+        (3_000_000u64, "more than 18446744073709551615 bytes".to_string()),
+        (100_000, format!("need {} bytes", 21 * 4 * 100_004u64.pow(3))),
+    ] {
+        json["mesh"] = serde_json::json!([n, n, n]);
+        std::fs::write(&scenario, serde_json::to_string(&json).unwrap()).unwrap();
+        let out = Command::new(bin()).arg(scenario.to_str().unwrap()).output().unwrap();
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(2), "{n}³: {stderr}");
+        assert!(stderr.contains("invalid configuration") && stderr.contains(&needle), "{stderr}");
+    }
+    std::fs::remove_dir_all(&dir).ok();
+}
+
 /// `--health` streams a JSONL log: one versioned record per probe step,
 /// healthy verdicts on a sane scenario, parseable line by line.
 #[test]

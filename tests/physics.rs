@@ -24,7 +24,8 @@ fn explosion_cfg(dims: Dims3, dx: f64, steps: usize) -> SimConfig {
 
 /// The P pulse peak moves between two probes at the medium's vp: the
 /// peak-to-peak delay over the probe separation gives the wave speed
-/// without onset-threshold ambiguity.
+/// without onset-threshold ambiguity, to within the time step that
+/// quantizes both peak times.
 #[test]
 fn p_wave_travels_at_vp() {
     let dims = Dims3::new(64, 32, 32);
@@ -56,7 +57,11 @@ fn p_wave_travels_at_vp() {
     assert!(dt_peak > 0.0, "pulse must reach the far probe later");
     let measured_vp = 14.0 * dx / dt_peak;
     let rel = (measured_vp - vp).abs() / vp;
-    assert!(rel < 0.15, "measured vp {measured_vp:.0} vs {vp:.0} m/s ({rel:.2})");
+    // Measured: 5966.3 m/s against 6000, 0.56 % off — the peak-to-peak
+    // delay is 30 steps of dt = 7.82 ms, the step nearest the exact
+    // 1400 m / vp = 0.2333 s (29 or 31 steps would read 2.8–3.4 % off).
+    // Pinned at twice that.
+    assert!(rel < 0.012, "measured vp {measured_vp:.1} vs {vp:.0} m/s ({:.2} %)", rel * 100.0);
 }
 
 /// An explosion radiates no shear on the axes — before free-surface

@@ -3,13 +3,14 @@
 //! round-trip through its stable schema, and a disabled [`Telemetry`]
 //! must not change a single output bit.
 
-use swquake::arch::perf::step_costs;
+use std::sync::Arc;
 use swquake::core::driver::run_multirank;
 use swquake::core::{SimConfig, Simulation};
 use swquake::grid::Dims3;
 use swquake::model::HalfspaceModel;
 use swquake::parallel::RankGrid;
 use swquake::source::{MomentTensor, PointSource, SourceTimeFunction};
+use swquake::telemetry::perf::{PerfLedger, PerfRecorder};
 use swquake::telemetry::{Report, Telemetry};
 
 fn quickstart_config(steps: usize) -> SimConfig {
@@ -26,9 +27,9 @@ fn quickstart_config(steps: usize) -> SimConfig {
 }
 
 /// The quickstart run, with every optional subsystem switched on, must
-/// populate metrics from all five instrumented layers: the step driver,
-/// the modeled SW26010 hardware, the compression codecs, checkpoint
-/// I/O, and (below, in the multirank test) the halo fabric.
+/// populate metrics from all four instrumented layers: the step driver,
+/// the compression codecs, checkpoint I/O, and (below, in the multirank
+/// test) the halo fabric.
 #[test]
 fn quickstart_emits_metrics_for_every_phase() {
     let telemetry = Telemetry::enabled();
@@ -56,21 +57,12 @@ fn quickstart_emits_metrics_for_every_phase() {
         assert!(t.calls > 0, "{phase} never fired");
     }
     assert_eq!(report.series("step.wall_s").expect("step.wall_s series").pushed, 10);
-    assert_eq!(report.series("step.flops").expect("step.flops series").pushed, 10);
-
-    // Modeled SW26010 hardware charges.
-    assert!(report.counter("arch.dma_bytes.dvelcx").expect("dma counter") > 0);
-    assert!(report.counter("arch.model_cycles.dvelcx").expect("cycle counter") > 0);
-    assert!(report.gauge("arch.ldm_high_water_bytes").expect("ldm gauge").last > 0.0);
 
     // Compression codecs.
     // One round-trip pass per step; there is no separate encode or
     // decode pass to time.
     assert_eq!(report.timer("compress.roundtrip").expect("round-trip timer").calls, 10);
     assert!(report.timer("compress.encode").is_none() && report.timer("compress.decode").is_none());
-    let raw = report.counter("compress.raw_bytes").expect("raw bytes");
-    let enc = report.counter("compress.encoded_bytes").expect("encoded bytes");
-    assert_eq!(raw, 2 * enc, "16-bit codec halves the footprint");
     assert!(report.gauge("compress.max_roundtrip_error").is_some());
 
     // Checkpoint I/O (interval 5 over 10 steps -> 2 checkpoints). With
@@ -143,66 +135,57 @@ fn multirank_run_reports_halo_fabric_metrics() {
     assert_eq!(report.counter("halo.bytes_sent"), Some(total));
 }
 
-/// The modeled SW26010 charges are the cost table times the steps run —
-/// nothing is charged while stepping. Every `arch.*` counter of a report
-/// must equal its per-step table value × steps and both LDM gauges must
-/// be there, on one rank and on a 2×2 grid, where each rank adds the
-/// table of its local mesh.
+/// What a step costs is the perf ledger's alone: its counts are one
+/// step's rows times the steps the simulation ran — not its step count,
+/// which a restore rewinds — and its flops are the run's flop total. A
+/// 2×2 grid's ranks add their local meshes' rows up to the single
+/// rank's cells and flops, plus a halo row.
 #[test]
-fn arch_metrics_are_the_cost_table_times_the_steps_run() {
-    let steps = 7usize;
+fn ledger_counts_are_the_step_rows_times_the_steps_run() {
     let model = HalfspaceModel::hard_rock();
-    let grid = RankGrid::new(2, 2);
-    let expected = |meshes: &[Dims3]| -> Vec<(String, u64)> {
-        let tables: Vec<_> = meshes.iter().map(|m| step_costs(*m, true, false)).collect();
-        let total = |per_step: &dyn Fn(&swquake::arch::perf::StepCosts) -> u64| {
-            tables.iter().map(per_step).sum::<u64>() * steps as u64
-        };
-        let mut want = vec![
-            ("arch.regcomm_rounds".to_string(), total(&|t| t.regcomm_rounds)),
-            ("arch.regcomm_cycles".to_string(), total(&|t| t.regcomm_cycles)),
-        ];
-        for (i, k) in tables[0].kernels.iter().enumerate() {
-            let bytes = total(&|t| t.kernels[i].dma_bytes() as u64);
-            let cycles = total(&|t| t.kernels[i].model_cycles() as u64);
-            want.push((format!("arch.dma_bytes.{}", k.kernel), bytes));
-            want.push((format!("arch.model_cycles.{}", k.kernel), cycles));
-        }
-        want.sort();
-        want
-    };
-    let check = |report: &Report, meshes: &[Dims3], what: &str| {
-        let got: Vec<(String, u64)> = report
-            .counters
-            .iter()
-            .filter(|c| c.name.starts_with("arch."))
-            .map(|c| (c.name.clone(), c.value))
-            .collect();
-        assert_eq!(got, expected(meshes), "{what}");
-        assert_eq!(got.len(), 2 + 2 * 6, "{what}: six kernels, nonlinear on");
-        for gauge in ["arch.ldm_high_water_bytes", "arch.max_dma_block_bytes"] {
-            assert!(report.gauge(gauge).is_some_and(|g| g.last > 0.0), "{what}: {gauge}");
-        }
-    };
-
-    let telemetry = Telemetry::enabled();
-    let mut cfg = quickstart_config(steps).with_telemetry(telemetry.clone());
+    let mut cfg = quickstart_config(7).with_perf(Arc::new(PerfRecorder::new()));
     cfg.options.nonlinear = true;
-    let mut sim = Simulation::new(&model, &cfg).expect("valid config");
-    // Stepping by hand charges nothing; asking for the report does, once.
-    for _ in 0..steps {
-        sim.step();
-    }
-    assert!(telemetry.report().counter("arch.regcomm_rounds").is_none());
-    check(&sim.metrics(), &[cfg.dims], "one rank");
-    check(&sim.metrics(), &[cfg.dims], "one rank, asked twice");
-    check(&telemetry.report(), &[cfg.dims], "one rank, through the shared handle");
+    let counts = |ledger: &PerfLedger| -> Vec<(String, u64, f64, u64)> {
+        let rows = ledger.kernels.iter().filter(|k| k.name != "halo");
+        rows.map(|k| (k.name.clone(), k.cells, k.flops, k.dma_bytes)).collect()
+    };
 
-    let telemetry = Telemetry::enabled();
-    let cfg = cfg.with_telemetry(telemetry.clone());
-    run_multirank(&model, &cfg, grid).expect("valid config");
-    let meshes: Vec<Dims3> = (0..grid.len()).map(|r| grid.local_span(r, cfg.dims).2).collect();
-    check(&telemetry.report(), &meshes, "2x2 ranks");
+    // One step's rows, from a one-step run.
+    let mut one = Simulation::new(&model, &cfg.clone().with_perf(Arc::new(PerfRecorder::new())))
+        .expect("valid config");
+    one.run(1);
+    let per_step = counts(&one.perf_ledger().expect("recorder armed"));
+    assert_eq!(one.flops.flops, per_step.iter().map(|r| r.2).sum::<f64>());
+    let times = |n: u64| -> Vec<(String, u64, f64, u64)> {
+        per_step.iter().map(|(k, c, f, b)| (k.clone(), c * n, f * n as f64, b * n)).collect()
+    };
+
+    // Seven steps, then a restore to step 3 and four more: the ledger
+    // counts the eleven steps run; the flop total is that of step 7.
+    let mut sim = Simulation::new(&model, &cfg).expect("valid config");
+    sim.run(3);
+    let at_three = sim.make_checkpoint();
+    sim.run(4);
+    let seven_steps = sim.flops.flops;
+    assert_eq!(counts(&sim.perf_ledger().unwrap()), times(7));
+    sim.restore(&at_three).expect("same mesh");
+    sim.run(4);
+    assert_eq!(sim.step_count, 7);
+    assert_eq!(counts(&sim.perf_ledger().unwrap()), times(11));
+    assert_eq!(sim.flops.flops, seven_steps);
+
+    let grid = RankGrid::new(2, 2);
+    let cfg = cfg.with_perf(Arc::new(PerfRecorder::new()));
+    let out = run_multirank(&model, &cfg, grid).expect("valid config");
+    let ledger = out.ledger.expect("recorder armed");
+    assert_eq!(counts(&ledger).len(), per_step.len(), "2x2 ranks: {ledger:?}");
+    // Each rank truncates its modeled bytes: ±1 byte per rank per step.
+    for (got, want) in counts(&ledger).iter().zip(times(7)) {
+        assert_eq!((&got.0, got.1, got.2), (&want.0, want.1, want.2), "2x2 ranks");
+        assert!(got.3.abs_diff(want.3) <= 4 * 7, "2x2 ranks: {got:?} against {want:?}");
+    }
+    assert!(ledger.kernel("halo").is_some_and(|h| h.cells > 0));
+    assert_eq!(out.flops, seven_steps);
 }
 
 /// The JSON report must survive a serialize/deserialize round trip
@@ -252,7 +235,7 @@ fn disabled_telemetry_changes_no_output_bit() {
     assert!(plain.metrics().timers.is_empty());
 }
 
-const PINNED_NAMES: [&str; 67] = [
+const PINNED_NAMES: [&str; 47] = [
     "timer compress.roundtrip",
     "timer io.checkpoint_wait",
     "timer io.checkpoint_write",
@@ -266,32 +249,13 @@ const PINNED_NAMES: [&str; 67] = [
     "timer step.sponge",
     "timer step.stress",
     "timer step.velocity",
-    "counter arch.dma_bytes.drprecpc_app",
-    "counter arch.dma_bytes.drprecpc_calc",
-    "counter arch.dma_bytes.dstrqc",
-    "counter arch.dma_bytes.dvelcx",
-    "counter arch.dma_bytes.dvelcy",
-    "counter arch.dma_bytes.fstr",
-    "counter arch.model_cycles.drprecpc_app",
-    "counter arch.model_cycles.drprecpc_calc",
-    "counter arch.model_cycles.dstrqc",
-    "counter arch.model_cycles.dvelcx",
-    "counter arch.model_cycles.dvelcy",
-    "counter arch.model_cycles.fstr",
-    "counter arch.regcomm_cycles",
-    "counter arch.regcomm_rounds",
     "counter compress.codec_rebuilds",
     "counter compress.codec_reuses",
-    "counter compress.encoded_bytes",
-    "counter compress.raw_bytes",
     "counter health.checks",
     "counter io.checkpoint_bytes",
     "counter io.checkpoint_disk_bytes",
     "counter io.checkpoint_generations",
     "counter io.checkpoints",
-    "gauge arch.ldm_high_water_bytes",
-    "gauge arch.max_dma_block_bytes",
-    "gauge compress.achieved_ratio",
     "gauge compress.max_roundtrip_error",
     "gauge exec.lanes",
     "gauge exec.mode",
@@ -318,8 +282,19 @@ const PINNED_NAMES: [&str; 67] = [
     "series health.kinetic_energy",
     "series health.max_stress",
     "series health.max_velocity",
-    "series step.flops",
     "series step.wall_s",
+];
+
+/// What the registry no longer carries: the cost table times the steps
+/// (`arch.*`), a series that pushed the same value every step, and
+/// compression byte counts that were the mesh size times a constant.
+/// Each has one home now — the perf ledger — or none.
+const DELETED_NAMES: [&str; 5] = [
+    "arch.",
+    "step.flops",
+    "compress.raw_bytes",
+    "compress.encoded_bytes",
+    "compress.achieved_ratio",
 ];
 
 /// The metric names of a single-rank run are a contract (`--metrics`
@@ -354,4 +329,8 @@ fn single_rank_metric_names_are_pinned() {
     got.extend(names("gauge", report.gauges.iter().map(|g| g.name.as_str()).collect()));
     got.extend(names("series", report.series.iter().map(|s| s.name.as_str()).collect()));
     assert_eq!(got, PINNED_NAMES, "the metric name set of a single-rank run changed");
+    for name in &got {
+        let name = name.split_once(' ').map_or(name.as_str(), |(_, n)| n);
+        assert!(!DELETED_NAMES.iter().any(|d| name.starts_with(d)), "{name} is back");
+    }
 }

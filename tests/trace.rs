@@ -37,12 +37,12 @@ fn traced_run(steps: usize) -> Telemetry {
     telemetry
 }
 
-/// A fully instrumented run emits stage spans plus instant events for
-/// compression round trips and checkpoint I/O, and the whole timeline
+/// A fully instrumented run emits stage spans, the compression round
+/// trip's sub-span and checkpoint I/O instants, and the whole timeline
 /// exports as well-formed Chrome trace-event JSON. It carries what the
 /// run measured and nothing else: the modeled SW26010 charges are
-/// constants of the mesh (`arch.*` metrics, the perf ledger), not
-/// events to repeat every step.
+/// constants of the mesh (the perf ledger's), and so are a round trip's
+/// byte counts — not events to repeat every step.
 #[test]
 fn traced_run_exports_valid_chrome_json_with_all_subsystems() {
     let telemetry = traced_run(6);
@@ -69,7 +69,7 @@ fn traced_run_exports_valid_chrome_json_with_all_subsystems() {
     }
 
     let names: Vec<&str> = events.iter().filter_map(|e| e["name"].as_str()).collect();
-    // Driver stage spans, compression/I-O instants.
+    // Driver stage spans, the round-trip sub-span, I/O instants.
     for expected in [
         "step",
         "step.free_surface",
@@ -87,6 +87,8 @@ fn traced_run_exports_valid_chrome_json_with_all_subsystems() {
         assert!(names.contains(&expected), "trace missing {expected}");
     }
     assert!(!names.iter().any(|n| n.starts_with("arch.")), "modeled constants in the trace");
+    let instant = |e: &&serde_json::Value| e["ph"] == "i" && e["name"] == "compress.roundtrip";
+    assert!(!events.iter().any(|e| instant(&e)), "a constant round-trip instant per step");
     // One span per stage per step, all on the driver's lane.
     let on_driver = |name: &str| {
         events.iter().filter(|e| e["name"].as_str() == Some(name) && e["ph"] == "X").count()
