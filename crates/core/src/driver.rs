@@ -38,9 +38,10 @@ use crate::flops::{
 use crate::health::HealthMonitor;
 use crate::kernels::{self, Region};
 use crate::resident::{ResidentEngine, ResidentMode, RESIDENT_FIELDS, SIDECAR_FIELD};
+use crate::staggered::stable_dt;
 use crate::state::{ArrayClass, SolverState, StateOptions};
 use std::borrow::Cow;
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 use std::sync::{Arc, Barrier, Mutex};
 use std::time::Instant;
 use sw_arch::perf::step_costs;
@@ -52,9 +53,10 @@ use sw_grid::{Dims3, Field3, HALO_WIDTH};
 use sw_health::{
     CflInfo, FieldProbe, HealthConfig, HealthLog, HealthRecord, HealthReport, StepProbe,
 };
-use sw_io::checkpoint::{self, Checkpoint, ImageMeta, RestartController};
+use sw_io::checkpoint::{self, Checkpoint, ImageMeta};
 use sw_io::store::{
-    CheckpointStore, GenerationOutcome, GenerationWriter, RestoredGeneration, WriteError,
+    CheckpointStore, GenerationOutcome, GenerationWriter, RestoredGeneration, StoreError,
+    WriteError,
 };
 use sw_io::{PgvRecorder, SeismogramRecorder, SnapshotRecorder, Station};
 use sw_model::VelocityModel;
@@ -89,7 +91,8 @@ pub struct SimConfig {
     pub snapshot_times: Vec<f64>,
     /// Snapshot decimation stride.
     pub snapshot_stride: usize,
-    /// Checkpoint every N steps (0 = never).
+    /// Checkpoint every N steps into the store under `checkpoint_dir`
+    /// (0 = never). A cadence without a store is a [`ConfigError`].
     pub checkpoint_interval: u64,
     /// Store wavefields 16-bit between steps (§6.5).
     pub compression: bool,
@@ -129,14 +132,11 @@ pub struct SimConfig {
     /// A pre-opened health log shared across ranks; wins over the
     /// config's `log_path` (set by [`run_multirank`] and the CLI).
     pub shared_health_log: Option<Arc<HealthLog>>,
-    /// Durable checkpoint directory. When set (and
-    /// `checkpoint_interval > 0`), every due checkpoint is persisted
+    /// Durable checkpoint directory: every due checkpoint is persisted
     /// through a [`CheckpointStore`] — atomic files, a versioned
-    /// manifest, keep-N retention — instead of being kept in
-    /// [`Simulation::checkpoints`].
+    /// manifest, keep-N retention. The store is a checkpoint's only home.
     pub checkpoint_dir: Option<PathBuf>,
-    /// Checkpoint generations retained: on disk with a store, in
-    /// [`Simulation::checkpoints`] without one.
+    /// Checkpoint generations the store retains.
     pub checkpoint_keep: usize,
     /// Deterministic fault-injection plan for crash drills (`None` —
     /// the default — injects nothing and costs one branch per step).
@@ -144,10 +144,8 @@ pub struct SimConfig {
     /// Resume from the newest generation under `checkpoint_dir` that is
     /// valid for every rank, instead of starting fresh. The store must
     /// already exist; corrupt or incomplete newer generations are
-    /// skipped and reported ([`ResumeInfo::skipped`]). [`run_multirank`]
-    /// reads this field; [`Simulation::resume`] is the same path for one
-    /// rank, whatever the field says, and [`Simulation::new`] always
-    /// starts fresh.
+    /// skipped and reported ([`ResumeInfo::skipped`]). [`Simulation::new`],
+    /// [`Simulation::new_with_state`] and [`run_multirank`] all read it.
     pub resume: bool,
     /// Per-kernel performance recorder (`None` — the default — costs one
     /// branch per instrumentation site, same pattern as `fault`). When
@@ -278,23 +276,23 @@ impl SimConfig {
     }
 
     /// Persist due checkpoints into `dir` (atomic files + versioned
-    /// manifest + retention). Takes effect together with
-    /// [`SimConfig::with_checkpoint_interval`].
+    /// manifest + retention) at [`SimConfig::with_checkpoint_interval`]'s
+    /// cadence.
     #[must_use]
     pub fn with_checkpoint_dir(mut self, dir: impl Into<PathBuf>) -> Self {
         self.checkpoint_dir = Some(dir.into());
         self
     }
 
-    /// Checkpoint every `interval` steps (0 = never).
+    /// Checkpoint every `interval` steps (0 = never) into the store of
+    /// [`SimConfig::with_checkpoint_dir`].
     #[must_use]
     pub fn with_checkpoint_interval(mut self, interval: u64) -> Self {
         self.checkpoint_interval = interval;
         self
     }
 
-    /// Keep the newest `keep` checkpoint generations (on disk, or in memory
-    /// when no store is configured).
+    /// Keep the newest `keep` checkpoint generations in the store.
     #[must_use]
     pub fn with_checkpoint_keep(mut self, keep: usize) -> Self {
         self.checkpoint_keep = keep.max(1);
@@ -332,27 +330,14 @@ impl SimConfig {
         self
     }
 
-    /// The durable store under `checkpoint_dir` (`None` when persistence
-    /// is off), shared by every rank of the run: the existing one when
-    /// resuming — a resume that finds no store is an operator error, not
-    /// a fresh start — a fresh, cleared one otherwise.
-    fn open_store(&self, resume: bool) -> Result<Option<Arc<CheckpointStore>>, ConfigError> {
-        let Some(dir) = &self.checkpoint_dir else { return Ok(None) };
-        let store = if resume {
-            CheckpointStore::open(dir, self.checkpoint_keep)
-        } else {
-            CheckpointStore::create(dir, self.checkpoint_keep)
-        };
-        store.map(|s| Some(Arc::new(s.with_fault(self.fault.clone())))).map_err(|e| {
-            ConfigError::CheckpointDir { path: dir.display().to_string(), detail: e.to_string() }
-        })
-    }
-
     /// Check that the configuration can produce a runnable simulation.
     pub fn validate(&self) -> Result<(), ConfigError> {
         let d = self.dims;
         if d.nx == 0 || d.ny == 0 || d.nz == 0 {
             return Err(ConfigError::EmptyDims { dims: d });
+        }
+        if self.checkpoint_interval > 0 && self.checkpoint_dir.is_none() {
+            return Err(ConfigError::CheckpointWithoutStore { interval: self.checkpoint_interval });
         }
         if self.dx <= 0.0 || !self.dx.is_finite() {
             return Err(ConfigError::NonPositiveSpacing { dx: self.dx });
@@ -639,16 +624,14 @@ pub struct Simulation {
     pub snapshots: SnapshotRecorder,
     /// Flop accounting.
     pub flops: FlopCounter,
-    /// The newest in-memory checkpoints taken by the restart controller
-    /// when no durable store is configured — at most
-    /// [`SimConfig::checkpoint_keep`] of them, oldest dropped first (the
-    /// store's own retention rule). Empty when a store is configured.
-    pub checkpoints: Vec<Checkpoint>,
-    restart: RestartController,
-    checkpoint_keep: usize,
     /// Writer into the durable store due generations are persisted into,
     /// when one is configured; holds the one generation in flight.
     writer: Option<GenerationWriter>,
+    /// Steps between generations ([`SimConfig::checkpoint_interval`]);
+    /// only a simulation holding a `writer` is ever due.
+    checkpoint_interval: u64,
+    /// The generation this simulation was rewound to at build.
+    resumed: Option<ResumeInfo>,
     /// Present when this simulation is one rank of a grid.
     link: Option<RankLink>,
     /// This rank's id (file naming in the store, fault targeting, health
@@ -754,11 +737,18 @@ fn resident_probe(engine: &ResidentEngine, step: u64, time: f64, rank: usize) ->
 }
 
 impl Simulation {
-    /// Build a single-rank simulation over the full config domain.
+    /// Build a single-rank simulation over the full config domain, at
+    /// step 0 or, with [`SimConfig::resume`], at the newest valid
+    /// generation in its store.
     ///
     /// Fails with [`ConfigError`] when the mesh is degenerate or a source
-    /// or station lies outside it.
-    pub fn new(model: &dyn VelocityModel, config: &SimConfig) -> Result<Self, ConfigError> {
+    /// or station lies outside it, and with [`RunError::ResumeFailed`]
+    /// when a resume finds no generation this run can restore. Corrupt or
+    /// incomplete newer generations are skipped with a logged
+    /// [`sw_health::Warning::CheckpointFallback`] and counted in
+    /// `io.restore_fallbacks`.
+    #[allow(clippy::result_large_err)] // cold set-up error; see step_checked
+    pub fn new(model: &dyn VelocityModel, config: &SimConfig) -> Result<Self, RunError> {
         let state =
             SolverState::from_model(model, config.dims, config.dx, config.origin, config.options);
         Self::new_with_state(state, config)
@@ -769,69 +759,45 @@ impl Simulation {
     /// mesh shape and hands out clones). The state must have been built
     /// for this config's dims/dx/origin/options — the campaign's cache
     /// key covers exactly those — or restores and physics will mismatch.
-    pub fn new_with_state(state: SolverState, config: &SimConfig) -> Result<Self, ConfigError> {
+    #[allow(clippy::result_large_err)] // cold set-up error; see step_checked
+    pub fn new_with_state(state: SolverState, config: &SimConfig) -> Result<Self, RunError> {
         config.validate()?;
-        let store = config.open_store(false)?;
-        Ok(Self::build(state, config, store, None))
+        let part = [(config.dims, config.stations.as_slice())];
+        let (store, restored) = open_generation(config, &part, state.dt)?;
+        let mut sim = Self::build(state, config, store, None);
+        if let Some(restored) = &restored {
+            sim.rewind_to(restored);
+        }
+        Ok(sim)
     }
 
-    /// Build a single-rank simulation resumed from the newest valid
-    /// checkpoint generation under the config's `checkpoint_dir`.
-    ///
-    /// The store must already exist (a resume that finds no store is an
-    /// operator error, not a fresh start); corrupt or incomplete newer
-    /// generations are skipped with a logged
-    /// [`sw_health::Warning::CheckpointFallback`] and counted in
-    /// `io.restore_fallbacks`. Fails with [`RunError::ResumeFailed`]
-    /// when no generation at all can be restored.
-    #[allow(clippy::result_large_err)] // cold resume-path error; see step_checked
-    pub fn resume(
-        model: &dyn VelocityModel,
-        config: &SimConfig,
-    ) -> Result<(Self, ResumeInfo), RunError> {
-        let state =
-            SolverState::from_model(model, config.dims, config.dx, config.origin, config.options);
-        Self::resume_with_state(state, config)
-    }
-
-    /// Like [`Simulation::resume`] but reusing an already-built material
-    /// state (see [`Simulation::new_with_state`] for the contract).
-    #[allow(clippy::result_large_err)] // cold resume-path error; see step_checked
-    pub fn resume_with_state(
-        state: SolverState,
-        config: &SimConfig,
-    ) -> Result<(Self, ResumeInfo), RunError> {
-        config.validate()?;
-        let (store, restored) = resume_generation(config, &[config.dims])?;
-        let mut sim = Self::build(state, config, Some(store), None);
-        sim.rewind_to(&restored);
-        Ok((sim, ResumeInfo::of(&restored)))
+    /// The generation this simulation was resumed from (`None` for a
+    /// fresh start).
+    pub fn resumed(&self) -> Option<&ResumeInfo> {
+        self.resumed.as_ref()
     }
 
     /// Rewind a freshly built rank to its image of the generation
-    /// [`resume_generation`] chose and validated; rank 0 records the
+    /// [`open_generation`] chose and validated; rank 0 records the
     /// resume in telemetry and, when generations were skipped, as
     /// checkpoint-fallback warnings in the health log.
     fn rewind_to(&mut self, restored: &RestoredGeneration) {
         self.apply_checkpoint(&restored.checkpoints[self.rank]);
+        let RestoredGeneration { step, time, ref skipped, .. } = *restored;
+        self.resumed = Some(ResumeInfo { step, time, skipped: skipped.clone() });
         if self.rank != 0 {
             return;
         }
         let tel = &self.telemetry;
-        tel.gauge("io.resume_step", restored.step as f64);
-        if restored.skipped.is_empty() {
+        tel.gauge("io.resume_step", step as f64);
+        if skipped.is_empty() {
             return;
         }
-        tel.add("io.restore_fallbacks", restored.skipped.len() as u64);
+        tel.add("io.restore_fallbacks", skipped.len() as u64);
         if let Some(monitor) = &self.health {
-            for (skipped_step, reason) in &restored.skipped {
-                let record = HealthRecord::checkpoint_fallback(
-                    restored.step,
-                    restored.time,
-                    self.rank,
-                    *skipped_step,
-                    reason.clone(),
-                );
+            for (at, reason) in skipped {
+                let record =
+                    HealthRecord::checkpoint_fallback(step, time, self.rank, *at, reason.clone());
                 monitor.log_record(&record, tel);
             }
         }
@@ -895,10 +861,9 @@ impl Simulation {
             pgv: PgvRecorder::new(d.nx, d.ny),
             snapshots: SnapshotRecorder::new(config.snapshot_stride),
             flops: FlopCounter::default(),
-            checkpoints: Vec::new(),
-            restart: RestartController { interval: config.checkpoint_interval },
-            checkpoint_keep: config.checkpoint_keep,
             writer: store.map(GenerationWriter::new),
+            checkpoint_interval: config.checkpoint_interval,
+            resumed: None,
             link,
             rank,
             fault: config.fault.clone(),
@@ -1225,7 +1190,7 @@ impl Simulation {
             self.snapshots.capture(self.time, &s.u, &s.v, &s.w);
             self.next_snapshot += 1;
         }
-        if self.restart.due(self.step_count) {
+        if self.checkpoint_due() {
             self.cut_checkpoint(&tel);
         }
         let Some(monitor) = &mut self.health else { return };
@@ -1278,7 +1243,7 @@ impl Simulation {
                 return;
             }
         }
-        if let Some(store) = shared.store.as_ref().filter(|_| self.restart.due(self.step_count)) {
+        if let Some(store) = shared.store.as_ref().filter(|_| self.checkpoint_due()) {
             shared.commit.wait();
             if self.rank == 0 {
                 let parties = link.comm.grid.len();
@@ -1295,14 +1260,19 @@ impl Simulation {
         }
     }
 
-    /// The restart controller's due step. With a durable store the
-    /// generation is encoded straight from the live state
+    /// Whether the step just taken cuts a generation: only a simulation
+    /// holding a store writer ever does.
+    fn checkpoint_due(&self) -> bool {
+        self.writer.is_some()
+            && self.checkpoint_interval > 0
+            && self.step_count.is_multiple_of(self.checkpoint_interval)
+    }
+
+    /// Cut the due generation: encode it straight from the live state
     /// ([`checkpoint::encode_image`]; no [`Checkpoint`] is cloned) and
-    /// handed to the store's writer thread; without one a snapshot is
-    /// kept in [`Simulation::checkpoints`], newest `checkpoint_keep`
-    /// only. `step.checkpoint` and the perf ledger's `checkpoint` row
-    /// time what the step thread spent here: the encode plus any wait
-    /// for the writer.
+    /// hand it to the store's writer thread. `step.checkpoint` and the
+    /// perf ledger's `checkpoint` row time what the step thread spent
+    /// here: the encode plus any wait for the writer.
     fn cut_checkpoint(&mut self, tel: &Telemetry) {
         self.span(Stage::CHECKPOINT, |sim| {
             let fields = sim.checkpoint_fields();
@@ -1320,25 +1290,17 @@ impl Simulation {
                     p.charge("checkpoint", sim.state.dims.len() as u64, 0.0, bytes as u64);
                 }
             }
-            if sim.writer.is_some() {
-                let borrowed: Vec<(&str, &Field3)> =
-                    fields.iter().map(|(name, f)| (name.as_str(), f.as_ref())).collect();
-                let image = checkpoint::encode_image(
-                    ImageMeta { step: sim.step_count, time: sim.time, flops: sim.flops.flops },
-                    &borrowed,
-                    sim.seismo.seismograms(),
-                    Some((sim.pgv.nx(), sim.pgv.ny(), &sim.pgv.pgv)),
-                    sim.path.is_parallel(),
-                );
-                drop(fields);
-                sim.stage_generation(image, tel);
-            } else {
-                let ckpt = sim.snapshot_of(fields);
-                sim.checkpoints.push(ckpt);
-                if sim.checkpoints.len() > sim.checkpoint_keep {
-                    sim.checkpoints.remove(0);
-                }
-            }
+            let borrowed: Vec<(&str, &Field3)> =
+                fields.iter().map(|(name, f)| (name.as_str(), f.as_ref())).collect();
+            let image = checkpoint::encode_image(
+                ImageMeta { step: sim.step_count, time: sim.time, flops: sim.flops.flops },
+                &borrowed,
+                sim.seismo.seismograms(),
+                Some((sim.pgv.nx(), sim.pgv.ny(), &sim.pgv.pgv)),
+                sim.path.is_parallel(),
+            );
+            drop(fields);
+            sim.stage_generation(image, tel);
         });
     }
 
@@ -1468,14 +1430,13 @@ impl Simulation {
     /// End a single-rank run the way [`run_multirank`] ends a grid's: the
     /// merge of one rank at offset 0. Fails with the post-hoc diagnosis
     /// when the wavefield has blown up and the watchdog (probe stride too
-    /// coarse, or none armed) did not say so; `resume` is what the
-    /// simulation was resumed from, passed through.
+    /// coarse, or none armed) did not say so.
     #[allow(clippy::result_large_err)] // cold abort-path error; see step_checked
-    pub fn finish(self, resume: Option<ResumeInfo>) -> Result<MultiRankOutput, RunError> {
+    pub fn finish(self) -> Result<MultiRankOutput, RunError> {
         let dims = self.state.dims;
         let stations: Vec<Station> =
             self.seismo.seismograms().iter().map(|s| s.station.clone()).collect();
-        merge(&[&self], &[(0, 0, dims)], dims, &stations, resume)
+        merge(&[&self], &[(0, 0, dims)], dims, &stations)
     }
 
     /// The named fields a checkpoint carries — the dynamic arrays this run
@@ -1498,15 +1459,11 @@ impl Simulation {
         fields
     }
 
-    /// Snapshot the full dynamic state.
-    pub fn make_checkpoint(&self) -> Checkpoint {
-        self.snapshot_of(self.checkpoint_fields())
-    }
-
-    /// An owned [`Checkpoint`] of `fields` and the observation state. In
+    /// Snapshot the full dynamic state and the observation state. In
     /// parallel mode the field clones fan out over the pool
     /// (order-preserving map, so the layout is identical either way).
-    fn snapshot_of(&self, fields: Vec<(String, Cow<'_, Field3>)>) -> Checkpoint {
+    pub fn make_checkpoint(&self) -> Checkpoint {
+        let fields = self.checkpoint_fields();
         let fields = sw_compress::par::map_ordered(fields, self.path.is_parallel(), |(name, f)| {
             (name, f.into_owned())
         });
@@ -1523,11 +1480,12 @@ impl Simulation {
     /// Restore the dynamic state from a checkpoint.
     ///
     /// Fails with [`RestoreError`], before anything is touched, when the
-    /// checkpoint names an unknown field, carries a mismatched mesh,
-    /// references a memory variable no run has, or lacks an array this
-    /// run advances.
+    /// checkpoint does not fit this run ([`check_checkpoint`]).
     pub fn restore(&mut self, ckpt: &Checkpoint) -> Result<(), RestoreError> {
-        check_checkpoint(ckpt, self.state.dims, &self.state.options)?;
+        let stations: Vec<Station> =
+            self.seismo.seismograms().iter().map(|s| s.station.clone()).collect();
+        let s = &self.state;
+        check_checkpoint(ckpt, s.dims, &s.options, &stations, s.dt)?;
         // The store must not change under a state that is about to be
         // rewound past the generation in flight.
         self.join_writer();
@@ -1542,7 +1500,8 @@ impl Simulation {
     /// the buckets from the content. A full-mode run takes the fields,
     /// which are stored decompressed, as they are; the sidecar is moot.
     /// A field this run does not carry (the all-zero memory variables and
-    /// `eqp` older builds wrote for elastic runs) is ignored.
+    /// `eqp` older builds wrote for elastic runs) is ignored: the check
+    /// has seen that it is all zero.
     fn apply_checkpoint(&mut self, ckpt: &Checkpoint) {
         let sidecar = ckpt.fields.iter().find(|(n, _)| n == SIDECAR_FIELD).map(|(_, f)| f);
         for (name, field) in &ckpt.fields {
@@ -1687,19 +1646,31 @@ fn checkpointed(name: &str, class: ArrayClass) -> bool {
     class != ArrayClass::Material || name == "eqp"
 }
 
-/// Whether every field of `ckpt` — name and shape — and its PGV map fit
-/// a simulation over `dims`, and every array a run with `options`
-/// checkpoints is there, so that applying it cannot fail half way or
-/// leave an array at zero. Known fields the run does not carry are fine.
+/// Whether `ckpt` is a state of this run, so that applying it cannot
+/// fail half way, leave an array at zero, or splice two runs:
+/// - every field — name and shape — and its PGV map fit a simulation
+///   over `dims`, and every array a run with `options` checkpoints is
+///   there. A known field the run does not advance must be all zero (the
+///   legacy images older builds wrote for elastic runs); a live one means
+///   the image was cut under other physics;
+/// - its clock is `step × dt` of this run. The clock is a sum of `step`
+///   equal increments, whose rounding error stays below `step² · ε · dt`;
+///   that is the tolerance;
+/// - its seismograms record exactly the run's `stations`, at their
+///   positions, one sample per step.
 fn check_checkpoint(
     ckpt: &Checkpoint,
     dims: Dims3,
     options: &StateOptions,
+    stations: &[Station],
+    dt: f64,
 ) -> Result<(), RestoreError> {
     let mismatch = |field: &str, checkpoint: Dims3, simulation: Dims3| {
         Err(RestoreError::DimsMismatch { field: field.to_string(), checkpoint, simulation })
     };
     let memvars = RESIDENT_FIELDS.len() - COMPRESSED_FIELDS.len();
+    let carried: Vec<&str> =
+        options.arrays().filter_map(|(n, class)| checkpointed(n, class).then_some(n)).collect();
     for (name, field) in &ckpt.fields {
         let (want, halo) = if name == SIDECAR_FIELD {
             // One bucket per padded x-plane of each resident field.
@@ -1718,11 +1689,30 @@ fn check_checkpoint(
             let padded = Dims3::new(want.nx + 2 * halo, want.ny + 2 * halo, want.nz + 2 * halo);
             return mismatch(name, field.padded_dims(), padded);
         }
+        let advanced = name == SIDECAR_FIELD || carried.contains(&name.as_str());
+        if !advanced && field.raw().iter().any(|&v| v != 0.0) {
+            return Err(RestoreError::UncarriedField { field: name.clone() });
+        }
     }
-    let mut required = options.arrays().filter(|&(name, class)| checkpointed(name, class));
-    if let Some((field, _)) = required.find(|(name, _)| ckpt.fields.iter().all(|(n, _)| n != name))
-    {
+    if let Some(field) = carried.into_iter().find(|c| ckpt.fields.iter().all(|(n, _)| n != c)) {
         return Err(RestoreError::MissingField { field });
+    }
+    let steps = ckpt.step as f64;
+    if ckpt.time.is_nan() || (ckpt.time - steps * dt).abs() > steps * steps * f64::EPSILON * dt {
+        return Err(RestoreError::ClockMismatch { step: ckpt.step, time: ckpt.time, dt });
+    }
+    let saved: Vec<&Station> = ckpt.seismograms.iter().map(|s| &s.station).collect();
+    let stray = |station: &Station, reason| {
+        Err(RestoreError::StationMismatch { station: station.clone(), reason })
+    };
+    if let Some(st) = stations.iter().find(|st| !saved.contains(st)) {
+        return stray(st, "this run records it, the checkpoint holds no history for it");
+    }
+    if let Some(st) = saved.into_iter().find(|st| !stations.contains(st)) {
+        return stray(st, "the checkpoint holds a history for it, this run does not record it");
+    }
+    if let Some(s) = ckpt.seismograms.iter().find(|s| s.samples.len() as u64 != ckpt.step) {
+        return stray(&s.station, "its history is not one sample per step");
     }
     match &ckpt.pgv {
         Some((nx, ny, pgv)) if (*nx, *ny) != (dims.nx, dims.ny) || pgv.len() != nx * ny => {
@@ -1732,34 +1722,47 @@ fn check_checkpoint(
     }
 }
 
-/// The one resume path: open the existing store and pick the newest
-/// generation that holds a valid image for every rank — `parts` are the
-/// rank subdomains, in rank order. All decoding and every shape and
-/// completeness check happen here, before any simulation is built or
-/// rank thread started, so the ranks agree on one generation by
-/// construction and none can fail to restore it while its neighbours
-/// walk into a halo exchange.
+/// The one way a run reaches its store, shared by all its ranks: a
+/// fresh, cleared one under `checkpoint_dir` (or none); resuming
+/// ([`SimConfig::resume`]), the existing one — finding none is an
+/// operator error, not a fresh start — and its newest generation that
+/// holds a valid image for every rank. `parts` are the rank subdomains
+/// and their rank-local stations, in rank order, and `dt` is the time
+/// step every rank steps with. All decoding and every check happen here,
+/// before any simulation is built or rank thread started, so the ranks
+/// agree on one generation by construction and none can fail to restore
+/// it while its neighbours walk into a halo exchange.
 #[allow(clippy::result_large_err)] // cold resume-path error; see Simulation::step_checked
-fn resume_generation(
+fn open_generation(
     config: &SimConfig,
-    parts: &[Dims3],
-) -> Result<(Arc<CheckpointStore>, RestoredGeneration), RunError> {
+    parts: &[(Dims3, &[Station])],
+    dt: f64,
+) -> Result<(Option<Arc<CheckpointStore>>, Option<RestoredGeneration>), RunError> {
     let failed = |detail: String| RunError::ResumeFailed { detail };
-    let store = config
-        .open_store(true)
-        .map_err(|e| failed(e.to_string()))?
-        .ok_or_else(|| failed("no checkpoint directory configured".to_string()))?;
+    let open = |how: fn(&Path, usize) -> Result<CheckpointStore, StoreError>, dir: &Path| {
+        let store = how(dir, config.checkpoint_keep).map_err(|e| ConfigError::CheckpointDir {
+            path: dir.display().to_string(),
+            detail: e.to_string(),
+        })?;
+        Ok::<_, ConfigError>(Arc::new(store.with_fault(config.fault.clone())))
+    };
+    let dir = config.checkpoint_dir.as_deref();
+    if !config.resume {
+        return Ok((dir.map(|dir| open(CheckpointStore::create, dir)).transpose()?, None));
+    }
+    let dir = dir.ok_or_else(|| failed("no checkpoint directory configured".into()))?;
+    let store = open(CheckpointStore::open, dir).map_err(|e| failed(e.to_string()))?;
     let restored = store.restore_newest_valid(parts.len()).map_err(|e| failed(e.to_string()))?;
-    for (rank, (ckpt, dims)) in restored.checkpoints.iter().zip(parts).enumerate() {
-        check_checkpoint(ckpt, *dims, &config.options).map_err(|e| {
+    for (rank, (ckpt, (dims, stations))) in restored.checkpoints.iter().zip(parts).enumerate() {
+        check_checkpoint(ckpt, *dims, &config.options, stations, dt).map_err(|e| {
             failed(format!(
-                "rank {rank} of the step-{} generation: {e} — resume with the same mesh and \
-                 rank grid",
+                "rank {rank} of the step-{} generation: {e} — resume with the scenario and \
+                 rank grid that cut it",
                 restored.step
             ))
         })?;
     }
-    Ok((store, restored))
+    Ok((Some(store), Some(restored)))
 }
 
 /// What a resume restored: the generation's step/time and any newer
@@ -1772,12 +1775,6 @@ pub struct ResumeInfo {
     pub time: f64,
     /// Newer generations skipped, newest first: `(step, reason)`.
     pub skipped: Vec<(u64, String)>,
-}
-
-impl ResumeInfo {
-    fn of(restored: &RestoredGeneration) -> Self {
-        Self { step: restored.step, time: restored.time, skipped: restored.skipped.clone() }
-    }
 }
 
 /// Output of a multi-rank run: merged observables.
@@ -1839,13 +1836,6 @@ pub fn run_multirank(
     let global = config.dims;
     let spans: Vec<(usize, usize, Dims3)> =
         (0..grid.len()).map(|rank| grid.local_span(rank, global)).collect();
-    let (store, restored) = if config.resume {
-        let parts: Vec<Dims3> = spans.iter().map(|&(_, _, local)| local).collect();
-        let (store, restored) = resume_generation(config, &parts)?;
-        (Some(store), Some(restored))
-    } else {
-        (config.open_store(false)?, None)
-    };
     let sources =
         SourcePartitioner::new(grid.mx, grid.my, global.nx, global.ny).partition(&config.sources);
     // All ranks stream into one shared JSONL log (per-line writes are
@@ -1854,34 +1844,48 @@ pub fn run_multirank(
         let path = config.health.as_ref()?.log_path.as_deref()?;
         HealthLog::create(path).ok().map(Arc::new)
     });
+    let configs: Vec<SimConfig> = spans
+        .iter()
+        .zip(sources)
+        .map(|(&(x0, y0, local), sources)| {
+            let mut cfg = config.clone();
+            cfg.dims = local;
+            cfg.origin = (
+                config.origin.0 + x0 as f64 * config.dx,
+                config.origin.1 + y0 as f64 * config.dx,
+                config.origin.2,
+            );
+            cfg.options.global_span = Some((global, x0, y0));
+            cfg.sources = sources;
+            cfg.stations = config
+                .stations
+                .iter()
+                .filter(|s| {
+                    s.ix >= x0 && s.ix < x0 + local.nx && s.iy >= y0 && s.iy < y0 + local.ny
+                })
+                .map(|s| Station { name: s.name.clone(), ix: s.ix - x0, iy: s.iy - y0 })
+                .collect();
+            cfg.shared_health_log = health_log.clone();
+            if let Some(h) = &mut cfg.health {
+                h.log_path = None;
+            }
+            cfg
+        })
+        .collect();
+    let parts: Vec<(Dims3, &[Station])> =
+        configs.iter().map(|cfg| (cfg.dims, cfg.stations.as_slice())).collect();
+    // The time step every rank's state steps with (`SolverState::from_model`).
+    let dt = stable_dt(config.dx, f64::from(model.vp_max())) * config.options.dt_scale;
+    let (store, restored) = open_generation(config, &parts, dt)?;
     let shared = Arc::new(RankShared::new(config, grid.len(), store.clone()));
     let ranks = run_ranks(grid, |comm| {
         // Each rank thread records into its own trace lane (one process
         // row per rank in the exported Chrome trace).
         config.telemetry.tracer().bind_lane(comm.rank as u64, &format!("rank{}", comm.rank));
-        let (x0, y0, local) = spans[comm.rank];
-        let mut cfg = config.clone();
-        cfg.dims = local;
-        cfg.origin = (
-            config.origin.0 + x0 as f64 * config.dx,
-            config.origin.1 + y0 as f64 * config.dx,
-            config.origin.2,
-        );
-        cfg.options.global_span = Some((global, x0, y0));
-        cfg.sources = sources[comm.rank].clone();
-        cfg.stations = config
-            .stations
-            .iter()
-            .filter(|s| s.ix >= x0 && s.ix < x0 + local.nx && s.iy >= y0 && s.iy < y0 + local.ny)
-            .map(|s| Station { name: s.name.clone(), ix: s.ix - x0, iy: s.iy - y0 })
-            .collect();
-        cfg.shared_health_log = health_log.clone();
-        if let Some(h) = &mut cfg.health {
-            h.log_path = None;
-        }
-        let state = SolverState::from_model(model, local, cfg.dx, cfg.origin, cfg.options);
+        let cfg = &configs[comm.rank];
+        let state = SolverState::from_model(model, cfg.dims, cfg.dx, cfg.origin, cfg.options);
         let link = RankLink { comm: comm.clone(), shared: Arc::clone(&shared) };
-        let mut sim = Simulation::build(state, &cfg, store.clone(), Some(link));
+        let mut sim = Simulation::build(state, cfg, store.clone(), Some(link));
         if let Some(restored) = &restored {
             sim.rewind_to(restored);
         }
@@ -1893,7 +1897,7 @@ pub fn run_multirank(
         outcome.clone()?;
     }
     let sims: Vec<&Simulation> = ranks.iter().map(|(sim, _)| sim).collect();
-    merge(&sims, &spans, global, &config.stations, restored.as_ref().map(ResumeInfo::of))
+    merge(&sims, &spans, global, &config.stations)
 }
 
 /// Where every run ends, one rank ([`Simulation::finish`]) or a grid
@@ -1909,7 +1913,6 @@ fn merge(
     spans: &[(usize, usize, Dims3)],
     global: Dims3,
     stations: &[Station],
-    resume: Option<ResumeInfo>,
 ) -> Result<MultiRankOutput, RunError> {
     for sim in ranks.iter().filter(|sim| sim.state.has_blown_up()) {
         if let Some(e) = crate::health::diagnose(&sim.state, sim.step_count, sim.rank) {
@@ -1954,6 +1957,7 @@ fn merge(
     let dt = ranks.first().map_or(0.0, |sim| sim.state.dt);
     let ledger =
         ranks.first().and_then(|sim| sim.perf.as_deref()).map(|rec| freeze_ledger(rec, ranks));
+    let resume = ranks.first().and_then(|sim| sim.resumed.clone());
     Ok(MultiRankOutput { seismograms, pgv, flops, health, probes, warnings, dt, resume, ledger })
 }
 
@@ -2041,36 +2045,23 @@ mod tests {
     }
 
     #[test]
-    fn restart_controller_collects_checkpoints() {
-        let mut cfg = explosion_config(25);
-        cfg.checkpoint_interval = 10;
+    fn a_cadence_without_a_store_is_a_config_error() {
+        let cfg = explosion_config(10).with_checkpoint_interval(5);
         let model = HalfspaceModel::hard_rock();
-        let mut sim = Simulation::new(&model, &cfg).expect("valid config");
-        sim.run(cfg.steps);
-        assert_eq!(sim.checkpoints.len(), 2);
-        assert_eq!(sim.checkpoints[0].step, 10);
-        assert_eq!(sim.checkpoints[1].step, 20);
+        assert_eq!(cfg.validate(), Err(ConfigError::CheckpointWithoutStore { interval: 5 }));
+        assert!(matches!(
+            Simulation::new(&model, &cfg),
+            Err(RunError::Config(ConfigError::CheckpointWithoutStore { interval: 5 }))
+        ));
     }
 
     #[test]
-    fn in_memory_retention_follows_checkpoint_keep() {
-        // Ten due steps with keep = 3 leave the newest three.
-        let cfg = explosion_config(10).with_checkpoint_interval(1).with_checkpoint_keep(3);
-        let model = HalfspaceModel::hard_rock();
-        let mut sim = Simulation::new(&model, &cfg).expect("valid config");
-        sim.run(cfg.steps);
-        let steps: Vec<u64> = sim.checkpoints.iter().map(|c| c.step).collect();
-        assert_eq!(steps, vec![8, 9, 10]);
-    }
-
-    #[test]
-    fn a_store_keeps_nothing_in_memory() {
+    fn a_store_keeps_the_newest_generations() {
         let dir = std::env::temp_dir().join(format!("swquake_driver_keep_{}", std::process::id()));
         let cfg = explosion_config(20).with_checkpoint_interval(5).with_checkpoint_dir(&dir);
         let model = HalfspaceModel::hard_rock();
         let mut sim = Simulation::new(&model, &cfg).expect("valid config");
         sim.run(cfg.steps);
-        assert!(sim.checkpoints.is_empty(), "the store is the only copy");
         let manifest = CheckpointStore::open(&dir, cfg.checkpoint_keep).expect("store").manifest();
         let steps: Vec<u64> = manifest.generations.iter().map(|g| g.step).collect();
         assert_eq!(steps, vec![10, 15, 20], "default keep = 3, all joined when run returns");
@@ -2083,7 +2074,10 @@ mod tests {
         cfg.sources[0].iz = 99;
         let model = HalfspaceModel::hard_rock();
         let err = Simulation::new(&model, &cfg).err().expect("construction must fail");
-        assert!(matches!(err, ConfigError::SourceOutOfBounds { index: 0, .. }), "got {err:?}");
+        assert!(
+            matches!(err, RunError::Config(ConfigError::SourceOutOfBounds { index: 0, .. })),
+            "got {err:?}"
+        );
     }
 
     #[test]
@@ -2096,7 +2090,7 @@ mod tests {
         let model = HalfspaceModel::hard_rock();
         assert!(matches!(
             Simulation::new(&model, &cfg),
-            Err(ConfigError::StationOutOfBounds { .. })
+            Err(RunError::Config(ConfigError::StationOutOfBounds { .. }))
         ));
     }
 
@@ -2125,6 +2119,44 @@ mod tests {
         ));
     }
 
+    /// An image of another run is refused, naming what differs: a
+    /// station it has no history for, one it recorded elsewhere, a clock
+    /// stepped with another dt, a live array this run does not advance.
+    #[test]
+    fn restore_rejects_an_image_of_another_run() {
+        let model = HalfspaceModel::hard_rock();
+        let cfg = explosion_config(6);
+        let mut sim = Simulation::new(&model, &cfg).expect("valid config");
+        sim.run(cfg.steps);
+        let ckpt = sim.make_checkpoint();
+        let station = |name: &str, ix| Station { name: name.into(), ix, iy: 6 };
+        let mut more = Simulation::new(
+            &model,
+            &cfg.clone().with_stations(vec![station("S", 6), station("T", 9)]),
+        )
+        .expect("valid config");
+        let Err(RestoreError::StationMismatch { station: added, .. }) = more.restore(&ckpt) else {
+            panic!("a station the image does not hold")
+        };
+        assert_eq!(added.name, "T");
+        let mut moved = Simulation::new(&model, &cfg.clone().with_stations(vec![station("S", 7)]))
+            .expect("valid config");
+        assert!(matches!(moved.restore(&ckpt), Err(RestoreError::StationMismatch { .. })));
+        let mut finer = cfg.clone();
+        finer.options.dt_scale = 0.5;
+        let mut finer = Simulation::new(&model, &finer).expect("valid config");
+        assert!(matches!(finer.restore(&ckpt), Err(RestoreError::ClockMismatch { step: 6, .. })));
+        let mut lossy = cfg.clone();
+        lossy.options.attenuation = true;
+        let mut lossy = Simulation::new(&model, &lossy).expect("valid config");
+        lossy.run(cfg.steps);
+        assert!(matches!(
+            sim.restore(&lossy.make_checkpoint()),
+            Err(RestoreError::UncarriedField { field }) if field == "r1"
+        ));
+        sim.restore(&ckpt).expect("its own image");
+    }
+
     #[test]
     fn a_state_past_64_bits_or_the_host_is_a_config_error() {
         let huge = SimConfig::new(Dims3::cube(3_000_000), 100.0, 1).validate();
@@ -2140,12 +2172,16 @@ mod tests {
 
     #[test]
     fn telemetry_covers_every_phase() {
+        let dir = std::env::temp_dir().join(format!("swquake_driver_tel_{}", std::process::id()));
         let tel = Telemetry::enabled();
-        let mut cfg = explosion_config(10).with_telemetry(tel.clone());
-        cfg.checkpoint_interval = 5;
+        let cfg = explosion_config(10)
+            .with_telemetry(tel.clone())
+            .with_checkpoint_dir(&dir)
+            .with_checkpoint_interval(5);
         let model = HalfspaceModel::hard_rock();
         let mut sim = Simulation::new(&model, &cfg).expect("valid config");
         sim.run(cfg.steps);
+        std::fs::remove_dir_all(&dir).ok();
         let report = sim.metrics();
         for phase in [
             "step",

@@ -1,11 +1,12 @@
 //! Error types for the public solver API.
 //!
 //! Construction ([`crate::Simulation::new`], [`crate::driver::run_multirank`])
-//! validates the configuration up front and returns [`ConfigError`];
-//! checkpoint restore returns [`RestoreError`] instead of panicking on a
-//! malformed or mismatched checkpoint. A run whose health watchdog
-//! reaches a fatal verdict aborts with [`UnstableError`], and
-//! [`RunError`] is the union the multirank entry point returns.
+//! validates the configuration up front ([`ConfigError`]) and, resuming,
+//! the generation it restores ([`RunError::ResumeFailed`]); checkpoint
+//! restore returns [`RestoreError`] instead of panicking on a malformed or
+//! mismatched checkpoint. A run whose health watchdog reaches a fatal
+//! verdict aborts with [`UnstableError`], and [`RunError`] is the union
+//! the constructors and the checked step loop return.
 
 use std::fmt;
 use sw_grid::Dims3;
@@ -45,6 +46,11 @@ pub enum ConfigError {
     InvalidDtScale {
         /// The offending multiplier.
         dt_scale: f64,
+    },
+    /// A checkpoint cadence without a store, which nothing could read.
+    CheckpointWithoutStore {
+        /// The cadence, steps.
+        interval: u64,
     },
     /// The checkpoint directory could not be initialised or opened.
     CheckpointDir {
@@ -108,6 +114,9 @@ impl fmt::Display for ConfigError {
             Self::InvalidDtScale { dt_scale } => {
                 write!(f, "dt_scale must be finite and positive, got {dt_scale}")
             }
+            Self::CheckpointWithoutStore { interval } => {
+                write!(f, "checkpoint_interval {interval} needs a checkpoint directory to cut into")
+            }
             Self::CheckpointDir { path, detail } => {
                 write!(f, "checkpoint directory {path} unusable: {detail}")
             }
@@ -164,6 +173,30 @@ pub enum RestoreError {
         /// The array's name.
         field: &'static str,
     },
+    /// The checkpoint holds a non-zero array this simulation does not
+    /// advance: it was cut under other physics.
+    UncarriedField {
+        /// The array's name.
+        field: String,
+    },
+    /// The checkpoint's clock is not its step count times this
+    /// simulation's time step: it was cut with another `dt`.
+    ClockMismatch {
+        /// The checkpoint's step.
+        step: u64,
+        /// The checkpoint's simulated time, s.
+        time: f64,
+        /// This simulation's time step, s.
+        dt: f64,
+    },
+    /// The checkpoint's seismograms are not this simulation's stations,
+    /// at their positions, one sample per step.
+    StationMismatch {
+        /// The station (rank-local position on a grid).
+        station: sw_io::Station,
+        /// What differs.
+        reason: &'static str,
+    },
 }
 
 impl fmt::Display for RestoreError {
@@ -189,6 +222,15 @@ impl fmt::Display for RestoreError {
             ),
             Self::MissingField { field } => {
                 write!(f, "checkpoint lacks field `{field}`, which this run carries")
+            }
+            Self::UncarriedField { field } => {
+                write!(f, "checkpoint field `{field}` is non-zero; this run does not advance it")
+            }
+            Self::ClockMismatch { step, time, dt } => {
+                write!(f, "checkpoint time {time} s is not step {step} × this run's dt {dt} s")
+            }
+            Self::StationMismatch { station: s, reason } => {
+                write!(f, "station `{}` at ({}, {}): {reason}", s.name, s.ix, s.iy)
             }
         }
     }

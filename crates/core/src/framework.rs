@@ -10,7 +10,7 @@
 //! interpolation → wave propagation with recorders → hazard map.
 
 use crate::driver::{run_multirank, MultiRankOutput, SimConfig, Simulation};
-use crate::error::{ConfigError, RunError};
+use crate::error::RunError;
 use crate::hazard::HazardMap;
 use sw_io::Station;
 use sw_model::VelocityModel;
@@ -80,14 +80,15 @@ impl UnifiedFramework {
     }
 
     /// Single-rank convenience (returns the `Simulation` for inspection).
+    #[allow(clippy::result_large_err)] // cold abort-path error; see Simulation::step_checked
     pub fn run_single(
         &self,
         model: &dyn VelocityModel,
         rupture_snapshot_times: &[f64],
-    ) -> Result<(RuptureResult, Simulation), ConfigError> {
+    ) -> Result<(RuptureResult, Simulation), RunError> {
         let (rupture, config) = self.rupture_stage(rupture_snapshot_times);
         let mut sim = Simulation::new(model, &config)?;
-        sim.run(config.steps);
+        sim.run(config.steps.saturating_sub(sim.step_count as usize));
         Ok((rupture, sim))
     }
 

@@ -630,20 +630,6 @@ impl Checkpoint {
     }
 }
 
-/// Decides when to checkpoint ("Restart Controller" of Fig. 3).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct RestartController {
-    /// Steps between checkpoints (0 = never).
-    pub interval: u64,
-}
-
-impl RestartController {
-    /// True when `step` is a checkpoint step.
-    pub fn due(&self, step: u64) -> bool {
-        self.interval > 0 && step > 0 && step.is_multiple_of(self.interval)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -856,16 +842,5 @@ mod tests {
         ));
         std::fs::remove_file(&path).ok();
         assert!(matches!(Checkpoint::read_file(&path), Err(ReadError::Io { .. })));
-    }
-
-    #[test]
-    fn restart_controller_schedule() {
-        let rc = RestartController { interval: 100 };
-        assert!(!rc.due(0));
-        assert!(!rc.due(99));
-        assert!(rc.due(100));
-        assert!(rc.due(500));
-        let never = RestartController { interval: 0 };
-        assert!(!never.due(100));
     }
 }

@@ -23,7 +23,7 @@ pub mod groupio;
 pub mod recorder;
 pub mod store;
 
-pub use checkpoint::{Checkpoint, CheckpointError, ReadError, RestartController};
+pub use checkpoint::{Checkpoint, CheckpointError, ReadError};
 pub use doc::DocFile;
 pub use groupio::GroupIoModel;
 pub use recorder::{PgvRecorder, SeismogramRecorder, SnapshotRecorder, Station};

@@ -81,6 +81,7 @@
 //! (mirroring a SIGKILLed process). All solver failures flow through
 //! [`swquake::Error`] and are mapped to a code in one place, here.
 
+use std::num::{NonZeroU64, NonZeroUsize};
 use std::path::{Path, PathBuf};
 use sw_campaign::{CampaignManifest, ScenarioState, MANIFEST_NAME};
 use swquake::campaign::CampaignRunOptions;
@@ -135,9 +136,9 @@ flags:
                                tile)
   --checkpoint-dir <dir>       durable checkpoint store (without one no
                                checkpoint is cut)
-  --checkpoint-interval <n>    checkpoint every n steps (default: the
+  --checkpoint-interval <n>    checkpoint every n >= 1 steps (default: the
                                scenario's checkpoint_interval, else 10)
-  --checkpoint-keep <n>        generations to retain
+  --checkpoint-keep <n>        generations to retain (>= 1)
   --resume                     restart from the newest valid checkpoint
   --ranks <MX>x<MY>            run on an MX x MY rank grid (multirank
                                halo exchange; observables are merged and
@@ -220,8 +221,9 @@ enum Command {
 #[derive(Default)]
 struct StoreFlags {
     checkpoint_dir: Option<PathBuf>,
-    checkpoint_interval: Option<u64>,
-    checkpoint_keep: Option<usize>,
+    // Not 0, which would mean "never" or be raised to 1, depending on the flag.
+    checkpoint_interval: Option<NonZeroU64>,
+    checkpoint_keep: Option<NonZeroUsize>,
     resume: bool,
 }
 
@@ -346,10 +348,10 @@ fn parse_run(args: &[String]) -> Option<Command> {
             }
             "--checkpoint-dir" => store.checkpoint_dir = Some(file_arg(a, &mut iter)?),
             "--checkpoint-interval" => {
-                store.checkpoint_interval = Some(parsed(a, &mut iter, "a number of steps")?)
+                store.checkpoint_interval = Some(parsed(a, &mut iter, "at least 1 step")?)
             }
             "--checkpoint-keep" => {
-                store.checkpoint_keep = Some(parsed(a, &mut iter, "a number of generations")?)
+                store.checkpoint_keep = Some(parsed(a, &mut iter, "at least 1 generation")?)
             }
             "--resume" => store.resume = true,
             flag if flag.starts_with("--") => return unknown_flag(flag),
@@ -386,8 +388,8 @@ fn parse_run(args: &[String]) -> Option<Command> {
     let scenario = positionals(positional, 1, "<scenario.json>")?.remove(0);
     plan.checkpoints = store.checkpoint_dir.map(|dir| Checkpoints {
         dir,
-        interval: store.checkpoint_interval,
-        keep: store.checkpoint_keep,
+        interval: store.checkpoint_interval.map(NonZeroU64::get),
+        keep: store.checkpoint_keep.map(NonZeroUsize::get),
     });
     plan.resume = if store.resume { Resume::Required } else { Resume::Fresh };
     // `--obs <dir>` is the bundle under <dir>; a path given by its own

@@ -234,10 +234,9 @@ pub fn run_scenario(
     cfg = cfg.with_health(health).with_fault_plan(plan.fault.clone());
     // Cadence: the plan, else the scenario, else the default — and none
     // at all without a store to persist into.
-    let scenario_cadence = Some(cfg.checkpoint_interval).filter(|&n| n > 0);
-    cfg = cfg.with_checkpoint_interval(0);
     if let Some(store) = &plan.checkpoints {
-        let interval = store.interval.or(scenario_cadence).unwrap_or(DEFAULT_CHECKPOINT_INTERVAL);
+        let interval =
+            store.interval.or(scenario.checkpoint_interval).unwrap_or(DEFAULT_CHECKPOINT_INTERVAL);
         cfg = cfg.with_checkpoint_dir(&store.dir).with_checkpoint_interval(interval);
         if let Some(keep) = store.keep {
             cfg = cfg.with_checkpoint_keep(keep);
@@ -264,22 +263,20 @@ pub fn run_scenario(
     }
     // Either arm runs the one step schedule and ends in the one merge.
     let grid = plan.ranks.filter(|&(mx, my)| mx * my > 1).map(|(mx, my)| RankGrid::new(mx, my));
-    let execute = |resume: bool| match grid {
-        Some(grid) => run_multirank(model, &cfg.clone().with_resume(resume), grid),
-        None => {
-            let state =
-                material.state.map_or_else(|| scenario.sample_state(model), |cached| cached());
-            let (mut sim, resumed) = if resume {
-                let (sim, info) = Simulation::resume_with_state(state, &cfg)?;
-                (sim, Some(info))
-            } else {
-                (Simulation::new_with_state(state, &cfg)?, None)
-            };
-            if plan.announce {
-                announce_resident(&sim, plan.memory_cap);
+    let execute = |resume: bool| {
+        let cfg = cfg.clone().with_resume(resume);
+        match grid {
+            Some(grid) => run_multirank(model, &cfg, grid),
+            None => {
+                let state =
+                    material.state.map_or_else(|| scenario.sample_state(model), |cached| cached());
+                let mut sim = Simulation::new_with_state(state, &cfg)?;
+                if plan.announce {
+                    announce_resident(&sim, plan.memory_cap);
+                }
+                sim.run_checked(cfg.steps.saturating_sub(sim.step_count as usize))?;
+                sim.finish()
             }
-            sim.run_checked(cfg.steps.saturating_sub(sim.step_count as usize))?;
-            sim.finish(resumed)
         }
     };
     let t0 = std::time::Instant::now();

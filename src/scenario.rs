@@ -141,9 +141,10 @@ pub struct Scenario {
     /// above 1 deliberately violate the CFL bound — used by the
     /// instability drills in CI).
     pub dt_scale: Option<f64>,
-    /// Checkpoint every N steps into the run's checkpoint store
+    /// Checkpoint every N ≥ 1 steps into the run's checkpoint store
     /// (`--checkpoint-dir`, a campaign member's `ckpt/`); omitted = every
     /// 10 steps. Without a store no checkpoint is cut, whatever this says.
+    /// The run reads it; [`Scenario::to_config`] does not lower it.
     pub checkpoint_interval: Option<u64>,
     /// Wavefield storage between steps: `"full"` (omitted default) or
     /// `"compressed16"` (16-bit resident stores streamed through a
@@ -289,28 +290,23 @@ impl Scenario {
     /// scenarios around as values).
     #[allow(clippy::result_large_err)] // cold parse-path error; see from_json
     pub fn from_value_versioned(value: &Value) -> Result<(Self, ScenarioVersion), Error> {
-        match value.get("schema") {
-            None | Some(Value::Null) => {
-                let v1 =
-                    ScenarioV1::from_value(value).map_err(|e| Error::Scenario(e.to_string()))?;
-                Ok((v1.upgrade()?, ScenarioVersion::V1))
+        let parsed = |e: serde::Error| Error::Scenario(e.to_string());
+        let (scenario, version) = match value.get("schema").filter(|v| !v.is_null()) {
+            Some(v) if v.as_u64() == Some(2) => {
+                (Scenario::from_value(value).map_err(parsed)?, ScenarioVersion::V2)
             }
-            Some(v) => match v.as_u64() {
-                Some(1) => {
-                    let v1 = ScenarioV1::from_value(value)
-                        .map_err(|e| Error::Scenario(e.to_string()))?;
-                    Ok((v1.upgrade()?, ScenarioVersion::V1))
-                }
-                Some(2) => {
-                    let s =
-                        Scenario::from_value(value).map_err(|e| Error::Scenario(e.to_string()))?;
-                    Ok((s, ScenarioVersion::V2))
-                }
-                _ => Err(Error::Scenario(format!(
+            Some(v) if v.as_u64() != Some(1) => {
+                return Err(Error::Scenario(format!(
                     "unsupported scenario schema version {v:?} (this build reads 1 and 2)"
-                ))),
-            },
+                )));
+            }
+            _ => (ScenarioV1::from_value(value).map_err(parsed)?.upgrade()?, ScenarioVersion::V1),
+        };
+        if scenario.checkpoint_interval == Some(0) {
+            let why = "checkpoint_interval must be at least 1 (omit it for every 10 steps)";
+            return Err(Error::Scenario(why.to_string()));
         }
+        Ok((scenario, version))
     }
 
     /// Pretty JSON rendering (the template writer). Always emits v2.
@@ -409,7 +405,6 @@ impl Scenario {
             .with_stations(stations.collect());
         cfg.options = options;
         cfg.origin = ORIGIN;
-        cfg.checkpoint_interval = self.checkpoint_interval.unwrap_or(0);
         if let Some(tag) = &self.resident {
             let mode = tag.parse().map_err(Error::Scenario)?;
             cfg = cfg.with_resident(mode);

@@ -178,7 +178,7 @@ fn v1_and_v2_golden_files_lower_to_identical_configs() {
     assert_eq!(c1.options, c2.options);
     assert_eq!(c1.sources, c2.sources);
     assert_eq!(c1.stations, c2.stations);
-    assert_eq!(c1.checkpoint_interval, c2.checkpoint_interval);
+    assert_eq!(s1.checkpoint_interval, s2.checkpoint_interval);
     assert_eq!(c1.compression, c2.compression);
     // And the station names made it through the v1 tuple upgrade.
     assert_eq!(c2.stations[0].name, "near");

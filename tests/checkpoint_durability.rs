@@ -9,13 +9,15 @@
 use std::path::PathBuf;
 
 use swquake::compress::lz4;
-use swquake::core::{ExecMode, SimConfig, Simulation};
+use swquake::core::driver::run_multirank;
+use swquake::core::{ExecMode, SimConfig, Simulation, SolverState};
 use swquake::grid::{Dims3, Field3};
 use swquake::io::checkpoint::Checkpoint;
 use swquake::io::recorder::Seismogram;
 use swquake::io::store::{Manifest, ManifestGeneration, MANIFEST_SCHEMA_VERSION};
 use swquake::io::Station;
 use swquake::model::LayeredModel;
+use swquake::parallel::RankGrid;
 use swquake::source::{MomentTensor, PointSource, SourceTimeFunction};
 
 /// SplitMix64: the same tiny deterministic generator `sw-fault` uses,
@@ -286,7 +288,8 @@ fn resumed_runs_are_bit_identical_in_both_exec_modes() {
             first.run(20);
         } // dropped mid-campaign: the store holds generations 10 and 20
 
-        let (mut resumed, info) = Simulation::resume(&model, &persisting).unwrap();
+        let mut resumed = Simulation::new(&model, &persisting.with_resume(true)).unwrap();
+        let info = resumed.resumed().expect("a resumed simulation");
         assert_eq!(info.step, 20, "newest committed generation");
         assert!(info.skipped.is_empty(), "nothing was corrupt: {:?}", info.skipped);
         assert_eq!(resumed.step_count, 20);
@@ -301,4 +304,41 @@ fn resumed_runs_are_bit_identical_in_both_exec_modes() {
         assert_eq!(reference.flops.flops, resumed.flops.flops, "{exec:?}: flop ledger diverged");
         let _ = std::fs::remove_dir_all(&dir);
     }
+}
+
+/// `SimConfig::resume` is the one resume switch: the same store resumed
+/// through `Simulation::new`, `Simulation::new_with_state` and a 1x1
+/// `run_multirank` starts at the same step from bit-identical state, and
+/// every one ends where the uninterrupted run does.
+#[test]
+fn every_entry_point_honours_the_resume_switch() {
+    let dir = workdir("one_switch");
+    let model = LayeredModel::north_china();
+    let cfg = drill_config(40, ExecMode::Serial);
+    let mut reference = Simulation::new(&model, &cfg).unwrap();
+    reference.run(cfg.steps);
+    let reference = reference.finish().unwrap();
+
+    let persisting = cfg.clone().with_checkpoint_dir(&dir).with_checkpoint_interval(10);
+    Simulation::new(&model, &persisting).unwrap().run(25);
+    // A cadence of 0 cuts nothing, so every entry point finds the store
+    // the killed run left: generations 10 and 20.
+    let resuming = persisting.with_checkpoint_interval(0).with_resume(true);
+    let mut built = Simulation::new(&model, &resuming).unwrap();
+    let state = SolverState::from_model(&model, cfg.dims, cfg.dx, cfg.origin, cfg.options);
+    let handed = Simulation::new_with_state(state, &resuming).unwrap();
+    assert_eq!((built.step_count, handed.step_count), (20, 20));
+    for ((name, _, a), (_, _, b)) in built.state.arrays().zip(handed.state.arrays()) {
+        assert_eq!(a.max_abs_diff(b), 0.0, "`{name}` differs between the constructors");
+    }
+    built.run(cfg.steps - 20);
+    let single = built.finish().unwrap();
+    let grid = run_multirank(&model, &resuming, RankGrid::new(1, 1)).unwrap();
+    for out in [single, grid] {
+        assert_eq!(out.resume.map(|info| info.step), Some(20));
+        assert_eq!(out.seismograms, reference.seismograms, "seismograms diverged");
+        assert_eq!(out.pgv.pgv, reference.pgv.pgv, "hazard map diverged");
+        assert_eq!(out.flops, reference.flops, "flop ledger diverged");
+    }
+    let _ = std::fs::remove_dir_all(&dir);
 }

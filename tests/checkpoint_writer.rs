@@ -58,7 +58,8 @@ fn committed(dir: &Path) -> Vec<u64> {
 #[test]
 fn sqk2_images_are_a_version_error() {
     let model = LayeredModel::north_china();
-    let mut sim = Simulation::new(&model, &config(5)).unwrap();
+    // No store, so no cadence: a cadence without one is a config error.
+    let mut sim = Simulation::new(&model, &config(5).with_checkpoint_interval(0)).unwrap();
     sim.run(5);
     let mut image = sim.make_checkpoint().encode();
     assert_eq!(&image[..4], b"3KQS", "format v3, little-endian \"SQK3\"");
@@ -139,8 +140,8 @@ fn generations_are_durable_at_every_join_point() {
 
     // And a restore joins before it rewinds: nothing is written behind
     // the restored state's back.
-    let (mut resumed, info) = Simulation::resume(&model, &cfg).unwrap();
-    assert_eq!(info.step, 20);
+    let mut resumed = Simulation::new(&model, &cfg.with_resume(true)).unwrap();
+    assert_eq!(resumed.resumed().map(|info| info.step), Some(20));
     for _ in 0..10 {
         resumed.step();
     }

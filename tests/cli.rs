@@ -1282,3 +1282,66 @@ fn inspect_renders_every_campaign_member_and_names_a_missing_ledger() {
     assert!(stdout.contains("member `c`: unstable"), "{stdout}");
     std::fs::remove_dir_all(&dir).ok();
 }
+
+/// A checkpoint cadence or retention of 0 is refused where it enters,
+/// naming the flag or the field. `--checkpoint-interval 0` used to cut
+/// nothing, a scenario's `"checkpoint_interval": 0` every 10 steps, and
+/// `--checkpoint-keep 0` kept one generation.
+#[test]
+fn a_zero_checkpoint_cadence_or_retention_exits_2_naming_it() {
+    let dir = workdir("zero_cadence");
+    let ckpt = dir.join("ckpt");
+    let store = ["--checkpoint-dir", ckpt.to_str().unwrap()];
+    let plain = shrunk_example(&dir, "plain", |_| {});
+    for flag in ["--checkpoint-interval", "--checkpoint-keep"] {
+        let out = run_scenario(&plain, &[&store[..], &[flag, "0"]].concat(), None);
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(2), "{flag} 0: {stderr}");
+        assert!(stderr.contains(&format!("invalid value '0' for {flag}")), "{stderr}");
+    }
+    let zero = shrunk_example(&dir, "zero", |json| {
+        json["checkpoint_interval"] = serde_json::json!(0);
+    });
+    let out = run_scenario(&zero, &store, None);
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(2), "{stderr}");
+    assert!(stderr.contains("checkpoint_interval must be at least 1"), "{stderr}");
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+/// A resume continues the run that cut the generation or fails with exit
+/// 2, `cannot resume`, naming what differs — on one rank and on 2x2. A
+/// station the generation holds no history for used to panic (exit 101),
+/// one moved under its name spliced two positions' histories, and a
+/// halved `dt_scale` or attenuation switched off resumed with exit 0 into
+/// a spliced run.
+#[test]
+fn a_resume_under_another_scenario_exits_2_naming_what_differs() {
+    type Edit = fn(&mut serde_json::Value);
+    let dir = workdir("resume_other");
+    let base = shrunk_example(&dir, "base", |_| {});
+    let edits: [(&str, &str, Edit); 4] = [
+        ("added", "station `north`", |json| {
+            let north = serde_json::json!({"name": "north", "ix": 12, "iy": 20});
+            json["stations"].as_array_mut().unwrap().push(north);
+        }),
+        ("moved", "station `east`", |json| json["stations"][1]["ix"] = serde_json::json!(16)),
+        ("finer", "this run's dt", |json| json["dt_scale"] = serde_json::json!(0.5)),
+        ("elastic", "field `r1`", |json| json["attenuation"] = serde_json::json!(false)),
+    ];
+    for ranks in ["1x1", "2x2"] {
+        for (name, named, edit) in edits {
+            let ckpt = dir.join(format!("ckpt_{name}_{ranks}"));
+            let store = ["--checkpoint-dir", ckpt.to_str().unwrap(), "--ranks", ranks];
+            // Past the source's onset: the generation holds a live wavefield.
+            let killed = run_scenario(&base, &store, Some("kill@35"));
+            assert_eq!(killed.status.code(), Some(137), "{ranks}: the drill must kill the run");
+            let edited = shrunk_example(&dir, name, edit);
+            let out = run_scenario(&edited, &[&store[..], &["--resume"]].concat(), None);
+            let stderr = String::from_utf8_lossy(&out.stderr);
+            assert_eq!(out.status.code(), Some(2), "{name} on {ranks}: {stderr}");
+            assert!(stderr.contains("cannot resume") && stderr.contains(named), "{stderr}");
+        }
+    }
+    std::fs::remove_dir_all(&dir).ok();
+}

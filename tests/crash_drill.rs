@@ -339,8 +339,9 @@ fn write_faults_leave_an_older_generation_restorable() {
         Simulation::new(&model, &persisting.clone().with_fault_plan(Some(Arc::new(plan)))).unwrap();
     drilled.run_checked(cfg.steps).expect("write faults are not fatal");
 
-    let (mut resumed, info) =
-        Simulation::resume(&model, &persisting).expect("an intact generation remains");
+    let mut resumed = Simulation::new(&model, &persisting.with_resume(true))
+        .expect("an intact generation remains");
+    let info = resumed.resumed().cloned().expect("a resumed simulation");
     assert_eq!(info.step, 10, "must fall all the way back to the intact generation");
     assert_eq!(info.skipped.len(), 2, "both damaged generations reported: {:?}", info.skipped);
     let skipped_steps: Vec<u64> = info.skipped.iter().map(|(s, _)| *s).collect();
@@ -377,8 +378,9 @@ fn kill_mid_write_cannot_corrupt_the_store() {
         other => panic!("expected Killed, got {other:?}"),
     }
 
-    let (mut resumed, info) =
-        Simulation::resume(&model, &persisting).expect("previous generation intact");
+    let mut resumed =
+        Simulation::new(&model, &persisting.with_resume(true)).expect("previous generation intact");
+    let info = resumed.resumed().cloned().expect("a resumed simulation");
     assert_eq!(info.step, 10, "the staged-but-unrenamed generation must not be visible");
     assert!(info.skipped.is_empty(), "crash debris is not a fallback: {:?}", info.skipped);
     resumed.run(cfg.steps - 10);
@@ -436,7 +438,7 @@ fn a_crafted_rank_image_is_a_classified_resume_failure() {
                 let model = LayeredModel::north_china();
                 let mut errors = vec![run_multirank(&model, &resuming, grid).err()];
                 if grid.len() == 1 {
-                    errors.push(Simulation::resume(&model, &resuming).err());
+                    errors.push(Simulation::new(&model, &resuming).err());
                 }
                 tx.send(errors).ok();
             });
@@ -488,8 +490,9 @@ fn an_image_with_fields_the_run_does_not_carry_still_resumes() {
     }
     ckpt.write_file(&path).unwrap();
 
-    let (mut resumed, info) = Simulation::resume(&model, &stored).expect("the extras are fine");
-    assert_eq!(info.step, 20);
+    let mut resumed =
+        Simulation::new(&model, &stored.with_resume(true)).expect("the extras are fine");
+    assert_eq!(resumed.resumed().map(|info| info.step), Some(20));
     assert_eq!(resumed.state.arrays().count(), 13, "nothing was attached to hold them");
     resumed.run(cfg.steps - 20);
     for ((name, _, a), (_, _, b)) in reference.state.arrays().zip(resumed.state.arrays()) {

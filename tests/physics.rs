@@ -64,6 +64,56 @@ fn p_wave_travels_at_vp() {
     assert!(rel < 0.012, "measured vp {measured_vp:.1} vs {vp:.0} m/s ({:.2} %)", rel * 100.0);
 }
 
+/// The time of the largest sample of `trace` (one per step of `dt`, the
+/// first at `dt`) to a fraction of a step: the vertex of the parabola
+/// through it and its two neighbours.
+fn peak_time(trace: &[f32], dt: f64) -> f64 {
+    let peak =
+        (1..trace.len() - 1).max_by(|&a, &b| trace[a].total_cmp(&trace[b])).expect("a trace");
+    let [a, b, c] = [peak - 1, peak, peak + 1].map(|i| f64::from(trace[i]));
+    (peak as f64 + 1.0 + 0.5 * (a - c) / (a - 2.0 * b + c)) * dt
+}
+
+/// The S pulse peak moves between two probes at the medium's vs. A
+/// vertical strike-slip double couple striking along x (`M_xy` alone)
+/// has a P node along +x and radiates its largest S there, polarized
+/// along y, so the transverse motion at two probes on that axis is the
+/// direct S alone. The Gaussian is the moment rate: the far-field
+/// transverse *displacement* (the running sum of `v`) is one lobe, where
+/// the velocity is two of opposite sign whose larger one is a coin toss.
+/// The pulse is as many cells long as `p_wave_travels_at_vp`'s.
+#[test]
+fn s_wave_travels_at_vs() {
+    let dims = Dims3::new(64, 32, 32);
+    let dx = 100.0;
+    let model = HalfspaceModel::hard_rock();
+    let vs = model.material.vs as f64;
+    let mut cfg = explosion_cfg(dims, dx, 0);
+    cfg.sources[0].moment = MomentTensor::double_couple(0.0, 90.0, 0.0, 1.0e13);
+    cfg.sources[0].stf = SourceTimeFunction::Gaussian { delay: 0.08, sigma: 0.02 };
+    let mut sim = Simulation::new(&model, &cfg).expect("valid config");
+    let (x0, y0, z0) = (dims.nx / 2, dims.ny / 2, dims.nz / 2);
+    let probes = [(x0 + 10, y0, z0), (x0 + 24, y0, z0)];
+    let mut displacement = [vec![0.0f32], vec![0.0f32]];
+    // Up to the far probe's direct S (0.77 s) and two cells past it;
+    // the first reflection (off the +x face) reaches it at 1.2 s.
+    while sim.time < 0.08 + 26.0 * dx / vs {
+        sim.step();
+        for (trace, &(px, py, pz)) in displacement.iter_mut().zip(&probes) {
+            let last = trace[trace.len() - 1];
+            trace.push(last + sim.state.v.get(px, py, pz));
+        }
+    }
+    let dt = sim.state.dt;
+    let delay = peak_time(&displacement[1][1..], dt) - peak_time(&displacement[0][1..], dt);
+    let measured_vs = 14.0 * dx / delay;
+    let rel = (measured_vs - vs).abs() / vs;
+    // Measured: 3448.7 m/s against 3464, 0.44 % off (the peaks
+    // interpolated; whole steps alone would quantize the 0.404 s delay
+    // to 1.9 %). Pinned at twice that.
+    assert!(rel < 0.009, "measured vs {measured_vs:.1} vs {vs:.0} m/s ({:.2} %)", rel * 100.0);
+}
+
 /// An explosion radiates no shear on the axes — before free-surface
 /// conversions arrive: track the peak motion at a probe due +x of the
 /// source only through the direct-arrival window.
@@ -86,8 +136,11 @@ fn explosion_is_compressional_on_axis() {
             .max(sim.state.w.get(px, py, pz).abs());
     }
     assert!(radial > 1e-7, "radial motion exists: {radial}");
+    // Measured: tangential / radial = 0.052. The staggered grid samples
+    // `v` and `w` half a cell off the axis, and 50 m at 1000 m is 0.05 of
+    // the radial motion. Pinned at twice that.
     assert!(
-        tangential < radial * 0.25,
+        tangential < radial * 0.10,
         "explosion radiates P only on axis: radial {radial} tangential {tangential}"
     );
 }

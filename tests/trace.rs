@@ -26,14 +26,19 @@ fn quickstart_config(steps: usize) -> SimConfig {
 }
 
 fn traced_run(steps: usize) -> Telemetry {
+    let dir = std::env::temp_dir().join(format!("swquake_trace_{steps}_{}", std::process::id()));
     let telemetry = Telemetry::enabled().with_tracer(Tracer::enabled());
     telemetry.tracer().bind_lane(0, "driver");
-    let mut cfg = quickstart_config(steps).with_compression(true).with_telemetry(telemetry.clone());
+    let mut cfg = quickstart_config(steps)
+        .with_compression(true)
+        .with_telemetry(telemetry.clone())
+        .with_checkpoint_dir(&dir)
+        .with_checkpoint_interval(3);
     cfg.options.nonlinear = true;
-    cfg.checkpoint_interval = 3;
     let model = HalfspaceModel::hard_rock();
     let mut sim = Simulation::new(&model, &cfg).expect("valid config");
     sim.run(cfg.steps);
+    std::fs::remove_dir_all(&dir).ok();
     telemetry
 }
 
