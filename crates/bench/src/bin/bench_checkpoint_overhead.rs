@@ -248,8 +248,15 @@ fn generation_records(scratch: &Path, host: &str) -> Vec<BenchRecord> {
             .expect("scratch write");
         store.commit_generation(*step, sim.time, 1).expect("scratch commit");
     });
+    // The restore reads back the state's own generation: a restamped one
+    // no longer matches the run's clock and recorders, and is refused.
+    let own = scratch.join("own");
+    let own_store = CheckpointStore::create(&own, 1).expect("scratch store");
+    write_atomic(&own.join(CheckpointStore::rank_file_name(ckpt.step, 0)), &image)
+        .expect("scratch write");
+    own_store.commit_generation(ckpt.step, ckpt.time, 1).expect("scratch commit");
     let restore = time(|| {
-        let generation = store.restore_newest_valid(1).expect("a generation was committed");
+        let generation = own_store.restore_newest_valid(1).expect("a generation was committed");
         sim.restore(&generation.checkpoints[0]).expect("own checkpoint restores");
     });
 

@@ -61,7 +61,7 @@ pub fn apply_sponge_par(s: &mut SolverState) {
 }
 
 /// Benchmark compatibility only: the names `bench_e2e` links from when
-/// lanes were a separate copy. Drop at its re-baseline (ROADMAP 2a).
+/// lanes were a separate copy. Drop at its re-baseline (ROADMAP item 5).
 pub mod simd {
     pub use super::{
         apply_sponge_par as apply_sponge_simd, drprecpc_app_par as drprecpc_app_simd,

@@ -80,7 +80,8 @@ pub fn drprecpc_calc_region(s: &mut SolverState, x_range: Range<usize>, pool: bo
 }
 
 /// `drprecpc_app`: apply the yield factors — scale the stress deviator
-/// back onto the yield surface and accumulate plastic strain.
+/// back onto the yield surface and accumulate the equivalent plastic
+/// strain of what the return removed.
 pub fn drprecpc_app(s: &mut SolverState) {
     drprecpc_app_region(s, 0..s.dims.nx, false);
 }
@@ -108,19 +109,23 @@ pub fn drprecpc_app_region(s: &mut SolverState, x_range: Range<usize>, pool: boo
                     }
                     let o = base + z;
                     let (sxx, syy, szz) = (pxx[o], pyy[o], pzz[o]);
+                    let (sxy, sxz, syz) = (pxy[o], pxz[o], pyz[o]);
                     let mean = (sxx + syy + szz) / 3.0;
-                    pxx[o] = mean + r * (sxx - mean);
-                    pyy[o] = mean + r * (syy - mean);
-                    pzz[o] = mean + r * (szz - mean);
-                    pxy[o] *= r;
-                    pxz[o] *= r;
-                    pyz[o] *= r;
-                    // plastic strain increment ~ the relaxed deviatoric stress
-                    // over the shear modulus
-                    let tau_rel = (1.0 - r)
-                        * ((sxx - mean).powi(2) + (syy - mean).powi(2) + (szz - mean).powi(2))
-                            .sqrt();
-                    peqp[o] += tau_rel / rmu[z].max(1.0);
+                    let (dxx, dyy, dzz) = (sxx - mean, syy - mean, szz - mean);
+                    pxx[o] = mean + r * dxx;
+                    pyy[o] = mean + r * dyy;
+                    pzz[o] = mean + r * dzz;
+                    pxy[o] = r * sxy;
+                    pxz[o] = r * sxz;
+                    pyz[o] = r * syz;
+                    // The return removes Δεᵖ = (1 − r)·s/(2μ), whose
+                    // equivalent plastic strain √(⅔ Δεᵖ:Δεᵖ) is
+                    // (1 − r)·√J₂/(√3·μ): shear deviators included.
+                    let j2 = 0.5 * (dxx * dxx + dyy * dyy + dzz * dzz)
+                        + sxy * sxy
+                        + sxz * sxz
+                        + syz * syz;
+                    peqp[o] += (1.0 - r) * j2.sqrt() / (3f32.sqrt() * rmu[z].max(1.0));
                 }
             }
         },

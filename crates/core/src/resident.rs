@@ -560,6 +560,7 @@ fn copy_core(dst: &mut Field3, src: &Field3, t: Tile) {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::state::StateOptions;
 
     #[test]
     fn mode_parsing_round_trips() {
@@ -568,6 +569,23 @@ mod tests {
         }
         assert_eq!("COMPRESSED16".parse::<ResidentMode>().unwrap(), ResidentMode::Compressed16);
         assert!("f16".parse::<ResidentMode>().is_err());
+    }
+
+    /// The slab is a state like any other: each array at its slot's
+    /// cache phase, no two at one (DESIGN.md, "Array placement").
+    #[test]
+    fn the_slab_sits_at_the_slots_cache_phases() {
+        let options = StateOptions { attenuation: true, nonlinear: true, ..Default::default() };
+        let main = SolverState::blank(Dims3::new(20, 9, 11), 100.0, 1e-3, 1e-3, options);
+        for cap in [None, Some(1 << 20)] {
+            let slab = ResidentEngine::new(&main, cap).slab;
+            assert_eq!(slab.misplaced(), None);
+            let mut phases: Vec<usize> = slab.arrays().map(|(_, _, f)| f.phase()).collect();
+            let count = phases.len();
+            phases.sort_unstable();
+            phases.dedup();
+            assert_eq!((phases.len(), count), (27, 27), "one phase per array, `rho` detached");
+        }
     }
 
     #[test]

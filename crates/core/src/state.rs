@@ -18,7 +18,7 @@
 
 use crate::staggered::stable_dt;
 use std::sync::Arc;
-use sw_grid::{Dims3, Field3, HALO_WIDTH};
+use sw_grid::{Dims3, Field3, HALO_WIDTH, PHASE_TURN};
 use sw_model::VelocityModel;
 
 /// Plasticity configuration (the depth-dependent Drucker–Prager inputs).
@@ -114,6 +114,28 @@ const ARRAYS: [(&[&str], ArrayClass, Wanted); 5] = [
         o.nonlinear
     }),
 ];
+
+/// Bytes between the cache phases of consecutive slots of [`ARRAYS`]:
+/// slot `i`'s array starts `i × PHASE_STRIDE` bytes past a
+/// [`PHASE_TURN`] boundary, so the 28 slots spread over one turn and no
+/// two arrays a kernel streams at one cell index share an L1 set there
+/// (DESIGN.md, "Array placement").
+const PHASE_STRIDE: usize = 144;
+
+const _: () = {
+    let (mut slots, mut group) = (0, 0);
+    while group < ARRAYS.len() {
+        slots += ARRAYS[group].0.len();
+        group += 1;
+    }
+    assert!(slots * PHASE_STRIDE <= PHASE_TURN, "two slots would share a phase");
+};
+
+/// The cache phase of the array named `name`: its slot in [`ARRAYS`] ×
+/// [`PHASE_STRIDE`].
+pub fn phase(name: &str) -> usize {
+    rows().position(|(n, _, _)| n == name).expect("an array of the list") * PHASE_STRIDE
+}
 
 /// [`ARRAYS`], one row per array.
 fn rows() -> impl Iterator<Item = (&'static str, ArrayClass, Wanted)> {
@@ -291,11 +313,13 @@ pub struct SolverState {
 
 impl SolverState {
     /// A state with zeroed arrays (`yldfac` at 1, elastic): exactly the
-    /// ones `options` call for ([`StateOptions::arrays`]); the others are
-    /// detached. [`Self::from_model`] and the resident slab start here.
+    /// ones `options` call for ([`StateOptions::arrays`]), each at its
+    /// slot's [`phase`]; the others are detached. The one allocator of a
+    /// state: [`Self::from_model`], rank pieces and the resident slab
+    /// start here.
     pub fn blank(dims: Dims3, dx: f64, dt: f64, dt_stable: f64, options: StateOptions) -> Self {
         let f = |name: &str| match options.arrays().find(|(wanted, _)| *wanted == name) {
-            Some(_) => Field3::new(dims, HALO_WIDTH),
+            Some(_) => Field3::at_phase(dims, HALO_WIDTH, phase(name)),
             None => Field3::detached(dims, HALO_WIDTH),
         };
         let mut state = Self {
@@ -390,6 +414,13 @@ impl SolverState {
             [lam, mu, rho, buoyancy, wp, ws, cohes, sinphi, cosphi, pf, sigma0, yldfac, eqp];
         let fields = self.dynamic().into_iter().chain(material);
         rows().zip(fields).filter(|(_, f)| !f.is_detached()).map(|((n, c, _), f)| (n, c, f))
+    }
+
+    /// The first allocated array that does not sit at its slot's
+    /// [`phase`]: `None` for a state [`Self::blank`] built, and for its
+    /// clones (a [`Field3`] clone keeps its phase).
+    pub fn misplaced(&self) -> Option<&'static str> {
+        self.arrays().find(|&(name, _, f)| f.phase() != phase(name)).map(|(name, ..)| name)
     }
 
     /// Number of 3-D arrays the state carries (the §3 accounting).

@@ -82,6 +82,14 @@ impl<T> std::ops::IndexMut<Idx3> for Array3<T> {
     }
 }
 
+/// Bytes of one cache phase turn: a [`Field3`]'s origin can sit at any
+/// 4-byte phase modulo this, the page size and the span of L1 set indices.
+pub const PHASE_TURN: usize = 4096;
+
+/// Elements of slack every live [`Field3`] allocates beyond its padded
+/// length, so its origin can be moved to any phase of one turn.
+const SLACK: usize = PHASE_TURN / std::mem::size_of::<f32>();
+
 /// A single-precision scalar field with a halo of width `h` on every side.
 ///
 /// Interior coordinates are `0..nx` × `0..ny` × `0..nz`; the backing store is
@@ -89,25 +97,88 @@ impl<T> std::ops::IndexMut<Idx3> for Array3<T> {
 /// plain loads. All simulation state in the paper (velocity, stress,
 /// material, attenuation memory variables, plasticity arrays — the "over 35
 /// 3-D arrays" of the nonlinear case) is stored in fields of this shape.
-#[derive(Debug, Clone, PartialEq)]
+///
+/// The store is allocated [`SLACK`] elements longer than the padded field
+/// (calloc'd, so the untouched slack costs no page) and the field starts
+/// `lead` elements in, at the cache phase [`Self::at_phase`] was asked
+/// for; every accessor sees the padded field only. The allocation's size
+/// depends on the dims alone.
+#[derive(Debug)]
 pub struct Field3 {
     interior: Dims3,
     padded: Dims3,
     halo: usize,
-    data: Vec<f32>,
+    /// Offset of the padded origin in `store`, which is truncated to end
+    /// at the field's last element (the slack stays in its capacity).
+    lead: usize,
+    store: Vec<f32>,
+}
+
+impl Clone for Field3 {
+    /// A copy at the same cache phase, written once: the new store is
+    /// not zeroed first.
+    fn clone(&self) -> Self {
+        if self.store.is_empty() {
+            return Self::detached(self.interior, self.halo);
+        }
+        let mut store = Vec::with_capacity(self.store.capacity());
+        let lead = lead_for(&store, self.phase());
+        store.resize(lead, 0.0);
+        store.extend_from_slice(self.raw());
+        Self { lead, store, ..*self }
+    }
+}
+
+/// Elements from the start of `store`'s allocation to the first address
+/// at `phase` modulo [`PHASE_TURN`].
+fn lead_for(store: &[f32], phase: usize) -> usize {
+    let start = store.as_ptr() as usize % PHASE_TURN;
+    (phase + PHASE_TURN - start) % PHASE_TURN / std::mem::size_of::<f32>()
+}
+
+impl PartialEq for Field3 {
+    /// Same shape and same padded values; where the field sits does not
+    /// matter.
+    fn eq(&self, other: &Self) -> bool {
+        (self.interior, self.padded, self.halo) == (other.interior, other.padded, other.halo)
+            && self.raw() == other.raw()
+    }
 }
 
 impl Field3 {
-    /// Allocate a zero-filled field with interior `dims` and halo width `halo`.
+    /// Allocate a zero-filled field with interior `dims` and halo width `halo`
+    /// (at cache phase 0).
     pub fn new(dims: Dims3, halo: usize) -> Self {
+        Self::at_phase(dims, halo, 0)
+    }
+
+    /// Allocate a zero-filled field whose padded origin sits `phase` bytes
+    /// past a [`PHASE_TURN`] boundary. Arrays read at the same cell index
+    /// in one loop want distinct phases: at a shared one, cell `(x, y, z)`
+    /// of every array maps to the same L1 set.
+    pub fn at_phase(dims: Dims3, halo: usize, phase: usize) -> Self {
+        let size = std::mem::size_of::<f32>();
+        assert!(
+            phase < PHASE_TURN && phase.is_multiple_of(size),
+            "phase {phase} is not a 4-byte phase"
+        );
         let padded = dims.padded(halo);
-        Self { interior: dims, padded, halo, data: vec![0.0; padded.len()] }
+        let mut store = vec![0.0f32; padded.len() + SLACK];
+        let lead = lead_for(&store, phase);
+        store.truncate(lead + padded.len());
+        Self { interior: dims, padded, halo, lead, store }
     }
 
     /// Allocate filled with `value`.
     pub fn filled(dims: Dims3, halo: usize, value: f32) -> Self {
-        let padded = dims.padded(halo);
-        Self { interior: dims, padded, halo, data: vec![value; padded.len()] }
+        let mut f = Self::new(dims, halo);
+        f.raw_mut().fill(value);
+        f
+    }
+
+    /// Where the padded origin sits: its address modulo [`PHASE_TURN`].
+    pub fn phase(&self) -> usize {
+        self.raw().as_ptr() as usize % PHASE_TURN
     }
 
     /// Interior extents (excluding halo).
@@ -128,11 +199,12 @@ impl Field3 {
     /// Bytes resident in the padded allocation (halo included) — the
     /// working-set gauge the run timeline reports per field.
     pub fn resident_bytes(&self) -> usize {
-        self.data.len() * std::mem::size_of::<f32>()
+        std::mem::size_of_val(self.raw())
     }
 
-    /// Linear offset into the padded store for interior coords (may be
-    /// negative-side halo when `x` etc. come in as signed via `at_i`).
+    /// Linear offset into the padded field for interior coords (may be
+    /// negative-side halo when `x` etc. come in as signed via `at_i`);
+    /// the element sits at `lead` plus this in `store`.
     #[inline(always)]
     fn off(&self, x: usize, y: usize, z: usize) -> usize {
         self.padded.offset(x + self.halo, y + self.halo, z + self.halo)
@@ -141,14 +213,14 @@ impl Field3 {
     /// Read an interior (or halo, via signed coords) value.
     #[inline(always)]
     pub fn get(&self, x: usize, y: usize, z: usize) -> f32 {
-        self.data[self.off(x, y, z)]
+        self.store[self.lead + self.off(x, y, z)]
     }
 
     /// Write an interior value.
     #[inline(always)]
     pub fn set(&mut self, x: usize, y: usize, z: usize, v: f32) {
-        let o = self.off(x, y, z);
-        self.data[o] = v;
+        let o = self.lead + self.off(x, y, z);
+        self.store[o] = v;
     }
 
     /// Signed-coordinate read reaching into the halo: `x ∈ -h .. nx+h-1`.
@@ -157,7 +229,7 @@ impl Field3 {
         let h = self.halo as isize;
         debug_assert!(x >= -h && y >= -h && z >= -h);
         let o = self.padded.offset((x + h) as usize, (y + h) as usize, (z + h) as usize);
-        self.data[o]
+        self.store[self.lead + o]
     }
 
     /// Signed-coordinate write reaching into the halo.
@@ -165,18 +237,21 @@ impl Field3 {
     pub fn set_i(&mut self, x: isize, y: isize, z: isize, v: f32) {
         let h = self.halo as isize;
         debug_assert!(x >= -h && y >= -h && z >= -h);
-        let o = self.padded.offset((x + h) as usize, (y + h) as usize, (z + h) as usize);
-        self.data[o] = v;
+        let o =
+            self.lead + self.padded.offset((x + h) as usize, (y + h) as usize, (z + h) as usize);
+        self.store[o] = v;
     }
 
     /// Raw padded storage (memory order, includes halo).
+    #[inline(always)]
     pub fn raw(&self) -> &[f32] {
-        &self.data
+        &self.store[self.lead..]
     }
 
     /// Raw padded storage, mutable.
+    #[inline(always)]
     pub fn raw_mut(&mut self) -> &mut [f32] {
-        &mut self.data
+        &mut self.store[self.lead..]
     }
 
     /// The contiguous interior row (length `nz`) at `(x, y, 0..nz)` — the
@@ -185,17 +260,17 @@ impl Field3 {
     #[inline]
     pub fn row(&self, x: usize, y: usize) -> &[f32] {
         debug_assert!(x < self.interior.nx && y < self.interior.ny);
-        let o = self.off(x, y, 0);
-        &self.data[o..o + self.interior.nz]
+        let o = self.lead + self.off(x, y, 0);
+        &self.store[o..o + self.interior.nz]
     }
 
     /// Mutable contiguous interior row at `(x, y, 0..nz)`.
     #[inline]
     pub fn row_mut(&mut self, x: usize, y: usize) -> &mut [f32] {
         debug_assert!(x < self.interior.nx && y < self.interior.ny);
-        let o = self.off(x, y, 0);
+        let o = self.lead + self.off(x, y, 0);
         let nz = self.interior.nz;
-        &mut self.data[o..o + nz]
+        &mut self.store[o..o + nz]
     }
 
     /// Halo-extended row at signed `(x, y)`: spans `z ∈ [-h, nz+h)` so a
@@ -206,8 +281,8 @@ impl Field3 {
         let h = self.halo as isize;
         debug_assert!(x >= -h && y >= -h);
         debug_assert!(x < self.interior.nx as isize + h && y < self.interior.ny as isize + h);
-        let o = self.padded.offset((x + h) as usize, (y + h) as usize, 0);
-        &self.data[o..o + self.padded.nz]
+        let o = self.lead + self.padded.offset((x + h) as usize, (y + h) as usize, 0);
+        &self.store[o..o + self.padded.nz]
     }
 
     /// Per-tile halo-aware slice: the z-tile `[z0, z0+len)` of the row at
@@ -226,8 +301,8 @@ impl Field3 {
     #[inline]
     pub fn row_tile_mut(&mut self, x: usize, y: usize, z0: usize, len: usize) -> &mut [f32] {
         debug_assert!(z0 + len <= self.interior.nz);
-        let o = self.off(x, y, z0);
-        &mut self.data[o..o + len]
+        let o = self.lead + self.off(x, y, z0);
+        &mut self.store[o..o + len]
     }
 
     /// A detached placeholder: records the shape of a field whose payload
@@ -235,12 +310,12 @@ impl Field3 {
     /// f32 storage — `resident_bytes()` is 0 and any element access panics
     /// loudly instead of returning stale zeros.
     pub fn detached(dims: Dims3, halo: usize) -> Self {
-        Self { interior: dims, padded: dims.padded(halo), halo, data: Vec::new() }
+        Self { interior: dims, padded: dims.padded(halo), halo, lead: 0, store: Vec::new() }
     }
 
     /// Whether this field is a detached placeholder (no storage).
     pub fn is_detached(&self) -> bool {
-        self.data.is_empty() && !self.padded.is_empty()
+        self.store.is_empty() && !self.padded.is_empty()
     }
 
     /// Values per padded x-plane (`padded.ny * padded.nz`).
@@ -255,16 +330,16 @@ impl Field3 {
     #[inline]
     pub fn plane(&self, p: usize) -> &[f32] {
         debug_assert!(p < self.padded.nx);
-        let len = self.plane_len();
-        &self.data[p * len..(p + 1) * len]
+        let (len, o) = (self.plane_len(), self.lead);
+        &self.store[o + p * len..o + (p + 1) * len]
     }
 
     /// Mutable contiguous padded x-plane `p`.
     #[inline]
     pub fn plane_mut(&mut self, p: usize) -> &mut [f32] {
         debug_assert!(p < self.padded.nx);
-        let len = self.plane_len();
-        &mut self.data[p * len..(p + 1) * len]
+        let (len, o) = (self.plane_len(), self.lead);
+        &mut self.store[o + p * len..o + (p + 1) * len]
     }
 
     /// Copy `n` padded x-planes from `src` (starting at `src_p`) into this
@@ -276,8 +351,8 @@ impl Field3 {
         assert_eq!(self.plane_len(), src.plane_len(), "plane shapes must match");
         assert!(src_p + n <= src.padded.nx && dst_p + n <= self.padded.nx);
         let len = self.plane_len();
-        self.data[dst_p * len..(dst_p + n) * len]
-            .copy_from_slice(&src.data[src_p * len..(src_p + n) * len]);
+        self.raw_mut()[dst_p * len..(dst_p + n) * len]
+            .copy_from_slice(&src.raw()[src_p * len..(src_p + n) * len]);
     }
 
     /// Fill interior from a closure over interior coordinates.
@@ -503,6 +578,56 @@ mod tests {
         assert_eq!(f.resident_bytes(), 0);
         let live = Field3::new(Dims3::new(4, 5, 6), 2);
         assert!(!live.is_detached());
+    }
+
+    #[test]
+    fn a_field_starts_at_the_phase_it_asked_for_and_its_clone_keeps_it() {
+        let d = Dims3::new(5, 4, 3);
+        for phase in [0, 4, 144, 2016, PHASE_TURN - 4] {
+            let mut f = Field3::at_phase(d, 2, phase);
+            assert_eq!(f.phase(), phase);
+            f.set(4, 3, 2, 7.0);
+            let c = f.clone();
+            assert_eq!((c.phase(), c.get(4, 3, 2)), (phase, 7.0));
+        }
+    }
+
+    #[test]
+    fn raw_is_the_padded_field_and_nothing_of_the_pad() {
+        let d = Dims3::new(3, 4, 5);
+        let f = Field3::at_phase(d, 2, 1000);
+        assert_eq!(f.raw().len(), d.padded(2).len());
+        assert_eq!(f.resident_bytes(), d.padded(2).len() * 4);
+        let g = Field3::filled(d, 2, 1.5);
+        assert!(g.raw().iter().all(|&v| v == 1.5));
+        assert_eq!(g.raw().len(), d.padded(2).len());
+    }
+
+    #[test]
+    fn equality_ignores_the_pad() {
+        let d = Dims3::new(3, 4, 5);
+        let mut a = Field3::at_phase(d, 2, 0);
+        let mut b = Field3::at_phase(d, 2, 2048);
+        assert_ne!(a.phase(), b.phase());
+        assert_eq!(a, b);
+        a.set_i(-2, 0, 0, 3.0);
+        assert_ne!(a, b);
+        b.set_i(-2, 0, 0, 3.0);
+        assert_eq!(a, b);
+        // Shape still counts: same values, other halo.
+        assert_ne!(Field3::new(Dims3::cube(1), 0), Field3::new(Dims3::cube(1), 1));
+        assert_ne!(Field3::new(d, 2), Field3::detached(d, 2));
+    }
+
+    #[test]
+    fn detached_fields_own_nothing_and_clone_detached() {
+        let f = Field3::detached(Dims3::new(4, 5, 6), 2);
+        let c = f.clone();
+        for f in [&f, &c] {
+            assert!(f.is_detached() && f.raw().is_empty());
+            assert_eq!((f.resident_bytes(), f.store.capacity()), (0, 0));
+        }
+        assert_eq!(f, c);
     }
 
     #[test]

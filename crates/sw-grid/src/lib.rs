@@ -22,7 +22,7 @@ pub mod halo;
 pub mod simd;
 pub mod tile;
 
-pub use array3::{Array3, Field3};
+pub use array3::{Array3, Field3, PHASE_TURN};
 pub use dims::{Dims3, Idx3};
 pub use halo::{Face, HaloSpec};
 pub use tile::{AthreadLayout, CgBlock, LdmWindow, TileIter};

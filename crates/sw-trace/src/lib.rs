@@ -10,8 +10,8 @@
 //!   [`Tracer::span_closed`] only a length, ending now), e.g. one
 //!   `step.velocity` span per time step;
 //! * **instant events** — points in time with numeric arguments
-//!   ([`Tracer::instant`]), e.g. one `compress.roundtrip` event per step
-//!   carrying the raw and encoded bytes.
+//!   ([`Tracer::instant`]), e.g. one `io.checkpoint` event per generation
+//!   carrying its bytes and step, or one `halo.send` per message.
 //!
 //! Events land in **lanes**: one lane per recording thread, mapped to a
 //! Chrome `(pid, tid)` pair. A rank runner binds its threads to named

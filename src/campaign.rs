@@ -117,6 +117,11 @@ pub fn run_campaign_file(
 /// state. glibc adapts how much it keeps to the largest mapped block it
 /// has seen freed (up to 32 MiB), so one untouched allocation, freed
 /// here, settles that for the process. Other allocators ignore it.
+///
+/// This is about page faults only. Where each array sits in the cache
+/// (its phase modulo 4 KiB) is set by `SolverState::blank` from the
+/// allocation's own address, so a member's arrays are placed the same
+/// with or without this, and the same as under `swquake run`.
 fn retain_freed_heap() {
     drop(std::hint::black_box(Vec::<u8>::with_capacity(31 << 20)));
 }

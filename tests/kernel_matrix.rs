@@ -25,13 +25,14 @@ mod oracle;
 use oracle::kernels as naive;
 use std::sync::Mutex;
 use swquake::compress::{calibrated_codec, max_abs_bucket, Codec, Codec16, FieldStats};
-use swquake::core::driver::COMPRESSED_FIELDS;
+use swquake::core::driver::{run_multirank, COMPRESSED_FIELDS};
 use swquake::core::kernels::{self, Region};
-use swquake::core::state::{ArrayClass, PlasticityConfig, SolverState, StateOptions};
+use swquake::core::state::{self, ArrayClass, PlasticityConfig, SolverState, StateOptions};
 use swquake::core::{ExecMode, ExecPath, ResidentMode, SimConfig, Simulation};
 use swquake::grid::simd::{per_tier, LaneTier};
 use swquake::grid::{Dims3, Field3};
 use swquake::model::LayeredModel;
+use swquake::parallel::RankGrid;
 use swquake::source::{MomentTensor, PointSource, SourceTimeFunction};
 
 /// The pool width is process-wide; tests that set it take turns.
@@ -492,6 +493,64 @@ fn each_physics_carries_exactly_its_arrays_and_a_step_touches_no_other() {
             }
         }
     });
+}
+
+/// Every array `s` carries sits at its slot's cache phase
+/// (`state::phase`), and no two arrays share one.
+fn assert_placed(s: &SolverState, what: &str) {
+    let mut phases = Vec::new();
+    for (name, _, f) in s.arrays() {
+        assert_eq!(f.phase(), state::phase(name), "`{name}` {what}");
+        phases.push(f.phase());
+    }
+    let count = phases.len();
+    phases.sort_unstable();
+    phases.dedup();
+    assert_eq!(phases.len(), count, "{what}: two arrays share a phase");
+}
+
+/// The placement axis: wherever a state comes from — sampled from a
+/// model, cloned (the campaign's cached-state path), restored from a
+/// checkpoint, resumed from the store — each array sits at its slot's
+/// cache phase (DESIGN.md, "Array placement"). Rank pieces are states
+/// `Simulation` builds itself; it checks each as it builds it (a debug
+/// assertion, which this suite runs under), on a fresh and on a resumed
+/// 2×2 grid here.
+#[test]
+fn every_array_sits_at_its_slots_cache_phase() {
+    let dir = std::env::temp_dir().join(format!("swquake_placement_{}", std::process::id()));
+    let model = LayeredModel::north_china();
+    let dims = (12, 10, 9);
+    for physics in Physics::KERNEL_LEVEL {
+        let base = noisy_state(dims, physics, 3);
+        assert_placed(&base, &format!("{physics:?} from the model"));
+        assert_placed(&base.clone(), &format!("{physics:?} cloned"));
+        let ckpt_dir = dir.join(format!("{physics:?}"));
+        let _ = std::fs::remove_dir_all(&ckpt_dir);
+        let mut plain = SimConfig::new(base.dims, base.dx, 4).with_sources(vec![source(dims)]);
+        plain.options = base.options;
+        let cfg = plain.clone().with_checkpoint_dir(&ckpt_dir).with_checkpoint_interval(2);
+        let mut sim = Simulation::new(&model, &cfg).expect("valid config");
+        sim.run(4);
+        let ckpt = sim.make_checkpoint();
+        drop(sim);
+        let mut restored = Simulation::new_with_state(base.clone(), &plain).expect("valid config");
+        restored.restore(&ckpt).expect("a checkpoint of this run");
+        assert_placed(&restored.state, &format!("{physics:?} restored"));
+        let resumed = Simulation::new(&model, &cfg.clone().with_resume(true)).expect("resumes");
+        assert_eq!(resumed.resumed().map(|r| r.step), Some(4));
+        assert_placed(&resumed.state, &format!("{physics:?} resumed"));
+        drop(resumed);
+        let grid = RankGrid::new(2, 2);
+        let on_grid = cfg.with_checkpoint_dir(dir.join("grid"));
+        run_multirank(&model, &on_grid, grid).expect("a 2x2 run");
+        let mut again = on_grid.with_resume(true);
+        again.steps = 6;
+        let resumed = run_multirank(&model, &again, grid).expect("a 2x2 resume");
+        assert_eq!(resumed.resume.map(|r| r.step), Some(4));
+        let _ = std::fs::remove_dir_all(dir.join("grid"));
+    }
+    let _ = std::fs::remove_dir_all(&dir);
 }
 
 /// Compressed-resident runs stream slabs through the same bodies on the

@@ -216,19 +216,21 @@ pub fn drprecpc_app_region(s: &mut SolverState, x_range: Range<usize>) {
                     continue;
                 }
                 let (sxx, syy, szz) = (s.xx.get(x, y, z), s.yy.get(x, y, z), s.zz.get(x, y, z));
+                let (sxy, sxz, syz) = (s.xy.get(x, y, z), s.xz.get(x, y, z), s.yz.get(x, y, z));
                 let mean = (sxx + syy + szz) / 3.0;
                 s.xx.set(x, y, z, mean + r * (sxx - mean));
                 s.yy.set(x, y, z, mean + r * (syy - mean));
                 s.zz.set(x, y, z, mean + r * (szz - mean));
-                s.xy.set(x, y, z, r * s.xy.get(x, y, z));
-                s.xz.set(x, y, z, r * s.xz.get(x, y, z));
-                s.yz.set(x, y, z, r * s.yz.get(x, y, z));
-                // plastic strain increment ~ the relaxed deviatoric stress
-                // over the shear modulus
+                s.xy.set(x, y, z, r * sxy);
+                s.xz.set(x, y, z, r * sxz);
+                s.yz.set(x, y, z, r * syz);
+                // Equivalent plastic strain of Δεᵖ = (1 − r)·s/(2μ):
+                // √(⅔ Δεᵖ:Δεᵖ) = (1 − r)·√J₂/(√3·μ).
+                let (dxx, dyy, dzz) = (sxx - mean, syy - mean, szz - mean);
+                let j2 =
+                    0.5 * (dxx * dxx + dyy * dyy + dzz * dzz) + sxy * sxy + sxz * sxz + syz * syz;
                 let mu = s.mu.get(x, y, z).max(1.0);
-                let tau_rel = (1.0 - r)
-                    * ((sxx - mean).powi(2) + (syy - mean).powi(2) + (szz - mean).powi(2)).sqrt();
-                s.eqp.set(x, y, z, s.eqp.get(x, y, z) + tau_rel / mu);
+                s.eqp.set(x, y, z, s.eqp.get(x, y, z) + (1.0 - r) * j2.sqrt() / (3f32.sqrt() * mu));
             }
         }
     }
