@@ -36,6 +36,7 @@ use crate::flops::{
     DVELC_FLOPS, FSTR_FLOPS,
 };
 use crate::health::HealthMonitor;
+use crate::kernels::sponge::{damped_arrays, WAVEFIELDS};
 use crate::kernels::{self, Region};
 use crate::resident::{ResidentEngine, ResidentMode, RESIDENT_FIELDS, SIDECAR_FIELD};
 use crate::staggered::stable_dt;
@@ -415,7 +416,12 @@ struct LedgerRow {
 /// kernel's bytes and seconds split by flop share between `dstrqc` and
 /// `attenuation`. The sponge counts the cells its bands hold, one
 /// multiply per damped array; the model prices it over the whole mesh.
-fn ledger_rows(state: &SolverState, compression: bool) -> Vec<LedgerRow> {
+/// Off the resident engine, the taper's multiplies are counted on the
+/// stores that carry them (DESIGN "The tail rides the stores"): the
+/// memory variables' on `attenuation`, a nonlinear state's wavefields on
+/// `drprecpc`; the `sponge` row is the standalone pass that is left, and
+/// a nonlinear state has none.
+fn ledger_rows(state: &SolverState, compression: bool, resident: bool) -> Vec<LedgerRow> {
     let (dims, o) = (state.dims, &state.options);
     let costs = step_costs(dims, o.nonlinear, compression);
     let cells = dims.len() as u64;
@@ -432,6 +438,9 @@ fn ledger_rows(state: &SolverState, compression: bool) -> Vec<LedgerRow> {
             model_seconds: seconds * share,
         }
     };
+    let damped = state.sponge.damped_cells(dims);
+    let taper = |arrays: usize| if resident { 0.0 } else { (damped * arrays as u64) as f64 };
+    let memory = damped_arrays(o) - WAVEFIELDS;
     let att = if o.attenuation { ATTENUATION_FLOPS / DSTRQC_FLOPS } else { 0.0 };
     let mut rows = vec![
         row("fstr", (dims.nx * dims.ny) as u64, FSTR_FLOPS, &["fstr"], 1.0),
@@ -439,14 +448,20 @@ fn ledger_rows(state: &SolverState, compression: bool) -> Vec<LedgerRow> {
         row("dstrqc", cells, DSTRQC_FLOPS - ATTENUATION_FLOPS, &["dstrqc"], 1.0 - att),
     ];
     if o.attenuation {
-        rows.push(row("attenuation", cells, ATTENUATION_FLOPS, &["dstrqc"], att));
+        let mut attenuation = row("attenuation", cells, ATTENUATION_FLOPS, &["dstrqc"], att);
+        attenuation.flops += taper(memory);
+        rows.push(attenuation);
     }
     if o.nonlinear {
         let flops = DRPRECPC_CALC_FLOPS + DRPRECPC_APP_FLOPS;
-        rows.push(row("drprecpc", cells, flops, &["drprecpc_calc", "drprecpc_app"], 1.0));
+        let mut walk = row("drprecpc", cells, flops, &["drprecpc_calc", "drprecpc_app"], 1.0);
+        walk.flops += taper(WAVEFIELDS);
+        rows.push(walk);
     }
-    let damped = kernels::sponge::damped_arrays(o) as f64;
-    rows.push(row("sponge", state.sponge.damped_cells(dims), damped, &["sponge"], 1.0));
+    if resident || !o.nonlinear {
+        let arrays = if resident { WAVEFIELDS + memory } else { WAVEFIELDS };
+        rows.push(row("sponge", damped, arrays as f64, &["sponge"], 1.0));
+    }
     if compression {
         rows.push(row("compression", cells, 0.0, &["compression"], 1.0));
     }
@@ -851,7 +866,7 @@ impl Simulation {
             record_resident_memory(tl, rank, &state, resident.as_ref());
             tl.set_resident_mode(config.resident.to_string());
         }
-        let mut rows = ledger_rows(&state, compression.is_some());
+        let mut rows = ledger_rows(&state, compression.is_some(), resident.is_some());
         rows.extend(link.as_ref().map(|l| halo_row(&l.comm, d)));
         Self {
             state,
@@ -1032,10 +1047,10 @@ impl Simulation {
         self.health.as_ref().is_some_and(|m| m.wants_compression_sample(self.step_count + 1))
     }
 
-    /// First half of the step: free-surface imaging + the velocity
-    /// update, on the f32 arrays or — compressed-resident — tile by tile
-    /// through the engine, which images the free surface inside its
-    /// sweep.
+    /// First half of the step: the stress image + the velocity update,
+    /// which images `w` as it stores it, on the f32 arrays or —
+    /// compressed-resident — tile by tile through the engine, which
+    /// images the free surface inside its sweep.
     fn velocity_half(&mut self) {
         let pool = self.path.is_parallel();
         let whole = Region::whole(self.state.dims);
@@ -1047,44 +1062,51 @@ impl Simulation {
                     engine.sample_encode_errors();
                 }
             }
-            None => self.span(Stage::FREE_SURFACE, |s| kernels::fstr(&mut s.state)),
+            None => self.span(Stage::FREE_SURFACE, |s| {
+                kernels::fstr_stress_region(&mut s.state, whole.x.clone());
+            }),
         }
         self.span(Stage::VELOCITY, |s| match &mut s.resident {
             Some(engine) => engine.velocity_sweep(&s.state),
-            None => kernels::dvelc_region(&mut s.state, &whole, pool),
+            None => kernels::dvelc_region(&mut s.state, &whole, pool, true),
         });
     }
 
     /// Second half of the step: stress update, source injection,
-    /// plasticity, sponge, and the §6.5 compression round trip. The
-    /// engine fuses plasticity into its sponge sweep, and validation
-    /// keeps the round trip off it (it stores 16-bit already).
+    /// plasticity, sponge, and the §6.5 compression round trip. The taper
+    /// rides the stores that come last (DESIGN "The tail rides the
+    /// stores"): `dstrqc` damps the memory variables, the return-mapping
+    /// walk the wavefields of a nonlinear state, and only an elastic
+    /// state's wavefields take a pass of their own — `addsrc` sits
+    /// between their stress store and the taper. The engine fuses
+    /// plasticity into its own sponge sweep, and validation keeps the
+    /// round trip off it (it stores 16-bit already).
     fn stress_half(&mut self) {
         let pool = self.path.is_parallel();
         let whole = Region::whole(self.state.dims);
         let nx = self.state.dims.nx;
-        if self.resident.is_none() {
-            self.span(Stage::FREE_SURFACE, |s| kernels::fstr(&mut s.state));
-        }
+        let nonlinear = self.state.options.nonlinear;
+        let taper = self.state.sponge.clone();
         self.span(Stage::STRESS, |s| match &mut s.resident {
             Some(engine) => engine.stress_sweep(&s.state),
-            None => kernels::dstrqc_region(&mut s.state, &whole, pool),
+            None => kernels::dstrqc_region(&mut s.state, &whole, pool, Some(&taper)),
         });
         self.span(Stage::SOURCE, |s| match &mut s.resident {
             Some(engine) => engine.inject_sources(&s.state, &s.sources, s.time),
             None => kernels::addsrc(&mut s.state, &s.sources, s.time),
         });
-        if self.resident.is_none() && self.state.options.nonlinear {
-            self.span(Stage::PLASTICITY, |s| {
-                kernels::drprecpc_calc_region(&mut s.state, 0..nx, pool);
-                kernels::drprecpc_app_region(&mut s.state, 0..nx, pool);
-            });
-        }
-        if self.resident.as_ref().is_none_or(ResidentEngine::wants_plastic_sponge) {
-            self.span(Stage::SPONGE, |s| match &mut s.resident {
-                Some(engine) => engine.plastic_sponge_sweep(&mut s.state),
-                None => kernels::apply_sponge_region(&mut s.state, 0..nx, pool),
-            });
+        match &self.resident {
+            None if nonlinear => self.span(Stage::PLASTICITY, |s| {
+                kernels::drprecpc_region(&mut s.state, 0..nx, pool);
+            }),
+            None => self.span(Stage::SPONGE, |s| {
+                kernels::taper_wavefields_region(&mut s.state, 0..nx, pool);
+            }),
+            Some(engine) if engine.wants_plastic_sponge() => self.span(Stage::SPONGE, |s| {
+                let engine = s.resident.as_mut().expect("matched above");
+                engine.plastic_sponge_sweep(&mut s.state);
+            }),
+            Some(_) => {}
         }
         self.compression_roundtrip();
     }
@@ -2209,25 +2231,31 @@ mod tests {
 
     /// Every modeled kernel's row joins the cost table (cells, bytes,
     /// roofline fraction) with a measured wall, and the rows' flops are
-    /// the run's flop total.
+    /// the run's flop total. A nonlinear step has no standalone sponge
+    /// pass, so no `sponge` row: its taper rides the return-mapping walk.
     #[test]
     fn ledger_joins_the_cost_table_and_measured_walls() {
-        let mut cfg = explosion_config(8)
-            .with_telemetry(Telemetry::enabled())
-            .with_perf(Arc::new(PerfRecorder::new()));
-        cfg.options.nonlinear = true;
-        let model = HalfspaceModel::hard_rock();
-        let mut sim = Simulation::new(&model, &cfg).expect("valid config");
-        sim.run(cfg.steps);
-        let ledger = sim.perf_ledger().expect("recorder armed");
-        for name in ["fstr", "dvelc", "dstrqc", "drprecpc", "sponge"] {
-            let k = ledger.kernel(name).unwrap_or_else(|| panic!("no `{name}` row"));
-            assert!(k.wall_s > 0.0 && k.calls > 0, "{name} has no measured wall: {k:?}");
-            assert!(k.cells > 0 && k.dma_bytes > 0, "{name} has no modeled work: {k:?}");
-            assert!(k.roofline_fraction > 0.0, "{name} has no roofline fraction: {k:?}");
+        for nonlinear in [true, false] {
+            let mut cfg = explosion_config(8)
+                .with_telemetry(Telemetry::enabled())
+                .with_perf(Arc::new(PerfRecorder::new()));
+            cfg.options.nonlinear = nonlinear;
+            let model = HalfspaceModel::hard_rock();
+            let mut sim = Simulation::new(&model, &cfg).expect("valid config");
+            sim.run(cfg.steps);
+            let ledger = sim.perf_ledger().expect("recorder armed");
+            let tail = if nonlinear { "drprecpc" } else { "sponge" };
+            for name in ["fstr", "dvelc", "dstrqc", tail] {
+                let k = ledger.kernel(name).unwrap_or_else(|| panic!("no `{name}` row"));
+                assert!(k.wall_s > 0.0 && k.calls > 0, "{name} has no measured wall: {k:?}");
+                assert!(k.cells > 0 && k.dma_bytes > 0, "{name} has no modeled work: {k:?}");
+                assert!(k.roofline_fraction > 0.0, "{name} has no roofline fraction: {k:?}");
+            }
+            let gone = if nonlinear { "sponge" } else { "drprecpc" };
+            assert!(ledger.kernel(gone).is_none(), "nonlinear {nonlinear}: a `{gone}` row");
+            let flops: f64 = ledger.kernels.iter().map(|k| k.flops).sum();
+            assert_eq!(flops, sim.flops.flops);
         }
-        let flops: f64 = ledger.kernels.iter().map(|k| k.flops).sum();
-        assert_eq!(flops, sim.flops.flops);
     }
 
     /// The ledger's per-step rows against the numbers the driver's own
@@ -2236,7 +2264,11 @@ mod tests {
     /// modeled seconds)` — except the sponge's cells and flops, which
     /// those tables charged over every cell. Those are counted here from
     /// what one sponge pass changes on an all-ones state: the cells whose
-    /// `u` it changes, and every value it changes.
+    /// `u` it changes, and every value it changes. Off the resident
+    /// engine the taper's multiplies move to the stores that carry them:
+    /// the memory variables' to `attenuation`, a nonlinear state's
+    /// wavefields to `drprecpc` (whose `sponge` row goes), so the total
+    /// stays.
     #[test]
     fn ledger_rows_match_the_recorded_charge_tables() {
         type Row = (&'static str, u64, f64, u64, f64);
@@ -2320,21 +2352,50 @@ mod tests {
             let changed =
                 |f: &Field3| dims.iter().filter(|&(x, y, z)| f.get(x, y, z) != 1.0).count();
             let cells = changed(&state.u) as u64;
-            let values = state.dynamic().into_iter().filter(|f| !f.is_detached()).map(changed);
-            let flops = values.sum::<usize>() as f64;
+            let values = |fields: &[&Field3]| {
+                fields.iter().filter(|f| !f.is_detached()).map(|f| changed(f)).sum::<usize>() as f64
+            };
+            let dynamic = state.dynamic();
+            let (wavefields, memory) = (values(&dynamic[..9]), values(&dynamic[9..]));
             assert!(0 < cells && cells < dims.len() as u64, "{dims}: {cells} damped cells");
-            let want: Vec<Row> = want
-                .iter()
-                .map(|&row| match row {
-                    ("sponge", _, _, bytes, seconds) => ("sponge", cells, flops, bytes, seconds),
-                    other => other,
-                })
-                .collect();
-            let got: Vec<Row> = ledger_rows(&state, compression)
-                .iter()
-                .map(|r| (r.name, r.cells, r.flops, r.dma_bytes, r.model_seconds))
-                .collect();
-            assert_eq!(got, want, "{dims} nonlinear {nonlinear} attenuation {attenuation}");
+            for resident in [true, false] {
+                let mut want: Vec<Row> = want
+                    .iter()
+                    .map(|&row| match row {
+                        ("sponge", _, _, bytes, seconds) => {
+                            let flops = if resident { wavefields + memory } else { wavefields };
+                            ("sponge", cells, flops, bytes, seconds)
+                        }
+                        ("attenuation", c, flops, b, t) if !resident => {
+                            (row.0, c, flops + memory, b, t)
+                        }
+                        ("drprecpc", c, flops, b, t) if !resident => {
+                            (row.0, c, flops + wavefields, b, t)
+                        }
+                        other => other,
+                    })
+                    .collect();
+                if !resident && nonlinear {
+                    want.retain(|row| row.0 != "sponge");
+                }
+                let got: Vec<Row> = ledger_rows(&state, compression, resident)
+                    .iter()
+                    .map(|r| (r.name, r.cells, r.flops, r.dma_bytes, r.model_seconds))
+                    .collect();
+                let what = format!("{dims} nonlinear {nonlinear} attenuation {attenuation}");
+                assert_eq!(got, want, "{what} resident {resident}");
+                let total = |rows: &[Row]| rows.iter().map(|r| r.2).sum::<f64>();
+                if !resident {
+                    let all = ledger_rows(&state, compression, true);
+                    let all: Vec<Row> =
+                        all.iter().map(|r| (r.name, r.cells, r.flops, 0, 0.0)).collect();
+                    assert_eq!(
+                        total(&got),
+                        total(&all),
+                        "{what}: the taper's flops moved, not changed"
+                    );
+                }
+            }
         }
     }
 

@@ -7,15 +7,17 @@
 //! fold-partials-in-plane-order discipline the solver's kernels use,
 //! so a health record is **bit-identical** whether the run executes
 //! serially or on the Rayon pool. The monitor is sampled every
-//! `health.stride` steps from `finish_step`, keeping a healthy 64³
-//! production run's overhead under 2% at the default stride.
+//! `health.stride` steps from `finish_step`; at the default stride a
+//! healthy 64³ production run pays +5–9 % for it
+//! (`bench_health_overhead`, EXPERIMENTS "Health-monitor overhead").
 
 use std::sync::Arc;
 
 use crate::error::UnstableError;
-use crate::state::{ArrayClass, SolverState};
+use crate::state::{kinetic_energy_row, ArrayClass, SolverState};
 use rayon::prelude::*;
 use sw_compress::errstats::RoundtripError;
+use sw_grid::simd::wide;
 use sw_grid::Field3;
 use sw_health::{
     BudgetTracker, CflInfo, CompressionSample, Fatal, FieldProbe, FieldSnapshot, HealthConfig,
@@ -42,69 +44,105 @@ struct PlaneScan {
     first_bad: Option<(usize, usize)>,
 }
 
+/// One x-plane of `field`, scanned inside
+/// [`wide`](sw_grid::simd::wide): the lane folds below are compiled for
+/// the host's lane tier.
 fn scan_plane(field: &Field3, x: usize) -> PlaneScan {
-    let d = field.dims();
-    let mut s = PlaneScan::default();
-    for y in 0..d.ny {
-        let zs = &field.row(x, y)[..d.nz];
-        // Fast path: a lane-split max/finiteness fold over the run —
-        // eight independent accumulators so the loop vectorizes
-        // instead of serializing on one compare chain. `max` is
-        // order-independent, so the lane split changes nothing.
-        // `a > max` is false for NaN, so a NaN can hide from the max —
-        // the finiteness fold catches it and routes to the slow scan.
-        let mut mx = [0.0f32; 8];
-        // `is_subnormal` tests bits; a float compare would not do, as
-        // the probe runs in the kernels' flush-to-zero mode, where a
-        // subnormal operand reads as zero.
-        let mut sub = [0u32; 8];
-        let mut nonfinite = 0u32;
-        let mut runs = zs.chunks_exact(8);
-        for run in &mut runs {
-            for l in 0..8 {
-                let a = run[l].abs();
-                if a > mx[l] {
-                    mx[l] = a;
-                }
-                sub[l] += u32::from(run[l].is_subnormal());
-                nonfinite |= u32::from(!run[l].is_finite());
+    wide(
+        #[inline(always)]
+        || {
+            let d = field.dims();
+            let mut s = PlaneScan::default();
+            for y in 0..d.ny {
+                scan_row(&mut s, &field.row(x, y)[..d.nz], y);
             }
+            s
+        },
+    )
+}
+
+/// One x-plane of the three velocities and its kinetic energy, in one
+/// walk of their rows (inside `wide`, as [`scan_plane`]): `u`, `v` and
+/// `w` are read once per probe. The energy is
+/// [`SolverState::kinetic_energy`]'s plane partial, bit for bit.
+fn scan_velocity_plane(state: &SolverState, x: usize) -> ([PlaneScan; 3], f64) {
+    wide(
+        #[inline(always)]
+        || {
+            let d = state.dims;
+            let mut scans = [PlaneScan::default(); 3];
+            let mut energy = 0.0f64;
+            for y in 0..d.ny {
+                let rows = [&state.u, &state.v, &state.w].map(|f| &f.row(x, y)[..d.nz]);
+                for (scan, row) in scans.iter_mut().zip(rows) {
+                    scan_row(scan, row, y);
+                }
+                kinetic_energy_row(rows, state.rho.row(x, y), &mut energy);
+            }
+            (scans, energy)
+        },
+    )
+}
+
+/// Fold row `y` (its interior `zs`) into its plane's scan.
+#[inline(always)]
+fn scan_row(s: &mut PlaneScan, zs: &[f32], y: usize) {
+    // Fast path: a lane-split max/finiteness fold over the run — eight
+    // independent accumulators so the loop vectorizes instead of
+    // serializing on one compare chain. `max` is order-independent, so
+    // the lane split changes nothing. `a > max` is false for NaN, so a
+    // NaN can hide from the max — the finiteness fold catches it and
+    // routes to the slow scan.
+    let mut mx = [0.0f32; 8];
+    // `is_subnormal` tests bits; a float compare would not do, as the
+    // probe runs in the kernels' flush-to-zero mode, where a subnormal
+    // operand reads as zero.
+    let mut sub = [0u32; 8];
+    let mut nonfinite = 0u32;
+    let mut runs = zs.chunks_exact(8);
+    for run in &mut runs {
+        for l in 0..8 {
+            let a = run[l].abs();
+            if a > mx[l] {
+                mx[l] = a;
+            }
+            sub[l] += u32::from(run[l].is_subnormal());
+            nonfinite |= u32::from(!run[l].is_finite());
         }
-        for &v in runs.remainder() {
+    }
+    for &v in runs.remainder() {
+        let a = v.abs();
+        if a > mx[0] {
+            mx[0] = a;
+        }
+        sub[0] += u32::from(v.is_subnormal());
+        nonfinite |= u32::from(!v.is_finite());
+    }
+    s.subnormal += sub.iter().map(|&n| u64::from(n)).sum::<u64>();
+    if nonfinite == 0 {
+        let max_abs = mx.iter().fold(0.0f32, |m, &v| if v > m { v } else { m });
+        if max_abs > s.max_abs {
+            s.max_abs = max_abs;
+        }
+        return;
+    }
+    for (z, &v) in zs.iter().enumerate() {
+        if v.is_finite() {
             let a = v.abs();
-            if a > mx[0] {
-                mx[0] = a;
+            if a > s.max_abs {
+                s.max_abs = a;
             }
-            sub[0] += u32::from(v.is_subnormal());
-            nonfinite |= u32::from(!v.is_finite());
-        }
-        s.subnormal += sub.iter().map(|&n| u64::from(n)).sum::<u64>();
-        if nonfinite == 0 {
-            let max_abs = mx.iter().fold(0.0f32, |m, &v| if v > m { v } else { m });
-            if max_abs > s.max_abs {
-                s.max_abs = max_abs;
-            }
-            continue;
-        }
-        for (z, &v) in zs.iter().enumerate() {
-            if v.is_finite() {
-                let a = v.abs();
-                if a > s.max_abs {
-                    s.max_abs = a;
-                }
+        } else {
+            if v.is_nan() {
+                s.nan += 1;
             } else {
-                if v.is_nan() {
-                    s.nan += 1;
-                } else {
-                    s.inf += 1;
-                }
-                if s.first_bad.is_none() {
-                    s.first_bad = Some((y, z));
-                }
+                s.inf += 1;
+            }
+            if s.first_bad.is_none() {
+                s.first_bad = Some((y, z));
             }
         }
     }
-    s
 }
 
 /// Scan one field into a [`FieldProbe`]. Plane partials are folded in
@@ -148,6 +186,14 @@ fn fold_planes(name: &'static str, planes: &[PlaneScan]) -> FieldProbe {
     probe
 }
 
+/// One item of the probe's plane walk: x-plane `x` of the three
+/// velocities with its kinetic energy, or of one stress.
+#[derive(Clone, Copy)]
+enum ProbeItem {
+    Velocities([PlaneScan; 3], f64),
+    Stress(PlaneScan),
+}
+
 /// Probe the full state: all nine wavefields plus the kinetic energy.
 fn probe_state(
     state: &SolverState,
@@ -156,30 +202,52 @@ fn probe_state(
     time: f64,
     rank: usize,
 ) -> StepProbe {
-    // All nine scans share ONE parallel region over the flattened
-    // (field, plane) index space: the pool's per-region fan-out cost is
-    // paid once instead of nine times, and 9·nx plane tasks balance
-    // better than nine separate nx-plane rounds. The per-plane partial
-    // and the per-field fold are exactly [`scan_field`]'s, so the probe
-    // stays bit-identical to the field-at-a-time serial scan.
+    // All scans share ONE parallel region over the flattened (plane,
+    // item) index space, so the pool's per-region fan-out cost is paid
+    // once. Each x-plane holds seven items — the velocities with the
+    // kinetic energy (one walk over `u`, `v`, `w` and `ρ`), then the six
+    // stresses — so every slab of the walk carries the same mix. The
+    // per-plane partials and the per-field fold are exactly
+    // [`scan_field`]'s, and the energy partials fold in plane order as
+    // [`SolverState::kinetic_energy`]'s do, so the probe stays
+    // bit-identical to the field-at-a-time serial scan.
     let monitored = monitored_fields(state);
-    let nx = state.dims.nx;
-    let planes: Vec<PlaneScan> = if parallel {
-        (0..monitored.len() * nx)
-            .into_par_iter()
-            .map(|k| scan_plane(monitored[k / nx].1, k % nx))
-            .collect()
-    } else {
-        (0..monitored.len() * nx).map(|k| scan_plane(monitored[k / nx].1, k % nx)).collect()
+    let stresses = &monitored[3..];
+    let (nx, per_plane) = (state.dims.nx, 1 + stresses.len());
+    let item = |k: usize| match k % per_plane {
+        0 => {
+            let (scans, energy) = scan_velocity_plane(state, k / per_plane);
+            ProbeItem::Velocities(scans, energy)
+        }
+        i => ProbeItem::Stress(scan_plane(stresses[i - 1].1, k / per_plane)),
     };
+    let items: Vec<ProbeItem> = if parallel {
+        (0..per_plane * nx).into_par_iter().map(item).collect()
+    } else {
+        (0..per_plane * nx).map(item).collect()
+    };
+    let mut planes = vec![Vec::with_capacity(nx); monitored.len()];
+    let mut energies = Vec::with_capacity(nx);
+    for (k, item) in items.into_iter().enumerate() {
+        match item {
+            ProbeItem::Velocities(scans, energy) => {
+                for (field, scan) in planes.iter_mut().zip(scans) {
+                    field.push(scan);
+                }
+                energies.push(energy);
+            }
+            ProbeItem::Stress(scan) => planes[3 + k % per_plane - 1].push(scan),
+        }
+    }
     let fields: Vec<FieldProbe> = monitored
         .iter()
-        .enumerate()
-        .map(|(i, (name, _))| fold_planes(name, &planes[i * nx..(i + 1) * nx]))
+        .zip(&planes)
+        .map(|((name, _), planes)| fold_planes(name, planes))
         .collect();
     let max_velocity = fields[..3].iter().fold(0.0f64, |m, f| m.max(f.max_abs));
     let max_stress = fields[3..].iter().fold(0.0f64, |m, f| m.max(f.max_abs));
-    let kinetic_energy = if parallel { state.kinetic_energy_par() } else { state.kinetic_energy() };
+    let vol = state.dx * state.dx * state.dx;
+    let kinetic_energy = energies.into_iter().sum::<f64>() * vol;
     StepProbe { step, time, rank, max_velocity, max_stress, kinetic_energy, fields }
 }
 

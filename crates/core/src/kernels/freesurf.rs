@@ -12,15 +12,23 @@
 //!
 //! Fig. 7 singles this kernel out: it touches only two z-planes per
 //! column, so its arithmetic density is too low to profit from the CPEs
-//! (4–5× speedup instead of ~30×).
+//! (4–5× speedup instead of ~30×). The step images each field once,
+//! inside a walk that is already there: the stress rows in one plane
+//! walk of their own at the head of the velocity half, and `w` inside
+//! `dvelc`'s plane body right after it stores the column (`mirror_w`).
+//! Every halo value either writes is read back only at its own `(x, y)`
+//! column.
 
 use super::plane::for_each_plane;
 use crate::state::SolverState;
 use std::ops::Range;
 use sw_grid::HALO_WIDTH as H;
 
-/// Apply the free-surface condition to the stress (and `w`) halos — on
-/// the calling thread in every mode: a pool region costs more than it.
+/// Apply the free-surface condition to the stress and `w` halos — on
+/// the calling thread in every mode: a pool region costs more than it
+/// (EXPERIMENTS "The tail rides the stores": the stress image through
+/// the pool read 1.3× the calling thread's wall at 80³ and a tie at
+/// 128³).
 pub fn fstr(s: &mut SolverState) {
     fstr_region(s, 0..s.dims.nx);
 }
@@ -29,6 +37,27 @@ pub fn fstr(s: &mut SolverState) {
 /// is read back only at the same `(x, y)` column, so this is exactly the
 /// restriction of the full kernel — the resident slab sweeps rely on it.
 pub fn fstr_region(s: &mut SolverState, x_range: Range<usize>) {
+    image_region(s, x_range, true);
+}
+
+/// `fstr`'s stress rows alone (σzz, σxz, σyz) over `x_range`: the
+/// velocity half's image. `w` is imaged by `dvelc` as it stores it.
+pub fn fstr_stress_region(s: &mut SolverState, x_range: Range<usize>) {
+    image_region(s, x_range, false);
+}
+
+/// Mirror `w` into its two free-surface halo cells — a symmetric
+/// continuation for the `D⁺z` stencil of `σzz` — in a padded x-plane
+/// whose surface cell of the column sits at `at`.
+#[inline(always)]
+pub(crate) fn mirror_w(pw: &mut [f32], at: usize) {
+    pw[at - 1] = pw[at];
+    pw[at - 2] = pw[at + 1];
+}
+
+/// The one imaging body: the stress rows of every column of `x_range`,
+/// and `w`'s when `with_w`.
+fn image_region(s: &mut SolverState, x_range: Range<usize>, with_w: bool) {
     let ny = s.dims.ny;
     let pnz = s.dims.nz + 2 * H;
     let fields = [&mut s.zz, &mut s.xz, &mut s.yz, &mut s.w];
@@ -50,9 +79,9 @@ pub fn fstr_region(s: &mut SolverState, x_range: Range<usize>) {
                 pxz[at(H - 2)] = -pxz[at(H + 1)];
                 pyz[at(H - 1)] = -pyz[at(H)];
                 pyz[at(H - 2)] = -pyz[at(H + 1)];
-                // w: symmetric continuation.
-                pw[at(H - 1)] = pw[at(H)];
-                pw[at(H - 2)] = pw[at(H + 1)];
+                if with_w {
+                    mirror_w(pw, at(H));
+                }
             }
         },
     );

@@ -15,6 +15,13 @@
 //! thread, `*_par` through the pool, and `*_region` takes the box and the
 //! choice. All run the same body and produce the same bits
 //! (`tests/kernel_matrix.rs`, against `tests/oracle/kernels.rs`).
+//!
+//! The bare names keep the paper's one-kernel contracts. The step calls
+//! the region forms that also carry its tail (DESIGN "The tail rides the
+//! stores"): `fstr_stress_region` images the stresses, `dvelc_region`
+//! images `w` as it stores it, `dstrqc_region` tapers `r` given a
+//! profile, and `drprecpc_region` walks yield factors, return mapping
+//! and the wavefields' taper column by column.
 
 pub mod freesurf;
 pub mod plane;
@@ -25,11 +32,13 @@ pub mod stress;
 pub mod velocity;
 
 /// `fstr_par` is `fstr`: it has no pool form, the name is kept for callers.
-pub use freesurf::{fstr, fstr as fstr_par, fstr_region};
+pub use freesurf::{fstr, fstr as fstr_par, fstr_region, fstr_stress_region};
 pub use plane::Region;
-pub use plastic::{drprecpc_app, drprecpc_app_region, drprecpc_calc, drprecpc_calc_region};
+pub use plastic::{
+    drprecpc_app, drprecpc_app_region, drprecpc_calc, drprecpc_calc_region, drprecpc_region,
+};
 pub use source::addsrc;
-pub use sponge::{apply_sponge, apply_sponge_region};
+pub use sponge::{apply_sponge, apply_sponge_region, taper_wavefields_region};
 pub use stress::{dstrqc, dstrqc_region};
 pub use velocity::{dvelc_region, dvelcx, dvelcy};
 
@@ -37,12 +46,12 @@ use crate::state::SolverState;
 
 /// Pool-iterated velocity update (`dvelcx` + `dvelcy` in one pass).
 pub fn dvelc_par(s: &mut SolverState) {
-    dvelc_region(s, &Region::whole(s.dims), true);
+    dvelc_region(s, &Region::whole(s.dims), true, true);
 }
 
 /// Pool-iterated `dstrqc`.
 pub fn dstrqc_par(s: &mut SolverState) {
-    dstrqc_region(s, &Region::whole(s.dims), true);
+    dstrqc_region(s, &Region::whole(s.dims), true, None);
 }
 
 /// Pool-iterated `drprecpc_calc`.

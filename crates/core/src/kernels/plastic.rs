@@ -15,6 +15,7 @@
 //! tensor plus four material arrays, and takes a square root per point.
 
 use super::plane::for_each_plane;
+use super::sponge::{taper_row, WAVEFIELDS};
 use crate::state::SolverState;
 use std::ops::Range;
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -26,9 +27,66 @@ pub fn drprecpc_calc(s: &mut SolverState) -> usize {
     drprecpc_calc_region(s, 0..s.dims.nx, false)
 }
 
+/// One column's yield factors: `r` from the stress rows
+/// `[xx, yy, zz, xy, xz, yz]` and the material rows `[σ₀, c, cosφ, sinφ,
+/// P_f]` into `out`. Returns the number of yielding points. The branch
+/// and the `sqrt` per point keep the loop at width 1.
+#[inline(always)]
+fn yield_factors(stress: [&[f32]; 6], material: [&[f32]; 5], out: &mut [f32]) -> usize {
+    let [rxx, ryy, rzz, rxy, rxz, ryz] = stress;
+    let [rsig, rc, rcos, rsin, rpf] = material;
+    let mut yielding = 0;
+    for (z, out) in out.iter_mut().enumerate() {
+        let (sxx, syy, szz) = (rxx[z], ryy[z], rzz[z]);
+        let (sxy, sxz, syz) = (rxy[z], rxz[z], ryz[z]);
+        let mean_dyn = (sxx + syy + szz) / 3.0;
+        let mean_total = mean_dyn + rsig[z];
+        // deviator of the total stress = deviator of the dynamic part
+        // (the prestress is isotropic)
+        let (dxx, dyy, dzz) = (sxx - mean_dyn, syy - mean_dyn, szz - mean_dyn);
+        let j2 = 0.5 * (dxx * dxx + dyy * dyy + dzz * dzz) + sxy * sxy + sxz * sxz + syz * syz;
+        let tau_bar = j2.sqrt();
+        let y_stress = (rc[z] * rcos[z] - (mean_total + rpf[z]) * rsin[z]).max(0.0);
+        *out = if tau_bar > y_stress && tau_bar > 0.0 {
+            yielding += 1;
+            y_stress / tau_bar
+        } else {
+            1.0
+        };
+    }
+    yielding
+}
+
+/// One column's return mapping: scale the deviator of the stress rows
+/// `[xx, yy, zz, xy, xz, yz]` by the yield factors `ryld` where they are
+/// below 1 and accumulate the equivalent plastic strain into `eqp`.
+#[inline(always)]
+fn return_map(stress: [&mut [f32]; 6], eqp: &mut [f32], ryld: &[f32], rmu: &[f32]) {
+    let [pxx, pyy, pzz, pxy, pxz, pyz] = stress;
+    for (z, &r) in ryld.iter().enumerate() {
+        if r >= 1.0 {
+            continue;
+        }
+        let (sxx, syy, szz) = (pxx[z], pyy[z], pzz[z]);
+        let (sxy, sxz, syz) = (pxy[z], pxz[z], pyz[z]);
+        let mean = (sxx + syy + szz) / 3.0;
+        let (dxx, dyy, dzz) = (sxx - mean, syy - mean, szz - mean);
+        pxx[z] = mean + r * dxx;
+        pyy[z] = mean + r * dyy;
+        pzz[z] = mean + r * dzz;
+        pxy[z] = r * sxy;
+        pxz[z] = r * sxz;
+        pyz[z] = r * syz;
+        // The return removes Δεᵖ = (1 − r)·s/(2μ), whose equivalent
+        // plastic strain √(⅔ Δεᵖ:Δεᵖ) is (1 − r)·√J₂/(√3·μ): shear
+        // deviators included.
+        let j2 = 0.5 * (dxx * dxx + dyy * dyy + dzz * dzz) + sxy * sxy + sxz * sxz + syz * syz;
+        eqp[z] += (1.0 - r) * j2.sqrt() / (3f32.sqrt() * rmu[z].max(1.0));
+    }
+}
+
 /// [`drprecpc_calc`] over the columns of `x_range`, planes walked by the
-/// pool or the caller. The branch and the `sqrt` per point keep the row
-/// loop at width 1.
+/// pool or the caller.
 pub fn drprecpc_calc_region(s: &mut SolverState, x_range: Range<usize>, pool: bool) -> usize {
     debug_assert!(s.options.nonlinear);
     let d = s.dims;
@@ -45,33 +103,10 @@ pub fn drprecpc_calc_region(s: &mut SolverState, x_range: Range<usize>, pool: bo
         |x, [pyld]| {
             let mut local = 0usize;
             for y in 0..d.ny {
-                let (rxx, ryy, rzz) = (xx.row(x, y), yy.row(x, y), zz.row(x, y));
-                let (rxy, rxz, ryz) = (xy.row(x, y), xz.row(x, y), yz.row(x, y));
-                let (rsig, rc) = (sigma0.row(x, y), cohes.row(x, y));
-                let (rcos, rsin, rpf) = (cosphi.row(x, y), sinphi.row(x, y), pf.row(x, y));
+                let stress = [xx, yy, zz, xy, xz, yz].map(|f| f.row(x, y));
+                let material = [sigma0, cohes, cosphi, sinphi, pf].map(|f| f.row(x, y));
                 let base = (y + H) * pnz + H;
-                let out = &mut pyld[base..base + d.nz];
-                for z in 0..d.nz {
-                    let (sxx, syy, szz) = (rxx[z], ryy[z], rzz[z]);
-                    let (sxy, sxz, syz) = (rxy[z], rxz[z], ryz[z]);
-                    let mean_dyn = (sxx + syy + szz) / 3.0;
-                    let mean_total = mean_dyn + rsig[z];
-                    // deviator of the total stress = deviator of the dynamic
-                    // part (the prestress is isotropic)
-                    let (dxx, dyy, dzz) = (sxx - mean_dyn, syy - mean_dyn, szz - mean_dyn);
-                    let j2 = 0.5 * (dxx * dxx + dyy * dyy + dzz * dzz)
-                        + sxy * sxy
-                        + sxz * sxz
-                        + syz * syz;
-                    let tau_bar = j2.sqrt();
-                    let y_stress = (rc[z] * rcos[z] - (mean_total + rpf[z]) * rsin[z]).max(0.0);
-                    out[z] = if tau_bar > y_stress && tau_bar > 0.0 {
-                        local += 1;
-                        y_stress / tau_bar
-                    } else {
-                        1.0
-                    };
-                }
+                local += yield_factors(stress, material, &mut pyld[base..base + d.nz]);
             }
             yielding.fetch_add(local, Ordering::Relaxed);
         },
@@ -100,36 +135,72 @@ pub fn drprecpc_app_region(s: &mut SolverState, x_range: Range<usize>, pool: boo
         #[inline(always)]
         |x, [pxx, pyy, pzz, pxy, pxz, pyz, peqp]| {
             for y in 0..d.ny {
-                let (ryld, rmu) = (yldfac.row(x, y), mu.row(x, y));
-                let base = (y + H) * pnz + H;
-                for z in 0..d.nz {
-                    let r = ryld[z];
-                    if r >= 1.0 {
-                        continue;
-                    }
-                    let o = base + z;
-                    let (sxx, syy, szz) = (pxx[o], pyy[o], pzz[o]);
-                    let (sxy, sxz, syz) = (pxy[o], pxz[o], pyz[o]);
-                    let mean = (sxx + syy + szz) / 3.0;
-                    let (dxx, dyy, dzz) = (sxx - mean, syy - mean, szz - mean);
-                    pxx[o] = mean + r * dxx;
-                    pyy[o] = mean + r * dyy;
-                    pzz[o] = mean + r * dzz;
-                    pxy[o] = r * sxy;
-                    pxz[o] = r * sxz;
-                    pyz[o] = r * syz;
-                    // The return removes Δεᵖ = (1 − r)·s/(2μ), whose
-                    // equivalent plastic strain √(⅔ Δεᵖ:Δεᵖ) is
-                    // (1 − r)·√J₂/(√3·μ): shear deviators included.
-                    let j2 = 0.5 * (dxx * dxx + dyy * dyy + dzz * dzz)
-                        + sxy * sxy
-                        + sxz * sxz
-                        + syz * syz;
-                    peqp[o] += (1.0 - r) * j2.sqrt() / (3f32.sqrt() * rmu[z].max(1.0));
-                }
+                let column = (y + H) * pnz + H..(y + H) * pnz + H + d.nz;
+                let stress = [&mut *pxx, &mut *pyy, &mut *pzz, &mut *pxy, &mut *pxz, &mut *pyz]
+                    .map(|p| &mut p[column.clone()]);
+                return_map(stress, &mut peqp[column], yldfac.row(x, y), mu.row(x, y));
             }
         },
     );
+}
+
+/// The step's plasticity and sponge in one plane walk over the columns of
+/// `x_range`, pool or caller: per column, [`drprecpc_calc`]'s yield
+/// factors, [`drprecpc_app`]'s return mapping, and then the state's
+/// sponge over the nine wavefields in the column's band (their last store
+/// of the step: `dstrqc` has read the undamped velocities, and no later
+/// stage reads undamped values). Returns the number of yielding points.
+/// Every stage is pointwise, so the walk leaves the bits the three passes
+/// leave.
+pub fn drprecpc_region(s: &mut SolverState, x_range: Range<usize>, pool: bool) -> usize {
+    debug_assert!(s.options.nonlinear);
+    let d = s.dims;
+    let pnz = d.nz + 2 * H;
+    let taper = (s.options.sponge_width > 0).then(|| s.sponge.clone());
+    let (sigma0, cohes, cosphi, sinphi, pf, mu) =
+        (&s.sigma0, &s.cohes, &s.cosphi, &s.sinphi, &s.pf, &s.mu);
+    let fields = [
+        &mut s.u,
+        &mut s.v,
+        &mut s.w,
+        &mut s.xx,
+        &mut s.yy,
+        &mut s.zz,
+        &mut s.xy,
+        &mut s.xz,
+        &mut s.yz,
+        &mut s.yldfac,
+        &mut s.eqp,
+    ];
+    let yielding = AtomicUsize::new(0);
+    for_each_plane(
+        fields,
+        x_range,
+        pool,
+        #[inline(always)]
+        |x, planes| {
+            let [pu, pv, pw, pxx, pyy, pzz, pxy, pxz, pyz, pyld, peqp] = planes;
+            let (mut wavefields, mut local) = ([pu, pv, pw, pxx, pyy, pzz, pxy, pxz, pyz], 0);
+            for y in 0..d.ny {
+                let base = (y + H) * pnz + H;
+                let column = base..base + d.nz;
+                let material = [sigma0, cohes, cosphi, sinphi, pf].map(|f| f.row(x, y));
+                let ryld = &mut pyld[column.clone()];
+                let [.., sxx, syy, szz, sxy, sxz, syz] = &mut wavefields;
+                let stress = [sxx, syy, szz, sxy, sxz, syz].map(|p| &mut p[column.clone()]);
+                local += yield_factors(stress.each_ref().map(|p| &**p), material, ryld);
+                return_map(stress, &mut peqp[column], ryld, mu.row(x, y));
+                if let Some(profile) = &taper {
+                    let (z0, damp) = profile.column(x, y);
+                    for plane in &mut wavefields[..WAVEFIELDS] {
+                        taper_row(&mut plane[base + z0..], damp);
+                    }
+                }
+            }
+            yielding.fetch_add(local, Ordering::Relaxed);
+        },
+    );
+    yielding.into_inner()
 }
 
 /// J₂ deviatoric magnitude of the dynamic stress at a point (test probe).

@@ -7,17 +7,37 @@
 //! reflect them back into the region of interest. A column inside a
 //! horizontal band is damped top to bottom; one outside them only over
 //! the bottom band, the cells above it being multiplied by exactly 1.
+//!
+//! The step applies the taper where the values are stored (`taper_row`):
+//! `dstrqc` tapers the memory variables as it writes them, the
+//! return-mapping walk the nine wavefields of a nonlinear state. The
+//! standalone pass here is left for the wavefields of an elastic state
+//! ([`taper_wavefields_region`]) — the source injection sits between the
+//! stress update and the taper — and for the resident engine's slab.
 
 use super::plane::{for_each_plane, sweep_row, Lane};
 use crate::state::{ArrayClass, SolverState, StateOptions};
 use std::ops::Range;
 use sw_grid::HALO_WIDTH as H;
 
-/// Arrays one sponge pass damps: the nine wavefields, then the memory
+/// The wavefields, which lead [`SolverState::dynamic_mut`].
+pub const WAVEFIELDS: usize = 9;
+
+/// Arrays one whole sponge damps: the nine wavefields, then the memory
 /// variables when the options carry them (they trail the wavefields in
 /// [`SolverState::dynamic_mut`]).
 pub fn damped_arrays(options: &StateOptions) -> usize {
     options.arrays().filter(|(_, class)| *class != ArrayClass::Material).count()
+}
+
+/// Multiply `row` by the factors `damp`, element by element: the taper of
+/// one column's band, in whichever pass stores the row.
+#[inline(always)]
+pub(crate) fn taper_row(row: &mut [f32], damp: &[f32]) {
+    let row = &mut row[..damp.len()];
+    sweep_row!(damp.len(), |t, L| {
+        (L::load(&row[t..]) * L::load(&damp[t..])).store(&mut row[t..]);
+    });
 }
 
 /// Apply the sponge to all dynamic fields.
@@ -25,15 +45,26 @@ pub fn apply_sponge(s: &mut SolverState) {
     apply_sponge_region(s, 0..s.dims.nx, false);
 }
 
-/// Apply the sponge to the columns of `x_range`, planes walked by the
-/// pool or the caller.
+/// Apply the sponge to every dynamic field over the columns of
+/// `x_range`, planes walked by the pool or the caller.
 pub fn apply_sponge_region(s: &mut SolverState, x_range: Range<usize>, pool: bool) {
+    let damped = damped_arrays(&s.options);
+    taper_region(s, damped, x_range, pool);
+}
+
+/// The sponge over the nine wavefields alone: the standalone pass of an
+/// elastic state's step, whose memory variables `dstrqc` tapers.
+pub fn taper_wavefields_region(s: &mut SolverState, x_range: Range<usize>, pool: bool) {
+    taper_region(s, WAVEFIELDS, x_range, pool);
+}
+
+/// Taper the first `arrays` dynamic fields over the columns of `x_range`.
+fn taper_region(s: &mut SolverState, arrays: usize, x_range: Range<usize>, pool: bool) {
     let d = s.dims;
     if s.options.sponge_width == 0 {
         return;
     }
     let pnz = d.nz + 2 * H;
-    let damped = damped_arrays(&s.options);
     let profile = s.sponge.clone();
     for_each_plane(
         s.dynamic_mut(),
@@ -44,11 +75,8 @@ pub fn apply_sponge_region(s: &mut SolverState, x_range: Range<usize>, pool: boo
             for y in 0..d.ny {
                 let (z0, damp) = profile.column(x, y);
                 let base = (y + H) * pnz + H + z0;
-                for plane in &mut planes[..damped] {
-                    let row = &mut plane[base..base + damp.len()];
-                    sweep_row!(damp.len(), |t, L| {
-                        (L::load(&row[t..]) * L::load(&damp[t..])).store(&mut row[t..]);
-                    });
+                for plane in &mut planes[..arrays] {
+                    taper_row(&mut plane[base..], damp);
                 }
             }
         },

@@ -12,17 +12,31 @@
 //!
 //! so a `Q = ∞` (w = 0) medium is exactly elastic and smaller Q decays
 //! faster — the property the attenuation tests pin down.
+//!
+//! Nothing else in a step writes `r`, so the sponge's taper of the memory
+//! variables rides this store: given a profile, each row of `r` is
+//! multiplied by its column's factors right after `r̄` has used the
+//! undamped `rⁿ⁺¹`, while the row is still in cache.
 
 use super::plane::{
     d_across, dz, for_each_plane, sweep_row, taps, tile_row, Lane, Region, DXM, DXP, DYM, DYP,
 };
-use crate::state::SolverState;
+use super::sponge::taper_row;
+use crate::state::{SolverState, SpongeProfile};
 use sw_grid::tile::blocks;
 use sw_grid::HALO_WIDTH as H;
 
 /// Update the stresses (and memory variables) in `region`, planes walked
-/// by the pool or the caller.
-pub fn dstrqc_region(s: &mut SolverState, region: &Region, pool: bool) {
+/// by the pool or the caller, and — given a `taper` — damp the memory
+/// variables by it as they are stored (the step's sponge for `r`). The
+/// resident engine tapers its slab in a sweep of its own and passes
+/// `None`.
+pub fn dstrqc_region(
+    s: &mut SolverState,
+    region: &Region,
+    pool: bool,
+    taper: Option<&SpongeProfile>,
+) {
     let nz = s.dims.nz;
     let pnz = nz + 2 * H;
     let inv_dx = (1.0 / s.dx) as f32;
@@ -30,6 +44,7 @@ pub fn dstrqc_region(s: &mut SolverState, region: &Region, pool: bool) {
     let tau = s.tau as f32;
     let (a_coef, b_coef) = ((2.0 * tau - dt) / (2.0 * tau + dt), 2.0 * dt / (2.0 * tau + dt));
     let atten = s.options.attenuation;
+    let taper = taper.filter(|_| atten && s.options.sponge_width > 0);
     let (u, v, w, lam, mu, wp, ws) = (&s.u, &s.v, &s.w, &s.lam, &s.mu, &s.wp, &s.ws);
     let [r1, r2, r3, r4, r5, r6] = &mut s.r;
     let fields =
@@ -107,6 +122,16 @@ pub fn dstrqc_region(s: &mut SolverState, region: &Region, pool: bool) {
                                 }
                             }
                         });
+                        if let Some(profile) = taper {
+                            // The column's band within this tile.
+                            let (z0, damp) = profile.column(x, y);
+                            let (from, to) = (z0.max(tile.0), tile.0 + tile.1);
+                            if from < to {
+                                for row in mem {
+                                    taper_row(&mut row[from - tile.0..], &damp[from - z0..to - z0]);
+                                }
+                            }
+                        }
                     }
                 }
             }
@@ -116,7 +141,7 @@ pub fn dstrqc_region(s: &mut SolverState, region: &Region, pool: bool) {
 
 /// `dstrqc`: the full-domain stress update.
 pub fn dstrqc(s: &mut SolverState) {
-    dstrqc_region(s, &Region::whole(s.dims), false);
+    dstrqc_region(s, &Region::whole(s.dims), false, None);
 }
 
 #[cfg(test)]

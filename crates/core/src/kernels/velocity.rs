@@ -7,7 +7,11 @@
 //! AWP-ODC splits the update into a *central* kernel (`dvelcx`) and the
 //! y-boundary strips (`dvelcy`) so the central region can compute while
 //! the y halos are in flight; both are regions of the one body below.
+//! The body also images `w` at the free surface as it stores the column
+//! (`fstr`'s `w` rows, `mirror_w`), so the stress half needs no image
+//! of its own.
 
+use super::freesurf::mirror_w;
 use super::plane::{
     d_across, dz, for_each_plane, sweep_row, taps, tile_row, Lane, Region, DXM, DXP, DYM, DYP,
 };
@@ -15,10 +19,16 @@ use crate::state::SolverState;
 use sw_grid::tile::blocks;
 use sw_grid::HALO_WIDTH as H;
 
-/// Update `u, v, w` in `region`, planes walked by the pool or the caller.
-pub fn dvelc_region(s: &mut SolverState, region: &Region, pool: bool) {
+/// Update `u, v, w` in `region`, planes walked by the pool or the caller,
+/// and — `image_w` — mirror each updated column's `w` into its two
+/// free-surface halo cells once its top two cells are stored. The
+/// resident engine, which images its slab itself, passes `false`.
+pub fn dvelc_region(s: &mut SolverState, region: &Region, pool: bool, image_w: bool) {
     let nz = s.dims.nz;
     let pnz = nz + 2 * H;
+    // The deepest cell the mirror reads: `w(1)`, or the bottom halo cell
+    // under a one-cell column (which no update writes).
+    let mirrored = 1.min(nz - 1);
     // The per-cell density divide is hoisted into the precomputed
     // `buoyancy` field (`1/ρ`), so the hottest loop multiplies.
     let dt_dx = (s.dt / s.dx) as f32;
@@ -58,6 +68,9 @@ pub fn dvelc_region(s: &mut SolverState, region: &Region, pool: bool) {
                             (L::load(&ov[t..]) + b * dv).store(&mut ov[t..]);
                             (L::load(&ow[t..]) + b * dw).store(&mut ow[t..]);
                         });
+                        if image_w && (tile.0..tile.0 + tile.1).contains(&mirrored) {
+                            mirror_w(planes[2], (y + H) * pnz + H);
+                        }
                     }
                 }
             }
@@ -68,15 +81,15 @@ pub fn dvelc_region(s: &mut SolverState, region: &Region, pool: bool) {
 /// `dvelcx`: the central region — all x, y away from the halo strips.
 pub fn dvelcx(s: &mut SolverState) {
     let (d, h) = (s.dims, H.min(s.dims.ny / 2));
-    dvelc_region(s, &Region::new(0..d.nx, h..d.ny - h), false);
+    dvelc_region(s, &Region::new(0..d.nx, h..d.ny - h), false, true);
 }
 
 /// `dvelcy`: the two y-boundary strips of width `HALO_WIDTH` (computed
 /// after the y halo has arrived).
 pub fn dvelcy(s: &mut SolverState) {
     let (d, h) = (s.dims, H.min(s.dims.ny / 2));
-    dvelc_region(s, &Region::new(0..d.nx, 0..h), false);
-    dvelc_region(s, &Region::new(0..d.nx, d.ny - h..d.ny), false);
+    dvelc_region(s, &Region::new(0..d.nx, 0..h), false, true);
+    dvelc_region(s, &Region::new(0..d.nx, d.ny - h..d.ny), false, true);
 }
 
 #[cfg(test)]
@@ -149,7 +162,7 @@ mod tests {
         }
         dvelcx(&mut a);
         dvelcy(&mut a);
-        dvelc_region(&mut b, &Region::whole(d), false);
+        dvelc_region(&mut b, &Region::whole(d), false, true);
         assert_eq!(a.u.max_abs_diff(&b.u), 0.0);
         assert_eq!(a.v.max_abs_diff(&b.v), 0.0);
         assert_eq!(a.w.max_abs_diff(&b.w), 0.0);

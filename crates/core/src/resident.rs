@@ -398,7 +398,9 @@ impl ResidentEngine {
         self.perf.decoded_cells += cells;
 
         kernels::fstr_region(&mut self.slab, t.core());
-        kernels::dvelc_region(&mut self.slab, &Region::new(t.core(), 0..self.dims.ny), false);
+        // The slab's own image stays the one `w` is encoded with.
+        let core = Region::new(t.core(), 0..self.dims.ny);
+        kernels::dvelc_region(&mut self.slab, &core, false, false);
         self.encode(VELOCITIES, t);
     }
 
@@ -422,7 +424,9 @@ impl ResidentEngine {
         self.perf.decoded_cells += cells;
 
         kernels::fstr_region(&mut self.slab, t.core());
-        kernels::dstrqc_region(&mut self.slab, &Region::new(t.core(), 0..self.dims.ny), false);
+        // The memory variables are tapered in the plasticity/sponge sweep.
+        let core = Region::new(t.core(), 0..self.dims.ny);
+        kernels::dstrqc_region(&mut self.slab, &core, false, None);
         self.encode(STRESS_SIDE, t);
     }
 

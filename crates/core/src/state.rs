@@ -459,15 +459,10 @@ impl SolverState {
     /// factor): the deterministic reduction unit shared by the serial
     /// and parallel energy probes.
     fn kinetic_energy_plane(&self, x: usize) -> f64 {
-        let d = self.dims;
         let mut e = 0.0f64;
-        for y in 0..d.ny {
-            let (us, vs, ws, rs) =
-                (self.u.row(x, y), self.v.row(x, y), self.w.row(x, y), self.rho.row(x, y));
-            for z in 0..d.nz {
-                let v2 = (us[z] * us[z] + vs[z] * vs[z] + ws[z] * ws[z]) as f64;
-                e += 0.5 * rs[z] as f64 * v2;
-            }
+        for y in 0..self.dims.ny {
+            let rows = [&self.u, &self.v, &self.w].map(|f| f.row(x, y));
+            kinetic_energy_row(rows, self.rho.row(x, y), &mut e);
         }
         e
     }
@@ -504,6 +499,17 @@ impl SolverState {
     /// cannot be used here: `f32::max` ignores NaN operands.)
     pub fn has_blown_up(&self) -> bool {
         [&self.u, &self.v, &self.w].iter().any(|f| f.raw().iter().any(|v| !v.is_finite()))
+    }
+}
+
+/// Add one row's ½ρv² to `e`, cell by cell in z order (per cell volume):
+/// the kinetic-energy reduction's one accumulation order, shared by
+/// [`SolverState::kinetic_energy`] and the health probe's plane walk.
+#[inline(always)]
+pub(crate) fn kinetic_energy_row([us, vs, ws]: [&[f32]; 3], rs: &[f32], e: &mut f64) {
+    for (z, &rho) in rs.iter().enumerate() {
+        let v2 = (us[z] * us[z] + vs[z] * vs[z] + ws[z] * ws[z]) as f64;
+        *e += 0.5 * rho as f64 * v2;
     }
 }
 

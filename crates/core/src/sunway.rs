@@ -113,7 +113,7 @@ impl SunwayExecutor {
         }
         // Functional result: the coherent store computes the same update
         // the LDM pipeline produces on hardware.
-        dvelc_region(s, &Region::whole(d), false);
+        dvelc_region(s, &Region::whole(d), false, true);
         let dma = self.dma.stats();
         SunwayCost { dma, reg: self.mesh.stats(), ldm_high_water, tiles, seconds: dma.seconds }
     }

@@ -16,6 +16,7 @@
 use crate::par::PAR_CHUNK;
 use crate::Codec16;
 use rayon::prelude::*;
+use sw_grid::simd::wide;
 
 /// Accumulated round-trip error statistics for one array.
 ///
@@ -64,66 +65,91 @@ fn merge(a: RoundtripError, b: RoundtripError) -> RoundtripError {
 /// stats pass, large enough to amortize the loop split.
 const STATS_BLOCK: usize = 1024;
 
+/// One chunk's round trip and statistics, run inside
+/// [`wide`](sw_grid::simd::wide): the stats pass is compiled for the
+/// host's lane tier like the codec bodies are.
 fn chunk_stats<C: Codec16>(codec: &C, chunk: &mut [f32]) -> RoundtripError {
-    // Two passes per stack-resident block instead of one fused loop:
+    wide(
+        #[inline(always)]
+        || chunk_stats_body(codec, chunk),
+    )
+}
+
+#[inline(always)]
+fn chunk_stats_body<C: Codec16>(codec: &C, chunk: &mut [f32]) -> RoundtripError {
+    // Three passes per stack-resident block instead of one fused loop:
     // the round-trip pass stays as tight as the plain (stats-free)
-    // round trip, and the stats pass carries no encode/decode. The
-    // stats pass is written branch-free (non-finite originals
-    // contribute a zero error) with the sum of squares split over four
-    // accumulator lanes, so it vectorizes instead of serializing on
-    // one f64 add chain. The lane assignment is a fixed function of
-    // element position, so the statistics remain bit-identical for any
-    // thread count — only the (documented) summation order differs
-    // from a naive single-accumulator loop.
-    let mut s = RoundtripError::default();
-    let mut sq = [0.0f64; 4];
-    let mut max_err = [0.0f64; 4];
-    let mut max_val = [0.0f32; 4];
+    // round trip; an element-wise pass writes each value's error (+0
+    // for a non-finite original) and |original| (0 likewise) and counts
+    // the non-finite ones, a loop with nothing carried but an integer
+    // sum; and a lane pass folds them into four accumulator lanes —
+    // lane = position mod 4 within each block, the block's tail on
+    // lane 0 — each a `[_; 4]` step, so a lane tier runs a group as one
+    // vector. The lane assignment is a fixed function of element
+    // position, so the statistics remain bit-identical for any thread
+    // count and lane tier — only the (documented) summation order
+    // differs from a naive single-accumulator loop.
+    let mut lanes = Lanes::default();
     let mut nonfinite = 0u64;
     let mut scratch = [0.0f32; STATS_BLOCK];
+    let mut errors = [0.0f64; STATS_BLOCK];
+    let mut values = [0.0f32; STATS_BLOCK];
     for block in chunk.chunks_mut(STATS_BLOCK) {
-        let orig = &mut scratch[..block.len()];
+        let n = block.len();
+        let orig = &mut scratch[..n];
         orig.copy_from_slice(block);
         codec.roundtrip_slice(block);
-        let mut o4 = orig.chunks_exact(4);
-        let mut d4 = block.chunks_exact(4);
-        for (os, ds) in (&mut o4).zip(&mut d4) {
-            for l in 0..4 {
-                let (o, d) = (os[l], ds[l]);
-                let fin = o.is_finite();
-                let err = if fin { f64::from(d) - f64::from(o) } else { 0.0 };
-                sq[l] += err * err;
-                let e = err.abs();
-                if e > max_err[l] {
-                    max_err[l] = e;
-                }
-                let m = if fin { o.abs() } else { 0.0 };
-                if m > max_val[l] {
-                    max_val[l] = m;
-                }
-                nonfinite += u64::from(!fin);
-            }
-        }
-        for (&o, &d) in o4.remainder().iter().zip(d4.remainder()) {
+        let (errors, values) = (&mut errors[..n], &mut values[..n]);
+        let pairs = orig.iter().zip(block.iter());
+        for ((err, val), (&o, &d)) in errors.iter_mut().zip(values.iter_mut()).zip(pairs) {
             let fin = o.is_finite();
-            let err = if fin { f64::from(d) - f64::from(o) } else { 0.0 };
-            sq[0] += err * err;
-            let e = err.abs();
-            if e > max_err[0] {
-                max_err[0] = e;
-            }
-            let m = if fin { o.abs() } else { 0.0 };
-            if m > max_val[0] {
-                max_val[0] = m;
-            }
+            *err = if fin { f64::from(d) - f64::from(o) } else { 0.0 };
+            *val = if fin { o.abs() } else { 0.0 };
             nonfinite += u64::from(!fin);
         }
+        let mut e4 = errors.chunks_exact(4);
+        let mut v4 = values.chunks_exact(4);
+        for (es, vs) in (&mut e4).zip(&mut v4) {
+            lanes.fold(es.try_into().expect("fours"), vs.try_into().expect("fours"));
+        }
+        for (&e, &v) in e4.remainder().iter().zip(v4.remainder()) {
+            lanes.fold(&[e, 0.0, 0.0, 0.0], &[v, 0.0, 0.0, 0.0]);
+        }
     }
-    s.max_abs_err = max_err.iter().fold(0.0f64, |a, &b| if b > a { b } else { a });
-    s.max_abs_value = f64::from(max_val.iter().fold(0.0f32, |a, &b| if b > a { b } else { a }));
-    s.sum_sq_err = (sq[0] + sq[1]) + (sq[2] + sq[3]);
-    s.count = chunk.len() as u64 - nonfinite;
-    s
+    RoundtripError {
+        max_abs_err: lanes.max_err.iter().fold(0.0f64, |a, &b| if b > a { b } else { a }),
+        sum_sq_err: (lanes.sq[0] + lanes.sq[1]) + (lanes.sq[2] + lanes.sq[3]),
+        count: chunk.len() as u64 - nonfinite,
+        max_abs_value: f64::from(
+            lanes.max_val.iter().fold(0.0f32, |a, &b| if b > a { b } else { a }),
+        ),
+    }
+}
+
+/// The stats pass's four accumulator lanes.
+#[derive(Default)]
+struct Lanes {
+    sq: [f64; 4],
+    max_err: [f64; 4],
+    max_val: [f32; 4],
+}
+
+impl Lanes {
+    /// Fold one group of errors and |originals|, lane `l` taking element
+    /// `l`. Both maxima keep `v > m` of non-negative operands; a lane
+    /// padded with zeros (the tail, which rides lane 0 alone) adds +0
+    /// everywhere.
+    #[inline(always)]
+    fn fold(&mut self, err: &[f64; 4], val: &[f32; 4]) {
+        for l in 0..4 {
+            self.sq[l] += err[l] * err[l];
+            // |err| is NaN only where the decode is, which `v > m`
+            // never keeps.
+            let e = err[l].abs();
+            self.max_err[l] = if e > self.max_err[l] { e } else { self.max_err[l] };
+            self.max_val[l] = if val[l] > self.max_val[l] { val[l] } else { self.max_val[l] };
+        }
+    }
 }
 
 /// Round-trip every `(array, codec)` pair in place as one flattened

@@ -30,7 +30,7 @@ use swquake::core::kernels::{self, Region};
 use swquake::core::state::{self, ArrayClass, PlasticityConfig, SolverState, StateOptions};
 use swquake::core::{ExecMode, ExecPath, ResidentMode, SimConfig, Simulation};
 use swquake::grid::simd::{per_tier, LaneTier};
-use swquake::grid::{Dims3, Field3};
+use swquake::grid::{Dims3, Field3, HALO_WIDTH};
 use swquake::model::LayeredModel;
 use swquake::parallel::RankGrid;
 use swquake::source::{MomentTensor, PointSource, SourceTimeFunction};
@@ -163,32 +163,95 @@ fn check_every_kernel(
             0
         }
     };
+    let nx = d.nx;
     // fstr has one form; it must leave the z-halo planes the oracle does.
+    // The velocity half's image is its stress rows.
     check_kernel(&base, &what("fstr"), unit(naive::fstr), unit(kernels::fstr));
     check_kernel(&base, &what("fstr_par"), unit(naive::fstr), unit(kernels::fstr_par));
-    let naive_dvelc = |s: &mut SolverState| {
-        naive::dvelcx(s);
-        naive::dvelcy(s);
-        0
+    check_kernel(
+        &base,
+        &what("fstr stress rows"),
+        |s| {
+            naive::fstr_stress_region(s, 0..nx);
+            0
+        },
+        |s| {
+            kernels::fstr_stress_region(s, 0..nx);
+            0
+        },
+    );
+    // dvelc images `w` as it stores it: the oracle's two velocity kernels
+    // followed by fstr's `w` rows over the columns they updated — or,
+    // for the resident engine (which images its slab itself), without.
+    let naive_dvelc = |image_w: bool| {
+        move |s: &mut SolverState| {
+            naive::dvelcx(s);
+            naive::dvelcy(s);
+            if image_w {
+                naive::fstr_w_region(s, 0..nx, 0..d.ny);
+            }
+            0
+        }
     };
+    // dstrqc, given the profile, tapers `r` as it stores it: the oracle's
+    // stress update followed by its sponge over the six memory variables.
+    let dcrj = naive::whole_mesh_sponge(&base);
+    let memory = base.options.attenuation;
+    let taper = base.sponge.clone();
     for region in [&whole, &tiled] {
-        check_kernel(&base, &what("dvelc"), naive_dvelc, |s| {
-            kernels::dvelc_region(s, region, pool);
-            0
-        });
+        for image_w in [true, false] {
+            check_kernel(&base, &what("dvelc"), naive_dvelc(image_w), |s| {
+                kernels::dvelc_region(s, region, pool, image_w);
+                0
+            });
+        }
         check_kernel(&base, &what("dstrqc"), unit(naive::dstrqc), |s| {
-            kernels::dstrqc_region(s, region, pool);
+            kernels::dstrqc_region(s, region, pool, None);
             0
         });
+        check_kernel(
+            &base,
+            &what("tapered dstrqc"),
+            |s| {
+                naive::dstrqc(s);
+                naive::sponge_fields(s, &dcrj, 0..nx, false, memory);
+                0
+            },
+            |s| {
+                kernels::dstrqc_region(s, region, pool, Some(&taper));
+                0
+            },
+        );
     }
-    check_kernel(&base, &what("dvelcx+dvelcy"), naive_dvelc, |s| {
+    check_kernel(&base, &what("dvelcx+dvelcy"), naive_dvelc(true), |s| {
         kernels::dvelcx(s);
         kernels::dvelcy(s);
         0
     });
-    // Each half of the split covers exactly the oracle's half.
-    check_kernel(&base, &what("dvelcx"), unit(naive::dvelcx), unit(kernels::dvelcx));
-    check_kernel(&base, &what("dvelcy"), unit(naive::dvelcy), unit(kernels::dvelcy));
+    // Each half of the split covers exactly the oracle's half, `w` rows
+    // of its own columns included.
+    let h = HALO_WIDTH.min(d.ny / 2);
+    check_kernel(
+        &base,
+        &what("dvelcx"),
+        |s| {
+            naive::dvelcx(s);
+            naive::fstr_w_region(s, 0..nx, h..d.ny - h);
+            0
+        },
+        unit(kernels::dvelcx),
+    );
+    check_kernel(
+        &base,
+        &what("dvelcy"),
+        |s| {
+            naive::dvelcy(s);
+            naive::fstr_w_region(s, 0..nx, 0..h);
+            naive::fstr_w_region(s, 0..nx, d.ny - h..d.ny);
+            0
+        },
+        unit(kernels::dvelcy),
+    );
     // A sub-box (the resident slab's use): interior columns only.
     if d.nx > 2 {
         check_kernel(
@@ -199,7 +262,20 @@ fn check_every_kernel(
                 0
             },
             |s| {
-                kernels::dstrqc_region(s, &Region::new(1..d.nx - 1, 0..d.ny), pool);
+                kernels::dstrqc_region(s, &Region::new(1..d.nx - 1, 0..d.ny), pool, None);
+                0
+            },
+        );
+        check_kernel(
+            &base,
+            &what("tapered dstrqc sub-box"),
+            |s| {
+                naive::update_stress_region(s, 1..d.nx - 1, 0..d.ny);
+                naive::sponge_fields(s, &dcrj, 1..d.nx - 1, false, memory);
+                0
+            },
+            |s| {
+                kernels::dstrqc_region(s, &Region::new(1..d.nx - 1, 0..d.ny), pool, Some(&taper));
                 0
             },
         );
@@ -216,8 +292,32 @@ fn check_every_kernel(
             kernels::drprecpc_app_region(s, 0..d.nx, pool);
             0
         });
+        // The step's walk: yield factors, return mapping and the sponge
+        // over the nine wavefields, per column.
+        let reference = |s: &mut SolverState| {
+            let yielding = naive::drprecpc_calc(s);
+            naive::drprecpc_app(s);
+            naive::sponge_fields(s, &dcrj, 0..nx, true, false);
+            yielding
+        };
+        check_kernel(&base, &what("drprecpc walk"), reference, |s| {
+            kernels::drprecpc_region(s, 0..nx, pool)
+        });
     }
     check_sponge(&base, &what("sponge"), pool);
+    // The elastic step's standalone pass: the nine wavefields alone.
+    check_kernel(
+        &base,
+        &what("wavefield sponge"),
+        |s| {
+            naive::sponge_fields(s, &dcrj, 0..nx, true, false);
+            0
+        },
+        |s| {
+            kernels::taper_wavefields_region(s, 0..nx, pool);
+            0
+        },
+    );
 }
 
 /// The tabulated taper against the oracle's whole-mesh profile.

@@ -138,21 +138,49 @@ pub fn fstr_region(s: &mut SolverState, x_range: Range<usize>) {
     let d = s.dims;
     for x in x_range {
         for y in 0..d.ny {
-            let (xi, yi) = (x as isize, y as isize);
-            // zz: zero on the surface plane, antisymmetric above.
-            s.zz.set(x, y, 0, 0.0);
-            s.zz.set_i(xi, yi, -1, -s.zz.get(x, y, 1));
-            s.zz.set_i(xi, yi, -2, -s.zz.get(x, y, 2));
-            // xz, yz: antisymmetric about the surface (half-staggered).
-            s.xz.set_i(xi, yi, -1, -s.xz.get(x, y, 0));
-            s.xz.set_i(xi, yi, -2, -s.xz.get(x, y, 1));
-            s.yz.set_i(xi, yi, -1, -s.yz.get(x, y, 0));
-            s.yz.set_i(xi, yi, -2, -s.yz.get(x, y, 1));
-            // w: symmetric continuation.
-            s.w.set_i(xi, yi, -1, s.w.get(x, y, 0));
-            s.w.set_i(xi, yi, -2, s.w.get(x, y, 1));
+            image_stress(s, x, y);
+            image_w(s, x, y);
         }
     }
+}
+
+/// `fstr`'s stress rows alone, over the columns in `x_range`.
+pub fn fstr_stress_region(s: &mut SolverState, x_range: Range<usize>) {
+    let d = s.dims;
+    for x in x_range {
+        for y in 0..d.ny {
+            image_stress(s, x, y);
+        }
+    }
+}
+
+/// `fstr`'s `w` rows alone, over the columns of `x_range × y_range`.
+pub fn fstr_w_region(s: &mut SolverState, x_range: Range<usize>, y_range: Range<usize>) {
+    for x in x_range {
+        for y in y_range.clone() {
+            image_w(s, x, y);
+        }
+    }
+}
+
+fn image_stress(s: &mut SolverState, x: usize, y: usize) {
+    let (xi, yi) = (x as isize, y as isize);
+    // zz: zero on the surface plane, antisymmetric above.
+    s.zz.set(x, y, 0, 0.0);
+    s.zz.set_i(xi, yi, -1, -s.zz.get(x, y, 1));
+    s.zz.set_i(xi, yi, -2, -s.zz.get(x, y, 2));
+    // xz, yz: antisymmetric about the surface (half-staggered).
+    s.xz.set_i(xi, yi, -1, -s.xz.get(x, y, 0));
+    s.xz.set_i(xi, yi, -2, -s.xz.get(x, y, 1));
+    s.yz.set_i(xi, yi, -1, -s.yz.get(x, y, 0));
+    s.yz.set_i(xi, yi, -2, -s.yz.get(x, y, 1));
+}
+
+fn image_w(s: &mut SolverState, x: usize, y: usize) {
+    let (xi, yi) = (x as isize, y as isize);
+    // w: symmetric continuation.
+    s.w.set_i(xi, yi, -1, s.w.get(x, y, 0));
+    s.w.set_i(xi, yi, -2, s.w.get(x, y, 1));
 }
 
 /// `drprecpc_calc`: compute the yield factor `r` for every point into
@@ -285,6 +313,19 @@ pub fn apply_sponge(s: &mut SolverState, dcrj: &Field3) {
 /// The damping is a pointwise multiply by `dcrj`, so restricting the x
 /// range is exactly the restriction of the full kernel.
 pub fn apply_sponge_region(s: &mut SolverState, dcrj: &Field3, x_range: Range<usize>) {
+    let memory = s.options.attenuation;
+    sponge_fields(s, dcrj, x_range, true, memory);
+}
+
+/// The sponge over the columns in `x_range`, restricted to the nine
+/// wavefields (`wavefields`) and/or the six memory variables (`memory`).
+pub fn sponge_fields(
+    s: &mut SolverState,
+    dcrj: &Field3,
+    x_range: Range<usize>,
+    wavefields: bool,
+    memory: bool,
+) {
     let d = s.dims;
     if s.options.sponge_width == 0 {
         return;
@@ -292,15 +333,17 @@ pub fn apply_sponge_region(s: &mut SolverState, dcrj: &Field3, x_range: Range<us
     for x in x_range {
         for y in 0..d.ny {
             let damp: Vec<f32> = dcrj.row(x, y).to_vec();
-            for f in [
-                &mut s.u, &mut s.v, &mut s.w, &mut s.xx, &mut s.yy, &mut s.zz, &mut s.xy,
-                &mut s.xz, &mut s.yz,
-            ] {
-                for (v, &g) in f.row_mut(x, y).iter_mut().zip(&damp) {
-                    *v *= g;
+            if wavefields {
+                for f in [
+                    &mut s.u, &mut s.v, &mut s.w, &mut s.xx, &mut s.yy, &mut s.zz, &mut s.xy,
+                    &mut s.xz, &mut s.yz,
+                ] {
+                    for (v, &g) in f.row_mut(x, y).iter_mut().zip(&damp) {
+                        *v *= g;
+                    }
                 }
             }
-            if s.options.attenuation {
+            if memory {
                 for f in s.r.iter_mut() {
                     for (v, &g) in f.row_mut(x, y).iter_mut().zip(&damp) {
                         *v *= g;
