@@ -35,9 +35,9 @@ use crate::flops::{
     FlopCounter, ATTENUATION_FLOPS, DRPRECPC_APP_FLOPS, DRPRECPC_CALC_FLOPS, DSTRQC_FLOPS,
     DVELC_FLOPS, FSTR_FLOPS,
 };
-use crate::health::HealthMonitor;
-use crate::kernels::sponge::{damped_arrays, WAVEFIELDS};
-use crate::kernels::{self, Region};
+use crate::health::{scan_plane, scan_velocity_plane, HealthMonitor, ProbeItem, PROBE_ITEMS};
+use crate::kernels::sponge::{damped_arrays, STRESSES, WAVEFIELDS};
+use crate::kernels::{self, PlaneMaxima, Region};
 use crate::resident::{ResidentEngine, ResidentMode, RESIDENT_FIELDS, SIDECAR_FIELD};
 use crate::staggered::stable_dt;
 use crate::state::{ArrayClass, SolverState, StateOptions};
@@ -46,6 +46,7 @@ use std::path::{Path, PathBuf};
 use std::sync::{Arc, Barrier, Mutex};
 use std::time::Instant;
 use sw_arch::perf::step_costs;
+use sw_compress::errstats::{roundtrip_item, RoundtripError};
 use sw_compress::{max_abs_bucket, Codec, CodecCache, FieldStats};
 use sw_fault::FaultHook;
 use sw_grid::halo::Face;
@@ -583,8 +584,9 @@ struct RankLink {
 ///
 /// A field whose config carries coarse-run statistics keeps the codec
 /// built from them. A field without (the empty-stats sentinels of
-/// [`Codec::paper_assignment`]) self-calibrates: each step costs one
-/// max-abs scan, and the codec comes from `sw_compress`'s binade-bucket
+/// [`Codec::paper_assignment`]) self-calibrates: each step its max-abs
+/// comes from the walk that stored it last ([`PlaneMaxima`]), and the
+/// codec from `sw_compress`'s binade-bucket
 /// [`CodecCache`] — the same calibration the resident store uses, so a
 /// codec is built only the first time the field's magnitude visits a
 /// power-of-two bucket. The active codec is a pure function of the
@@ -619,6 +621,80 @@ impl CompressionSlot {
         self.active = cache.get(max_abs_bucket(max_abs));
         cache.built() > built
     }
+}
+
+/// One item of the round trip's walk: padded x-plane `p` of the three
+/// velocities, or of stress `i`.
+enum PlaneWork<'a> {
+    Velocities(usize, [&'a mut [f32]; 3]),
+    Stress(usize, usize, &'a mut [f32]),
+}
+
+/// Round-trip the nine wavefields of `state` in place through `codecs`
+/// ([`COMPRESSED_FIELDS`] order) as one walk over padded x-planes —
+/// every raw element, halos included — in [`PROBE_ITEMS`] items per
+/// plane: the three velocities, then each stress. The walk is one pool
+/// region when `parallel`, a plain loop over the same items otherwise.
+/// Returns each field's error statistics (the item partials folded in
+/// plane order; all-zero without `stats`) and, with `probe`, the
+/// watchdog's probe walk over the decoded interior planes, taken while
+/// they are in cache: the stored values, in the order
+/// [`health::fold_probe`](crate::health) folds.
+fn roundtrip_planes(
+    state: &mut SolverState,
+    codecs: [&Codec; WAVEFIELDS],
+    parallel: bool,
+    stats: bool,
+    probe: bool,
+) -> (Vec<RoundtripError>, Option<Vec<ProbeItem>>) {
+    let d = state.dims;
+    let SolverState { u, v, w, xx, yy, zz, xy, xz, yz, rho, .. } = state;
+    let (len, padded) = (u.plane_len(), u.padded_dims().nx);
+    let mut streams = [u, v, w, xx, yy, zz, xy, xz, yz].map(|f| f.raw_mut().chunks_mut(len));
+    let mut items = Vec::with_capacity(PROBE_ITEMS * padded);
+    for p in 0..padded {
+        let [u, v, w, stresses @ ..] =
+            streams.each_mut().map(|s| s.next().expect("a padded plane"));
+        items.push(PlaneWork::Velocities(p, [u, v, w]));
+        items.extend(stresses.into_iter().enumerate().map(|(i, s)| PlaneWork::Stress(p, i, s)));
+    }
+    let rho = &*rho;
+    let scans = |p: usize| probe && (HALO_WIDTH..HALO_WIDTH + d.nx).contains(&p);
+    let none = RoundtripError::default();
+    let partials = sw_compress::par::map_ordered(items, parallel, |work| match work {
+        PlaneWork::Velocities(p, mut planes) => {
+            let mut errors = [none; 3];
+            for ((e, plane), codec) in errors.iter_mut().zip(&mut planes).zip(&codecs[..3]) {
+                *e = roundtrip_item(*codec, plane, stats);
+            }
+            let scan = scans(p).then(|| {
+                let (scans, energy) =
+                    scan_velocity_plane(planes.each_ref().map(|q| &**q), rho.plane(p), d);
+                ProbeItem::Velocities(scans, energy)
+            });
+            (errors, scan)
+        }
+        PlaneWork::Stress(p, i, plane) => {
+            let error = roundtrip_item(codecs[3 + i], plane, stats);
+            let scan = scans(p).then(|| ProbeItem::Stress(scan_plane(plane, d)));
+            ([error, none, none], scan)
+        }
+    });
+    let mut errors = vec![none; WAVEFIELDS];
+    let mut scanned = probe.then(|| Vec::with_capacity(PROBE_ITEMS * d.nx));
+    for (k, (partial, scan)) in partials.into_iter().enumerate() {
+        let fields = match k % PROBE_ITEMS {
+            0 => 0..3,
+            i => 2 + i..3 + i,
+        };
+        for (f, e) in fields.zip(partial) {
+            errors[f] = RoundtripError::merge(errors[f], e);
+        }
+        if let (Some(items), Some(scan)) = (&mut scanned, scan) {
+            items.push(scan);
+        }
+    }
+    (errors, scanned)
 }
 
 /// One running simulation (one rank's subdomain, or the whole domain).
@@ -971,13 +1047,14 @@ impl Simulation {
         self.halo_stage(Stage::HALO_STRESS, 3..9);
         self.span(Stage::VELOCITY_THIRD, |s| s.velocity_half());
         self.halo_stage(Stage::HALO_VELOCITY, 0..3);
-        self.span(Stage::STRESS_THIRD, |s| {
-            s.stress_half();
+        let scanned = self.span(Stage::STRESS_THIRD, |s| {
+            let scanned = s.stress_half();
             if let (Some(frac), Some(t0)) = (slow, start) {
                 std::thread::sleep(t0.elapsed().mul_f64(frac));
             }
+            scanned
         });
-        self.span(Stage::FINISH_THIRD, |s| s.finish_step());
+        self.span(Stage::FINISH_THIRD, |s| s.finish_step(scanned));
         if let Some(start) = start.filter(|_| observed) {
             // The step wall, read once for all of its sinks.
             let wall = start.elapsed().as_secs_f64();
@@ -1078,15 +1155,20 @@ impl Simulation {
     /// stores"): `dstrqc` damps the memory variables, the return-mapping
     /// walk the wavefields of a nonlinear state, and only an elastic
     /// state's wavefields take a pass of their own — `addsrc` sits
-    /// between their stress store and the taper. The engine fuses
-    /// plasticity into its own sponge sweep, and validation keeps the
-    /// round trip off it (it stores 16-bit already).
-    fn stress_half(&mut self) {
+    /// between their stress store and the taper. Whichever walk stores
+    /// the stresses last also returns their max-abs per plane when a
+    /// codec self-calibrates from it (DESIGN "The round trip's neighbours
+    /// ride it"). The engine fuses plasticity into its own sponge sweep,
+    /// and validation keeps the round trip off it (it stores 16-bit
+    /// already). Returns the probe walk the round trip made, on the steps
+    /// the monitor probes.
+    fn stress_half(&mut self) -> Option<Vec<ProbeItem>> {
         let pool = self.path.is_parallel();
         let whole = Region::whole(self.state.dims);
         let nx = self.state.dims.nx;
         let nonlinear = self.state.options.nonlinear;
         let taper = self.state.sponge.clone();
+        let scale = self.compression.iter().flatten().any(|slot| slot.cache.is_some());
         self.span(Stage::STRESS, |s| match &mut s.resident {
             Some(engine) => engine.stress_sweep(&s.state),
             None => kernels::dstrqc_region(&mut s.state, &whole, pool, Some(&taper)),
@@ -1095,48 +1177,51 @@ impl Simulation {
             Some(engine) => engine.inject_sources(&s.state, &s.sources, s.time),
             None => kernels::addsrc(&mut s.state, &s.sources, s.time),
         });
-        match &self.resident {
+        let maxima = match &self.resident {
             None if nonlinear => self.span(Stage::PLASTICITY, |s| {
-                kernels::drprecpc_region(&mut s.state, 0..nx, pool);
+                kernels::drprecpc_region(&mut s.state, 0..nx, pool, scale).1
             }),
             None => self.span(Stage::SPONGE, |s| {
-                kernels::taper_wavefields_region(&mut s.state, 0..nx, pool);
+                kernels::taper_wavefields_region(&mut s.state, 0..nx, pool, scale)
             }),
             Some(engine) if engine.wants_plastic_sponge() => self.span(Stage::SPONGE, |s| {
                 let engine = s.resident.as_mut().expect("matched above");
                 engine.plastic_sponge_sweep(&mut s.state);
+                None
             }),
-            Some(_) => {}
-        }
-        self.compression_roundtrip();
+            Some(_) => None,
+        };
+        self.compression_roundtrip(maxima)
     }
 
     /// The §6.5 16-bit inter-step storage, simulated as an in-place
-    /// round trip of every wavefield through its codec — two passes, each
-    /// one pool region in the parallel modes and a plain loop over the
-    /// same items in serial mode. Pass 1 scans the self-calibrating
-    /// fields' interior max-abs and resolves this step's codecs from the
-    /// binade-bucket cache (see [`CompressionSlot`]); pass 2 runs every
-    /// `(field, chunk)` item through the codec's lane body. Error
-    /// statistics (for telemetry and the health budget) ride the same
-    /// chunk kernel and never change a stored value.
-    fn compression_roundtrip(&mut self) {
-        let Some(mut slots) = self.compression.take() else { return };
+    /// round trip of every wavefield through its codec. The
+    /// self-calibrating fields' codecs come from `maxima`, their max-abs
+    /// per plane as the step's last store left them, through the
+    /// binade-bucket cache (see [`CompressionSlot`]); then one walk over
+    /// padded x-planes ([`roundtrip_planes`]) runs every plane through
+    /// its codec's lane body. Error statistics (for telemetry and the
+    /// health budget) and, on a probe step, the watchdog's scan of the
+    /// decoded planes ride the same items and never change a stored
+    /// value. Returns that scan.
+    fn compression_roundtrip(&mut self, maxima: Option<PlaneMaxima>) -> Option<Vec<ProbeItem>> {
+        let mut slots = self.compression.take()?;
         let tel = self.telemetry.clone();
         let parallel = self.path.is_parallel();
-        self.span(Stage::COMPRESSION, |sim| {
-            let calibrating: Vec<usize> =
-                (0..slots.len()).filter(|&i| slots[i].cache.is_some()).collect();
-            let wavefields = sim.state.dynamic();
-            let scanned: Vec<&Field3> = calibrating.iter().map(|&i| wavefields[i]).collect();
-            let maxima = sw_compress::par::fields_max_abs(&scanned, parallel);
-            let mut rebuilds = 0u64;
-            for (&i, &max_abs) in calibrating.iter().zip(&maxima) {
-                rebuilds += u64::from(slots[i].refresh(max_abs));
+        let scanned = self.span(Stage::COMPRESSION, |sim| {
+            let (mut calibrating, mut rebuilds) = (0u64, 0u64);
+            for (i, slot) in slots.iter_mut().enumerate().filter(|(_, s)| s.cache.is_some()) {
+                // Only the stresses self-calibrate: the velocities' codec
+                // is the fixed f16 (`Codec::paper_assignment`).
+                let stress = i - (WAVEFIELDS - STRESSES);
+                let planes = maxima.as_ref().expect("the stresses' last store reports their scale");
+                let max_abs = planes.iter().fold(0.0f32, |m, plane| m.max(plane[stress]));
+                calibrating += 1;
+                rebuilds += u64::from(slot.refresh(max_abs));
             }
             if tel.is_enabled() {
                 tel.add("compress.codec_rebuilds", rebuilds);
-                tel.add("compress.codec_reuses", calibrating.len() as u64 - rebuilds);
+                tel.add("compress.codec_reuses", calibrating - rebuilds);
             }
             // The error statistics cost most of a round trip: they run on
             // the steps the monitor samples or, with a metrics registry
@@ -1147,14 +1232,9 @@ impl Simulation {
                 && (sim.step_count + 1).is_multiple_of(HealthConfig::default().effective_stride());
             let sampled = health_sampling || gauge_sampling;
             let t0 = Instant::now();
-            let work: Vec<(&mut [f32], &Codec)> = sim
-                .state
-                .dynamic_mut()
-                .into_iter()
-                .zip(&slots)
-                .map(|(f, slot)| (f.raw_mut(), &slot.active))
-                .collect();
-            let stats = sw_compress::errstats::roundtrip_arrays(work, parallel, sampled);
+            let codecs = std::array::from_fn(|i| &slots[i].active);
+            let (stats, scanned) =
+                roundtrip_planes(&mut sim.state, codecs, parallel, sampled, health_sampling);
             if tel.is_enabled() {
                 tel.record_duration("compress.roundtrip", t0.elapsed().as_secs_f64());
                 if sampled {
@@ -1169,8 +1249,10 @@ impl Simulation {
                     }
                 }
             }
+            scanned
         });
         self.compression = Some(slots);
+        scanned
     }
 
     /// Recording, flop accounting, checkpointing, clock advance, health.
@@ -1178,7 +1260,7 @@ impl Simulation {
     /// recorders tap decoded cells, and the health probe is built from
     /// the step's encode statistics instead of scanning f32 arrays (which
     /// are detached in that mode).
-    fn finish_step(&mut self) {
+    fn finish_step(&mut self, scanned: Option<Vec<ProbeItem>>) {
         let tel = self.telemetry.clone();
         self.span(Stage::RECORD, |s| match &s.resident {
             Some(engine) => {
@@ -1218,7 +1300,8 @@ impl Simulation {
         }
         let Some(monitor) = &mut self.health else { return };
         let Some(engine) = &self.resident else {
-            monitor.check(&self.state, self.step_count, self.time, self.path.is_parallel(), &tel);
+            let (step, time, parallel) = (self.step_count, self.time, self.path.is_parallel());
+            monitor.check(&self.state, scanned, step, time, parallel, &tel);
             return;
         };
         if monitor.wants_compression_sample(self.step_count) {
@@ -2443,6 +2526,83 @@ mod tests {
         sim2.run(cfg2.steps);
         assert_eq!(sim.state.u.max_abs_diff(&sim2.state.u), 0.0);
         assert_eq!(sim.state.xx.max_abs_diff(&sim2.state.xx), 0.0);
+    }
+
+    /// The round trip's probe walk, folded, is the probe of the state it
+    /// left — every `FieldProbe` field, `first_bad` and the kinetic
+    /// energy's bits — and its statistics and stored values do not depend
+    /// on who walked the planes or whether the walk scanned: at every
+    /// lane tier, on the calling thread and through the pool at widths
+    /// 1–4, over a state salted with NaN, ±Inf, −0.0 and subnormals.
+    #[test]
+    fn the_round_trips_probe_walk_is_the_probe_of_what_it_stored() {
+        let options = StateOptions { nonlinear: true, ..Default::default() };
+        let model = HalfspaceModel::hard_rock();
+        let mut base =
+            SolverState::from_model(&model, Dims3::new(7, 5, 19), 100.0, (0.0, 0.0, 0.0), options);
+        let mut seed = 0x2545_f491_4f6c_dd1du64;
+        for (i, f) in base.dynamic_mut().into_iter().take(WAVEFIELDS).enumerate() {
+            // `xz` takes the f16 codec below, which keeps a NaN a NaN.
+            let scale = match i {
+                0..3 => 0.02,
+                7 => 1.0e3,
+                _ => 4.0e6,
+            };
+            for v in f.raw_mut() {
+                seed ^= seed << 13;
+                seed ^= seed >> 7;
+                seed ^= seed << 17;
+                *v = ((seed >> 40) as f32 / (1u64 << 24) as f32 - 0.5) * scale;
+            }
+        }
+        base.xz.set(4, 3, 11, f32::NAN);
+        base.xz.set(6, 0, 2, f32::NAN);
+        base.yy.set(2, 4, 18, f32::INFINITY);
+        base.zz.set(0, 0, 0, f32::NEG_INFINITY);
+        base.u.set(3, 2, 5, -0.0);
+        base.w.set(5, 1, 7, f32::from_bits(3));
+        base.xy.set(1, 1, 1, -1.0e-40);
+        let codecs: Vec<Codec> = COMPRESSED_FIELDS
+            .iter()
+            .zip(base.dynamic())
+            .map(|(&name, f)| {
+                let finite: Vec<f32> = f.raw().iter().copied().filter(|v| v.is_finite()).collect();
+                let name = if name == "xz" { "vel" } else { name };
+                Codec::paper_assignment(name, &FieldStats::of_slice(&finite))
+            })
+            .collect();
+        let codecs: [&Codec; WAVEFIELDS] = std::array::from_fn(|i| &codecs[i]);
+        let mut stored = base.clone();
+        roundtrip_planes(&mut stored, codecs, false, false, false);
+        let want = crate::health::probe_state(&stored, false, 7, 0.5, 2);
+        assert_eq!(want.nan_count(), 2);
+        assert!(want.first_bad().is_some());
+        let bits = |p: &StepProbe| {
+            let fields: Vec<_> =
+                p.fields.iter().map(|f| (f.max_abs.to_bits(), f.clone())).collect();
+            (p.kinetic_energy.to_bits(), p.max_velocity.to_bits(), p.max_stress.to_bits(), fields)
+        };
+        let mut reference_stats = None;
+        let mut walk = |tier, parallel: bool, what: &str| {
+            let mut s = base.clone();
+            let (stats, scanned) = roundtrip_planes(&mut s, codecs, parallel, true, true);
+            let got = crate::health::fold_probe(&s, scanned.expect("asked to scan"), 7, 0.5, 2);
+            assert_eq!(bits(&got), bits(&want), "{what} lanes {tier}");
+            for (a, b) in s.dynamic().into_iter().zip(stored.dynamic()).take(WAVEFIELDS) {
+                assert!(a.raw().iter().zip(b.raw()).all(|(x, y)| x.to_bits() == y.to_bits()));
+            }
+            let stats: Vec<_> = stats.iter().map(|e| (e.sum_sq_err.to_bits(), *e)).collect();
+            let first = reference_stats.get_or_insert_with(|| stats.clone());
+            assert_eq!(&stats, first, "{what} lanes {tier}: statistics");
+        };
+        sw_grid::simd::per_tier(|tier| {
+            walk(tier, false, "calling thread");
+            for threads in [1, 2, 3, 4] {
+                rayon::ThreadPoolBuilder::new().num_threads(threads).build_global().unwrap();
+                walk(tier, true, &format!("pool width {threads}"));
+            }
+        });
+        rayon::ThreadPoolBuilder::new().num_threads(0).build_global().unwrap();
     }
 
     #[test]

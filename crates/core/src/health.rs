@@ -7,9 +7,13 @@
 //! fold-partials-in-plane-order discipline the solver's kernels use,
 //! so a health record is **bit-identical** whether the run executes
 //! serially or on the Rayon pool. The monitor is sampled every
-//! `health.stride` steps from `finish_step`; at the default stride a
-//! healthy 64³ production run pays +5–9 % for it
-//! (`bench_health_overhead`, EXPERIMENTS "Health-monitor overhead").
+//! `health.stride` steps from `finish_step`. On a compressed run the
+//! scan is not a pass of its own: the §6.5 round trip scans each plane
+//! it has just decoded and hands the partials over ([`fold_probe`]);
+//! [`probe_state`] scans the state of an uncompressed run. At the
+//! default stride a healthy 64³ production run pays +5–10 % for the
+//! monitor, and +62–65 % at stride 1 (`bench_health_overhead`,
+//! EXPERIMENTS "Health-monitor overhead").
 
 use std::sync::Arc;
 
@@ -18,7 +22,7 @@ use crate::state::{kinetic_energy_row, ArrayClass, SolverState};
 use rayon::prelude::*;
 use sw_compress::errstats::RoundtripError;
 use sw_grid::simd::wide;
-use sw_grid::Field3;
+use sw_grid::{Dims3, Field3, HALO_WIDTH as H};
 use sw_health::{
     BudgetTracker, CflInfo, CompressionSample, Fatal, FieldProbe, FieldSnapshot, HealthConfig,
     HealthLog, HealthReport, StepProbe, Verdict, Watchdog,
@@ -35,7 +39,7 @@ fn monitored_fields(state: &SolverState) -> Vec<(&'static str, &Field3)> {
 
 /// Per-x-plane scan partial: the deterministic reduction unit.
 #[derive(Debug, Clone, Copy, Default)]
-struct PlaneScan {
+pub(crate) struct PlaneScan {
     max_abs: f32,
     nan: u64,
     inf: u64,
@@ -44,95 +48,104 @@ struct PlaneScan {
     first_bad: Option<(usize, usize)>,
 }
 
-/// One x-plane of `field`, scanned inside
+/// Interior row `y` of a padded x-plane of a `d` mesh.
+#[inline(always)]
+fn interior_row(plane: &[f32], d: Dims3, y: usize) -> &[f32] {
+    let start = (y + H) * (d.nz + 2 * H) + H;
+    &plane[start..start + d.nz]
+}
+
+/// The interior of one padded x-plane of a `d` mesh, scanned inside
 /// [`wide`](sw_grid::simd::wide): the lane folds below are compiled for
 /// the host's lane tier.
-fn scan_plane(field: &Field3, x: usize) -> PlaneScan {
+pub(crate) fn scan_plane(plane: &[f32], d: Dims3) -> PlaneScan {
     wide(
         #[inline(always)]
         || {
-            let d = field.dims();
-            let mut s = PlaneScan::default();
+            let mut scanner = PlaneScanner::new();
             for y in 0..d.ny {
-                scan_row(&mut s, &field.row(x, y)[..d.nz], y);
+                scanner.row(interior_row(plane, d, y), y);
             }
-            s
+            scanner.finish()
         },
     )
 }
 
-/// One x-plane of the three velocities and its kinetic energy, in one
-/// walk of their rows (inside `wide`, as [`scan_plane`]): `u`, `v` and
-/// `w` are read once per probe. The energy is
-/// [`SolverState::kinetic_energy`]'s plane partial, bit for bit.
-fn scan_velocity_plane(state: &SolverState, x: usize) -> ([PlaneScan; 3], f64) {
+/// The interior of one padded x-plane of the three velocities and its
+/// kinetic energy, with `rho`'s plane, in one walk of their rows (inside
+/// `wide`, as [`scan_plane`]): `u`, `v` and `w` are read once per probe.
+/// The energy is [`SolverState::kinetic_energy`]'s plane partial, bit for
+/// bit.
+pub(crate) fn scan_velocity_plane(
+    planes: [&[f32]; 3],
+    rho: &[f32],
+    d: Dims3,
+) -> ([PlaneScan; 3], f64) {
     wide(
         #[inline(always)]
         || {
-            let d = state.dims;
-            let mut scans = [PlaneScan::default(); 3];
+            let mut scanners = [PlaneScanner::new(), PlaneScanner::new(), PlaneScanner::new()];
             let mut energy = 0.0f64;
             for y in 0..d.ny {
-                let rows = [&state.u, &state.v, &state.w].map(|f| &f.row(x, y)[..d.nz]);
-                for (scan, row) in scans.iter_mut().zip(rows) {
-                    scan_row(scan, row, y);
+                let rows = planes.map(|p| interior_row(p, d, y));
+                for (scanner, row) in scanners.iter_mut().zip(rows) {
+                    scanner.row(row, y);
                 }
-                kinetic_energy_row(rows, state.rho.row(x, y), &mut energy);
+                kinetic_energy_row(rows, interior_row(rho, d, y), &mut energy);
             }
-            (scans, energy)
+            (scanners.map(PlaneScanner::finish), energy)
         },
     )
 }
 
-/// Fold row `y` (its interior `zs`) into its plane's scan.
-#[inline(always)]
-fn scan_row(s: &mut PlaneScan, zs: &[f32], y: usize) {
-    // Fast path: a lane-split max/finiteness fold over the run — eight
-    // independent accumulators so the loop vectorizes instead of
-    // serializing on one compare chain. `max` is order-independent, so
-    // the lane split changes nothing. `a > max` is false for NaN, so a
-    // NaN can hide from the max — the finiteness fold catches it and
-    // routes to the slow scan.
-    let mut mx = [0.0f32; 8];
-    // `is_subnormal` tests bits; a float compare would not do, as the
-    // probe runs in the kernels' flush-to-zero mode, where a subnormal
-    // operand reads as zero.
-    let mut sub = [0u32; 8];
-    let mut nonfinite = 0u32;
-    let mut runs = zs.chunks_exact(8);
-    for run in &mut runs {
-        for l in 0..8 {
-            let a = run[l].abs();
-            if a > mx[l] {
-                mx[l] = a;
+/// Lanes of the scan's fast path: one AVX-512 register, two AVX2 ones.
+const SCAN_LANES: usize = 16;
+
+/// One x-plane's scan in progress. The fast path's lane accumulators are
+/// carried across the plane's rows — a row is too short to amortize
+/// reductions of its own — and folded into the [`PlaneScan`] once, by
+/// [`Self::finish`].
+struct PlaneScanner {
+    scan: PlaneScan,
+    /// Per-lane max |v| over the finite values seen.
+    max: [f32; SCAN_LANES],
+    /// Per-lane count of subnormal values.
+    subnormal: [u32; SCAN_LANES],
+}
+
+impl PlaneScanner {
+    #[inline(always)]
+    fn new() -> Self {
+        Self { scan: PlaneScan::default(), max: [0.0; SCAN_LANES], subnormal: [0; SCAN_LANES] }
+    }
+
+    /// Fold row `y` (its interior `zs`) in.
+    #[inline(always)]
+    fn row(&mut self, zs: &[f32], y: usize) {
+        // Fast path: lane-split max / subnormal / finiteness folds, so the
+        // loop vectorizes instead of serializing on one compare chain.
+        // The max takes finite values only (`a < ∞` is false for ±∞ and
+        // NaN); max and counts do not depend on the order, so the lane
+        // split changes nothing. `is_subnormal` tests bits; a float
+        // compare would not do, as the probe runs in the kernels'
+        // flush-to-zero mode, where a subnormal operand reads as zero.
+        let mut nonfinite = 0u32;
+        let (runs, tail) = zs.as_chunks::<SCAN_LANES>();
+        for run in runs {
+            for (l, &v) in run.iter().enumerate() {
+                self.visit(l, v, &mut nonfinite);
             }
-            sub[l] += u32::from(run[l].is_subnormal());
-            nonfinite |= u32::from(!run[l].is_finite());
         }
-    }
-    for &v in runs.remainder() {
-        let a = v.abs();
-        if a > mx[0] {
-            mx[0] = a;
+        for (l, &v) in tail.iter().enumerate() {
+            self.visit(l, v, &mut nonfinite);
         }
-        sub[0] += u32::from(v.is_subnormal());
-        nonfinite |= u32::from(!v.is_finite());
-    }
-    s.subnormal += sub.iter().map(|&n| u64::from(n)).sum::<u64>();
-    if nonfinite == 0 {
-        let max_abs = mx.iter().fold(0.0f32, |m, &v| if v > m { v } else { m });
-        if max_abs > s.max_abs {
-            s.max_abs = max_abs;
+        if nonfinite == 0 {
+            return;
         }
-        return;
-    }
-    for (z, &v) in zs.iter().enumerate() {
-        if v.is_finite() {
-            let a = v.abs();
-            if a > s.max_abs {
-                s.max_abs = a;
-            }
-        } else {
+        // A row with a non-finite value: count them and find the first,
+        // in scan order.
+        let s = &mut self.scan;
+        for (z, &v) in zs.iter().enumerate().filter(|(_, v)| !v.is_finite()) {
             if v.is_nan() {
                 s.nan += 1;
             } else {
@@ -143,17 +156,36 @@ fn scan_row(s: &mut PlaneScan, zs: &[f32], y: usize) {
             }
         }
     }
+
+    #[inline(always)]
+    fn visit(&mut self, l: usize, v: f32, nonfinite: &mut u32) {
+        let a = v.abs();
+        let finite = a < f32::INFINITY;
+        self.max[l] = if finite && a > self.max[l] { a } else { self.max[l] };
+        // Subnormal: a zero exponent under a nonzero mantissa.
+        let magnitude = v.to_bits() & 0x7fff_ffff;
+        self.subnormal[l] += u32::from(magnitude.wrapping_sub(1) < 0x007f_ffff);
+        *nonfinite |= u32::from(!finite);
+    }
+
+    #[inline(always)]
+    fn finish(self) -> PlaneScan {
+        let max_abs = self.max.iter().fold(0.0f32, |m, &v| if v > m { v } else { m });
+        let subnormal = self.subnormal.iter().map(|&n| u64::from(n)).sum();
+        PlaneScan { max_abs, subnormal, ..self.scan }
+    }
 }
 
 /// Scan one field into a [`FieldProbe`]. Plane partials are folded in
 /// x order in both modes, so the probe (including which entry counts
 /// as "first bad") is bit-identical across `ExecMode`s.
 fn scan_field(name: &'static str, field: &Field3, parallel: bool) -> FieldProbe {
-    let nx = field.dims().nx;
+    let d = field.dims();
+    let scan = |x: usize| scan_plane(field.plane(x + H), d);
     let planes: Vec<PlaneScan> = if parallel {
-        (0..nx).into_par_iter().map(|x| scan_plane(field, x)).collect()
+        (0..d.nx).into_par_iter().map(scan).collect()
     } else {
-        (0..nx).map(|x| scan_plane(field, x)).collect()
+        (0..d.nx).map(scan).collect()
     };
     fold_planes(name, &planes)
 }
@@ -187,15 +219,20 @@ fn fold_planes(name: &'static str, planes: &[PlaneScan]) -> FieldProbe {
 }
 
 /// One item of the probe's plane walk: x-plane `x` of the three
-/// velocities with its kinetic energy, or of one stress.
+/// velocities with its kinetic energy, or of one stress. A walk emits
+/// [`PROBE_ITEMS`] per plane, in plane order: the velocities, then the
+/// six stresses in probe order.
 #[derive(Clone, Copy)]
-enum ProbeItem {
+pub(crate) enum ProbeItem {
     Velocities([PlaneScan; 3], f64),
     Stress(PlaneScan),
 }
 
+/// Items per x-plane of the probe's walk.
+pub(crate) const PROBE_ITEMS: usize = 7;
+
 /// Probe the full state: all nine wavefields plus the kinetic energy.
-fn probe_state(
+pub(crate) fn probe_state(
     state: &SolverState,
     parallel: bool,
     step: u64,
@@ -206,26 +243,43 @@ fn probe_state(
     // item) index space, so the pool's per-region fan-out cost is paid
     // once. Each x-plane holds seven items — the velocities with the
     // kinetic energy (one walk over `u`, `v`, `w` and `ρ`), then the six
-    // stresses — so every slab of the walk carries the same mix. The
-    // per-plane partials and the per-field fold are exactly
-    // [`scan_field`]'s, and the energy partials fold in plane order as
-    // [`SolverState::kinetic_energy`]'s do, so the probe stays
-    // bit-identical to the field-at-a-time serial scan.
+    // stresses — so every slab of the walk carries the same mix.
     let monitored = monitored_fields(state);
-    let stresses = &monitored[3..];
-    let (nx, per_plane) = (state.dims.nx, 1 + stresses.len());
-    let item = |k: usize| match k % per_plane {
-        0 => {
-            let (scans, energy) = scan_velocity_plane(state, k / per_plane);
-            ProbeItem::Velocities(scans, energy)
+    let (d, stresses) = (state.dims, &monitored[3..]);
+    let item = |k: usize| {
+        let p = k / PROBE_ITEMS + H;
+        match k % PROBE_ITEMS {
+            0 => {
+                let planes = [&state.u, &state.v, &state.w].map(|f| f.plane(p));
+                let (scans, energy) = scan_velocity_plane(planes, state.rho.plane(p), d);
+                ProbeItem::Velocities(scans, energy)
+            }
+            i => ProbeItem::Stress(scan_plane(stresses[i - 1].1.plane(p), d)),
         }
-        i => ProbeItem::Stress(scan_plane(stresses[i - 1].1, k / per_plane)),
     };
     let items: Vec<ProbeItem> = if parallel {
-        (0..per_plane * nx).into_par_iter().map(item).collect()
+        (0..PROBE_ITEMS * d.nx).into_par_iter().map(item).collect()
     } else {
-        (0..per_plane * nx).map(item).collect()
+        (0..PROBE_ITEMS * d.nx).map(item).collect()
     };
+    fold_probe(state, items, step, time, rank)
+}
+
+/// Fold a probe walk's items (in its order, see [`ProbeItem`]) into the
+/// probe of `state`'s step. The per-field fold is exactly
+/// [`scan_field`]'s, and the energy partials fold in plane order as
+/// [`SolverState::kinetic_energy`]'s do, so the probe is bit-identical to
+/// the field-at-a-time serial scan whoever walked the planes.
+pub(crate) fn fold_probe(
+    state: &SolverState,
+    items: Vec<ProbeItem>,
+    step: u64,
+    time: f64,
+    rank: usize,
+) -> StepProbe {
+    let monitored = monitored_fields(state);
+    let nx = state.dims.nx;
+    debug_assert_eq!(items.len(), PROBE_ITEMS * nx);
     let mut planes = vec![Vec::with_capacity(nx); monitored.len()];
     let mut energies = Vec::with_capacity(nx);
     for (k, item) in items.into_iter().enumerate() {
@@ -236,7 +290,7 @@ fn probe_state(
                 }
                 energies.push(energy);
             }
-            ProbeItem::Stress(scan) => planes[3 + k % per_plane - 1].push(scan),
+            ProbeItem::Stress(scan) => planes[3 + k % PROBE_ITEMS - 1].push(scan),
         }
     }
     let fields: Vec<FieldProbe> = monitored
@@ -446,9 +500,14 @@ impl HealthMonitor {
     /// Evaluate the state after step `step` completed. No-op except at
     /// probe steps; after a fatal verdict the monitor stops probing
     /// (the failure is latched for the driver to surface).
+    ///
+    /// `scanned` is the probe walk the step's §6.5 round trip made over
+    /// the values it decoded (the stored ones); without it — an
+    /// uncompressed run — the state is scanned here.
     pub(crate) fn check(
         &mut self,
         state: &SolverState,
+        scanned: Option<Vec<ProbeItem>>,
         step: u64,
         time: f64,
         parallel: bool,
@@ -457,7 +516,10 @@ impl HealthMonitor {
         if !self.wants_probe(step) {
             return;
         }
-        let probe = probe_state(state, parallel, step, time, self.rank);
+        let probe = match scanned {
+            Some(items) => fold_probe(state, items, step, time, self.rank),
+            None => probe_state(state, parallel, step, time, self.rank),
+        };
         let cfl = CflInfo { dt: state.dt, dt_stable: state.dt_stable };
         if let Some(fatal) = self.judge(probe, cfl, tel) {
             let bundle = self.dump_bundle(state, step, &fatal);

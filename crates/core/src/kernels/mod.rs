@@ -21,7 +21,10 @@
 //! stores"): `fstr_stress_region` images the stresses, `dvelc_region`
 //! images `w` as it stores it, `dstrqc_region` tapers `r` given a
 //! profile, and `drprecpc_region` walks yield factors, return mapping
-//! and the wavefields' taper column by column.
+//! and the wavefields' taper column by column. The walk that stores the
+//! stresses last (`drprecpc_region`, or `taper_wavefields_region` on an
+//! elastic state) also returns their max-abs per plane when the §6.5
+//! codecs ask for it (DESIGN "The round trip's neighbours ride it").
 
 pub mod freesurf;
 pub mod plane;
@@ -38,7 +41,7 @@ pub use plastic::{
     drprecpc_app, drprecpc_app_region, drprecpc_calc, drprecpc_calc_region, drprecpc_region,
 };
 pub use source::addsrc;
-pub use sponge::{apply_sponge, apply_sponge_region, taper_wavefields_region};
+pub use sponge::{apply_sponge, apply_sponge_region, taper_wavefields_region, PlaneMaxima};
 pub use stress::{dstrqc, dstrqc_region};
 pub use velocity::{dvelc_region, dvelcx, dvelcy};
 

@@ -68,13 +68,14 @@ impl Region {
 /// a detached field, which the body then must not index: on the
 /// calling thread in ascending `x`, or — with `pool` — as one pool region
 /// in which each participant walks a contiguous slab of `x` upwards
-/// (handing a CG block's sub-blocks to the CPE threads, §6.2).
-pub(crate) fn for_each_plane<const N: usize>(
+/// (handing a CG block's sub-blocks to the CPE threads, §6.2). What the
+/// bodies return comes back in ascending `x` either way.
+pub(crate) fn for_each_plane<const N: usize, R: Send>(
     fields: [&mut Field3; N],
     x_range: Range<usize>,
     pool: bool,
-    body: impl Fn(usize, [&mut [f32]; N]) + Sync,
-) {
+    body: impl Fn(usize, [&mut [f32]; N]) -> R + Sync,
+) -> Vec<R> {
     let mut streams = fields.map(|f| {
         let (len, detached) = (f.plane_len(), f.is_detached());
         (detached, f.raw_mut().chunks_mut(len).skip(HALO_WIDTH + x_range.start))
@@ -96,9 +97,9 @@ pub(crate) fn for_each_plane<const N: usize>(
     };
     if pool {
         let planes: Vec<_> = x_range.map(planes_of).collect();
-        planes.into_par_iter().for_each(run);
+        planes.into_par_iter().map(run).collect()
     } else {
-        x_range.map(planes_of).for_each(run);
+        x_range.map(planes_of).map(run).collect()
     }
 }
 

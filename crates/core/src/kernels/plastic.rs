@@ -15,10 +15,10 @@
 //! tensor plus four material arrays, and takes a square root per point.
 
 use super::plane::for_each_plane;
-use super::sponge::{taper_row, WAVEFIELDS};
+use super::sponge::{taper_row, PlaneMaxima, STRESSES, WAVEFIELDS};
 use crate::state::SolverState;
 use std::ops::Range;
-use std::sync::atomic::{AtomicUsize, Ordering};
+use sw_compress::par::MaxAbs;
 use sw_grid::HALO_WIDTH as H;
 
 /// `drprecpc_calc`: compute the yield factor `r` for every point into
@@ -93,9 +93,7 @@ pub fn drprecpc_calc_region(s: &mut SolverState, x_range: Range<usize>, pool: bo
     let pnz = d.nz + 2 * H;
     let (xx, yy, zz, xy, xz, yz) = (&s.xx, &s.yy, &s.zz, &s.xy, &s.xz, &s.yz);
     let (sigma0, cohes, cosphi, sinphi, pf) = (&s.sigma0, &s.cohes, &s.cosphi, &s.sinphi, &s.pf);
-    // Integer sums do not depend on which thread adds which plane.
-    let yielding = AtomicUsize::new(0);
-    for_each_plane(
+    let per_plane = for_each_plane(
         [&mut s.yldfac],
         x_range,
         pool,
@@ -108,10 +106,10 @@ pub fn drprecpc_calc_region(s: &mut SolverState, x_range: Range<usize>, pool: bo
                 let base = (y + H) * pnz + H;
                 local += yield_factors(stress, material, &mut pyld[base..base + d.nz]);
             }
-            yielding.fetch_add(local, Ordering::Relaxed);
+            local
         },
     );
-    yielding.into_inner()
+    per_plane.into_iter().sum()
 }
 
 /// `drprecpc_app`: apply the yield factors — scale the stress deviator
@@ -149,10 +147,17 @@ pub fn drprecpc_app_region(s: &mut SolverState, x_range: Range<usize>, pool: boo
 /// factors, [`drprecpc_app`]'s return mapping, and then the state's
 /// sponge over the nine wavefields in the column's band (their last store
 /// of the step: `dstrqc` has read the undamped velocities, and no later
-/// stage reads undamped values). Returns the number of yielding points.
-/// Every stage is pointwise, so the walk leaves the bits the three passes
-/// leave.
-pub fn drprecpc_region(s: &mut SolverState, x_range: Range<usize>, pool: bool) -> usize {
+/// stage reads undamped values). Returns the number of yielding points
+/// and — with `scale` — the six stresses' max-abs per x-plane, taken from
+/// each column while it is still in L1 (DESIGN "The round trip's
+/// neighbours ride it"). Every stage is pointwise, so the walk leaves the
+/// bits the three passes leave.
+pub fn drprecpc_region(
+    s: &mut SolverState,
+    x_range: Range<usize>,
+    pool: bool,
+    scale: bool,
+) -> (usize, Option<PlaneMaxima>) {
     debug_assert!(s.options.nonlinear);
     let d = s.dims;
     let pnz = d.nz + 2 * H;
@@ -172,8 +177,7 @@ pub fn drprecpc_region(s: &mut SolverState, x_range: Range<usize>, pool: bool) -
         &mut s.yldfac,
         &mut s.eqp,
     ];
-    let yielding = AtomicUsize::new(0);
-    for_each_plane(
+    let per_plane = for_each_plane(
         fields,
         x_range,
         pool,
@@ -181,6 +185,7 @@ pub fn drprecpc_region(s: &mut SolverState, x_range: Range<usize>, pool: bool) -
         |x, planes| {
             let [pu, pv, pw, pxx, pyy, pzz, pxy, pxz, pyz, pyld, peqp] = planes;
             let (mut wavefields, mut local) = ([pu, pv, pw, pxx, pyy, pzz, pxy, pxz, pyz], 0);
+            let mut max = [MaxAbs::default(); STRESSES];
             for y in 0..d.ny {
                 let base = (y + H) * pnz + H;
                 let column = base..base + d.nz;
@@ -189,18 +194,24 @@ pub fn drprecpc_region(s: &mut SolverState, x_range: Range<usize>, pool: bool) -
                 let [.., sxx, syy, szz, sxy, sxz, syz] = &mut wavefields;
                 let stress = [sxx, syy, szz, sxy, sxz, syz].map(|p| &mut p[column.clone()]);
                 local += yield_factors(stress.each_ref().map(|p| &**p), material, ryld);
-                return_map(stress, &mut peqp[column], ryld, mu.row(x, y));
+                return_map(stress, &mut peqp[column.clone()], ryld, mu.row(x, y));
                 if let Some(profile) = &taper {
                     let (z0, damp) = profile.column(x, y);
                     for plane in &mut wavefields[..WAVEFIELDS] {
                         taper_row(&mut plane[base + z0..], damp);
                     }
                 }
+                if scale {
+                    for (m, plane) in max.iter_mut().zip(&wavefields[WAVEFIELDS - STRESSES..]) {
+                        m.row(&plane[column.clone()]);
+                    }
+                }
             }
-            yielding.fetch_add(local, Ordering::Relaxed);
+            (local, max.map(MaxAbs::get))
         },
     );
-    yielding.into_inner()
+    let yielding = per_plane.iter().map(|&(local, _)| local).sum();
+    (yielding, scale.then(|| per_plane.into_iter().map(|(_, max)| max).collect()))
 }
 
 /// J₂ deviatoric magnitude of the dynamic stress at a point (test probe).

@@ -18,10 +18,22 @@
 use super::plane::{for_each_plane, sweep_row, Lane};
 use crate::state::{ArrayClass, SolverState, StateOptions};
 use std::ops::Range;
+use sw_compress::par::MaxAbs;
 use sw_grid::HALO_WIDTH as H;
 
 /// The wavefields, which lead [`SolverState::dynamic_mut`].
 pub const WAVEFIELDS: usize = 9;
+
+/// The stresses, which end the wavefields.
+pub const STRESSES: usize = 6;
+
+/// What a walk that stores the stresses last reports with `scale`: per
+/// x-plane of its range, in ascending `x`, the max-abs of each stress's
+/// interior (`xx yy zz xy xz yz`) — the scale the §6.5 codecs that
+/// self-calibrate are chosen from. Folded with `f32::max` over the
+/// planes, each is [`sw_compress::par::fields_max_abs`] of the stored
+/// field, bit for bit.
+pub type PlaneMaxima = Vec<[f32; STRESSES]>;
 
 /// Arrays one whole sponge damps: the nine wavefields, then the memory
 /// variables when the options carry them (they trail the wavefields in
@@ -49,38 +61,64 @@ pub fn apply_sponge(s: &mut SolverState) {
 /// `x_range`, planes walked by the pool or the caller.
 pub fn apply_sponge_region(s: &mut SolverState, x_range: Range<usize>, pool: bool) {
     let damped = damped_arrays(&s.options);
-    taper_region(s, damped, x_range, pool);
+    taper_region(s, damped, x_range, pool, false);
 }
 
 /// The sponge over the nine wavefields alone: the standalone pass of an
-/// elastic state's step, whose memory variables `dstrqc` tapers.
-pub fn taper_wavefields_region(s: &mut SolverState, x_range: Range<usize>, pool: bool) {
-    taper_region(s, WAVEFIELDS, x_range, pool);
+/// elastic state's step, whose memory variables `dstrqc` tapers. With
+/// `scale` it is the stresses' last store, and it also returns their
+/// [`PlaneMaxima`], read from each full stress row after its band is
+/// damped — it then walks the planes even without a sponge.
+pub fn taper_wavefields_region(
+    s: &mut SolverState,
+    x_range: Range<usize>,
+    pool: bool,
+    scale: bool,
+) -> Option<PlaneMaxima> {
+    taper_region(s, WAVEFIELDS, x_range, pool, scale)
 }
 
-/// Taper the first `arrays` dynamic fields over the columns of `x_range`.
-fn taper_region(s: &mut SolverState, arrays: usize, x_range: Range<usize>, pool: bool) {
+/// Taper the first `arrays` dynamic fields over the columns of `x_range`;
+/// with `scale`, return the stresses' max-abs per plane.
+fn taper_region(
+    s: &mut SolverState,
+    arrays: usize,
+    x_range: Range<usize>,
+    pool: bool,
+    scale: bool,
+) -> Option<PlaneMaxima> {
     let d = s.dims;
-    if s.options.sponge_width == 0 {
-        return;
+    let damped = s.options.sponge_width > 0;
+    if !damped && !scale {
+        return None;
     }
     let pnz = d.nz + 2 * H;
     let profile = s.sponge.clone();
-    for_each_plane(
+    let per_plane = for_each_plane(
         s.dynamic_mut(),
         x_range,
         pool,
         #[inline(always)]
         |x, mut planes| {
+            let mut max = [MaxAbs::default(); STRESSES];
             for y in 0..d.ny {
-                let (z0, damp) = profile.column(x, y);
-                let base = (y + H) * pnz + H + z0;
-                for plane in &mut planes[..arrays] {
-                    taper_row(&mut plane[base..], damp);
+                let base = (y + H) * pnz + H;
+                if damped {
+                    let (z0, damp) = profile.column(x, y);
+                    for plane in &mut planes[..arrays] {
+                        taper_row(&mut plane[base + z0..], damp);
+                    }
+                }
+                if scale {
+                    for (m, plane) in max.iter_mut().zip(&planes[WAVEFIELDS - STRESSES..]) {
+                        m.row(&plane[base..base + d.nz]);
+                    }
                 }
             }
+            max.map(MaxAbs::get)
         },
     );
+    scale.then_some(per_plane)
 }
 
 #[cfg(test)]

@@ -490,6 +490,41 @@ impl SolverState {
         partials.into_iter().sum::<f64>() * vol
     }
 
+    /// Strain energy of one x-plane's interior (before the cell-volume
+    /// factor), cell by cell in z order within each row, rows in y order.
+    fn strain_energy_plane(&self, x: usize) -> f64 {
+        let mut e = 0.0f64;
+        for y in 0..self.dims.ny {
+            let stress = [&self.xx, &self.yy, &self.zz, &self.xy, &self.xz, &self.yz];
+            let [xx, yy, zz, xy, xz, yz] = stress.map(|f| f.row(x, y));
+            let (lam, mu) = (self.lam.row(x, y), self.mu.row(x, y));
+            for z in 0..self.dims.nz {
+                let (l, m) = (f64::from(lam[z]), f64::from(mu[z]));
+                if m <= 0.0 {
+                    continue;
+                }
+                let normal = [xx[z], yy[z], zz[z]].map(f64::from);
+                let shear = [xy[z], xz[z], yz[z]].map(f64::from);
+                let trace: f64 = normal.iter().sum();
+                let contracted = normal.iter().map(|s| s * s).sum::<f64>()
+                    + 2.0 * shear.iter().map(|s| s * s).sum::<f64>();
+                e += (contracted - l / (3.0 * l + 2.0 * m) * trace * trace) / (4.0 * m);
+            }
+        }
+        e
+    }
+
+    /// Strain energy of the interior, J: cell volume × ½σ:C⁻¹σ, with the
+    /// λ and μ the stress update applies at each cell — for the isotropic
+    /// compliance, (σ:σ − λ/(3λ + 2μ)·(tr σ)²)/(4μ). Accumulated as one
+    /// f64 partial per x-plane, folded in plane order like
+    /// [`Self::kinetic_energy`]; a cell without rigidity (μ = 0) holds
+    /// none.
+    pub fn strain_energy(&self) -> f64 {
+        let vol = self.dx * self.dx * self.dx;
+        (0..self.dims.nx).map(|x| self.strain_energy_plane(x)).sum::<f64>() * vol
+    }
+
     /// Largest absolute velocity anywhere (NaN-free sanity probe).
     pub fn peak_velocity(&self) -> f32 {
         self.u.max_abs().max(self.v.max_abs()).max(self.w.max_abs())
@@ -505,11 +540,25 @@ impl SolverState {
 /// Add one row's ½ρv² to `e`, cell by cell in z order (per cell volume):
 /// the kinetic-energy reduction's one accumulation order, shared by
 /// [`SolverState::kinetic_energy`] and the health probe's plane walk.
+/// The terms of a run of cells are computed first, a loop the lanes
+/// take, and then added in order: the sum is one chain of dependent
+/// adds, and it no longer waits on the arithmetic that feeds it.
 #[inline(always)]
 pub(crate) fn kinetic_energy_row([us, vs, ws]: [&[f32]; 3], rs: &[f32], e: &mut f64) {
-    for (z, &rho) in rs.iter().enumerate() {
-        let v2 = (us[z] * us[z] + vs[z] * vs[z] + ws[z] * ws[z]) as f64;
-        *e += 0.5 * rho as f64 * v2;
+    const RUN: usize = 64;
+    let mut terms = [0.0f64; RUN];
+    let n = rs.len();
+    let (us, vs, ws) = (&us[..n], &vs[..n], &ws[..n]);
+    for z0 in (0..n).step_by(RUN) {
+        let run = &mut terms[..RUN.min(n - z0)];
+        for (k, term) in run.iter_mut().enumerate() {
+            let z = z0 + k;
+            let v2 = (us[z] * us[z] + vs[z] * vs[z] + ws[z] * ws[z]) as f64;
+            *term = 0.5 * rs[z] as f64 * v2;
+        }
+        for &term in &*run {
+            *e += term;
+        }
     }
 }
 

@@ -54,41 +54,69 @@ pub fn map_ordered<T: Send, R: Send>(
     }
 }
 
-/// Lane accumulators of [`plane_max_abs`]: two AVX2 registers, so two
+/// Lane accumulators of [`MaxAbs`]: two AVX2 registers, so two
 /// independent max chains, and a whole number of rows of every mesh
 /// side that is a multiple of 16.
 const MAX_LANES: usize = 16;
 
-/// Max-abs over the interior rows of padded x-plane `x + halo`. `f32::max`
-/// skips NaN and reports ±Inf. One set of lane maxima is carried across
-/// the plane's rows — a row is too short to amortize a reduction of its
-/// own at the wide tiers — and max is associative and commutative, so
-/// any lane order gives the same answer.
+/// A max-abs fold carried across rows: `f32::max` skips NaN and reports
+/// ±Inf, and max is associative and commutative over the magnitudes it
+/// sees, so any visit order — a plane's rows in turn, or each row the
+/// moment a kernel has stored it — gives the same bits. One set of lane
+/// maxima is carried across rows: a row is too short to amortize a
+/// reduction of its own at the wide tiers. Call it inside
+/// [`wide`](sw_grid::simd::wide); its methods inline into the caller.
+#[derive(Clone, Copy)]
+pub struct MaxAbs([f32; MAX_LANES]);
+
+impl Default for MaxAbs {
+    fn default() -> Self {
+        Self([0.0; MAX_LANES])
+    }
+}
+
+impl MaxAbs {
+    /// Fold `row`'s magnitudes in.
+    #[inline(always)]
+    pub fn row(&mut self, row: &[f32]) {
+        let (chunks, tail) = row.as_chunks::<MAX_LANES>();
+        for chunk in chunks {
+            for (m, &v) in self.0.iter_mut().zip(chunk) {
+                *m = m.max(v.abs());
+            }
+        }
+        for (m, &v) in self.0.iter_mut().zip(tail) {
+            *m = m.max(v.abs());
+        }
+    }
+
+    /// The max-abs of every row folded in (0 for none).
+    #[inline(always)]
+    pub fn get(self) -> f32 {
+        self.0.into_iter().fold(0.0, f32::max)
+    }
+}
+
+/// Max-abs over the interior rows of padded x-plane `x + halo`.
 fn plane_max_abs(f: &Field3, x: usize) -> f32 {
     wide(
         #[inline(always)]
         || {
-            let mut max = [0.0f32; MAX_LANES];
+            let mut max = MaxAbs::default();
             for y in 0..f.dims().ny {
-                let (chunks, tail) = f.row(x, y).as_chunks::<MAX_LANES>();
-                for chunk in chunks {
-                    for (m, &v) in max.iter_mut().zip(chunk) {
-                        *m = m.max(v.abs());
-                    }
-                }
-                for (m, &v) in max.iter_mut().zip(tail) {
-                    *m = m.max(v.abs());
-                }
+                max.row(f.row(x, y));
             }
-            max.into_iter().fold(0.0, f32::max)
+            max.get()
         },
     )
 }
 
-/// Interior max-abs of each field — the codec calibration scan, and the
-/// exact counterpart of [`Field3::max_abs`]. All fields are scanned as
-/// **one** flattened pass over `(field, x-plane)` items: one pool region
-/// when `parallel`, a plain loop otherwise.
+/// Interior max-abs of each field — the exact counterpart of
+/// [`Field3::max_abs`], and what the per-plane maxima of the step's
+/// last-store walks fold to (they replaced this scan as the codec scale;
+/// it stays as their reference and the codec benchmark's). All fields
+/// are scanned as **one** flattened pass over `(field, x-plane)` items:
+/// one pool region when `parallel`, a plain loop otherwise.
 pub fn fields_max_abs(fields: &[&Field3], parallel: bool) -> Vec<f32> {
     let items: Vec<(usize, usize)> = fields
         .iter()

@@ -300,24 +300,97 @@ fn check_every_kernel(
             naive::sponge_fields(s, &dcrj, 0..nx, true, false);
             yielding
         };
-        check_kernel(&base, &what("drprecpc walk"), reference, |s| {
-            kernels::drprecpc_region(s, 0..nx, pool)
-        });
+        // With `scale` the walk also reports the stresses' max-abs; it
+        // stores the same bits either way.
+        for scale in [false, true] {
+            check_kernel(&base, &what(&format!("drprecpc walk scale {scale}")), reference, |s| {
+                kernels::drprecpc_region(s, 0..nx, pool, scale).0
+            });
+        }
     }
     check_sponge(&base, &what("sponge"), pool);
     // The elastic step's standalone pass: the nine wavefields alone.
-    check_kernel(
-        &base,
-        &what("wavefield sponge"),
-        |s| {
-            naive::sponge_fields(s, &dcrj, 0..nx, true, false);
-            0
-        },
-        |s| {
-            kernels::taper_wavefields_region(s, 0..nx, pool);
-            0
-        },
-    );
+    for scale in [false, true] {
+        check_kernel(
+            &base,
+            &what(&format!("wavefield sponge scale {scale}")),
+            |s| {
+                naive::sponge_fields(s, &dcrj, 0..nx, true, false);
+                0
+            },
+            |s| {
+                kernels::taper_wavefields_region(s, 0..nx, pool, scale);
+                0
+            },
+        );
+    }
+}
+
+/// The walk that stores the stresses last — the return-mapping walk on a
+/// nonlinear state, the wavefield taper on an elastic one, either one
+/// with or without a sponge — reports their max-abs per plane, and those
+/// fold (`f32::max`, plane order) to `fields_max_abs` of the state the
+/// walk left, bit for bit: the codec scale the round trip used to scan
+/// for. The stresses are salted with NaN (skipped), ±Inf (reported),
+/// subnormals and −0.0 (by magnitude), and, in the kernels' FP mode,
+/// subnormals read as zero on both sides.
+fn check_stress_maxima(tier: LaneTier, dims: (usize, usize, usize), pool: bool) {
+    use swquake::compress::par::fields_max_abs;
+    let specials =
+        [f32::NAN, f32::INFINITY, f32::NEG_INFINITY, -0.0, 1.0e-40, -f32::from_bits(1), -3.0e38];
+    for physics in Physics::KERNEL_LEVEL {
+        for sponge in [0, 3] {
+            for flushing in [false, true] {
+                let what = format!(
+                    "{dims:?} {physics:?} sponge {sponge} pool {pool} flushing {flushing} \
+                     lanes {tier}"
+                );
+                let mut s = noisy_state(dims, physics, sponge);
+                let d = s.dims;
+                let stresses = [&mut s.xx, &mut s.yy, &mut s.zz, &mut s.xy, &mut s.xz, &mut s.yz];
+                for (i, f) in stresses.into_iter().enumerate() {
+                    // One special per stress (the first two get two each),
+                    // at cells spread over the planes.
+                    for (j, &v) in specials.iter().enumerate().filter(|(j, _)| j % 6 == i) {
+                        f.set((i + j) % d.nx, (3 * j) % d.ny, (5 * j + i) % d.nz, v);
+                    }
+                }
+                let _fp = flushing.then(swquake::core::exec::kernel_fp_env);
+                let maxima = if physics.options(sponge).nonlinear {
+                    kernels::drprecpc_region(&mut s, 0..d.nx, pool, true).1
+                } else {
+                    kernels::taper_wavefields_region(&mut s, 0..d.nx, pool, true)
+                };
+                let maxima = maxima.expect("asked for the scale");
+                assert_eq!(maxima.len(), d.nx, "{what}: one entry per plane");
+                let folded: Vec<u32> = (0..6)
+                    .map(|i| maxima.iter().fold(0.0f32, |m, plane| m.max(plane[i])).to_bits())
+                    .collect();
+                let stored = [&s.xx, &s.yy, &s.zz, &s.xy, &s.xz, &s.yz];
+                for parallel in [false, true] {
+                    let scan: Vec<u32> =
+                        fields_max_abs(&stored, parallel).iter().map(|m| m.to_bits()).collect();
+                    assert_eq!(folded, scan, "{what}: against fields_max_abs({parallel})");
+                }
+            }
+        }
+    }
+}
+
+#[test]
+fn the_stresses_last_store_reports_their_max_abs_per_plane() {
+    per_tier(|tier| {
+        for dims in MESHES {
+            check_stress_maxima(tier, dims, false);
+        }
+        for threads in [1, 2, 3, 4] {
+            with_pool_width(threads, || {
+                for dims in MESHES {
+                    check_stress_maxima(tier, dims, true);
+                }
+            });
+        }
+    });
 }
 
 /// The tabulated taper against the oracle's whole-mesh profile.

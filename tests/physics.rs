@@ -147,35 +147,59 @@ fn explosion_is_compressional_on_axis() {
 }
 
 /// With the sponge on, the total kinetic energy decays after the source
-/// stops; without it, the (closed-box) energy stays roughly constant.
+/// stops. (That the closed box keeps its energy is rung 1d's,
+/// `elastic_box_conserves_kinetic_plus_strain_energy`.)
 #[test]
 fn sponge_absorbs_outgoing_energy() {
     let dims = Dims3::new(32, 32, 24);
     let model = HalfspaceModel::hard_rock();
     let mut damped_cfg = explosion_cfg(dims, 100.0, 0);
     damped_cfg.options.sponge_width = 6;
-    let mut undamped_cfg = explosion_cfg(dims, 100.0, 0);
-    undamped_cfg.options.sponge_width = 0;
     let mut damped = Simulation::new(&model, &damped_cfg).expect("valid config");
-    let mut undamped = Simulation::new(&model, &undamped_cfg).expect("valid config");
     // run long enough for the wave to hit the boundary several times
     for _ in 0..80 {
         damped.step();
-        undamped.step();
     }
     let e_mid_damped = damped.state.kinetic_energy();
-    let e_mid_undamped = undamped.state.kinetic_energy();
     for _ in 0..160 {
         damped.step();
-        undamped.step();
     }
     let decay_damped = damped.state.kinetic_energy() / e_mid_damped;
-    let decay_undamped = undamped.state.kinetic_energy() / e_mid_undamped;
     assert!(decay_damped < 0.2, "sponge kills the wavefield: {decay_damped}");
-    assert!(
-        decay_undamped > decay_damped * 3.0,
-        "closed box retains energy: {decay_undamped} vs {decay_damped}"
-    );
+}
+
+/// Rung 1d, discrete energy: in an elastic, sponge-free box (rigid
+/// sides and bottom, the free surface on top) kinetic + strain energy is
+/// conserved once the explosion's source-time function has ended. The
+/// leapfrog holds velocities half a step off the stresses, so the sum
+/// breathes by a little as energy moves between its halves; it must not
+/// drift. Measured over 240 steps after the source: see EXPERIMENTS
+/// "Discrete energy"; pinned at about twice the measurement.
+#[test]
+fn elastic_box_conserves_kinetic_plus_strain_energy() {
+    let dims = Dims3::new(32, 32, 24);
+    let model = HalfspaceModel::hard_rock();
+    let cfg = explosion_cfg(dims, 100.0, 0);
+    let mut sim = Simulation::new(&model, &cfg).expect("valid config");
+    // The Gaussian's delay + 6σ: its moment rate is below 1e-7 of its
+    // peak from here on.
+    while sim.time < 0.08 + 6.0 * 0.02 {
+        sim.step();
+    }
+    let energy = |s: &Simulation| s.state.kinetic_energy() + s.state.strain_energy();
+    let e0 = energy(&sim);
+    assert!(e0 > 0.0 && e0.is_finite(), "the source put energy in: {e0}");
+    let (k0, mut drift, mut kinetic_swing) = (sim.state.kinetic_energy(), 0.0f64, 0.0f64);
+    for _ in 0..240 {
+        sim.step();
+        drift = drift.max((energy(&sim) / e0 - 1.0).abs());
+        kinetic_swing = kinetic_swing.max((sim.state.kinetic_energy() / k0 - 1.0).abs());
+    }
+    // Measured: the sum strays by at most 8.57e-4 of 4.18e8 J, while the
+    // kinetic half alone swings by 0.111 of its value as the box rings.
+    // Pinned at twice (and half) those.
+    assert!(kinetic_swing > 0.055, "the kinetic half must trade with the strain half");
+    assert!(drift < 1.7e-3, "kinetic + strain energy drifted by {drift:.3e} of {e0:.4e} J");
 }
 
 /// Attenuation (finite Q) bleeds amplitude relative to the elastic run.
