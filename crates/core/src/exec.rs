@@ -13,9 +13,9 @@
 //! lanes it used to select run in every mode.
 //!
 //! Both paths are **bit-identical** (pinned by `tests/kernel_matrix.rs`
-//! and the `exec_equivalence` integration tests): planes are disjoint
-//! and each is computed by one call of the one body, so mode is purely a
-//! performance choice.
+//! kernel by kernel, and over whole runs by the exec cases of
+//! `tests/exec_equivalence.rs`): planes are disjoint and each is computed
+//! by one call of the one body, so mode is purely a performance choice.
 //!
 //! ## Who walks which planes in a pool region
 //!

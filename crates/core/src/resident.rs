@@ -564,6 +564,7 @@ fn copy_core(dst: &mut Field3, src: &Field3, t: Tile) {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::driver::{SimConfig, Simulation};
     use crate::state::StateOptions;
 
     #[test]
@@ -607,5 +608,99 @@ mod tests {
         let plane = ((d.ny + 2 * H) * (d.nz + 2 * H)) as u64;
         assert!(20 * 4 * plane * (w as u64 + 4 * H as u64) <= cap);
         assert!(w >= 1 && tile_width_for_cap(d, 12, Some(cap)) > w);
+    }
+
+    /// A compressed16 restore re-encodes under the image's sidecar
+    /// buckets, not ones derived from the decoded content. Where the two
+    /// agree (every cut the run cases make) only this sees a restore that
+    /// drops the sidecar.
+    #[test]
+    fn a_restore_pins_the_sidecars_buckets() {
+        let cfg =
+            SimConfig::new(Dims3::new(8, 6, 9), 100.0, 1).with_resident(ResidentMode::Compressed16);
+        let mut sim = Simulation::new(&sw_model::HalfspaceModel::hard_rock(), &cfg).unwrap();
+        let mut ckpt = sim.make_checkpoint();
+        let at = ckpt.fields.iter().position(|(n, _)| n == SIDECAR_FIELD).expect("a sidecar");
+        ckpt.fields[at].1.raw_mut().fill(7.0);
+        sim.restore(&ckpt).unwrap();
+        let again = sim.make_checkpoint();
+        let pinned = &again.fields[at].1;
+        assert!((0..pinned.dims().ny).all(|p| pinned.get(0, p, 0) == 7.0), "derived, not pinned");
+    }
+
+    /// The round-trip error pass rides only the sampled steps and is
+    /// bit-neutral: two engines stepped by hand, sampling every step and
+    /// every third, end on the stores and buckets of a compressed16 run
+    /// under a stride-3 monitor; they report the same statistics (bitwise)
+    /// on the sampled steps and zero errors around the same scan on the
+    /// others; and the monitor's budget ledger is the always-on statistics
+    /// of its steps — the driver asks for the pass exactly where it reads.
+    #[test]
+    fn error_statistics_ride_only_the_sampled_steps() {
+        use sw_health::{BudgetTracker, CompressionSample, HealthConfig};
+        use sw_source::{MomentTensor, SourceTimeFunction};
+        let mut cfg = SimConfig::new(Dims3::new(30, 28, 16), 150.0, 30)
+            .with_resident(ResidentMode::Compressed16)
+            .with_memory_cap(1 << 20);
+        cfg.options =
+            StateOptions { sponge_width: 5, attenuation: true, nonlinear: true, ..cfg.options };
+        let moment = MomentTensor::double_couple(30.0, 80.0, 170.0, 3.0e14);
+        let stf = SourceTimeFunction::Triangle { onset: 0.05, duration: 0.5 };
+        cfg.sources = vec![PointSource { ix: 14, iy: 13, iz: 8, moment, stf }];
+        let health = HealthConfig::default().with_stride(3);
+        let model = sw_model::LayeredModel::north_china();
+        let mut monitored =
+            Simulation::new(&model, &cfg.clone().with_health(health.clone())).unwrap();
+        monitored.run(cfg.steps);
+
+        let _fp = crate::exec::kernel_fp_env();
+        let main = SolverState::from_model(&model, cfg.dims, cfg.dx, cfg.origin, cfg.options);
+        let mut runs =
+            [(), ()].map(|_| (main.clone(), ResidentEngine::new(&main, cfg.memory_cap_bytes)));
+        let mut ledger = BudgetTracker::new(health.compression_budget);
+        let bits = |s: EncodeStats| {
+            (s.max_abs.to_bits(), s.max_err.to_bits(), s.sum_sq_err.to_bits(), s.count, s.nonfinite)
+        };
+        let (mut measured, mut t) = (0, 0.0f64);
+        for step in 1..=cfg.steps as u64 {
+            let sampled = step % 3 == 0;
+            for (i, (main, engine)) in runs.iter_mut().enumerate() {
+                engine.begin_step();
+                if i == 0 || sampled {
+                    engine.sample_encode_errors();
+                }
+                engine.velocity_sweep(main);
+                engine.stress_sweep(main);
+                engine.inject_sources(main, &cfg.sources, t);
+                engine.plastic_sponge_sweep(main);
+            }
+            t += main.dt;
+            for ((name, a), (_, b)) in runs[0].1.step_stats().zip(runs[1].1.step_stats()) {
+                let want =
+                    if sampled { a } else { EncodeStats { max_err: 0.0, sum_sq_err: 0.0, ..a } };
+                assert_eq!(bits(want), bits(b), "step {step} {name}");
+                if sampled && (a.count > 0 || a.nonfinite > 0) {
+                    measured += u32::from(a.sum_sq_err > 0.0);
+                    let sample = CompressionSample {
+                        max_abs_err: f64::from(a.max_err),
+                        sum_sq_err: a.sum_sq_err,
+                        count: a.count,
+                        max_abs_value: f64::from(a.max_abs),
+                    };
+                    ledger.record(name, sample);
+                }
+            }
+        }
+        assert!(measured > 0, "the sampled steps measured no round-trip error at all");
+        let ckpt = monitored.make_checkpoint();
+        for (idx, name) in RESIDENT_FIELDS.iter().enumerate() {
+            let (_, stored) = ckpt.fields.iter().find(|(n, _)| n == name).expect("a stored field");
+            for (_, engine) in &runs {
+                assert_eq!(engine.to_field(idx).raw(), stored.raw(), "field {name}");
+            }
+        }
+        assert_eq!(runs[0].1.sidecar().raw(), runs[1].1.sidecar().raw(), "plane buckets");
+        let report = monitored.health().expect("monitor attached");
+        assert_eq!(report.budget, ledger.fields(), "budget ledger of the monitored run");
     }
 }

@@ -456,8 +456,7 @@ impl SolverState {
     }
 
     /// Kinetic energy of one x-plane's interior (before the cell-volume
-    /// factor): the deterministic reduction unit shared by the serial
-    /// and parallel energy probes.
+    /// factor): the reduction unit of [`Self::kinetic_energy`].
     fn kinetic_energy_plane(&self, x: usize) -> f64 {
         let mut e = 0.0f64;
         for y in 0..self.dims.ny {
@@ -470,24 +469,12 @@ impl SolverState {
     /// Kinetic energy of the interior, J (cell volume × ½ρv²).
     ///
     /// Accumulated as one f64 partial per x-plane, folded in plane
-    /// order — the same chunked reduction [`Self::kinetic_energy_par`]
-    /// uses, so the two are bit-identical and health records don't
-    /// depend on the `ExecMode`.
+    /// order — the order the health probe folds its plane partials in on
+    /// either exec path (`health::fold_probe`), so health records don't
+    /// depend on the `ExecMode` (`tests/exec_equivalence.rs`, health axis).
     pub fn kinetic_energy(&self) -> f64 {
         let vol = self.dx * self.dx * self.dx;
         (0..self.dims.nx).map(|x| self.kinetic_energy_plane(x)).sum::<f64>() * vol
-    }
-
-    /// Parallel [`Self::kinetic_energy`]: per-plane partials are
-    /// computed on the pool, collected in plane order, and folded
-    /// exactly like the serial probe — bit-identical for any thread
-    /// count.
-    pub fn kinetic_energy_par(&self) -> f64 {
-        use rayon::prelude::*;
-        let vol = self.dx * self.dx * self.dx;
-        let partials: Vec<f64> =
-            (0..self.dims.nx).into_par_iter().map(|x| self.kinetic_energy_plane(x)).collect();
-        partials.into_iter().sum::<f64>() * vol
     }
 
     /// Strain energy of one x-plane's interior (before the cell-volume

@@ -1,24 +1,28 @@
-//! One body per kernel, pinned against the naive reference.
+//! One body per kernel, pinned against the naive reference; one answer
+//! per run, whoever computes it.
 //!
 //! `swquake-core` writes each stencil kernel once (a lane-generic plane
 //! body, `crates/core/src/kernels/`) and only chooses who walks the
-//! x-planes. This matrix runs that body — per kernel and over five full
-//! steps — on the calling thread and through the pool at widths 1 to 4
-//! (3 puts seams between slabs of unequal length), under every physics
-//! combination, on meshes chosen to hit the vector tail (`nz % 8 ≠ 0`),
-//! rows shorter than one vector (`nz < 8`), meshes below and above one
-//! y-tile, forced 5 × 16 tiles whose edges cross the
-//! mesh, `ny = 1..4` (where the `dvelcx` / `dvelcy` split degenerates)
-//! and sponge widths 0 and 3, and compares **every bit of every array
-//! the state carries, halo planes included** with
-//! `tests/oracle/kernels.rs` — once under the baseline lane cap (the code
-//! every host without AVX2 runs) and once per wider lane tier this host
-//! offers (`sw_grid::simd`). Two more axes pin the one list of arrays:
-//! the sponge's tabulated taper against the oracle's whole-mesh profile
-//! over the geometries that bend it (no sponge, overlapping bands, a
-//! non-cubic mesh, rank pieces, a width far beyond the mesh), and the
-//! set of arrays each physics allocates — and that a step touches no
-//! other.
+//! x-planes. The **oracle half** runs that body — per kernel and over
+//! five full steps — on the calling thread and through the pool at widths
+//! 1 to 4 (3 puts seams between slabs of unequal length), under every
+//! physics combination, on meshes chosen to hit the vector tail
+//! (`nz % 8 ≠ 0`), rows shorter than one vector (`nz < 8`), meshes below
+//! and above one y-tile, forced 5 × 16 tiles whose edges cross the mesh,
+//! `ny = 1..4` (where the `dvelcx` / `dvelcy` split degenerates) and
+//! sponge widths 0 and 3, and compares **every bit of every array the
+//! state carries, halo planes included** with `tests/oracle/kernels.rs` —
+//! once under the baseline lane cap (the code every host without AVX2
+//! runs) and once per wider lane tier this host offers
+//! (`sw_grid::simd`). Two more axes pin the one list of arrays: the
+//! sponge's tabulated taper against the oracle's whole-mesh profile over
+//! the geometries that bend it (no sponge, overlapping bands, a non-cubic
+//! mesh, rank pieces, a width far beyond the mesh), and the set of arrays
+//! each physics allocates — and that a step touches no other.
+//!
+//! The **run half** — whole runs of the production config along the
+//! exec, lane-tier, rank, store, restart and health axes — is
+//! `tests/matrix/`, checked by `tests/{exec,parallel,resident}_equivalence.rs`.
 
 mod oracle;
 

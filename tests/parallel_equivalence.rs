@@ -1,118 +1,43 @@
-//! The decomposition-correctness contract: a multi-rank run must produce
-//! results **bit-identical** to the single-rank run — the property the
-//! paper's level-1 MPI decomposition relies on and the reason halo
-//! exchange exists.
+//! The decomposition contract: a multi-rank run is bit-identical to the
+//! single-rank run — the property the paper's level-1 MPI decomposition
+//! relies on and the reason halo exchange exists. Each test checks its
+//! cases of the one test matrix (`tests/matrix/`).
 
-use swquake::core::driver::run_multirank;
-use swquake::core::{SimConfig, Simulation};
-use swquake::grid::Dims3;
-use swquake::io::Station;
-use swquake::model::{LayeredModel, TangshanModel};
-use swquake::parallel::RankGrid;
-use swquake::source::{MomentTensor, PointSource, SourceTimeFunction};
+mod matrix;
 
-fn demanding_config() -> SimConfig {
-    let dims = Dims3::new(30, 28, 16);
-    let mut cfg = SimConfig::new(dims, 150.0, 60);
-    cfg.options.sponge_width = 5;
-    cfg.options.attenuation = true;
-    cfg.options.nonlinear = true;
-    // Sources near rank boundaries and corners.
-    let moment = MomentTensor::double_couple(30.0, 80.0, 170.0, 3.0e14);
-    let stf = SourceTimeFunction::Triangle { onset: 0.05, duration: 0.5 };
-    cfg.sources = vec![
-        PointSource { ix: 14, iy: 13, iz: 8, moment, stf },
-        PointSource { ix: 15, iy: 14, iz: 5, moment, stf },
-        PointSource { ix: 1, iy: 26, iz: 10, moment, stf },
-    ];
-    cfg.stations = vec![
-        Station { name: "A".into(), ix: 5, iy: 5 },
-        Station { name: "B".into(), ix: 15, iy: 14 }, // on a 2x2 rank seam
-        Station { name: "C".into(), ix: 28, iy: 3 },
-    ];
-    cfg
-}
-
-fn check_equivalence(grid: RankGrid) {
-    let model = LayeredModel::north_china();
-    let cfg = demanding_config();
-    let mut single = Simulation::new(&model, &cfg).expect("valid config");
-    single.run(cfg.steps);
-    let multi = run_multirank(&model, &cfg, grid).expect("valid config");
-    // Seismograms: every sample bit-identical.
-    for s in single.seismo.seismograms() {
-        let m = multi
-            .seismograms
-            .iter()
-            .find(|m| m.station.name == s.station.name)
-            .expect("station recorded");
-        assert_eq!(s.samples.len(), m.samples.len());
-        for (i, (a, b)) in s.samples.iter().zip(&m.samples).enumerate() {
-            assert_eq!(a, b, "station {} sample {i} differs", s.station.name);
-        }
-    }
-    // PGV: bit-identical over the whole surface.
-    let d = cfg.dims;
-    for x in 0..d.nx {
-        for y in 0..d.ny {
-            assert_eq!(single.pgv.at(x, y), multi.pgv.at(x, y), "PGV differs at ({x},{y})");
-        }
-    }
-}
-
+/// 2×1 ranks bit-match one rank.
 #[test]
 fn two_by_one_matches_single_rank() {
-    check_equivalence(RankGrid::new(2, 1));
+    matrix::check(file!(), "two_by_one_matches_single_rank");
 }
 
+/// 1×2 ranks bit-match one rank.
 #[test]
 fn one_by_two_matches_single_rank() {
-    check_equivalence(RankGrid::new(1, 2));
+    matrix::check(file!(), "one_by_two_matches_single_rank");
 }
 
+/// 2×2 ranks bit-match one rank.
 #[test]
 fn two_by_two_matches_single_rank() {
-    check_equivalence(RankGrid::new(2, 2));
+    matrix::check(file!(), "two_by_two_matches_single_rank");
 }
 
+/// 3×2 ranks bit-match one rank.
 #[test]
 fn three_by_two_matches_single_rank() {
-    check_equivalence(RankGrid::new(3, 2));
+    matrix::check(file!(), "three_by_two_matches_single_rank");
 }
 
-/// Uneven splits (mesh not divisible by the rank count) must also match.
+/// An uneven split (7×3 does not divide 30×28) on the Tangshan basin.
 #[test]
 fn uneven_decomposition_matches() {
-    let model = TangshanModel::with_extent(4_500.0, 4_200.0, 2_400.0);
-    let dims = Dims3::new(30, 28, 16);
-    let mut cfg = SimConfig::new(dims, 150.0, 40);
-    cfg.options.sponge_width = 4;
-    cfg.sources = vec![PointSource {
-        ix: 17,
-        iy: 11,
-        iz: 7,
-        moment: MomentTensor::explosion(1.0e13),
-        stf: SourceTimeFunction::Gaussian { delay: 0.1, sigma: 0.03 },
-    }];
-    let mut single = Simulation::new(&model, &cfg).expect("valid config");
-    single.run(cfg.steps);
-    // 7 and 3 do not divide 30/28 evenly.
-    let multi = run_multirank(&model, &cfg, RankGrid::new(7, 3)).expect("valid config");
-    for x in 0..dims.nx {
-        for y in 0..dims.ny {
-            assert_eq!(single.pgv.at(x, y), multi.pgv.at(x, y), "PGV differs at ({x},{y})");
-        }
-    }
+    matrix::check(file!(), "uneven_decomposition_matches");
 }
 
-/// The flop accounting must be decomposition-invariant.
+/// The flop total (with every other observable) of 2×2 ranks fanning out
+/// over the pool matches one serial rank.
 #[test]
 fn flops_are_decomposition_invariant() {
-    let model = LayeredModel::north_china();
-    let cfg = demanding_config();
-    let mut single = Simulation::new(&model, &cfg).expect("valid config");
-    single.run(cfg.steps);
-    let multi = run_multirank(&model, &cfg, RankGrid::new(2, 2)).expect("valid config");
-    let rel = (single.flops.flops - multi.flops).abs() / single.flops.flops;
-    assert!(rel < 1e-9, "flop totals differ by {rel}");
+    matrix::check(file!(), "flops_are_decomposition_invariant");
 }

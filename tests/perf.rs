@@ -41,7 +41,8 @@ fn pin_pool() {
     rayon::ThreadPoolBuilder::new().num_threads(4).build_global().ok();
 }
 
-/// Every production feature on at once, as in `exec_equivalence`.
+/// Every production feature on at once, as the run cases of
+/// `tests/matrix/` have them, with the §6.5 round trip.
 fn production_config() -> SimConfig {
     let dims = Dims3::new(30, 28, 16);
     let mut cfg = SimConfig::new(dims, 150.0, 60).with_compression(true);

@@ -1,448 +1,56 @@
-//! The compressed-resident error-budget contract. `ResidentMode::
-//! Compressed16` trades per-step decode/encode work for a ~2x cut in
-//! dynamic memory; this harness pins what that trade is allowed to
-//! cost:
-//!
-//! * **Epsilon tier** — a compressed16 run's seismograms and hazard map
-//!   must stay within [`SEISMO_MISFIT_EPS`] / [`PGV_REL_EPS`] of the
-//!   full-precision run, across every execution mode;
-//! * **Full is untouched** — the resident plumbing (config knobs,
-//!   dispatch branches) must leave `ResidentMode::Full` bit-identical;
-//! * **Determinism** — the tile sweeps are exec-agnostic, so the
-//!   compressed16 wavefield is *bitwise* identical across
-//!   serial/parallel (and the `simd` alias: `tests/kernel_matrix.rs`),
-//!   and checkpoints cross the mode boundary in
-//!   both directions — and the lane-tier boundary: an image cut under
-//!   the baseline lane cap is the image a dispatched run cuts, and either
-//!   resumes at the other tier onto the uninterrupted run's bytes;
-//! * **The cap holds** — a mesh whose f32 footprint is >= 2x the
-//!   configured cap still runs end-to-end with the decode slab under
-//!   the cap, gauged and health-gated;
-//! * **Statistics are free when unread** — the round-trip error pass
-//!   runs only on the steps the health monitor samples, changes no
-//!   stored bit, and on those steps reports what an engine that runs it
-//!   on every step reports.
+//! The §6.5 16-bit resident store: within the epsilon tier of `Full`,
+//! bit-neutral for `Full` itself, bounded under a memory cap, inside the
+//! health budget, and across restarts. Each test checks its cases of the
+//! one test matrix (`tests/matrix/`).
 
-use swquake::compress::EncodeStats;
-use swquake::core::driver::run_multirank;
-use swquake::core::exec::kernel_fp_env;
-use swquake::core::resident::{ResidentEngine, RESIDENT_FIELDS};
-use swquake::core::{
-    ConfigError, ExecMode, ResidentMode, RunError, SimConfig, Simulation, SolverState,
-};
-use swquake::grid::simd::{cap_lanes, LaneTier};
-use swquake::grid::Dims3;
-use swquake::health::{BudgetTracker, CompressionSample, HealthConfig};
-use swquake::io::checkpoint::Checkpoint;
-use swquake::io::Station;
-use swquake::model::LayeredModel;
-use swquake::parallel::RankGrid;
-use swquake::source::{MomentTensor, PointSource, SourceTimeFunction};
+mod matrix;
 
-/// Epsilon tier for the 16-bit resident representation, pinned from
-/// measurement: on the production config below the observed seismogram
-/// misfit is ~4e-3 and the PGV deviation ~6e-3. The tier leaves ~10x
-/// headroom so it fails on regressions, not on noise, while still
-/// rejecting anything that would be visible on a Fig. 6-style overlay.
-const SEISMO_MISFIT_EPS: f64 = 0.05;
-/// Relative hazard-map (PGV) tolerance of the same tier.
-const PGV_REL_EPS: f32 = 0.05;
-
-fn pin_pool() {
-    rayon::ThreadPoolBuilder::new().num_threads(4).build_global().ok();
-}
-
-/// The resident-compatible production feature set: nonlinear
-/// plasticity, attenuation, and the Cerjan sponge on; the inter-step
-/// compression round trip off (compressed16 *replaces* it).
-fn production_config() -> SimConfig {
-    let dims = Dims3::new(30, 28, 16);
-    let mut cfg = SimConfig::new(dims, 150.0, 60);
-    cfg.options.sponge_width = 5;
-    cfg.options.attenuation = true;
-    cfg.options.nonlinear = true;
-    let moment = MomentTensor::double_couple(30.0, 80.0, 170.0, 3.0e14);
-    let stf = SourceTimeFunction::Triangle { onset: 0.05, duration: 0.5 };
-    cfg.sources = vec![
-        PointSource { ix: 14, iy: 13, iz: 8, moment, stf },
-        PointSource { ix: 15, iy: 14, iz: 5, moment, stf },
-        PointSource { ix: 1, iy: 26, iz: 10, moment, stf },
-    ];
-    // Stations sit outside the Cerjan sponge: absorbed-zone amplitudes
-    // are tiny, so a *relative* misfit there measures boundary noise,
-    // not representation error.
-    cfg.stations = vec![
-        Station { name: "A".into(), ix: 8, iy: 8 },
-        Station { name: "B".into(), ix: 15, iy: 14 },
-        Station { name: "C".into(), ix: 22, iy: 20 },
-    ];
-    cfg
-}
-
-fn run_cfg(cfg: &SimConfig) -> Simulation {
-    let model = LayeredModel::north_china();
-    let mut sim = Simulation::new(&model, cfg).expect("valid config");
-    sim.run(cfg.steps);
-    sim
-}
-
-/// Assert the epsilon tier between a full-precision reference and a
-/// compressed16 run: seismograms within the misfit tier, hazard map
-/// within the relative tier, and the motion itself non-trivial (so a
-/// zeroed wavefield can never pass as "close").
-fn assert_within_epsilon(reference: &Simulation, compressed: &Simulation, label: &str) {
-    for (full, comp) in reference.seismo.seismograms().iter().zip(compressed.seismo.seismograms()) {
-        assert_eq!(full.station.name, comp.station.name);
-        assert_eq!(full.samples.len(), comp.samples.len(), "{label}: sample count");
-        let misfit = comp.normalized_misfit(full);
-        assert!(
-            misfit.is_finite() && misfit < SEISMO_MISFIT_EPS,
-            "{label}: station {} misfit {misfit:.3e} exceeds tier {SEISMO_MISFIT_EPS:.0e}",
-            full.station.name
-        );
-    }
-    let d = reference.state.dims;
-    let mut peak = 0.0f32;
-    for x in 0..d.nx {
-        for y in 0..d.ny {
-            peak = peak.max(reference.pgv.at(x, y));
-        }
-    }
-    assert!(peak > 0.0, "{label}: reference run produced no surface motion");
-    for x in 0..d.nx {
-        for y in 0..d.ny {
-            let full = reference.pgv.at(x, y);
-            let comp = compressed.pgv.at(x, y);
-            assert!(
-                (full - comp).abs() <= PGV_REL_EPS * peak,
-                "{label}: PGV at ({x},{y}) {comp:.4e} vs {full:.4e} (peak {peak:.4e})"
-            );
-        }
-    }
-}
-
-/// Bitwise comparison of two compressed16 runs via their checkpoints
-/// (the 16-bit stores decode through `to_field`, so equal planes =>
-/// equal checkpoint fields) plus recorders.
-fn assert_compressed_identical(a: &Simulation, b: &Simulation, label: &str) {
-    let ca = a.make_checkpoint();
-    let cb = b.make_checkpoint();
-    assert_eq!(ca.fields.len(), cb.fields.len(), "{label}: field count");
-    for ((na, fa), (nb, fb)) in ca.fields.iter().zip(&cb.fields) {
-        assert_eq!(na, nb, "{label}: field order");
-        assert_eq!(fa.raw(), fb.raw(), "{label}: field {na} differs");
-    }
-    for (sa, sb) in a.seismo.seismograms().iter().zip(b.seismo.seismograms()) {
-        assert_eq!(sa.samples, sb.samples, "{label}: station {} differs", sa.station.name);
-    }
-}
-
-/// Tier test: compressed16 matches the full-precision run within the
-/// documented epsilon tier under every execution mode, and — because
-/// the tile sweeps are exec-agnostic — the compressed16 runs themselves
-/// are bitwise identical across modes.
+/// `Compressed16`, serial, parallel and capped, within the epsilon tier of
+/// `Full`; serial and parallel 16-bit runs bit for bit the same.
 #[test]
 fn compressed16_matches_full_within_epsilon_across_exec_modes() {
-    pin_pool();
-    let cfg = production_config();
-    let reference = run_cfg(&cfg.clone().with_exec(ExecMode::Serial));
-    assert!(!reference.state.has_blown_up());
-
-    let compressed: Vec<Simulation> = [ExecMode::Serial, ExecMode::Parallel]
-        .into_iter()
-        .map(|exec| {
-            let sim =
-                run_cfg(&cfg.clone().with_exec(exec).with_resident(ResidentMode::Compressed16));
-            assert_eq!(sim.resident_mode(), ResidentMode::Compressed16);
-            assert_within_epsilon(&reference, &sim, &format!("compressed16/{exec}"));
-            sim
-        })
-        .collect();
-    assert_compressed_identical(&compressed[0], &compressed[1], "serial vs parallel");
+    matrix::check(file!(), "compressed16_matches_full_within_epsilon_across_exec_modes");
 }
 
-/// Pin: the resident plumbing leaves `ResidentMode::Full` untouched.
-/// `Full` is the default, and neither spelling it explicitly nor
-/// setting a memory cap (which only sizes the compressed decode slab)
-/// may perturb a single bit of the full-precision run.
+/// `Full` spelled out, or under a memory cap, is the default run bit for bit.
 #[test]
 fn full_mode_is_bitwise_unchanged_by_resident_knobs() {
-    pin_pool();
-    let cfg = production_config().with_exec(ExecMode::Parallel);
-    assert_eq!(cfg.resident, ResidentMode::Full);
-    let baseline = run_cfg(&cfg);
-    let explicit = run_cfg(&cfg.clone().with_resident(ResidentMode::Full));
-    let capped = run_cfg(&cfg.clone().with_memory_cap(1 << 20));
-    for (label, other) in [("explicit full", &explicit), ("full with cap", &capped)] {
-        assert_eq!(baseline.state.u.max_abs_diff(&other.state.u), 0.0, "{label}: u");
-        assert_eq!(baseline.state.xx.max_abs_diff(&other.state.xx), 0.0, "{label}: xx");
-        assert_eq!(baseline.state.eqp.max_abs_diff(&other.state.eqp), 0.0, "{label}: eqp");
-        for (i, (ra, rb)) in baseline.state.r.iter().zip(other.state.r.iter()).enumerate() {
-            assert_eq!(ra.max_abs_diff(rb), 0.0, "{label}: r{}", i + 1);
-        }
-        for (sa, sb) in baseline.seismo.seismograms().iter().zip(other.seismo.seismograms()) {
-            assert_eq!(sa.samples, sb.samples, "{label}: station {}", sa.station.name);
-        }
-        assert!(other.resident_stored_bytes().is_none(), "{label}: no engine in full mode");
-    }
+    matrix::check(file!(), "full_mode_is_bitwise_unchanged_by_resident_knobs");
 }
 
-/// The over-cap scenario: a mesh whose dynamic f32 footprint is at
-/// least 2x the configured memory cap runs end-to-end under
-/// compressed16, with the decode slab bounded by the cap, the total
-/// resident bytes (16-bit stores + slab) under the f32 footprint, and
-/// the results still inside the epsilon tier.
+/// A mesh whose f32 footprint is over twice the cap runs capped in 16
+/// bits: slab within the cap, stores and slab under the footprint, results
+/// within the epsilon tier.
 #[test]
 fn over_cap_scenario_completes_with_bounded_working_set() {
-    pin_pool();
-    // A taller mesh than the tier tests use: the cap must leave room
-    // for the slab's fixed 4H planes (stencil reach + the slab field's
-    // own x-halo) while staying under half the f32 footprint.
-    let mut cfg = production_config().with_exec(ExecMode::Parallel);
-    cfg.dims = Dims3::new(40, 36, 20);
-    let reference = run_cfg(&cfg);
-    let f32_footprint: u64 = {
-        let s = &reference.state;
-        let wave: u64 = [&s.u, &s.v, &s.w, &s.xx, &s.yy, &s.zz, &s.xy, &s.xz, &s.yz]
-            .iter()
-            .map(|f| f.resident_bytes() as u64)
-            .sum();
-        wave + s.r.iter().map(|f| f.resident_bytes() as u64).sum::<u64>()
-    };
-    let cap: u64 = 1 << 20;
-    assert!(
-        f32_footprint >= 2 * cap,
-        "mesh too small to exercise the cap: {f32_footprint} B vs cap {cap} B"
-    );
-
-    let sim = run_cfg(&cfg.clone().with_resident(ResidentMode::Compressed16).with_memory_cap(cap));
-    let slab = sim.resident_working_set_bytes().expect("compressed mode");
-    let stored = sim.resident_stored_bytes().expect("compressed mode");
-    assert!(slab <= cap, "decode slab {slab} B exceeds cap {cap} B");
-    assert!(
-        stored + slab < f32_footprint,
-        "resident total {} B does not undercut the f32 footprint {f32_footprint} B",
-        stored + slab
-    );
-    assert_within_epsilon(&reference, &sim, "over-cap compressed16");
+    matrix::check(file!(), "over_cap_scenario_completes_with_bounded_working_set");
 }
 
-/// The hard health gate: a compressed16 run under an attached monitor
-/// with the compression budget promoted to fatal completes cleanly —
-/// the per-step encode error stays inside the binade-relative budget —
-/// and the probe/budget machinery actually engaged.
+/// The budget promoted to fatal at stride 3: the capped 16-bit run
+/// completes, bit for bit the unmonitored one.
 #[test]
 fn health_budget_gate_passes_under_compressed16() {
-    pin_pool();
-    let cfg = production_config()
-        .with_exec(ExecMode::Parallel)
-        .with_resident(ResidentMode::Compressed16)
-        .with_health(HealthConfig::default().with_stride(5).with_budget_fatal(true));
-    let sim = run_cfg(&cfg);
-    assert!(sim.health_failure().is_none(), "budget gate tripped: {:?}", sim.health_failure());
-    let report = sim.health().expect("monitor attached");
-    assert!(report.checks > 0, "no health checks ran");
-    assert!(!report.records.is_empty(), "no probes recorded");
-    assert!(!report.budget.is_empty(), "no budget ledger entries");
+    matrix::check(file!(), "health_budget_gate_passes_under_compressed16");
 }
 
-/// One engine step as the driver sequences it, at simulated time `t`.
-fn engine_step(engine: &mut ResidentEngine, main: &mut SolverState, cfg: &SimConfig, t: f64) {
-    engine.velocity_sweep(main);
-    engine.stress_sweep(main);
-    engine.inject_sources(main, &cfg.sources, t);
-    engine.plastic_sponge_sweep(main);
-}
-
-/// The round-trip error pass rides only the sampled steps and is
-/// bit-neutral. Three compressed16 runs of one scenario — no health
-/// monitor, a monitor at stride 3, and a hand-driven engine that samples
-/// every step (what every encode did before the pass became optional) —
-/// end with identical stores and seismograms; a hand-driven engine
-/// sampling every third step reports on those steps exactly the
-/// statistics of the always-on one (bitwise, `sum_sq_err` included) and
-/// zero errors around the same scan on the others; and the monitored
-/// run's budget ledger is the always-on statistics of the stride steps,
-/// so the driver asks for the pass on exactly the steps it reads.
+/// The round-trip error pass at stride 3 is bit-neutral: the monitored
+/// 16-bit run is the unmonitored one bit for bit.
 #[test]
 fn error_statistics_ride_only_the_sampled_steps() {
-    pin_pool();
-    const STRIDE: u64 = 3;
-    let cfg = production_config()
-        .with_exec(ExecMode::Serial)
-        .with_resident(ResidentMode::Compressed16)
-        .with_memory_cap(1 << 20);
-    let plain = run_cfg(&cfg);
-    let health = HealthConfig::default().with_stride(STRIDE);
-    let budget = health.compression_budget;
-    let monitored = run_cfg(&cfg.clone().with_health(health));
-    assert_compressed_identical(&plain, &monitored, "no health vs --health-stride 3");
-
-    let model = LayeredModel::north_china();
-    let _fp = kernel_fp_env();
-    let mut main = SolverState::from_model(&model, cfg.dims, cfg.dx, cfg.origin, cfg.options);
-    let mut main_sparse = main.clone();
-    let mut always = ResidentEngine::new(&main, cfg.memory_cap_bytes);
-    let mut sparse = ResidentEngine::new(&main_sparse, cfg.memory_cap_bytes);
-    let mut ledger = BudgetTracker::new(budget);
-    let bits = |s: &EncodeStats| {
-        (s.max_abs.to_bits(), s.max_err.to_bits(), s.sum_sq_err.to_bits(), s.count, s.nonfinite)
-    };
-    let mut t = 0.0f64;
-    let mut measured = 0;
-    for step in 1..=cfg.steps as u64 {
-        let sampled = step % STRIDE == 0;
-        always.begin_step();
-        always.sample_encode_errors();
-        engine_step(&mut always, &mut main, &cfg, t);
-        sparse.begin_step();
-        if sampled {
-            sparse.sample_encode_errors();
-        }
-        engine_step(&mut sparse, &mut main_sparse, &cfg, t);
-        t += main.dt;
-        for ((name, a), (_, b)) in always.step_stats().zip(sparse.step_stats()) {
-            if sampled {
-                assert_eq!(bits(&a), bits(&b), "step {step} {name}: sampled statistics");
-                if a.count > 0 || a.nonfinite > 0 {
-                    measured += u32::from(a.sum_sq_err > 0.0);
-                    ledger.record(
-                        name,
-                        CompressionSample {
-                            max_abs_err: f64::from(a.max_err),
-                            sum_sq_err: a.sum_sq_err,
-                            count: a.count,
-                            max_abs_value: f64::from(a.max_abs),
-                        },
-                    );
-                }
-            } else {
-                let scan_only = EncodeStats { max_err: 0.0, sum_sq_err: 0.0, ..a };
-                assert_eq!(bits(&scan_only), bits(&b), "step {step} {name}: unsampled statistics");
-            }
-        }
-    }
-    assert!(measured > 0, "the sampled steps measured no round-trip error at all");
-    let ckpt = plain.make_checkpoint();
-    for (idx, name) in RESIDENT_FIELDS.iter().enumerate() {
-        let (_, stored) = ckpt.fields.iter().find(|(n, _)| n == name).expect("resident field");
-        assert_eq!(always.to_field(idx).raw(), stored.raw(), "always-on engine: field {name}");
-        assert_eq!(sparse.to_field(idx).raw(), stored.raw(), "sparse engine: field {name}");
-    }
-    assert_eq!(always.sidecar().raw(), sparse.sidecar().raw(), "plane buckets");
-    let report = monitored.health().expect("monitor attached");
-    assert_eq!(report.budget, ledger.fields(), "budget ledger of the monitored run");
+    matrix::check(file!(), "error_statistics_ride_only_the_sampled_steps");
 }
 
-/// Checkpoints cross the resident-mode boundary in both directions: a
-/// compressed16 checkpoint (decompressed fields + bucket sidecar)
-/// restores into a full-precision run and vice versa, each landing
-/// within the epsilon tier of the uninterrupted full reference; and a
-/// compressed16 -> compressed16 resume is *bitwise* identical thanks to
-/// the sidecar.
+/// A 16-bit image resumed in `Full`, and a `Full` image resumed in 16
+/// bits, land within the epsilon tier of the uninterrupted `Full` run.
 #[test]
 fn checkpoints_cross_the_resident_mode_boundary() {
-    pin_pool();
-    let model = LayeredModel::north_china();
-    let cfg = production_config().with_exec(ExecMode::Parallel);
-    let reference = run_cfg(&cfg);
-    let compressed_cfg = cfg.clone().with_resident(ResidentMode::Compressed16);
-
-    // Uninterrupted compressed16 run: the bitwise pin target.
-    let uninterrupted = run_cfg(&compressed_cfg);
-
-    // compressed16 -> compressed16: byte-identical resume.
-    let mut first = Simulation::new(&model, &compressed_cfg).expect("valid config");
-    first.run(30);
-    let compressed_ckpt = first.make_checkpoint();
-    let mut resumed = Simulation::new(&model, &compressed_cfg).expect("valid config");
-    resumed.restore(&compressed_ckpt).expect("compressed checkpoint restores");
-    resumed.run(30);
-    assert_compressed_identical(&uninterrupted, &resumed, "compressed resume");
-
-    // compressed16 -> full: the sidecar is skipped, the decompressed
-    // fields restore directly; the tail runs at full precision.
-    let mut to_full = Simulation::new(&model, &cfg).expect("valid config");
-    to_full.restore(&compressed_ckpt).expect("full mode accepts the compressed checkpoint");
-    to_full.run(30);
-    assert_within_epsilon(&reference, &to_full, "compressed -> full restore");
-
-    // full -> compressed16: no sidecar, buckets re-derived on encode.
-    let mut full_half = Simulation::new(&model, &cfg).expect("valid config");
-    full_half.run(30);
-    let full_ckpt = full_half.make_checkpoint();
-    let mut to_compressed = Simulation::new(&model, &compressed_cfg).expect("valid config");
-    to_compressed.restore(&full_ckpt).expect("compressed mode accepts the full checkpoint");
-    to_compressed.run(30);
-    assert_within_epsilon(&reference, &to_compressed, "full -> compressed restore");
+    matrix::check(file!(), "checkpoints_cross_the_resident_mode_boundary");
 }
 
-/// A checkpoint does not remember the lane tier that cut it: the first
-/// half of a compressed16 run under the baseline cap (the code a host
-/// without AVX2 runs) and under the host's own tier encode to the same
-/// image bytes, and each image, resumed at the *other* tier, ends on the
-/// uninterrupted run's stores and seismograms.
+/// The capped 16-bit run is the same bits at every lane tier, half image
+/// included; an image cut at one tier and resumed at the other ends on the
+/// uninterrupted run.
 #[test]
 fn checkpoints_cross_the_lane_tier_boundary() {
-    pin_pool();
-    let model = LayeredModel::north_china();
-    let cfg = production_config()
-        .with_exec(ExecMode::Parallel)
-        .with_resident(ResidentMode::Compressed16)
-        .with_memory_cap(512 << 10);
-    let uninterrupted = run_cfg(&cfg);
-    let half = |cap: Option<LaneTier>, image: Option<&[u8]>| {
-        let _cap = cap.map(cap_lanes);
-        let mut sim = Simulation::new(&model, &cfg).expect("valid config");
-        if let Some(image) = image {
-            sim.restore(&Checkpoint::decode(image).expect("own image")).expect("restores");
-        }
-        sim.run(30);
-        sim
-    };
-    let capped = half(Some(LaneTier::Baseline), None).make_checkpoint().encode();
-    let dispatched = half(None, None).make_checkpoint().encode();
-    assert!(capped == dispatched, "the step-30 image depends on the lane tier");
-    let label = |from: &str, to: &str| format!("cut at {from}, resumed at {to}");
-    let host = LaneTier::detected().name();
-    assert_compressed_identical(
-        &uninterrupted,
-        &half(None, Some(&capped)),
-        &label("baseline", host),
-    );
-    assert_compressed_identical(
-        &uninterrupted,
-        &half(Some(LaneTier::Baseline), Some(&dispatched)),
-        &label(host, "baseline"),
-    );
-}
-
-/// The compatibility contract is enforced up front: inter-step
-/// compression, surface snapshots, and multirank runs are rejected at
-/// validation, not mis-simulated.
-#[test]
-fn resident_config_rejects_unsupported_features() {
-    let base = production_config().with_resident(ResidentMode::Compressed16);
-    assert!(base.validate().is_ok());
-
-    assert!(matches!(
-        base.clone().with_compression(true).validate(),
-        Err(ConfigError::ResidentUnsupported { feature: "inter-step compression" })
-    ));
-
-    let mut snaps = base.clone();
-    snaps.snapshot_times = vec![0.1];
-    assert!(matches!(
-        snaps.validate(),
-        Err(ConfigError::ResidentUnsupported { feature: "surface snapshots" })
-    ));
-
-    let model = LayeredModel::north_china();
-    let multi = run_multirank(&model, &base, RankGrid::new(2, 2));
-    assert!(matches!(
-        multi,
-        Err(RunError::Config(ConfigError::ResidentUnsupported {
-            feature: "multirank halo exchange"
-        }))
-    ));
+    matrix::check(file!(), "checkpoints_cross_the_lane_tier_boundary");
 }
