@@ -115,12 +115,22 @@ const ARRAYS: [(&[&str], ArrayClass, Wanted); 5] = [
     }),
 ];
 
-/// Bytes between the cache phases of consecutive slots of [`ARRAYS`]:
-/// slot `i`'s array starts `i × PHASE_STRIDE` bytes past a
-/// [`PHASE_TURN`] boundary, so the 28 slots spread over one turn and no
-/// two arrays a kernel streams at one cell index share an L1 set there
-/// (DESIGN.md, "Array placement").
+/// Bytes between the L1 phases of consecutive slots of [`ARRAYS`]: slot
+/// `i`'s array starts `i × PHASE_STRIDE` bytes past a [`PHASE_TURN`]
+/// boundary, so the 28 slots spread over one turn and no two arrays a
+/// kernel streams at one cell index share an L1 set there (DESIGN.md,
+/// "Array placement").
 const PHASE_STRIDE: usize = 144;
+
+/// Bytes between the pages of consecutive slots inside the L2's set span
+/// (2 MiB, 16 ways: 128 KiB). An array on huge pages starts
+/// `i × (PAGE_STRIDE + PHASE_STRIDE)` past a [`HUGE_PAGE`](sw_grid::HUGE_PAGE) boundary, so
+/// its L2 set index is its slot's own; on small pages the kernel picks
+/// each page's frame and the stride does nothing.
+const PAGE_STRIDE: usize = 4096;
+
+/// Bytes of the L2's set span: the address bits below it pick the set.
+const L2_SET_SPAN: usize = 128 << 10;
 
 const _: () = {
     let (mut slots, mut group) = (0, 0);
@@ -129,12 +139,17 @@ const _: () = {
         group += 1;
     }
     assert!(slots * PHASE_STRIDE <= PHASE_TURN, "two slots would share a phase");
+    assert!(PAGE_STRIDE.is_multiple_of(PHASE_TURN), "the page stride moves the L1 phase");
+    assert!(slots * (PAGE_STRIDE + PHASE_STRIDE) <= L2_SET_SPAN, "two slots would share a page");
 };
 
-/// The cache phase of the array named `name`: its slot in [`ARRAYS`] ×
-/// [`PHASE_STRIDE`].
+/// The placement of the array named `name`: its slot in [`ARRAYS`] ×
+/// (`PAGE_STRIDE` + `PHASE_STRIDE`), the bytes its origin sits past a
+/// [`HUGE_PAGE`](sw_grid::HUGE_PAGE) boundary ([`Field3::at_phase`]); modulo [`PHASE_TURN`]
+/// that is slot × `PHASE_STRIDE`.
 pub fn phase(name: &str) -> usize {
-    rows().position(|(n, _, _)| n == name).expect("an array of the list") * PHASE_STRIDE
+    let slot = rows().position(|(n, _, _)| n == name).expect("an array of the list");
+    slot * (PAGE_STRIDE + PHASE_STRIDE)
 }
 
 /// [`ARRAYS`], one row per array.
@@ -418,9 +433,9 @@ impl SolverState {
 
     /// The first allocated array that does not sit at its slot's
     /// [`phase`]: `None` for a state [`Self::blank`] built, and for its
-    /// clones (a [`Field3`] clone keeps its phase).
+    /// clones (a [`Field3`] clone keeps its placement).
     pub fn misplaced(&self) -> Option<&'static str> {
-        self.arrays().find(|&(name, _, f)| f.phase() != phase(name)).map(|(name, ..)| name)
+        self.arrays().find(|&(name, _, f)| !f.sits_at(phase(name))).map(|(name, ..)| name)
     }
 
     /// Number of 3-D arrays the state carries (the §3 accounting).

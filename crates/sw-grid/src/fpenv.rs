@@ -27,9 +27,10 @@
 //! (glibc's `pthread_create` happens to copy the control word; nothing
 //! here relies on it.)
 //!
-//! This file holds one of the repository's two `unsafe` blocks (the
-//! other is the tier dispatch in [`crate::simd`]); DESIGN.md ("The
-//! `unsafe` policy") says why it is here and what it relies on.
+//! This file holds one of the repository's three `unsafe` blocks (the
+//! others are the tier dispatch in [`crate::simd`] and the huge-page
+//! advice in [`crate::hugepage`]); DESIGN.md ("The `unsafe` policy") says
+//! why it is here and what it relies on.
 
 use std::marker::PhantomData;
 

@@ -13,18 +13,22 @@
 //!   core-group block → Athread region → LDM window);
 //! * [`halo`] — pack/unpack of halo faces for inter-rank exchange;
 //! * [`fpenv`] — the flush-to-zero floating-point environment every
-//!   thread that runs kernel code computes in.
+//!   thread that runs kernel code computes in;
+//! * [`hugepage`] — transparent huge pages under every field that fills
+//!   one.
 
 pub mod array3;
 pub mod dims;
 pub mod fpenv;
 pub mod halo;
+pub mod hugepage;
 pub mod simd;
 pub mod tile;
 
 pub use array3::{Array3, Field3, PHASE_TURN};
 pub use dims::{Dims3, Idx3};
 pub use halo::{Face, HaloSpec};
+pub use hugepage::HUGE_PAGE;
 pub use tile::{AthreadLayout, CgBlock, LdmWindow, TileIter};
 
 /// Stencil halo width used throughout: the solver is 4th-order in space,

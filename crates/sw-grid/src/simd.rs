@@ -33,7 +33,7 @@
 //! axis, so a row is the innermost contiguous run every stencil kernel
 //! vectorizes over.
 //!
-//! This file holds one of the workspace's two `unsafe` blocks (the call
+//! This file holds one of the workspace's three `unsafe` blocks (the call
 //! from undetected into detected code); DESIGN.md ("The `unsafe`
 //! policy") has the argument.
 

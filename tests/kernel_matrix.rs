@@ -34,7 +34,7 @@ use swquake::core::kernels::{self, Region};
 use swquake::core::state::{self, ArrayClass, PlasticityConfig, SolverState, StateOptions};
 use swquake::core::{ExecMode, ExecPath, ResidentMode, SimConfig, Simulation};
 use swquake::grid::simd::{per_tier, LaneTier};
-use swquake::grid::{Dims3, Field3, HALO_WIDTH};
+use swquake::grid::{hugepage, Dims3, Field3, HALO_WIDTH, PHASE_TURN};
 use swquake::model::LayeredModel;
 use swquake::parallel::RankGrid;
 use swquake::source::{MomentTensor, PointSource, SourceTimeFunction};
@@ -672,18 +672,36 @@ fn each_physics_carries_exactly_its_arrays_and_a_step_touches_no_other() {
     });
 }
 
-/// Every array `s` carries sits at its slot's cache phase
-/// (`state::phase`), and no two arrays share one.
+/// Every array `s` carries sits at its slot's placement
+/// (`state::phase`), and no two arrays share a cache phase.
 fn assert_placed(s: &SolverState, what: &str) {
     let mut phases = Vec::new();
     for (name, _, f) in s.arrays() {
-        assert_eq!(f.phase(), state::phase(name), "`{name}` {what}");
-        phases.push(f.phase());
+        assert!(f.sits_at(state::phase(name)), "`{name}` {what} at {}", f.phase());
+        phases.push(f.phase() % PHASE_TURN);
     }
     let count = phases.len();
     phases.sort_unstable();
     phases.dedup();
     assert_eq!(phases.len(), count, "{what}: two arrays share a phase");
+}
+
+/// `AnonHugePages` of the mapping of `/proc/self/smaps` that holds
+/// `addr`, in kB.
+fn anon_huge_kb(addr: usize) -> u64 {
+    let smaps = std::fs::read_to_string("/proc/self/smaps").expect("/proc/self/smaps");
+    let mut inside = false;
+    for line in smaps.lines() {
+        let range = line.split_whitespace().next().and_then(|r| r.split_once('-'));
+        if let Some((lo, hi)) = range.and_then(|(lo, hi)| {
+            Some((usize::from_str_radix(lo, 16).ok()?, usize::from_str_radix(hi, 16).ok()?))
+        }) {
+            inside = (lo..hi).contains(&addr);
+        } else if let Some(kb) = line.strip_prefix("AnonHugePages:").filter(|_| inside) {
+            return kb.trim().trim_end_matches("kB").trim().parse().expect("a kB count");
+        }
+    }
+    panic!("no mapping of /proc/self/smaps holds {addr:#x}")
 }
 
 /// The placement axis: wherever a state comes from — sampled from a
@@ -692,9 +710,34 @@ fn assert_placed(s: &SolverState, what: &str) {
 /// cache phase (DESIGN.md, "Array placement"). Rank pieces are states
 /// `Simulation` builds itself; it checks each as it builds it (a debug
 /// assertion, which this suite runs under), on a fresh and on a resumed
-/// 2×2 grid here.
+/// 2×2 grid here. A 128³ state's arrays each fill huge pages: each starts
+/// its slot's page into one, and the page it starts on is huge.
 #[test]
 fn every_array_sits_at_its_slots_cache_phase() {
+    let mut large = SolverState::blank(
+        Dims3::cube(128),
+        100.0,
+        1e-3,
+        1e-3,
+        StateOptions { attenuation: false, nonlinear: false, ..Default::default() },
+    );
+    assert_placed(&large, "at 128³");
+    if hugepage::available() {
+        for f in large.dynamic_mut().into_iter().filter(|f| !f.is_detached()) {
+            f.raw_mut()[0] = 1.0;
+        }
+        for f in [&mut large.lam, &mut large.mu, &mut large.rho, &mut large.buoyancy] {
+            f.raw_mut()[0] = 1.0;
+        }
+        for (name, _, f) in large.arrays() {
+            let kb = anon_huge_kb(f.raw().as_ptr() as usize);
+            assert!(kb >= 2048, "`{name}` at 128³ starts on small pages ({kb} kB huge)");
+        }
+    } else {
+        eprintln!("skipping the huge-page check: no transparent huge pages on this host");
+    }
+    drop(large);
+
     let dir = std::env::temp_dir().join(format!("swquake_placement_{}", std::process::id()));
     let model = LayeredModel::north_china();
     let dims = (12, 10, 9);

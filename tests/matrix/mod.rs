@@ -41,7 +41,7 @@ fn with_pool_width<R>(threads: usize, f: impl FnOnce() -> R) -> R {
 
 /// A whole run of the production config, placed on the run axes.
 #[derive(Debug, Clone, Copy, PartialEq)]
-struct Run {
+pub struct Run {
     exec: ExecMode,
     lanes: LaneTier,
     ranks: (usize, usize),
@@ -122,6 +122,13 @@ impl Run {
             Store::C16 => cfg.with_resident(ResidentMode::Compressed16),
             Store::C16Capped => cfg.with_resident(ResidentMode::Compressed16).with_memory_cap(CAP),
         }
+    }
+
+    /// The production config with the §6.5 round trip, serial, on one
+    /// rank and unmonitored: what `tests/perf.rs` measures the ledger on.
+    #[allow(dead_code)]
+    pub fn round_trip() -> SimConfig {
+        Run { store: Store::RoundTrip, ..REFERENCE }.config()
     }
 
     /// The run whose half image this one resumes from.

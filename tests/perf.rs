@@ -13,15 +13,15 @@
 //!   grid too, where the counts are the single-rank run's plus the halo
 //!   traffic.
 
+#[allow(dead_code)]
+mod matrix;
+
 use std::path::PathBuf;
 use std::process::Command;
 use std::sync::Arc;
 use swquake::core::{ExecMode, SimConfig, Simulation};
 use swquake::grid::simd::LaneTier;
-use swquake::grid::Dims3;
-use swquake::io::Station;
 use swquake::model::LayeredModel;
-use swquake::source::{MomentTensor, PointSource, SourceTimeFunction};
 use swquake::telemetry::perf::{PerfLedger, PerfRecorder, PERF_SCHEMA_VERSION};
 
 fn bin() -> &'static str {
@@ -41,22 +41,10 @@ fn pin_pool() {
     rayon::ThreadPoolBuilder::new().num_threads(4).build_global().ok();
 }
 
-/// Every production feature on at once, as the run cases of
-/// `tests/matrix/` have them, with the §6.5 round trip.
+/// Every production feature on at once, with the §6.5 round trip: the
+/// run cases' config of the one test matrix.
 fn production_config() -> SimConfig {
-    let dims = Dims3::new(30, 28, 16);
-    let mut cfg = SimConfig::new(dims, 150.0, 60).with_compression(true);
-    cfg.options.sponge_width = 5;
-    cfg.options.attenuation = true;
-    cfg.options.nonlinear = true;
-    let moment = MomentTensor::double_couple(30.0, 80.0, 170.0, 3.0e14);
-    let stf = SourceTimeFunction::Triangle { onset: 0.05, duration: 0.5 };
-    cfg.sources = vec![
-        PointSource { ix: 14, iy: 13, iz: 8, moment, stf },
-        PointSource { ix: 15, iy: 14, iz: 5, moment, stf },
-    ];
-    cfg.stations = vec![Station { name: "A".into(), ix: 5, iy: 5 }];
-    cfg
+    matrix::Run::round_trip()
 }
 
 fn run_with_perf(cfg: &SimConfig, exec: ExecMode) -> (Simulation, PerfLedger) {
